@@ -146,6 +146,15 @@ class Polynomial:
         """Build directly from quarter-unit exponent vectors."""
         return cls(terms)
 
+    @classmethod
+    def _trusted(cls, terms: dict[Exponents, int]) -> "Polynomial":
+        # Adopts ``terms`` without copying or filtering: the caller owns the
+        # dict and guarantees that no coefficient in it is zero.
+        p = cls.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
+
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, int]]:
@@ -261,10 +270,29 @@ class Polynomial:
             n >>= 1
         return result
 
+    def add_shifted(self, other: "Polynomial", exp: Exponents, sign: int = 1) -> "Polynomial":
+        """``self + sign * x^exp * other`` in one pass over ``other``.
+
+        ``x^exp`` is the monic monomial with the given quarter units and
+        ``sign`` is +1 or -1.  The result starts as a copy of ``self``'s
+        term map, so it shares ``self``'s exponent keys.
+        """
+        out = self._terms.copy()
+        get = out.get
+        dq, da, dt = exp
+        for (eq, ea, et), c in other._terms.items():
+            key = (eq + dq, ea + da, et + dt)
+            v = get(key, 0) + sign * c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return Polynomial._trusted(out)
+
     def shifted(self, exp: Exponents) -> "Polynomial":
         """Multiply by the monic monomial with the given quarter units."""
         dq, da, dt = exp
-        return Polynomial(
+        return Polynomial._trusted(
             {(eq + dq, ea + da, et + dt): c for (eq, ea, et), c in self._terms.items()}
         )
 
@@ -397,8 +425,15 @@ class Polynomial:
         return self._terms == p._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int (ZERO equals 0), so it must hash like one.
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if not terms:
+                self._hash = hash(0)
+            elif len(terms) == 1 and (0, 0, 0) in terms:
+                self._hash = hash(terms[(0, 0, 0)])
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def text(self, latex: bool = False) -> str:
@@ -688,7 +723,9 @@ class FracPoly:
         """Truncated q-power-series expansion, exact in a and t.
 
         Requires every denominator factor to be (1 - q^j) with j > 0 on the
-        quarter lattice; anything else raises :class:`NotASeries`.
+        quarter lattice; anything else raises :class:`NotASeries`.  Each
+        geometric factor only raises q, so terms above ``qmax`` are dropped
+        from the numerator first and after every product.
         """
         if qmax < 0:
             raise ValueError("qmax must be >= 0")
@@ -698,20 +735,20 @@ class FracPoly:
                 raise NotASeries(f"denominator factor {f.text()} is not (1 - q^j)")
             steps.append(f.trail[0])
         bound = qmax * UNIT
-        if self._num.is_zero:
+        kept = {e: c for e, c in self._num._terms.items() if e[0] <= bound}
+        if not kept:
             return ZERO
-        result = self._num
-        qmin = min(e[0] for e in result.units())
+        result = Polynomial._trusted(kept)
+        qmin = min(e[0] for e in kept)
         for j in steps:
-            terms = {}
-            m = 0
-            while qmin + m * j <= bound:
-                terms[(m * j, 0, 0)] = 1
-                m += 1
-            result = result * Polynomial(terms)
-        return Polynomial(
-            {e: c for e, c in result.units().items() if e[0] <= bound}
-        )
+            geom = Polynomial._trusted(
+                {(m * j, 0, 0): 1 for m in range((bound - qmin) // j + 1)}
+            )
+            product = result * geom
+            result = Polynomial._trusted(
+                {e: c for e, c in product._terms.items() if e[0] <= bound}
+            )
+        return result
 
     # -- comparison / rendering ------------------------------------------
 
@@ -723,11 +760,9 @@ class FracPoly:
             return self._num == f._num
         return self._num * f.den_poly() == f._num * self.den_poly()
 
-    def __hash__(self) -> int:
-        # Reduced form is canonical only up to common factors, so hashing by
-        # the reduced pair is consistent with __eq__ for equal reduced forms;
-        # FracPoly is not used as a dict key across unequal representations.
-        return hash((self._num, self._den))
+    # Reduced form is not canonical ((1+q)/(1-q^2) == 1/(1-q)), so no hash
+    # can agree with __eq__; FracPoly is unhashable.
+    __hash__ = None
 
     def _den_text(self, latex: bool = False) -> str:
         if not self._den:

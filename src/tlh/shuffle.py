@@ -5,16 +5,20 @@ letter.  Each sequence carries an exact Poincare polynomial in q, a, t,
 defined by the recursion
 
     P(empty)  =  1
-    P(v.1)    =  (t^ones(v) + a) * P(v)
+    P(v.1)    =  t^ones(v) * P(v)  +  a * P(v)
     P(0^n)    =  P(1 0^(n-1))
-    P(v.0)    =  q * P(0 v)  +  (1 - q) * P(1 v)      (v.0 not all zeroes)
+    P(v.0)    =  P(1 v)  +  q * (P(0 v) - P(1 v))      (v.0 not all zeroes)
 
-(``v.1`` appends on the right, ``0 v`` prepends on the left).  The rational
-series attaches a (1-q) denominator factor per zero.  The same series is
-computed a second, independent way by the insertion recursion: expand over
-all words w of length #zeroes(v), inserting w into the zeroes of v, with a
-product of (t^j + a) weights per one of v.  Agreement of the two routes is a
-core self-check of the whole engine.
+(``v.1`` appends on the right, ``0 v`` prepends on the left).  The v.0 rule
+is q * P(0 v) + (1 - q) * P(1 v) regrouped so that every multiplier is a
+monomial: each step is a shift-and-add over the terms of values already in
+the memo (:meth:`Polynomial.add_shifted`), never a general product.
+
+The rational series attaches a (1-q) denominator factor per zero.  The same
+series is computed a second, independent way by the insertion recursion:
+expand over all words w of length #zeroes(v), inserting w into the zeroes of
+v, with a product of (t^j + a) weights per one of v.  Agreement of the two
+routes is a core self-check of the whole engine.
 
 Values are memoized per bit-string.  The memo admits concurrent lookup and
 idempotent insertion; inserting a different value under an existing key is a
@@ -24,7 +28,9 @@ native recursion, so long sequences do not hit the interpreter stack limit.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import threading
 from dataclasses import dataclass
 from itertools import product
@@ -34,7 +40,6 @@ from .poly import (
     A,
     ONE,
     ONE_MINUS_Q,
-    Q,
     UNIT,
     FracPoly,
     Polynomial,
@@ -193,9 +198,6 @@ class MemoTable(dict):
                 raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
-_ONE_MINUS_Q_POLY = ONE - Q
-
-
 def _poly_deps(key: str) -> tuple[str, ...]:
     if not key:
         return ()
@@ -212,11 +214,13 @@ def _poly_step(key: str, memo: MemoTable) -> Polynomial:
         return ONE
     if key.endswith("1"):
         body = key[:-1]
-        return (Polynomial.term(1, t=body.count("1")) + A) * memo[body]
+        p = memo[body]
+        return p.shifted((0, 0, UNIT * body.count("1"))).add_shifted(p, (0, UNIT, 0))
     if "1" not in key:
         return memo["1" + key[1:]]
     body = key[:-1]
-    return Q * memo["0" + body] + _ONE_MINUS_Q_POLY * memo["1" + body]
+    p1 = memo["1" + body]
+    return p1.add_shifted(memo["0" + body].add_shifted(p1, (0, 0, 0), -1), (UNIT, 0, 0))
 
 
 def poincare_poly(v: Seq, memo: MemoTable | None = None) -> Polynomial:
@@ -324,11 +328,24 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
 
 
 def save_cache(path: str, memo: MemoTable) -> None:
-    """Write a memo of normalized polynomials as a JSON bit-string map."""
+    """Write a memo of normalized polynomials as a JSON bit-string map.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so a crash or a concurrent writer never
+    leaves a partial cache behind.
+    """
     data = {key: poly_to_obj(memo[key]) for key in sorted(memo)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
+    # Unique among live writers; a stale file of a dead writer is overwritten.
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_cache(

@@ -201,6 +201,151 @@ def test_series_truncation_consistency():
     assert small == cut
 
 
+# Denominator steps j of (1 - q^j) in quarter units: whole and quarter-lattice.
+_Q_STEPS = [UNIT, 2 * UNIT, 3 * UNIT, 1, 2, 3]
+
+
+def _q_factor(j):
+    return BinomialFactor((0, 0, 0), (j, 0, 0))
+
+
+def _series_by_full_product(f, qmax):
+    """Multiply the whole numerator by every geometric factor, truncate once."""
+    bound = qmax * UNIT
+    if f.num.is_zero:
+        return ZERO
+    qmin = min(e[0] for e in f.num.units())
+    result = f.num
+    for factor in f.den:
+        j = factor.trail[0]
+        geom = {(m * j, 0, 0): 1 for m in range((bound - qmin) // j + 1)}
+        result = result * Polynomial(geom)
+    return Polynomial({e: c for e, c in result.units().items() if e[0] <= bound})
+
+
+@st.composite
+def q_series_fracs(draw, steps=_Q_STEPS, unit=1):
+    """Fractions over (1 - q^j) factors; exponents are multiples of ``unit``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = (
+            unit * draw(st.integers(-12 // unit, 24 // unit)),
+            unit * draw(st.integers(-4 // unit, 4 // unit)),
+            unit * draw(st.integers(-4 // unit, 4 // unit)),
+        )
+        terms[exp] = draw(st.integers(-6, 6))
+    den = draw(st.lists(st.sampled_from(steps), max_size=3))
+    return FracPoly(Polynomial(terms), [_q_factor(j) for j in den])
+
+
+@settings(max_examples=200)
+@given(q_series_fracs(), st.integers(0, 5))
+def test_series_truncates_like_full_product(f, qmax):
+    assert f.series(qmax) == _series_by_full_product(f, qmax)
+
+
+def test_series_edge_cases():
+    # negative q-exponents: q^-2/(1-q) = q^-2 + q^-1 + 1 + q + ...
+    f = FracPoly(monomial(1, q=-2) + A * T, [ONE_MINUS_Q])
+    assert f.series(1) == (
+        monomial(1, q=-2) + monomial(1, q=-1) + ONE + Q + A * T * (ONE + Q)
+    )
+    # numerator entirely above the bound
+    high = FracPoly(Q ** 5 * (ONE + A), [ONE_MINUS_Q, _q_factor(2 * UNIT)])
+    assert high.series(4) == ZERO
+    assert high.series(4).is_zero
+    assert FracPoly(ZERO, [ONE_MINUS_Q]).series(3) == ZERO
+    # (1 - q^2) and a quarter-lattice (1 - q^(1/4))
+    assert FracPoly(T, [_q_factor(2 * UNIT)]).series(5) == T * (ONE + Q ** 2 + Q ** 4)
+    quarter = FracPoly(ONE, [_q_factor(1)]).series(1)
+    assert quarter == Polynomial({(m, 0, 0): 1 for m in range(UNIT + 1)})
+    # a- and t-dependent terms ride along unchanged in a and t
+    at = FracPoly(A * A - T * Q, [ONE_MINUS_Q, _q_factor(2 * UNIT)])
+    assert at.series(3) == (A * A) * (ONE + Q + 2 * Q ** 2 + 2 * Q ** 3) - T * (
+        Q + Q ** 2 + 2 * Q ** 3
+    )
+
+
+def _sympy_series_matches(f, qmax):
+    sympy = pytest.importorskip("sympy")
+    q, a, t = sympy.symbols("q a t")
+
+    def expr(p):
+        return sum(
+            c * q ** (eq // UNIT) * a ** (ea // UNIT) * t ** (et // UNIT)
+            for (eq, ea, et), c in p.units().items()
+        )
+
+    rational = expr(f.num)
+    for factor in f.den:
+        rational /= 1 - q ** (factor.trail[0] // UNIT)
+    want = sympy.series(rational, q, 0, qmax + 1).removeO()
+    return sympy.expand(want - expr(f.series(qmax))) == 0
+
+
+@pytest.mark.parametrize(
+    "f, qmax",
+    [
+        (FracPoly(ONE + A, [ONE_MINUS_Q]), 4),
+        (FracPoly(monomial(1, q=-2) + 3 * A * T * Q, [ONE_MINUS_Q] * 2), 3),
+        (FracPoly(A * A - T ** 3 * Q ** 2, [ONE_MINUS_Q, _q_factor(2 * UNIT)]), 5),
+        (FracPoly(Q ** 6 - A, [_q_factor(3 * UNIT), _q_factor(2 * UNIT)]), 5),
+        (FracPoly(Q ** 4 * T, [ONE_MINUS_Q]), 2),
+    ],
+)
+def test_series_matches_sympy(f, qmax):
+    assert _sympy_series_matches(f, qmax)
+
+
+@settings(max_examples=10, deadline=None)
+@given(q_series_fracs(steps=[UNIT, 2 * UNIT, 3 * UNIT], unit=UNIT), st.integers(0, 4))
+def test_series_matches_sympy_property(f, qmax):
+    assert _sympy_series_matches(f, qmax)
+
+
+def test_add_shifted_examples():
+    p = ONE + Q
+    assert p.add_shifted(T, (0, 0, UNIT)) == ONE + Q + T * T
+    assert p.add_shifted(p, (UNIT, 0, 0), -1) == ONE - Q * Q
+    cancelled = p.add_shifted(p, (0, 0, 0), -1)
+    assert cancelled == ZERO
+    assert cancelled.units() == {}
+    assert ZERO.add_shifted(p, (0, UNIT, 0)) == A * p
+
+
+@settings(max_examples=200)
+@given(polys(), polys(), st.tuples(*[st.integers(-6, 6)] * 3), st.sampled_from([1, -1]))
+def test_add_shifted_matches_product(p, r, exp, sign):
+    got = p.add_shifted(r, exp, sign)
+    assert got == p + sign * Polynomial({exp: 1}) * r
+    assert all(got.units().values())
+
+
+def test_hash_agrees_with_equality():
+    five = Polynomial.term(5)
+    assert five == 5
+    assert hash(five) == hash(5)
+    assert ZERO == 0
+    assert hash(ZERO) == hash(0)
+    assert hash(Q - Q) == hash(0)
+    assert {5: "five"}[five] == "five"
+    assert len({ONE, 1, (ONE + Q) - Q}) == 1
+    x = FracPoly(ONE + Q, [_q_factor(2 * UNIT)])
+    y = FracPoly(ONE, [ONE_MINUS_Q])
+    assert x == y
+    with pytest.raises(TypeError):
+        hash(x)
+    with pytest.raises(TypeError):
+        hash(y)
+
+
+@given(polys(), polys())
+def test_hash_of_equal_polynomials(p, r):
+    same = (p + r) - r
+    assert same == p
+    assert hash(same) == hash(p)
+
+
 def test_frac_equality_cross_denominator():
     a = FracPoly(ONE - Q * Q, [ONE_MINUS_Q, ONE_MINUS_Q])
     b = FracPoly(ONE + Q, [ONE_MINUS_Q])

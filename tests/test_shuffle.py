@@ -1,10 +1,11 @@
 import json
+import os
 import threading
 
 import pytest
 
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, FracPoly, Polynomial
-from tlh.serialize import parse_poly
+from tlh.serialize import dumps, parse_poly
 from tlh.shuffle import (
     IncompatiblePair,
     MemoDivergence,
@@ -69,6 +70,37 @@ def test_poincare_poly_golden():
     assert poincare_poly("00") == (ONE + A) * (Q + T - Q * T + A)
     assert poincare_poly("11") == (ONE + A) * (T + A)
     assert poincare_poly("000") == (ONE + A) * (F000_A0 + F000_A1 * A + A * A)
+
+
+def _general_product_poly(key, memo):
+    """The recursion written with general products, (1-q) and (t^k + a)."""
+    if key not in memo:
+        if not key:
+            value = ONE
+        elif key.endswith("1"):
+            body = key[:-1]
+            weight = Polynomial.term(1, t=body.count("1")) + A
+            value = weight * _general_product_poly(body, memo)
+        elif "1" not in key:
+            value = _general_product_poly("1" + key[1:], memo)
+        else:
+            body = key[:-1]
+            value = Q * _general_product_poly("0" + body, memo) + (
+                ONE - Q
+            ) * _general_product_poly("1" + body, memo)
+        memo[key] = value
+    return memo[key]
+
+
+def test_shift_and_add_step_matches_general_products():
+    memo = MemoTable()
+    reference = {}
+    for n in range(9):
+        for v in all_sequences(n):
+            got = poincare_poly(v, memo)
+            want = _general_product_poly(v, reference)
+            assert got.units() == want.units(), v
+            assert dumps(got) == dumps(want)
 
 
 def test_poincare_series():
@@ -179,3 +211,26 @@ def test_cache_spot_check_catches_tampering(tmp_path):
     # rate 0 skips validation entirely
     loaded = load_cache(str(path), spot_check_rate=0.0)
     assert loaded[""] == Polynomial({(0, 0, 0): 7})
+
+
+def test_save_cache_is_atomic(tmp_path, monkeypatch):
+    memo = MemoTable()
+    poincare_poly("010", memo)
+    path = tmp_path / "cache.json"
+    save_cache(str(path), memo)
+    before = path.read_bytes()
+
+    def dump_then_crash(data, fh):
+        fh.write('{"0": ')
+        raise RuntimeError("crash mid-dump")
+
+    poincare_poly("0110", memo)
+    monkeypatch.setattr(json, "dump", dump_then_crash)
+    with pytest.raises(RuntimeError, match="mid-dump"):
+        save_cache(str(path), memo)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.json"]
+    monkeypatch.undo()
+    save_cache(str(path), memo)
+    assert os.listdir(tmp_path) == ["cache.json"]
+    assert dict(load_cache(str(path), spot_check_rate=0.0)) == dict(memo)
