@@ -97,6 +97,11 @@ def _exp_str(name: str, units: int, latex: bool = False) -> str:
     return f"{name}^({frac.numerator}/{frac.denominator})"
 
 
+def _exp_vector(exp: Exponents) -> str:
+    """Render quarter units as whole/fractional powers, e.g. "(1/4, -1, 0)"."""
+    return "(" + ", ".join(str(Fraction(u, UNIT)) for u in exp) + ")"
+
+
 def _term_str(exp: Exponents, coeff: int, latex: bool = False) -> tuple[int, str]:
     """Render one term; returns (sign, unsigned body)."""
     parts = []
@@ -310,7 +315,9 @@ class Polynomial:
         vectors.  The quotient's per-variable exponent window is known exactly
         beforehand (the lowest/highest degree parts of a product never cancel),
         which both detects failure early and guarantees termination on the
-        Laurent lattice.
+        Laurent lattice.  This general routine serves divisors that are not a
+        :class:`BinomialFactor` (such as ``1 + a``); fraction reduction uses
+        :meth:`BinomialFactor.quotient` instead.
         """
         d = self._coerce(d)
         if d is None or not d._terms:
@@ -323,7 +330,7 @@ class Polynomial:
             lo.append(min(e[i] for e in self._terms) - min(e[i] for e in d._terms))
             hi.append(max(e[i] for e in self._terms) - max(e[i] for e in d._terms))
         if any(l > h for l, h in zip(lo, hi)):
-            raise NonExactDivision("quotient exponent window is empty")
+            raise NonExactDivision(f"quotient exponent window is empty dividing by {d}")
         dlead = max(d._terms)
         dcoeff = d._terms[dlead]
         dtail = [(e, c) for e, c in d._terms.items() if e != dlead]
@@ -342,10 +349,16 @@ class Polynomial:
                 heapq.heappop(heap)
             exp = (rlead[0] - dlead[0], rlead[1] - dlead[1], rlead[2] - dlead[2])
             if any(exp[i] < lo[i] or exp[i] > hi[i] for i in range(3)):
-                raise NonExactDivision("leading term not divisible")
+                raise NonExactDivision(
+                    f"leading term at q,a,t exponent {_exp_vector(rlead)} "
+                    f"not divisible by {d}"
+                )
             rcoeff = rem[rlead]
             if rcoeff % dcoeff:
-                raise NonExactDivision("coefficient not divisible")
+                raise NonExactDivision(
+                    f"coefficient {rcoeff} at q,a,t exponent {_exp_vector(rlead)} "
+                    f"not divisible by {d}"
+                )
             c = rcoeff // dcoeff
             quo[exp] = c
             del rem[rlead]
@@ -360,13 +373,6 @@ class Polynomial:
                 else:
                     rem.pop(key, None)
         return Polynomial(quo)
-
-    def divides(self, p: "Polynomial") -> bool:
-        try:
-            p.exact_div(self)
-            return True
-        except NonExactDivision:
-            return False
 
     # -- substitution -------------------------------------------------
 
@@ -488,7 +494,8 @@ class BinomialFactor(NamedTuple):
     order (lex on (t, q, a) units); orientation flips are absorbed as a sign
     on the owning fraction's numerator.  These are the only denominators the
     engine ever needs, which is why no general factorization or gcd exists
-    here.
+    here, and why dividing by one is a single prefix-sum pass
+    (:meth:`quotient`) rather than general long division.
     """
 
     lead: Exponents
@@ -506,28 +513,60 @@ class BinomialFactor(NamedTuple):
     def poly(self) -> Polynomial:
         return Polynomial({self.lead: 1, self.trail: -1})
 
-    def divides(self, p: Polynomial) -> bool:
-        """Exact divisibility test in one pass over p's terms.
+    def quotient(self, p: Polynomial) -> Polynomial | None:
+        """Exact quotient ``p / (lead - trail)``, or None if it is not exact.
 
-        (x^lead - x^trail) is a unit times (1 - x^d) with d = trail - lead,
-        and p lies in that ideal exactly when, after collapsing exponents
-        along direction d, every residue class of terms sums to zero.
+        With d = trail - lead the factor is x^lead (1 - x^d).  Writing each
+        term's exponent as base + k*d splits p into residue classes along d;
+        p is divisible exactly when every class sums to zero.  Failing is the
+        common case, so it is decided before anything is built: a multiple
+        of a binomial vanishes at q = a = t = 1, which rejects most inputs by
+        their coefficient sum alone, and the next pass only sums the classes.
+        On success the quotient along a class is the prefix sum
+        Q_k = sum of P_j over j <= k, constant from one key of p to the next,
+        with the x^-lead shift folded into the emitted keys.
         """
-        if p.is_zero:
-            return True
-        d = (
-            self.trail[0] - self.lead[0],
-            self.trail[1] - self.lead[1],
-            self.trail[2] - self.lead[2],
+        terms = p._terms
+        if not terms:
+            return p
+        if sum(terms.values()):
+            return None
+        l0, l1, l2 = self.lead
+        d0, d1, d2 = (
+            self.trail[0] - l0,
+            self.trail[1] - l1,
+            self.trail[2] - l2,
         )
-        axis = 0 if d[0] else (1 if d[1] else 2)
-        step = d[axis]
+        axis = 0 if d0 else (1 if d1 else 2)
+        step = (d0, d1, d2)[axis]
         sums: dict[Exponents, int] = {}
-        for e, c in p._terms.items():
+        get = sums.get
+        for e, c in terms.items():
             k = e[axis] // step
-            key = (e[0] - k * d[0], e[1] - k * d[1], e[2] - k * d[2])
-            sums[key] = sums.get(key, 0) + c
-        return not any(sums.values())
+            key = (e[0] - k * d0, e[1] - k * d1, e[2] - k * d2)
+            sums[key] = get(key, 0) + c
+        if any(sums.values()):
+            return None
+        classes: dict[Exponents, list[tuple[int, int]]] = {}
+        for e, c in terms.items():
+            k = e[axis] // step
+            key = (e[0] - k * d0 - l0, e[1] - k * d1 - l1, e[2] - k * d2 - l2)
+            run = classes.get(key)
+            if run is None:
+                classes[key] = [(k, c)]
+            else:
+                run.append((k, c))
+        out: dict[Exponents, int] = {}
+        for (b0, b1, b2), run in classes.items():
+            run.sort()
+            s = 0
+            # every class sums to zero, so the prefix sum is 0 after its last key
+            for (k, c), (k_next, _) in zip(run, run[1:]):
+                s += c
+                if s:
+                    for m in range(k, k_next):
+                        out[(b0 + m * d0, b1 + m * d1, b2 + m * d2)] = s
+        return Polynomial._trusted(out)
 
     def text(self, latex: bool = False) -> str:
         _, lead = _term_str(self.lead, 1, latex)
@@ -543,9 +582,12 @@ class FracPoly:
 
     The denominator is a multiset of binomial factors, never expanded.
     Construction reduces: each factor that divides the numerator exactly is
-    cancelled (one multiplicity at a time), so a FracPoly with an empty
-    denominator really is a polynomial.  Equality is decided by
-    cross-multiplication.
+    cancelled (one multiplicity at a time) by the one-pass prefix-sum
+    :meth:`BinomialFactor.quotient`, so a FracPoly with an empty denominator
+    really is a polynomial.  The heap-based :meth:`Polynomial.exact_div` is
+    kept only for divisors that are not binomial factors.  Sums accumulate
+    numerators term by term, with no intermediate Polynomial per summand.
+    Equality is decided by cross-multiplication.
     """
 
     __slots__ = ("_num", "_den")
@@ -572,8 +614,11 @@ class FracPoly:
                 i += mult
                 # once f fails to divide, dividing by other factors cannot
                 # make it divide, so a single pass reduces fully
-                while mult and f.divides(p):
-                    p = p.exact_div(f.poly())
+                while mult:
+                    quo = f.quotient(p)
+                    if quo is None:
+                        break
+                    p = quo
                     mult -= 1
                 kept.extend([f] * mult)
             factors = kept
@@ -663,7 +708,14 @@ class FracPoly:
 
     @classmethod
     def sum(cls, fractions: Iterable["FracPoly"]) -> "FracPoly":
-        """Exact sum over the least common denominator multiset."""
+        """Exact sum over the least common denominator multiset.
+
+        Numerators are accumulated term by term into dicts, never into
+        intermediate Polynomials: those already over the common denominator
+        go straight into the result, the others are summed per set of
+        missing factors, one set at a time, and each such group sum is
+        multiplied by its missing factors once, into the result.
+        """
         items = []
         for f in fractions:
             coerced = cls._coerce(f)
@@ -690,14 +742,32 @@ class FracPoly:
                 ladder.append(ladder[-1] * factor.poly())
             return ladder[m]
 
-        num = ZERO
+        by_need: dict[tuple[tuple[BinomialFactor, int], ...], list[Polynomial]] = {}
         for f, counts in zip(items, per_item):
-            scaled = f._num
-            for factor, m in common.items():
-                need = m - counts.get(factor, 0)
-                if need:
-                    scaled = scaled * factor_power(factor, need)
-            num = num + scaled
+            need = tuple(
+                (factor, m - counts.get(factor, 0))
+                for factor, m in common.items()
+                if m > counts.get(factor, 0)
+            )
+            by_need.setdefault(need, []).append(f._num)
+        acc: dict[Exponents, int] = {}
+        for need, nums in by_need.items():
+            group = {} if need else acc
+            get = group.get
+            for num in nums:
+                for e, c in num._terms.items():
+                    group[e] = get(e, 0) + c
+            if not need:
+                continue
+            scale = factor_power(*need[0])
+            for factor, m in need[1:]:
+                scale = scale * factor_power(factor, m)
+            get = acc.get
+            for (s0, s1, s2), sc in scale._terms.items():
+                for (e0, e1, e2), c in group.items():
+                    key = (e0 + s0, e1 + s1, e2 + s2)
+                    acc[key] = get(key, 0) + c * sc
+        num = Polynomial(acc)
         den: list[BinomialFactor] = []
         for factor, m in common.items():
             den.extend([factor] * m)

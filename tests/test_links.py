@@ -133,6 +133,19 @@ def test_reduce_by_unknot():
         reduce_by_unknot(ONE + Q)
 
 
+def test_reduce_by_unknot_error_names_divisor_and_exponent():
+    # dividing (1 + q + aq)(1 - q) q^(-1/4) a^(1/2) t^(1/4) by (1 + a) reaches
+    # a leading term at q^(3/4) a^(1/2) t^(1/4) whose quotient term would lie
+    # below the quotient's a-degree window
+    with pytest.raises(
+        NonExactDivision,
+        match=r"leading term at q,a,t exponent \(3/4, 1/2, 1/4\) not divisible by 1 \+ a",
+    ):
+        reduce_by_unknot(ONE + Q + A * Q)
+    with pytest.raises(NonExactDivision, match=r"window is empty dividing by 1 \+ a"):
+        reduce_by_unknot(ONE + Q)
+
+
 def test_two_strand_normalization_round_trip():
     # rebuild the raw braid-level series of the trefoil from its reduced
     # invariant, then check the normalization layer recovers it exactly

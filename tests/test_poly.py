@@ -117,15 +117,184 @@ def test_division_recovers_quotient(p, d):
     assert (p * d).exact_div(d) == p
 
 
+def _heap_quotient(p, factor):
+    try:
+        return p.exact_div(factor.poly())
+    except NonExactDivision:
+        return None
+
+
 @given(polys(), st.sampled_from(_POOL))
 def test_binomial_divides_agrees_with_division(p, factor):
-    claimed = factor.divides(p)
-    try:
-        p.exact_div(factor.poly())
-        divided = True
-    except NonExactDivision:
-        divided = False
-    assert claimed == divided
+    # a random p is almost never a multiple, so its product with the factor
+    # is checked too
+    for target in (p, p * factor.poly()):
+        assert factor.quotient(target) == _heap_quotient(target, factor)
+
+
+# Every _POOL factor plus (1 - a), a quarter-unit (1 - q^(1/4)) and the
+# oriented (q - t), whose direction runs against the q axis.
+_QUOTIENT_POOL = _POOL + [
+    BinomialFactor((0, 0, 0), (0, UNIT, 0)),
+    BinomialFactor((0, 0, 0), (1, 0, 0)),
+    BinomialFactor.normalize((0, 0, UNIT), (UNIT, 0, 0))[0],
+]
+
+
+@settings(max_examples=300)
+@given(
+    polys(max_terms=5),
+    st.sampled_from(_QUOTIENT_POOL),
+    st.integers(0, 6),
+    polys(max_terms=1, span=2),
+)
+def test_quotient_matches_heap_division(p, factor, k, noise):
+    # p * factor^k is divisible k times; the noise term usually breaks that
+    for target in (p * factor.poly() ** k, p * factor.poly() ** k + noise):
+        for _ in range(k + 1):
+            got = factor.quotient(target)
+            assert got == _heap_quotient(target, factor)
+            if got is None:
+                break
+            assert all(got.units().values())
+            target = got
+
+
+def test_quotient_examples():
+    one_minus_q5 = _q_factor(5 * UNIT)
+    # a gap inside one residue class: (1 - q^5) / (1 - q)
+    assert ONE_MINUS_Q.quotient(one_minus_q5.poly()) == sum(Q ** j for j in range(5))
+    # a nonzero prefix sum, then zero, then nonzero again along the class
+    p = ONE - Q + Q ** 2 - Q ** 3
+    assert ONE_MINUS_Q.quotient(p) == ONE + Q ** 2
+    assert ONE_MINUS_Q.quotient(ZERO) == ZERO
+    assert ONE_MINUS_Q.quotient(ONE + Q) is None
+    assert ONE_MINUS_Q.quotient(ONE) is None
+    # Laurent exponents and the x^-lead shift: (t - tq) / (t - tq) and friends
+    t_tq = BinomialFactor((0, 0, UNIT), (UNIT, 0, UNIT))
+    assert t_tq.quotient(T - T * Q) == ONE
+    assert t_tq.quotient(monomial(1, q=-2, t=-1) * (T - T * Q) * (A + Q)) == (
+        monomial(1, q=-2, t=-1) * (A + Q)
+    )
+    # (1 - q)^k for k up to 6 divides exactly k times
+    base = A - monomial(2, q=-1, t=1)
+    for k in range(7):
+        target = base * (ONE - Q) ** k
+        for _ in range(k):
+            target = ONE_MINUS_Q.quotient(target)
+        assert target == base
+        assert ONE_MINUS_Q.quotient(target) is None
+    # quarter-unit and a-direction factors
+    quarter = _q_factor(1)
+    assert quarter.quotient(ONE - Q) == sum(
+        Polynomial.term(1, q=Fraction(j, UNIT)) for j in range(UNIT)
+    )
+    one_minus_a = BinomialFactor((0, 0, 0), (0, UNIT, 0))
+    assert one_minus_a.quotient(ONE - A ** 3) == ONE + A + A * A
+    assert one_minus_a.quotient(ONE - Q) is None
+
+
+def _sympy_expr(sympy, p):
+    q, a, t = sympy.symbols("q a t")
+    return sum(
+        (c * q ** (eq // UNIT) * a ** (ea // UNIT) * t ** (et // UNIT)
+         for (eq, ea, et), c in p.units().items()),
+        sympy.Integer(0),
+    )
+
+
+def _is_laurent_monomial(sympy, expr):
+    return len(sympy.Poly(expr, *sympy.symbols("q a t")).terms()) == 1
+
+
+@st.composite
+def whole_polys(draw, max_terms=4, span=2):
+    """Polynomials with whole exponents only, for the sympy oracles."""
+    p = draw(polys(max_terms, span))
+    return Polynomial({tuple(UNIT * x for x in e): c for e, c in p.units().items()})
+
+
+@settings(max_examples=40)
+@given(
+    whole_polys(),
+    st.sampled_from([f for f in _QUOTIENT_POOL if all(u % UNIT == 0 for u in f.trail)]),
+    st.integers(0, 3),
+    whole_polys(max_terms=1),
+)
+def test_quotient_matches_sympy(p, factor, k, noise):
+    sympy = pytest.importorskip("sympy")
+    for target in (p * factor.poly() ** k, p * factor.poly() ** k + noise):
+        got = factor.quotient(target)
+        ratio = sympy.cancel(_sympy_expr(sympy, target) / _sympy_expr(sympy, factor.poly()))
+        _, den = sympy.fraction(ratio)
+        if got is None:
+            assert not _is_laurent_monomial(sympy, den)
+        else:
+            assert sympy.expand(_sympy_expr(sympy, got) - ratio) == 0
+
+
+def _sum_by_scale_then_add(items):
+    """Reference FracPoly.sum: scale each numerator by general products, then +."""
+    common = {}
+    per_item = []
+    for f in items:
+        counts = {}
+        for factor in f.den:
+            counts[factor] = counts.get(factor, 0) + 1
+        per_item.append(counts)
+        for factor, m in counts.items():
+            common[factor] = max(common.get(factor, 0), m)
+    num = ZERO
+    for f, counts in zip(items, per_item):
+        scaled = f.num
+        for factor, m in common.items():
+            scaled = scaled * factor.poly() ** (m - counts.get(factor, 0))
+        num = num + scaled
+    den = [factor for factor, m in common.items() for _ in range(m)]
+    return FracPoly(num, den)
+
+
+@settings(max_examples=200)
+@given(st.lists(fracs(), max_size=6))
+def test_frac_sum_matches_scale_then_add(items):
+    got = FracPoly.sum(items)
+    want = _sum_by_scale_then_add(items)
+    assert got.num == want.num
+    assert got.den == want.den
+    assert all(got.num.units().values())
+
+
+@st.composite
+def whole_fracs(draw):
+    num = draw(whole_polys(max_terms=3))
+    den = draw(st.lists(st.sampled_from(_POOL), max_size=3))
+    return FracPoly(num, den)
+
+
+@settings(max_examples=30)
+@given(st.lists(whole_fracs(), min_size=1, max_size=4))
+def test_frac_sum_matches_sympy(items):
+    sympy = pytest.importorskip("sympy")
+
+    def expr(f):
+        return _sympy_expr(sympy, f.num) / _sympy_expr(sympy, f.den_poly())
+
+    got = FracPoly.sum(items)
+    assert sympy.cancel(expr(got) - sum(expr(f) for f in items)) == 0
+
+
+def test_exact_div_error_names_divisor_and_exponent():
+    with pytest.raises(
+        NonExactDivision, match=r"leading term at q,a,t exponent \(0, 0, 0\) not divisible by 1 - q"
+    ):
+        (ONE + Q).exact_div(ONE - Q)
+    with pytest.raises(
+        NonExactDivision,
+        match=r"coefficient 1 at q,a,t exponent \(1, 0, 0\) not divisible by 2 \+ 2 q",
+    ):
+        (ONE + Q).exact_div(2 * ONE + 2 * Q)
+    with pytest.raises(NonExactDivision, match=r"window is empty dividing by 1 \+ a"):
+        Q.exact_div(ONE + A)
 
 
 def test_binomial_normalization():
@@ -268,19 +437,12 @@ def test_series_edge_cases():
 
 def _sympy_series_matches(f, qmax):
     sympy = pytest.importorskip("sympy")
-    q, a, t = sympy.symbols("q a t")
-
-    def expr(p):
-        return sum(
-            c * q ** (eq // UNIT) * a ** (ea // UNIT) * t ** (et // UNIT)
-            for (eq, ea, et), c in p.units().items()
-        )
-
-    rational = expr(f.num)
+    q = sympy.Symbol("q")
+    rational = _sympy_expr(sympy, f.num)
     for factor in f.den:
         rational /= 1 - q ** (factor.trail[0] // UNIT)
     want = sympy.series(rational, q, 0, qmax + 1).removeO()
-    return sympy.expand(want - expr(f.series(qmax))) == 0
+    return sympy.expand(want - _sympy_expr(sympy, f.series(qmax))) == 0
 
 
 @pytest.mark.parametrize(
