@@ -10,8 +10,8 @@
     tlh dataset --list | --get KEY      built-in reduced superpolynomials
 
 Global options: --format text|json|latex, --cache PATH (or TLH_CACHE env
-var), --threads N.  Output is deterministic: identical invocations produce
-byte-identical output regardless of thread count.
+var).  Output is deterministic: identical invocations produce byte-identical
+output.
 
 Exit status: 0 on success, 1 on a failed check or engine error, 2 on usage
 errors.
@@ -57,10 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache", default=None,
         help="memo cache file for sequence computations (env: TLH_CACHE)",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for verification suites (default: 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -180,8 +176,7 @@ def _run(args) -> int:
                 print(name)
             return 0
         names = verify.suite_names() if args.suite == "all" else [args.suite]
-        threads = max(1, args.threads)
-        results = verify.run_suites(names, max_n=args.max_n, threads=threads)
+        results = verify.run_suites(names, max_n=args.max_n)
         print(verify.render_results(results))
         return verify.exit_status(results, conjecture_soft=args.conjecture_soft)
 

@@ -147,11 +147,6 @@ class Polynomial:
         return cls({(_units(q), _units(a), _units(t)): coeff})
 
     @classmethod
-    def from_units(cls, terms: Mapping[Exponents, int]) -> "Polynomial":
-        """Build directly from quarter-unit exponent vectors."""
-        return cls(terms)
-
-    @classmethod
     def _trusted(cls, terms: dict[Exponents, int]) -> "Polynomial":
         # Adopts ``terms`` without copying or filtering: the caller owns the
         # dict and guarantees that no coefficient in it is zero.

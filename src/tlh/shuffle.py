@@ -18,11 +18,13 @@ The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
 expand over all words w of length #zeroes(v), inserting w into the zeroes of
 v, with a product of (t^j + a) weights per one of v.  Agreement of the two
-routes is a core self-check of the whole engine.
+routes is a core self-check of the whole engine.  The routes share only the
+fraction arithmetic and one work-list driver (``_evaluate``); each keeps its
+own dependency and step rules.
 
 Values are memoized per bit-string.  The memo admits concurrent lookup and
 idempotent insertion; inserting a different value under an existing key is a
-fatal invariant violation.  Evaluation runs an explicit work list rather than
+fatal invariant violation.  The driver runs an explicit work list rather than
 native recursion, so long sequences do not hit the interpreter stack limit.
 """
 
@@ -198,6 +200,29 @@ class MemoTable(dict):
                 raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
+def _evaluate(key: str, memo: MemoTable | None, deps, step):
+    """Fill ``memo`` up to ``key`` with an explicit work list, not recursion.
+
+    ``deps(k)`` names the keys that ``step(k, memo)`` reads; a key is stepped
+    only once all of them are in the memo.
+    """
+    if memo is None:
+        memo = MemoTable()
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        missing = [d for d in deps(top) if d not in memo]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo.insert(top, step(top, memo))
+            stack.pop()
+    return memo[key]
+
+
 def _poly_deps(key: str) -> tuple[str, ...]:
     if not key:
         return ()
@@ -230,22 +255,7 @@ def poincare_poly(v: Seq, memo: MemoTable | None = None) -> Polynomial:
     The recursion terminates because each rewrite strictly descends in
     (length, number of zeroes, number of inversions).
     """
-    key = _key(v)
-    if memo is None:
-        memo = MemoTable()
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        missing = [d for d in _poly_deps(top) if d not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo.insert(top, _poly_step(top, memo))
-            stack.pop()
-    return memo[key]
+    return _evaluate(_key(v), memo, _poly_deps, _poly_step)
 
 
 def poincare_series(v: Seq, memo: MemoTable | None = None) -> FracPoly:
@@ -278,25 +288,11 @@ def _insertion_step(key: str, memo: MemoTable) -> FracPoly:
 def insertion_series(v: Seq, memo: MemoTable | None = None) -> FracPoly:
     """The Poincare series computed by the insertion recursion.
 
-    Independent of :func:`poincare_series` except for sharing the fraction
-    arithmetic; equality of the two is exposed as a verification suite.
+    Independent of :func:`poincare_series` in its rules: the two routes share
+    only the fraction arithmetic and the work-list driver that orders the
+    evaluation.  Equality of the two is exposed as a verification suite.
     """
-    key = _key(v)
-    if memo is None:
-        memo = MemoTable()
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        missing = [d for d in _insertion_deps(top) if d not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo.insert(top, _insertion_step(top, memo))
-            stack.pop()
-    return memo[key]
+    return _evaluate(_key(v), memo, _insertion_deps, _insertion_step)
 
 
 def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:

@@ -9,8 +9,8 @@ that is actually false (the r = 0 tableau sum is (1+a)^n, not 1); it is
 finding-grade by construction and documents the corrected identity, which
 ``magic/r0-envelope`` then checks.
 
-Results are deterministic: no timings, no thread-dependent ordering, so the
-rendered table is byte-identical across runs and worker counts.
+Results are deterministic: no timings and a fixed check order, so the
+rendered table is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -338,11 +338,6 @@ def _enumeration_count(bound: int) -> SubResults:
 
 # ---------------------------------------------------------------------------
 # corners and tableaux
-
-
-def _all_partitions_up_to(bound: int) -> Iterable[tableaux.Partition]:
-    for n in range(bound + 1):
-        yield from tableaux.partitions_of(n)
 
 
 @_check("corners", "corner-weights-sum-to-one", THEOREM, 8)
@@ -700,24 +695,13 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def run_suites(
-    names: Iterable[str],
-    max_n: int | None = None,
-    threads: int = 1,
-) -> list[CheckResult]:
+def run_suites(names: Iterable[str], max_n: int | None = None) -> list[CheckResult]:
     checks: list[Check] = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
         checks.extend(SUITES[name])
-
-    def run(check: Check) -> CheckResult:
-        return _grade(check, check.fn(check.bound(max_n)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, checks))
-    return [run(c) for c in checks]
+    return [_grade(c, c.fn(c.bound(max_n))) for c in checks]
 
 
 def render_results(results: list[CheckResult]) -> str:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tlh
 from tlh.cli import main
 from tlh.poly import ONE, A, Q
 from tlh.serialize import dumps, parse_frac, parse_poly
@@ -167,13 +169,17 @@ def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert env_cache.exists() and not flag_cache.exists()
 
 
-def test_byte_identical_across_runs_and_threads():
+def test_byte_identical_across_runs():
     argv = [sys.executable, "-m", "tlh.cli", "verify", "--suite", "corners",
             "--max-n", "4"]
+    # run this tree's tlh, not an installed copy
+    src = os.path.dirname(os.path.dirname(tlh.__file__))
     runs = []
-    for threads in ("1", "4", "1"):
-        proc = subprocess.run(
-            argv + ["--threads", threads], capture_output=True, check=True
-        )
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(argv, capture_output=True, check=True, env=env)
         runs.append(proc.stdout)
     assert runs[0] == runs[1] == runs[2]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "corners", "--threads", "2"])
+    assert exc.value.code == 2

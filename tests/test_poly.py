@@ -203,6 +203,10 @@ def _sympy_expr(sympy, p):
     )
 
 
+def _sympy_frac(sympy, f):
+    return _sympy_expr(sympy, f.num) / _sympy_expr(sympy, f.den_poly())
+
+
 def _is_laurent_monomial(sympy, expr):
     return len(sympy.Poly(expr, *sympy.symbols("q a t")).terms()) == 1
 
@@ -275,12 +279,42 @@ def whole_fracs(draw):
 @given(st.lists(whole_fracs(), min_size=1, max_size=4))
 def test_frac_sum_matches_sympy(items):
     sympy = pytest.importorskip("sympy")
-
-    def expr(f):
-        return _sympy_expr(sympy, f.num) / _sympy_expr(sympy, f.den_poly())
-
     got = FracPoly.sum(items)
-    assert sympy.cancel(expr(got) - sum(expr(f) for f in items)) == 0
+    want = sum(_sympy_frac(sympy, f) for f in items)
+    assert sympy.cancel(_sympy_frac(sympy, got) - want) == 0
+
+
+@settings(max_examples=100)
+@given(whole_polys(), whole_polys())
+def test_mul_matches_sympy(p, r):
+    sympy = pytest.importorskip("sympy")
+    want = _sympy_expr(sympy, p) * _sympy_expr(sympy, r)
+    assert sympy.expand(_sympy_expr(sympy, p * r) - want) == 0
+
+
+_GEOMETRIC_BASES = [(UNIT, 0, 0), (0, UNIT, 0), (0, 0, UNIT)]
+
+
+@settings(max_examples=60)
+@given(
+    whole_fracs(),
+    st.sampled_from(_GEOMETRIC_BASES),
+    st.integers(2, 3),
+    whole_polys(max_terms=1),
+)
+def test_frac_eq_matches_sympy(x, m, k, noise):
+    # x / (1 - x^m) against the same value over (1 - x^(km)), whose numerator
+    # carries 1 + x^m + ... + x^((k-1)m): equal over unequal denominators,
+    # and usually unequal once the noise term is added
+    sympy = pytest.importorskip("sympy")
+    geometric = Polynomial({tuple(j * u for u in m): 1 for j in range(k)})
+    km = tuple(k * u for u in m)
+    small = FracPoly(x.num, [*x.den, BinomialFactor((0, 0, 0), m)])
+    for num in (x.num * geometric, x.num * geometric + noise):
+        big = FracPoly(num, [*x.den, BinomialFactor((0, 0, 0), km)])
+        want = sympy.cancel(_sympy_frac(sympy, small) - _sympy_frac(sympy, big)) == 0
+        assert (small == big) is want
+        assert (big == small) is want
 
 
 def test_exact_div_error_names_divisor_and_exponent():
@@ -513,6 +547,15 @@ def test_frac_equality_cross_denominator():
     b = FracPoly(ONE + Q, [ONE_MINUS_Q])
     assert a == b
     assert FracPoly(ONE) == 1
+    # (1 - q^2) does not divide either numerator, so these stay over
+    # different denominators and compare by cross-multiplication
+    one_minus_q2 = BinomialFactor((0, 0, 0), (2 * UNIT, 0, 0))
+    x = FracPoly(ONE + Q, [one_minus_q2])
+    y = FracPoly(ONE, [ONE_MINUS_Q])
+    near = FracPoly(ONE + Q + Q * Q, [one_minus_q2])
+    assert x.den != y.den and near.den != y.den
+    assert x == y and y == x
+    assert near != y and y != near
 
 
 def test_substitute_halves():
