@@ -38,8 +38,10 @@ from .poly import (
 )
 from .serialize import ParseError, dumps, parse_frac, parse_poly
 from .shuffle import (
+    EntryOutOfBounds,
     IncompatiblePair,
     MemoDivergence,
+    MemoryBudgetExceeded,
     MemoTable,
     ShuffleSeq,
     all_sequences,

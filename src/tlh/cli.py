@@ -27,7 +27,13 @@ import sys
 from . import closed_form, links, shuffle, tableaux, verify
 from .poly import NonExactDivision, NonIntegralPower, NotASeries, NotPolynomial
 from .serialize import ParseError, dumps, parse_poly
-from .shuffle import IncompatiblePair, MemoDivergence, MemoTable
+from .shuffle import (
+    EntryOutOfBounds,
+    IncompatiblePair,
+    MemoDivergence,
+    MemoryBudgetExceeded,
+    MemoTable,
+)
 from .tableaux import NotInnerCorner
 
 DEFAULT_QMAX = 10
@@ -40,6 +46,8 @@ _ENGINE_ERRORS = (
     ParseError,
     IncompatiblePair,
     MemoDivergence,
+    EntryOutOfBounds,
+    MemoryBudgetExceeded,
     NotInnerCorner,
     links.UnknownLink,
     ValueError,
@@ -114,15 +122,19 @@ def _cache_path(args) -> str | None:
     return os.environ.get("TLH_CACHE") or args.cache or None
 
 
-def _with_cache(args) -> MemoTable:
-    memo = MemoTable()
+def _with_cache(args) -> MemoTable | None:
+    # Without a cache file no memo is kept: the engine then releases each
+    # working value early and unpacks only the result.
     path = _cache_path(args)
-    if path and os.path.exists(path):
+    if not path:
+        return None
+    memo = MemoTable()
+    if os.path.exists(path):
         shuffle.load_cache(path, memo)
     return memo
 
 
-def _save_cache(args, memo: MemoTable) -> None:
+def _save_cache(args, memo: MemoTable | None) -> None:
     path = _cache_path(args)
     if path:
         shuffle.save_cache(path, memo)

@@ -270,25 +270,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def add_shifted(self, other: "Polynomial", exp: Exponents, sign: int = 1) -> "Polynomial":
-        """``self + sign * x^exp * other`` in one pass over ``other``.
-
-        ``x^exp`` is the monic monomial with the given quarter units and
-        ``sign`` is +1 or -1.  The result starts as a copy of ``self``'s
-        term map, so it shares ``self``'s exponent keys.
-        """
-        out = self._terms.copy()
-        get = out.get
-        dq, da, dt = exp
-        for (eq, ea, et), c in other._terms.items():
-            key = (eq + dq, ea + da, et + dt)
-            v = get(key, 0) + sign * c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return Polynomial._trusted(out)
-
     def shifted(self, exp: Exponents) -> "Polynomial":
         """Multiply by the monic monomial with the given quarter units."""
         dq, da, dt = exp

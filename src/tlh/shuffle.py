@@ -11,21 +11,49 @@ defined by the recursion
 
 (``v.1`` appends on the right, ``0 v`` prepends on the left).  The v.0 rule
 is q * P(0 v) + (1 - q) * P(1 v) regrouped so that every multiplier is a
-monomial: each step is a shift-and-add over the terms of values already in
-the memo (:meth:`Polynomial.add_shifted`), never a general product.
+monomial: each step shifts values already computed and adds or subtracts
+them, never a general product.
+
+Packed kernel.  The recursion runs on Kronecker-packed integers: P(v) is one
+Python int with a signed field of w = 64 m bits per (q, a, t) slot, slot
+(i, j, k) holding the coefficient of q^i a^j t^k at bit offset
+w ((i (n + 1) + j) T + k), with T = n(n - 1)/2 + 1 for the target length n.
+So q is the most significant field, and the steps are C-level big-int
+operations: ``P(v.1) = (p << ones(v) w) + (p << SA)`` and
+``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides.
+
+Exactness rule.  The layout is fixed before any step from a-priori bounds
+propagated over the closure of the target key: deg_a <= |v|; deg_t <=
+|v|(|v| - 1)/2, since v.1 adds ones(v) <= |v| and the other rules keep the
+length; deg_q grows by one per v.0 step; and the L1 norm obeys
+|P(v.1)| <= 2 |P(v)| and |P(v.0)| <= |P(0 v)| + 2 |P(1 v)|.  Every bound
+only grows toward the target, so the target's layout holds every key of its
+closure, and m is the fewest limbs that hold the target's L1 bound plus a
+sign: no field can overflow, and nothing is guessed.  Values are packed and
+unpacked only at the boundaries (an entry read from or inserted into a
+caller's memo, and the return value); a packed entry must have whole
+exponents inside the layout and an L1 norm within its own key's bound, or
+:class:`EntryOutOfBounds` names it.  Before any step the run's peak packed
+working set is estimated from the closure alone, and a run whose estimate
+exceeds physical memory fails with :class:`MemoryBudgetExceeded`.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
 expand over all words w of length #zeroes(v), inserting w into the zeroes of
 v, with a product of (t^j + a) weights per one of v.  Agreement of the two
-routes is a core self-check of the whole engine.  The routes share only the
-fraction arithmetic and one work-list driver (``_evaluate``); each keeps its
-own dependency and step rules.
+routes is a core self-check of the whole engine.  The routes share no
+arithmetic (the insertion route works on :class:`FracPoly` values), only
+one work-list driver (``_evaluate``); each keeps its own dependency and step
+rules.
 
-Values are memoized per bit-string.  The memo admits concurrent lookup and
-idempotent insertion; inserting a different value under an existing key is a
-fatal invariant violation.  The driver runs an explicit work list rather than
-native recursion, so long sequences do not hit the interpreter stack limit.
+The driver walks the closure of the target once, stopping at memo hits,
+counts each key's consumers, and steps the keys in topological order with
+an explicit work list rather than native recursion, so long sequences do not
+hit the interpreter stack limit.  A working value is released as soon as its
+last consumer has run; the result is never released.  A caller-owned memo
+still receives every key computed, so memos may be shared and saved.  The
+memo admits concurrent lookup and idempotent insertion; inserting a
+different value under an existing key is a fatal invariant violation.
 """
 
 from __future__ import annotations
@@ -33,24 +61,32 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
-from itertools import product
-from typing import Union
+from itertools import compress, product, repeat
+from math import comb
+from operator import add, and_, lshift, rshift
+from typing import Callable, Union
 
 from .poly import (
     A,
     ONE,
     ONE_MINUS_Q,
     UNIT,
+    Exponents,
     FracPoly,
     Polynomial,
+    _exp_vector,
 )
 from .serialize import ParseError, poly_from_obj, poly_to_obj
 
 __all__ = [
     "IncompatiblePair",
     "MemoDivergence",
+    "EntryOutOfBounds",
+    "MemoryBudgetExceeded",
     "ShuffleSeq",
     "MemoTable",
     "all_sequences",
@@ -73,6 +109,28 @@ class IncompatiblePair(ValueError):
 
 class MemoDivergence(RuntimeError):
     """Two computations produced different values for the same memo key."""
+
+
+class EntryOutOfBounds(ValueError):
+    """A memo entry does not fit the a-priori bounds of its key.
+
+    Its exponents must be whole and inside the packed layout (the key's own
+    degree bounds when a cache is loaded), and its L1 norm within the key's
+    L1 bound; a corrupt cache fails this way instead of overflowing a packed
+    field.
+    """
+
+
+class MemoryBudgetExceeded(MemoryError):
+    """A run's estimated peak working set exceeds physical memory.
+
+    Raised from the closure alone, before any recursion step.  ``need`` is
+    the estimate in bytes.
+    """
+
+    def __init__(self, message: str, need: int):
+        super().__init__(message)
+        self.need = need
 
 
 @dataclass(frozen=True)
@@ -200,27 +258,99 @@ class MemoTable(dict):
                 raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
-def _evaluate(key: str, memo: MemoTable | None, deps, step):
-    """Fill ``memo`` up to ``key`` with an explicit work list, not recursion.
+def _plan(key: str, hits, deps) -> tuple[dict, dict]:
+    """Walk the closure of ``key`` once, stopping at the keys in ``hits``.
 
-    ``deps(k)`` names the keys that ``step(k, memo)`` reads; a key is stepped
-    only once all of them are in the memo.
+    Returns ``needs``, every key to step mapped to the keys its step reads,
+    in a topological order, and ``users``, each key's consumer count over
+    ``needs``.  ``key`` itself has no consumer in its own closure (the
+    recursions are acyclic), so the driver never releases the result.
     """
-    if memo is None:
-        memo = MemoTable()
+    needs: dict[str, tuple[str, ...]] = {}
     stack = [key]
     while stack:
         top = stack[-1]
-        if top in memo:
+        if top in needs or top in hits:
             stack.pop()
             continue
-        missing = [d for d in deps(top) if d not in memo]
+        ds = deps(top)
+        missing = [d for d in ds if d not in needs and d not in hits]
         if missing:
             stack.extend(missing)
         else:
-            memo.insert(top, step(top, memo))
+            needs[top] = ds
             stack.pop()
-    return memo[key]
+    users: dict[str, int] = {}
+    for ds in needs.values():
+        for d in ds:
+            users[d] = users.get(d, 0) + 1
+    return needs, users
+
+
+def _peak_live(needs: dict, users: dict) -> int:
+    """Most working values alive at once when ``_evaluate`` steps ``needs``."""
+    left = dict(users)
+    live = peak = 0
+    for ds in needs.values():
+        # the new value, plus each memo hit on its first read
+        live += 1 + sum(left[d] == users[d] for d in ds if d not in needs)
+        peak = max(peak, live)
+        for d in ds:
+            left[d] -= 1
+            live -= not left[d]
+    return peak
+
+
+def _memory_budget() -> int:
+    """Physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _evaluate(
+    key: str,
+    memo: MemoTable | None,
+    deps: Callable,
+    step: Callable,
+    load: Callable = lambda key, value: value,
+    store: Callable = lambda value: value,
+    value_bytes: int = 0,
+):
+    """The one work-list driver of both recursions.
+
+    ``deps(k)`` names the keys that ``step(k, work)`` reads from ``work``.
+    Memo hits enter the working set through ``load(k, memo[k])``; each new
+    value goes into ``memo`` (when given) as ``store(value)``, and the
+    result is returned as ``store(value)``.  A working value is released
+    once its last consumer has stepped.  With ``value_bytes`` set, a run
+    whose estimated peak working set exceeds physical memory raises
+    :class:`MemoryBudgetExceeded` before any step.
+    """
+    hits = {} if memo is None else memo
+    needs, users = _plan(key, hits, deps)
+    if value_bytes:
+        need = _peak_live(needs, users) * value_bytes
+        budget = _memory_budget()
+        if need > budget:
+            raise MemoryBudgetExceeded(
+                f"evaluating {key!r} would hold about {need / 2**30:.1f} GiB of "
+                f"working values at once, over the {budget / 2**30:.1f} GiB of "
+                "physical memory",
+                need,
+            )
+    work: dict = {}
+    for k, ds in needs.items():
+        for d in ds:
+            if d not in work:
+                work[d] = load(d, hits[d])
+        value = step(k, work)
+        work[k] = value
+        if memo is not None:
+            memo.insert(k, store(value))
+        for d in ds:
+            users[d] -= 1
+            if not users[d]:
+                del work[d]
+    return store(work[key]) if memo is None else memo[key]
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:
@@ -234,18 +364,134 @@ def _poly_deps(key: str) -> tuple[str, ...]:
     return ("0" + body, "1" + body)
 
 
-def _poly_step(key: str, memo: MemoTable) -> Polynomial:
-    if not key:
-        return ONE
-    if key.endswith("1"):
+def _poly_bounds(key: str, bounds: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The (q-degree, L1 norm) bounds of P(key), filling ``bounds``.
+
+    ``bounds`` receives the bounds of every key in the closure of ``key``
+    that it does not hold yet.  The a- and t-degrees need no propagation:
+    they are at most |v| and |v|(|v| - 1)/2.
+    """
+    needs, _ = _plan(key, bounds, _poly_deps)
+    for k, ds in needs.items():
+        if not k:
+            bounds[k] = (0, 1)
+        elif len(ds) == 1:
+            dq, l1 = bounds[ds[0]]
+            bounds[k] = (dq, 2 * l1) if k.endswith("1") else (dq, l1)
+        else:
+            (dq0, l10), (dq1, l11) = bounds[ds[0]], bounds[ds[1]]
+            bounds[k] = (max(dq0, dq1) + 1, l10 + 2 * l11)
+    return bounds[key]
+
+
+_LIMB = 64
+_LIMB_MASK = (1 << _LIMB) - 1
+
+# Slot tables per sequence length n: the exponent of every slot, in slot
+# order, and its inverse.  The (a, t) plane is fixed by n and q is the most
+# significant coordinate, so one table, grown to the largest q-degree asked
+# for, serves every layout of length n through a prefix.  A table is
+# replaced, never mutated, so threads may share them.
+_SLOT_TABLES: dict[int, tuple[list[Exponents], dict[Exponents, int]]] = {}
+
+
+def _slot_table(n: int, fields: int) -> tuple[list[Exponents], dict[Exponents, int]]:
+    table = _SLOT_TABLES.get(n)
+    if table is None or len(table[0]) < fields:
+        na, nt = n + 1, comb(n, 2) + 1
+        nq = fields // (na * nt)
+        units = [UNIT * i for i in range(max(nq, na, nt))]
+        exps = [
+            (units[i], units[j], units[k])
+            for i in range(nq)
+            for j in range(na)
+            for k in range(nt)
+        ]
+        table = (exps, dict(zip(exps, range(len(exps)))))
+        _SLOT_TABLES[n] = table
+    return table
+
+
+class _Layout:
+    """The packed-integer layout of one run (see the module docstring)."""
+
+    def __init__(self, n: int, dq: int, l1: int):
+        self.m = (l1.bit_length() + _LIMB) // _LIMB  # l1 plus a sign bit
+        w = self.w = _LIMB * self.m
+        nt = comb(n, 2) + 1
+        self.sa = w * nt
+        self.sq = w * nt * (n + 1)
+        self.dq = dq
+        self.fields = (dq + 1) * (n + 1) * nt
+        self.nbytes = self.fields * w // 8
+        # CPython stores 30 bits of an int in every 4 bytes
+        self.value_bytes = self.nbytes * 16 // 15
+        # the top bit of every field: (p + top) ^ top reads p's signed
+        # fields as w-bit two's complement, and (u ^ top) - top inverts it
+        self.top = int.from_bytes(
+            (bytes(w // 8 - 1) + b"\x80") * self.fields, "little"
+        )
+        self.exps, self.slot_of = _slot_table(n, self.fields)
+
+    def step(self, key: str, work: dict) -> int:
+        if not key:
+            return 1
+        if key.endswith("1"):
+            body = key[:-1]
+            p = work[body]
+            return (p << self.w * body.count("1")) + (p << self.sa)
+        if "1" not in key:
+            return work["1" + key[1:]]
         body = key[:-1]
-        p = memo[body]
-        return p.shifted((0, 0, UNIT * body.count("1"))).add_shifted(p, (0, UNIT, 0))
-    if "1" not in key:
-        return memo["1" + key[1:]]
-    body = key[:-1]
-    p1 = memo["1" + body]
-    return p1.add_shifted(memo["0" + body].add_shifted(p1, (0, 0, 0), -1), (UNIT, 0, 0))
+        p1 = work["1" + body]
+        return p1 + ((work["0" + body] - p1) << self.sq)
+
+    def slots(self, key: str, p: Polynomial, l1: int) -> list[int]:
+        """The slot of each term of ``p``, checked against ``key``'s bounds."""
+        if sum(map(abs, p._terms.values())) > l1:
+            raise EntryOutOfBounds(
+                f"memo entry {key!r} has an L1 norm above its bound {l1}"
+            )
+        try:
+            slots = list(map(self.slot_of.__getitem__, p._terms))
+        except KeyError as e:
+            raise EntryOutOfBounds(
+                f"memo entry {key!r} has a term at q,a,t exponent "
+                f"{_exp_vector(e.args[0])}, not a whole exponent inside the layout"
+            ) from None
+        if slots and max(slots) >= self.fields:
+            raise EntryOutOfBounds(
+                f"memo entry {key!r} has a q-degree above its bound {self.dq}"
+            )
+        return slots
+
+    def pack(self, key: str, p: Polynomial, l1: int) -> int:
+        """``p`` as a packed int, checked against ``key``'s bounds."""
+        slots = self.slots(key, p, l1)
+        coeffs = p._terms.values()
+        m = self.m
+        buf = bytearray(self.nbytes)
+        # limb j of every field, as a strided view; the top limb is signed
+        top = memoryview(buf).cast("q")[m - 1::m]
+        any(map(top.__setitem__, slots, map(rshift, coeffs, repeat(_LIMB * (m - 1)))))
+        for j in range(m - 1):
+            any(map(
+                memoryview(buf).cast("Q")[j::m].__setitem__,
+                slots,
+                map(and_, map(rshift, coeffs, repeat(_LIMB * j)), repeat(_LIMB_MASK)),
+            ))
+        return (int.from_bytes(buf, sys.byteorder) ^ self.top) - self.top
+
+    def unpack(self, packed: int) -> Polynomial:
+        raw = ((packed + self.top) ^ self.top).to_bytes(self.nbytes, sys.byteorder)
+        m = self.m
+        coeffs = array("q", raw)[m - 1::m]  # the signed top limb of each field
+        for j in reversed(range(m - 1)):  # then the unsigned lower limbs
+            low = array("Q", raw)[j::m]
+            coeffs = list(map(add, map(lshift, coeffs, repeat(_LIMB)), low))
+        return Polynomial._trusted(
+            dict(zip(compress(self.exps, coeffs), filter(None, coeffs)))
+        )
 
 
 def poincare_poly(v: Seq, memo: MemoTable | None = None) -> Polynomial:
@@ -253,9 +499,25 @@ def poincare_poly(v: Seq, memo: MemoTable | None = None) -> Polynomial:
 
     Equals (1-q)^zeros(v) times the rational series; always a polynomial.
     The recursion terminates because each rewrite strictly descends in
-    (length, number of zeroes, number of inversions).
+    (length, number of zeroes, number of inversions).  Without ``memo`` only
+    the result is unpacked and working values are released early; with one,
+    every key computed is inserted.
     """
-    return _evaluate(_key(v), memo, _poly_deps, _poly_step)
+    key = _key(v)
+    if memo is not None and key in memo:
+        return memo[key]
+    bounds: dict[str, tuple[int, int]] = {}
+    dq, l1 = _poly_bounds(key, bounds)
+    layout = _Layout(len(key), dq, l1)
+    return _evaluate(
+        key,
+        memo,
+        _poly_deps,
+        layout.step,
+        load=lambda k, p: layout.pack(k, p, bounds[k][1]),
+        store=layout.unpack,
+        value_bytes=layout.value_bytes,
+    )
 
 
 def poincare_series(v: Seq, memo: MemoTable | None = None) -> FracPoly:
@@ -351,10 +613,14 @@ def load_cache(
 ) -> MemoTable:
     """Load a memo cache, revalidating a deterministic sample of entries.
 
-    Each sampled key is recomputed from scratch (in a cache-free table) and
+    Each sampled key is recomputed from scratch (without a memo) and
     compared; a mismatch raises :class:`MemoDivergence`.  The sample is an
     even stride over the sorted keys, ``spot_check_rate`` of them (at least
-    one, unless the rate is 0).
+    one, unless the rate is 0).  Then every entry must fit its key's
+    a-priori bounds (whole exponents inside the degree bounds, L1 norm
+    within the L1 bound), or :class:`EntryOutOfBounds` names it.  A rate of
+    0 skips both checks; an entry out of bounds then fails by name when a
+    recursion reads it.
     """
     if memo is None:
         memo = MemoTable()
@@ -371,12 +637,15 @@ def load_cache(
         keys = sorted(entries)
         count = max(1, round(len(keys) * spot_check_rate))
         stride = max(1, len(keys) // count)
-        fresh = MemoTable()
         for key in keys[::stride][:count]:
-            if poincare_poly(key, fresh) != entries[key]:
+            if poincare_poly(key) != entries[key]:
                 raise MemoDivergence(
                     f"cache entry {key!r} disagrees with a fresh computation"
                 )
+        bounds: dict[str, tuple[int, int]] = {}
+        for key, value in entries.items():
+            dq, l1 = _poly_bounds(key, bounds)
+            _Layout(len(key), dq, l1).slots(key, value, l1)
     for key, value in entries.items():
         memo.insert(key, value)
     return memo

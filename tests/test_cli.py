@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import tlh
+from tlh import shuffle
 from tlh.cli import main
 from tlh.poly import ONE, A, Q
 from tlh.serialize import dumps, parse_frac, parse_poly
@@ -58,6 +59,14 @@ def test_fulltwist(capsys):
     code, out, _ = run_cli(capsys, "fulltwist", "--n", "1", "--qmax", "3")
     assert code == 0
     assert parse_poly(out.strip()) == (ONE + A) * (ONE + Q + Q ** 2 + Q ** 3)
+
+
+def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 2 ** 20)
+    code, out, err = run_cli(capsys, "fulltwist", "--n", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '00000000'")
 
 
 def test_hhh0(capsys):

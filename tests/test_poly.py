@@ -499,24 +499,6 @@ def test_series_matches_sympy_property(f, qmax):
     assert _sympy_series_matches(f, qmax)
 
 
-def test_add_shifted_examples():
-    p = ONE + Q
-    assert p.add_shifted(T, (0, 0, UNIT)) == ONE + Q + T * T
-    assert p.add_shifted(p, (UNIT, 0, 0), -1) == ONE - Q * Q
-    cancelled = p.add_shifted(p, (0, 0, 0), -1)
-    assert cancelled == ZERO
-    assert cancelled.units() == {}
-    assert ZERO.add_shifted(p, (0, UNIT, 0)) == A * p
-
-
-@settings(max_examples=200)
-@given(polys(), polys(), st.tuples(*[st.integers(-6, 6)] * 3), st.sampled_from([1, -1]))
-def test_add_shifted_matches_product(p, r, exp, sign):
-    got = p.add_shifted(r, exp, sign)
-    assert got == p + sign * Polynomial({exp: 1}) * r
-    assert all(got.units().values())
-
-
 def test_hash_agrees_with_equality():
     five = Polynomial.term(5)
     assert five == 5

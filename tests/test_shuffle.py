@@ -4,11 +4,14 @@ import threading
 
 import pytest
 
-from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, FracPoly, Polynomial
-from tlh.serialize import dumps, parse_poly
+from tlh import shuffle
+from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
+from tlh.serialize import parse_poly
 from tlh.shuffle import (
+    EntryOutOfBounds,
     IncompatiblePair,
     MemoDivergence,
+    MemoryBudgetExceeded,
     MemoTable,
     ShuffleSeq,
     all_sequences,
@@ -92,15 +95,169 @@ def _general_product_poly(key, memo):
     return memo[key]
 
 
-def test_shift_and_add_step_matches_general_products():
-    memo = MemoTable()
+def _add_shifted(p, r, exp, sign=1):
+    """Term dict of p + sign * x^exp * r."""
+    out = dict(p)
+    dq, da, dt = exp
+    for (eq, ea, et), c in r.items():
+        key = (eq + dq, ea + da, et + dt)
+        v = out.get(key, 0) + sign * c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return out
+
+
+def _shift_and_add_terms(key, memo):
+    """The recursion's former dict step, shift-and-add over term dicts."""
+    if key not in memo:
+        if not key:
+            value = {(0, 0, 0): 1}
+        elif key.endswith("1"):
+            body = key[:-1]
+            p = _shift_and_add_terms(body, memo)
+            value = _add_shifted(
+                _add_shifted({}, p, (0, 0, UNIT * body.count("1"))), p, (0, UNIT, 0)
+            )
+        elif "1" not in key:
+            value = _shift_and_add_terms("1" + key[1:], memo)
+        else:
+            body = key[:-1]
+            p1 = _shift_and_add_terms("1" + body, memo)
+            p0 = _shift_and_add_terms("0" + body, memo)
+            value = _add_shifted(p1, _add_shifted(p0, p1, (0, 0, 0), -1), (UNIT, 0, 0))
+        memo[key] = value
+    return memo[key]
+
+
+SEQS_UP_TO_8 = [v for n in range(9) for v in all_sequences(n)]
+
+
+@pytest.fixture(scope="module")
+def shift_and_add_reference():
     reference = {}
-    for n in range(9):
+    for v in SEQS_UP_TO_8:
+        _shift_and_add_terms(v, reference)
+    return reference
+
+
+def test_packed_kernel_one_shot_matches_reference(shift_and_add_reference):
+    for v in SEQS_UP_TO_8:
+        assert poincare_poly(v).units() == shift_and_add_reference[v], v
+
+
+def test_packed_kernel_shared_memo_matches_reference(shift_and_add_reference):
+    ascending = MemoTable()
+    for v in sorted(SEQS_UP_TO_8, key=len):
+        assert poincare_poly(v, ascending).units() == shift_and_add_reference[v], v
+    descending = MemoTable()
+    for v in sorted(SEQS_UP_TO_8, key=len, reverse=True):
+        assert poincare_poly(v, descending).units() == shift_and_add_reference[v], v
+    assert dict(ascending) == dict(descending)
+    assert {k: p.units() for k, p in ascending.items()} == shift_and_add_reference
+
+
+def test_packed_kernel_two_limb_fields():
+    # L1 bound 2^64 needs a sign bit more than one 64-bit limb holds
+    assert shuffle._poly_bounds("1" * 64, {}) == (0, 2 ** 64)
+    assert shuffle._Layout(64, 0, 2 ** 64).m == 2
+    want = ONE
+    for k in range(64):
+        want = want * (Polynomial.term(1, t=k) + A)
+    assert poincare_poly("1" * 64) == want
+
+
+@pytest.mark.parametrize("l1", [2 ** 63 - 1, 2 ** 63, 2 ** 130])
+def test_pack_round_trip_at_the_bound(l1):
+    layout = shuffle._Layout(2, 1, l1)  # q^0..1, a^0..2, t^0..1
+    assert layout.m == (l1.bit_length() + 64) // 64
+    half = l1 // 2
+    for terms in (
+        {(0, 0, 0): l1},
+        {(UNIT, 2 * UNIT, UNIT): -l1},
+        {(0, 0, 0): -half, (0, 0, UNIT): l1 - half - 1, (UNIT, UNIT, 0): 1},
+    ):
+        p = Polynomial(terms)
+        packed = layout.pack("xx", p, l1)
+        assert layout.unpack(packed) == p
+        assert layout.unpack(-packed) == -p
+
+
+def test_poincare_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    q, a, t = sympy.symbols("q a t")
+    memo = {}
+
+    def f(key):
+        if key not in memo:
+            if not key:
+                memo[key] = sympy.Integer(1)
+            elif key.endswith("1"):
+                body = key[:-1]
+                memo[key] = sympy.expand((t ** body.count("1") + a) * f(body))
+            elif "1" not in key:
+                memo[key] = f("1" + key[1:])
+            else:
+                body = key[:-1]
+                memo[key] = sympy.expand(q * f("0" + body) + (1 - q) * f("1" + body))
+        return memo[key]
+
+    for key in ("0000", "0110", "10100", "00101", "111"):
+        got = sum(
+            c * q ** (eq // UNIT) * a ** (ea // UNIT) * t ** (et // UNIT)
+            for (eq, ea, et), c in poincare_poly(key).terms()
+        )
+        assert sympy.expand(got - f(key)) == 0, key
+
+
+def test_insertion_series_one_shot_matches_memoized_route():
+    memo = MemoTable()
+    for n in range(6):
         for v in all_sequences(n):
-            got = poincare_poly(v, memo)
-            want = _general_product_poly(v, reference)
-            assert got.units() == want.units(), v
-            assert dumps(got) == dumps(want)
+            assert insertion_series(v) == insertion_series(v, memo), v
+
+
+def test_working_values_released_after_last_consumer(monkeypatch):
+    live = []
+    step = shuffle._Layout.step
+
+    def counting_step(layout, key, work):
+        live.append(len(work) + 1)  # the inputs held, plus the new value
+        return step(layout, key, work)
+
+    monkeypatch.setattr(shuffle._Layout, "step", counting_step)
+    memo = MemoTable()
+    for v in all_sequences(7):
+        poincare_poly(v, memo)
+    for key, hits in (("0" * 8, {}), ("0" * 8 + "1", memo)):
+        want = poincare_poly(key, MemoTable())
+        live.clear()
+        assert poincare_poly(key, MemoTable(hits) if hits else None) == want
+        needs, users = shuffle._plan(key, hits, shuffle._poly_deps)
+        assert len(live) == len(needs)
+        assert max(live) == shuffle._peak_live(needs, users) < len(needs) // 4
+
+
+def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(shuffle._Layout, "step", lambda *args: steps.append(args))
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 30)
+    with pytest.raises(MemoryBudgetExceeded) as err:
+        poincare_poly("0" * 15)
+    assert err.value.need > 16 * 2 ** 30
+    assert steps == []
+    needs, users = shuffle._plan("0" * 13, {}, shuffle._poly_deps)
+    layout = shuffle._Layout(13, *shuffle._poly_bounds("0" * 13, {}))
+    assert shuffle._peak_live(needs, users) == 2061
+    assert shuffle._peak_live(needs, users) * layout.value_bytes < 2 * 2 ** 30
+
+
+def test_shift_and_add_step_matches_general_products(shift_and_add_reference):
+    reference = {}
+    for v in SEQS_UP_TO_8:
+        want = _general_product_poly(v, reference)
+        assert shift_and_add_reference[v] == want.units(), v
 
 
 def test_poincare_series():
@@ -211,6 +368,36 @@ def test_cache_spot_check_catches_tampering(tmp_path):
     # rate 0 skips validation entirely
     loaded = load_cache(str(path), spot_check_rate=0.0)
     assert loaded[""] == Polynomial({(0, 0, 0): 7})
+
+
+def _tampered_cache(tmp_path, key, terms):
+    memo = MemoTable()
+    for v in all_sequences(4):
+        poincare_poly(v, memo)
+    path = tmp_path / "cache.json"
+    save_cache(str(path), memo)
+    data = json.loads(path.read_text())
+    data[key]["terms"] = [{"coeff": str(c), "exp": list(e)} for e, c in terms]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("terms", [
+    [((0, 0, 0), 1), ((UNIT, 2, 0), 1)],                    # a^(1/2): not whole
+    [((0, 0, 0), 1), ((0, 0, 11 * UNIT), 1)],               # t^11 > 5*4/2
+    [((0, 0, 0), 1), ((-UNIT, 0, 0), 1)],                   # negative q-degree
+    [((0, 0, 0), 1), ((40 * UNIT, 0, 0), 1)],               # q-degree above bound
+    [((0, 0, 0), 2 ** 70), ((0, UNIT, 0), -(2 ** 70))],     # L1 norm above bound
+])
+def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms):
+    path = _tampered_cache(tmp_path, "0110", terms)
+    # the sample holds only the empty key, so the bounds check meets "0110"
+    with pytest.raises(EntryOutOfBounds, match="'0110'"):
+        load_cache(path, spot_check_rate=1e-9)
+    # unchecked, the entry fails by name when the recursion packs it
+    memo = load_cache(path, spot_check_rate=0.0)
+    with pytest.raises(EntryOutOfBounds, match="'0110'"):
+        poincare_poly("01101", memo)
 
 
 def test_save_cache_is_atomic(tmp_path, monkeypatch):
