@@ -122,22 +122,26 @@ def _cache_path(args) -> str | None:
     return os.environ.get("TLH_CACHE") or args.cache or None
 
 
-def _with_cache(args) -> MemoTable | None:
-    # Without a cache file no memo is kept: the engine then releases each
-    # working value early and unpacks only the result.
+def _cached(args, compute):
+    """``compute(memo)`` against the cache file, if one is given.
+
+    Without a cache file no memo is kept: the engine then releases each
+    working value early and unpacks only the result.  The file is written
+    back only when it did not exist or the memo gained keys; a memo never
+    loses or changes a key, so an unchanged count means unchanged contents.
+    """
     path = _cache_path(args)
     if not path:
-        return None
+        return compute(None)
     memo = MemoTable()
+    loaded = -1
     if os.path.exists(path):
         shuffle.load_cache(path, memo)
-    return memo
-
-
-def _save_cache(args, memo: MemoTable | None) -> None:
-    path = _cache_path(args)
-    if path:
+        loaded = len(memo)
+    result = compute(memo)
+    if len(memo) != loaded:
         shuffle.save_cache(path, memo)
+    return result
 
 
 def _emit(obj, fmt: str) -> int:
@@ -155,23 +159,19 @@ def _read_input_poly(path: str, fmt: str):
 
 def _run(args) -> int:
     if args.command == "f":
-        memo = _with_cache(args)
-        result = shuffle.poincare_series(args.seq, memo)
-        _save_cache(args, memo)
+        result = _cached(args, lambda memo: shuffle.poincare_series(args.seq, memo))
         return _emit(result, args.format)
 
     if args.command == "tilde":
-        memo = _with_cache(args)
-        result = shuffle.poincare_poly(args.seq, memo)
-        _save_cache(args, memo)
+        result = _cached(args, lambda memo: shuffle.poincare_poly(args.seq, memo))
         return _emit(result, args.format)
 
     if args.command == "fulltwist":
         if args.qmax < 0:
             raise ValueError("--qmax must be >= 0")
-        memo = _with_cache(args)
-        result = shuffle.full_twist_series(args.n, args.qmax, memo)
-        _save_cache(args, memo)
+        result = _cached(
+            args, lambda memo: shuffle.full_twist_series(args.n, args.qmax, memo)
+        )
         return _emit(result, args.format)
 
     if args.command == "hhh0":

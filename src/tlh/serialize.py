@@ -166,34 +166,52 @@ def frac_to_obj(f: FracPoly) -> dict:
     return obj
 
 
-def _exp_from(obj, where: str) -> Exponents:
-    if not isinstance(obj, list) or len(obj) != 3 or not all(
-        isinstance(u, int) for u in obj
+def _exp_from(obj, where: str, n: int) -> Exponents:
+    # JSON integers only: ``type(u) is int`` rejects floats and booleans
+    if (
+        type(obj) is not list or len(obj) != 3
+        or type(obj[0]) is not int or type(obj[1]) is not int
+        or type(obj[2]) is not int
     ):
-        raise ParseError(f"bad exponent vector in {where}", 0)
+        raise ParseError(f"bad exponent vector in {where} {n}", 0)
     return (obj[0], obj[1], obj[2])
 
 
 def poly_from_obj(obj) -> Polynomial:
+    """Decode the JSON form strictly: nothing is rounded or coerced.
+
+    A coefficient is a decimal string or a JSON integer, and an exponent a
+    list of three JSON integers; anything else (a float, a boolean, a
+    fractional string) raises :class:`ParseError` naming the term.
+    """
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", 0)
     if obj.get("exponent_unit") != "1/4":
         raise ParseError("exponent_unit must be '1/4'", 0)
     if obj.get("variables") != ["q", "a", "t"]:
         raise ParseError("variables must be ['q', 'a', 't']", 0)
+    items = obj.get("terms", [])
+    if type(items) is not list:
+        raise ParseError("terms must be a list", 0)
     terms: dict[Exponents, int] = {}
-    for n, item in enumerate(obj.get("terms", [])):
-        try:
-            coeff = int(item["coeff"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"bad coefficient in term {n}", 0) from None
-        exp = _exp_from(item.get("exp"), f"term {n}")
+    for n, item in enumerate(items):
+        if type(item) is not dict:
+            raise ParseError(f"bad term {n}", 0)
+        coeff = item.get("coeff")
+        if type(coeff) is str:
+            try:
+                coeff = int(coeff)
+            except ValueError:
+                raise ParseError(f"bad coefficient in term {n}", 0) from None
+        elif type(coeff) is not int:
+            raise ParseError(f"bad coefficient in term {n}", 0)
+        exp = _exp_from(item.get("exp"), "term", n)
         v = terms.get(exp, 0) + coeff
         if v:
             terms[exp] = v
         else:
             terms.pop(exp, None)
-    return Polynomial(terms)
+    return Polynomial._trusted(terms)
 
 
 def frac_from_obj(obj) -> FracPoly:
@@ -202,8 +220,8 @@ def frac_from_obj(obj) -> FracPoly:
     for n, item in enumerate(obj.get("den", [])):
         if not isinstance(item, dict):
             raise ParseError(f"bad denominator factor {n}", 0)
-        lead = _exp_from(item.get("lead"), f"factor {n}")
-        trail = _exp_from(item.get("trail"), f"factor {n}")
+        lead = _exp_from(item.get("lead"), "factor", n)
+        trail = _exp_from(item.get("trail"), "factor", n)
         if lead == trail:
             raise ParseError(f"degenerate denominator factor {n}", 0)
         pairs.append((lead, trail))

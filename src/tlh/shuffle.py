@@ -35,7 +35,9 @@ caller's memo, and the return value); a packed entry must have whole
 exponents inside the layout and an L1 norm within its own key's bound, or
 :class:`EntryOutOfBounds` names it.  Before any step the run's peak packed
 working set is estimated from the closure alone, and a run whose estimate
-exceeds physical memory fails with :class:`MemoryBudgetExceeded`.
+exceeds physical memory fails with :class:`MemoryBudgetExceeded`; so does a
+key whose closure, by a closed-form bound on its size, might not fit before
+it is walked.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -258,6 +260,12 @@ class MemoTable(dict):
                 raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
+# What the closure walk holds per key (``_plan`` plus ``_poly_bounds``):
+# tracemalloc measured 432 to 482 bytes at |v| = 10..16, growing with the
+# key strings, so this rounds up.
+_WALK_BYTES_PER_KEY = 512
+
+
 def _plan(key: str, hits, deps) -> tuple[dict, dict]:
     """Walk the closure of ``key`` once, stopping at the keys in ``hits``.
 
@@ -265,7 +273,17 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
     in a topological order, and ``users``, each key's consumer count over
     ``needs``.  ``key`` itself has no consumer in its own closure (the
     recursions are acyclic), so the driver never releases the result.
+    Raises :class:`MemoryBudgetExceeded` before the walk if a closure of
+    the largest possible size would not fit in physical memory.
     """
+    # Write key = u 1^k with u not ending in 1.  In either recursion at most
+    # k keys of the closure are longer than u, and the others are words no
+    # longer than u, so there are at most k + 2^(|u|+1) - 1 of them (all
+    # 2^(n+1) - 1 words of length <= n for 0^n).  A walk that might outgrow
+    # memory is refused before it starts.
+    body = key.rstrip("1")
+    size = len(key) - len(body) + 2 ** (len(body) + 1) - 1
+    _check_budget(key, size * _WALK_BYTES_PER_KEY, "closure-walk state")
     needs: dict[str, tuple[str, ...]] = {}
     stack = [key]
     while stack:
@@ -306,6 +324,16 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_budget(key: str, need: int, what: str) -> None:
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryBudgetExceeded(
+            f"evaluating {key!r} would hold about {need / 2**30:.1f} GiB of "
+            f"{what}, over the {budget / 2**30:.1f} GiB of physical memory",
+            need,
+        )
+
+
 def _evaluate(
     key: str,
     memo: MemoTable | None,
@@ -328,15 +356,9 @@ def _evaluate(
     hits = {} if memo is None else memo
     needs, users = _plan(key, hits, deps)
     if value_bytes:
-        need = _peak_live(needs, users) * value_bytes
-        budget = _memory_budget()
-        if need > budget:
-            raise MemoryBudgetExceeded(
-                f"evaluating {key!r} would hold about {need / 2**30:.1f} GiB of "
-                f"working values at once, over the {budget / 2**30:.1f} GiB of "
-                "physical memory",
-                need,
-            )
+        _check_budget(
+            key, _peak_live(needs, users) * value_bytes, "working values at once"
+        )
     work: dict = {}
     for k, ds in needs.items():
         for d in ds:
@@ -588,17 +610,25 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
 def save_cache(path: str, memo: MemoTable) -> None:
     """Write a memo of normalized polynomials as a JSON bit-string map.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so a crash or a concurrent writer never
-    leaves a partial cache behind.
+    The file holds one JSON object, its keys sorted, in the bytes that
+    ``json.dump`` of the whole map would write, followed by a newline.  It
+    is written entry by entry, each entry encoded by ``json.dumps`` (the C
+    encoder), so the full map of term objects is never built.  The file is
+    written under a temporary name in the same directory and then renamed
+    over ``path``, so a crash or a concurrent writer never leaves a partial
+    cache behind.
     """
-    data = {key: poly_to_obj(memo[key]) for key in sorted(memo)}
     # Unique among live writers; a stale file of a dead writer is overwritten.
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-            fh.write("\n")
+            fh.write("{")
+            sep = ""
+            for key in sorted(memo):
+                value = json.dumps(poly_to_obj(memo[key]))
+                fh.write(f"{sep}{json.dumps(key)}: {value}")
+                sep = ", "
+            fh.write("}\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -162,6 +162,30 @@ def test_cache_file(tmp_path, capsys):
     assert first == second
 
 
+def test_cache_rewritten_only_when_the_memo_grows(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "memo.json"
+    code, first, _ = run_cli(capsys, "tilde", "--seq", "0101", "--cache", str(cache))
+    assert code == 0 and cache.exists()
+    before, stat = cache.read_bytes(), cache.stat()
+    saves = []
+    save = shuffle.save_cache
+    monkeypatch.setattr(shuffle, "save_cache", lambda *a: saves.append(a) or save(*a))
+    # every key is a memo hit: the file is left alone
+    for argv in (["tilde", "--seq", "0101"], ["f", "--seq", "010"]):
+        code, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
+        assert code == 0
+    assert out == dumps(poincare_series("010"), "text") + "\n"
+    assert saves == []
+    assert cache.read_bytes() == before
+    after = cache.stat()
+    assert (after.st_mtime_ns, after.st_ino) == (stat.st_mtime_ns, stat.st_ino)
+    # a call that adds keys rewrites it, keeping the old entries
+    code, _, _ = run_cli(capsys, "tilde", "--seq", "01011", "--cache", str(cache))
+    assert code == 0 and len(saves) == 1
+    data = json.loads(cache.read_text())
+    assert set(json.loads(before)) < set(data) and "01011" in data
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "memo.json"
     monkeypatch.setenv("TLH_CACHE", str(cache))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, FracPoly, Polynomial, monomial
-from tlh.serialize import ParseError, dumps, parse_frac, parse_poly
+from tlh.serialize import ParseError, dumps, parse_frac, parse_poly, poly_from_obj
 
 from test_poly import fracs, polys
 
@@ -61,6 +61,52 @@ def test_json_rejects_bad_input():
     frac = json.loads(dumps(FracPoly(ONE, [ONE_MINUS_Q]), "json"))
     with pytest.raises(ParseError):
         parse_poly(json.dumps(frac), "json")
+
+
+# Term forms the JSON decoder must refuse, and the message naming term 1.
+BAD_TERMS = [
+    ({"coeff": 1.5, "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": 2.0, "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": True, "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": "1.5", "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": None, "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": "1", "exp": [True, 0, 0]}, "bad exponent vector in term 1"),
+    ({"coeff": "1", "exp": [0, False, 0]}, "bad exponent vector in term 1"),
+    ({"coeff": "1", "exp": [0, 0, 1.5]}, "bad exponent vector in term 1"),
+    ({"coeff": "1", "exp": [4.0, 0, 0]}, "bad exponent vector in term 1"),
+    ({"coeff": "1", "exp": ["4", 0, 0]}, "bad exponent vector in term 1"),
+    ({"coeff": "1", "exp": [0, 0]}, "bad exponent vector in term 1"),
+    ({"coeff": "1", "exp": [0, 0, 0, 0]}, "bad exponent vector in term 1"),
+    ({"coeff": "1"}, "bad exponent vector in term 1"),
+    (["1", [0, 0, 0]], "bad term 1"),
+]
+
+
+def _with_second_term(term) -> dict:
+    return {"exponent_unit": "1/4", "variables": ["q", "a", "t"],
+            "terms": [{"coeff": "3", "exp": [0, 4, 0]}, term]}
+
+
+@pytest.mark.parametrize("term,message", BAD_TERMS)
+def test_json_decoding_is_strict(term, message):
+    with pytest.raises(ParseError, match=message):
+        poly_from_obj(_with_second_term(term))
+    with pytest.raises(ParseError, match=message):
+        parse_poly(json.dumps(_with_second_term(term)), "json")
+
+
+def test_json_decoding_accepts_integers_and_decimal_strings():
+    obj = _with_second_term({"coeff": -(10 ** 30), "exp": [-4, 0, 2]})
+    assert poly_from_obj(obj) == monomial(3, a=1) - monomial(10 ** 30, q=-1, t=Fraction(1, 2))
+    obj = _with_second_term({"coeff": "-3", "exp": [0, 4, 0]})
+    assert poly_from_obj(obj) == Polynomial()
+    with pytest.raises(ParseError, match="terms must be a list"):
+        poly_from_obj({"exponent_unit": "1/4", "variables": ["q", "a", "t"], "terms": {}})
+    frac = json.loads(dumps(FracPoly(ONE, [ONE_MINUS_Q]), "json"))
+    frac["den"][0]["trail"] = [True, 0, 0]
+    with pytest.raises(ParseError, match="bad exponent vector in factor 0"):
+        parse_frac(json.dumps(frac))
 
 
 def test_latex_output():

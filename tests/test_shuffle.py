@@ -6,7 +6,7 @@ import pytest
 
 from tlh import shuffle
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
-from tlh.serialize import parse_poly
+from tlh.serialize import ParseError, parse_poly, poly_to_obj
 from tlh.shuffle import (
     EntryOutOfBounds,
     IncompatiblePair,
@@ -26,6 +26,8 @@ from tlh.shuffle import (
     save_cache,
     zero_expansion_identity,
 )
+
+from test_serialize import BAD_TERMS
 
 F000_A0 = parse_poly(
     "t^3 q^2 + q^3 t^2 - 2 t^2 q^2 - 2 t q^3 - 2 q t^3"
@@ -253,6 +255,35 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     assert shuffle._peak_live(needs, users) * layout.value_bytes < 2 * 2 ** 30
 
 
+def test_closure_walk_refused_before_it_starts(monkeypatch):
+    walked = []
+
+    def deps(key):
+        walked.append(key)
+        return ()
+
+    budget = 2 ** 25
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: budget)
+    monkeypatch.setattr(shuffle, "_poly_deps", deps)
+    monkeypatch.setattr(shuffle, "_insertion_deps", deps)
+    # 2^16 - 1 keys of walk state fit in 32 MiB; 2^17 - 1 do not
+    assert (2 ** 16 - 1) * shuffle._WALK_BYTES_PER_KEY <= budget
+    assert (2 ** 17 - 1) * shuffle._WALK_BYTES_PER_KEY > budget
+    shuffle._evaluate("0" * 15, None, deps, lambda key, work: 0)
+    # trailing ones add one key each, not a doubling
+    shuffle._evaluate("0" * 14 + "1" * 64, None, deps, lambda key, work: 0)
+    assert walked == ["0" * 15, "0" * 14 + "1" * 64]
+    walked.clear()
+    with pytest.raises(MemoryBudgetExceeded, match="closure-walk state") as err:
+        shuffle._evaluate("0" * 16, None, deps, lambda key, work: 0)
+    assert err.value.need == (2 ** 17 - 1) * shuffle._WALK_BYTES_PER_KEY
+    # the recursion's own bounds walk is refused the same way
+    for run in (poincare_poly, insertion_series):
+        with pytest.raises(MemoryBudgetExceeded, match="'0000000000000000'"):
+            run("0" * 16)
+    assert walked == []
+
+
 def test_shift_and_add_step_matches_general_products(shift_and_add_reference):
     reference = {}
     for v in SEQS_UP_TO_8:
@@ -407,17 +438,53 @@ def test_save_cache_is_atomic(tmp_path, monkeypatch):
     save_cache(str(path), memo)
     before = path.read_bytes()
 
-    def dump_then_crash(data, fh):
-        fh.write('{"0": ')
-        raise RuntimeError("crash mid-dump")
+    dumps = json.dumps
+    calls = []
+
+    def dumps_then_crash(obj):
+        # the key and the value of the first entry encode; the next crashes
+        calls.append(obj)
+        if len(calls) > 2:
+            raise RuntimeError("crash mid-dump")
+        return dumps(obj)
 
     poincare_poly("0110", memo)
-    monkeypatch.setattr(json, "dump", dump_then_crash)
+    monkeypatch.setattr(json, "dumps", dumps_then_crash)
     with pytest.raises(RuntimeError, match="mid-dump"):
         save_cache(str(path), memo)
+    assert len(calls) == 3
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["cache.json"]
     monkeypatch.undo()
     save_cache(str(path), memo)
     assert os.listdir(tmp_path) == ["cache.json"]
     assert dict(load_cache(str(path), spot_check_rate=0.0)) == dict(memo)
+
+
+def test_save_cache_golden_bytes(tmp_path):
+    memo = MemoTable()
+    poincare_poly("0" * 6, memo)
+    assert len(memo) == 2 ** 7 - 1
+    path = tmp_path / "cache.json"
+    save_cache(str(path), memo)
+    want = json.dumps({k: poly_to_obj(memo[k]) for k in sorted(memo)}) + "\n"
+    got = path.read_text(encoding="utf-8")
+    # a plain flag: pytest's diff of two 700 KB one-line strings takes minutes
+    same = got == want
+    assert same, f"differs from char {len(os.path.commonprefix([got, want]))}"
+    save_cache(str(path), MemoTable())
+    assert path.read_text(encoding="utf-8") == "{}\n"
+
+
+@pytest.mark.parametrize("term,message", BAD_TERMS)
+def test_cache_with_non_integral_term_fails_to_load(tmp_path, term, message):
+    memo = MemoTable()
+    poincare_poly("0110", memo)
+    path = tmp_path / "cache.json"
+    save_cache(str(path), memo)
+    data = json.loads(path.read_text())
+    data["0110"]["terms"][1] = term
+    path.write_text(json.dumps(data))
+    for rate in (0.0, 1.0):
+        with pytest.raises(ParseError, match=message):
+            load_cache(str(path), spot_check_rate=rate)
