@@ -36,8 +36,7 @@ exponents inside the layout and an L1 norm within its own key's bound, or
 :class:`EntryOutOfBounds` names it.  Before any step the run's peak packed
 working set is estimated from the closure alone, and a run whose estimate
 exceeds physical memory fails with :class:`MemoryBudgetExceeded`; so does a
-key whose closure, by a closed-form bound on its size, might not fit before
-it is walked.
+closure walk whose own state outgrows physical memory, as soon as it does.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -273,17 +272,12 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
     in a topological order, and ``users``, each key's consumer count over
     ``needs``.  ``key`` itself has no consumer in its own closure (the
     recursions are acyclic), so the driver never releases the result.
-    Raises :class:`MemoryBudgetExceeded` before the walk if a closure of
-    the largest possible size would not fit in physical memory.
+    The walk raises :class:`MemoryBudgetExceeded` as soon as the keys it
+    holds would outgrow physical memory.
     """
-    # Write key = u 1^k with u not ending in 1.  In either recursion at most
-    # k keys of the closure are longer than u, and the others are words no
-    # longer than u, so there are at most k + 2^(|u|+1) - 1 of them (all
-    # 2^(n+1) - 1 words of length <= n for 0^n).  A walk that might outgrow
-    # memory is refused before it starts.
-    body = key.rstrip("1")
-    size = len(key) - len(body) + 2 ** (len(body) + 1) - 1
-    _check_budget(key, size * _WALK_BYTES_PER_KEY, "closure-walk state")
+    # A closure's size is not a function of its key's length alone (1^30 0
+    # has 64 keys, 0^31 has 2^32 - 1), so the walk counts what it holds.
+    limit = _memory_budget() // _WALK_BYTES_PER_KEY
     needs: dict[str, tuple[str, ...]] = {}
     stack = [key]
     while stack:
@@ -295,6 +289,14 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
         missing = [d for d in ds if d not in needs and d not in hits]
         if missing:
             stack.extend(missing)
+            # the only branch that grows len(needs) + len(stack)
+            if len(needs) + len(stack) > limit:
+                raise MemoryBudgetExceeded(
+                    f"walking the closure of {key!r} outgrew the "
+                    f"{limit * _WALK_BYTES_PER_KEY / 2**30:.1f} GiB of physical "
+                    f"memory after {len(needs)} keys",
+                    (len(needs) + len(stack)) * _WALK_BYTES_PER_KEY,
+                )
         else:
             needs[top] = ds
             stack.pop()
@@ -324,16 +326,6 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_budget(key: str, need: int, what: str) -> None:
-    budget = _memory_budget()
-    if need > budget:
-        raise MemoryBudgetExceeded(
-            f"evaluating {key!r} would hold about {need / 2**30:.1f} GiB of "
-            f"{what}, over the {budget / 2**30:.1f} GiB of physical memory",
-            need,
-        )
-
-
 def _evaluate(
     key: str,
     memo: MemoTable | None,
@@ -356,9 +348,15 @@ def _evaluate(
     hits = {} if memo is None else memo
     needs, users = _plan(key, hits, deps)
     if value_bytes:
-        _check_budget(
-            key, _peak_live(needs, users) * value_bytes, "working values at once"
-        )
+        need = _peak_live(needs, users) * value_bytes
+        budget = _memory_budget()
+        if need > budget:
+            raise MemoryBudgetExceeded(
+                f"evaluating {key!r} would hold about {need / 2**30:.1f} GiB of "
+                f"working values at once, over the {budget / 2**30:.1f} GiB of "
+                "physical memory",
+                need,
+            )
     work: dict = {}
     for k, ds in needs.items():
         for d in ds:

@@ -255,33 +255,53 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     assert shuffle._peak_live(needs, users) * layout.value_bytes < 2 * 2 ** 30
 
 
-def test_closure_walk_refused_before_it_starts(monkeypatch):
-    walked = []
+def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
+    cached = MemoTable()
+    poincare_poly("0" + "1" * 30 + "0", cached)
+    path = tmp_path / "cache.json"
+    save_cache(str(path), cached)
+    calls = []
 
-    def deps(key):
-        walked.append(key)
-        return ()
+    def counted(deps):
+        def wrapped(key):
+            calls.append(key)
+            return deps(key)
 
-    budget = 2 ** 25
+        return wrapped
+
+    budget = 2 ** 20  # 2,048 keys of walk state
+    limit = budget // shuffle._WALK_BYTES_PER_KEY
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: budget)
-    monkeypatch.setattr(shuffle, "_poly_deps", deps)
-    monkeypatch.setattr(shuffle, "_insertion_deps", deps)
-    # 2^16 - 1 keys of walk state fit in 32 MiB; 2^17 - 1 do not
-    assert (2 ** 16 - 1) * shuffle._WALK_BYTES_PER_KEY <= budget
-    assert (2 ** 17 - 1) * shuffle._WALK_BYTES_PER_KEY > budget
-    shuffle._evaluate("0" * 15, None, deps, lambda key, work: 0)
-    # trailing ones add one key each, not a doubling
-    shuffle._evaluate("0" * 14 + "1" * 64, None, deps, lambda key, work: 0)
-    assert walked == ["0" * 15, "0" * 14 + "1" * 64]
-    walked.clear()
-    with pytest.raises(MemoryBudgetExceeded, match="closure-walk state") as err:
-        shuffle._evaluate("0" * 16, None, deps, lambda key, work: 0)
-    assert err.value.need == (2 ** 17 - 1) * shuffle._WALK_BYTES_PER_KEY
-    # the recursion's own bounds walk is refused the same way
-    for run in (poincare_poly, insertion_series):
-        with pytest.raises(MemoryBudgetExceeded, match="'0000000000000000'"):
-            run("0" * 16)
-    assert walked == []
+    monkeypatch.setattr(shuffle, "_poly_deps", counted(shuffle._poly_deps))
+    monkeypatch.setattr(shuffle, "_insertion_deps", counted(shuffle._insertion_deps))
+    # a long key with few zeros has a small closure and walks in any budget
+    for key, size in [
+        ("1" * 30 + "0", 64),
+        ("0" + "1" * 30 + "0", 68),
+        ("0" * 5 + "1" * 40 + "0", 208),
+        ("1" * 64, 65),
+    ]:
+        assert len(shuffle._plan(key, {}, shuffle._poly_deps)[0]) == size
+    # 0^16 has 2^17 - 1 keys; the walk is refused long before it ends
+    calls.clear()
+    with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'") as err:
+        poincare_poly("0" * 16)
+    assert err.value.need > budget
+    assert len(calls) < 2 * limit
+    calls.clear()
+    with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
+        insertion_series("0" * 16)
+    assert len(calls) < 2 * limit
+    # a memo hit walks nothing
+    memo = MemoTable({"0" * 16: FracPoly(ONE)})
+    assert insertion_series("0" * 16, memo) == FracPoly(ONE)
+    # a cache holding a long key with few zeros loads, checks included
+    assert load_cache(str(path)) == cached
+
+
+@pytest.mark.parametrize("key", ["1" * 30 + "0", "0" + "1" * 30 + "0"])
+def test_long_keys_with_few_zeros_match_reference(key):
+    assert poincare_poly(key).units() == _shift_and_add_terms(key, {})
 
 
 def test_shift_and_add_step_matches_general_products(shift_and_add_reference):
