@@ -50,10 +50,21 @@ _ENGINE_ERRORS = (
     MemoryBudgetExceeded,
     NotInnerCorner,
     links.UnknownLink,
+    verify.UnknownSuite,
+    # every argument check raises ValueError; a bare KeyError is a bug
     ValueError,
-    KeyError,
     OSError,
 )
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite", required=True,
         help="suite name or 'all' (see --suite list)",
     )
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n")
     p.add_argument(
         "--conjecture-soft", action="store_true",
         help="failed conjectures do not affect the exit status",

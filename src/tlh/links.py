@@ -35,10 +35,13 @@ from .poly import (
     ONE_MINUS_Q,
     Q,
     UNIT,
+    BinomialFactor,
     Exponents,
     FracPoly,
+    NonExactDivision,
     Polynomial,
     SubstitutionRule,
+    _exp_vector,
 )
 from .serialize import parse_poly
 
@@ -198,17 +201,49 @@ def unknot_series(qmax: int) -> Polynomial:
     return unknot_invariant().series(qmax)
 
 
+_ONE_MINUS_A = BinomialFactor((0, 0, 0), (0, UNIT, 0))
+
+
+def _a_to_minus_a(p: Polynomial) -> Polynomial:
+    # a^(u/4) -> (-1)^floor(u/4) a^(u/4): an involution taking (1 + a) x to
+    # (1 - a) times the image of x, on the whole quarter lattice
+    return Polynomial({e: -c if e[1] // UNIT % 2 else c for e, c in p.units().items()})
+
+
+def _divide_by_one_plus_a(p: Polynomial) -> Polynomial:
+    """Exact quotient ``p / (1 + a)``: ``1 - a`` divides the image of p.
+
+    Raises :class:`NonExactDivision` naming the least exponent of p whose
+    class along a (same q and t exponents, a exponent mod 1) does not vanish
+    at a = -1.
+    """
+    reflected = _a_to_minus_a(p)
+    quo = _ONE_MINUS_A.quotient(reflected)
+    if quo is not None:
+        return _a_to_minus_a(quo)
+    at_minus_one: dict[Exponents, int] = {}
+    for (eq, ea, et), c in reflected.units().items():
+        key = (eq, ea % UNIT, et)
+        at_minus_one[key] = at_minus_one.get(key, 0) + c
+    bad = min(e for e in p.units() if at_minus_one[e[0], e[1] % UNIT, e[2]])
+    raise NonExactDivision(
+        f"class of q,a,t exponent {_exp_vector(bad)} does not vanish at a = -1: "
+        "not divisible by 1 + a"
+    )
+
+
 def reduce_by_unknot(p: Union[Polynomial, FracPoly]) -> Polynomial:
     """Divide an invariant by the unknot invariant, exactly.
 
     Multiplies by (1 - q) and the inverse prefactor monomial, then divides by
-    (1 + a); raises NonExactDivision if the input is not an unknot multiple,
-    or NotPolynomial if a rational input's denominator fails to cancel.
+    (1 + a) through the binomial kernel (see :func:`_divide_by_one_plus_a`);
+    raises NonExactDivision if the input is not an unknot multiple, or
+    NotPolynomial if a rational input's denominator fails to cancel.
     """
     frac = p if isinstance(p, FracPoly) else FracPoly(p)
     num = frac.num * (ONE - Q)
     num = num.shifted((-1, 2, 1))  # q^(-1/4) a^(1/2) t^(1/4)
-    num = num.exact_div(ONE + A)
+    num = _divide_by_one_plus_a(num)
     return FracPoly(num, frac.den).as_polynomial()
 
 

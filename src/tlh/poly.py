@@ -11,12 +11,14 @@ prefactors), and using it globally keeps the representation uniform.
 Coefficients are plain Python ints, never rationals: all divisions performed
 anywhere in the engine are exact, and a division that fails raises
 :class:`NonExactDivision` instead of silently producing a fraction.  A failed
-exact division is how a violated identity announces itself.
+exact division is how a violated identity announces itself.  There is one
+division algorithm, :meth:`BinomialFactor.quotient`: every divisor the
+engine meets is a difference of two monomials, except the ``1 + a`` of the
+unknot, which the sign change a -> -a turns into one.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -282,74 +284,6 @@ class Polynomial:
             {(et, ea, eq): c for (eq, ea, et), c in self._terms.items()}
         )
 
-    # -- division -----------------------------------------------------
-
-    def exact_div(self, d: "Polynomial") -> "Polynomial":
-        """Exact quotient self / d, or raise :class:`NonExactDivision`.
-
-        Leading-term elimination under descending lex order on exponent
-        vectors.  The quotient's per-variable exponent window is known exactly
-        beforehand (the lowest/highest degree parts of a product never cancel),
-        which both detects failure early and guarantees termination on the
-        Laurent lattice.  This general routine serves divisors that are not a
-        :class:`BinomialFactor` (such as ``1 + a``); fraction reduction uses
-        :meth:`BinomialFactor.quotient` instead.
-        """
-        d = self._coerce(d)
-        if d is None or not d._terms:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self._terms:
-            return ZERO
-        lo = []
-        hi = []
-        for i in range(3):
-            lo.append(min(e[i] for e in self._terms) - min(e[i] for e in d._terms))
-            hi.append(max(e[i] for e in self._terms) - max(e[i] for e in d._terms))
-        if any(l > h for l, h in zip(lo, hi)):
-            raise NonExactDivision(f"quotient exponent window is empty dividing by {d}")
-        dlead = max(d._terms)
-        dcoeff = d._terms[dlead]
-        dtail = [(e, c) for e, c in d._terms.items() if e != dlead]
-        rem = dict(self._terms)
-        quo: dict[Exponents, int] = {}
-        # Max-heap of candidate leading exponents (negated for heapq); stale
-        # entries are discarded lazily when they no longer appear in rem.
-        heap = [(-e[0], -e[1], -e[2]) for e in rem]
-        heapq.heapify(heap)
-        while rem:
-            while True:
-                ne = heap[0]
-                rlead = (-ne[0], -ne[1], -ne[2])
-                if rlead in rem:
-                    break
-                heapq.heappop(heap)
-            exp = (rlead[0] - dlead[0], rlead[1] - dlead[1], rlead[2] - dlead[2])
-            if any(exp[i] < lo[i] or exp[i] > hi[i] for i in range(3)):
-                raise NonExactDivision(
-                    f"leading term at q,a,t exponent {_exp_vector(rlead)} "
-                    f"not divisible by {d}"
-                )
-            rcoeff = rem[rlead]
-            if rcoeff % dcoeff:
-                raise NonExactDivision(
-                    f"coefficient {rcoeff} at q,a,t exponent {_exp_vector(rlead)} "
-                    f"not divisible by {d}"
-                )
-            c = rcoeff // dcoeff
-            quo[exp] = c
-            del rem[rlead]
-            heapq.heappop(heap)
-            for dexp, dc in dtail:
-                key = (exp[0] + dexp[0], exp[1] + dexp[1], exp[2] + dexp[2])
-                v = rem.get(key, 0) - c * dc
-                if v:
-                    if key not in rem:
-                        heapq.heappush(heap, (-key[0], -key[1], -key[2]))
-                    rem[key] = v
-                else:
-                    rem.pop(key, None)
-        return Polynomial(quo)
-
     # -- substitution -------------------------------------------------
 
     def substitute(self, rules: Mapping[str, "SubstitutionRule"]) -> "Polynomial":
@@ -471,7 +405,9 @@ class BinomialFactor(NamedTuple):
     on the owning fraction's numerator.  These are the only denominators the
     engine ever needs, which is why no general factorization or gcd exists
     here, and why dividing by one is a single prefix-sum pass
-    (:meth:`quotient`) rather than general long division.
+    (:meth:`quotient`) rather than general long division.  :meth:`quotient`
+    is the engine's only division: the one other divisor, the ``1 + a`` of
+    the unknot, is divided as ``1 - a`` after a -> -a.
     """
 
     lead: Exponents
@@ -560,8 +496,8 @@ class FracPoly:
     Construction reduces: each factor that divides the numerator exactly is
     cancelled (one multiplicity at a time) by the one-pass prefix-sum
     :meth:`BinomialFactor.quotient`, so a FracPoly with an empty denominator
-    really is a polynomial.  The heap-based :meth:`Polynomial.exact_div` is
-    kept only for divisors that are not binomial factors.  Sums accumulate
+    really is a polynomial.  Dividing by one more factor is building a
+    FracPoly with that factor appended to the denominator.  Sums accumulate
     numerators term by term, with no intermediate Polynomial per summand.
     Equality is decided by cross-multiplication.
     """
@@ -748,12 +684,6 @@ class FracPoly:
         for factor, m in common.items():
             den.extend([factor] * m)
         return cls(num, den)
-
-    def divided_by_factor(self, m1: Exponents, m2: Exponents) -> "FracPoly":
-        """Divide by the binomial (m1 - m2)."""
-        f, sign = BinomialFactor.normalize(m1, m2)
-        num = -self._num if sign < 0 else self._num
-        return FracPoly(num, self._den + (f,))
 
     def swap_qt(self) -> "FracPoly":
         num = self._num.swap_qt()

@@ -216,8 +216,11 @@ def poly_from_obj(obj) -> Polynomial:
 
 def frac_from_obj(obj) -> FracPoly:
     num = poly_from_obj(obj)
+    den = obj.get("den", [])
+    if type(den) is not list:
+        raise ParseError("den must be a list", 0)
     pairs = []
-    for n, item in enumerate(obj.get("den", [])):
+    for n, item in enumerate(den):
         if not isinstance(item, dict):
             raise ParseError(f"bad denominator factor {n}", 0)
         lead = _exp_from(item.get("lead"), "factor", n)

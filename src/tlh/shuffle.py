@@ -243,20 +243,16 @@ def insertion_weight(v: Seq, w: Seq) -> Polynomial:
 class MemoTable(dict):
     """Bit-string keyed memo with idempotent insertion.
 
-    Safe for concurrent lookup and insertion; duplicated computation of the
-    same key is fine, divergent values are not.
+    Safe for concurrent lookup and insertion: ``dict.setdefault`` with str
+    keys is atomic under the GIL, so of two threads inserting one key, one
+    stores its value and the other compares against it.  Duplicated
+    computation of the same key is fine, divergent values are not.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lock = threading.Lock()
-
     def insert(self, key: str, value) -> None:
-        with self._lock:
-            if key not in self:
-                self[key] = value
-            elif self[key] != value:
-                raise MemoDivergence(f"memo diverges at key {key!r}")
+        existing = self.setdefault(key, value)
+        if existing is not value and existing != value:
+            raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
 # What the closure walk holds per key (``_plan`` plus ``_poly_bounds``):
@@ -559,7 +555,8 @@ def _insertion_step(key: str, memo: MemoTable) -> FracPoly:
     if not key:
         return FracPoly(ONE)
     if "1" not in key:
-        return memo["1" + key[1:]].divided_by_factor((0, 0, 0), (UNIT, 0, 0))
+        f = memo["1" + key[1:]]
+        return FracPoly(f.num, f.den + (ONE_MINUS_Q,))
     parts = []
     for w in all_sequences(key.count("0")):
         shift = Polynomial.term(1, q=w.count("0"))

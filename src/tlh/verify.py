@@ -30,6 +30,7 @@ from .poly import (
     UNIT,
     BinomialFactor,
     FracPoly,
+    NonExactDivision,
     Polynomial,
 )
 from .serialize import dumps, parse_frac, parse_poly
@@ -37,6 +38,7 @@ from .serialize import dumps, parse_frac, parse_poly
 __all__ = [
     "Check",
     "CheckResult",
+    "UnknownSuite",
     "SUITES",
     "suite_names",
     "run_suites",
@@ -54,6 +56,10 @@ FINDING = "FINDING"
 # (label, ok, n) triples; n is the size the sub-check ran at, for grading
 # conjecture failures against the verified range.
 SubResults = list[tuple[str, bool, int]]
+
+
+class UnknownSuite(KeyError):
+    """No verification suite by that name."""
 
 
 @dataclass(frozen=True)
@@ -164,14 +170,27 @@ def _ring_axioms(bound: int) -> SubResults:
 
 @_check("polycore", "exact-division-inverse", THEOREM, 1000)
 def _division_inverse(bound: int) -> SubResults:
+    # Both of the engine's divisions: the binomial quotient, by every pool
+    # factor, and the unknot's (1 + a).  Adding one monomial to a multiple
+    # breaks divisibility, so that sum must be rejected.
     rng = random.Random(0xD1CE)
     ok = True
     for _ in range(bound):
         p = _random_poly(rng)
-        d = _random_poly(rng)
-        if d.is_zero:
-            d = ONE - Q
-        if (p * d).exact_div(d) != p:
+        exp = tuple(rng.randint(-8, 8) for _ in range(3))
+        noise = Polynomial({exp: rng.choice((-1, 1)) * rng.randint(1, 5)})
+        for f, _sign in _FACTOR_POOL:
+            multiple = p * f.poly()
+            if f.quotient(multiple) != p or f.quotient(multiple + noise) is not None:
+                ok = False
+        multiple = p * (ONE + A)
+        if links._divide_by_one_plus_a(multiple) != p:
+            ok = False
+        try:
+            links._divide_by_one_plus_a(multiple + noise)
+        except NonExactDivision:
+            pass
+        else:
             ok = False
     return [("quotient recovery", ok, bound)]
 
@@ -699,7 +718,7 @@ def run_suites(names: Iterable[str], max_n: int | None = None) -> list[CheckResu
     checks: list[Check] = []
     for name in names:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
+            raise UnknownSuite(f"unknown suite {name!r}")
         checks.extend(SUITES[name])
     return [_grade(c, c.fn(c.bound(max_n))) for c in checks]
 

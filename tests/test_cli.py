@@ -142,6 +142,25 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_max_n_below_one_is_usage_error(capsys):
+    # a bound below 1 would run every check on no cases and report PASS
+    for bad in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "magic", "--max-n", bad])
+        assert exc.value.code == 2
+        assert "--max-n" in capsys.readouterr().err
+
+
+def test_bare_key_error_is_not_an_engine_error(monkeypatch):
+    # only named errors exit 1; a KeyError from a bug must surface
+    def broken(key):
+        raise KeyError(key)
+
+    monkeypatch.setattr(tlh.links, "dataset_get", broken)
+    with pytest.raises(KeyError):
+        main(["dataset", "--get", "T(3,4)"])
+
+
 def test_verify_magic_reports_finding_not_error(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "magic", "--max-n", "2")
     assert code == 0

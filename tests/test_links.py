@@ -134,16 +134,19 @@ def test_reduce_by_unknot():
 
 
 def test_reduce_by_unknot_error_names_divisor_and_exponent():
-    # dividing (1 + q + aq)(1 - q) q^(-1/4) a^(1/2) t^(1/4) by (1 + a) reaches
-    # a leading term at q^(3/4) a^(1/2) t^(1/4) whose quotient term would lie
-    # below the quotient's a-degree window
+    # (1 + q + aq)(1 - q) q^(-1/4) a^(1/2) t^(1/4) has the lone term
+    # q^(-1/4) a^(1/2) t^(1/4) in its class, which cannot vanish at a = -1
     with pytest.raises(
         NonExactDivision,
-        match=r"leading term at q,a,t exponent \(3/4, 1/2, 1/4\) not divisible by 1 \+ a",
+        match=r"class of q,a,t exponent \(-1/4, 1/2, 1/4\) does not vanish at a = -1: "
+        r"not divisible by 1 \+ a",
     ):
         reduce_by_unknot(ONE + Q + A * Q)
-    with pytest.raises(NonExactDivision, match=r"window is empty dividing by 1 \+ a"):
-        reduce_by_unknot(ONE + Q)
+    # q (1 - q) q^(-1/4) a^(1/2) t^(1/4): both classes are single terms
+    with pytest.raises(
+        NonExactDivision, match=r"exponent \(3/4, 1/2, 1/4\) .* by 1 \+ a"
+    ):
+        reduce_by_unknot(Q)
 
 
 def test_two_strand_normalization_round_trip():

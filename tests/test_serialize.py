@@ -107,6 +107,10 @@ def test_json_decoding_accepts_integers_and_decimal_strings():
     frac["den"][0]["trail"] = [True, 0, 0]
     with pytest.raises(ParseError, match="bad exponent vector in factor 0"):
         parse_frac(json.dumps(frac))
+    for den in (5, None, {"lead": [0, 0, 0], "trail": [4, 0, 0]}):
+        frac["den"] = den
+        with pytest.raises(ParseError, match="den must be a list"):
+            parse_frac(json.dumps(frac))
 
 
 def test_latex_output():
