@@ -25,31 +25,12 @@ import os
 import sys
 
 from . import closed_form, links, shuffle, tableaux, verify
-from .poly import NonExactDivision, NonIntegralPower, NotASeries, NotPolynomial
-from .serialize import ParseError, dumps, parse_poly
-from .shuffle import (
-    EntryOutOfBounds,
-    IncompatiblePair,
-    MemoDivergence,
-    MemoryBudgetExceeded,
-    MemoTable,
-)
-from .tableaux import NotInnerCorner
+from .serialize import dumps, parse_poly
+from .shuffle import MemoTable
 
 DEFAULT_QMAX = 10
 
-_ENGINE_ERRORS = (
-    NonExactDivision,
-    NonIntegralPower,
-    NotASeries,
-    NotPolynomial,
-    ParseError,
-    IncompatiblePair,
-    MemoDivergence,
-    EntryOutOfBounds,
-    MemoryBudgetExceeded,
-    NotInnerCorner,
-    links.UnknownLink,
+_ENGINE_ERRORS = verify.ENGINE_ERRORS + (
     verify.UnknownSuite,
     # every argument check raises ValueError; a bare KeyError is a bug
     ValueError,

@@ -19,7 +19,10 @@ unknot, which the sign change a -> -a turns into one.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -497,9 +500,11 @@ class FracPoly:
     cancelled (one multiplicity at a time) by the one-pass prefix-sum
     :meth:`BinomialFactor.quotient`, so a FracPoly with an empty denominator
     really is a polynomial.  Dividing by one more factor is building a
-    FracPoly with that factor appended to the denominator.  Sums accumulate
-    numerators term by term, with no intermediate Polynomial per summand.
-    Equality is decided by cross-multiplication.
+    FracPoly with that factor appended to the denominator.  A sum brings
+    each numerator to the common denominator one binomial at a time.
+    Equality is decided by cross-multiplication.  FracPoly serves where
+    denominators are general (tableau weights) and at the series boundary;
+    the sequence recursions step on normalized polynomials instead.
     """
 
     __slots__ = ("_num", "_den")
@@ -622,11 +627,9 @@ class FracPoly:
     def sum(cls, fractions: Iterable["FracPoly"]) -> "FracPoly":
         """Exact sum over the least common denominator multiset.
 
-        Numerators are accumulated term by term into dicts, never into
-        intermediate Polynomials: those already over the common denominator
-        go straight into the result, the others are summed per set of
-        missing factors, one set at a time, and each such group sum is
-        multiplied by its missing factors once, into the result.
+        Each numerator is multiplied by every factor it lacks, one binomial
+        at a time (``num x^lead - num x^trail``), and added term by term
+        into one dict.
         """
         items = []
         for f in fractions:
@@ -634,56 +637,17 @@ class FracPoly:
             if coerced is None:
                 raise TypeError(f"cannot sum {type(f).__name__} as a fraction")
             items.append(coerced)
-        if not items:
-            return cls(ZERO)
-        common: dict[BinomialFactor, int] = {}
-        per_item: list[dict[BinomialFactor, int]] = []
-        for f in items:
-            counts: dict[BinomialFactor, int] = {}
-            for factor in f._den:
-                counts[factor] = counts.get(factor, 0) + 1
-            per_item.append(counts)
-            for factor, m in counts.items():
-                if common.get(factor, 0) < m:
-                    common[factor] = m
-        powers: dict[BinomialFactor, list[Polynomial]] = {}
-
-        def factor_power(factor: BinomialFactor, m: int) -> Polynomial:
-            ladder = powers.setdefault(factor, [ONE])
-            while len(ladder) <= m:
-                ladder.append(ladder[-1] * factor.poly())
-            return ladder[m]
-
-        by_need: dict[tuple[tuple[BinomialFactor, int], ...], list[Polynomial]] = {}
-        for f, counts in zip(items, per_item):
-            need = tuple(
-                (factor, m - counts.get(factor, 0))
-                for factor, m in common.items()
-                if m > counts.get(factor, 0)
-            )
-            by_need.setdefault(need, []).append(f._num)
+        dens = [Counter(f._den) for f in items]
+        common = reduce(or_, dens, Counter())
         acc: dict[Exponents, int] = {}
-        for need, nums in by_need.items():
-            group = {} if need else acc
-            get = group.get
-            for num in nums:
-                for e, c in num._terms.items():
-                    group[e] = get(e, 0) + c
-            if not need:
-                continue
-            scale = factor_power(*need[0])
-            for factor, m in need[1:]:
-                scale = scale * factor_power(factor, m)
-            get = acc.get
-            for (s0, s1, s2), sc in scale._terms.items():
-                for (e0, e1, e2), c in group.items():
-                    key = (e0 + s0, e1 + s1, e2 + s2)
-                    acc[key] = get(key, 0) + c * sc
-        num = Polynomial(acc)
-        den: list[BinomialFactor] = []
-        for factor, m in common.items():
-            den.extend([factor] * m)
-        return cls(num, den)
+        get = acc.get
+        for f, den in zip(items, dens):
+            num = f._num
+            for factor in (common - den).elements():
+                num = num.shifted(factor.lead) - num.shifted(factor.trail)
+            for e, c in num._terms.items():
+                acc[e] = get(e, 0) + c
+        return cls(Polynomial(acc), common.elements())
 
     def swap_qt(self) -> "FracPoly":
         num = self._num.swap_qt()

@@ -41,11 +41,13 @@ closure walk whose own state outgrows physical memory, as soon as it does.
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
 expand over all words w of length #zeroes(v), inserting w into the zeroes of
-v, with a product of (t^j + a) weights per one of v.  Agreement of the two
-routes is a core self-check of the whole engine.  The routes share no
-arithmetic (the insertion route works on :class:`FracPoly` values), only
-one work-list driver (``_evaluate``); each keeps its own dependency and step
-rules.
+v, with a product W(v, w) of (t^j + a) weights per one of v.  It too steps on
+normalized polynomials, P(v) = sum over w of q^#0(w) (1-q)^#1(w) W(v, w) P(w),
+keeping P(0^n) = P(1 0^(n-1)).  Agreement of the two routes is a core
+self-check of the whole engine.  The routes share no arithmetic (the
+insertion route works on :class:`Polynomial` term dicts, never packed ints),
+only one work-list driver (``_evaluate``); each keeps its own dependency and
+step rules.
 
 The driver walks the closure of the target once, stopping at memo hits,
 counts each key's consumers, and steps the keys in topological order with
@@ -551,27 +553,51 @@ def _insertion_deps(key: str) -> tuple[str, ...]:
     return tuple(all_sequences(key.count("0")))
 
 
-def _insertion_step(key: str, memo: MemoTable) -> FracPoly:
+def _insertion_step(key: str, work: dict) -> Polynomial:
+    """P(v) = sum over w of q^zeros(w) (1-q)^ones(w) W(v, w) P(w).
+
+    The terms go into one group G_k per k = ones(w), folded Horner-style:
+    acc <- acc (1 - q) + G_k, from k = zeros(v) down to 0.
+    """
     if not key:
-        return FracPoly(ONE)
+        return ONE
     if "1" not in key:
-        f = memo["1" + key[1:]]
-        return FracPoly(f.num, f.den + (ONE_MINUS_Q,))
-    parts = []
-    for w in all_sequences(key.count("0")):
-        shift = Polynomial.term(1, q=w.count("0"))
-        parts.append((insertion_weight(key, w) * shift) * memo[w])
-    return FracPoly.sum(parts)
+        return work["1" + key[1:]]
+    z = key.count("0")
+    groups: list[dict[Exponents, int]] = [{} for _ in range(z + 1)]
+    for w in all_sequences(z):
+        k = w.count("1")
+        group = groups[k]
+        get = group.get
+        shift = UNIT * (z - k)
+        terms = work[w]._terms.items()
+        for (s0, s1, s2), d in insertion_weight(key, w)._terms.items():
+            s0 += shift
+            for (e0, e1, e2), c in terms:
+                e = (e0 + s0, e1 + s1, e2 + s2)
+                group[e] = get(e, 0) + c * d
+    acc: dict[Exponents, int] = {}
+    for group in reversed(groups):
+        get = group.get
+        for e, c in acc.items():
+            group[e] = get(e, 0) + c
+            e = (e[0] + UNIT, e[1], e[2])
+            group[e] = get(e, 0) - c
+        acc = group
+    return Polynomial(acc)
 
 
 def insertion_series(v: Seq, memo: MemoTable | None = None) -> FracPoly:
     """The Poincare series computed by the insertion recursion.
 
-    Independent of :func:`poincare_series` in its rules: the two routes share
-    only the fraction arithmetic and the work-list driver that orders the
-    evaluation.  Equality of the two is exposed as a verification suite.
+    Steps on normalized polynomials, the values ``memo`` receives, and
+    returns the result over (1-q)^zeros(v).  Independent of
+    :func:`poincare_series` in its rules and its arithmetic: the two routes
+    share only the work-list driver.  Their equality is a verification suite.
     """
-    return _evaluate(_key(v), memo, _insertion_deps, _insertion_step)
+    key = _key(v)
+    num = _evaluate(key, memo, _insertion_deps, _insertion_step)
+    return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
 
 
 def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:

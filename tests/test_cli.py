@@ -161,6 +161,19 @@ def test_bare_key_error_is_not_an_engine_error(monkeypatch):
         main(["dataset", "--get", "T(3,4)"])
 
 
+def test_verify_reports_a_raising_check_in_the_table(capsys, monkeypatch):
+    def broken(n, memo=None):
+        raise tlh.poly.NonExactDivision("no quotient")
+
+    monkeypatch.setattr(shuffle, "zero_expansion_identity", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "zeroseq", "--max-n", "3")
+    assert code == 1
+    assert err == ""
+    assert "zero-equals-one-prefix" in out
+    assert "raised NonExactDivision: no quotient" in out
+    assert out.endswith("1 passed, 1 failed, 0 findings\n")
+
+
 def test_verify_magic_reports_finding_not_error(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "magic", "--max-n", "2")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from tlh import shuffle
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
-from tlh.serialize import ParseError, parse_poly, poly_to_obj
+from tlh.serialize import ParseError, dumps, parse_poly, poly_to_obj
 from tlh.shuffle import (
     EntryOutOfBounds,
     IncompatiblePair,
@@ -220,6 +220,15 @@ def test_insertion_series_one_shot_matches_memoized_route():
             assert insertion_series(v) == insertion_series(v, memo), v
 
 
+def test_insertion_memo_holds_normalized_polynomials():
+    memo = MemoTable()
+    for n in range(8):
+        for v in all_sequences(n):
+            series = insertion_series(v, memo)
+            assert memo[v] == poincare_poly(v), v
+            assert dumps(series) == dumps(poincare_series(v)), v
+
+
 def test_working_values_released_after_last_consumer(monkeypatch):
     live = []
     step = shuffle._Layout.step
@@ -292,9 +301,9 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
         insertion_series("0" * 16)
     assert len(calls) < 2 * limit
-    # a memo hit walks nothing
-    memo = MemoTable({"0" * 16: FracPoly(ONE)})
-    assert insertion_series("0" * 16, memo) == FracPoly(ONE)
+    # a memo hit walks nothing; the memo holds normalized polynomials
+    memo = MemoTable({"0" * 16: ONE})
+    assert insertion_series("0" * 16, memo) == FracPoly(ONE, [ONE_MINUS_Q] * 16)
     # a cache holding a long key with few zeros loads, checks included
     assert load_cache(str(path)) == cached
 
