@@ -33,7 +33,6 @@ from .poly import (
     NotASeries,
     NotPolynomial,
     Polynomial,
-    SubstitutionRule,
     monomial,
 )
 from .serialize import ParseError, dumps, parse_frac, parse_poly

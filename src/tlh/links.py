@@ -39,8 +39,8 @@ from .poly import (
     Exponents,
     FracPoly,
     NonExactDivision,
+    NonIntegralPower,
     Polynomial,
-    SubstitutionRule,
     _exp_vector,
 )
 from .serialize import parse_poly
@@ -165,12 +165,27 @@ def dataset_get(key: str) -> SuperPolyEntry:
 # ---------------------------------------------------------------------------
 # specializations
 
-_DECAT = {"t": SubstitutionRule.make(Fraction(1, 2), -1, q=Fraction(-1, 2))}
+def _eliminate(p: Polynomial, var: str, base: int, to_q: int) -> Polynomial:
+    # var^(k*base) -> (-1)^k q^(k*to_q), in quarter units; k must be whole
+    i = "qat".index(var)
+    out: dict[Exponents, int] = {}
+    for e, c in p.units().items():
+        k, rest = divmod(e[i], base)
+        if rest:
+            raise NonIntegralPower(
+                f"(-1)^({Fraction(e[i], base)}) while eliminating {var}"
+            )
+        new = list(e)
+        new[i] = 0
+        new[0] += k * to_q
+        key = tuple(new)
+        out[key] = out.get(key, 0) + (-c if k % 2 else c)
+    return Polynomial(out)
 
 
 def decategorify(p: Polynomial) -> Polynomial:
     """Substitute t^(1/2) -> -q^(-1/2); the result is free of t."""
-    return p.substitute(_DECAT)
+    return _eliminate(p, "t", UNIT // 2, -(UNIT // 2))
 
 
 def sl_specialization(p: Polynomial, n: int) -> Polynomial:
@@ -179,7 +194,7 @@ def sl_specialization(p: Polynomial, n: int) -> Polynomial:
         raise ValueError("N must be >= 1")
     if p.unit_range("t") not in (None, (0, 0)):
         raise ValueError("decategorify first: input still involves t")
-    return p.substitute({"a": SubstitutionRule.make(1, -1, q=n)})
+    return _eliminate(p, "a", UNIT, n * UNIT)
 
 
 def normalize_superpoly(p: Polynomial, ctx: NormalizationContext) -> Polynomial:

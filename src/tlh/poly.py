@@ -12,9 +12,11 @@ Coefficients are plain Python ints, never rationals: all divisions performed
 anywhere in the engine are exact, and a division that fails raises
 :class:`NonExactDivision` instead of silently producing a fraction.  A failed
 exact division is how a violated identity announces itself.  There is one
-division algorithm, :meth:`BinomialFactor.quotient`: every divisor the
-engine meets is a difference of two monomials, except the ``1 + a`` of the
-unknot, which the sign change a -> -a turns into one.
+division algorithm, a running sum along the divisor's direction: stopped at
+each class's last key it is the exact :meth:`BinomialFactor.quotient`, and
+run on to a bound it is the truncated :meth:`FracPoly.series`.  Every
+divisor the engine meets is a difference of two monomials, except the
+``1 + a`` of the unknot, which the sign change a -> -a turns into one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "BinomialFactor",
     "ONE_MINUS_Q",
     "FracPoly",
-    "SubstitutionRule",
     "monomial",
     "ZERO",
     "ONE",
@@ -66,7 +67,7 @@ class NotPolynomial(ValueError):
 
 
 class NonIntegralPower(ValueError):
-    """A substitution asked for a fractional power of a sign or left the lattice."""
+    """A specialization asked for a fractional power of -1."""
 
 
 def _units(x: ExponentLike) -> int:
@@ -287,54 +288,6 @@ class Polynomial:
             {(et, ea, eq): c for (eq, ea, et), c in self._terms.items()}
         )
 
-    # -- substitution -------------------------------------------------
-
-    def substitute(self, rules: Mapping[str, "SubstitutionRule"]) -> "Polynomial":
-        """Rewrite each term under simultaneous per-variable rules.
-
-        A rule replaces a declared base power of its variable (whole or half)
-        by a signed monomial; a term's exponent is decomposed into copies of
-        the base power and the sign is raised to that count.  Raises
-        :class:`NonIntegralPower` if the count is fractional while the sign is
-        -1, or if the resulting exponents leave the quarter lattice.
-        """
-        idx = {"q": 0, "a": 1, "t": 2}
-        for name in rules:
-            if name not in idx:
-                raise KeyError(f"unknown variable {name!r}")
-        out: dict[Exponents, int] = {}
-        for exp, coeff in self._terms.items():
-            new = list(exp)
-            c = coeff
-            for name, rule in rules.items():
-                i = idx[name]
-                e = exp[i]
-                new[i] -= e
-                if e == 0:
-                    continue
-                k = Fraction(e, rule.base)
-                if rule.sign == -1:
-                    if k.denominator != 1:
-                        raise NonIntegralPower(
-                            f"(-1)^({k}) while eliminating {name}"
-                        )
-                    if int(k) % 2:
-                        c = -c
-                for j in range(3):
-                    u = k * rule.exp[j]
-                    if u.denominator != 1:
-                        raise NonIntegralPower(
-                            f"substitution leaves the quarter lattice on {name}"
-                        )
-                    new[j] += int(u)
-            key = tuple(new)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return Polynomial(out)
-
     # -- comparison / rendering ----------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -374,32 +327,6 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
-class SubstitutionRule(NamedTuple):
-    """Replacement of a base power of one variable by a signed monomial.
-
-    ``base`` is the quarter-unit size of the power being replaced (4 for the
-    whole variable, 2 for its square root); ``exp`` is the quarter-unit
-    exponent vector of the replacement monomial, applied once per base power.
-    """
-
-    base: int
-    sign: int
-    exp: Exponents
-
-    @classmethod
-    def make(
-        cls,
-        base: ExponentLike,
-        sign: int,
-        q: ExponentLike = 0,
-        a: ExponentLike = 0,
-        t: ExponentLike = 0,
-    ) -> "SubstitutionRule":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return cls(_units(base), sign, (_units(q), _units(a), _units(t)))
-
-
 class BinomialFactor(NamedTuple):
     """A difference of two monic monomials, ``lead - trail``.
 
@@ -408,9 +335,10 @@ class BinomialFactor(NamedTuple):
     on the owning fraction's numerator.  These are the only denominators the
     engine ever needs, which is why no general factorization or gcd exists
     here, and why dividing by one is a single prefix-sum pass
-    (:meth:`quotient`) rather than general long division.  :meth:`quotient`
-    is the engine's only division: the one other divisor, the ``1 + a`` of
-    the unknot, is divided as ``1 - a`` after a -> -a.
+    (:meth:`_running_sums`) rather than general long division.  That one
+    running sum serves both exact division (:meth:`quotient`) and power
+    series (:meth:`FracPoly.series`); the one other divisor, the ``1 + a``
+    of the unknot, is divided as ``1 - a`` after a -> -a.
     """
 
     lead: Exponents
@@ -437,23 +365,15 @@ class BinomialFactor(NamedTuple):
         common case, so it is decided before anything is built: a multiple
         of a binomial vanishes at q = a = t = 1, which rejects most inputs by
         their coefficient sum alone, and the next pass only sums the classes.
-        On success the quotient along a class is the prefix sum
-        Q_k = sum of P_j over j <= k, constant from one key of p to the next,
-        with the x^-lead shift folded into the emitted keys.
+        On success the quotient is :meth:`_running_sums` of p, each class's
+        sum returning to zero after its last key.
         """
         terms = p._terms
         if not terms:
             return p
         if sum(terms.values()):
             return None
-        l0, l1, l2 = self.lead
-        d0, d1, d2 = (
-            self.trail[0] - l0,
-            self.trail[1] - l1,
-            self.trail[2] - l2,
-        )
-        axis = 0 if d0 else (1 if d1 else 2)
-        step = (d0, d1, d2)[axis]
+        d0, d1, d2, axis, step = self._walk()
         sums: dict[Exponents, int] = {}
         get = sums.get
         for e, c in terms.items():
@@ -462,6 +382,31 @@ class BinomialFactor(NamedTuple):
             sums[key] = get(key, 0) + c
         if any(sums.values()):
             return None
+        return Polynomial._trusted(self._running_sums(terms))
+
+    def _walk(self) -> tuple[int, int, int, int, int]:
+        # (d0, d1, d2, axis, step): d = trail - lead, walked along its first
+        # nonzero coordinate, whose value is the step
+        lead, trail = self
+        d = (trail[0] - lead[0], trail[1] - lead[1], trail[2] - lead[2])
+        axis = 0 if d[0] else (1 if d[1] else 2)
+        return (*d, axis, d[axis])
+
+    def _running_sums(
+        self, terms: dict[Exponents, int], stop: int | None = None
+    ) -> dict[Exponents, int]:
+        """Terms of ``terms / (lead - trail)`` by one prefix sum per class.
+
+        Along a class of keys base + k*d the quotient's coefficient at k is
+        Q_k = sum of P_j over j <= k, constant from one key to the next, with
+        the x^-lead shift folded into the emitted keys.  Without ``stop`` the
+        sum ends at each class's last key, which is exact division when every
+        class sums to zero.  With ``stop`` (for a positive step along the
+        axis) each sum runs on to axis coordinate ``stop``: the truncated
+        power series of ``terms / (1 - x^d)`` when the lead is 1.
+        """
+        l0, l1, l2 = self.lead
+        d0, d1, d2, axis, step = self._walk()
         classes: dict[Exponents, list[tuple[int, int]]] = {}
         for e, c in terms.items():
             k = e[axis] // step
@@ -472,16 +417,18 @@ class BinomialFactor(NamedTuple):
             else:
                 run.append((k, c))
         out: dict[Exponents, int] = {}
-        for (b0, b1, b2), run in classes.items():
+        for base, run in classes.items():
             run.sort()
+            if stop is not None:
+                run.append(((stop - base[axis]) // step + 1, 0))
+            b0, b1, b2 = base
             s = 0
-            # every class sums to zero, so the prefix sum is 0 after its last key
             for (k, c), (k_next, _) in zip(run, run[1:]):
                 s += c
                 if s:
                     for m in range(k, k_next):
                         out[(b0 + m * d0, b1 + m * d1, b2 + m * d2)] = s
-        return Polynomial._trusted(out)
+        return out
 
     def text(self, latex: bool = False) -> str:
         _, lead = _term_str(self.lead, 1, latex)
@@ -663,32 +610,21 @@ class FracPoly:
         """Truncated q-power-series expansion, exact in a and t.
 
         Requires every denominator factor to be (1 - q^j) with j > 0 on the
-        quarter lattice; anything else raises :class:`NotASeries`.  Each
-        geometric factor only raises q, so terms above ``qmax`` are dropped
-        from the numerator first and after every product.
+        quarter lattice; anything else raises :class:`NotASeries`.  Dividing
+        a series by (1 - q^j) is the prefix sum of exact division
+        (:meth:`BinomialFactor._running_sums`) run on to the bound, so the
+        numerator is cut at ``qmax`` and each factor is one more pass.
         """
         if qmax < 0:
             raise ValueError("qmax must be >= 0")
-        steps = []
         for f in self._den:
             if f.lead != (0, 0, 0) or f.trail[1] or f.trail[2] or f.trail[0] <= 0:
                 raise NotASeries(f"denominator factor {f.text()} is not (1 - q^j)")
-            steps.append(f.trail[0])
         bound = qmax * UNIT
-        kept = {e: c for e, c in self._num._terms.items() if e[0] <= bound}
-        if not kept:
-            return ZERO
-        result = Polynomial._trusted(kept)
-        qmin = min(e[0] for e in kept)
-        for j in steps:
-            geom = Polynomial._trusted(
-                {(m * j, 0, 0): 1 for m in range((bound - qmin) // j + 1)}
-            )
-            product = result * geom
-            result = Polynomial._trusted(
-                {e: c for e, c in product._terms.items() if e[0] <= bound}
-            )
-        return result
+        terms = {e: c for e, c in self._num._terms.items() if e[0] <= bound}
+        for f in self._den:
+            terms = f._running_sums(terms, stop=bound)
+        return Polynomial._trusted(terms)
 
     # -- comparison / rendering ------------------------------------------
 

@@ -15,6 +15,7 @@ rendered table is byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -484,11 +485,17 @@ def _magic_r1(bound: int) -> SubResults:
     return out
 
 
+@functools.cache
+def _r0_sum(n: int) -> FracPoly:
+    # shared by the three r = 0 checks; each would otherwise rebuild it
+    return tableaux.tableau_sum(n, 0)
+
+
 @_check("magic", "r0-envelope", CONJECTURE, 4, verified_bound=None)
 def _magic_r0_envelope(bound: int) -> SubResults:
     out: SubResults = []
     for n in range(1, bound + 1):
-        ok = tableaux.tableau_sum(n, 0) == (ONE + A) ** n
+        ok = _r0_sum(n) == (ONE + A) ** n
         out.append((f"n={n}", ok, n))
     return out
 
@@ -500,7 +507,7 @@ def _magic_r0_literal(bound: int) -> SubResults:
     # follows from the corner-sum identity.  Reported, not asserted.
     out: SubResults = []
     for n in range(1, bound + 1):
-        out.append((f"n={n}", tableaux.tableau_sum(n, 0) == ONE, n))
+        out.append((f"n={n}", _r0_sum(n) == ONE, n))
     return out
 
 
@@ -508,7 +515,7 @@ def _magic_r0_literal(bound: int) -> SubResults:
 def _magic_r0_a0(bound: int) -> SubResults:
     out: SubResults = []
     for n in range(1, bound + 1):
-        s = tableaux.tableau_sum(n, 0)
+        s = _r0_sum(n)
         ok = s.is_polynomial and s.num.coefficient_of_a(0) == ONE
         out.append((f"n={n}", ok, n))
     return out

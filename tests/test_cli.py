@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+from itertools import product
+from pathlib import Path
 import subprocess
 import sys
 
@@ -248,3 +251,47 @@ def test_byte_identical_across_runs():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "corners", "--threads", "2"])
     assert exc.value.code == 2
+
+
+# stdout digests recorded when the benchmark was added; every later version
+# of the program must reproduce them byte for byte
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+_FORMATS = ("text", "json", "latex")
+
+
+def _reference_digests(select):
+    digests = json.loads(_REFERENCE.read_text())
+    return {key: digest for key, digest in digests.items() if select(key.split())}
+
+
+def _check_digests(capsys, monkeypatch, digests):
+    monkeypatch.delenv("TLH_CACHE", raising=False)
+    wrong = []
+    for key, digest in digests.items():
+        code, out, _ = run_cli(capsys, *key.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            wrong.append(key)
+    assert wrong == []
+
+
+def test_specialize_stdout_matches_reference(capsys, monkeypatch):
+    digests = _reference_digests(lambda argv: argv[0] == "specialize")
+    assert any("decat" in key for key in digests)
+    assert any("sl_n" in key for key in digests)
+    _check_digests(capsys, monkeypatch, digests)
+
+
+def test_fulltwist_stdout_matches_reference(capsys, monkeypatch):
+    def small(argv):
+        return (
+            argv[0] == "fulltwist"
+            and int(argv[argv.index("--n") + 1]) <= 6
+            and argv[argv.index("--qmax") + 1] in ("0", "5", "10")
+        )
+
+    digests = _reference_digests(small)
+    assert set(digests) >= {
+        f"fulltwist --n {n} --qmax {qmax} --format {fmt}"
+        for n, qmax, fmt in product(range(1, 7), (0, 5, 10), _FORMATS)
+    }
+    _check_digests(capsys, monkeypatch, digests)

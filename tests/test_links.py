@@ -25,8 +25,10 @@ from tlh.poly import (
     Q,
     T,
     UNIT,
+    ZERO,
     FracPoly,
     NonExactDivision,
+    NonIntegralPower,
     Polynomial,
     monomial,
 )
@@ -100,6 +102,22 @@ def test_sl_specialization_examples():
         sl_specialization(T, 2)
     with pytest.raises(ValueError):
         sl_specialization(ONE, 0)
+
+
+def test_specializations_map_each_term():
+    # t^(k/2) -> (-1)^k q^(-k/2), a^k -> (-1)^k q^(kN), including negative k
+    assert decategorify(monomial(3, q=1, a=2, t=-1)) == monomial(3, q=2, a=2)
+    assert decategorify(monomial(1, t=Fraction(3, 2))) == -monomial(1, q=Fraction(-3, 2))
+    assert decategorify(T - monomial(1, q=-1)) == ZERO
+    assert sl_specialization(monomial(2, q=1, a=-1), 3) == monomial(-2, q=-2)
+    assert sl_specialization(A * monomial(1, q=-2) + ONE, 2) == ZERO
+
+
+def test_specializations_reject_a_fractional_sign_power():
+    with pytest.raises(NonIntegralPower, match=r"^\(-1\)\^\(1/2\) while eliminating t$"):
+        decategorify(monomial(1, t=Fraction(1, 4)))
+    with pytest.raises(NonIntegralPower, match=r"^\(-1\)\^\(1/2\) while eliminating a$"):
+        sl_specialization(monomial(1, a=Fraction(1, 2)), 2)
 
 
 def test_normalization_prefactor():

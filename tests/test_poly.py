@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tlh.links import _divide_by_one_plus_a
+from tlh.links import _divide_by_one_plus_a, unknot_invariant, unknot_series
 from tlh.poly import (
     A,
     ONE,
@@ -16,14 +16,13 @@ from tlh.poly import (
     BinomialFactor,
     FracPoly,
     NonExactDivision,
-    NonIntegralPower,
     NotASeries,
     NotPolynomial,
     Polynomial,
-    SubstitutionRule,
     _exp_vector,
     monomial,
 )
+from tlh.shuffle import poincare_series
 
 
 @st.composite
@@ -594,6 +593,19 @@ def test_series_truncates_like_full_product(f, qmax):
     assert f.series(qmax) == _series_by_full_product(f, qmax)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_full_twist_series_matches_full_product(n):
+    # real data: up to eight stacked (1 - q) factors over a large numerator
+    f = poincare_series("0" * n)
+    assert len(f.den) == n
+    assert f.series(10) == _series_by_full_product(f, 10)
+
+
+def test_unknot_series_matches_full_product():
+    for qmax in range(11):
+        assert unknot_series(qmax) == _series_by_full_product(unknot_invariant(), qmax)
+
+
 def test_series_edge_cases():
     # negative q-exponents: q^-2/(1-q) = q^-2 + q^-1 + 1 + q + ...
     f = FracPoly(monomial(1, q=-2) + A * T, [ONE_MINUS_Q])
@@ -685,34 +697,6 @@ def test_frac_equality_cross_denominator():
     assert x.den != y.den and near.den != y.den
     assert x == y and y == x
     assert near != y and y != near
-
-
-def test_substitute_halves():
-    # t^(1/2) -> -q^(-1/2) on a (tq)^(-1/2) shifted trefoil numerator
-    rules = {"t": SubstitutionRule.make(Fraction(1, 2), -1, q=Fraction(-1, 2))}
-    p = monomial(1, q=Fraction(-1, 2), a=1, t=Fraction(-1, 2)) * (Q + T + A)
-    got = p.substitute(rules)
-    want = -(A * Q) - A * monomial(1, q=-1) - A * A
-    assert got == want
-
-
-def test_substitute_sl_rule():
-    rules = {"a": SubstitutionRule.make(1, -1, q=2)}
-    p = -(A * Q) - A * monomial(1, q=-1) - A * A
-    assert p.substitute(rules) == Q ** 3 + Q - Q ** 4
-
-
-def test_substitute_identity_and_errors():
-    p = Q + A * T
-    ident = {
-        "q": SubstitutionRule.make(1, 1, q=1),
-        "t": SubstitutionRule.make(1, 1, t=1),
-    }
-    assert p.substitute(ident) == p
-    # a half power of the sign is not allowed
-    bad = {"t": SubstitutionRule.make(1, -1, q=1)}
-    with pytest.raises(NonIntegralPower):
-        monomial(1, t=Fraction(1, 2)).substitute(bad)
 
 
 def test_swap_qt():
