@@ -38,14 +38,21 @@ _ENGINE_ERRORS = verify.ENGINE_ERRORS + (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, not {n}")
-    return n
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {n}")
+        return n
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cache", default=None,
-        help="memo cache file for sequence computations (env: TLH_CACHE)",
+        help="answer cache file for f, tilde and fulltwist (env: TLH_CACHE)",
     )
 
     parser = argparse.ArgumentParser(
@@ -72,16 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="binary sequence, e.g. 0110")
 
     p = sub.add_parser("fulltwist", parents=[common], help="full-twist series")
-    p.add_argument("--n", type=int, required=True, help="strand count")
-    p.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
+    p.add_argument("--n", type=_positive_int, required=True, help="strand count")
+    p.add_argument("--qmax", type=_nonnegative_int, default=DEFAULT_QMAX)
 
     p = sub.add_parser("hhh0", parents=[common], help="closed-form a=0 series")
-    p.add_argument("--n", type=int, required=True, help="strand count")
-    p.add_argument("--qmax", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True, help="strand count")
+    p.add_argument("--qmax", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("magic", parents=[common], help="tableau sum")
-    p.add_argument("--n", type=int, required=True, help="number of boxes")
-    p.add_argument("--r", type=int, required=True, help="full-twist power")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of boxes")
+    p.add_argument("--r", type=_nonnegative_int, required=True, help="full-twist power")
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
     p.add_argument(
@@ -99,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--link", help="built-in dataset key, e.g. T(3,4)")
     src.add_argument("--input", help="file with a polynomial (text or json)")
     p.add_argument("--to", choices=("decat", "sl_n"), required=True)
-    p.add_argument("--N", type=int, default=None, help="N for --to sl_n")
+    p.add_argument("--N", type=_positive_int, default=None, help="N for --to sl_n")
 
     p = sub.add_parser("dataset", parents=[common], help="built-in table")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -114,26 +121,23 @@ def _cache_path(args) -> str | None:
     return os.environ.get("TLH_CACHE") or args.cache or None
 
 
-def _cached(args, compute):
+def _cached(args, key: str, compute):
     """``compute(memo)`` against the cache file, if one is given.
 
-    Without a cache file no memo is kept: the engine then releases each
-    working value early and unpacks only the result.  The file is written
-    back only when it did not exist or the memo gained keys; a memo never
-    loses or changes a key, so an unchanged count means unchanged contents.
+    The file holds answers: the normalized polynomials of the sequences
+    that commands asked about, here ``key``.  On a miss that one value is
+    computed without a memo, as without a cache, inserted and written back;
+    ``compute`` then reads it as a memo hit.  A repeated call finds the key
+    and leaves the file untouched.
     """
     path = _cache_path(args)
     if not path:
         return compute(None)
-    memo = MemoTable()
-    loaded = -1
-    if os.path.exists(path):
-        shuffle.load_cache(path, memo)
-        loaded = len(memo)
-    result = compute(memo)
-    if len(memo) != loaded:
+    memo = shuffle.load_cache(path) if os.path.exists(path) else MemoTable()
+    if key not in memo:
+        memo.insert(key, shuffle.poincare_poly(key))
         shuffle.save_cache(path, memo)
-    return result
+    return compute(memo)
 
 
 def _emit(obj, fmt: str) -> int:
@@ -151,18 +155,22 @@ def _read_input_poly(path: str, fmt: str):
 
 def _run(args) -> int:
     if args.command == "f":
-        result = _cached(args, lambda memo: shuffle.poincare_series(args.seq, memo))
+        result = _cached(
+            args, args.seq, lambda memo: shuffle.poincare_series(args.seq, memo)
+        )
         return _emit(result, args.format)
 
     if args.command == "tilde":
-        result = _cached(args, lambda memo: shuffle.poincare_poly(args.seq, memo))
+        result = _cached(
+            args, args.seq, lambda memo: shuffle.poincare_poly(args.seq, memo)
+        )
         return _emit(result, args.format)
 
     if args.command == "fulltwist":
-        if args.qmax < 0:
-            raise ValueError("--qmax must be >= 0")
         result = _cached(
-            args, lambda memo: shuffle.full_twist_series(args.n, args.qmax, memo)
+            args,
+            "0" * args.n,
+            lambda memo: shuffle.full_twist_series(args.n, args.qmax, memo),
         )
         return _emit(result, args.format)
 

@@ -631,25 +631,17 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
 def save_cache(path: str, memo: MemoTable) -> None:
     """Write a memo of normalized polynomials as a JSON bit-string map.
 
-    The file holds one JSON object, its keys sorted, in the bytes that
-    ``json.dump`` of the whole map would write, followed by a newline.  It
-    is written entry by entry, each entry encoded by ``json.dumps`` (the C
-    encoder), so the full map of term objects is never built.  The file is
-    written under a temporary name in the same directory and then renamed
-    over ``path``, so a crash or a concurrent writer never leaves a partial
-    cache behind.
+    The file holds one JSON object, its keys sorted, followed by a newline.
+    It is written under a temporary name in the same directory and then
+    renamed over ``path``, so a crash or a concurrent writer never leaves a
+    partial cache behind.
     """
     # Unique among live writers; a stale file of a dead writer is overwritten.
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("{")
-            sep = ""
-            for key in sorted(memo):
-                value = json.dumps(poly_to_obj(memo[key]))
-                fh.write(f"{sep}{json.dumps(key)}: {value}")
-                sep = ", "
-            fh.write("}\n")
+            fh.write(json.dumps({k: poly_to_obj(memo[k]) for k in sorted(memo)}))
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -657,11 +649,7 @@ def save_cache(path: str, memo: MemoTable) -> None:
         raise
 
 
-def load_cache(
-    path: str,
-    memo: MemoTable | None = None,
-    spot_check_rate: float = 0.05,
-) -> MemoTable:
+def load_cache(path: str, spot_check_rate: float = 0.05) -> MemoTable:
     """Load a memo cache, revalidating a deterministic sample of entries.
 
     Each sampled key is recomputed from scratch (without a memo) and
@@ -673,30 +661,26 @@ def load_cache(
     0 skips both checks; an entry out of bounds then fails by name when a
     recursion reads it.
     """
-    if memo is None:
-        memo = MemoTable()
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ParseError("cache must be a JSON object", 0)
-    entries: dict[str, Polynomial] = {}
+    memo = MemoTable()
     for key, obj in data.items():
         if key.strip("01"):
             raise ParseError(f"bad cache key {key!r}", 0)
-        entries[key] = poly_from_obj(obj)
-    if entries and spot_check_rate > 0:
-        keys = sorted(entries)
+        memo[key] = poly_from_obj(obj)
+    if memo and spot_check_rate > 0:
+        keys = sorted(memo)
         count = max(1, round(len(keys) * spot_check_rate))
         stride = max(1, len(keys) // count)
         for key in keys[::stride][:count]:
-            if poincare_poly(key) != entries[key]:
+            if poincare_poly(key) != memo[key]:
                 raise MemoDivergence(
                     f"cache entry {key!r} disagrees with a fresh computation"
                 )
         bounds: dict[str, tuple[int, int]] = {}
-        for key, value in entries.items():
+        for key, value in memo.items():
             dq, l1 = _poly_bounds(key, bounds)
             _Layout(len(key), dq, l1).slots(key, value, l1)
-    for key, value in entries.items():
-        memo.insert(key, value)
     return memo

@@ -154,6 +154,23 @@ def test_verify_max_n_below_one_is_usage_error(capsys):
         assert "--max-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fulltwist", "--n", "0"],
+    ["fulltwist", "--n", "3", "--qmax", "-1"],
+    ["hhh0", "--n", "0", "--qmax", "3"],
+    ["hhh0", "--n", "3", "--qmax", "-1"],
+    ["magic", "--n", "0", "--r", "1"],
+    ["magic", "--n", "2", "--r", "-1"],
+    ["specialize", "--link", "T(3,4)", "--to", "sl_n", "--N", "0"],
+])
+def test_out_of_range_number_is_usage_error(capsys, argv):
+    # the bad option is the last one given
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 def test_bare_key_error_is_not_an_engine_error(monkeypatch):
     # only named errors exit 1; a KeyError from a bug must surface
     def broken(key):
@@ -199,26 +216,56 @@ def test_cache_file(tmp_path, capsys):
 
 def test_cache_rewritten_only_when_the_memo_grows(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "memo.json"
-    code, first, _ = run_cli(capsys, "tilde", "--seq", "0101", "--cache", str(cache))
-    assert code == 0 and cache.exists()
-    before, stat = cache.read_bytes(), cache.stat()
     saves = []
     save = shuffle.save_cache
     monkeypatch.setattr(shuffle, "save_cache", lambda *a: saves.append(a) or save(*a))
-    # every key is a memo hit: the file is left alone
-    for argv in (["tilde", "--seq", "0101"], ["f", "--seq", "010"]):
+    # the file holds the answers asked for, not the recursion's closure
+    code, _, _ = run_cli(capsys, "fulltwist", "--n", "6", "--cache", str(cache))
+    assert code == 0 and set(json.loads(cache.read_text())) == {"000000"}
+    code, out, _ = run_cli(capsys, "tilde", "--seq", "0101", "--cache", str(cache))
+    assert code == 0 and set(json.loads(cache.read_text())) == {"000000", "0101"}
+    assert out == dumps(poincare_poly("0101"), "text") + "\n"
+    assert len(saves) == 2
+    before, stat = cache.read_bytes(), cache.stat()
+    # a key already in the file is a hit, whatever the command: no write
+    for argv in (
+        ["fulltwist", "--n", "6"],
+        ["fulltwist", "--n", "6", "--qmax", "3"],
+        ["tilde", "--seq", "0101"],
+        ["f", "--seq", "0101"],
+    ):
         code, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
         assert code == 0
-    assert out == dumps(poincare_series("010"), "text") + "\n"
-    assert saves == []
+    assert out == dumps(poincare_series("0101"), "text") + "\n"
+    assert len(saves) == 2
     assert cache.read_bytes() == before
     after = cache.stat()
     assert (after.st_mtime_ns, after.st_ino) == (stat.st_mtime_ns, stat.st_ino)
-    # a call that adds keys rewrites it, keeping the old entries
-    code, _, _ = run_cli(capsys, "tilde", "--seq", "01011", "--cache", str(cache))
-    assert code == 0 and len(saves) == 1
-    data = json.loads(cache.read_text())
-    assert set(json.loads(before)) < set(data) and "01011" in data
+
+
+def test_cli_runs_the_engine_without_a_memo(tmp_path, capsys, monkeypatch):
+    # with or without a cache, no memo reaches the recursion driver
+    monkeypatch.delenv("TLH_CACHE", raising=False)
+    memos = []
+    evaluate = shuffle._evaluate
+
+    def recording(key, memo, *args, **kwargs):
+        memos.append(memo)
+        return evaluate(key, memo, *args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "_evaluate", recording)
+    cache = str(tmp_path / "memo.json")
+    for argv in (["f", "--seq", "0110"], ["tilde", "--seq", "0101"],
+                 ["fulltwist", "--n", "4"]):
+        outs = []
+        for extra in ([], ["--cache", cache], ["--cache", cache]):  # miss, hit
+            memos.clear()
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            outs.append(out)
+            # a hit evaluates only the load's spot check
+            assert memos and all(memo is None for memo in memos)
+        assert outs[0] == outs[1] == outs[2]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -467,21 +467,19 @@ def test_save_cache_is_atomic(tmp_path, monkeypatch):
     save_cache(str(path), memo)
     before = path.read_bytes()
 
-    dumps = json.dumps
     calls = []
 
-    def dumps_then_crash(obj):
-        # the key and the value of the first entry encode; the next crashes
-        calls.append(obj)
-        if len(calls) > 2:
-            raise RuntimeError("crash mid-dump")
-        return dumps(obj)
+    def crash(obj):
+        # the one dump of the whole map crashes after the temp file is open
+        calls.append(sorted(os.listdir(tmp_path)))
+        raise RuntimeError("crash mid-dump")
 
     poincare_poly("0110", memo)
-    monkeypatch.setattr(json, "dumps", dumps_then_crash)
+    monkeypatch.setattr(json, "dumps", crash)
     with pytest.raises(RuntimeError, match="mid-dump"):
         save_cache(str(path), memo)
-    assert len(calls) == 3
+    [listing] = calls
+    assert len(listing) == 2 and listing[1].endswith(".tmp")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["cache.json"]
     monkeypatch.undo()
