@@ -12,11 +12,15 @@ Coefficients are plain Python ints, never rationals: all divisions performed
 anywhere in the engine are exact, and a division that fails raises
 :class:`NonExactDivision` instead of silently producing a fraction.  A failed
 exact division is how a violated identity announces itself.  There is one
-division algorithm, a running sum along the divisor's direction: stopped at
-each class's last key it is the exact :meth:`BinomialFactor.quotient`, and
-run on to a bound it is the truncated :meth:`FracPoly.series`.  Every
-divisor the engine meets is a difference of two monomials, except the
-``1 + a`` of the unknot, which the sign change a -> -a turns into one.
+division loop, :meth:`BinomialFactor._power_sums`: it groups the terms into
+residue classes along the divisor's direction once, then divides by each
+power of the divisor with one running sum per class.  Stopped at each
+class's last key it is exact division by the largest power that divides
+(:meth:`BinomialFactor.divide_power`, whose first power is
+:meth:`BinomialFactor.quotient`), and run on to a bound it is the truncated
+:meth:`FracPoly.series`.  Every divisor the engine meets is a difference of
+two monomials, except the ``1 + a`` of the unknot, which the sign change
+a -> -a turns into one.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, groupby, repeat
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -334,11 +339,12 @@ class BinomialFactor(NamedTuple):
     order (lex on (t, q, a) units); orientation flips are absorbed as a sign
     on the owning fraction's numerator.  These are the only denominators the
     engine ever needs, which is why no general factorization or gcd exists
-    here, and why dividing by one is a single prefix-sum pass
-    (:meth:`_running_sums`) rather than general long division.  That one
-    running sum serves both exact division (:meth:`quotient`) and power
-    series (:meth:`FracPoly.series`); the one other divisor, the ``1 + a``
-    of the unknot, is divided as ``1 - a`` after a -> -a.
+    here, and why dividing by a whole power f^j is one grouping of the
+    terms plus a prefix sum per class and power (:meth:`_power_sums`)
+    rather than general long division.  That one loop serves exact
+    division (:meth:`divide_power`, :meth:`quotient`) and power series
+    (:meth:`FracPoly.series`); the one other divisor, the ``1 + a`` of the
+    unknot, is divided as ``1 - a`` after a -> -a.
     """
 
     lead: Exponents
@@ -359,30 +365,27 @@ class BinomialFactor(NamedTuple):
     def quotient(self, p: Polynomial) -> Polynomial | None:
         """Exact quotient ``p / (lead - trail)``, or None if it is not exact.
 
-        With d = trail - lead the factor is x^lead (1 - x^d).  Writing each
-        term's exponent as base + k*d splits p into residue classes along d;
-        p is divisible exactly when every class sums to zero.  Failing is the
-        common case, so it is decided before anything is built: a multiple
-        of a binomial vanishes at q = a = t = 1, which rejects most inputs by
-        their coefficient sum alone, and the next pass only sums the classes.
-        On success the quotient is :meth:`_running_sums` of p, each class's
-        sum returning to zero after its last key.
+        The first power of :meth:`divide_power`.
+        """
+        quo, left = self.divide_power(p, 1)
+        return None if left else quo
+
+    def divide_power(self, p: Polynomial, mult: int) -> tuple[Polynomial, int]:
+        """Divide ``p`` by the largest power f^j, j <= ``mult``, that divides it.
+
+        Returns ``(p / f^j, mult - j)``, with ``p`` itself when j = 0.
+        Failing is the common case, so the first power is decided before
+        anything is built: a multiple of a binomial vanishes at
+        q = a = t = 1, which rejects most inputs by their coefficient sum
+        alone.  The rest is one :meth:`_power_sums` pass.
         """
         terms = p._terms
         if not terms:
-            return p
-        if sum(terms.values()):
-            return None
-        d0, d1, d2, axis, step = self._walk()
-        sums: dict[Exponents, int] = {}
-        get = sums.get
-        for e, c in terms.items():
-            k = e[axis] // step
-            key = (e[0] - k * d0, e[1] - k * d1, e[2] - k * d2)
-            sums[key] = get(key, 0) + c
-        if any(sums.values()):
-            return None
-        return Polynomial._trusted(self._running_sums(terms))
+            return p, 0
+        if not mult or sum(terms.values()):
+            return p, mult
+        out, j = self._power_sums(terms, mult)
+        return (Polynomial._trusted(out) if j else p), mult - j
 
     def _walk(self) -> tuple[int, int, int, int, int]:
         # (d0, d1, d2, axis, step): d = trail - lead, walked along its first
@@ -392,43 +395,66 @@ class BinomialFactor(NamedTuple):
         axis = 0 if d[0] else (1 if d[1] else 2)
         return (*d, axis, d[axis])
 
-    def _running_sums(
-        self, terms: dict[Exponents, int], stop: int | None = None
-    ) -> dict[Exponents, int]:
-        """Terms of ``terms / (lead - trail)`` by one prefix sum per class.
+    def _power_sums(
+        self, terms: dict[Exponents, int], mult: int, stop: int | None = None
+    ) -> tuple[dict[Exponents, int], int]:
+        """Terms of ``terms / (lead - trail)^j`` and j, by prefix sums per class.
 
-        Along a class of keys base + k*d the quotient's coefficient at k is
-        Q_k = sum of P_j over j <= k, constant from one key to the next, with
-        the x^-lead shift folded into the emitted keys.  Without ``stop`` the
-        sum ends at each class's last key, which is exact division when every
-        class sums to zero.  With ``stop`` (for a positive step along the
-        axis) each sum runs on to axis coordinate ``stop``: the truncated
-        power series of ``terms / (1 - x^d)`` when the lead is 1.
+        With d = trail - lead the factor is x^lead (1 - x^d).  Writing each
+        term's exponent as base + k*d splits the terms into residue classes
+        along d, grouped once.  Dividing a class by (1 - x^d) is its prefix
+        sum: the quotient's coefficient at k is Q_k = sum of P_i over
+        i <= k.  Without ``stop``, the power is exact when every class sums
+        to zero, and the division stops at the first power that is not, so
+        j is the largest power <= ``mult`` that divides.  With ``stop`` (for
+        a lead of 1 and a positive step along the axis) every class runs on
+        to axis coordinate ``stop`` and all ``mult`` powers are taken: the
+        truncated power series of ``terms / (1 - x^d)^mult``.  The x^-lead
+        shift of each power is applied once, when the keys are emitted.
+
+        A class is a list of rows (first k, coefficients at k, k+1, ...)
+        with at least one missing key between rows; each power is one
+        C-level ``accumulate`` per row.  A gap across which the running sum
+        is zero is never filled in, so time and memory follow the terms of
+        the input and the output, not the exponent span.
         """
-        l0, l1, l2 = self.lead
         d0, d1, d2, axis, step = self._walk()
-        classes: dict[Exponents, list[tuple[int, int]]] = {}
+        classes: dict[Exponents, dict[int, int]] = {}
         for e, c in terms.items():
             k = e[axis] // step
-            key = (e[0] - k * d0 - l0, e[1] - k * d1 - l1, e[2] - k * d2 - l2)
-            run = classes.get(key)
+            base = (e[0] - k * d0, e[1] - k * d1, e[2] - k * d2)
+            run = classes.get(base)
             if run is None:
-                classes[key] = [(k, c)]
+                classes[base] = {k: c}
             else:
-                run.append((k, c))
+                run[k] = c
+        if stop is None and any(sum(run.values()) for run in classes.values()):
+            return terms, 0  # the first power fails, before any row is built
+        rows = {base: _rows(run) for base, run in classes.items()}
+        j = 0
+        while j < mult:
+            nxt = {}
+            for base, segs in rows.items():
+                kmax = None if stop is None else (stop - base[axis]) // step
+                segs = _prefix_sums(segs, kmax)
+                if segs is None:
+                    break
+                nxt[base] = segs
+            if len(nxt) < len(rows):
+                break
+            rows = nxt
+            j += 1
+        l0, l1, l2 = self.lead
         out: dict[Exponents, int] = {}
-        for base, run in classes.items():
-            run.sort()
-            if stop is not None:
-                run.append(((stop - base[axis]) // step + 1, 0))
-            b0, b1, b2 = base
-            s = 0
-            for (k, c), (k_next, _) in zip(run, run[1:]):
-                s += c
-                if s:
-                    for m in range(k, k_next):
-                        out[(b0 + m * d0, b1 + m * d1, b2 + m * d2)] = s
-        return out
+        for (b0, b1, b2), segs in rows.items():
+            b0 -= j * l0
+            b1 -= j * l1
+            b2 -= j * l2
+            for k, row in segs:
+                for m, c in enumerate(row, k):
+                    if c:
+                        out[b0 + m * d0, b1 + m * d1, b2 + m * d2] = c
+        return out, j
 
     def text(self, latex: bool = False) -> str:
         _, lead = _term_str(self.lead, 1, latex)
@@ -439,19 +465,67 @@ class BinomialFactor(NamedTuple):
 ONE_MINUS_Q = BinomialFactor((0, 0, 0), (UNIT, 0, 0))
 
 
+def _rows(run: dict[int, int]) -> list[tuple[int, list[int]]]:
+    """One residue class as rows of consecutive keys (see ``_power_sums``)."""
+    rows: list[tuple[int, list[int]]] = []
+    prev = None
+    for k in sorted(run):
+        if k - 1 == prev:
+            row.append(run[k])
+        else:
+            row = [run[k]]
+            rows.append((k, row))
+        prev = k
+    return rows
+
+
+def _prefix_sums(
+    rows: list[tuple[int, list[int]]], kmax: int | None
+) -> list[tuple[int, list[int]]] | None:
+    """One class divided by (1 - x^d) once, or None if that is not exact.
+
+    The running sum is carried from row to row; where it is nonzero across
+    a gap, the gap is filled with it and the rows merge.  Without ``kmax``
+    the class must sum to zero, which is checked before any row grows (a
+    class that does not would carry its sum across every gap); with
+    ``kmax`` the sum runs on to key ``kmax``.
+    """
+    if kmax is None and len(rows) > 1 and sum(sum(row) for _, row in rows):
+        return None
+    out: list[tuple[int, list[int]]] = []
+    carry = 0
+    for k, coeffs in rows:
+        if carry:
+            k0, row = out[-1]
+            # the gap's last key takes the accumulate's initial value
+            row.extend(repeat(carry, k - k0 - len(row) - 1))
+            row.extend(accumulate(coeffs, initial=carry))
+        else:
+            row = list(accumulate(coeffs))
+            out.append((k, row))
+        carry = row[-1]
+    if carry:
+        if kmax is None:
+            return None
+        k0, row = out[-1]
+        row.extend(repeat(carry, kmax - k0 - len(row) + 1))
+    return out
+
+
 class FracPoly:
     """A Laurent polynomial over a factored denominator.
 
     The denominator is a multiset of binomial factors, never expanded.
-    Construction reduces: each factor that divides the numerator exactly is
-    cancelled (one multiplicity at a time) by the one-pass prefix-sum
-    :meth:`BinomialFactor.quotient`, so a FracPoly with an empty denominator
-    really is a polynomial.  Dividing by one more factor is building a
-    FracPoly with that factor appended to the denominator.  A sum brings
-    each numerator to the common denominator one binomial at a time.
-    Equality is decided by cross-multiplication.  FracPoly serves where
-    denominators are general (tableau weights) and at the series boundary;
-    the sequence recursions step on normalized polynomials instead.
+    Construction reduces: each distinct factor is cancelled to the largest
+    power that divides the numerator in one grouped pass
+    (:meth:`BinomialFactor.divide_power`), so a FracPoly with an empty
+    denominator really is a polynomial.  Dividing by one more factor is
+    building a FracPoly with that factor appended to the denominator.  A
+    sum brings each numerator to the common denominator one binomial at a
+    time.  Equality is decided by cross-multiplication.  FracPoly serves
+    where denominators are general (tableau weights) and at the series
+    boundary; the sequence recursions step on normalized polynomials
+    instead.
     """
 
     __slots__ = ("_num", "_den")
@@ -464,28 +538,13 @@ class FracPoly:
         p = Polynomial._coerce(num)
         if p is None:
             raise TypeError("numerator must be a Polynomial or int")
-        factors = sorted(den)
-        if not p._terms:
-            factors = []
-        else:
-            kept = []
-            i = 0
-            while i < len(factors):
-                f = factors[i]
-                mult = 1
-                while i + mult < len(factors) and factors[i + mult] == f:
-                    mult += 1
-                i += mult
-                # once f fails to divide, dividing by other factors cannot
-                # make it divide, so a single pass reduces fully
-                while mult:
-                    quo = f.quotient(p)
-                    if quo is None:
-                        break
-                    p = quo
-                    mult -= 1
-                kept.extend([f] * mult)
-            factors = kept
+        factors = []
+        if p._terms:
+            # once f^(j+1) fails to divide, dividing by other factors cannot
+            # make it divide, so a single pass reduces fully
+            for f, run in groupby(sorted(den)):
+                p, left = f.divide_power(p, len(list(run)))
+                factors += [f] * left
         self._num = p
         self._den = tuple(factors)
 
@@ -611,9 +670,10 @@ class FracPoly:
 
         Requires every denominator factor to be (1 - q^j) with j > 0 on the
         quarter lattice; anything else raises :class:`NotASeries`.  Dividing
-        a series by (1 - q^j) is the prefix sum of exact division
-        (:meth:`BinomialFactor._running_sums`) run on to the bound, so the
-        numerator is cut at ``qmax`` and each factor is one more pass.
+        a series by (1 - q^j)^m is the prefix sums of exact division
+        (:meth:`BinomialFactor._power_sums`) run on to the bound, so the
+        numerator is cut at ``qmax`` and each distinct factor is one more
+        grouped pass.
         """
         if qmax < 0:
             raise ValueError("qmax must be >= 0")
@@ -622,8 +682,8 @@ class FracPoly:
                 raise NotASeries(f"denominator factor {f.text()} is not (1 - q^j)")
         bound = qmax * UNIT
         terms = {e: c for e, c in self._num._terms.items() if e[0] <= bound}
-        for f in self._den:
-            terms = f._running_sums(terms, stop=bound)
+        for f, run in groupby(self._den):
+            terms, _ = f._power_sums(terms, len(list(run)), stop=bound)
         return Polynomial._trusted(terms)
 
     # -- comparison / rendering ------------------------------------------

@@ -43,8 +43,11 @@ series is computed a second, independent way by the insertion recursion:
 expand over all words w of length #zeroes(v), inserting w into the zeroes of
 v, with a product W(v, w) of (t^j + a) weights per one of v.  It too steps on
 normalized polynomials, P(v) = sum over w of q^#0(w) (1-q)^#1(w) W(v, w) P(w),
-keeping P(0^n) = P(1 0^(n-1)).  Agreement of the two routes is a core
-self-check of the whole engine.  The routes share no arithmetic (the
+keeping P(0^n) = P(1 0^(n-1)).  W(v, w) depends on w only through its
+weight class, the count of inserted ones to the right of each one of v, so
+each step first adds the P(w) that share #1(w) and weight class, then
+multiplies each sum by its weight once.  Agreement of the two routes is a
+core self-check of the whole engine.  The routes share no arithmetic (the
 insertion route works on :class:`Polynomial` term dicts, never packed ints),
 only one work-list driver (``_evaluate``); each keeps its own dependency and
 step rules.
@@ -553,25 +556,59 @@ def _insertion_deps(key: str) -> tuple[str, ...]:
     return tuple(all_sequences(key.count("0")))
 
 
+def _weight_class(v: str, w: str) -> tuple[int, ...]:
+    """Per one of v, right to left, the inserted ones of w to its right.
+
+    :func:`insertion_weight` depends on w only through this vector.
+    """
+    letters = reversed(w)
+    m = 0
+    ms = []
+    for bit in reversed(v):
+        if bit == "0":
+            m += next(letters) == "1"
+        else:
+            ms.append(m)
+    return tuple(ms)
+
+
 def _insertion_step(key: str, work: dict) -> Polynomial:
     """P(v) = sum over w of q^zeros(w) (1-q)^ones(w) W(v, w) P(w).
 
-    The terms go into one group G_k per k = ones(w), folded Horner-style:
-    acc <- acc (1 - q) + G_k, from k = zeros(v) down to 0.
+    The summand depends on w only through k = ones(w) and the weight class
+    of w (:func:`_weight_class`), so the P(w) sharing both are added first,
+    and each sum is multiplied once by its weight, itself computed once per
+    weight class.  The products go into one group G_k per k, folded
+    Horner-style: acc <- acc (1 - q) + G_k, from k = zeros(v) down to 0.
     """
     if not key:
         return ONE
     if "1" not in key:
         return work["1" + key[1:]]
     z = key.count("0")
-    groups: list[dict[Exponents, int]] = [{} for _ in range(z + 1)]
+    # (ones(w), weight class) -> (first such w, sum of their P(w))
+    classes: dict[tuple, tuple[str, dict[Exponents, int]]] = {}
     for w in all_sequences(z):
-        k = w.count("1")
+        cls = (w.count("1"), _weight_class(key, w))
+        entry = classes.get(cls)
+        if entry is None:
+            classes[cls] = (w, dict(work[w]._terms))
+        else:
+            total = entry[1]
+            get = total.get
+            for e, c in work[w]._terms.items():
+                total[e] = get(e, 0) + c
+    groups: list[dict[Exponents, int]] = [{} for _ in range(z + 1)]
+    weights: dict[tuple[int, ...], Polynomial] = {}
+    for (k, ms), (w, total) in classes.items():
+        weight = weights.get(ms)
+        if weight is None:
+            weight = weights[ms] = insertion_weight(key, w)
         group = groups[k]
         get = group.get
         shift = UNIT * (z - k)
-        terms = work[w]._terms.items()
-        for (s0, s1, s2), d in insertion_weight(key, w)._terms.items():
+        terms = [(e, c) for e, c in total.items() if c]
+        for (s0, s1, s2), d in weight._terms.items():
             s0 += shift
             for (e0, e1, e2), c in terms:
                 e = (e0 + s0, e1 + s1, e2 + s2)

@@ -1,4 +1,5 @@
 import heapq
+import time
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,89 @@ def test_quotient_matches_sympy(p, factor, k, noise):
             assert not _is_laurent_monomial(sympy, den)
         else:
             assert sympy.expand(_sympy_expr(sympy, got) - ratio) == 0
+
+
+def _repeated(divide, p, mult):
+    """(p / f^j, mult - j) by one single-power division at a time."""
+    for used in range(mult):
+        quo = divide(p)
+        if quo is None:
+            return p, mult - used
+        p = quo
+    return p, 0
+
+
+# _QUOTIENT_POOL and (t - tq) = t (1 - q), whose lead t comes off once per power
+_POWER_POOL = _QUOTIENT_POOL + [BinomialFactor((0, 0, UNIT), (UNIT, 0, UNIT))]
+
+
+@settings(max_examples=300)
+@given(
+    polys(max_terms=5),
+    st.sampled_from(_POWER_POOL),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    polys(max_terms=1, span=2),
+)
+def test_divide_power_matches_repeated_quotient(p, factor, k, mult, noise):
+    for target in (p * factor.poly() ** k, p * factor.poly() ** k + noise):
+        got, left = factor.divide_power(target, mult)
+        assert (got, left) == _repeated(factor.quotient, target, mult)
+        heap = _repeated(lambda x: _heap_quotient(x, factor), target, mult)
+        assert (got, left) == heap
+        assert all(got.units().values())
+        if left == mult:
+            assert got is target
+
+
+@settings(max_examples=40)
+@given(
+    whole_polys(),
+    st.sampled_from([f for f in _POWER_POOL if all(u % UNIT == 0 for u in f.trail)]),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    whole_polys(max_terms=1),
+)
+def test_divide_power_matches_sympy(p, factor, k, mult, noise):
+    sympy = pytest.importorskip("sympy")
+    f = _sympy_expr(sympy, factor.poly())
+    for target in (p * factor.poly() ** k, p * factor.poly() ** k + noise):
+        got, left = factor.divide_power(target, mult)
+        expr = _sympy_expr(sympy, got)
+        # got * f^(mult - left) is the target, and f does not divide got again
+        assert sympy.expand(expr * f ** (mult - left) - _sympy_expr(sympy, target)) == 0
+        if left and not got.is_zero:
+            _, den = sympy.fraction(sympy.cancel(expr / f))
+            assert not _is_laurent_monomial(sympy, den)
+
+
+def test_divide_power_examples():
+    base = A - monomial(2, q=-1, t=1)
+    for k in range(6):
+        for mult in range(1, 6):
+            got = ONE_MINUS_Q.divide_power(base * (ONE - Q) ** k, mult)
+            j = min(k, mult)
+            assert got == (base * (ONE - Q) ** (k - j), mult - j)
+    assert ONE_MINUS_Q.divide_power(ZERO, 3) == (ZERO, 0)
+    assert ONE_MINUS_Q.divide_power(ONE - Q, 0) == (ONE - Q, 0)
+    # (q - t) steps against the q axis
+    q_t, sign = BinomialFactor.normalize((0, 0, UNIT), (UNIT, 0, 0))
+    assert sign == -1 and q_t.poly() == Q - T
+    assert q_t.divide_power((Q - T) ** 3 * (A + T), 4) == (A + T, 1)
+
+
+def test_divide_power_skips_zero_gaps():
+    # the running sum is zero across a gap of 10^9 keys, which a dense row
+    # per class would have to fill in
+    gap = ONE + Polynomial.term(1, q=10 ** 9)
+    start = time.perf_counter()
+    assert ONE_MINUS_Q.divide_power((ONE - Q) * gap, 1) == (gap, 0)
+    assert ONE_MINUS_Q.quotient((ONE - Q) * gap) == gap
+    square = (ONE - Q) ** 2 * gap ** 2
+    assert ONE_MINUS_Q.divide_power(square, 2) == (gap ** 2, 0)
+    assert ONE_MINUS_Q.divide_power(square, 3) == (gap ** 2, 1)
+    assert FracPoly(square, [ONE_MINUS_Q] * 2) == FracPoly(gap ** 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def _sum_by_scale_then_add(items):

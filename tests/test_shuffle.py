@@ -213,6 +213,66 @@ def test_poincare_poly_matches_sympy():
         assert sympy.expand(got - f(key)) == 0, key
 
 
+def _per_word_insertion_step(key, work):
+    """The insertion step's former form: one weight product per word w."""
+    if not key:
+        return ONE
+    if "1" not in key:
+        return work["1" + key[1:]]
+    z = key.count("0")
+    groups = [{} for _ in range(z + 1)]
+    for w in all_sequences(z):
+        k = w.count("1")
+        group = groups[k]
+        shift = UNIT * (z - k)
+        for (s0, s1, s2), d in insertion_weight(key, w).units().items():
+            for (e0, e1, e2), c in work[w].units().items():
+                e = (e0 + s0 + shift, e1 + s1, e2 + s2)
+                group[e] = group.get(e, 0) + c * d
+    acc = {}
+    for group in reversed(groups):
+        for e, c in acc.items():
+            group[e] = group.get(e, 0) + c
+            e = (e[0] + UNIT, e[1], e[2])
+            group[e] = group.get(e, 0) - c
+        acc = group
+    return Polynomial(acc)
+
+
+def _ones_right_of_each_one(v, w):
+    """Inserted ones to the right of each one of v, read off the overlay."""
+    u = str(insert_into_zeros(v, w))
+    return tuple(
+        u[i + 1:].count("1") - v[i + 1:].count("1")
+        for i, bit in enumerate(v)
+        if bit == "1"
+    )
+
+
+def test_grouped_insertion_step_matches_per_word_step(
+    shift_and_add_reference, monkeypatch
+):
+    work = {v: Polynomial(terms) for v, terms in shift_and_add_reference.items()}
+    calls = []
+
+    def counted(v, w):
+        calls.append(w)
+        return insertion_weight(v, w)
+
+    monkeypatch.setattr(shuffle, "insertion_weight", counted)
+    words = weights = 0
+    for v in (v for v in SEQS_UP_TO_8 if len(v) <= 7):
+        calls.clear()
+        assert shuffle._insertion_step(v, work) == _per_word_insertion_step(v, work), v
+        if "1" in v:
+            ws = all_sequences(v.count("0"))
+            # one weight per class of words that W(v, w) cannot tell apart
+            assert len(calls) == len({_ones_right_of_each_one(v, w) for w in ws}), v
+            words += len(ws)
+            weights += len(calls)
+    assert weights < words
+
+
 def test_insertion_series_one_shot_matches_memoized_route():
     memo = MemoTable()
     for n in range(6):
