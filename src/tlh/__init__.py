@@ -42,7 +42,6 @@ from .shuffle import (
     MemoDivergence,
     MemoryBudgetExceeded,
     MemoTable,
-    ShuffleSeq,
     all_sequences,
     crossings,
     full_twist_series,
@@ -73,7 +72,6 @@ from .tableaux import (
     tableau_weights_sum_to_one,
 )
 from .links import (
-    NormalizationContext,
     SuperPolyEntry,
     UnknownLink,
     dataset_get,

@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import closed_form, links, shuffle, tableaux, verify
-from .serialize import dumps, parse_poly
+from .serialize import dumps, parse_poly, poly_to_obj
 from .shuffle import MemoTable
 
 DEFAULT_QMAX = 10
@@ -212,9 +212,9 @@ def _run(args) -> int:
             return 0
         entry = links.dataset_get(args.get)
         if args.format == "json":
-            obj = json.loads(dumps(entry.poly, "json"))
             print(json.dumps(
-                {"key": entry.key, "source": entry.source, "poly": obj}
+                {"key": entry.key, "source": entry.source,
+                 "poly": poly_to_obj(entry.poly)}
             ))
         else:
             print(f"key: {entry.key}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 from .poly import (
     A,
@@ -48,7 +48,6 @@ from .serialize import parse_poly
 __all__ = [
     "UnknownLink",
     "SuperPolyEntry",
-    "NormalizationContext",
     "two_strand_superpoly",
     "dataset_get",
     "dataset_keys",
@@ -76,11 +75,6 @@ class SuperPolyEntry:
     key: str
     poly: Polynomial
     source: str
-
-
-class NormalizationContext(NamedTuple):
-    e: int  # braid exponent (signed crossing count)
-    n: int  # strand count
 
 
 def two_strand_superpoly(k: int) -> Polynomial:
@@ -197,9 +191,12 @@ def sl_specialization(p: Polynomial, n: int) -> Polynomial:
     return _eliminate(p, "a", UNIT, n * UNIT)
 
 
-def normalize_superpoly(p: Polynomial, ctx: NormalizationContext) -> Polynomial:
-    """Apply the braid-closure normalization prefactor for exponent e, strands n."""
-    e, n = ctx
+def normalize_superpoly(p: Polynomial, e: int, n: int) -> Polynomial:
+    """Apply the braid-closure normalization prefactor.
+
+    ``e`` is the braid exponent (signed crossing count), ``n`` the strand
+    count.
+    """
     return p.shifted((n - e, 2 * (e - n), -(e + n)))
 
 

@@ -522,10 +522,10 @@ class FracPoly:
     denominator really is a polynomial.  Dividing by one more factor is
     building a FracPoly with that factor appended to the denominator.  A
     sum brings each numerator to the common denominator one binomial at a
-    time.  Equality is decided by cross-multiplication.  FracPoly serves
-    where denominators are general (tableau weights) and at the series
-    boundary; the sequence recursions step on normalized polynomials
-    instead.
+    time, and two fractions are equal when the numerator of their
+    difference, taken by that sum, is zero.  FracPoly serves where
+    denominators are general (tableau weights) and at the series boundary;
+    the sequence recursions step on normalized polynomials instead.
     """
 
     __slots__ = ("_num", "_den")
@@ -694,7 +694,7 @@ class FracPoly:
             return NotImplemented
         if self._den == f._den:
             return self._num == f._num
-        return self._num * f.den_poly() == f._num * self.den_poly()
+        return not FracPoly.sum((self, -f))._num
 
     # Reduced form is not canonical ((1+q)/(1-q^2) == 1/(1-q)), so no hash
     # can agree with __eq__; FracPoly is unhashable.

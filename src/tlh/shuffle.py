@@ -70,11 +70,10 @@ import os
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
 from itertools import compress, product, repeat
 from math import comb
 from operator import add, and_, lshift, rshift
-from typing import Callable, Union
+from typing import Callable
 
 from .poly import (
     A,
@@ -93,7 +92,6 @@ __all__ = [
     "MemoDivergence",
     "EntryOutOfBounds",
     "MemoryBudgetExceeded",
-    "ShuffleSeq",
     "MemoTable",
     "all_sequences",
     "insert_into_zeros",
@@ -139,109 +137,51 @@ class MemoryBudgetExceeded(MemoryError):
         self.need = need
 
 
-@dataclass(frozen=True)
-class ShuffleSeq:
-    """A binary sequence with its derived statistics."""
-
-    bits: str
-
-    def __post_init__(self):
-        if self.bits.strip("01"):
-            raise ValueError(f"not a binary sequence: {self.bits!r}")
-
-    @property
-    def ones(self) -> int:
-        return self.bits.count("1")
-
-    @property
-    def zeros(self) -> int:
-        return self.bits.count("0")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return self.bits
-
-
-Seq = Union[ShuffleSeq, str]
-
-
-def _key(v: Seq) -> str:
-    bits = v.bits if isinstance(v, ShuffleSeq) else v
-    if bits.strip("01"):
-        raise ValueError(f"not a binary sequence: {bits!r}")
-    return bits
+def _key(v: str) -> str:
+    if v.strip("01"):
+        raise ValueError(f"not a binary sequence: {v!r}")
+    return v
 
 
 def all_sequences(length: int) -> list[str]:
     return ["".join(bits) for bits in product("01", repeat=length)]
 
 
-def _check_compatible(v: str, w: str) -> None:
+def _compatible(v: str, w: str) -> tuple[str, str]:
+    """(v, w), checked to be binary with one letter of w per zero of v."""
+    v, w = _key(v), _key(w)
     if len(w) != v.count("0"):
         raise IncompatiblePair(
             f"w has length {len(w)}, but v={v!r} has {v.count('0')} zeroes"
         )
+    return v, w
 
 
-def _inserted_positions(v: str, w: str) -> list[int]:
-    """0-based positions of v's zeroes that w turns on."""
-    out = []
-    j = 0
-    for i, bit in enumerate(v):
-        if bit == "0":
-            if w[j] == "1":
-                out.append(i)
-            j += 1
-    return out
-
-
-def insert_into_zeros(v: Seq, w: Seq) -> ShuffleSeq:
+def insert_into_zeros(v: str, w: str) -> str:
     """Overlay w onto the zero positions of v."""
-    v, w = _key(v), _key(w)
-    _check_compatible(v, w)
+    v, w = _compatible(v, w)
     it = iter(w)
-    return ShuffleSeq("".join(b if b == "1" else next(it) for b in v))
+    return "".join(b if b == "1" else next(it) for b in v)
 
 
-def crossings(v: Seq, w: Seq) -> int:
-    """Pairs i < j with a one of v at i and an inserted one of w at j."""
-    v, w = _key(v), _key(w)
-    _check_compatible(v, w)
-    total = 0
-    ones_seen = 0
-    j = 0
-    for bit in v:
-        if bit == "1":
-            ones_seen += 1
-        else:
-            if w[j] == "1":
-                total += ones_seen
-            j += 1
-    return total
+def crossings(v: str, w: str) -> int:
+    """Pairs i < j with a one of v at i and an inserted one of w at j.
+
+    The sum of the weight class (:func:`_weight_class`).
+    """
+    return sum(_weight_class(*_compatible(v, w)))
 
 
-def insertion_weight(v: Seq, w: Seq) -> Polynomial:
+def insertion_weight(v: str, w: str) -> Polynomial:
     """Product over the ones of v of (t^(l+m) + a).
 
     l counts ones of v strictly to the left of the position, m counts
-    inserted ones of w strictly to the right.  Empty product is 1.
+    inserted ones of w strictly to the right: the weight class
+    (:func:`_weight_class`) read left to right.  Empty product is 1.
     """
-    v, w = _key(v), _key(w)
-    _check_compatible(v, w)
-    inserted = _inserted_positions(v, w)
     result = ONE
-    ones_seen = 0
-    remaining = len(inserted)
-    j = 0
-    for i, bit in enumerate(v):
-        while j < len(inserted) and inserted[j] <= i:
-            j += 1
-            remaining -= 1
-        if bit == "1":
-            result = result * (Polynomial.term(1, t=ones_seen + remaining) + A)
-            ones_seen += 1
+    for l, m in enumerate(reversed(_weight_class(*_compatible(v, w)))):
+        result = result * (Polynomial.term(1, t=l + m) + A)
     return result
 
 
@@ -515,7 +455,7 @@ class _Layout:
         )
 
 
-def poincare_poly(v: Seq, memo: MemoTable | None = None) -> Polynomial:
+def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
     """The normalized Poincare polynomial of a shuffle sequence.
 
     Equals (1-q)^zeros(v) times the rational series; always a polynomial.
@@ -541,7 +481,7 @@ def poincare_poly(v: Seq, memo: MemoTable | None = None) -> Polynomial:
     )
 
 
-def poincare_series(v: Seq, memo: MemoTable | None = None) -> FracPoly:
+def poincare_series(v: str, memo: MemoTable | None = None) -> FracPoly:
     """The Poincare series: the normalized polynomial over (1-q)^zeros(v)."""
     key = _key(v)
     num = poincare_poly(key, memo)
@@ -559,7 +499,9 @@ def _insertion_deps(key: str) -> tuple[str, ...]:
 def _weight_class(v: str, w: str) -> tuple[int, ...]:
     """Per one of v, right to left, the inserted ones of w to its right.
 
-    :func:`insertion_weight` depends on w only through this vector.
+    The one pass over (v, w) behind both of its statistics:
+    :func:`crossings` is the sum of this vector and :func:`insertion_weight`
+    its product form, so W(v, w) depends on w only through it.
     """
     letters = reversed(w)
     m = 0
@@ -624,7 +566,7 @@ def _insertion_step(key: str, work: dict) -> Polynomial:
     return Polynomial(acc)
 
 
-def insertion_series(v: Seq, memo: MemoTable | None = None) -> FracPoly:
+def insertion_series(v: str, memo: MemoTable | None = None) -> FracPoly:
     """The Poincare series computed by the insertion recursion.
 
     Steps on normalized polynomials, the values ``memo`` receives, and

@@ -342,3 +342,19 @@ def test_fulltwist_stdout_matches_reference(capsys, monkeypatch):
         for n, qmax, fmt in product(range(1, 7), (0, 5, 10), _FORMATS)
     }
     _check_digests(capsys, monkeypatch, digests)
+
+
+def _hhh0_small(argv):
+    return argv[0] == "hhh0" and argv[argv.index("--qmax") + 1] in ("0", "5", "10")
+
+
+@pytest.mark.parametrize("select,count", [
+    (lambda argv: argv[0] in ("f", "tilde"), 756),
+    (lambda argv: argv[0] == "magic", 45),
+    (lambda argv: argv[0] == "dataset", 27),
+    (_hhh0_small, 63),
+], ids=["f-tilde", "magic", "dataset", "hhh0"])
+def test_cheap_command_stdout_matches_reference(capsys, monkeypatch, select, count):
+    digests = _reference_digests(select)
+    assert len(digests) == count
+    _check_digests(capsys, monkeypatch, digests)

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from tlh.links import (
-    NormalizationContext,
     UnknownLink,
     dataset_get,
     dataset_keys,
@@ -123,10 +122,10 @@ def test_specializations_reject_a_fractional_sign_power():
 def test_normalization_prefactor():
     # alpha power vanishes at e = n, leaving t^(-n/2)
     for n in (1, 2, 3):
-        got = normalize_superpoly(ONE, NormalizationContext(n, n))
+        got = normalize_superpoly(ONE, n, n)
         assert got == monomial(1, t=Fraction(-n, 2))
     # generic prefactor on the quarter lattice
-    got = normalize_superpoly(ONE, NormalizationContext(0, 1))
+    got = normalize_superpoly(ONE, 0, 1)
     assert got == monomial(
         1, q=Fraction(1, 4), a=Fraction(-1, 2), t=Fraction(-1, 4)
     )
@@ -170,19 +169,17 @@ def test_reduce_by_unknot_error_names_divisor_and_exponent():
 def test_two_strand_normalization_round_trip():
     # rebuild the raw braid-level series of the trefoil from its reduced
     # invariant, then check the normalization layer recovers it exactly
-    ctx = NormalizationContext(e=3, n=2)
+    e, n = 3, 2
     reduced = two_strand_superpoly(1)
     link_invariant = unknot_invariant() * reduced
     inverse_prefactor = monomial(
         1,
-        q=-Fraction(ctx.n - ctx.e, 4),
-        a=-Fraction(2 * (ctx.e - ctx.n), 4),
-        t=Fraction(ctx.e + ctx.n, 4),
+        q=-Fraction(n - e, 4),
+        a=-Fraction(2 * (e - n), 4),
+        t=Fraction(e + n, 4),
     )
     braid_series = link_invariant * inverse_prefactor
-    renormalized = braid_series * FracPoly(
-        normalize_superpoly(ONE, ctx)
-    )
+    renormalized = braid_series * FracPoly(normalize_superpoly(ONE, e, n))
     assert renormalized == link_invariant
     assert reduce_by_unknot(renormalized) == reduced
 

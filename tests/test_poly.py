@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tlh.links import _divide_by_one_plus_a, unknot_invariant, unknot_series
 from tlh.poly import (
@@ -598,6 +598,31 @@ def test_frac_add_cross_multiplication(x, y):
     assert s.num * (x.den_poly() * y.den_poly()) == (
         x.num * y.den_poly() + y.num * x.den_poly()
     ) * s.den_poly()
+
+
+def _cross_multiplied_eq(x, y):
+    """FracPoly equality's former form: cross-multiply by both expanded denominators."""
+    return x.num * y.den_poly() == y.num * x.den_poly()
+
+
+_ONE_MINUS_Q2 = BinomialFactor((0, 0, 0), (2 * UNIT, 0, 0))
+
+
+@settings(max_examples=200)
+@given(fracs(), fracs(), polys(max_terms=1, span=2))
+@example(FracPoly(ONE), FracPoly(ONE, [ONE_MINUS_Q, ONE_MINUS_Q]), Q)
+def test_frac_eq_matches_cross_multiplication(x, y, noise):
+    # (1 + q) x / (1 - q^2) equals x / (1 - q) over different denominators
+    # (the example: (1 + q)/(1 - q^2) == 1/(1 - q)); the noise term usually
+    # breaks that
+    wide = FracPoly(x.num * (ONE + Q), [*x.den, _ONE_MINUS_Q2])
+    narrow = FracPoly(x.num, [*x.den, ONE_MINUS_Q])
+    noisy = FracPoly(x.num * (ONE + Q) + noise, [*x.den, _ONE_MINUS_Q2])
+    assert wide == narrow
+    for u, v in ((x, y), (wide, narrow), (noisy, narrow), (x, narrow), (x, wide)):
+        want = _cross_multiplied_eq(u, v)
+        assert (u == v) is want
+        assert (v == u) is want
 
 
 @settings(max_examples=150)

@@ -13,7 +13,6 @@ from tlh.shuffle import (
     MemoDivergence,
     MemoryBudgetExceeded,
     MemoTable,
-    ShuffleSeq,
     all_sequences,
     crossings,
     full_twist_series,
@@ -36,18 +35,21 @@ F000_A0 = parse_poly(
 F000_A1 = parse_poly("t^2 q^2 - 2 t q^2 - 2 q t^2 + t^2 + q^2 + t q + t + q")
 
 
-def test_shuffle_seq_type():
-    v = ShuffleSeq("0110")
-    assert (v.ones, v.zeros, len(v)) == (2, 2, 4)
-    assert str(v) == "0110"
-    with pytest.raises(ValueError):
-        ShuffleSeq("012")
+@pytest.mark.parametrize("call", [
+    lambda: poincare_poly("012"),
+    lambda: insertion_series("012"),
+    lambda: insert_into_zeros("012", "1"),
+    lambda: insert_into_zeros("10", "2"),
+])
+def test_non_binary_sequence_rejected(call):
+    with pytest.raises(ValueError, match="not a binary sequence"):
+        call()
 
 
 def test_insert_examples():
-    assert str(insert_into_zeros("1101001", "001")) == "1101011"
-    assert str(insert_into_zeros("111", "")) == "111"
-    assert str(insert_into_zeros("0000", "1010")) == "1010"
+    assert insert_into_zeros("1101001", "001") == "1101011"
+    assert insert_into_zeros("111", "") == "111"
+    assert insert_into_zeros("0000", "1010") == "1010"
     with pytest.raises(IncompatiblePair):
         insert_into_zeros("10", "11")
 
@@ -67,6 +69,56 @@ def test_insertion_weight_examples():
     # all-ones sequence: product of (t^(i-1) + a)
     expect = (ONE + A) * (T + A) * (T * T + A)
     assert insertion_weight("111", "") == expect
+    with pytest.raises(IncompatiblePair):
+        insertion_weight("10", "")
+
+
+def _positional_crossings(v, w):
+    """crossings' former form: a running count of v's ones over the zeros."""
+    total = 0
+    ones_seen = 0
+    j = 0
+    for bit in v:
+        if bit == "1":
+            ones_seen += 1
+        else:
+            if w[j] == "1":
+                total += ones_seen
+            j += 1
+    return total
+
+
+def _positional_insertion_weight(v, w):
+    """insertion_weight's former form, from the positions w turns on."""
+    inserted = []
+    j = 0
+    for i, bit in enumerate(v):
+        if bit == "0":
+            if w[j] == "1":
+                inserted.append(i)
+            j += 1
+    result = ONE
+    ones_seen = 0
+    remaining = len(inserted)
+    j = 0
+    for i, bit in enumerate(v):
+        while j < len(inserted) and inserted[j] <= i:
+            j += 1
+            remaining -= 1
+        if bit == "1":
+            result = result * (Polynomial.term(1, t=ones_seen + remaining) + A)
+            ones_seen += 1
+    return result
+
+
+def test_weight_class_statistics_match_positional_references():
+    pairs = 0
+    for v in (v for n in range(8) for v in all_sequences(n)):
+        for w in all_sequences(v.count("0")):
+            assert crossings(v, w) == _positional_crossings(v, w), (v, w)
+            assert insertion_weight(v, w) == _positional_insertion_weight(v, w), (v, w)
+            pairs += 1
+    assert pairs == (3 ** 8 - 1) // 2  # every compatible pair with |v| <= 7
 
 
 def test_poincare_poly_golden():
@@ -241,7 +293,7 @@ def _per_word_insertion_step(key, work):
 
 def _ones_right_of_each_one(v, w):
     """Inserted ones to the right of each one of v, read off the overlay."""
-    u = str(insert_into_zeros(v, w))
+    u = insert_into_zeros(v, w)
     return tuple(
         u[i + 1:].count("1") - v[i + 1:].count("1")
         for i, bit in enumerate(v)
