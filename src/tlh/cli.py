@@ -9,9 +9,9 @@
     tlh specialize --link "T(3,4)" --to sl_n --N 2
     tlh dataset --list | --get KEY      built-in reduced superpolynomials
 
-Global options: --format text|json|latex, --cache PATH (or TLH_CACHE env
-var).  Output is deterministic: identical invocations produce byte-identical
-output.
+Global option: --format text|json|latex.  f, tilde and fulltwist also take
+--cache PATH, a file of their answers.  Output is deterministic: identical
+invocations produce byte-identical output.
 
 Exit status: 0 on success, 1 on a failed check or engine error, 2 on usage
 errors.
@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "latex"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
-        "--cache", default=None,
-        help="answer cache file for f, tilde and fulltwist (env: TLH_CACHE)",
+    caching = argparse.ArgumentParser(add_help=False)
+    caching.add_argument(
+        "--cache", default=None, help="JSON file of answers to read and extend",
     )
 
     parser = argparse.ArgumentParser(
@@ -72,13 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("f", parents=[common], help="rational series of a sequence")
+    p = sub.add_parser(
+        "f", parents=[common, caching], help="rational series of a sequence"
+    )
     p.add_argument("--seq", required=True, help="binary sequence, e.g. 0110")
 
-    p = sub.add_parser("tilde", parents=[common], help="normalized polynomial")
+    p = sub.add_parser(
+        "tilde", parents=[common, caching], help="normalized polynomial"
+    )
     p.add_argument("--seq", required=True, help="binary sequence, e.g. 0110")
 
-    p = sub.add_parser("fulltwist", parents=[common], help="full-twist series")
+    p = sub.add_parser(
+        "fulltwist", parents=[common, caching], help="full-twist series"
+    )
     p.add_argument("--n", type=_positive_int, required=True, help="strand count")
     p.add_argument("--qmax", type=_nonnegative_int, default=DEFAULT_QMAX)
 
@@ -116,11 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache_path(args) -> str | None:
-    # the environment variable wins over the flag
-    return os.environ.get("TLH_CACHE") or args.cache or None
-
-
 def _cached(args, key: str, compute):
     """``compute(memo)`` against the cache file, if one is given.
 
@@ -130,7 +131,7 @@ def _cached(args, key: str, compute):
     ``compute`` then reads it as a memo hit.  A repeated call finds the key
     and leaves the file untouched.
     """
-    path = _cache_path(args)
+    path = args.cache
     if not path:
         return compute(None)
     memo = shuffle.load_cache(path) if os.path.exists(path) else MemoTable()

@@ -703,14 +703,9 @@ class FracPoly:
     def _den_text(self, latex: bool = False) -> str:
         if not self._den:
             return "1"
-        groups: list[tuple[BinomialFactor, int]] = []
-        for f in self._den:
-            if groups and groups[-1][0] == f:
-                groups[-1] = (f, groups[-1][1] + 1)
-            else:
-                groups.append((f, 1))
         parts = []
-        for f, m in groups:
+        for f, run in groupby(self._den):
+            m = len(list(run))
             if m == 1:
                 parts.append(f.text(latex))
             elif latex:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -135,6 +136,12 @@ def _check(suite: str, name: str, kind: str, default_bound: int,
         _CHECKS.append(Check(suite, name, kind, fn, default_bound, verified_bound))
         return fn
     return wrap
+
+
+def _sizes(bound: int, ok: Callable[[int], bool], first: int = 1,
+           label: str = "n") -> SubResults:
+    """One case per size ``first..bound``, labelled ``{label}={n}``."""
+    return [(f"{label}={n}", ok(n), n) for n in range(first, bound + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,64 +276,45 @@ def _serialization_round_trip(bound: int) -> SubResults:
 def _dual_recursion(bound: int) -> SubResults:
     memo_a = shuffle.MemoTable()
     memo_b = shuffle.MemoTable()
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = all(
-            shuffle.insertion_series(v, memo_b)
-            == shuffle.poincare_series(v, memo_a)
-            for v in shuffle.all_sequences(n)
-        )
-        out.append((f"|v|={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: all(
+        shuffle.insertion_series(v, memo_b)
+        == shuffle.poincare_series(v, memo_a)
+        for v in shuffle.all_sequences(n)
+    ), first=0, label="|v|")
 
 
 @_check("recursions", "normalization-consistency", THEOREM, 8)
 def _normalization(bound: int) -> SubResults:
     memo = shuffle.MemoTable()
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = True
-        for v in shuffle.all_sequences(n):
-            f = shuffle.poincare_series(v, memo)
-            scaled = ((ONE - Q) ** v.count("0")) * f
-            if scaled != FracPoly(shuffle.poincare_poly(v, memo)):
-                ok = False
-        out.append((f"|v|={n}", ok, n))
-    return out
+    def ok(n: int) -> bool:
+        return all([  # a list, not a generator: every sequence is evaluated
+            ((ONE - Q) ** v.count("0")) * shuffle.poincare_series(v, memo)
+            == FracPoly(shuffle.poincare_poly(v, memo))
+            for v in shuffle.all_sequences(n)
+        ])
+    return _sizes(bound, ok, first=0, label="|v|")
 
 
 @_check("zeroseq", "zero-equals-one-prefix", THEOREM, 8)
 def _zero_one_prefix(bound: int) -> SubResults:
     memo = shuffle.MemoTable()
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        ok = shuffle.poincare_poly("0" * n, memo) == shuffle.poincare_poly(
-            "1" + "0" * (n - 1), memo
-        )
-        out.append((f"n={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: shuffle.poincare_poly("0" * n, memo)
+                  == shuffle.poincare_poly("1" + "0" * (n - 1), memo))
 
 
 @_check("zeroseq", "zero-expansion-identity", THEOREM, 8)
 def _zero_expansion(bound: int) -> SubResults:
     memo = shuffle.MemoTable()
-    return [
-        (f"n={n}", shuffle.zero_expansion_identity(n, memo), n)
-        for n in range(1, bound + 1)
-    ]
+    return _sizes(bound, lambda n: shuffle.zero_expansion_identity(n, memo))
 
 
 @_check("top-a", "top-a-coefficient-is-one", THEOREM, 8)
 def _top_a(bound: int) -> SubResults:
     memo = shuffle.MemoTable()
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = all(
-            shuffle.poincare_poly(v, memo).coefficient_of_a(n) == ONE
-            for v in shuffle.all_sequences(n)
-        )
-        out.append((f"|v|={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: all(
+        shuffle.poincare_poly(v, memo).coefficient_of_a(n) == ONE
+        for v in shuffle.all_sequences(n)
+    ), first=0, label="|v|")
 
 
 # ---------------------------------------------------------------------------
@@ -336,36 +324,29 @@ def _top_a(bound: int) -> SubResults:
 @_check("hhh0", "closed-form-oracle", THEOREM, 6)
 def _closed_form_oracle(bound: int) -> SubResults:
     qmax = 12
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         f = shuffle.poincare_series("0" * n)
         sliced = FracPoly(f.num.coefficient_of_a(0), f.den).series(qmax)
-        ok = closed_form.hochschild_zero_series(n, qmax) == sliced
-        out.append((f"n={n}", ok, n))
-    return out
+        return closed_form.hochschild_zero_series(n, qmax) == sliced
+    return _sizes(bound, ok)
 
 
 @_check("hhh0", "truncation-monotone", THEOREM, 4)
 def _truncation_monotone(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         big = closed_form.hochschild_zero_series(n, 9)
         cut = Polynomial(
             {e: c for e, c in big.units().items() if e[0] <= 5 * UNIT}
         )
-        ok = closed_form.hochschild_zero_series(n, 5) == cut
-        out.append((f"n={n}", ok, n))
-    return out
+        return closed_form.hochschild_zero_series(n, 5) == cut
+    return _sizes(bound, ok)
 
 
 @_check("hhh0", "enumeration-count", THEOREM, 6)
 def _enumeration_count(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        budget = 9
-        count = sum(1 for _ in closed_form.level_functions(n, budget))
-        out.append((f"n={n}", count == comb(budget + n, n), n))
-    return out
+    budget = 9
+    return _sizes(bound, lambda n: comb(budget + n, n)
+                  == sum(1 for _ in closed_form.level_functions(n, budget)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,91 +355,64 @@ def _enumeration_count(bound: int) -> SubResults:
 
 @_check("corners", "corner-weights-sum-to-one", THEOREM, 8)
 def _corner_sums(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = all(
-            tableaux.corner_weights_sum_to_one(p)
-            for p in tableaux.partitions_of(n)
-        )
-        out.append((f"|shape|={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: all(
+        tableaux.corner_weights_sum_to_one(p)
+        for p in tableaux.partitions_of(n)
+    ), first=0, label="|shape|")
 
 
 @_check("corners", "inner-outer-count", THEOREM, 8)
 def _corner_counts(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = True
-        for p in tableaux.partitions_of(n):
-            inner, outer = tableaux.corners(p)
-            if len(inner) != len(outer) + 1:
-                ok = False
-        out.append((f"|shape|={n}", ok, n))
-    return out
+    def ok(n: int) -> bool:
+        # a list, not a generator: every shape is evaluated
+        counts = [tableaux.corners(p) for p in tableaux.partitions_of(n)]
+        return all(len(inner) == len(outer) + 1 for inner, outer in counts)
+    return _sizes(bound, ok, first=0, label="|shape|")
 
 
 @_check("corners", "tableau-weights-sum-to-one", THEOREM, 5)
 def _tableau_weight_sum(bound: int) -> SubResults:
-    return [
-        (f"n={n}", tableaux.tableau_weights_sum_to_one(n), n)
-        for n in range(1, bound + 1)
-    ]
+    return _sizes(bound, tableaux.tableau_weights_sum_to_one)
 
 
 @_check("corners", "tableau-count-hook-lengths", THEOREM, 6)
 def _tableau_counts(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        by_shape: dict[tableaux.Partition, int] = {}
-        for t in tableaux.standard_tableaux(n):
-            by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
-        ok = set(by_shape) == set(tableaux.partitions_of(n)) and all(
+    def ok(n: int) -> bool:
+        by_shape = Counter(t.shape for t in tableaux.standard_tableaux(n))
+        return set(by_shape) == set(tableaux.partitions_of(n)) and all(
             tableaux.hook_length_count(s) == c for s, c in by_shape.items()
         )
-        out.append((f"n={n}", ok, n))
-    return out
+    return _sizes(bound, ok)
 
 
 @_check("transpose", "partition-monomial", THEOREM, 8)
 def _monomial_transpose(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = all(
-            tableaux.partition_monomial(p).swap_qt()
-            == tableaux.partition_monomial(p.transpose())
-            for p in tableaux.partitions_of(n)
-        )
-        out.append((f"|shape|={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: all(
+        tableaux.partition_monomial(p).swap_qt()
+        == tableaux.partition_monomial(p.transpose())
+        for p in tableaux.partitions_of(n)
+    ), first=0, label="|shape|")
 
 
 @_check("transpose", "corner-weight", THEOREM, 6)
 def _corner_weight_transpose(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(bound + 1):
-        ok = True
-        for p in tableaux.partitions_of(n):
-            inner, _ = tableaux.corners(p)
-            pt = p.transpose()
-            for c in inner:
-                lhs = tableaux.corner_weight(p, c).swap_qt()
-                if lhs != tableaux.corner_weight(pt, c.transpose()):
-                    ok = False
-        out.append((f"|shape|={n}", ok, n))
-    return out
+    def ok(n: int) -> bool:
+        return all([  # a list, not a generator: every corner is evaluated
+            tableaux.corner_weight(p, c).swap_qt()
+            == tableaux.corner_weight(p.transpose(), c.transpose())
+            for p in tableaux.partitions_of(n)
+            for c in tableaux.corners(p)[0]
+        ])
+    return _sizes(bound, ok, first=0, label="|shape|")
 
 
 @_check("transpose", "tableau-weight", THEOREM, 5)
 def _tableau_weight_transpose(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        ok = all(
-            tableaux.tableau_weight(t).swap_qt()
-            == tableaux.tableau_weight(t.transpose())
-            for t in tableaux.standard_tableaux(n)
-        )
-        out.append((f"n={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: all(
+        tableaux.tableau_weight(t).swap_qt()
+        == tableaux.tableau_weight(t.transpose())
+        for t in tableaux.standard_tableaux(n)
+    ))
 
 
 @_check("transpose", "tableau-sum-qt-symmetry", THEOREM, 4)
@@ -477,12 +431,10 @@ def _tableau_sum_symmetry(bound: int) -> SubResults:
 
 @_check("magic", "r1-matches-recursion", CONJECTURE, 4, verified_bound=8)
 def _magic_r1(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         s = tableaux.tableau_sum(n, 1)
-        ok = s.is_polynomial and s.num == shuffle.poincare_poly("0" * n)
-        out.append((f"n={n}", ok, n))
-    return out
+        return s.is_polynomial and s.num == shuffle.poincare_poly("0" * n)
+    return _sizes(bound, ok)
 
 
 @functools.cache
@@ -493,11 +445,7 @@ def _r0_sum(n: int) -> FracPoly:
 
 @_check("magic", "r0-envelope", CONJECTURE, 4, verified_bound=None)
 def _magic_r0_envelope(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        ok = _r0_sum(n) == (ONE + A) ** n
-        out.append((f"n={n}", ok, n))
-    return out
+    return _sizes(bound, lambda n: _r0_sum(n) == (ONE + A) ** n)
 
 
 @_check("magic", "r0-sum-equals-one", CONJECTURE, 4, verified_bound=None)
@@ -505,20 +453,15 @@ def _magic_r0_literal(bound: int) -> SubResults:
     # Stated identity: the r = 0 tableau sum is 1.  False as written: the sum
     # is (1+a)^n (see r0-envelope); only its a-degree-zero part is 1, which
     # follows from the corner-sum identity.  Reported, not asserted.
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        out.append((f"n={n}", _r0_sum(n) == ONE, n))
-    return out
+    return _sizes(bound, lambda n: _r0_sum(n) == ONE)
 
 
 @_check("magic", "r0-a-degree-zero-part", CONJECTURE, 4, verified_bound=8)
 def _magic_r0_a0(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         s = _r0_sum(n)
-        ok = s.is_polynomial and s.num.coefficient_of_a(0) == ONE
-        out.append((f"n={n}", ok, n))
-    return out
+        return s.is_polynomial and s.num.coefficient_of_a(0) == ONE
+    return _sizes(bound, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +470,19 @@ def _magic_r0_a0(bound: int) -> SubResults:
 
 @_check("symmetry", "full-twist-qt-symmetry", CONJECTURE, 6, verified_bound=14)
 def _qt_symmetry(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         p = shuffle.poincare_poly("0" * n)
-        out.append((f"n={n}", p.swap_qt() == p, n))
-    return out
+        return p.swap_qt() == p
+    return _sizes(bound, ok)
 
 
 @_check("submaximal", "submaximal-geometric-slice", CONJECTURE, 7, verified_bound=14)
 def _submaximal(bound: int) -> SubResults:
     base = Q + T - Q * T
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         slice_ = shuffle.poincare_poly("0" * n).coefficient_of_a(n - 1)
-        geometric = sum((base ** i for i in range(n)), Polynomial())
-        out.append((f"n={n}", slice_ == geometric, n))
-    return out
+        return slice_ == sum((base ** i for i in range(n)), Polynomial())
+    return _sizes(bound, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +538,10 @@ def _dataset_checksums(bound: int) -> SubResults:
 
 @_check("catalan", "qt-catalan-symmetry", THEOREM, 6)
 def _catalan_symmetry(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         c = links.qt_catalan(n)
-        out.append((f"n={n}", c.swap_qt() == c, n))
-    return out
+        return c.swap_qt() == c
+    return _sizes(bound, ok)
 
 
 _CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -610,11 +549,9 @@ _CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
 @_check("catalan", "qt-catalan-count", THEOREM, 6)
 def _catalan_count(bound: int) -> SubResults:
-    out: SubResults = []
-    for n in range(1, bound + 1):
-        ok = links.qt_catalan(n).coefficient_sum() == _CATALAN[n]
-        out.append((f"n={n}", ok, n))
-    return out
+    return _sizes(
+        bound, lambda n: links.qt_catalan(n).coefficient_sum() == _CATALAN[n]
+    )
 
 
 @_check("catalan", "lowest-a-slice-matches", THEOREM, 4)
@@ -639,16 +576,11 @@ def _trefoil_decat(bound: int) -> SubResults:
 @_check("specialize", "two-strand-sl-family", THEOREM, 6)
 def _sl_family(bound: int) -> SubResults:
     d = links.decategorify(links.two_strand_superpoly(1))
-    out: SubResults = []
-    for n in range(1, bound + 1):
+    def ok(n: int) -> bool:
         got = dumps(links.sl_specialization(d, n))
-        want = dumps(
-            Polynomial.term(1, q=n - 1)
-            + Polynomial.term(1, q=n + 1)
-            - Polynomial.term(1, q=2 * n)
-        )
-        out.append((f"N={n}", got == want, n))
-    return out
+        want = dumps(Q ** (n - 1) + Q ** (n + 1) - Q ** (2 * n))
+        return got == want
+    return _sizes(bound, ok, label="N")
 
 
 @_check("specialize", "t34-sl2", THEOREM, 1)
@@ -660,20 +592,18 @@ def _t34_sl2(bound: int) -> SubResults:
 
 @_check("specialize", "two-strand-jones-shape", THEOREM, 4)
 def _jones_shape(bound: int) -> SubResults:
-    out: SubResults = []
-    for k in range(1, bound + 1):
+    def ok(k: int) -> bool:
         v = links.sl_specialization(
             links.decategorify(links.two_strand_superpoly(k)), 2
         )
         rng = v.unit_range("q")
         top = max(v.units())
-        ok = (
+        return (
             rng is not None
             and (rng[1] - rng[0]) == (2 * k + 1) * UNIT
             and v.units()[top] == -1
         )
-        out.append((f"k={k}", ok, k))
-    return out
+    return _sizes(bound, ok, label="k")
 
 
 # ---------------------------------------------------------------------------

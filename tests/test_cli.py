@@ -245,7 +245,6 @@ def test_cache_rewritten_only_when_the_memo_grows(tmp_path, capsys, monkeypatch)
 
 def test_cli_runs_the_engine_without_a_memo(tmp_path, capsys, monkeypatch):
     # with or without a cache, no memo reaches the recursion driver
-    monkeypatch.delenv("TLH_CACHE", raising=False)
     memos = []
     evaluate = shuffle._evaluate
 
@@ -268,20 +267,29 @@ def test_cli_runs_the_engine_without_a_memo(tmp_path, capsys, monkeypatch):
         assert outs[0] == outs[1] == outs[2]
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "memo.json"
-    monkeypatch.setenv("TLH_CACHE", str(cache))
-    code, _, _ = run_cli(capsys, "tilde", "--seq", "01")
-    assert code == 0 and cache.exists()
-
-
-def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    env_cache = tmp_path / "env.json"
-    flag_cache = tmp_path / "flag.json"
-    monkeypatch.setenv("TLH_CACHE", str(env_cache))
-    code, _, _ = run_cli(capsys, "tilde", "--seq", "01", "--cache", str(flag_cache))
+def test_tlh_cache_env_var_is_ignored(tmp_path, capsys, monkeypatch):
+    # only --cache names a cache file
+    monkeypatch.setenv("TLH_CACHE", str(tmp_path / "memo.json"))
+    code, out, _ = run_cli(capsys, "tilde", "--seq", "01")
     assert code == 0
-    assert env_cache.exists() and not flag_cache.exists()
+    assert out == dumps(poincare_poly("01"), "text") + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["hhh0", "--n", "2", "--qmax", "0"],
+    ["magic", "--n", "2", "--r", "1"],
+    ["verify", "--suite", "zeroseq", "--max-n", "1"],
+    ["specialize", "--link", "T(2,3)", "--to", "decat"],
+    ["dataset", "--list"],
+], ids=lambda argv: argv[0])
+def test_cache_is_a_usage_error_where_nothing_reads_it(tmp_path, capsys, argv):
+    cache = tmp_path / "memo.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache", str(cache)])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+    assert not cache.exists()
 
 
 def test_byte_identical_across_runs():
@@ -311,8 +319,7 @@ def _reference_digests(select):
     return {key: digest for key, digest in digests.items() if select(key.split())}
 
 
-def _check_digests(capsys, monkeypatch, digests):
-    monkeypatch.delenv("TLH_CACHE", raising=False)
+def _check_digests(capsys, digests):
     wrong = []
     for key, digest in digests.items():
         code, out, _ = run_cli(capsys, *key.split())
@@ -321,14 +328,23 @@ def _check_digests(capsys, monkeypatch, digests):
     assert wrong == []
 
 
-def test_specialize_stdout_matches_reference(capsys, monkeypatch):
+def test_specialize_stdout_matches_reference(capsys):
     digests = _reference_digests(lambda argv: argv[0] == "specialize")
     assert any("decat" in key for key in digests)
     assert any("sl_n" in key for key in digests)
-    _check_digests(capsys, monkeypatch, digests)
+    _check_digests(capsys, digests)
 
 
-def test_fulltwist_stdout_matches_reference(capsys, monkeypatch):
+def test_verify_stdout_matches_reference(capsys):
+    # the whole suite at its default bounds, as the benchmark runs it
+    digests = _reference_digests(lambda argv: argv[0] == "verify")
+    assert set(digests) == {
+        "verify --suite all", "verify --suite polycore --max-n 2",
+    }
+    _check_digests(capsys, digests)
+
+
+def test_fulltwist_stdout_matches_reference(capsys):
     def small(argv):
         return (
             argv[0] == "fulltwist"
@@ -341,7 +357,7 @@ def test_fulltwist_stdout_matches_reference(capsys, monkeypatch):
         f"fulltwist --n {n} --qmax {qmax} --format {fmt}"
         for n, qmax, fmt in product(range(1, 7), (0, 5, 10), _FORMATS)
     }
-    _check_digests(capsys, monkeypatch, digests)
+    _check_digests(capsys, digests)
 
 
 def _hhh0_small(argv):
@@ -354,7 +370,7 @@ def _hhh0_small(argv):
     (lambda argv: argv[0] == "dataset", 27),
     (_hhh0_small, 63),
 ], ids=["f-tilde", "magic", "dataset", "hhh0"])
-def test_cheap_command_stdout_matches_reference(capsys, monkeypatch, select, count):
+def test_cheap_command_stdout_matches_reference(capsys, select, count):
     digests = _reference_digests(select)
     assert len(digests) == count
-    _check_digests(capsys, monkeypatch, digests)
+    _check_digests(capsys, digests)

@@ -1,7 +1,7 @@
 import pytest
 
-from tlh import shuffle, verify
-from tlh.poly import A, BinomialFactor, NonExactDivision
+from tlh import links, shuffle, tableaux, verify
+from tlh.poly import A, Q, BinomialFactor, NonExactDivision
 
 
 def _broken(exc):
@@ -73,3 +73,70 @@ def test_dual_check_fails_if_one_weight_class_is_perturbed(monkeypatch):
     check = results["dual-recursion-equivalence"]
     assert check.status == verify.FAIL
     assert check.detail == "failed: |v|=4"
+
+
+# Verify stdout names a case only when it fails, so these pin the labels of
+# the |shape|, N and k sizes, which no stdout digest reaches.
+
+
+def _results(suite, max_n):
+    return {r.name: r for r in verify.run_suites([suite], max_n=max_n)}
+
+
+def test_inner_outer_count_names_the_failing_shape_size(monkeypatch):
+    corners = tableaux.corners
+
+    def one_outer_too_many(shape):
+        inner, outer = corners(shape)
+        return (inner, outer + outer[:1]) if shape.rows == (2, 1) else (inner, outer)
+
+    monkeypatch.setattr(tableaux, "corners", one_outer_too_many)
+    check = _results("corners", 4)["inner-outer-count"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: |shape|=3"
+
+
+def test_inner_outer_count_checks_every_shape_of_a_failing_size(monkeypatch):
+    # a shape that raises after one that failed is still reached
+    corners = tableaux.corners
+
+    def broken(shape):
+        if shape.rows == (1, 1, 1):
+            raise tableaux.NotInnerCorner("late shape")
+        inner, outer = corners(shape)
+        return (inner, outer + outer[:1]) if shape.rows == (3,) else (inner, outer)
+
+    monkeypatch.setattr(tableaux, "corners", broken)
+    check = _results("corners", 3)["inner-outer-count"]
+    assert check.status == verify.FAIL
+    assert check.detail == "raised NotInnerCorner: late shape"
+
+
+def test_sl_family_names_the_failing_N(monkeypatch):
+    sl_specialization = links.sl_specialization
+
+    def off_at_three(p, n):
+        value = sl_specialization(p, n)
+        return value + Q if n == 3 else value
+
+    monkeypatch.setattr(links, "sl_specialization", off_at_three)
+    results = _results("specialize", 4)
+    assert results["two-strand-jones-shape"].status == verify.PASS
+    check = results["two-strand-sl-family"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: N=3"
+
+
+def test_jones_shape_names_the_failing_k(monkeypatch):
+    superpoly = links.two_strand_superpoly
+
+    def off_at_two(k):
+        value = superpoly(k)
+        return value + Q ** 10 if k == 2 else value
+
+    monkeypatch.setattr(links, "two_strand_superpoly", off_at_two)
+    results = _results("specialize", 4)
+    assert results["two-strand-sl-family"].status == verify.PASS
+    check = results["two-strand-jones-shape"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: k=2"
