@@ -15,12 +15,14 @@ monomial: each step shifts values already computed and adds or subtracts
 them, never a general product.
 
 Packed kernel.  The recursion runs on Kronecker-packed integers: P(v) is one
-Python int with a signed field of w = 64 m bits per (q, a, t) slot, slot
+Python int with a signed field of w = 8 b bits per (q, a, t) slot, slot
 (i, j, k) holding the coefficient of q^i a^j t^k at bit offset
 w ((i (n + 1) + j) T + k), with T = n(n - 1)/2 + 1 for the target length n.
 So q is the most significant field, and the steps are C-level big-int
 operations: ``P(v.1) = (p << ones(v) w) + (p << SA)`` and
-``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides.
+``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides,
+the latter reduced to the layout's K bits: ``r &= M; r -= F if r >= H``
+with M = 2^K - 1, F = 2^K and H = 2^(K - 1), once r has left them.
 
 Exactness rule.  The layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; deg_t <=
@@ -28,12 +30,18 @@ propagated over the closure of the target key: deg_a <= |v|; deg_t <=
 length; deg_q grows by one per v.0 step; and the L1 norm obeys
 |P(v.1)| <= 2 |P(v)| and |P(v.0)| <= |P(0 v)| + 2 |P(1 v)|.  Every bound
 only grows toward the target, so the target's layout holds every key of its
-closure, and m is the fewest limbs that hold the target's L1 bound plus a
-sign: no field can overflow, and nothing is guessed.  Values are packed and
-unpacked only at the boundaries (an entry read from or inserted into a
-caller's memo, and the return value); a packed entry must have whole
-exponents inside the layout and an L1 norm within its own key's bound, or
-:class:`EntryOutOfBounds` names it.  Before any step the run's peak packed
+closure, and b is the fewest bytes that hold the target's L1 bound plus a
+sign: no field can overflow, and nothing is guessed.  The layout holds
+q-rows 0..dq, dq being the target's q-degree bound, and then the reduction
+of the v.0 step is the identity.  A memo-less :func:`full_twist_series`
+cuts dq at its qmax instead: every step is ring-linear with non-negative
+q-shifts (the a- and t-shifts stay inside a q-row), so the rows up to the
+cut stay exact when each v.0 step drops the rows above it, and the series
+up to q^qmax reads no other row.  Such cut values never reach a memo.
+Values are packed and unpacked only at the boundaries (an entry read from
+or inserted into a caller's memo, and the return value); a packed entry
+must have whole exponents inside the layout and an L1 norm within its own
+key's bound, or :class:`EntryOutOfBounds` names it.  Before any step the run's peak packed
 working set is estimated from the closure alone, and a run whose estimate
 exceeds physical memory fails with :class:`MemoryBudgetExceeded`; so does a
 closure walk whose own state outgrows physical memory, as soon as it does.
@@ -275,10 +283,13 @@ def _evaluate(
     load: Callable = lambda key, value: value,
     store: Callable = lambda value: value,
     value_bytes: int = 0,
+    plan: tuple[dict, dict] | None = None,
 ):
     """The one work-list driver of both recursions.
 
-    ``deps(k)`` names the keys that ``step(k, work)`` reads from ``work``.
+    ``deps(k)`` names the keys that ``step(k, work)`` reads from ``work``;
+    ``plan``, when given, is the ``_plan`` of ``key`` over ``memo``, walked
+    already.
     Memo hits enter the working set through ``load(k, memo[k])``; each new
     value goes into ``memo`` (when given) as ``store(value)``, and the
     result is returned as ``store(value)``.  A working value is released
@@ -287,7 +298,7 @@ def _evaluate(
     :class:`MemoryBudgetExceeded` before any step.
     """
     hits = {} if memo is None else memo
-    needs, users = _plan(key, hits, deps)
+    needs, users = plan or _plan(key, hits, deps)
     if value_bytes:
         need = _peak_live(needs, users) * value_bytes
         budget = _memory_budget()
@@ -333,6 +344,11 @@ def _poly_bounds(key: str, bounds: dict[str, tuple[int, int]]) -> tuple[int, int
     they are at most |v| and |v|(|v| - 1)/2.
     """
     needs, _ = _plan(key, bounds, _poly_deps)
+    return _fill_bounds(needs, bounds)[key]
+
+
+def _fill_bounds(needs: dict, bounds: dict[str, tuple[int, int]]) -> dict:
+    """``bounds`` filled in for every key of ``needs``, a ``_plan`` over it."""
     for k, ds in needs.items():
         if not k:
             bounds[k] = (0, 1)
@@ -342,11 +358,39 @@ def _poly_bounds(key: str, bounds: dict[str, tuple[int, int]]) -> tuple[int, int
         else:
             (dq0, l10), (dq1, l11) = bounds[ds[0]], bounds[ds[1]]
             bounds[k] = (max(dq0, dq1) + 1, l10 + 2 * l11)
-    return bounds[key]
+    return bounds
 
 
-_LIMB = 64
-_LIMB_MASK = (1 << _LIMB) - 1
+_LIMB_MASK = (1 << 64) - 1
+# a field's top byte to the byte that sign-extends it
+_SIGN_BYTE = bytes(0 if i < 0x80 else 0xFF for i in range(256))
+# the signed array typecode of each item size
+_SIGNED = {array(code).itemsize: code for code in "bhiq"}
+
+
+def _limbs(b: int) -> list[tuple[int, int, int, str]]:
+    """(first byte, bytes, item size, typecode) of each limb of a b-byte field.
+
+    Low to high: whole unsigned 8-byte limbs, then the signed top limb in
+    the smallest array item that holds its bytes.
+    """
+    out = []
+    for j in range(0, b, 8):
+        r = min(8, b - j)
+        if j + 8 < b:
+            out.append((j, r, 8, "Q"))
+        else:
+            size = min(s for s in _SIGNED if s >= r)
+            out.append((j, r, size, _SIGNED[size]))
+    return out
+
+
+def _little(words: array) -> array:
+    """``words`` with its native byte order swapped to little-endian, or back."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
 
 # Slot tables per sequence length n: the exponent of every slot, in slot
 # order, and its inverse.  The (a, t) plane is fixed by n and q is the most
@@ -377,21 +421,26 @@ class _Layout:
     """The packed-integer layout of one run (see the module docstring)."""
 
     def __init__(self, n: int, dq: int, l1: int):
-        self.m = (l1.bit_length() + _LIMB) // _LIMB  # l1 plus a sign bit
-        w = self.w = _LIMB * self.m
+        b = self.b = (l1.bit_length() + 8) // 8  # l1 plus a sign bit, in bytes
+        w = self.w = 8 * b
         nt = comb(n, 2) + 1
         self.sa = w * nt
         self.sq = w * nt * (n + 1)
         self.dq = dq
         self.fields = (dq + 1) * (n + 1) * nt
-        self.nbytes = self.fields * w // 8
+        self.nbytes = self.fields * b
         # CPython stores 30 bits of an int in every 4 bytes
         self.value_bytes = self.nbytes * 16 // 15
         # the top bit of every field: (p + top) ^ top reads p's signed
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
-        self.top = int.from_bytes(
-            (bytes(w // 8 - 1) + b"\x80") * self.fields, "little"
-        )
+        self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
+        self.limbs = _limbs(b)
+        # a v.0 step is reduced to the signed K-bit value, K = 8 nbytes; a
+        # value inside (r >> (K - 1) is 0 or -1) is that value already
+        self.sign = 8 * self.nbytes - 1
+        self.full = 1 << 8 * self.nbytes
+        self.half = self.full >> 1
+        self.mask = self.full - 1
         self.exps, self.slot_of = _slot_table(n, self.fields)
 
     def step(self, key: str, work: dict) -> int:
@@ -405,7 +454,12 @@ class _Layout:
             return work["1" + key[1:]]
         body = key[:-1]
         p1 = work["1" + body]
-        return p1 + ((work["0" + body] - p1) << self.sq)
+        r = p1 + ((work["0" + body] - p1) << self.sq)
+        if r >> self.sign not in (0, -1):  # r left the layout's K bits
+            r &= self.mask
+            if r >= self.half:
+                r -= self.full
+        return r
 
     def slots(self, key: str, p: Polynomial, l1: int) -> list[int]:
         """The slot of each term of ``p``, checked against ``key``'s bounds."""
@@ -426,30 +480,52 @@ class _Layout:
             )
         return slots
 
+    # pack and unpack move limb j of every field (``_limbs``) as one array:
+    # a view of the packed bytes when the limb is whole items of them,
+    # otherwise scattered to or gathered from them by C-level byte slices
+    # with stride b
+
     def pack(self, key: str, p: Polynomial, l1: int) -> int:
         """``p`` as a packed int, checked against ``key``'s bounds."""
         slots = self.slots(key, p, l1)
         coeffs = p._terms.values()
-        m = self.m
-        buf = bytearray(self.nbytes)
-        # limb j of every field, as a strided view; the top limb is signed
-        top = memoryview(buf).cast("q")[m - 1::m]
-        any(map(top.__setitem__, slots, map(rshift, coeffs, repeat(_LIMB * (m - 1)))))
-        for j in range(m - 1):
-            any(map(
-                memoryview(buf).cast("Q")[j::m].__setitem__,
-                slots,
-                map(and_, map(rshift, coeffs, repeat(_LIMB * j)), repeat(_LIMB_MASK)),
-            ))
-        return (int.from_bytes(buf, sys.byteorder) ^ self.top) - self.top
+        b = self.b
+        raw = bytearray(self.nbytes)
+        for j, r, size, code in self.limbs:
+            parts = map(rshift, coeffs, repeat(8 * j))
+            if code == "Q":
+                parts = map(and_, parts, repeat(_LIMB_MASK))
+            words = array(code, bytes(size * self.fields))
+            any(map(words.__setitem__, slots, parts))
+            words = _little(words)
+            if r == size and b % size == 0:
+                memoryview(raw).cast(code)[j // size::b // size] = words
+            else:
+                words = words.tobytes()
+                for i in range(r):
+                    raw[j + i::b] = words[i::size]
+        return (int.from_bytes(raw, "little") ^ self.top) - self.top
 
     def unpack(self, packed: int) -> Polynomial:
-        raw = ((packed + self.top) ^ self.top).to_bytes(self.nbytes, sys.byteorder)
-        m = self.m
-        coeffs = array("q", raw)[m - 1::m]  # the signed top limb of each field
-        for j in reversed(range(m - 1)):  # then the unsigned lower limbs
-            low = array("Q", raw)[j::m]
-            coeffs = list(map(add, map(lshift, coeffs, repeat(_LIMB)), low))
+        b = self.b
+        raw = ((packed + self.top) ^ self.top).to_bytes(self.nbytes, "little")
+        limbs = []
+        for j, r, size, code in self.limbs:
+            if r == size and b % size == 0:
+                words = array(code, raw)[j // size::b // size]
+            else:
+                buf = bytearray(size * self.fields)
+                for i in range(r):
+                    buf[i::size] = raw[j + i::b]
+                if r < size:  # the top limb's bytes above the field: its sign
+                    sign = raw[b - 1::b].translate(_SIGN_BYTE)
+                    for i in range(r, size):
+                        buf[i::size] = sign
+                words = array(code, buf)
+            limbs.append(_little(words))
+        coeffs = limbs.pop()
+        for low in reversed(limbs):
+            coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
         return Polynomial._trusted(
             dict(zip(compress(self.exps, coeffs), filter(None, coeffs)))
         )
@@ -467,6 +543,8 @@ def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
     key = _key(v)
     if memo is not None and key in memo:
         return memo[key]
+    if memo is None:
+        return _memoless_poly(key)
     bounds: dict[str, tuple[int, int]] = {}
     dq, l1 = _poly_bounds(key, bounds)
     layout = _Layout(len(key), dq, l1)
@@ -478,6 +556,26 @@ def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
         load=lambda k, p: layout.pack(k, p, bounds[k][1]),
         store=layout.unpack,
         value_bytes=layout.value_bytes,
+    )
+
+
+def _memoless_poly(key: str, qmax: int | None = None) -> Polynomial:
+    """P(key) without a memo, over one closure walk.
+
+    With ``qmax`` the layout stops at q-row qmax, so the result is exact in
+    its terms up to q^qmax and holds no term above (the module docstring).
+    """
+    plan = _plan(key, {}, _poly_deps)
+    dq, l1 = _fill_bounds(plan[0], {})[key]
+    layout = _Layout(len(key), dq if qmax is None else min(dq, qmax), l1)
+    return _evaluate(
+        key,
+        None,
+        _poly_deps,
+        layout.step,
+        store=layout.unpack,
+        value_bytes=layout.value_bytes,
+        plan=plan,
     )
 
 
@@ -597,10 +695,18 @@ def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
 
 
 def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polynomial:
-    """Truncated homology series of the n-strand full twist closure."""
+    """Truncated homology series of the n-strand full twist closure.
+
+    Without ``memo`` the recursion itself stops at q^qmax; a memo receives
+    every key's whole polynomial.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return poincare_series("0" * n, memo).series(qmax)
+    if qmax < 0:
+        raise ValueError("qmax must be >= 0")
+    key = "0" * n
+    num = _memoless_poly(key, qmax) if memo is None else poincare_poly(key, memo)
+    return FracPoly(num, [ONE_MINUS_Q] * n).series(qmax)
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,12 @@ def test_fulltwist(capsys):
 
 
 def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
+    # about 2.8 MiB of working values at qmax 10, the closure walk fits
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 2 ** 20)
-    code, out, err = run_cli(capsys, "fulltwist", "--n", "8")
+    code, out, err = run_cli(capsys, "fulltwist", "--n", "9")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: MemoryBudgetExceeded: evaluating '00000000'")
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '000000000'")
 
 
 def test_hhh0(capsys):
@@ -357,6 +358,13 @@ def test_fulltwist_stdout_matches_reference(capsys):
         f"fulltwist --n {n} --qmax {qmax} --format {fmt}"
         for n, qmax, fmt in product(range(1, 7), (0, 5, 10), _FORMATS)
     }
+    _check_digests(capsys, digests)
+
+
+def test_largest_fulltwist_stdout_matches_reference(capsys):
+    # the benchmark's fulltwist call, whose layout stops at q-row 10 of 55
+    digests = _reference_digests(lambda argv: argv == "fulltwist --n 11 --qmax 10".split())
+    assert len(digests) == 1
     _check_digests(capsys, digests)
 
 

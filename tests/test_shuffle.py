@@ -213,19 +213,28 @@ def test_packed_kernel_shared_memo_matches_reference(shift_and_add_reference):
 
 
 def test_packed_kernel_two_limb_fields():
-    # L1 bound 2^64 needs a sign bit more than one 64-bit limb holds
+    # L1 bound 2^64 needs a sign bit more than one 64-bit limb holds: a
+    # 72-bit field, one whole limb and one of a byte
     assert shuffle._poly_bounds("1" * 64, {}) == (0, 2 ** 64)
-    assert shuffle._Layout(64, 0, 2 ** 64).m == 2
+    assert shuffle._Layout(64, 0, 2 ** 64).w == 72
     want = ONE
     for k in range(64):
         want = want * (Polynomial.term(1, t=k) + A)
     assert poincare_poly("1" * 64) == want
 
 
-@pytest.mark.parametrize("l1", [2 ** 63 - 1, 2 ** 63, 2 ** 130])
+# the widest L1 bound of every field width of 1 to 17 bytes, and the two
+# bounds just past a whole 64-bit limb
+_WIDTHS = {2 ** (8 * b - 1) - 1: 8 * b for b in range(1, 18)}
+_WIDTHS.update({2 ** 63: 72, 2 ** 130: 136})
+
+
+@pytest.mark.parametrize("l1", list(_WIDTHS))
 def test_pack_round_trip_at_the_bound(l1):
     layout = shuffle._Layout(2, 1, l1)  # q^0..1, a^0..2, t^0..1
-    assert layout.m == (l1.bit_length() + 64) // 64
+    w = layout.w
+    # l1 plus a sign bit, rounded up to whole bytes
+    assert w == _WIDTHS[l1]
     half = l1 // 2
     for terms in (
         {(0, 0, 0): l1},
@@ -234,8 +243,41 @@ def test_pack_round_trip_at_the_bound(l1):
     ):
         p = Polynomial(terms)
         packed = layout.pack("xx", p, l1)
+        # slot (i, j, k) at bit offset w ((i 3 + j) 2 + k), a signed field
+        assert packed == sum(
+            c << w * ((e0 // UNIT * 3 + e1 // UNIT) * 2 + e2 // UNIT)
+            for (e0, e1, e2), c in terms.items()
+        )
         assert layout.unpack(packed) == p
         assert layout.unpack(-packed) == -p
+
+
+def _zeros_dq(n):
+    return shuffle._poly_bounds("0" * n, {})[0]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_truncated_full_twist_matches_whole_series(n):
+    whole = poincare_poly("0" * n)
+    series = poincare_series("0" * n)
+    dq = _zeros_dq(n)
+    for qmax in sorted({0, 1, 5, dq - 1, dq, dq + 3} - {-1}):
+        cut = shuffle._memoless_poly("0" * n, qmax)
+        assert cut == Polynomial(
+            {e: c for e, c in whole.units().items() if e[0] <= qmax * UNIT}
+        ), qmax
+        assert full_twist_series(n, qmax) == series.series(qmax), qmax
+
+
+def test_full_twist_memo_holds_whole_polynomials():
+    memo = MemoTable()
+    for n in range(1, 9):
+        for qmax in (0, 3):
+            assert full_twist_series(n, qmax, memo) == full_twist_series(n, qmax)
+    assert len(memo) == 2 ** 9 - 1
+    for key, value in memo.items():
+        assert value == poincare_poly(key), key
+    assert memo["0" * 8].unit_range("q")[1] == _zeros_dq(8) * UNIT > 3 * UNIT
 
 
 def test_poincare_poly_matches_sympy():
@@ -365,10 +407,10 @@ def test_working_values_released_after_last_consumer(monkeypatch):
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     steps = []
     monkeypatch.setattr(shuffle._Layout, "step", lambda *args: steps.append(args))
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 30)
-    with pytest.raises(MemoryBudgetExceeded) as err:
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 8 * 2 ** 30)
+    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{15}'") as err:
         poincare_poly("0" * 15)
-    assert err.value.need > 16 * 2 ** 30
+    assert err.value.need > 8 * 2 ** 30
     assert steps == []
     needs, users = shuffle._plan("0" * 13, {}, shuffle._poly_deps)
     layout = shuffle._Layout(13, *shuffle._poly_bounds("0" * 13, {}))
@@ -474,6 +516,9 @@ def test_full_twist_series():
     s0 = full_twist_series(3, 0)
     p = poincare_poly("000")
     assert s0 == Polynomial({e: c for e, c in p.units().items() if e[0] == 0})
+    for memo in (None, MemoTable()):
+        with pytest.raises(ValueError, match="qmax"):
+            full_twist_series(3, -1, memo)
 
 
 def test_top_a_coefficient():
