@@ -480,9 +480,8 @@ class _Layout:
             )
         return slots
 
-    # pack and unpack move limb j of every field (``_limbs``) as one array:
-    # a view of the packed bytes when the limb is whole items of them,
-    # otherwise scattered to or gathered from them by C-level byte slices
+    # pack and unpack move limb j of every field (``_limbs``) as one array,
+    # scattered to or gathered from the packed bytes by C-level byte slices
     # with stride b
 
     def pack(self, key: str, p: Polynomial, l1: int) -> int:
@@ -497,13 +496,9 @@ class _Layout:
                 parts = map(and_, parts, repeat(_LIMB_MASK))
             words = array(code, bytes(size * self.fields))
             any(map(words.__setitem__, slots, parts))
-            words = _little(words)
-            if r == size and b % size == 0:
-                memoryview(raw).cast(code)[j // size::b // size] = words
-            else:
-                words = words.tobytes()
-                for i in range(r):
-                    raw[j + i::b] = words[i::size]
+            words = _little(words).tobytes()
+            for i in range(r):
+                raw[j + i::b] = words[i::size]
         return (int.from_bytes(raw, "little") ^ self.top) - self.top
 
     def unpack(self, packed: int) -> Polynomial:
@@ -511,18 +506,14 @@ class _Layout:
         raw = ((packed + self.top) ^ self.top).to_bytes(self.nbytes, "little")
         limbs = []
         for j, r, size, code in self.limbs:
-            if r == size and b % size == 0:
-                words = array(code, raw)[j // size::b // size]
-            else:
-                buf = bytearray(size * self.fields)
-                for i in range(r):
-                    buf[i::size] = raw[j + i::b]
-                if r < size:  # the top limb's bytes above the field: its sign
-                    sign = raw[b - 1::b].translate(_SIGN_BYTE)
-                    for i in range(r, size):
-                        buf[i::size] = sign
-                words = array(code, buf)
-            limbs.append(_little(words))
+            buf = bytearray(size * self.fields)
+            for i in range(r):
+                buf[i::size] = raw[j + i::b]
+            if r < size:  # the top limb's bytes above the field: its sign
+                sign = raw[b - 1::b].translate(_SIGN_BYTE)
+                for i in range(r, size):
+                    buf[i::size] = sign
+            limbs.append(_little(array(code, buf)))
         coeffs = limbs.pop()
         for low in reversed(limbs):
             coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
@@ -704,9 +695,9 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
         raise ValueError("n must be >= 1")
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
-    key = "0" * n
-    num = _memoless_poly(key, qmax) if memo is None else poincare_poly(key, memo)
-    return FracPoly(num, [ONE_MINUS_Q] * n).series(qmax)
+    if memo is not None:
+        return poincare_series("0" * n, memo).series(qmax)
+    return FracPoly(_memoless_poly("0" * n, qmax), [ONE_MINUS_Q] * n).series(qmax)
 
 
 # ---------------------------------------------------------------------------

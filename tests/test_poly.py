@@ -330,9 +330,6 @@ _POWER_POOL = _QUOTIENT_POOL + [BinomialFactor((0, 0, UNIT), (UNIT, 0, UNIT))]
     st.integers(1, 4),
     polys(max_terms=1, span=2),
 )
-# a monomial times f^k: every residue class is one row
-@example(monomial(3, q=2, t=1), ONE_MINUS_Q, 3, 4, ZERO)
-@example(monomial(-1, a=1), _POWER_POOL[-1], 2, 2, monomial(1, q=1))
 def test_divide_power_matches_repeated_quotient(p, factor, k, mult, noise):
     for target in (p * factor.poly() ** k, p * factor.poly() ** k + noise):
         got, left = factor.divide_power(target, mult)
@@ -352,7 +349,6 @@ def test_divide_power_matches_repeated_quotient(p, factor, k, mult, noise):
     st.integers(1, 4),
     whole_polys(max_terms=1),
 )
-@example(monomial(2, a=1, t=3), ONE_MINUS_Q, 4, 3, ZERO)
 def test_divide_power_matches_sympy(p, factor, k, mult, noise):
     sympy = pytest.importorskip("sympy")
     f = _sympy_expr(sympy, factor.poly())
@@ -379,12 +375,6 @@ def test_divide_power_examples():
     q_t, sign = BinomialFactor.normalize((0, 0, UNIT), (UNIT, 0, 0))
     assert sign == -1 and q_t.poly() == Q - T
     assert q_t.divide_power((Q - T) ** 3 * (A + T), 4) == (A + T, 1)
-    # classes of one row, their keys in ascending or descending term order
-    cube = (ONE - Q) ** 3
-    for terms in (cube.units(), dict(reversed(cube.units().items()))):
-        assert ONE_MINUS_Q.divide_power(Polynomial(terms), 5) == (ONE, 2)
-        assert ONE_MINUS_Q.divide_power(Polynomial(terms) + Q ** 7, 5)[1] == 5
-    assert ONE_MINUS_Q.quotient(Polynomial({(UNIT, 0, 0): -2, (0, 0, 0): 2})) == 2 * ONE
 
 
 def test_divide_power_skips_zero_gaps():
@@ -392,9 +382,6 @@ def test_divide_power_skips_zero_gaps():
     # per class would have to fill in
     gap = ONE + Polynomial.term(1, q=10 ** 9)
     start = time.perf_counter()
-    # one class of one row, far out
-    far = Polynomial.term(1, q=10 ** 9)
-    assert ONE_MINUS_Q.divide_power((ONE - Q) * far, 2) == (far, 1)
     assert ONE_MINUS_Q.divide_power((ONE - Q) * gap, 1) == (gap, 0)
     assert ONE_MINUS_Q.quotient((ONE - Q) * gap) == gap
     square = (ONE - Q) ** 2 * gap ** 2
