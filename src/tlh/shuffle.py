@@ -38,13 +38,12 @@ cuts dq at its qmax instead: every step is ring-linear with non-negative
 q-shifts (the a- and t-shifts stay inside a q-row), so the rows up to the
 cut stay exact when each v.0 step drops the rows above it, and the series
 up to q^qmax reads no other row.  Such cut values never reach a memo.
-Values are packed and unpacked only at the boundaries (an entry read from
-or inserted into a caller's memo, and the return value); a packed entry
-must have whole exponents inside the layout and an L1 norm within its own
-key's bound, or :class:`EntryOutOfBounds` names it.  Before any step the run's peak packed
-working set is estimated from the closure alone, and a run whose estimate
-exceeds physical memory fails with :class:`MemoryBudgetExceeded`; so does a
-closure walk whose own state outgrows physical memory, as soon as it does.
+Values are packed only by stepping, from P(empty) = 1, and unpacked only at
+the boundaries: an insertion into a caller's memo, and the return value.
+Before any step the run's peak packed working set is estimated from the
+closure alone, and a run whose estimate exceeds physical memory fails with
+:class:`MemoryBudgetExceeded`; so does a closure walk whose own state
+outgrows physical memory, as soon as it does.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -60,14 +59,16 @@ insertion route works on :class:`Polynomial` term dicts, never packed ints),
 only one work-list driver (``_evaluate``); each keeps its own dependency and
 step rules.
 
-The driver walks the closure of the target once, stopping at memo hits,
-counts each key's consumers, and steps the keys in topological order with
-an explicit work list rather than native recursion, so long sequences do not
-hit the interpreter stack limit.  A working value is released as soon as its
-last consumer has run; the result is never released.  A caller-owned memo
-still receives every key computed, so memos may be shared and saved.  The
-memo admits concurrent lookup and idempotent insertion; inserting a
-different value under an existing key is a fatal invariant violation.
+The driver walks the closure of the target once, counts each key's
+consumers, and steps the keys in topological order with an explicit work
+list rather than native recursion, so long sequences do not hit the
+interpreter stack limit.  Only the insertion route stops its walk at memo
+hits; the packed route reads a caller's memo for the target alone.  A
+working value is released as soon as its last consumer has run; the result
+is never released.  A caller-owned memo still receives every key computed
+that it lacks, so memos may be shared and saved.  The memo admits
+concurrent lookup and idempotent insertion; inserting a different value
+under an existing key is a fatal invariant violation.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ import threading
 from array import array
 from itertools import compress, product, repeat
 from math import comb
-from operator import add, and_, lshift, rshift
+from operator import add, lshift
 from typing import Callable
 
 from .poly import (
@@ -124,12 +125,12 @@ class MemoDivergence(RuntimeError):
 
 
 class EntryOutOfBounds(ValueError):
-    """A memo entry does not fit the a-priori bounds of its key.
+    """A cache entry does not fit the a-priori bounds of its key.
 
-    Its exponents must be whole and inside the packed layout (the key's own
-    degree bounds when a cache is loaded), and its L1 norm within the key's
-    L1 bound; a corrupt cache fails this way instead of overflowing a packed
-    field.
+    Raised by :func:`load_cache`: an entry's exponents must be whole and
+    inside its key's degree bounds, and its L1 norm within the key's L1
+    bound.  An unchecked entry is returned only for its own key; the packed
+    recursion never reads it for another key.
     """
 
 
@@ -257,12 +258,11 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
 
 
 def _peak_live(needs: dict, users: dict) -> int:
-    """Most working values alive at once when ``_evaluate`` steps ``needs``."""
+    """Most values alive at once as ``_evaluate`` steps ``needs`` (no hits)."""
     left = dict(users)
     live = peak = 0
     for ds in needs.values():
-        # the new value, plus each memo hit on its first read
-        live += 1 + sum(left[d] == users[d] for d in ds if d not in needs)
+        live += 1
         peak = max(peak, live)
         for d in ds:
             left[d] -= 1
@@ -280,22 +280,21 @@ def _evaluate(
     memo: MemoTable | None,
     deps: Callable,
     step: Callable,
-    load: Callable = lambda key, value: value,
     store: Callable = lambda value: value,
     value_bytes: int = 0,
     plan: tuple[dict, dict] | None = None,
 ):
     """The one work-list driver of both recursions.
 
-    ``deps(k)`` names the keys that ``step(k, work)`` reads from ``work``;
-    ``plan``, when given, is the ``_plan`` of ``key`` over ``memo``, walked
-    already.
-    Memo hits enter the working set through ``load(k, memo[k])``; each new
-    value goes into ``memo`` (when given) as ``store(value)``, and the
-    result is returned as ``store(value)``.  A working value is released
-    once its last consumer has stepped.  With ``value_bytes`` set, a run
-    whose estimated peak working set exceeds physical memory raises
-    :class:`MemoryBudgetExceeded` before any step.
+    ``deps(k)`` names the keys that ``step(k, work)`` reads from ``work``.
+    Without ``plan`` the driver walks one over ``memo``, stopping at its
+    hits, which enter the working set as they are (the insertion route);
+    the packed route passes a ``plan`` walked without hits.  Each new value
+    goes into ``memo`` (when given) as ``store(value)`` if ``memo`` lacks
+    its key, and the result is returned as ``store(value)``.  A working
+    value is released once its last consumer has stepped.  With
+    ``value_bytes`` set, a run whose estimated peak working set exceeds
+    physical memory raises :class:`MemoryBudgetExceeded` before any step.
     """
     hits = {} if memo is None else memo
     needs, users = plan or _plan(key, hits, deps)
@@ -313,10 +312,10 @@ def _evaluate(
     for k, ds in needs.items():
         for d in ds:
             if d not in work:
-                work[d] = load(d, hits[d])
+                work[d] = hits[d]
         value = step(k, work)
         work[k] = value
-        if memo is not None:
+        if memo is not None and k not in memo:
             memo.insert(k, store(value))
         for d in ds:
             users[d] -= 1
@@ -361,7 +360,6 @@ def _fill_bounds(needs: dict, bounds: dict[str, tuple[int, int]]) -> dict:
     return bounds
 
 
-_LIMB_MASK = (1 << 64) - 1
 # a field's top byte to the byte that sign-extends it
 _SIGN_BYTE = bytes(0 if i < 0x80 else 0xFF for i in range(256))
 # the signed array typecode of each item size
@@ -386,7 +384,7 @@ def _limbs(b: int) -> list[tuple[int, int, int, str]]:
 
 
 def _little(words: array) -> array:
-    """``words`` with its native byte order swapped to little-endian, or back."""
+    """``words``, read from little-endian bytes, in native byte order."""
     if sys.byteorder == "big":
         words.byteswap()
     return words
@@ -462,7 +460,7 @@ class _Layout:
         return r
 
     def slots(self, key: str, p: Polynomial, l1: int) -> list[int]:
-        """The slot of each term of ``p``, checked against ``key``'s bounds."""
+        """The slots of cache entry ``p``, checked against ``key``'s bounds."""
         if sum(map(abs, p._terms.values())) > l1:
             raise EntryOutOfBounds(
                 f"memo entry {key!r} has an L1 norm above its bound {l1}"
@@ -480,28 +478,9 @@ class _Layout:
             )
         return slots
 
-    # pack and unpack move limb j of every field (``_limbs``) as one array,
-    # scattered to or gathered from the packed bytes by C-level byte slices
-    # with stride b
-
-    def pack(self, key: str, p: Polynomial, l1: int) -> int:
-        """``p`` as a packed int, checked against ``key``'s bounds."""
-        slots = self.slots(key, p, l1)
-        coeffs = p._terms.values()
-        b = self.b
-        raw = bytearray(self.nbytes)
-        for j, r, size, code in self.limbs:
-            parts = map(rshift, coeffs, repeat(8 * j))
-            if code == "Q":
-                parts = map(and_, parts, repeat(_LIMB_MASK))
-            words = array(code, bytes(size * self.fields))
-            any(map(words.__setitem__, slots, parts))
-            words = _little(words).tobytes()
-            for i in range(r):
-                raw[j + i::b] = words[i::size]
-        return (int.from_bytes(raw, "little") ^ self.top) - self.top
-
     def unpack(self, packed: int) -> Polynomial:
+        # limb j of every field (``_limbs``) is gathered from the packed
+        # bytes as one array, by C-level byte slices with stride b
         b = self.b
         raw = ((packed + self.top) ^ self.top).to_bytes(self.nbytes, "little")
         limbs = []
@@ -527,41 +506,33 @@ def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
 
     Equals (1-q)^zeros(v) times the rational series; always a polynomial.
     The recursion terminates because each rewrite strictly descends in
-    (length, number of zeroes, number of inversions).  Without ``memo`` only
-    the result is unpacked and working values are released early; with one,
-    every key computed is inserted.
+    (length, number of zeroes, number of inversions).  ``memo`` is read
+    only for ``v`` itself; on a miss it receives every key of the closure
+    that it lacks (:func:`_packed_poly`).
     """
     key = _key(v)
     if memo is not None and key in memo:
         return memo[key]
-    if memo is None:
-        return _memoless_poly(key)
-    bounds: dict[str, tuple[int, int]] = {}
-    dq, l1 = _poly_bounds(key, bounds)
-    layout = _Layout(len(key), dq, l1)
-    return _evaluate(
-        key,
-        memo,
-        _poly_deps,
-        layout.step,
-        load=lambda k, p: layout.pack(k, p, bounds[k][1]),
-        store=layout.unpack,
-        value_bytes=layout.value_bytes,
-    )
+    return _packed_poly(key, memo)
 
 
-def _memoless_poly(key: str, qmax: int | None = None) -> Polynomial:
-    """P(key) without a memo, over one closure walk.
+def _packed_poly(
+    key: str, memo: MemoTable | None = None, qmax: int | None = None
+) -> Polynomial:
+    """P(key), stepping its whole closure on one packed layout.
 
-    With ``qmax`` the layout stops at q-row qmax, so the result is exact in
-    its terms up to q^qmax and holds no term above (the module docstring).
+    ``memo`` is a sink, never a source: it receives the value of each key it
+    lacks and no entry of it is read, so a hit deep in the closure does not
+    shorten the walk (a memo holding 0^12, asked for 0^12 1, steps the
+    closure of 0^12 again).  ``qmax`` (memo-less only) cuts the layout at
+    q-row qmax: the result is exact up to q^qmax and holds no term above.
     """
     plan = _plan(key, {}, _poly_deps)
     dq, l1 = _fill_bounds(plan[0], {})[key]
     layout = _Layout(len(key), dq if qmax is None else min(dq, qmax), l1)
     return _evaluate(
         key,
-        None,
+        memo,
         _poly_deps,
         layout.step,
         store=layout.unpack,
@@ -697,7 +668,7 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
         raise ValueError("qmax must be >= 0")
     if memo is not None:
         return poincare_series("0" * n, memo).series(qmax)
-    return FracPoly(_memoless_poly("0" * n, qmax), [ONE_MINUS_Q] * n).series(qmax)
+    return FracPoly(_packed_poly("0" * n, qmax=qmax), [ONE_MINUS_Q] * n).series(qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +705,8 @@ def load_cache(path: str, spot_check_rate: float = 0.05) -> MemoTable:
     one, unless the rate is 0).  Then every entry must fit its key's
     a-priori bounds (whole exponents inside the degree bounds, L1 norm
     within the L1 bound), or :class:`EntryOutOfBounds` names it.  A rate of
-    0 skips both checks; an entry out of bounds then fails by name when a
-    recursion reads it.
+    0 skips both checks; an unchecked entry is then returned only for its
+    own key, and :func:`poincare_poly` never reads it for another key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)

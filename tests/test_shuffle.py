@@ -242,9 +242,8 @@ def test_pack_round_trip_at_the_bound(l1):
         {(0, 0, 0): -half, (0, 0, UNIT): l1 - half - 1, (UNIT, UNIT, 0): 1},
     ):
         p = Polynomial(terms)
-        packed = layout.pack("xx", p, l1)
         # slot (i, j, k) at bit offset w ((i 3 + j) 2 + k), a signed field
-        assert packed == sum(
+        packed = sum(
             c << w * ((e0 // UNIT * 3 + e1 // UNIT) * 2 + e2 // UNIT)
             for (e0, e1, e2), c in terms.items()
         )
@@ -262,7 +261,7 @@ def test_truncated_full_twist_matches_whole_series(n):
     series = poincare_series("0" * n)
     dq = _zeros_dq(n)
     for qmax in sorted({0, 1, 5, dq - 1, dq, dq + 3} - {-1}):
-        cut = shuffle._memoless_poly("0" * n, qmax)
+        cut = shuffle._packed_poly("0" * n, qmax=qmax)
         assert cut == Polynomial(
             {e: c for e, c in whole.units().items() if e[0] <= qmax * UNIT}
         ), qmax
@@ -385,23 +384,59 @@ def test_insertion_memo_holds_normalized_polynomials():
 
 def test_working_values_released_after_last_consumer(monkeypatch):
     live = []
+    stepped = []
     step = shuffle._Layout.step
 
     def counting_step(layout, key, work):
         live.append(len(work) + 1)  # the inputs held, plus the new value
+        stepped.append(key)
         return step(layout, key, work)
 
     monkeypatch.setattr(shuffle._Layout, "step", counting_step)
     memo = MemoTable()
     for v in all_sequences(7):
         poincare_poly(v, memo)
-    for key, hits in (("0" * 8, {}), ("0" * 8 + "1", memo)):
+    for key in ("0" * 8, "0" * 8 + "1"):
         want = poincare_poly(key, MemoTable())
-        live.clear()
-        assert poincare_poly(key, MemoTable(hits) if hits else None) == want
-        needs, users = shuffle._plan(key, hits, shuffle._poly_deps)
-        assert len(live) == len(needs)
-        assert max(live) == shuffle._peak_live(needs, users) < len(needs) // 4
+        needs, users = shuffle._plan(key, {}, shuffle._poly_deps)
+        runs = []
+        for hits in ({}, memo):
+            live.clear()
+            stepped.clear()
+            assert poincare_poly(key, MemoTable(hits) if hits else None) == want
+            assert len(live) == len(needs)
+            assert stepped == list(needs)
+            assert max(live) == shuffle._peak_live(needs, users) < len(needs) // 4
+            runs.append(list(live))
+        # a memo steps the same plan, with the same live counts, as no memo
+        assert runs[0] == runs[1]
+
+
+def test_memo_is_a_sink_never_a_source(monkeypatch):
+    key = "0" * 6 + "1"
+    needs, _ = shuffle._plan(key, {}, shuffle._poly_deps)
+    deep = "0110"
+    assert deep in needs
+    # a wrong value, outside the layout's q-rows, under a key of the closure
+    sentinel = Polynomial.term(7, q=40)
+    memo = MemoTable({deep: sentinel})
+    unpacked = []
+    unpack = shuffle._Layout.unpack
+
+    def counting_unpack(layout, packed):
+        unpacked.append(packed)
+        return unpack(layout, packed)
+
+    monkeypatch.setattr(shuffle._Layout, "unpack", counting_unpack)
+    want = poincare_poly(key)
+    unpacked.clear()
+    assert poincare_poly(key, memo) == want
+    assert memo[deep] is sentinel
+    # one unpack per key the memo lacked, none for the key it held
+    assert len(unpacked) == len(needs) - 1
+    assert set(memo) == set(needs)
+    for k in needs.keys() - {deep}:
+        assert memo[k] == poincare_poly(k), k
 
 
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
@@ -611,10 +646,11 @@ def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms):
     # the sample holds only the empty key, so the bounds check meets "0110"
     with pytest.raises(EntryOutOfBounds, match="'0110'"):
         load_cache(path, spot_check_rate=1e-9)
-    # unchecked, the entry fails by name when the recursion packs it
+    # unchecked, the entry is never read for another key
     memo = load_cache(path, spot_check_rate=0.0)
-    with pytest.raises(EntryOutOfBounds, match="'0110'"):
-        poincare_poly("01101", memo)
+    loaded = memo["0110"]
+    assert poincare_poly("01101", memo) == poincare_poly("01101")
+    assert memo["0110"] is loaded
 
 
 def test_save_cache_is_atomic(tmp_path, monkeypatch):
