@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import closed_form, links, shuffle, tableaux, verify
-from .serialize import dumps, parse_poly, poly_to_obj
+from .serialize import ParseError, dumps, parse_int, parse_poly, poly_to_obj
 from .shuffle import MemoTable
 
 DEFAULT_QMAX = 10
@@ -41,8 +41,8 @@ _ENGINE_ERRORS = verify.ENGINE_ERRORS + (
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
-            n = int(text)
-        except ValueError:
+            n = parse_int(text)
+        except ParseError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, not {n}")

@@ -133,7 +133,7 @@ _FIXED = {
     "T(4,5)": _entry_45,
 }
 
-_TWO_STRAND = re.compile(r"T\(2,(\d+)\)$")
+_TWO_STRAND = re.compile(r"T\(2,([0-9]+)\)")
 
 
 def dataset_keys() -> list[str]:
@@ -146,7 +146,7 @@ def dataset_get(key: str) -> SuperPolyEntry:
     maker = _FIXED.get(key)
     if maker is not None:
         return SuperPolyEntry(key, maker(), _SOURCE)
-    m = _TWO_STRAND.match(key)
+    m = _TWO_STRAND.fullmatch(key)
     if m:
         odd = int(m.group(1))
         if odd >= 3 and odd % 2 == 1:

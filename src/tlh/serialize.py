@@ -1,10 +1,17 @@
-"""Canonical text / JSON / LaTeX forms for polynomials and fractions.
+r"""Canonical text / JSON / LaTeX forms for polynomials and fractions.
 
-The text grammar is the artifact's own: terms joined by " + " / " - ", each
-term an optional integer coefficient followed by variable powers, exponents
-either bare positive integers or parenthesized (possibly fractional) values
-on the quarter lattice, e.g. ``q^3``, ``q^(-1)``, ``t^(1/2)``.  Whatever this
-module serializes it can parse back, bit-identically; LaTeX is write-only.
+The text grammar is the artifact's own, e.g. ``3 q^2 a t^(-3/4)``: a run of
+terms, each after the first opening with its sign.  A term matches
+``_TERM`` and each variable power in it ``_POWER`` (``ws`` is ``[ \t\n]*``)::
+
+    term   ws [+-]? ws [0-9]* ws (power ws)*
+    power  [qat] ( \^ ( [+-]?[0-9]+ | \( [+-]?[0-9]+ (/[0-9]+)? \) ) )?
+
+A term needs a coefficient or a power, and an exponent must land on the
+quarter lattice.  Digits are ASCII only, as in every integer read from
+outside input (:func:`parse_int`).  Malformed text or JSON raises
+:class:`ParseError` at a position inside the input.  Whatever this module
+serializes it parses back bit-identically; LaTeX is write-only.
 
 JSON uses a fixed schema with coefficients as decimal strings (they are big
 integers) and exponents in quarter units::
@@ -19,7 +26,7 @@ entry per denominator factor, multiplicities by repetition.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
 
 from .poly import UNIT, Exponents, FracPoly, Polynomial
 
@@ -28,6 +35,7 @@ __all__ = [
     "dumps",
     "parse_poly",
     "parse_frac",
+    "parse_int",
     "poly_to_obj",
     "poly_from_obj",
     "frac_to_obj",
@@ -48,100 +56,50 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # text
 
+_WS = r"[ \t\n]*"
+_POWER = re.compile(r"([qat])(?:\^(?:([+-]?[0-9]+)|\(([+-]?[0-9]+)(?:/([0-9]+))?\)))?")
+_TERM = re.compile(rf"{_WS}([+-]?){_WS}([0-9]*){_WS}((?:{_POWER.pattern}{_WS})*)")
 
-class _Scanner:
-    def __init__(self, s: str):
-        self.s = s
-        self.i = 0
 
-    def skip_ws(self) -> None:
-        while self.i < len(self.s) and self.s[self.i] in " \t\n":
-            self.i += 1
+def parse_int(text: str) -> int:
+    """Read an integer from outside input: an optional sign, then ASCII digits.
 
-    def peek(self) -> str:
-        return self.s[self.i] if self.i < len(self.s) else ""
-
-    def at(self, chars: str) -> bool:
-        ch = self.peek()
-        return bool(ch) and ch in chars
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.i += 1
-        return ch
-
-    def integer(self, allow_sign: bool = False) -> int:
-        start = self.i
-        if allow_sign and self.at("+-"):
-            self.i += 1
-        digits = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if self.i == digits:
-            raise ParseError("expected an integer", start)
-        return int(self.s[start:self.i])
-
-    def exponent_units(self) -> int:
-        # after '^': integer, or '(' integer [ '/' integer ] ')'
-        if self.peek() == "(":
-            self.take()
-            num = self.integer(allow_sign=True)
-            den = 1
-            if self.peek() == "/":
-                self.take()
-                den = self.integer()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.i)
-            self.take()
-            value = Fraction(num, den) * UNIT
-            if value.denominator != 1:
-                raise ParseError("exponent off the quarter lattice", self.i)
-            return int(value)
-        return self.integer(allow_sign=True) * UNIT
+    Blanks, underscores and non-ASCII digits, which ``int()`` would accept,
+    raise :class:`ParseError`.
+    """
+    if text.isascii() and text.lstrip("+-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more than one sign
+            pass
+    raise ParseError(f"expected an integer, not {text!r}", 0)
 
 
 def _parse_poly_text(s: str) -> Polynomial:
-    sc = _Scanner(s)
     terms: dict[Exponents, int] = {}
-    sc.skip_ws()
-    if not sc.peek():
-        raise ParseError("empty input", 0)
-    sign = 1
-    if sc.at("+-"):
-        sign = -1 if sc.take() == "-" else 1
-        sc.skip_ws()
+    pos = 0
     while True:
-        coeff = sign
+        term = _TERM.match(s, pos)
+        sign, digits, powers = term.group(1, 2, 3)
+        if not (digits or powers):
+            raise ParseError("expected a term", term.end())
         units = [0, 0, 0]
-        seen = False
-        if sc.peek().isdigit():
-            coeff = sign * sc.integer()
-            seen = True
-            sc.skip_ws()
-        while sc.at(_VARS):
-            var = _VARS.index(sc.take())
-            e = UNIT
-            if sc.peek() == "^":
-                sc.take()
-                e = sc.exponent_units()
-            units[var] += e
-            seen = True
-            sc.skip_ws()
-        if not seen:
-            raise ParseError("expected a term", sc.i)
+        for power in _POWER.finditer(s, term.start(3), term.end(3)):
+            var, whole, num, den = power.groups()
+            den = int(den or 1)
+            if not den:
+                raise ParseError("zero exponent denominator", power.start(4))
+            e, off = divmod(int(whole or num or 1) * UNIT, den)
+            if off:
+                raise ParseError("exponent off the quarter lattice", power.end())
+            units[_VARS.index(var)] += e
         key = tuple(units)
-        v = terms.get(key, 0) + coeff
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-        sc.skip_ws()
-        if not sc.peek():
-            return Polynomial(terms)
-        if not sc.at("+-"):
-            raise ParseError("expected '+' or '-'", sc.i)
-        sign = -1 if sc.take() == "-" else 1
-        sc.skip_ws()
+        terms[key] = terms.get(key, 0) + int(sign + (digits or "1"))
+        pos = term.end()
+        if pos == len(s):
+            return Polynomial(terms)  # drops the zero sums
+        if s[pos] not in "+-":
+            raise ParseError("expected '+' or '-'", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +158,8 @@ def poly_from_obj(obj) -> Polynomial:
         coeff = item.get("coeff")
         if type(coeff) is str:
             try:
-                coeff = int(coeff)
-            except ValueError:
+                coeff = parse_int(coeff)
+            except ParseError:
                 raise ParseError(f"bad coefficient in term {n}", 0) from None
         elif type(coeff) is not int:
             raise ParseError(f"bad coefficient in term {n}", 0)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import tlh
-from tlh import shuffle
+from tlh import shuffle, verify
 from tlh.cli import main
 from tlh.poly import ONE, A, Q
 from tlh.serialize import dumps, parse_frac, parse_poly
@@ -163,6 +163,10 @@ def test_verify_max_n_below_one_is_usage_error(capsys):
     ["magic", "--n", "0", "--r", "1"],
     ["magic", "--n", "2", "--r", "-1"],
     ["specialize", "--link", "T(3,4)", "--to", "sl_n", "--N", "0"],
+    # int() alone would read these three
+    ["hhh0", "--qmax", "1", "--n", "\u0663"],
+    ["hhh0", "--qmax", "1", "--n", "1_0"],
+    ["hhh0", "--qmax", "1", "--n", " 5"],
 ])
 def test_out_of_range_number_is_usage_error(capsys, argv):
     # the bad option is the last one given
@@ -170,6 +174,24 @@ def test_out_of_range_number_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["T(2,\u0665)", "T(2,5)\n"])
+def test_dataset_key_digits_are_ascii(capsys, key):
+    code, out, err = run_cli(capsys, "dataset", "--get", key)
+    assert code == 1
+    assert out == ""
+    assert "UnknownLink" in err
+
+
+def test_conjecture_soft_reaches_the_exit_status(capsys, monkeypatch):
+    failed = verify.CheckResult(
+        "magic", "r1-matches-recursion", verify.CONJECTURE, verify.FAIL,
+        "failed inside the verified range: n=2",
+    )
+    monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [failed])
+    assert run_cli(capsys, "verify", "--suite", "magic")[0] == 1
+    assert run_cli(capsys, "verify", "--suite", "magic", "--conjecture-soft")[0] == 0
 
 
 def test_bare_key_error_is_not_an_engine_error(monkeypatch):

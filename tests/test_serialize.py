@@ -1,11 +1,14 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, FracPoly, Polynomial, monomial
-from tlh.serialize import ParseError, dumps, parse_frac, parse_poly, poly_from_obj
+from tlh.serialize import (
+    ParseError, dumps, parse_frac, parse_int, parse_poly, poly_from_obj,
+)
 
 from test_poly import fracs, polys
 
@@ -26,10 +29,36 @@ def test_text_accepts_leading_minus_and_spacing():
 
 
 def test_parse_errors_carry_position():
-    for bad in ["", "q +", "q ^", "q^(1/3)", "x + 1", "1 + + 2"]:
+    for bad in ["", "q +", "q ^", "q^(1/3)", "x + 1", "1 + + 2",
+                "q^(1/0)", "\u00b2 q", "\u0663 q"]:
         with pytest.raises(ParseError) as err:
             parse_poly(bad)
         assert err.value.position >= 0
+
+
+def test_parse_error_positions_lie_inside_the_input():
+    cases = [
+        ("", "expected a term", 0),
+        ("q^ 2", "expected '+' or '-'", 1),
+        ("q^(1/0)", "zero exponent denominator", 5),
+        ("q^(1/3) a", "exponent off the quarter lattice", 7),
+        ("2 q + \u0663 q", "expected a term", 6),
+        ("1 + 2\u00b2", "expected '+' or '-'", 5),
+        ("q^\u0663", "expected '+' or '-'", 1),
+        ("q^(\u0663)", "expected '+' or '-'", 1),
+        ("q^(4/\u0664)", "expected '+' or '-'", 1),
+    ]
+    for bad, message, position in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_poly(bad)
+        assert err.value.position == position <= len(bad)
+
+
+def test_parse_int_takes_a_sign_and_ascii_digits_only():
+    assert [parse_int(s) for s in ("0", "+7", "-12", "007")] == [0, 7, -12, 7]
+    for bad in ("", "+", "-", "+-5", " 7", "7 ", "1_000", "\uff17", "\u0663", "1e3"):
+        with pytest.raises(ParseError):
+            parse_int(bad)
 
 
 def test_json_schema():
@@ -80,6 +109,10 @@ BAD_TERMS = [
     ({"coeff": "1", "exp": [0, 0, 0, 0]}, "bad exponent vector in term 1"),
     ({"coeff": "1"}, "bad exponent vector in term 1"),
     (["1", [0, 0, 0]], "bad term 1"),
+    # int() alone would read these three
+    ({"coeff": " 7 ", "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": "1_000", "exp": [0, 0, 0]}, "bad coefficient in term 1"),
+    ({"coeff": "\uff17", "exp": [0, 0, 0]}, "bad coefficient in term 1"),
 ]
 
 

@@ -23,6 +23,23 @@ def test_raising_check_is_graded_fail(monkeypatch):
     assert verify.exit_status([prefix, expansion]) == 1
 
 
+def _result(kind, status):
+    return verify.CheckResult("suite", "check", kind, status, "detail")
+
+
+def test_conjecture_soft_spares_only_conjecture_failures():
+    passed = _result(verify.THEOREM, verify.PASS)
+    conjecture = _result(verify.CONJECTURE, verify.FAIL)
+    theorem = _result(verify.THEOREM, verify.FAIL)
+    finding = _result(verify.CONJECTURE, verify.FINDING)
+    for soft in (False, True):
+        assert verify.exit_status([passed, theorem], conjecture_soft=soft) == 1
+        assert verify.exit_status([passed, finding], conjecture_soft=soft) == 0
+    assert verify.exit_status([passed, conjecture]) == 1
+    assert verify.exit_status([passed, conjecture], conjecture_soft=True) == 0
+    assert verify.exit_status([conjecture, theorem], conjecture_soft=True) == 1
+
+
 @pytest.mark.parametrize("exc", [TypeError("bug"), KeyError("bug")])
 def test_bare_errors_in_a_check_propagate(monkeypatch, exc):
     monkeypatch.setattr(shuffle, "zero_expansion_identity", _broken(exc))
