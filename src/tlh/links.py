@@ -43,7 +43,7 @@ from .poly import (
     Polynomial,
     _exp_vector,
 )
-from .serialize import parse_poly
+from .serialize import parse_int, parse_poly
 
 __all__ = [
     "UnknownLink",
@@ -148,7 +148,7 @@ def dataset_get(key: str) -> SuperPolyEntry:
         return SuperPolyEntry(key, maker(), _SOURCE)
     m = _TWO_STRAND.fullmatch(key)
     if m:
-        odd = int(m.group(1))
+        odd = parse_int(m.group(1))
         if odd >= 3 and odd % 2 == 1:
             return SuperPolyEntry(
                 key, two_strand_superpoly((odd - 1) // 2), _SOURCE

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .poly import UNIT, Exponents, FracPoly, Polynomial
 
@@ -61,18 +62,26 @@ _POWER = re.compile(r"([qat])(?:\^(?:([+-]?[0-9]+)|\(([+-]?[0-9]+)(?:/([0-9]+))?
 _TERM = re.compile(rf"{_WS}([+-]?){_WS}([0-9]*){_WS}((?:{_POWER.pattern}{_WS})*)")
 
 
-def parse_int(text: str) -> int:
+def parse_int(text: str, position: int = 0) -> int:
     """Read an integer from outside input: an optional sign, then ASCII digits.
 
     Blanks, underscores and non-ASCII digits, which ``int()`` would accept,
-    raise :class:`ParseError`.
+    raise :class:`ParseError`, and so do more digits than ``int()`` converts
+    (``sys.get_int_max_str_digits()``, 4300 by default).  ``position`` is
+    where ``text`` starts in the input.
     """
     if text.isascii() and text.lstrip("+-").isdigit():
         try:
             return int(text)
-        except ValueError:  # more than one sign
-            pass
-    raise ParseError(f"expected an integer, not {text!r}", 0)
+        except ValueError:  # more than one sign, or more digits than int() takes
+            digits = text.lstrip("+-")
+            if len(text) - len(digits) < 2:
+                raise ParseError(
+                    f"an integer of {len(digits)} digits, over the "
+                    f"{sys.get_int_max_str_digits()}-digit limit",
+                    position,
+                ) from None
+    raise ParseError(f"expected an integer, not {text!r}", position)
 
 
 def _parse_poly_text(s: str) -> Polynomial:
@@ -86,15 +95,16 @@ def _parse_poly_text(s: str) -> Polynomial:
         units = [0, 0, 0]
         for power in _POWER.finditer(s, term.start(3), term.end(3)):
             var, whole, num, den = power.groups()
-            den = int(den or 1)
+            den = parse_int(den, power.start(4)) if den else 1
             if not den:
                 raise ParseError("zero exponent denominator", power.start(4))
-            e, off = divmod(int(whole or num or 1) * UNIT, den)
+            top = whole or num
+            e, off = divmod((parse_int(top, power.start()) if top else 1) * UNIT, den)
             if off:
                 raise ParseError("exponent off the quarter lattice", power.end())
             units[_VARS.index(var)] += e
         key = tuple(units)
-        terms[key] = terms.get(key, 0) + int(sign + (digits or "1"))
+        terms[key] = terms.get(key, 0) + parse_int(sign + (digits or "1"), term.start(2))
         pos = term.end()
         if pos == len(s):
             return Polynomial(terms)  # drops the zero sums
@@ -205,14 +215,23 @@ def dumps(obj: Polynomial | FracPoly, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _json_loads(s: str):
+    try:
+        return json.loads(s)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+    except ValueError:  # a JSON integer with more digits than int() converts
+        raise ParseError(
+            f"invalid JSON: an integer over the {sys.get_int_max_str_digits()}-digit "
+            "limit", 0,
+        ) from None
+
+
 def parse_poly(s: str, fmt: str = "text") -> Polynomial:
     if fmt == "text":
         return _parse_poly_text(s)
     if fmt == "json":
-        try:
-            obj = json.loads(s)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+        obj = _json_loads(s)
         if isinstance(obj, dict) and obj.get("den"):
             raise ParseError("input is a fraction, not a polynomial", 0)
         return poly_from_obj(obj)
@@ -221,8 +240,4 @@ def parse_poly(s: str, fmt: str = "text") -> Polynomial:
 
 def parse_frac(s: str) -> FracPoly:
     """Parse a FracPoly from its JSON form (text form is write-only)."""
-    try:
-        obj = json.loads(s)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
-    return frac_from_obj(obj)
+    return frac_from_obj(_json_loads(s))

@@ -20,30 +20,47 @@ Python int with a signed field of w = 8 b bits per (q, a, t) slot, slot
 w ((i (n + 1) + j) T + k), with T = n(n - 1)/2 + 1 for the target length n.
 So q is the most significant field, and the steps are C-level big-int
 operations: ``P(v.1) = (p << ones(v) w) + (p << SA)`` and
-``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides,
-the latter reduced to the layout's K bits: ``r &= M; r -= F if r >= H``
-with M = 2^K - 1, F = 2^K and H = 2^(K - 1), once r has left them.
+``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides.
 
-Exactness rule.  The layout is fixed before any step from a-priori bounds
+A memo-less :func:`full_twist_series` steps instead on the series
+f(v) = P(v) / (1 - q)^#0(v), whose recursion has no subtraction:
+
+    f(v.1)  =  (t^ones(v) + a) * f(v)
+    f(v.0)  =  q * f(0 v)  +  f(1 v)          (v.0 not all zeroes)
+    f(0^m)  =  f(1 0^(m-1)) / (1 - q)
+
+on unsigned fields of the same geometry holding q-rows 0..qmax:
+``f(v.0) = (p1 + (p0 << SQ)) & M``, M = 2^K - 1 keeping the layout's K
+bits, and f(0^m) the prefix sum over q-rows, ``r = (r + (r << s SQ)) & M``
+for s = 1, 2, 4, ... <= qmax.  Every step is ring-linear with non-negative
+q-shifts (the a- and t-shifts stay inside a q-row), so the rows up to qmax
+stay exact when the rows above are dropped, and f(0^n) cut at q^qmax is the
+truncated series itself.
+
+Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; deg_t <=
 |v|(|v| - 1)/2, since v.1 adds ones(v) <= |v| and the other rules keep the
-length; deg_q grows by one per v.0 step; and the L1 norm obeys
+length.  For P, deg_q grows by one per v.0 step, and the L1 norm obeys
 |P(v.1)| <= 2 |P(v)| and |P(v.0)| <= |P(0 v)| + 2 |P(1 v)|.  Every bound
-only grows toward the target, so the target's layout holds every key of its
-closure, and b is the fewest bytes that hold the target's L1 bound plus a
-sign: no field can overflow, and nothing is guessed.  The layout holds
-q-rows 0..dq, dq being the target's q-degree bound, and then the reduction
-of the v.0 step is the identity.  A memo-less :func:`full_twist_series`
-cuts dq at its qmax instead: every step is ring-linear with non-negative
-q-shifts (the a- and t-shifts stay inside a q-row), so the rows up to the
-cut stay exact when each v.0 step drops the rows above it, and the series
-up to q^qmax reads no other row.  Such cut values never reach a memo.
+only grows toward the target, so the target's layout, q-rows 0..dq with dq
+its q-degree bound, holds every key of its closure, and b is the fewest
+bytes that hold the target's L1 bound plus a sign.  For f, every
+multiplier has non-negative coefficients, so every coefficient is at most
+its q-row's mass S_v(d), f(v) at a = t = 1 in row d, and S obeys the same
+recursion on lists of qmax + 1 ints: S(v.1) = 2 S(v), S(v.0)(d) =
+S(0 v)(d - 1) + S(1 v)(d), S(0^m) the prefix sums of S(1 0^(m-1)).  b is
+the fewest bytes that hold the largest S_v(d) over the closure plus one
+bit, which keeps every field's top bit clear.  The bound holds for every
+intermediate field as well: the v.0 step's unmasked top row is a row of
+f(0 v), and each window of the doubling prefix sum is at most the whole
+prefix sum.  No term is negative, so no field carries into the next.  So
+no field can overflow, and nothing is guessed.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only at
 the boundaries: an insertion into a caller's memo, and the return value.
 Before any step the run's peak packed working set is estimated from the
-closure alone, and a run whose estimate exceeds physical memory fails with
-:class:`MemoryBudgetExceeded`; so does a closure walk whose own state
-outgrows physical memory, as soon as it does.
+closure alone (:func:`_working_set`), and a run whose estimate exceeds
+physical memory fails with :class:`MemoryBudgetExceeded`; so does a
+closure walk whose own state outgrows physical memory, as soon as it does.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -79,7 +96,7 @@ import os
 import sys
 import threading
 from array import array
-from itertools import compress, product, repeat
+from itertools import accumulate, compress, product, repeat
 from math import comb
 from operator import add, lshift
 from typing import Callable
@@ -270,6 +287,21 @@ def _peak_live(needs: dict, users: dict) -> int:
     return peak
 
 
+def _working_set(needs: dict, users: dict, value_bytes: int) -> int:
+    """Estimated peak bytes of a packed run over ``needs``.
+
+    Its live values (:func:`_peak_live`) and two values of step
+    temporaries, with the heap's holes between them, plus the closure
+    walk's own state.  The malloc heap leaves holes where a freed value is
+    too small for the next one: the f-route's peak RSS growth measured
+    1.19 times its live bytes at |v| = 13..15 (Python 3.11, glibc), and
+    1.0 times with every value in its own mmap, so values count a quarter
+    more.
+    """
+    live = _peak_live(needs, users) + 2
+    return live * value_bytes * 5 // 4 + len(needs) * _WALK_BYTES_PER_KEY
+
+
 def _memory_budget() -> int:
     """Physical memory in bytes."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -299,7 +331,7 @@ def _evaluate(
     hits = {} if memo is None else memo
     needs, users = plan or _plan(key, hits, deps)
     if value_bytes:
-        need = _peak_live(needs, users) * value_bytes
+        need = _working_set(needs, users, value_bytes)
         budget = _memory_budget()
         if need > budget:
             raise MemoryBudgetExceeded(
@@ -418,8 +450,9 @@ def _slot_table(n: int, fields: int) -> tuple[list[Exponents], dict[Exponents, i
 class _Layout:
     """The packed-integer layout of one run (see the module docstring)."""
 
-    def __init__(self, n: int, dq: int, l1: int):
-        b = self.b = (l1.bit_length() + 8) // 8  # l1 plus a sign bit, in bytes
+    def __init__(self, n: int, dq: int, bound: int):
+        # the largest |coefficient| plus a sign bit, in bytes
+        b = self.b = (bound.bit_length() + 8) // 8
         w = self.w = 8 * b
         nt = comb(n, 2) + 1
         self.sa = w * nt
@@ -433,12 +466,6 @@ class _Layout:
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
         self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
         self.limbs = _limbs(b)
-        # a v.0 step is reduced to the signed K-bit value, K = 8 nbytes; a
-        # value inside (r >> (K - 1) is 0 or -1) is that value already
-        self.sign = 8 * self.nbytes - 1
-        self.full = 1 << 8 * self.nbytes
-        self.half = self.full >> 1
-        self.mask = self.full - 1
         self.exps, self.slot_of = _slot_table(n, self.fields)
 
     def step(self, key: str, work: dict) -> int:
@@ -452,12 +479,7 @@ class _Layout:
             return work["1" + key[1:]]
         body = key[:-1]
         p1 = work["1" + body]
-        r = p1 + ((work["0" + body] - p1) << self.sq)
-        if r >> self.sign not in (0, -1):  # r left the layout's K bits
-            r &= self.mask
-            if r >= self.half:
-                r -= self.full
-        return r
+        return p1 + ((work["0" + body] - p1) << self.sq)
 
     def slots(self, key: str, p: Polynomial, l1: int) -> list[int]:
         """The slots of cache entry ``p``, checked against ``key``'s bounds."""
@@ -501,6 +523,58 @@ class _Layout:
         )
 
 
+class _SeriesLayout(_Layout):
+    """The layout of f(v) = P(v) / (1 - q)^#0(v), cut at q-row qmax.
+
+    Its fields are unsigned, sized by :func:`_row_mass_bound`, and every
+    step that shifts q keeps the layout's K bits (see the module docstring).
+    """
+
+    def __init__(self, n: int, qmax: int, bound: int):
+        super().__init__(n, qmax, bound)
+        self.mask = (1 << 8 * self.nbytes) - 1
+        # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
+        self.strides = [self.sq << k for k in range(qmax.bit_length())]
+
+    def step(self, key: str, work: dict) -> int:
+        if not key.endswith("0"):
+            return super().step(key, work)
+        if "1" not in key:  # f(0^m) = f(1 0^(m-1)) / (1 - q)
+            r = work["1" + key[1:]]
+            for stride in self.strides:
+                r = (r + (r << stride)) & self.mask
+            return r
+        body = key[:-1]
+        return (work["1" + body] + (work["0" + body] << self.sq)) & self.mask
+
+
+def _row_mass_bound(key: str, plan: tuple[dict, dict], qmax: int) -> int:
+    """The largest row mass S_v(d), d <= qmax, over the keys of ``plan``.
+
+    S_v(d), f(v) at a = t = 1 in q-row d, is stepped like f on lists of
+    qmax + 1 ints over ``plan`` (a ``_plan`` of ``key``, left unconsumed).
+    """
+    top = 1
+
+    def step(k: str, work: dict) -> list[int]:
+        nonlocal top
+        if not k:
+            return [1] + [0] * qmax
+        if k.endswith("1"):
+            s = [2 * x for x in work[k[:-1]]]
+        elif "1" not in k:
+            s = list(accumulate(work["1" + k[1:]]))
+        else:
+            body = k[:-1]
+            s = list(map(add, [0, *work["0" + body][:-1]], work["1" + body]))
+        top = max(top, *s)
+        return s
+
+    needs, users = plan
+    _evaluate(key, None, _poly_deps, step, plan=(needs, dict(users)))
+    return top
+
+
 def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
     """The normalized Poincare polynomial of a shuffle sequence.
 
@@ -516,20 +590,17 @@ def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
     return _packed_poly(key, memo)
 
 
-def _packed_poly(
-    key: str, memo: MemoTable | None = None, qmax: int | None = None
-) -> Polynomial:
+def _packed_poly(key: str, memo: MemoTable | None = None) -> Polynomial:
     """P(key), stepping its whole closure on one packed layout.
 
     ``memo`` is a sink, never a source: it receives the value of each key it
     lacks and no entry of it is read, so a hit deep in the closure does not
     shorten the walk (a memo holding 0^12, asked for 0^12 1, steps the
-    closure of 0^12 again).  ``qmax`` (memo-less only) cuts the layout at
-    q-row qmax: the result is exact up to q^qmax and holds no term above.
+    closure of 0^12 again).
     """
     plan = _plan(key, {}, _poly_deps)
     dq, l1 = _fill_bounds(plan[0], {})[key]
-    layout = _Layout(len(key), dq if qmax is None else min(dq, qmax), l1)
+    layout = _Layout(len(key), dq, l1)
     return _evaluate(
         key,
         memo,
@@ -659,16 +730,28 @@ def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
 def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polynomial:
     """Truncated homology series of the n-strand full twist closure.
 
-    Without ``memo`` the recursion itself stops at q^qmax; a memo receives
-    every key's whole polynomial.
+    Without ``memo`` the recursion steps on the series f itself, cut at
+    q^qmax (:class:`_SeriesLayout`); a memo receives every key's whole
+    polynomial.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
+    key = "0" * n
     if memo is not None:
-        return poincare_series("0" * n, memo).series(qmax)
-    return FracPoly(_packed_poly("0" * n, qmax=qmax), [ONE_MINUS_Q] * n).series(qmax)
+        return poincare_series(key, memo).series(qmax)
+    plan = _plan(key, {}, _poly_deps)
+    layout = _SeriesLayout(n, qmax, _row_mass_bound(key, plan, qmax))
+    return _evaluate(
+        key,
+        None,
+        _poly_deps,
+        layout.step,
+        store=layout.unpack,
+        value_bytes=layout.value_bytes,
+        plan=plan,
+    )
 
 
 # ---------------------------------------------------------------------------

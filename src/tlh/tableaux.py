@@ -33,6 +33,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .poly import ONE, UNIT, A, FracPoly, Polynomial
+from .serialize import parse_int
 
 __all__ = [
     "NotInnerCorner",
@@ -81,10 +82,11 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
+        """Row lengths separated by commas, each read by :func:`parse_int`."""
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(part) for part in text.split(",")))
+        return cls(tuple(map(parse_int, text.split(","))))
 
     @property
     def size(self) -> int:

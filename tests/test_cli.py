@@ -65,7 +65,7 @@ def test_fulltwist(capsys):
 
 
 def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
-    # about 2.8 MiB of working values at qmax 10, the closure walk fits
+    # an estimate of about 3.4 MiB at qmax 10, the closure walk fits
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 2 ** 20)
     code, out, err = run_cli(capsys, "fulltwist", "--n", "9")
     assert code == 1
@@ -182,6 +182,13 @@ def test_dataset_key_digits_are_ascii(capsys, key):
     assert code == 1
     assert out == ""
     assert "UnknownLink" in err
+
+
+def test_dataset_key_over_the_digit_limit_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "dataset", "--get", f"T(2,{'1' * 5000})")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: an integer of 5000 digits")
 
 
 def test_conjecture_soft_reaches_the_exit_status(capsys, monkeypatch):
@@ -388,6 +395,15 @@ def test_largest_fulltwist_stdout_matches_reference(capsys):
     digests = _reference_digests(lambda argv: argv == "fulltwist --n 11 --qmax 10".split())
     assert len(digests) == 1
     _check_digests(capsys, digests)
+
+
+def test_fulltwist_13_stdout_is_pinned(capsys):
+    # 5-byte fields on the series route; the digest was taken on the
+    # whole-polynomial route that it replaced
+    code, out, _ = run_cli(capsys, "fulltwist", "--n", "13", "--qmax", "10")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4e6cc5842edcd76827d06958298e019875c51b641f3831230ba1516002d17ed3"
 
 
 def _hhh0_small(argv):

@@ -61,6 +61,28 @@ def test_parse_int_takes_a_sign_and_ascii_digits_only():
             parse_int(bad)
 
 
+def test_text_integer_over_the_digit_limit_is_a_parse_error():
+    assert parse_poly("1" * 4300 + " q") == int("1" * 4300) * Q
+    for bad, position in [
+        ("1" * 5000 + " q", 0),
+        ("q + " + "2" * 5000, 4),
+        ("q^" + "3" * 5000, 0),
+        ("a - t^(1/" + "4" * 5000 + ")", 9),
+    ]:
+        with pytest.raises(ParseError, match="over the 4300-digit limit") as err:
+            parse_poly(bad)
+        assert err.value.position == position
+
+
+def test_json_integer_over_the_digit_limit_is_a_parse_error():
+    obj = json.loads(dumps(ONE + A, "json"))
+    obj["terms"][1]["coeff"] = 0
+    text = json.dumps(obj).replace('"coeff": 0', '"coeff": ' + "7" * 5000)
+    for parse in (lambda s: parse_poly(s, "json"), parse_frac):
+        with pytest.raises(ParseError, match="over the 4300-digit limit"):
+            parse(text)
+
+
 def test_json_schema():
     p = monomial(2, q=1) + monomial(-1, a=Fraction(1, 2))
     obj = json.loads(dumps(p, "json"))

@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from tlh import shuffle
+from tlh import closed_form, shuffle
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
 from tlh.serialize import ParseError, dumps, parse_poly, poly_to_obj
 from tlh.shuffle import (
@@ -255,17 +257,54 @@ def _zeros_dq(n):
     return shuffle._poly_bounds("0" * n, {})[0]
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_truncated_full_twist_matches_whole_series(n):
-    whole = poincare_poly("0" * n)
-    series = poincare_series("0" * n)
+    # the series route against whole P(0^n), through a memo up to n = 9; a
+    # memo of every key's whole polynomial holds about 1.7 GB at n = 12
+    series = poincare_series("0" * n, MemoTable() if n <= 9 else None)
     dq = _zeros_dq(n)
-    for qmax in sorted({0, 1, 5, dq - 1, dq, dq + 3} - {-1}):
-        cut = shuffle._packed_poly("0" * n, qmax=qmax)
-        assert cut == Polynomial(
-            {e: c for e, c in whole.units().items() if e[0] <= qmax * UNIT}
-        ), qmax
+    qmaxes = {0, 1, 5, 10, dq - 1, dq, dq + 3, 40} - {-1} if n <= 9 else {10}
+    for qmax in sorted(qmaxes):
         assert full_twist_series(n, qmax) == series.series(qmax), qmax
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_series_route_a_free_part_matches_closed_form(n):
+    for qmax in (5, 10) if n <= 7 else (5,):
+        got = full_twist_series(n, qmax).coefficient_of_a(0)
+        assert got == closed_form.hochschild_zero_series(n, qmax), qmax
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_mass_bound_holds_every_key(n):
+    key = "0" * n
+    plan = shuffle._plan(key, {}, shuffle._poly_deps)
+    whole = MemoTable()
+    if n <= 7:
+        poincare_poly(key, whole)
+    for qmax in (0, 3, 10):
+        bound = shuffle._row_mass_bound(key, plan, qmax)
+        layout = shuffle._SeriesLayout(n, qmax, bound)
+        # the fewest bytes that hold the bound with the top bit clear
+        assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
+        values = MemoTable()
+        shuffle._evaluate(
+            key, values, shuffle._poly_deps, layout.step,
+            store=layout.unpack, plan=(plan[0], dict(plan[1])),
+        )
+        assert values.keys() == plan[0].keys()
+        masses = []
+        for k, value in values.items():
+            if whole:  # every key holds its own f(k) = P(k) / (1 - q)^#0(k)
+                want = FracPoly(whole[k], [ONE_MINUS_Q] * k.count("0"))
+                assert value == want.series(qmax), (k, qmax)
+            assert max(value.units().values()) <= bound
+            rows = [0] * (qmax + 1)
+            for e, c in value.units().items():
+                rows[e[0] // UNIT] += c
+            masses += rows
+        # the bound is the largest row mass, not just above it
+        assert bound == max(masses), qmax
 
 
 def test_full_twist_memo_holds_whole_polynomials():
@@ -451,6 +490,44 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     layout = shuffle._Layout(13, *shuffle._poly_bounds("0" * 13, {}))
     assert shuffle._peak_live(needs, users) == 2061
     assert shuffle._peak_live(needs, users) * layout.value_bytes < 2 * 2 ** 30
+
+
+# Run in a fresh interpreter: each packed run's memory estimate, then the
+# growth of the process's peak RSS over the run (ru_maxrss is in kB on Linux).
+# ru_maxrss survives exec, so an interpreter spawned by a large process
+# starts at its parent's peak; a fork of the fresh interpreter starts afresh.
+_GROWTH_PROBE = """
+import contextlib, io, os, resource, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+from tlh import cli, shuffle
+estimates = []
+working_set = shuffle._working_set
+shuffle._working_set = lambda *args: estimates.append(working_set(*args)) or estimates[-1]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if sys.argv[1] == "fulltwist":
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fulltwist", "--n", sys.argv[2], "--qmax", "10"]) == 0
+else:
+    shuffle.poincare_poly("0" * int(sys.argv[2]))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(*estimates, (after - before) * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+@pytest.mark.parametrize(
+    "route, n",
+    [("fulltwist", n) for n in range(9, 14)] + [("poly", n) for n in range(8, 12)],
+)
+def test_memory_estimate_covers_the_peak_rss_growth(route, n):
+    src = os.path.dirname(os.path.dirname(shuffle.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GROWTH_PROBE, route, str(n)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    estimate, grown = map(int, proc.stdout.split())
+    assert estimate >= grown > 0
 
 
 def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from tlh.poly import A, ONE, Q, T, UNIT, FracPoly, monomial
+from tlh.serialize import ParseError
 from tlh.shuffle import poincare_poly
 from tlh.tableaux import (
     Box,
@@ -60,6 +61,10 @@ def test_partition_basics():
     assert Partition((3,)).transpose() == Partition((1, 1, 1))
     assert Partition.parse("3,1,1") == p
     assert Partition.parse("") == Partition(())
+    # each part is an ASCII integer, as everywhere in outside input
+    for bad in ("\u0663,1", " 1_0 , 3 ", "3, 1", "3,,1"):
+        with pytest.raises(ParseError):
+            Partition.parse(bad)
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
