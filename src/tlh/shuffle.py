@@ -22,8 +22,9 @@ So q is the most significant field, and the steps are C-level big-int
 operations: ``P(v.1) = (p << ones(v) w) + (p << SA)`` and
 ``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides.
 
-A memo-less :func:`full_twist_series` steps instead on the series
-f(v) = P(v) / (1 - q)^#0(v), whose recursion has no subtraction:
+A memo-less :func:`full_twist_series` with qmax below the q-degree bound dq
+of P(0^n) may step instead on the series f(v) = P(v) / (1 - q)^#0(v),
+whose recursion has no subtraction:
 
     f(v.1)  =  (t^ones(v) + a) * f(v)
     f(v.0)  =  q * f(0 v)  +  f(1 v)          (v.0 not all zeroes)
@@ -35,7 +36,11 @@ bits, and f(0^m) the prefix sum over q-rows, ``r = (r + (r << s SQ)) & M``
 for s = 1, 2, 4, ... <= qmax.  Every step is ring-linear with non-negative
 q-shifts (the a- and t-shifts stay inside a q-row), so the rows up to qmax
 stay exact when the rows above are dropped, and f(0^n) cut at q^qmax is the
-truncated series itself.
+truncated series itself.  But every f value fills all qmax + 1 q-rows, in
+fields that widen with qmax, where a packed P(v) stops at its own q-degree
+bound; so the f route is taken only when it steps fewer bytes in all and
+holds no more at once (:func:`_series_pays`).  Otherwise P(0^n) is stepped
+whole and expanded over (1 - q)^n, and no qmax costs more than that.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; deg_t <=
@@ -47,18 +52,19 @@ its q-degree bound, holds every key of its closure, and b is the fewest
 bytes that hold the target's L1 bound plus a sign.  For f, every
 multiplier has non-negative coefficients, so every coefficient is at most
 its q-row's mass S_v(d), f(v) at a = t = 1 in row d, and S obeys the same
-recursion on lists of qmax + 1 ints: S(v.1) = 2 S(v), S(v.0)(d) =
-S(0 v)(d - 1) + S(1 v)(d), S(0^m) the prefix sums of S(1 0^(m-1)).  b is
-the fewest bytes that hold the largest S_v(d) over the closure plus one
-bit, which keeps every field's top bit clear.  The bound holds for every
-intermediate field as well: the v.0 step's unmasked top row is a row of
-f(0 v), and each window of the doubling prefix sum is at most the whole
+recursion with one field per q-row: S(v.1) = 2 S(v), S(v.0)(d) =
+S(0 v)(d - 1) + S(1 v)(d), S(0^m) the prefix sums of S(1 0^(m-1))
+(:func:`_row_mass_bound`, a pass of its own, estimated like any other).
+b is the fewest bytes that hold the largest S_v(d) over the closure plus
+one bit, which keeps every field's top bit clear.  The bound holds for
+every intermediate field as well: the v.0 step's unmasked top row is a row
+of f(0 v), and each window of the doubling prefix sum is at most the whole
 prefix sum.  No term is negative, so no field carries into the next.  So
 no field can overflow, and nothing is guessed.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only at
 the boundaries: an insertion into a caller's memo, and the return value.
-Before any step the run's peak packed working set is estimated from the
-closure alone (:func:`_working_set`), and a run whose estimate exceeds
+Before any step of a pass its peak packed working set is estimated from
+the closure alone (:func:`_working_set`), and a pass whose estimate exceeds
 physical memory fails with :class:`MemoryBudgetExceeded`; so does a
 closure walk whose own state outgrows physical memory, as soon as it does.
 
@@ -96,7 +102,7 @@ import os
 import sys
 import threading
 from array import array
-from itertools import accumulate, compress, product, repeat
+from itertools import compress, product, repeat
 from math import comb
 from operator import add, lshift
 from typing import Callable
@@ -274,16 +280,22 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
     return needs, users
 
 
-def _peak_live(needs: dict, users: dict) -> int:
-    """Most values alive at once as ``_evaluate`` steps ``needs`` (no hits)."""
+def _peak_live(needs: dict, users: dict, size: dict | None = None) -> int:
+    """Most values alive at once as ``_evaluate`` steps ``needs`` (no hits).
+
+    With ``size``, the most bytes alive at once, key k's value holding
+    ``size[k]`` of them.
+    """
     left = dict(users)
     live = peak = 0
-    for ds in needs.values():
-        live += 1
-        peak = max(peak, live)
+    for k, ds in needs.items():
+        live += size[k] if size else 1
+        if live > peak:
+            peak = live
         for d in ds:
             left[d] -= 1
-            live -= not left[d]
+            if not left[d]:
+                live -= size[d] if size else 1
     return peak
 
 
@@ -295,11 +307,12 @@ def _working_set(needs: dict, users: dict, value_bytes: int) -> int:
     walk's own state.  The malloc heap leaves holes where a freed value is
     too small for the next one: the f-route's peak RSS growth measured
     1.19 times its live bytes at |v| = 13..15 (Python 3.11, glibc), and
-    1.0 times with every value in its own mmap, so values count a quarter
-    more.
+    1.0 times with every value in its own mmap.  Values count half again,
+    which keeps the estimate 1.2 times above that growth or more at
+    |v| = 9..13 on Python 3.10, 3.11 and 3.12.
     """
     live = _peak_live(needs, users) + 2
-    return live * value_bytes * 5 // 4 + len(needs) * _WALK_BYTES_PER_KEY
+    return live * value_bytes * 3 // 2 + len(needs) * _WALK_BYTES_PER_KEY
 
 
 def _memory_budget() -> int:
@@ -447,12 +460,16 @@ def _slot_table(n: int, fields: int) -> tuple[list[Exponents], dict[Exponents, i
     return table
 
 
+def _field_bytes(bound: int) -> int:
+    """The bytes of a field that holds ``bound`` plus a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
 class _Layout:
     """The packed-integer layout of one run (see the module docstring)."""
 
     def __init__(self, n: int, dq: int, bound: int):
-        # the largest |coefficient| plus a sign bit, in bytes
-        b = self.b = (bound.bit_length() + 8) // 8
+        b = self.b = _field_bytes(bound)
         w = self.w = 8 * b
         nt = comb(n, 2) + 1
         self.sa = w * nt
@@ -548,31 +565,71 @@ class _SeriesLayout(_Layout):
         return (work["1" + body] + (work["0" + body] << self.sq)) & self.mask
 
 
-def _row_mass_bound(key: str, plan: tuple[dict, dict], qmax: int) -> int:
-    """The largest row mass S_v(d), d <= qmax, over the keys of ``plan``.
+def _row_mass_bound(key: str, plan: tuple[dict, dict], qmax: int, l1: int) -> int:
+    """A bound on every row mass S_v(d), d <= qmax, over the keys of ``plan``.
 
-    S_v(d), f(v) at a = t = 1 in q-row d, is stepped like f on lists of
-    qmax + 1 ints over ``plan`` (a ``_plan`` of ``key``, left unconsumed).
+    S_v(d), f(v) at a = t = 1 in q-row d, is stepped like f over ``plan`` (a
+    ``_plan`` of ``key``, left unconsumed), packed with one unsigned field
+    per q-row: S(v.1) = 2 S(v), and the v.0 and 0^m steps of
+    :class:`_SeriesLayout` with a q-stride of one field.  A field holds
+    l1 C(qmax + |key|, |key|), l1 the L1 bound of P(key), and so every
+    S_v(d): that is at most |P(v)| times the largest coefficient of
+    (1 - q)^-#0(v) up to q^qmax.  The OR of all values holds in each field
+    the bit length of that row's largest mass, so the result, the largest
+    int of the largest mass's bit length, is as tight as a field width can
+    be.
     """
-    top = 1
+    n = len(key)
+    b = ((l1 * comb(qmax + n, n)).bit_length() + 7) // 8
+    w = 8 * b
+    mask = (1 << w * (qmax + 1)) - 1
+    strides = [w << k for k in range(qmax.bit_length())]
+    seen = 0
 
-    def step(k: str, work: dict) -> list[int]:
-        nonlocal top
+    def step(k: str, work: dict) -> int:
+        nonlocal seen
         if not k:
-            return [1] + [0] * qmax
-        if k.endswith("1"):
-            s = [2 * x for x in work[k[:-1]]]
+            s = 1
+        elif k.endswith("1"):
+            s = work[k[:-1]] << 1
         elif "1" not in k:
-            s = list(accumulate(work["1" + k[1:]]))
+            s = work["1" + k[1:]]
+            for stride in strides:
+                s = (s + (s << stride)) & mask
         else:
             body = k[:-1]
-            s = list(map(add, [0, *work["0" + body][:-1]], work["1" + body]))
-        top = max(top, *s)
+            s = (work["1" + body] + (work["0" + body] << w)) & mask
+        seen |= s
         return s
 
     needs, users = plan
-    _evaluate(key, None, _poly_deps, step, plan=(needs, dict(users)))
-    return top
+    value_bytes = (qmax + 1) * b * 16 // 15
+    plan = (needs, dict(users))
+    _evaluate(key, None, _poly_deps, step, value_bytes=value_bytes, plan=plan)
+    raw = seen.to_bytes((qmax + 1) * b, "little")
+    top = max(int.from_bytes(raw[i : i + b], "little") for i in range(0, len(raw), b))
+    return (1 << top.bit_length()) - 1
+
+
+def _series_pays(
+    key: str, plan: tuple[dict, dict], bounds: dict, qmax: int, mass: int
+) -> bool:
+    """Whether f(key) cut at q^qmax steps fewer bytes than P(key), holding no more.
+
+    Both layouts have the same fields per q-row, so sizes count q-rows
+    times field bytes.  An f value fills all qmax + 1 q-rows, in fields
+    that hold the row-mass bound ``mass``; a packed P(k) stops at its own
+    q-degree bound in ``bounds``, in fields of the target's L1 bound.  The
+    total tracks the step time: over n = 10..12 and qmax 5..40 the ratio of
+    the two routes' step times was 0.75 to 1.5 times that of their totals.
+    """
+    needs, users = plan
+    b = _field_bytes(bounds[key][1])
+    size = {k: (bounds[k][0] + 1) * b for k in needs}
+    f = (qmax + 1) * _field_bytes(mass)
+    return len(needs) * f < sum(size.values()) and (
+        _peak_live(needs, users) * f <= _peak_live(needs, users, size)
+    )
 
 
 def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
@@ -600,7 +657,11 @@ def _packed_poly(key: str, memo: MemoTable | None = None) -> Polynomial:
     """
     plan = _plan(key, {}, _poly_deps)
     dq, l1 = _fill_bounds(plan[0], {})[key]
-    layout = _Layout(len(key), dq, l1)
+    return _step_packed(key, memo, _Layout(len(key), dq, l1), plan)
+
+
+def _step_packed(key: str, memo: MemoTable | None, layout: _Layout, plan: tuple):
+    """The value of ``key`` on ``layout``, stepping ``plan`` (consumed)."""
     return _evaluate(
         key,
         memo,
@@ -730,9 +791,11 @@ def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
 def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polynomial:
     """Truncated homology series of the n-strand full twist closure.
 
-    Without ``memo`` the recursion steps on the series f itself, cut at
-    q^qmax (:class:`_SeriesLayout`); a memo receives every key's whole
-    polynomial.
+    Without ``memo``, and with qmax below the q-degree bound of P(0^n), the
+    recursion steps on the series f itself, cut at q^qmax
+    (:class:`_SeriesLayout`), when that steps fewer bytes and holds no more
+    (:func:`_series_pays`).  Otherwise it steps the whole polynomial and
+    expands it over (1 - q)^n; a memo receives every key's whole polynomial.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -742,16 +805,14 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     if memo is not None:
         return poincare_series(key, memo).series(qmax)
     plan = _plan(key, {}, _poly_deps)
-    layout = _SeriesLayout(n, qmax, _row_mass_bound(key, plan, qmax))
-    return _evaluate(
-        key,
-        None,
-        _poly_deps,
-        layout.step,
-        store=layout.unpack,
-        value_bytes=layout.value_bytes,
-        plan=plan,
-    )
+    bounds = _fill_bounds(plan[0], {})
+    dq, l1 = bounds[key]
+    if qmax < dq:
+        mass = _row_mass_bound(key, plan, qmax, l1)
+        if _series_pays(key, plan, bounds, qmax, mass):
+            return _step_packed(key, None, _SeriesLayout(n, qmax, mass), plan)
+    num = _step_packed(key, None, _Layout(n, dq, l1), plan)
+    return FracPoly(num, [ONE_MINUS_Q] * n).series(qmax)
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def test_truncated_full_twist_matches_whole_series(n):
     # memo of every key's whole polynomial holds about 1.7 GB at n = 12
     series = poincare_series("0" * n, MemoTable() if n <= 9 else None)
     dq = _zeros_dq(n)
-    qmaxes = {0, 1, 5, 10, dq - 1, dq, dq + 3, 40} - {-1} if n <= 9 else {10}
+    qmaxes = {0, 1, 5, 10, dq - 1, dq, dq + 3, 40, 200} - {-1} if n <= 9 else {10}
     for qmax in sorted(qmaxes):
         assert full_twist_series(n, qmax) == series.series(qmax), qmax
 
@@ -282,8 +282,9 @@ def test_row_mass_bound_holds_every_key(n):
     whole = MemoTable()
     if n <= 7:
         poincare_poly(key, whole)
+    l1 = shuffle._fill_bounds(plan[0], {})[key][1]
     for qmax in (0, 3, 10):
-        bound = shuffle._row_mass_bound(key, plan, qmax)
+        bound = shuffle._row_mass_bound(key, plan, qmax, l1)
         layout = shuffle._SeriesLayout(n, qmax, bound)
         # the fewest bytes that hold the bound with the top bit clear
         assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
@@ -303,8 +304,40 @@ def test_row_mass_bound_holds_every_key(n):
             for e, c in value.units().items():
                 rows[e[0] // UNIT] += c
             masses += rows
-        # the bound is the largest row mass, not just above it
-        assert bound == max(masses), qmax
+        # the bound has the largest row mass's bit length, not more
+        assert bound.bit_length() == max(masses).bit_length(), qmax
+
+
+@pytest.mark.parametrize(
+    "n, qmax, route",
+    [(8, 3, "series"), (8, 10, "whole"), (11, 10, "series"), (11, 20, "whole")]
+    + [(n, qmax, "whole") for n in (1, 4, 8) for qmax in (_zeros_dq(n), 1000)],
+)
+def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
+    # the series route fills qmax + 1 q-rows on every key, so it loses once
+    # qmax nears the q-degree bound; from the bound on it is never tried
+    layouts, passes = [], []
+    step_packed, evaluate = shuffle._step_packed, shuffle._evaluate
+
+    def spy_step_packed(key, memo, layout, plan):
+        layouts.append(type(layout))
+        return step_packed(key, memo, layout, plan)
+
+    def spy_evaluate(*args, **kwargs):
+        passes.append(kwargs.get("value_bytes", 0))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "_step_packed", spy_step_packed)
+    monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
+    want = poincare_series("0" * n).series(qmax)
+    layouts.clear()
+    passes.clear()
+    assert full_twist_series(n, qmax) == want
+    series = route == "series"
+    assert layouts == [shuffle._SeriesLayout if series else shuffle._Layout]
+    # every pass, the row masses' too, is estimated before it steps
+    assert all(passes)
+    assert len(passes) == (2 if qmax < _zeros_dq(n) else 1)
 
 
 def test_full_twist_memo_holds_whole_polynomials():
@@ -511,7 +544,8 @@ if sys.argv[1] == "fulltwist":
 else:
     shuffle.poincare_poly("0" * int(sys.argv[2]))
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(*estimates, (after - before) * (1 if sys.platform == "darwin" else 1024))
+# the passes of one run are sequential, so the largest estimate is its peak
+print(max(estimates), (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
 
