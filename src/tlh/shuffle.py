@@ -51,16 +51,17 @@ only grows toward the target, so the target's layout, q-rows 0..dq with dq
 its q-degree bound, holds every key of its closure, and b is the fewest
 bytes that hold the target's L1 bound plus a sign.  For f, every
 multiplier has non-negative coefficients, so every coefficient is at most
-its q-row's mass S_v(d), f(v) at a = t = 1 in row d, and S obeys the same
-recursion with one field per q-row: S(v.1) = 2 S(v), S(v.0)(d) =
-S(0 v)(d - 1) + S(1 v)(d), S(0^m) the prefix sums of S(1 0^(m-1))
-(:func:`_row_mass_bound`, a pass of its own, estimated like any other).
-b is the fewest bytes that hold the largest S_v(d) over the closure plus
-one bit, which keeps every field's top bit clear.  The bound holds for
-every intermediate field as well: the v.0 step's unmasked top row is a row
-of f(0 v), and each window of the doubling prefix sum is at most the whole
-prefix sum.  No term is negative, so no field carries into the next.  So
-no field can overflow, and nothing is guessed.
+its q-row's mass, f(v) at a = t = 1 in that row.  There P(v.1) = 2 P(v),
+P(0^m) = P(1 0^(m-1)) and P(v.0) = P(1 v) + q (P(0 v) - P(1 v)), so by
+induction P(v) = 2^|v| and f(v) = 2^|v| / (1 - q)^z, z = #0(v): row d
+holds 2^|v| C(d + z - 1, z - 1) (z = 0: 2^|v| in row 0 alone), growing
+with |v|, z and d.  Over the closure of 0^n up to row qmax no mass
+exceeds 2^n C(qmax + n - 1, n - 1), the target's own in row qmax, and b
+is the fewest bytes that hold it plus one bit, which keeps every field's
+top bit clear.  The bound holds for every intermediate field as well: the
+v.0 step's unmasked top row is a row of f(0 v), and each window of the
+doubling prefix sum is at most the whole prefix sum.  No term is negative,
+so no field carries into the next, and none can overflow: nothing is guessed.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only at
 the boundaries: an insertion into a caller's memo, and the return value.
 Before any step of a pass its peak packed working set is estimated from
@@ -117,7 +118,7 @@ from .poly import (
     Polynomial,
     _exp_vector,
 )
-from .serialize import ParseError, poly_from_obj, poly_to_obj
+from .serialize import ParseError, _json_loads, poly_from_obj, poly_to_obj
 
 __all__ = [
     "IncompatiblePair",
@@ -543,8 +544,8 @@ class _Layout:
 class _SeriesLayout(_Layout):
     """The layout of f(v) = P(v) / (1 - q)^#0(v), cut at q-row qmax.
 
-    Its fields are unsigned, sized by :func:`_row_mass_bound`, and every
-    step that shifts q keeps the layout's K bits (see the module docstring).
+    Its fields are unsigned and hold the largest row mass, and every step
+    that shifts q keeps the layout's K bits (see the module docstring).
     """
 
     def __init__(self, n: int, qmax: int, bound: int):
@@ -565,52 +566,6 @@ class _SeriesLayout(_Layout):
         return (work["1" + body] + (work["0" + body] << self.sq)) & self.mask
 
 
-def _row_mass_bound(key: str, plan: tuple[dict, dict], qmax: int, l1: int) -> int:
-    """A bound on every row mass S_v(d), d <= qmax, over the keys of ``plan``.
-
-    S_v(d), f(v) at a = t = 1 in q-row d, is stepped like f over ``plan`` (a
-    ``_plan`` of ``key``, left unconsumed), packed with one unsigned field
-    per q-row: S(v.1) = 2 S(v), and the v.0 and 0^m steps of
-    :class:`_SeriesLayout` with a q-stride of one field.  A field holds
-    l1 C(qmax + |key|, |key|), l1 the L1 bound of P(key), and so every
-    S_v(d): that is at most |P(v)| times the largest coefficient of
-    (1 - q)^-#0(v) up to q^qmax.  The OR of all values holds in each field
-    the bit length of that row's largest mass, so the result, the largest
-    int of the largest mass's bit length, is as tight as a field width can
-    be.
-    """
-    n = len(key)
-    b = ((l1 * comb(qmax + n, n)).bit_length() + 7) // 8
-    w = 8 * b
-    mask = (1 << w * (qmax + 1)) - 1
-    strides = [w << k for k in range(qmax.bit_length())]
-    seen = 0
-
-    def step(k: str, work: dict) -> int:
-        nonlocal seen
-        if not k:
-            s = 1
-        elif k.endswith("1"):
-            s = work[k[:-1]] << 1
-        elif "1" not in k:
-            s = work["1" + k[1:]]
-            for stride in strides:
-                s = (s + (s << stride)) & mask
-        else:
-            body = k[:-1]
-            s = (work["1" + body] + (work["0" + body] << w)) & mask
-        seen |= s
-        return s
-
-    needs, users = plan
-    value_bytes = (qmax + 1) * b * 16 // 15
-    plan = (needs, dict(users))
-    _evaluate(key, None, _poly_deps, step, value_bytes=value_bytes, plan=plan)
-    raw = seen.to_bytes((qmax + 1) * b, "little")
-    top = max(int.from_bytes(raw[i : i + b], "little") for i in range(0, len(raw), b))
-    return (1 << top.bit_length()) - 1
-
-
 def _series_pays(
     key: str, plan: tuple[dict, dict], bounds: dict, qmax: int, mass: int
 ) -> bool:
@@ -618,7 +573,7 @@ def _series_pays(
 
     Both layouts have the same fields per q-row, so sizes count q-rows
     times field bytes.  An f value fills all qmax + 1 q-rows, in fields
-    that hold the row-mass bound ``mass``; a packed P(k) stops at its own
+    that hold the largest row mass ``mass``; a packed P(k) stops at its own
     q-degree bound in ``bounds``, in fields of the target's L1 bound.  The
     total tracks the step time: over n = 10..12 and qmax 5..40 the ratio of
     the two routes' step times was 0.75 to 1.5 times that of their totals.
@@ -808,7 +763,8 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     bounds = _fill_bounds(plan[0], {})
     dq, l1 = bounds[key]
     if qmax < dq:
-        mass = _row_mass_bound(key, plan, qmax, l1)
+        # the largest row mass over the closure (see the module docstring)
+        mass = 2**n * comb(qmax + n - 1, n - 1)
         if _series_pays(key, plan, bounds, qmax, mass):
             return _step_packed(key, None, _SeriesLayout(n, qmax, mass), plan)
     num = _step_packed(key, None, _Layout(n, dq, l1), plan)
@@ -817,6 +773,10 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
 
 # ---------------------------------------------------------------------------
 # memo cache files
+
+
+# the share of a cache's keys that :func:`load_cache` recomputes
+_SPOT_CHECK_RATE = 0.05
 
 
 def save_cache(path: str, memo: MemoTable) -> None:
@@ -840,20 +800,21 @@ def save_cache(path: str, memo: MemoTable) -> None:
         raise
 
 
-def load_cache(path: str, spot_check_rate: float = 0.05) -> MemoTable:
+def load_cache(path: str) -> MemoTable:
     """Load a memo cache, revalidating a deterministic sample of entries.
 
-    Each sampled key is recomputed from scratch (without a memo) and
-    compared; a mismatch raises :class:`MemoDivergence`.  The sample is an
-    even stride over the sorted keys, ``spot_check_rate`` of them (at least
-    one, unless the rate is 0).  Then every entry must fit its key's
-    a-priori bounds (whole exponents inside the degree bounds, L1 norm
-    within the L1 bound), or :class:`EntryOutOfBounds` names it.  A rate of
-    0 skips both checks; an unchecked entry is then returned only for its
-    own key, and :func:`poincare_poly` never reads it for another key.
+    Text that is not JSON, or an integer past ``int``'s digit limit,
+    raises :class:`ParseError`.  Each sampled key is recomputed from scratch
+    (without a memo) and compared; a mismatch raises :class:`MemoDivergence`.
+    The sample is an even stride over the sorted keys, ``_SPOT_CHECK_RATE``
+    of them (at least one).  Then every entry must fit its key's a-priori
+    bounds (whole exponents inside the degree bounds, L1 norm within the L1
+    bound), or :class:`EntryOutOfBounds` names it.  An entry outside the
+    sample is returned only for its own key: :func:`poincare_poly` never
+    reads it for another key.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _json_loads(fh.read())
     if not isinstance(data, dict):
         raise ParseError("cache must be a JSON object", 0)
     memo = MemoTable()
@@ -861,17 +822,16 @@ def load_cache(path: str, spot_check_rate: float = 0.05) -> MemoTable:
         if key.strip("01"):
             raise ParseError(f"bad cache key {key!r}", 0)
         memo[key] = poly_from_obj(obj)
-    if memo and spot_check_rate > 0:
-        keys = sorted(memo)
-        count = max(1, round(len(keys) * spot_check_rate))
-        stride = max(1, len(keys) // count)
-        for key in keys[::stride][:count]:
-            if poincare_poly(key) != memo[key]:
-                raise MemoDivergence(
-                    f"cache entry {key!r} disagrees with a fresh computation"
-                )
-        bounds: dict[str, tuple[int, int]] = {}
-        for key, value in memo.items():
-            dq, l1 = _poly_bounds(key, bounds)
-            _Layout(len(key), dq, l1).slots(key, value, l1)
+    keys = sorted(memo)
+    count = max(1, round(len(keys) * _SPOT_CHECK_RATE))
+    stride = max(1, len(keys) // count)
+    for key in keys[::stride][:count]:
+        if poincare_poly(key) != memo[key]:
+            raise MemoDivergence(
+                f"cache entry {key!r} disagrees with a fresh computation"
+            )
+    bounds: dict[str, tuple[int, int]] = {}
+    for key, value in memo.items():
+        dq, l1 = _poly_bounds(key, bounds)
+        _Layout(len(key), dq, l1).slots(key, value, l1)
     return memo

@@ -191,6 +191,19 @@ def test_dataset_key_over_the_digit_limit_is_a_parse_error(capsys):
     assert err.startswith("error: ParseError: an integer of 5000 digits")
 
 
+@pytest.mark.parametrize("text", [
+    '{"0": {"terms": [{"coeff": %s, "exp": [0, 0, 0]}]}}' % ("1" * 5000),
+    '{"0": {"terms": [',
+], ids=["integer-over-the-digit-limit", "truncated"])
+def test_cache_file_that_is_not_json_is_a_parse_error(tmp_path, capsys, text):
+    cache = tmp_path / "memo.json"
+    cache.write_text(text)
+    code, out, err = run_cli(capsys, "tilde", "--seq", "0", "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError")
+
+
 def test_conjecture_soft_reaches_the_exit_status(capsys, monkeypatch):
     failed = verify.CheckResult(
         "magic", "r1-matches-recursion", verify.CONJECTURE, verify.FAIL,

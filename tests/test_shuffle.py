@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import threading
+from math import comb
 
 import pytest
 
 from tlh import closed_form, shuffle
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
-from tlh.serialize import ParseError, dumps, parse_poly, poly_to_obj
+from tlh.serialize import ParseError, dumps, parse_poly, poly_from_obj, poly_to_obj
 from tlh.shuffle import (
     EntryOutOfBounds,
     IncompatiblePair,
@@ -276,15 +277,23 @@ def test_series_route_a_free_part_matches_closed_form(n):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_row_mass_bound_holds_every_key(n):
+def test_row_mass_bound_holds_every_key(monkeypatch, n):
+    # f(v)(q, 1, 1) = 2^|v| / (1 - q)^#0(v), so the largest row mass up to
+    # q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
     key = "0" * n
     plan = shuffle._plan(key, {}, shuffle._poly_deps)
     whole = MemoTable()
     if n <= 7:
         poincare_poly(key, whole)
-    l1 = shuffle._fill_bounds(plan[0], {})[key][1]
+    sized, series_pays = [], shuffle._series_pays
+
+    def spy_series_pays(key, plan, bounds, qmax, mass):
+        sized.append(mass)
+        return series_pays(key, plan, bounds, qmax, mass)
+
+    monkeypatch.setattr(shuffle, "_series_pays", spy_series_pays)
     for qmax in (0, 3, 10):
-        bound = shuffle._row_mass_bound(key, plan, qmax, l1)
+        bound = 2 ** n * comb(qmax + n - 1, n - 1)
         layout = shuffle._SeriesLayout(n, qmax, bound)
         # the fewest bytes that hold the bound with the top bit clear
         assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
@@ -304,8 +313,24 @@ def test_row_mass_bound_holds_every_key(n):
             for e, c in value.units().items():
                 rows[e[0] // UNIT] += c
             masses += rows
-        # the bound has the largest row mass's bit length, not more
-        assert bound.bit_length() == max(masses).bit_length(), qmax
+        # the closed form is the largest row mass itself
+        assert max(masses) == bound, qmax
+        # and the full twist sizes its series fields by it
+        sized.clear()
+        full_twist_series(n, qmax)
+        assert sized == ([bound] if qmax < _zeros_dq(n) else []), qmax
+
+
+def test_poincare_poly_at_a_t_one_is_two_to_the_length():
+    # P(v.1) = 2 P(v), P(0^m) = P(1 0^(m-1)), P(v.0) = P(1 v) at a = t = 1
+    memo = MemoTable()
+    poincare_poly("0" * 9, memo)
+    assert len(memo) == 2 ** 10 - 1
+    for v in (w for m in range(10) for w in all_sequences(m)):
+        rows = {}
+        for e, c in poincare_poly(v, memo).units().items():
+            rows[e[0]] = rows.get(e[0], 0) + c
+        assert {d: c for d, c in rows.items() if c} == {0: 2 ** len(v)}, v
 
 
 @pytest.mark.parametrize(
@@ -335,9 +360,9 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     assert full_twist_series(n, qmax) == want
     series = route == "series"
     assert layouts == [shuffle._SeriesLayout if series else shuffle._Layout]
-    # every pass, the row masses' too, is estimated before it steps
+    # the one pass is estimated before it steps
     assert all(passes)
-    assert len(passes) == (2 if qmax < _zeros_dq(n) else 1)
+    assert len(passes) == 1
 
 
 def test_full_twist_memo_holds_whole_polynomials():
@@ -713,7 +738,7 @@ def test_cache_round_trip(tmp_path):
         poincare_poly(v, memo)
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
-    loaded = load_cache(str(path), spot_check_rate=0.25)
+    loaded = load_cache(str(path))
     assert dict(loaded) == dict(memo)
 
 
@@ -726,11 +751,9 @@ def test_cache_spot_check_catches_tampering(tmp_path):
     for key in data:
         data[key]["terms"] = [{"coeff": "7", "exp": [0, 0, 0]}]
     path.write_text(json.dumps(data))
-    with pytest.raises(MemoDivergence):
-        load_cache(str(path), spot_check_rate=1.0)
-    # rate 0 skips validation entirely
-    loaded = load_cache(str(path), spot_check_rate=0.0)
-    assert loaded[""] == Polynomial({(0, 0, 0): 7})
+    # the sample of the 4 keys is the empty key alone
+    with pytest.raises(MemoDivergence, match="''"):
+        load_cache(str(path))
 
 
 def _tampered_cache(tmp_path, key, terms):
@@ -754,11 +777,14 @@ def _tampered_cache(tmp_path, key, terms):
 ])
 def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms):
     path = _tampered_cache(tmp_path, "0110", terms)
-    # the sample holds only the empty key, so the bounds check meets "0110"
+    # the sample of the 31 keys is "" and "0111", so the bounds check
+    # meets "0110"
     with pytest.raises(EntryOutOfBounds, match="'0110'"):
-        load_cache(path, spot_check_rate=1e-9)
+        load_cache(path)
     # unchecked, the entry is never read for another key
-    memo = load_cache(path, spot_check_rate=0.0)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    memo = MemoTable({k: poly_from_obj(obj) for k, obj in data.items()})
     loaded = memo["0110"]
     assert poincare_poly("01101", memo) == poincare_poly("01101")
     assert memo["0110"] is loaded
@@ -789,7 +815,7 @@ def test_save_cache_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     save_cache(str(path), memo)
     assert os.listdir(tmp_path) == ["cache.json"]
-    assert dict(load_cache(str(path), spot_check_rate=0.0)) == dict(memo)
+    assert dict(load_cache(str(path))) == dict(memo)
 
 
 def test_save_cache_golden_bytes(tmp_path):
@@ -816,6 +842,5 @@ def test_cache_with_non_integral_term_fails_to_load(tmp_path, term, message):
     data = json.loads(path.read_text())
     data["0110"]["terms"][1] = term
     path.write_text(json.dumps(data))
-    for rate in (0.0, 1.0):
-        with pytest.raises(ParseError, match=message):
-            load_cache(str(path), spot_check_rate=rate)
+    with pytest.raises(ParseError, match=message):
+        load_cache(str(path))
