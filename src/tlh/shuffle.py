@@ -39,8 +39,8 @@ stay exact when the rows above are dropped, and f(0^n) cut at q^qmax is the
 truncated series itself.  But every f value fills all qmax + 1 q-rows, in
 fields that widen with qmax, where a packed P(v) stops at its own q-degree
 bound; so the f route is taken only when it steps fewer bytes in all and
-holds no more at once (:func:`_series_pays`).  Otherwise P(0^n) is stepped
-whole and expanded over (1 - q)^n, and no qmax costs more than that.
+holds no more at once (:func:`full_twist_series`).  Otherwise P(0^n) is
+stepped whole and expanded over (1 - q)^n, and no qmax costs more than that.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; deg_t <=
@@ -65,8 +65,11 @@ so no field carries into the next, and none can overflow: nothing is guessed.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only at
 the boundaries: an insertion into a caller's memo, and the return value.
 Before any step of a pass its peak packed working set is estimated from
-the closure alone (:func:`_working_set`), and a pass whose estimate exceeds
-physical memory fails with :class:`MemoryBudgetExceeded`; so does a
+the closure alone (:func:`_working_set`), each value sized by its own
+q-rows: dq_k + 1 for P(k), since only the v.0 step raises the q-degree, and
+qmax + 1 for every f value.  A pass whose estimate exceeds physical memory
+fails with :class:`MemoryBudgetExceeded`; so does a pass that stores into a
+caller's memo, as soon as the entries it stored would take it over, and a
 closure walk whose own state outgrows physical memory, as soon as it does.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
@@ -161,8 +164,10 @@ class EntryOutOfBounds(ValueError):
 class MemoryBudgetExceeded(MemoryError):
     """A run's estimated peak working set exceeds physical memory.
 
-    Raised from the closure alone, before any recursion step.  ``need`` is
-    the estimate in bytes.
+    Raised from the closure alone, before any recursion step, or while a
+    run stores into a caller's memo, as soon as the entries stored so far
+    would take it over.  The message names the parts of the estimate;
+    ``need`` is their sum in bytes.
     """
 
     def __init__(self, message: str, need: int):
@@ -281,44 +286,80 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
     return needs, users
 
 
-def _peak_live(needs: dict, users: dict, size: dict | None = None) -> int:
-    """Most values alive at once as ``_evaluate`` steps ``needs`` (no hits).
+def _peak_live(needs: dict, users: dict, size: Callable[[str], int]) -> int:
+    """Most units alive at once as ``_evaluate`` steps ``needs`` (no hits).
 
-    With ``size``, the most bytes alive at once, key k's value holding
-    ``size[k]`` of them.
+    Key k's value holds ``size(k)`` units: 1 counts values, q-rows size a
+    packed run (:func:`_working_set`).
     """
     left = dict(users)
     live = peak = 0
     for k, ds in needs.items():
-        live += size[k] if size else 1
+        live += size(k)
         if live > peak:
             peak = live
         for d in ds:
             left[d] -= 1
             if not left[d]:
-                live -= size[d] if size else 1
+                live -= size(d)
     return peak
 
 
-def _working_set(needs: dict, users: dict, value_bytes: int) -> int:
-    """Estimated peak bytes of a packed run over ``needs``.
+def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
+    """Estimated peak bytes of a packed run over ``needs`` on ``layout``.
 
-    Its live values (:func:`_peak_live`) and two values of step
-    temporaries, with the heap's holes between them, plus the closure
-    walk's own state.  The malloc heap leaves holes where a freed value is
-    too small for the next one: the f-route's peak RSS growth measured
-    1.19 times its live bytes at |v| = 13..15 (Python 3.11, glibc), and
-    1.0 times with every value in its own mmap.  Values count half again,
-    which keeps the estimate 1.2 times above that growth or more at
-    |v| = 9..13 on Python 3.10, 3.11 and 3.12.
+    Its live values, ``peak`` q-rows at their most (:func:`_peak_live`),
+    and two values of step temporaries as tall as the layout, with the
+    heap's holes between them, plus the closure walk's state and the
+    layout's slot table, keyed by the name :class:`MemoryBudgetExceeded`
+    gives them.  CPython stores 30 bits of an int in every 4 bytes.  The malloc
+    heap leaves holes where a freed value is too small for the next one:
+    the f-route's peak RSS growth measured 1.19 times its live bytes at
+    |v| = 13..15 (Python 3.11, glibc), and 1.0 times with every value in
+    its own mmap.  Values count half again, which keeps the estimate 1.2
+    to 1.8 times the peak RSS growth of either route at |v| = 10..13 on
+    Python 3.10, 3.11 and 3.12.
     """
-    live = _peak_live(needs, users) + 2
-    return live * value_bytes * 3 // 2 + len(needs) * _WALK_BYTES_PER_KEY
+    rows = peak + 2 * (layout.dq + 1)
+    return {
+        f"live values on the {layout.route} route":
+            rows * layout.row_bytes * 16 // 15 * 3 // 2
+            + len(needs) * _WALK_BYTES_PER_KEY
+            + layout.fields * _SLOT_BYTES_PER_FIELD
+    }
+
+
+# Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
+# slot table field (``_slot_table``), 143 to 184 by tracemalloc at n = 8..12;
+# a stored memo term, 52 to 58 of peak RSS growth for poincare_poly("0" * n,
+# memo) at n = 9..12; and a slot of q-rows 0..qmax as whole P(0^n) expands
+# over (1 - q)^n, 120 to 158 of peak RSS growth at n = 1..11, qmax <= 10^6.
+_SLOT_BYTES_PER_FIELD = 192
+_MEMO_BYTES_PER_TERM = 64
+_SERIES_BYTES_PER_TERM = 192
 
 
 def _memory_budget() -> int:
     """Physical memory in bytes."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _mib(size: int) -> str:
+    return f"{size / 2**20:,.1f} MiB"
+
+
+def _room(key: str, parts: dict[str, int]) -> int:
+    """Bytes of physical memory left over ``parts``, or the error naming them."""
+    need = sum(parts.values())
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryBudgetExceeded(
+            f"evaluating {key!r} would hold about {_mib(need)} at once, over the "
+            f"{_mib(budget)} of physical memory: "
+            + ", ".join(f"{_mib(size)} of {part}" for part, size in parts.items()),
+            need,
+        )
+    return budget - need
 
 
 def _evaluate(
@@ -327,7 +368,7 @@ def _evaluate(
     deps: Callable,
     step: Callable,
     store: Callable = lambda value: value,
-    value_bytes: int = 0,
+    estimate: dict[str, int] | None = None,
     plan: tuple[dict, dict] | None = None,
 ):
     """The one work-list driver of both recursions.
@@ -338,22 +379,18 @@ def _evaluate(
     the packed route passes a ``plan`` walked without hits.  Each new value
     goes into ``memo`` (when given) as ``store(value)`` if ``memo`` lacks
     its key, and the result is returned as ``store(value)``.  A working
-    value is released once its last consumer has stepped.  With
-    ``value_bytes`` set, a run whose estimated peak working set exceeds
-    physical memory raises :class:`MemoryBudgetExceeded` before any step.
+    value is released once its last consumer has stepped.  A run whose
+    ``estimate``, the caller's peak bytes by the parts it names, exceeds
+    physical memory raises :class:`MemoryBudgetExceeded` before any step;
+    so does a run that stores into ``memo``, as soon as the estimate plus
+    ``_MEMO_BYTES_PER_TERM`` per term the memo holds would.
     """
     hits = {} if memo is None else memo
     needs, users = plan or _plan(key, hits, deps)
-    if value_bytes:
-        need = _working_set(needs, users, value_bytes)
-        budget = _memory_budget()
-        if need > budget:
-            raise MemoryBudgetExceeded(
-                f"evaluating {key!r} would hold about {need / 2**30:.1f} GiB of "
-                f"working values at once, over the {budget / 2**30:.1f} GiB of "
-                "physical memory",
-                need,
-            )
+    estimate = estimate or {}
+    room = _room(key, estimate) // _MEMO_BYTES_PER_TERM
+    # a memo shared across runs already holds what earlier runs stored
+    held = sum(map(len, hits.values()))
     work: dict = {}
     for k, ds in needs.items():
         for d in ds:
@@ -362,7 +399,14 @@ def _evaluate(
         value = step(k, work)
         work[k] = value
         if memo is not None and k not in memo:
-            memo.insert(k, store(value))
+            entry = store(value)
+            memo.insert(k, entry)
+            held += len(entry)
+            if held > room:
+                _room(key, {
+                    **estimate,
+                    f"memo entries up to {k!r}": held * _MEMO_BYTES_PER_TERM,
+                })
         for d in ds:
             users[d] -= 1
             if not users[d]:
@@ -439,8 +483,9 @@ def _little(words: array) -> array:
 # Slot tables per sequence length n: the exponent of every slot, in slot
 # order, and its inverse.  The (a, t) plane is fixed by n and q is the most
 # significant coordinate, so one table, grown to the largest q-degree asked
-# for, serves every layout of length n through a prefix.  A table is
-# replaced, never mutated, so threads may share them.
+# for, serves every layout of length n through a prefix.  A layout reads it
+# only to unpack or check a value, so a layout that is never stepped costs
+# no table.  A table is replaced, never mutated, so threads may share them.
 _SLOT_TABLES: dict[int, tuple[list[Exponents], dict[Exponents, int]]] = {}
 
 
@@ -469,7 +514,10 @@ def _field_bytes(bound: int) -> int:
 class _Layout:
     """The packed-integer layout of one run (see the module docstring)."""
 
+    route = "P"
+
     def __init__(self, n: int, dq: int, bound: int):
+        self.n = n
         b = self.b = _field_bytes(bound)
         w = self.w = 8 * b
         nt = comb(n, 2) + 1
@@ -478,13 +526,11 @@ class _Layout:
         self.dq = dq
         self.fields = (dq + 1) * (n + 1) * nt
         self.nbytes = self.fields * b
-        # CPython stores 30 bits of an int in every 4 bytes
-        self.value_bytes = self.nbytes * 16 // 15
+        self.row_bytes = self.sq // 8
         # the top bit of every field: (p + top) ^ top reads p's signed
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
         self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
         self.limbs = _limbs(b)
-        self.exps, self.slot_of = _slot_table(n, self.fields)
 
     def step(self, key: str, work: dict) -> int:
         if not key:
@@ -506,7 +552,8 @@ class _Layout:
                 f"memo entry {key!r} has an L1 norm above its bound {l1}"
             )
         try:
-            slots = list(map(self.slot_of.__getitem__, p._terms))
+            slot_of = _slot_table(self.n, self.fields)[1]
+            slots = list(map(slot_of.__getitem__, p._terms))
         except KeyError as e:
             raise EntryOutOfBounds(
                 f"memo entry {key!r} has a term at q,a,t exponent "
@@ -536,9 +583,8 @@ class _Layout:
         coeffs = limbs.pop()
         for low in reversed(limbs):
             coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
-        return Polynomial._trusted(
-            dict(zip(compress(self.exps, coeffs), filter(None, coeffs)))
-        )
+        exps = _slot_table(self.n, self.fields)[0]
+        return Polynomial._trusted(dict(zip(compress(exps, coeffs), filter(None, coeffs))))
 
 
 class _SeriesLayout(_Layout):
@@ -547,6 +593,8 @@ class _SeriesLayout(_Layout):
     Its fields are unsigned and hold the largest row mass, and every step
     that shifts q keeps the layout's K bits (see the module docstring).
     """
+
+    route = "f"
 
     def __init__(self, n: int, qmax: int, bound: int):
         super().__init__(n, qmax, bound)
@@ -564,27 +612,6 @@ class _SeriesLayout(_Layout):
             return r
         body = key[:-1]
         return (work["1" + body] + (work["0" + body] << self.sq)) & self.mask
-
-
-def _series_pays(
-    key: str, plan: tuple[dict, dict], bounds: dict, qmax: int, mass: int
-) -> bool:
-    """Whether f(key) cut at q^qmax steps fewer bytes than P(key), holding no more.
-
-    Both layouts have the same fields per q-row, so sizes count q-rows
-    times field bytes.  An f value fills all qmax + 1 q-rows, in fields
-    that hold the largest row mass ``mass``; a packed P(k) stops at its own
-    q-degree bound in ``bounds``, in fields of the target's L1 bound.  The
-    total tracks the step time: over n = 10..12 and qmax 5..40 the ratio of
-    the two routes' step times was 0.75 to 1.5 times that of their totals.
-    """
-    needs, users = plan
-    b = _field_bytes(bounds[key][1])
-    size = {k: (bounds[k][0] + 1) * b for k in needs}
-    f = (qmax + 1) * _field_bytes(mass)
-    return len(needs) * f < sum(size.values()) and (
-        _peak_live(needs, users) * f <= _peak_live(needs, users, size)
-    )
 
 
 def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
@@ -610,12 +637,16 @@ def _packed_poly(key: str, memo: MemoTable | None = None) -> Polynomial:
     shorten the walk (a memo holding 0^12, asked for 0^12 1, steps the
     closure of 0^12 again).
     """
-    plan = _plan(key, {}, _poly_deps)
-    dq, l1 = _fill_bounds(plan[0], {})[key]
-    return _step_packed(key, memo, _Layout(len(key), dq, l1), plan)
+    needs, users = plan = _plan(key, {}, _poly_deps)
+    bounds = _fill_bounds(needs, {})
+    layout = _Layout(len(key), *bounds[key])
+    peak = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
+    return _step_packed(key, memo, layout, plan, _working_set(needs, peak, layout))
 
 
-def _step_packed(key: str, memo: MemoTable | None, layout: _Layout, plan: tuple):
+def _step_packed(
+    key: str, memo: MemoTable | None, layout: _Layout, plan: tuple, estimate: dict
+):
     """The value of ``key`` on ``layout``, stepping ``plan`` (consumed)."""
     return _evaluate(
         key,
@@ -623,7 +654,7 @@ def _step_packed(key: str, memo: MemoTable | None, layout: _Layout, plan: tuple)
         _poly_deps,
         layout.step,
         store=layout.unpack,
-        value_bytes=layout.value_bytes,
+        estimate=estimate,
         plan=plan,
     )
 
@@ -748,9 +779,13 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
 
     Without ``memo``, and with qmax below the q-degree bound of P(0^n), the
     recursion steps on the series f itself, cut at q^qmax
-    (:class:`_SeriesLayout`), when that steps fewer bytes and holds no more
-    (:func:`_series_pays`).  Otherwise it steps the whole polynomial and
-    expands it over (1 - q)^n; a memo receives every key's whole polynomial.
+    (:class:`_SeriesLayout`), when that steps fewer bytes in all and holds
+    no more at once, counting q-rows times field bytes (both layouts have
+    the same fields per q-row).  The total tracks the step time: over
+    n = 10..12 and qmax 5..40 the ratio of the two routes' step times was
+    0.75 to 1.5 times that of their totals.  Otherwise it steps the whole
+    polynomial and expands it over (1 - q)^n; a memo receives every key's
+    whole polynomial.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -759,15 +794,26 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     key = "0" * n
     if memo is not None:
         return poincare_series(key, memo).series(qmax)
-    plan = _plan(key, {}, _poly_deps)
-    bounds = _fill_bounds(plan[0], {})
+    needs, users = plan = _plan(key, {}, _poly_deps)
+    bounds = _fill_bounds(needs, {})
     dq, l1 = bounds[key]
+    whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
     if qmax < dq:
         # the largest row mass over the closure (see the module docstring)
-        mass = 2**n * comb(qmax + n - 1, n - 1)
-        if _series_pays(key, plan, bounds, qmax, mass):
-            return _step_packed(key, None, _SeriesLayout(n, qmax, mass), plan)
-    num = _step_packed(key, None, _Layout(n, dq, l1), plan)
+        series = _SeriesLayout(n, qmax, 2**n * comb(qmax + n - 1, n - 1))
+        b = _field_bytes(l1)
+        total = sum(d + 1 for d, _ in bounds.values())
+        if len(needs) * (qmax + 1) * series.b < total * b:
+            peak = _peak_live(needs, users, lambda k: qmax + 1)
+            if peak * series.b <= whole * b:
+                estimate = _working_set(needs, peak, series)
+                return _step_packed(key, None, series, plan, estimate)
+    layout = _Layout(n, dq, l1)
+    estimate = _working_set(needs, whole, layout)
+    # the expansion holds up to every slot of q-rows 0..qmax
+    slots = (qmax + 1) * (n + 1) * (comb(n, 2) + 1)
+    estimate["series terms"] = slots * _SERIES_BYTES_PER_TERM
+    num = _step_packed(key, None, layout, plan, estimate)
     return FracPoly(num, [ONE_MINUS_Q] * n).series(qmax)
 
 

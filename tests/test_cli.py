@@ -65,12 +65,22 @@ def test_fulltwist(capsys):
 
 
 def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
-    # an estimate of about 3.4 MiB at qmax 10, the closure walk fits
+    # an estimate of about 4.7 MiB at qmax 10, the closure walk fits
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 2 ** 20)
     code, out, err = run_cli(capsys, "fulltwist", "--n", "9")
     assert code == 1
     assert out == ""
     assert err.startswith("error: MemoryBudgetExceeded: evaluating '000000000'")
+
+
+def test_fulltwist_series_terms_over_memory_budget_exits_1(capsys, monkeypatch):
+    # whole P(00) is tiny; its expansion to q^1000000 holds six million slots
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    code, out, err = run_cli(capsys, "fulltwist", "--n", "2", "--qmax", "1000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '00'")
+    assert "MiB of series terms" in err
 
 
 def test_hhh0(capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -285,16 +286,16 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     whole = MemoTable()
     if n <= 7:
         poincare_poly(key, whole)
-    sized, series_pays = [], shuffle._series_pays
+    sized, series_layout = [], shuffle._SeriesLayout
 
-    def spy_series_pays(key, plan, bounds, qmax, mass):
+    def spy_series_layout(n, qmax, mass):
         sized.append(mass)
-        return series_pays(key, plan, bounds, qmax, mass)
+        return series_layout(n, qmax, mass)
 
-    monkeypatch.setattr(shuffle, "_series_pays", spy_series_pays)
+    monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
     for qmax in (0, 3, 10):
         bound = 2 ** n * comb(qmax + n - 1, n - 1)
-        layout = shuffle._SeriesLayout(n, qmax, bound)
+        layout = series_layout(n, qmax, bound)
         # the fewest bytes that hold the bound with the top bit clear
         assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
         values = MemoTable()
@@ -315,7 +316,8 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
             masses += rows
         # the closed form is the largest row mass itself
         assert max(masses) == bound, qmax
-        # and the full twist sizes its series fields by it
+        # and the full twist sizes its series fields by it, whichever route
+        # it then takes
         sized.clear()
         full_twist_series(n, qmax)
         assert sized == ([bound] if qmax < _zeros_dq(n) else []), qmax
@@ -344,12 +346,12 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     layouts, passes = [], []
     step_packed, evaluate = shuffle._step_packed, shuffle._evaluate
 
-    def spy_step_packed(key, memo, layout, plan):
+    def spy_step_packed(key, memo, layout, plan, estimate):
         layouts.append(type(layout))
-        return step_packed(key, memo, layout, plan)
+        return step_packed(key, memo, layout, plan, estimate)
 
     def spy_evaluate(*args, **kwargs):
-        passes.append(kwargs.get("value_bytes", 0))
+        passes.append(sum(kwargs.get("estimate", {}).values()))
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(shuffle, "_step_packed", spy_step_packed)
@@ -503,7 +505,8 @@ def test_working_values_released_after_last_consumer(monkeypatch):
             assert poincare_poly(key, MemoTable(hits) if hits else None) == want
             assert len(live) == len(needs)
             assert stepped == list(needs)
-            assert max(live) == shuffle._peak_live(needs, users) < len(needs) // 4
+            peak = shuffle._peak_live(needs, users, lambda k: 1)
+            assert max(live) == peak < len(needs) // 4
             runs.append(list(live))
         # a memo steps the same plan, with the same live counts, as no memo
         assert runs[0] == runs[1]
@@ -540,18 +543,21 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     steps = []
     monkeypatch.setattr(shuffle._Layout, "step", lambda *args: steps.append(args))
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 8 * 2 ** 30)
-    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{15}'") as err:
-        poincare_poly("0" * 15)
+    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{16}'") as err:
+        poincare_poly("0" * 16)
     assert err.value.need > 8 * 2 ** 30
     assert steps == []
     needs, users = shuffle._plan("0" * 13, {}, shuffle._poly_deps)
-    layout = shuffle._Layout(13, *shuffle._poly_bounds("0" * 13, {}))
-    assert shuffle._peak_live(needs, users) == 2061
-    assert shuffle._peak_live(needs, users) * layout.value_bytes < 2 * 2 ** 30
+    bounds = shuffle._fill_bounds(needs, {})
+    layout = shuffle._Layout(13, *bounds["0" * 13])
+    assert shuffle._peak_live(needs, users, lambda k: 1) == 2061
+    peak = shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
+    assert sum(shuffle._working_set(needs, peak, layout).values()) < 2 * 2 ** 30
 
 
-# Run in a fresh interpreter: each packed run's memory estimate, then the
-# growth of the process's peak RSS over the run (ru_maxrss is in kB on Linux).
+# Run in a fresh interpreter: the memory estimate of the one pass that steps,
+# plus what the memo-sink check adds for the entries stored, then the growth
+# of the process's peak RSS over the run (ru_maxrss is in kB on Linux).
 # ru_maxrss survives exec, so an interpreter spawned by a large process
 # starts at its parent's peak; a fork of the fresh interpreter starts afresh.
 _GROWTH_PROBE = """
@@ -560,33 +566,72 @@ if os.fork():
     sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
 from tlh import cli, shuffle
 estimates = []
-working_set = shuffle._working_set
-shuffle._working_set = lambda *args: estimates.append(working_set(*args)) or estimates[-1]
+evaluate = shuffle._evaluate
+
+def recording(*args, estimate=None, **kwargs):
+    estimates.append(sum(estimate.values()))
+    return evaluate(*args, estimate=estimate, **kwargs)
+
+shuffle._evaluate = recording
+route = sys.argv[1]
+memo = shuffle.MemoTable()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-if sys.argv[1] == "fulltwist":
+if route == "fulltwist":
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["fulltwist", "--n", sys.argv[2], "--qmax", "10"]) == 0
+        assert cli.main(["fulltwist", "--n", sys.argv[2], "--qmax", sys.argv[3]]) == 0
 else:
-    shuffle.poincare_poly("0" * int(sys.argv[2]))
+    shuffle.poincare_poly(sys.argv[2], memo if route == "memo" else None)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-# the passes of one run are sequential, so the largest estimate is its peak
-print(max(estimates), (after - before) * (1 if sys.platform == "darwin" else 1024))
+assert len(estimates) == 1
+stored = sum(map(len, memo.values())) * shuffle._MEMO_BYTES_PER_TERM
+print(estimates[0] + stored, (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
 
 @pytest.mark.parametrize(
-    "route, n",
-    [("fulltwist", n) for n in range(9, 14)] + [("poly", n) for n in range(8, 12)],
+    "argv, tight",
+    [pytest.param(("fulltwist", n, 10), n >= 10, id=f"fulltwist-{n}") for n in range(9, 14)]
+    # the whole route and its expansion
+    + [pytest.param(("fulltwist", 11, 55), True, id="fulltwist-11-55")]
+    + [pytest.param(("poly", "0" * n), n >= 10, id=f"poly-{n}") for n in range(8, 12)]
+    # a long key with few zeros: its layout's slot table outweighs its values
+    + [pytest.param(("poly", "0" + "1" * 30 + "0"), False, id="poly-0-1x30-0")]
+    + [pytest.param(("memo", "0" * n), False, id=f"memo-{n}") for n in (9, 10)],
 )
-def test_memory_estimate_covers_the_peak_rss_growth(route, n):
+def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
     src = os.path.dirname(os.path.dirname(shuffle.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _GROWTH_PROBE, route, str(n)],
+        [sys.executable, "-c", _GROWTH_PROBE, *map(str, argv)],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     estimate, grown = map(int, proc.stdout.split())
     assert estimate >= grown > 0
+    if tight:  # each value sized by its own q-rows
+        assert estimate <= 2 * grown
+
+
+def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
+    # 0^10's live values fit 64 MiB, the 3.2 million terms of its memo do not
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    memo = MemoTable()
+    memo_part = "of memo entries up to '[01]+'$"
+    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{10}'") as err:
+        poincare_poly("0" * 10, memo)
+    assert re.search(memo_part, str(err.value))
+    assert err.value.need > 64 * 2 ** 20
+    assert 0 < len(memo) < 2 ** 11 - 1
+    # a smaller memo fits
+    assert poincare_poly("0" * 8, MemoTable()) == poincare_poly("0" * 8)
+    # a memo shared across runs counts what earlier runs stored: the closure
+    # of 0^9, about a million terms, leaves no room for one more key
+    monkeypatch.undo()
+    memo = MemoTable()
+    poincare_poly("0" * 9, memo)
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{9}1'") as err:
+        poincare_poly("0" * 9 + "1", memo)
+    assert re.search(memo_part, str(err.value))
 
 
 def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
@@ -629,7 +674,10 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     # a memo hit walks nothing; the memo holds normalized polynomials
     memo = MemoTable({"0" * 16: ONE})
     assert insertion_series("0" * 16, memo) == FracPoly(ONE, [ONE_MINUS_Q] * 16)
-    # a cache holding a long key with few zeros loads, checks included
+    # a cache holding a long key with few zeros loads, checks included; the
+    # slot table of its 49,203-slot layout alone holds about 7 MiB, so it
+    # loads in a budget that covers that
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 20)
     assert load_cache(str(path)) == cached
 
 
