@@ -310,9 +310,9 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 
     Its live values, ``peak`` q-rows at their most (:func:`_peak_live`),
     and two values of step temporaries as tall as the layout, with the
-    heap's holes between them, plus the closure walk's state and the
-    layout's slot table, keyed by the name :class:`MemoryBudgetExceeded`
-    gives them.  CPython stores 30 bits of an int in every 4 bytes.  The malloc
+    heap's holes between them; the closure walk's state; and the layout's
+    slot table, each under the name :class:`MemoryBudgetExceeded` gives
+    it.  CPython stores 30 bits of an int in every 4 bytes.  The malloc
     heap leaves holes where a freed value is too small for the next one:
     the f-route's peak RSS growth measured 1.19 times its live bytes at
     |v| = 13..15 (Python 3.11, glibc), and 1.0 times with every value in
@@ -323,9 +323,9 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     rows = peak + 2 * (layout.dq + 1)
     return {
         f"live values on the {layout.route} route":
-            rows * layout.row_bytes * 16 // 15 * 3 // 2
-            + len(needs) * _WALK_BYTES_PER_KEY
-            + layout.fields * _SLOT_BYTES_PER_FIELD
+            rows * layout.row_bytes * 16 // 15 * 3 // 2,
+        "closure walk state": len(needs) * _WALK_BYTES_PER_KEY,
+        "slot table": layout.fields * _SLOT_BYTES_PER_FIELD,
     }
 
 
@@ -389,8 +389,10 @@ def _evaluate(
     needs, users = plan or _plan(key, hits, deps)
     estimate = estimate or {}
     room = _room(key, estimate) // _MEMO_BYTES_PER_TERM
-    # a memo shared across runs already holds what earlier runs stored
-    held = sum(map(len, hits.values()))
+    # a memo shared across runs already holds what earlier runs stored;
+    # list() copies the values in one C call, so the other threads that
+    # insert into a shared memo cannot change it while it is summed
+    held = sum(map(len, list(hits.values())))
     work: dict = {}
     for k, ds in needs.items():
         for d in ds:
@@ -483,9 +485,8 @@ def _little(words: array) -> array:
 # Slot tables per sequence length n: the exponent of every slot, in slot
 # order, and its inverse.  The (a, t) plane is fixed by n and q is the most
 # significant coordinate, so one table, grown to the largest q-degree asked
-# for, serves every layout of length n through a prefix.  A layout reads it
-# only to unpack or check a value, so a layout that is never stepped costs
-# no table.  A table is replaced, never mutated, so threads may share them.
+# for, serves every layout of length n through a prefix.  A table is
+# replaced, never mutated, so threads may share them.
 _SLOT_TABLES: dict[int, tuple[list[Exponents], dict[Exponents, int]]] = {}
 
 
@@ -517,7 +518,6 @@ class _Layout:
     route = "P"
 
     def __init__(self, n: int, dq: int, bound: int):
-        self.n = n
         b = self.b = _field_bytes(bound)
         w = self.w = 8 * b
         nt = comb(n, 2) + 1
@@ -531,6 +531,7 @@ class _Layout:
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
         self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
         self.limbs = _limbs(b)
+        self.exps, self.slot_of = _slot_table(n, self.fields)
 
     def step(self, key: str, work: dict) -> int:
         if not key:
@@ -552,8 +553,7 @@ class _Layout:
                 f"memo entry {key!r} has an L1 norm above its bound {l1}"
             )
         try:
-            slot_of = _slot_table(self.n, self.fields)[1]
-            slots = list(map(slot_of.__getitem__, p._terms))
+            slots = list(map(self.slot_of.__getitem__, p._terms))
         except KeyError as e:
             raise EntryOutOfBounds(
                 f"memo entry {key!r} has a term at q,a,t exponent "
@@ -583,8 +583,9 @@ class _Layout:
         coeffs = limbs.pop()
         for low in reversed(limbs):
             coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
-        exps = _slot_table(self.n, self.fields)[0]
-        return Polynomial._trusted(dict(zip(compress(exps, coeffs), filter(None, coeffs))))
+        return Polynomial._trusted(
+            dict(zip(compress(self.exps, coeffs), filter(None, coeffs)))
+        )
 
 
 class _SeriesLayout(_Layout):
@@ -800,12 +801,13 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
     if qmax < dq:
         # the largest row mass over the closure (see the module docstring)
-        series = _SeriesLayout(n, qmax, 2**n * comb(qmax + n - 1, n - 1))
-        b = _field_bytes(l1)
+        mass = 2**n * comb(qmax + n - 1, n - 1)
+        fb, b = _field_bytes(mass), _field_bytes(l1)
         total = sum(d + 1 for d, _ in bounds.values())
-        if len(needs) * (qmax + 1) * series.b < total * b:
+        if len(needs) * (qmax + 1) * fb < total * b:
             peak = _peak_live(needs, users, lambda k: qmax + 1)
-            if peak * series.b <= whole * b:
+            if peak * fb <= whole * b:
+                series = _SeriesLayout(n, qmax, mass)
                 estimate = _working_set(needs, peak, series)
                 return _step_packed(key, None, series, plan, estimate)
     layout = _Layout(n, dq, l1)

@@ -286,12 +286,19 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     whole = MemoTable()
     if n <= 7:
         poincare_poly(key, whole)
-    sized, series_layout = [], shuffle._SeriesLayout
+    l1 = shuffle._fill_bounds(plan[0], {})[key][1]
+    sized, built = [], []
+    field_bytes, series_layout = shuffle._field_bytes, shuffle._SeriesLayout
+
+    def spy_field_bytes(bound):
+        sized.append(bound)
+        return field_bytes(bound)
 
     def spy_series_layout(n, qmax, mass):
-        sized.append(mass)
+        built.append(mass)
         return series_layout(n, qmax, mass)
 
+    monkeypatch.setattr(shuffle, "_field_bytes", spy_field_bytes)
     monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
     for qmax in (0, 3, 10):
         bound = 2 ** n * comb(qmax + n - 1, n - 1)
@@ -316,11 +323,15 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
             masses += rows
         # the closed form is the largest row mass itself
         assert max(masses) == bound, qmax
-        # and the full twist sizes its series fields by it, whichever route
-        # it then takes
+        # and the full twist sizes its series fields by it first, whichever
+        # route it then takes
         sized.clear()
+        built.clear()
         full_twist_series(n, qmax)
-        assert sized == ([bound] if qmax < _zeros_dq(n) else []), qmax
+        if qmax < _zeros_dq(n):
+            assert sized[0] == bound and built in ([], [bound]), qmax
+        else:  # only the whole layout is sized
+            assert sized == [l1] and built == [], qmax
 
 
 def test_poincare_poly_at_a_t_one_is_two_to_the_length():
@@ -674,9 +685,11 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     # a memo hit walks nothing; the memo holds normalized polynomials
     memo = MemoTable({"0" * 16: ONE})
     assert insertion_series("0" * 16, memo) == FracPoly(ONE, [ONE_MINUS_Q] * 16)
-    # a cache holding a long key with few zeros loads, checks included; the
-    # slot table of its 49,203-slot layout alone holds about 7 MiB, so it
-    # loads in a budget that covers that
+    # a cache holding a long key with few zeros loads, checks included, in a
+    # budget that covers the slot table of the layout it recomputes; that
+    # of 0 1^30 0, 49,203 slots, alone holds about 7 MiB
+    with pytest.raises(MemoryBudgetExceeded, match="MiB of slot table"):
+        load_cache(str(path))
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 20)
     assert load_cache(str(path)) == cached
 
@@ -778,6 +791,32 @@ def test_memo_shared_across_threads():
     fresh = MemoTable()
     for v in seqs:
         assert poincare_poly(v, fresh) == memo[v]
+
+
+def test_memo_insertions_from_another_thread_during_a_run():
+    # a run counts the terms a shared memo already holds, while another
+    # thread keeps inserting into it; switching threads every microsecond
+    # makes the insertions land in the middle of that count
+    memo = MemoTable({"1" * 30 + format(i, "017b"): ONE for i in range(50_000)})
+    stop = threading.Event()
+
+    def inserter():
+        for i in range(100_000):
+            if stop.is_set():
+                break
+            memo.insert("0" * 30 + format(i, "b"), ONE)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=inserter)
+    thread.start()
+    try:
+        for n in range(1, 9):
+            assert poincare_poly("0" * n, memo) == poincare_poly("0" * n), n
+    finally:
+        stop.set()
+        thread.join()
+        sys.setswitchinterval(interval)
 
 
 def test_cache_round_trip(tmp_path):
