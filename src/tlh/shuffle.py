@@ -30,22 +30,36 @@ whose recursion has no subtraction:
     f(v.0)  =  q * f(0 v)  +  f(1 v)          (v.0 not all zeroes)
     f(0^m)  =  f(1 0^(m-1)) / (1 - q)
 
-on unsigned fields of the same geometry holding q-rows 0..qmax:
-``f(v.0) = (p1 + (p0 << SQ)) & M``, M = 2^K - 1 keeping the layout's K
-bits, and f(0^m) the prefix sum over q-rows, ``r = (r + (r << s SQ)) & M``
-for s = 1, 2, 4, ... <= qmax.  Every step is ring-linear with non-negative
-q-shifts (the a- and t-shifts stay inside a q-row), so the rows up to qmax
-stay exact when the rows above are dropped, and f(0^n) cut at q^qmax is the
-truncated series itself.  But every f value fills all qmax + 1 q-rows, in
-fields that widen with qmax, where a packed P(v) stops at its own q-degree
-bound; so the f route is taken only when it steps fewer bytes in all and
-holds no more at once (:func:`full_twist_series`).  Otherwise P(0^n) is
-stepped whole and expanded over (1 - q)^n, and no qmax costs more than that.
+on unsigned fields holding q-rows 0..qmax: ``f(v.0) = (p1 + (p0 << SQ)) &
+M``, M = 2^K - 1 keeping the layout's K bits, and f(0^m) the prefix sum
+over q-rows, ``r = (r + (r << s SQ)) & M`` for s = 1, 2, 4, ... <= qmax.
+Every step is ring-linear with non-negative q-shifts (the a- and t-shifts
+stay inside a q-row), so the rows up to qmax stay exact when the rows above
+are dropped, and f(0^n) cut at q^qmax is the truncated series itself.
+a enters only through the v.1 multiplier, so the same holds for a-rows: the
+slices a^0..a^J are closed under the recursion, and so are the slices
+b <= B of the reversal f~(v) = a^|v| f(v)(1/a), whose v.1 multiplier is
+a t^ones(v) + 1 and whose slice b is f's slice |v| - b (the other rules keep
+the length).  The f route steps its plan twice, in passes of about half the
+height: a-rows 0..J, ``f(v.1) = (p << s w) + ((p & R) << SA)``, then f~'s
+rows b = 0..B = n - 1 - J, f's a-degrees J + 1..n at the target,
+``f~(v.1) = ((p & R) << s w + SA) + p``, where R clears the top a-row of
+every q-row; the two disjoint results join into one.  But every f value
+fills all qmax + 1 q-rows, in fields that widen with qmax, where a packed
+P(v) stops at its own q-degree bound; so the f route is taken only when
+its two passes step fewer bytes in all than whole P and the larger holds
+no more at once (:func:`full_twist_series`).  Otherwise P(0^n) is stepped
+whole and expanded over (1 - q)^n, and no qmax costs more than that.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
-propagated over the closure of the target key: deg_a <= |v|; deg_t <=
-|v|(|v| - 1)/2, since v.1 adds ones(v) <= |v| and the other rules keep the
-length.  For P, deg_q grows by one per v.0 step, and the L1 norm obeys
+propagated over the closure of the target key: deg_a <= |v|; and the a^j
+slice has t-degree at most C(|v|, 2) - C(j, 2), by induction on v.1, whose
+a^j slice is t^k P_j(v) + P_(j-1)(v) with k = ones(v): the bound of v.1
+exceeds that of the first term by |v| - k >= 0 and that of the second by
+|v| - (j - 1) >= 0, and the other rules keep the length.  So deg_t <=
+C(|v|, 2), and f~'s slice b has t-degree at most b |v| - C(b + 1, 2) <=
+B n - C(B + 1, 2), one less than the t-width of the high pass.  For P,
+deg_q grows by one per v.0 step, and the L1 norm obeys
 |P(v.1)| <= 2 |P(v)| and |P(v.0)| <= |P(0 v)| + 2 |P(1 v)|.  Every bound
 only grows toward the target, so the target's layout, q-rows 0..dq with dq
 its q-degree bound, holds every key of its closure, and b is the fewest
@@ -67,7 +81,8 @@ the boundaries: an insertion into a caller's memo, and the return value.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), since only the v.0 step raises the q-degree, and
-qmax + 1 for every f value.  A pass whose estimate exceeds physical memory
+qmax + 1 for every f value; J minimises the larger of the f route's two,
+and both are checked first.  A pass whose estimate exceeds physical memory
 fails with :class:`MemoryBudgetExceeded`; so does a pass that stores into a
 caller's memo, as soon as the entries it stored would take it over, and a
 closure walk whose own state outgrows physical memory, as soon as it does.
@@ -322,7 +337,8 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     """
     rows = peak + 2 * (layout.dq + 1)
     return {
-        f"live values on the {layout.route} route":
+        f"live values on the {layout.route} route, a-degrees "
+        f"{min(layout.a_rows)}..{max(layout.a_rows)}":
             rows * layout.row_bytes * 16 // 15 * 3 // 2,
         "closure walk state": len(needs) * _WALK_BYTES_PER_KEY,
         "slot table": layout.fields * _SLOT_BYTES_PER_FIELD,
@@ -330,7 +346,8 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 
 
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
-# slot table field (``_slot_table``), 143 to 184 by tracemalloc at n = 8..12;
+# slot table field (``_slot_table``), 67 to 73 by tracemalloc at n = 8..12,
+# and 143 to 184 with the inverse that ``_Layout.slots`` builds;
 # a stored memo term, 52 to 58 of peak RSS growth for poincare_poly("0" * n,
 # memo) at n = 9..12; and a slot of q-rows 0..qmax as whole P(0^n) expands
 # over (1 - q)^n, 120 to 158 of peak RSS growth at n = 1..11, qmax <= 10^6.
@@ -482,28 +499,27 @@ def _little(words: array) -> array:
     return words
 
 
-# Slot tables per sequence length n: the exponent of every slot, in slot
-# order, and its inverse.  The (a, t) plane is fixed by n and q is the most
-# significant coordinate, so one table, grown to the largest q-degree asked
-# for, serves every layout of length n through a prefix.  A table is
-# replaced, never mutated, so threads may share them.
-_SLOT_TABLES: dict[int, tuple[list[Exponents], dict[Exponents, int]]] = {}
+# Slot tables per geometry, (a-rows, t-width): the exponent of every slot,
+# in slot order, and, built on its first use by ``_Layout.slots``, its
+# inverse.  q is the most significant coordinate, so one table, grown to the
+# largest q-degree asked for, serves every layout of a geometry through a
+# prefix.  A table is replaced, never mutated, so threads may share them.
+_SLOT_TABLES: dict[tuple[range, int], list[Exponents]] = {}
+_SLOT_INDEX: dict[tuple[range, int], dict[Exponents, int]] = {}
 
 
-def _slot_table(n: int, fields: int) -> tuple[list[Exponents], dict[Exponents, int]]:
-    table = _SLOT_TABLES.get(n)
-    if table is None or len(table[0]) < fields:
-        na, nt = n + 1, comb(n, 2) + 1
-        nq = fields // (na * nt)
-        units = [UNIT * i for i in range(max(nq, na, nt))]
-        exps = [
+def _slot_table(geometry: tuple[range, int], fields: int) -> list[Exponents]:
+    table = _SLOT_TABLES.get(geometry)
+    if table is None or len(table) < fields:
+        a_rows, t_width = geometry
+        nq = fields // (len(a_rows) * t_width)
+        units = [UNIT * i for i in range(max(nq, t_width, max(a_rows) + 1))]
+        table = _SLOT_TABLES[geometry] = [
             (units[i], units[j], units[k])
             for i in range(nq)
-            for j in range(na)
-            for k in range(nt)
+            for j in a_rows
+            for k in range(t_width)
         ]
-        table = (exps, dict(zip(exps, range(len(exps)))))
-        _SLOT_TABLES[n] = table
     return table
 
 
@@ -513,25 +529,31 @@ def _field_bytes(bound: int) -> int:
 
 
 class _Layout:
-    """The packed-integer layout of one run (see the module docstring)."""
+    """The packed-integer layout of one run (see the module docstring).
+
+    Its geometry: q-rows 0..dq, each of one a-row per a-degree in ``a_rows``,
+    in that order, of ``t_width`` t-slots; by default a = 0..n, t = 0..C(n, 2).
+    """
 
     route = "P"
 
-    def __init__(self, n: int, dq: int, bound: int):
+    def __init__(self, n: int, dq: int, bound: int, a_rows=None, t_width=0):
+        a_rows = self.a_rows = range(n + 1) if a_rows is None else a_rows
+        t_width = t_width or comb(n, 2) + 1
         b = self.b = _field_bytes(bound)
         w = self.w = 8 * b
-        nt = comb(n, 2) + 1
-        self.sa = w * nt
-        self.sq = w * nt * (n + 1)
+        self.sa = w * t_width
+        self.sq = self.sa * len(a_rows)
         self.dq = dq
-        self.fields = (dq + 1) * (n + 1) * nt
+        self.fields = (dq + 1) * len(a_rows) * t_width
         self.nbytes = self.fields * b
         self.row_bytes = self.sq // 8
         # the top bit of every field: (p + top) ^ top reads p's signed
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
         self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
         self.limbs = _limbs(b)
-        self.exps, self.slot_of = _slot_table(n, self.fields)
+        self.geometry = (a_rows, t_width)
+        self.exps = _slot_table(self.geometry, self.fields)
 
     def step(self, key: str, work: dict) -> int:
         if not key:
@@ -552,8 +574,12 @@ class _Layout:
             raise EntryOutOfBounds(
                 f"memo entry {key!r} has an L1 norm above its bound {l1}"
             )
+        slot_of = _SLOT_INDEX.get(self.geometry, {})
+        if len(slot_of) < self.fields:
+            slot_of = dict(zip(self.exps, range(len(self.exps))))
+            _SLOT_INDEX[self.geometry] = slot_of
         try:
-            slots = list(map(self.slot_of.__getitem__, p._terms))
+            slots = list(map(slot_of.__getitem__, p._terms))
         except KeyError as e:
             raise EntryOutOfBounds(
                 f"memo entry {key!r} has a term at q,a,t exponent "
@@ -591,28 +617,50 @@ class _Layout:
 class _SeriesLayout(_Layout):
     """The layout of f(v) = P(v) / (1 - q)^#0(v), cut at q-row qmax.
 
-    Its fields are unsigned and hold the largest row mass, and every step
-    that shifts q keeps the layout's K bits (see the module docstring).
+    Its fields are unsigned and hold the largest row mass, every step that
+    shifts q keeps the layout's K bits, and the v.1 step drops what the
+    a-shift moves out of the top a-row; descending ``a_rows`` step the
+    reversal f~ (see the module docstring).
     """
 
     route = "f"
 
-    def __init__(self, n: int, qmax: int, bound: int):
-        super().__init__(n, qmax, bound)
+    def __init__(self, n: int, qmax: int, bound: int, *geometry):
+        super().__init__(n, qmax, bound, *geometry)
         self.mask = (1 << 8 * self.nbytes) - 1
+        top = self.sa // 8  # R keeps every a-row of every q-row but the top one
+        row = b"\xff" * (self.row_bytes - top) + bytes(top)
+        self.keep = int.from_bytes(row * (qmax + 1), "little")
         # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
         self.strides = [self.sq << k for k in range(qmax.bit_length())]
 
     def step(self, key: str, work: dict) -> int:
-        if not key.endswith("0"):
-            return super().step(key, work)
+        if not key:
+            return 1
+        body = key[:-1]
+        if key.endswith("1"):
+            p = work[body]
+            s = self.w * body.count("1")
+            if self.a_rows.step < 0:  # f~(v.1) = (a t^ones(v) + 1) f~(v)
+                return ((p & self.keep) << s + self.sa) + p
+            return (p << s) + ((p & self.keep) << self.sa)
         if "1" not in key:  # f(0^m) = f(1 0^(m-1)) / (1 - q)
             r = work["1" + key[1:]]
             for stride in self.strides:
                 r = (r + (r << stride)) & self.mask
             return r
-        body = key[:-1]
         return (work["1" + body] + (work["0" + body] << self.sq)) & self.mask
+
+
+def _split(n: int, J: int) -> list[tuple[range, int]]:
+    """The geometries of the f route's two passes on length n, split at J.
+
+    a-rows 0..J at the whole t-width, and f~'s rows b = 0..B, B = n - 1 - J,
+    f's a-degrees n down to J + 1, at t-width B n - C(B + 1, 2) + 1.
+    """
+    B = n - 1 - J
+    high = (range(n, J, -1), B * n - comb(B + 1, 2) + 1)
+    return [(range(J + 1), comb(n, 2) + 1), high]
 
 
 def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
@@ -779,23 +827,28 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     """Truncated homology series of the n-strand full twist closure.
 
     Without ``memo``, and with qmax below the q-degree bound of P(0^n), the
-    recursion steps on the series f itself, cut at q^qmax
-    (:class:`_SeriesLayout`), when that steps fewer bytes in all and holds
-    no more at once, counting q-rows times field bytes (both layouts have
-    the same fields per q-row).  The total tracks the step time: over
-    n = 10..12 and qmax 5..40 the ratio of the two routes' step times was
-    0.75 to 1.5 times that of their totals.  Otherwise it steps the whole
-    polynomial and expands it over (1 - q)^n; a memo receives every key's
-    whole polynomial.
+    recursion steps on the series f itself, cut at q^qmax, in two passes
+    split by a-degree at J (:class:`_SeriesLayout`, :func:`_split`), when
+    they step fewer bytes in all and the larger holds no more at once than
+    whole P, counting q-rows times field bytes times fields per q-row.  The
+    total tracks the step time: over n = 10..12 and qmax 5..40 the ratio of
+    the two routes' step times was 0.8 to 2.0 times that of their totals
+    (0.8 to 1.2 at n = 11 and 12).
+    Otherwise it steps the whole polynomial and expands it over (1 - q)^n;
+    a memo receives every key's whole polynomial.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     key = "0" * n
+    plane = (n + 1) * (comb(n, 2) + 1)
+    # the expansion holds up to every slot of q-rows 0..qmax
+    expansion = {"series terms": (qmax + 1) * plane * _SERIES_BYTES_PER_TERM}
     if memo is not None:
+        _room(key, expansion)
         return poincare_series(key, memo).series(qmax)
-    needs, users = plan = _plan(key, {}, _poly_deps)
+    needs, users = _plan(key, {}, _poly_deps)
     bounds = _fill_bounds(needs, {})
     dq, l1 = bounds[key]
     whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
@@ -803,19 +856,25 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
         # the largest row mass over the closure (see the module docstring)
         mass = 2**n * comb(qmax + n - 1, n - 1)
         fb, b = _field_bytes(mass), _field_bytes(l1)
+        # both passes hold the same q-rows, so J balances fields per q-row
+        J = min(range(n), key=lambda J: max(len(a) * t for a, t in _split(n, J)))
+        low, high = (len(a) * t for a, t in _split(n, J))
         total = sum(d + 1 for d, _ in bounds.values())
-        if len(needs) * (qmax + 1) * fb < total * b:
+        if len(needs) * (qmax + 1) * fb * (low + high) < total * b * plane:
             peak = _peak_live(needs, users, lambda k: qmax + 1)
-            if peak * fb <= whole * b:
-                series = _SeriesLayout(n, qmax, mass)
-                estimate = _working_set(needs, peak, series)
-                return _step_packed(key, None, series, plan, estimate)
+            if peak * fb * max(low, high) <= whole * b * plane:
+                layouts = [_SeriesLayout(n, qmax, mass, *g) for g in _split(n, J)]
+                sets = [_working_set(needs, peak, layout) for layout in layouts]
+                # both passes are pre-flighted before either steps
+                _room(key, max(sets, key=lambda parts: sum(parts.values())))
+                terms = {}
+                for layout, estimate in zip(layouts, sets):
+                    plan = (needs, dict(users))
+                    terms.update(_step_packed(key, None, layout, plan, estimate)._terms)
+                return Polynomial._trusted(terms)
     layout = _Layout(n, dq, l1)
-    estimate = _working_set(needs, whole, layout)
-    # the expansion holds up to every slot of q-rows 0..qmax
-    slots = (qmax + 1) * (n + 1) * (comb(n, 2) + 1)
-    estimate["series terms"] = slots * _SERIES_BYTES_PER_TERM
-    num = _step_packed(key, None, layout, plan, estimate)
+    estimate = {**_working_set(needs, whole, layout), **expansion}
+    num = _step_packed(key, None, layout, (needs, users), estimate)
     return FracPoly(num, [ONE_MINUS_Q] * n).series(qmax)
 
 

@@ -65,7 +65,7 @@ def test_fulltwist(capsys):
 
 
 def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
-    # an estimate of about 4.7 MiB at qmax 10, the closure walk fits
+    # an estimate of about 2.6 MiB at qmax 10, the closure walk fits
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 2 ** 20)
     code, out, err = run_cli(capsys, "fulltwist", "--n", "9")
     assert code == 1

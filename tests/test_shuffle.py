@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+from itertools import product
 from math import comb
 
 import pytest
@@ -294,9 +295,9 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         sized.append(bound)
         return field_bytes(bound)
 
-    def spy_series_layout(n, qmax, mass):
+    def spy_series_layout(n, qmax, mass, *geometry):
         built.append(mass)
-        return series_layout(n, qmax, mass)
+        return series_layout(n, qmax, mass, *geometry)
 
     monkeypatch.setattr(shuffle, "_field_bytes", spy_field_bytes)
     monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
@@ -324,12 +325,12 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         # the closed form is the largest row mass itself
         assert max(masses) == bound, qmax
         # and the full twist sizes its series fields by it first, whichever
-        # route it then takes
+        # route it then takes, for both passes of the series route
         sized.clear()
         built.clear()
         full_twist_series(n, qmax)
         if qmax < _zeros_dq(n):
-            assert sized[0] == bound and built in ([], [bound]), qmax
+            assert sized[0] == bound and built in ([], [bound, bound]), qmax
         else:  # only the whole layout is sized
             assert sized == [l1] and built == [], qmax
 
@@ -346,14 +347,73 @@ def test_poincare_poly_at_a_t_one_is_two_to_the_length():
         assert {d: c for d, c in rows.items() if c} == {0: 2 ** len(v)}, v
 
 
+def test_slice_t_degree_bound_holds_every_key():
+    # the a^j slice of P(v) has t-degree at most C(|v|, 2) - C(j, 2) (the
+    # tlh.shuffle docstring), and P(1^m) = prod (t^k + a) reaches it in each
+    memo = MemoTable()
+    poincare_poly("0" * 9, memo)
+    assert len(memo) == 2 ** 10 - 1
+    for v, p in memo.items():
+        bound = [comb(len(v), 2) - comb(j, 2) for j in range(len(v) + 1)]
+        top = [-1] * len(bound)
+        for (_, ea, et), _ in p.terms():
+            top[ea // UNIT] = max(top[ea // UNIT], et // UNIT)
+        assert all(d <= b for d, b in zip(top, bound)), v
+        if "0" not in v:
+            assert top == bound, v
+
+
+@pytest.fixture(scope="module")
+def series_slices_up_to_8():
+    # each key's f(k) cut at q^qmax, split into its a^0..a^|k| slices
+    memo = MemoTable()
+    poincare_poly("0" * 8, memo)
+    slices = {}
+    for k, qmax in product(memo, (0, 3, 10)):
+        by_a = slices[k, qmax] = [{} for _ in range(len(k) + 1)]
+        for e, c in poincare_series(k, memo).series(qmax).terms():
+            by_a[e[1] // UNIT][e] = c
+    return slices
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
+    # both passes step the closure of 0^n, every word of length m <= n: the
+    # low pass holds f's a-degrees 0..J, and the high pass f~'s rows
+    # b = 0..n - 1 - J, f's a-degrees m - b, which its layout names n - b
+    needs, users = shuffle._plan("0" * n, {}, shuffle._poly_deps)
+    for qmax in (0, 3, 10):
+        mass = 2 ** n * comb(qmax + n - 1, n - 1)
+        for J in range(n):
+            for high, geometry in enumerate(shuffle._split(n, J)):
+                layout = shuffle._SeriesLayout(n, qmax, mass, *geometry)
+                values = MemoTable()
+                shuffle._evaluate(
+                    "0" * n, values, shuffle._poly_deps, layout.step,
+                    store=layout.unpack, plan=(needs, dict(users)),
+                )
+                assert values.keys() == needs.keys()
+                for k, value in values.items():
+                    m = len(k)
+                    lo, hi = (m - (n - 1 - J), m) if high else (0, J)
+                    shift = (n - m) * UNIT if high else 0
+                    got = {(q, a - shift, t): c for (q, a, t), c in value.units().items()}
+                    want = {}
+                    for part in series_slices_up_to_8[k, qmax][max(lo, 0):hi + 1]:
+                        want.update(part)
+                    assert got == want, (k, qmax, J, high)
+
+
 @pytest.mark.parametrize(
     "n, qmax, route",
-    [(8, 3, "series"), (8, 10, "whole"), (11, 10, "series"), (11, 20, "whole")]
+    [(8, 3, "series"), (8, 11, "series"), (8, 12, "whole")]
+    + [(11, 10, "series"), (11, 21, "series"), (11, 22, "whole")]
     + [(n, qmax, "whole") for n in (1, 4, 8) for qmax in (_zeros_dq(n), 1000)],
 )
 def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     # the series route fills qmax + 1 q-rows on every key, so it loses once
-    # qmax nears the q-degree bound; from the bound on it is never tried
+    # qmax nears the q-degree bound, though each of its two passes holds
+    # about half the fields per q-row; from the bound on it is never tried
     layouts, passes = [], []
     step_packed, evaluate = shuffle._step_packed, shuffle._evaluate
 
@@ -372,10 +432,10 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     passes.clear()
     assert full_twist_series(n, qmax) == want
     series = route == "series"
-    assert layouts == [shuffle._SeriesLayout if series else shuffle._Layout]
-    # the one pass is estimated before it steps
+    assert layouts == ([shuffle._SeriesLayout] * 2 if series else [shuffle._Layout])
+    # each pass is estimated before it steps
     assert all(passes)
-    assert len(passes) == 1
+    assert len(passes) == len(layouts)
 
 
 def test_full_twist_memo_holds_whole_polynomials():
@@ -387,6 +447,20 @@ def test_full_twist_memo_holds_whole_polynomials():
     for key, value in memo.items():
         assert value == poincare_poly(key), key
     assert memo["0" * 8].unit_range("q")[1] == _zeros_dq(8) * UNIT > 3 * UNIT
+
+
+def test_full_twist_memo_expansion_fails_by_name_before_it_starts(monkeypatch):
+    # a memo's series is expanded by FracPoly.series, counted as on the whole
+    # route without one: six million slots at q^1000000
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    expanded = []
+    monkeypatch.setattr(FracPoly, "series", lambda *args: expanded.append(args))
+    memo = MemoTable()
+    with pytest.raises(MemoryBudgetExceeded, match="evaluating '00'") as err:
+        full_twist_series(2, 10 ** 6, memo)
+    assert str(err.value).endswith("MiB of series terms")
+    assert err.value.need > 64 * 2 ** 20
+    assert expanded == [] and not memo
 
 
 def test_poincare_poly_matches_sympy():
@@ -566,8 +640,8 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     assert sum(shuffle._working_set(needs, peak, layout).values()) < 2 * 2 ** 30
 
 
-# Run in a fresh interpreter: the memory estimate of the one pass that steps,
-# plus what the memo-sink check adds for the entries stored, then the growth
+# Run in a fresh interpreter: the memory estimate of the larger pass that
+# steps, plus what the memo-sink check adds for the entries stored, then the growth
 # of the process's peak RSS over the run (ru_maxrss is in kB on Linux).
 # ru_maxrss survives exec, so an interpreter spawned by a large process
 # starts at its parent's peak; a fork of the fresh interpreter starts afresh.
@@ -593,9 +667,9 @@ if route == "fulltwist":
 else:
     shuffle.poincare_poly(sys.argv[2], memo if route == "memo" else None)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert len(estimates) == 1
+assert len(estimates) in (1, 2)
 stored = sum(map(len, memo.values())) * shuffle._MEMO_BYTES_PER_TERM
-print(estimates[0] + stored, (after - before) * (1 if sys.platform == "darwin" else 1024))
+print(max(estimates) + stored, (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
 
