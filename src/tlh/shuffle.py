@@ -47,9 +47,9 @@ rows b = 0..B = n - 1 - J, f's a-degrees J + 1..n at the target,
 every q-row; the two disjoint results join into one.  But every f value
 fills all qmax + 1 q-rows, in fields that widen with qmax, where a packed
 P(v) stops at its own q-degree bound; so the f route is taken only when
-its two passes step fewer bytes in all than whole P and the larger holds
-no more at once (:func:`full_twist_series`).  Otherwise P(0^n) is stepped
-whole and expanded over (1 - q)^n, and no qmax costs more than that.
+its two passes step fewer bytes in all than whole P
+(:func:`full_twist_series`).  Otherwise P(0^n) is stepped whole and
+expanded over (1 - q)^n, and no qmax costs more than that.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; and the a^j
@@ -829,11 +829,11 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     Without ``memo``, and with qmax below the q-degree bound of P(0^n), the
     recursion steps on the series f itself, cut at q^qmax, in two passes
     split by a-degree at J (:class:`_SeriesLayout`, :func:`_split`), when
-    they step fewer bytes in all and the larger holds no more at once than
-    whole P, counting q-rows times field bytes times fields per q-row.  The
-    total tracks the step time: over n = 10..12 and qmax 5..40 the ratio of
-    the two routes' step times was 0.8 to 2.0 times that of their totals
-    (0.8 to 1.2 at n = 11 and 12).
+    they step fewer bytes in all than whole P, counting q-rows times field
+    bytes times fields per q-row.  The total tracks the step time: over
+    n = 10..12 and qmax 5..40 the ratio of the two routes' step times was
+    0.8 to 2.0 times that of their totals (0.8 to 1.2 at n = 11 and 12).
+    Up to n = 17 the larger pass then holds no more at once than whole P.
     Otherwise it steps the whole polynomial and expands it over (1 - q)^n;
     a memo receives every key's whole polynomial.
     """
@@ -851,27 +851,26 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     needs, users = _plan(key, {}, _poly_deps)
     bounds = _fill_bounds(needs, {})
     dq, l1 = bounds[key]
-    whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
     if qmax < dq:
         # the largest row mass over the closure (see the module docstring)
         mass = 2**n * comb(qmax + n - 1, n - 1)
         fb, b = _field_bytes(mass), _field_bytes(l1)
         # both passes hold the same q-rows, so J balances fields per q-row
-        J = min(range(n), key=lambda J: max(len(a) * t for a, t in _split(n, J)))
-        low, high = (len(a) * t for a, t in _split(n, J))
-        total = sum(d + 1 for d, _ in bounds.values())
-        if len(needs) * (qmax + 1) * fb * (low + high) < total * b * plane:
+        splits = [_split(n, J) for J in range(n)]
+        split = min(splits, key=lambda g: max(len(a) * t for a, t in g))
+        stepped = len(needs) * (qmax + 1) * fb * sum(len(a) * t for a, t in split)
+        if stepped < sum(d + 1 for d, _ in bounds.values()) * b * plane:
             peak = _peak_live(needs, users, lambda k: qmax + 1)
-            if peak * fb * max(low, high) <= whole * b * plane:
-                layouts = [_SeriesLayout(n, qmax, mass, *g) for g in _split(n, J)]
-                sets = [_working_set(needs, peak, layout) for layout in layouts]
-                # both passes are pre-flighted before either steps
-                _room(key, max(sets, key=lambda parts: sum(parts.values())))
-                terms = {}
-                for layout, estimate in zip(layouts, sets):
-                    plan = (needs, dict(users))
-                    terms.update(_step_packed(key, None, layout, plan, estimate)._terms)
-                return Polynomial._trusted(terms)
+            layouts = [_SeriesLayout(n, qmax, mass, *g) for g in split]
+            sets = [_working_set(needs, peak, layout) for layout in layouts]
+            # both passes are pre-flighted before either steps
+            _room(key, max(sets, key=lambda parts: sum(parts.values())))
+            terms = {}
+            for layout, estimate in zip(layouts, sets):
+                plan = (needs, dict(users))
+                terms.update(_step_packed(key, None, layout, plan, estimate)._terms)
+            return Polynomial._trusted(terms)
+    whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
     layout = _Layout(n, dq, l1)
     estimate = {**_working_set(needs, whole, layout), **expansion}
     num = _step_packed(key, None, layout, (needs, users), estimate)

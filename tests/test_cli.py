@@ -119,6 +119,17 @@ def test_specialize_input_file(tmp_path, capsys):
     assert out.strip() == "q + q^3 - q^4"
 
 
+def test_specialize_input_file_in_latex_exits_1(tmp_path, capsys):
+    path = tmp_path / "poly.tex"
+    path.write_text("q + a\n")
+    code, out, err = run_cli(
+        capsys, "specialize", "--input", str(path), "--format", "latex", "--to", "decat"
+    )
+    assert code == 1
+    assert out == ""
+    assert "latex is write-only" in err
+
+
 def test_specialize_sl_requires_N(capsys):
     code, _, err = run_cli(capsys, "specialize", "--link", "T(2,3)", "--to", "sl_n")
     assert code == 1
@@ -148,6 +159,12 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert "zeroseq/zero-expansion-identity" in out
     assert "PASS" in out
+
+
+def test_verify_suite_list(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "list")
+    assert code == 0
+    assert out.split() == verify.suite_names()
 
 
 def test_verify_unknown_suite(capsys):

@@ -25,6 +25,13 @@ def test_level_function_enumeration_count():
             assert got == comb(budget + n, n)
 
 
+def test_bad_arguments_are_value_errors():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        list(level_functions(0, 3))
+    with pytest.raises(ValueError, match="qmax must be >= 0"):
+        hochschild_zero_series(3, -1)
+
+
 def test_level_function_enumeration_unique():
     seen = set(level_functions(3, 5))
     assert len(seen) == comb(8, 3)

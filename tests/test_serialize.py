@@ -107,11 +107,30 @@ def test_json_frac_schema():
 def test_json_rejects_bad_input():
     with pytest.raises(ParseError):
         parse_poly("{", "json")
+    with pytest.raises(ParseError, match="expected a JSON object"):
+        parse_poly("[]", "json")
     with pytest.raises(ParseError):
         parse_poly(json.dumps({"exponent_unit": "1/2", "variables": ["q", "a", "t"], "terms": []}), "json")
+    with pytest.raises(ParseError, match="variables must be"):
+        parse_poly(json.dumps({"exponent_unit": "1/4", "variables": ["q", "t", "a"], "terms": []}), "json")
     frac = json.loads(dumps(FracPoly(ONE, [ONE_MINUS_Q]), "json"))
     with pytest.raises(ParseError):
         parse_poly(json.dumps(frac), "json")
+    for factor, message in [
+        ([[0, 0, 0], [4, 0, 0]], "bad denominator factor 0"),
+        ({"lead": [4, 0, 0], "trail": [4, 0, 0]}, "degenerate denominator factor 0"),
+    ]:
+        frac["den"] = [factor]
+        with pytest.raises(ParseError, match=message):
+            parse_frac(json.dumps(frac))
+
+
+def test_unknown_format_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        dumps(ONE, "xml")
+    for fmt in ("xml", "latex"):
+        with pytest.raises(ValueError, match=f"unknown format '{fmt}'"):
+            parse_poly("1", fmt)
 
 
 # Term forms the JSON decoder must refuse, and the message naming term 1.

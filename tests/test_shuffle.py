@@ -438,6 +438,50 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     assert len(passes) == len(layouts)
 
 
+class _Routed(Exception):
+    """Raised in place of full_twist_series's first peak pass."""
+
+
+def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
+    # the route is chosen by the bytes stepped alone; wherever the series
+    # route is taken, its larger pass's sized peak is at most whole P's, so
+    # a memory test beside the byte test would decide no case
+    plan_of, peak_live = shuffle._plan, shuffle._peak_live
+    plans = {}
+
+    def routed(needs, users, size):
+        # the chosen route sizes 0^n by qmax + 1 q-rows (series) or dq + 1
+        raise _Routed(size("0" * n))
+
+    # one closure walk per n, not per case: 286 walks would take seconds
+    monkeypatch.setattr(shuffle, "_plan", lambda key, hits, deps: plans[key])
+    monkeypatch.setattr(shuffle, "_peak_live", routed)
+    taken = 0
+    for n in range(1, 13):
+        key = "0" * n
+        needs, users = plans[key] = plan_of(key, {}, shuffle._poly_deps)
+        bounds = shuffle._fill_bounds(needs, {})
+        dq, l1 = bounds[key]
+        whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
+        whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
+        # every series value holds qmax + 1 q-rows of the larger pass's fields
+        values = peak_live(needs, users, lambda k: 1)
+        fields = min(
+            max(len(a) * t for a, t in shuffle._split(n, J)) for J in range(n)
+        )
+        for qmax in range(dq):
+            with pytest.raises(_Routed) as rows:
+                full_twist_series(n, qmax)
+            if rows.value.args == (qmax + 1,):
+                taken += 1
+                fb = shuffle._field_bytes(2 ** n * comb(qmax + n - 1, n - 1))
+                assert values * (qmax + 1) * fb * fields <= whole_bytes, (n, qmax)
+            else:
+                assert rows.value.args == (dq + 1,), (n, qmax)
+    # of the 286 cases qmax < dq
+    assert taken == 119
+
+
 def test_full_twist_memo_holds_whole_polynomials():
     memo = MemoTable()
     for n in range(1, 9):
@@ -825,6 +869,8 @@ def test_full_twist_series():
     for memo in (None, MemoTable()):
         with pytest.raises(ValueError, match="qmax"):
             full_twist_series(3, -1, memo)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            full_twist_series(0, 3, memo)
 
 
 def test_top_a_coefficient():
@@ -929,18 +975,25 @@ def _tampered_cache(tmp_path, key, terms):
     return str(path)
 
 
-@pytest.mark.parametrize("terms", [
-    [((0, 0, 0), 1), ((UNIT, 2, 0), 1)],                    # a^(1/2): not whole
-    [((0, 0, 0), 1), ((0, 0, 11 * UNIT), 1)],               # t^11 > 5*4/2
-    [((0, 0, 0), 1), ((-UNIT, 0, 0), 1)],                   # negative q-degree
-    [((0, 0, 0), 1), ((40 * UNIT, 0, 0), 1)],               # q-degree above bound
-    [((0, 0, 0), 2 ** 70), ((0, UNIT, 0), -(2 ** 70))],     # L1 norm above bound
-])
-def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms):
+_OUTSIDE = "'0110' has a term at q,a,t exponent"
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([((0, 0, 0), 1), ((UNIT, 2, 0), 1)], _OUTSIDE),        # a^(1/2): not whole
+    ([((0, 0, 0), 1), ((0, 0, 11 * UNIT), 1)], _OUTSIDE),   # t^11 > 5*4/2
+    ([((0, 0, 0), 1), ((-UNIT, 0, 0), 1)], _OUTSIDE),       # negative q-degree
+    ([((0, 0, 0), 1), ((40 * UNIT, 0, 0), 1)], _OUTSIDE),   # past every layout
+    ([((0, 0, 0), 2 ** 70), ((0, UNIT, 0), -(2 ** 70))], "'0110' has an L1 norm"),
+    # q-degree above bound, inside the slot table that "0000" (bound 6),
+    # a key of the same length, grew first
+    ([((0, 0, 0), 1), ((3 * UNIT, 0, 0), 1)],
+     "'0110' has a q-degree above its bound 2"),
+], ids=[f"terms{i}" for i in range(6)])
+def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms, message):
     path = _tampered_cache(tmp_path, "0110", terms)
     # the sample of the 31 keys is "" and "0111", so the bounds check
     # meets "0110"
-    with pytest.raises(EntryOutOfBounds, match="'0110'"):
+    with pytest.raises(EntryOutOfBounds, match=message):
         load_cache(path)
     # unchecked, the entry is never read for another key
     with open(path, encoding="utf-8") as fh:
@@ -992,6 +1045,18 @@ def test_save_cache_golden_bytes(tmp_path):
     assert same, f"differs from char {len(os.path.commonprefix([got, want]))}"
     save_cache(str(path), MemoTable())
     assert path.read_text(encoding="utf-8") == "{}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "cache must be a JSON object"),
+    ('{"0": %s, "012": %s}' % ((json.dumps(poly_to_obj(ONE + A)),) * 2),
+     "bad cache key '012'"),
+], ids=["array", "bad-key"])
+def test_cache_that_is_not_a_key_map_fails_to_load(tmp_path, text, message):
+    path = tmp_path / "cache.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_cache(str(path))
 
 
 @pytest.mark.parametrize("term,message", BAD_TERMS)
