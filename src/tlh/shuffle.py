@@ -76,16 +76,32 @@ top bit clear.  The bound holds for every intermediate field as well: the
 v.0 step's unmasked top row is a row of f(0 v), and each window of the
 doubling prefix sum is at most the whole prefix sum.  No term is negative,
 so no field carries into the next, and none can overflow: nothing is guessed.
+The insertion route (below) steps on P's layout, sized by its own rules.
+Packing is the evaluation q = 2^SQ, a = 2^SA, t = 2^w, a ring homomorphism
+Z[q, a, t] -> Z, and its step is +, - and left shifts alone, with no mask,
+so every packed value is the image of its exact polynomial, whatever its
+temporaries hold: only the values stored, and unpacked, must fit the
+layout.  By induction over its rule, deg_a <= |v| and deg_t <= C(|v|, 2),
+as W(v, w) has a-degree o = #1(v) and t-degree at most C(o, 2) + o #1(w),
+with C(o, 2) + o z + C(z, 2) = C(|v|, 2) for z = #0(v) = |w|; the q-degree
+bound is dq(v) = max dq(w) + z, z being the q-degree of q^#0(w)
+(1 - q)^#1(w); and the L1 bound is L1(v) = 2^o sum over w of 2^#1(w)
+L1(w), as |W(v, w)| = 2^o and |(1 - q)^k| = 2^k.  P(0^m) keeps the bounds
+of P(1 0^(m-1)).  Both bounds grow from every key to its consumers, so a
+plan's largest are its roots', and the run's layout holds those.  At
+n = 8..10 the dq of 0^n is the P route's, and its L1 bound three bits
+longer.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only at
 the boundaries: an insertion into a caller's memo, and the return value.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
-q-rows: dq_k + 1 for P(k), since only the v.0 step raises the q-degree, and
-qmax + 1 for every f value; J minimises the larger of the f route's two,
-and both are checked first.  A pass whose estimate exceeds physical memory
-fails with :class:`MemoryBudgetExceeded`; so does a pass that stores into a
-caller's memo, as soon as the entries it stored would take it over, and a
-closure walk whose own state outgrows physical memory, as soon as it does.
+q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
+qmax + 1 for every f value, plus the step's temporaries as tall as the
+layout; J minimises the larger of the f route's two, and both are checked
+first.  A pass whose estimate exceeds physical memory fails with
+:class:`MemoryBudgetExceeded`; so does a pass that stores into a caller's
+memo, as soon as the entries it stored would take it over, and a closure
+walk whose own state outgrows physical memory, as soon as it does.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -94,20 +110,22 @@ v, with a product W(v, w) of (t^j + a) weights per one of v.  It too steps on
 normalized polynomials, P(v) = sum over w of q^#0(w) (1-q)^#1(w) W(v, w) P(w),
 keeping P(0^n) = P(1 0^(n-1)).  W(v, w) depends on w only through its
 weight class, the count of inserted ones to the right of each one of v, so
-each step first adds the P(w) that share #1(w) and weight class, then
-multiplies each sum by its weight once.  Agreement of the two routes is a
-core self-check of the whole engine.  The routes share no arithmetic (the
-insertion route works on :class:`Polynomial` term dicts, never packed ints),
-only one work-list driver (``_evaluate``); each keeps its own dependency and
-step rules.
+each step first adds the packed P(w) that share k = #1(w) and weight class,
+then multiplies each sum by its weight once, ``p = (p << (l + m) w) +
+(p << SA)`` per one of v, and folds each k's total G_k as it completes,
+``acc = acc - (acc << SQ) + (G_k << (z - k) SQ)`` from k = z down to 0.
+Agreement of the two routes is a core self-check of the whole engine.  The
+routes share the packed layout, the work-list driver (``_evaluate``) and
+unpacking; each keeps its own dependency and step rules and its own bounds.
+The check steps every word up to its length bound as one plan.
 
-The driver walks the closure of the target once, counts each key's
+The driver walks the closure of its roots once, counts each key's
 consumers, and steps the keys in topological order with an explicit work
 list rather than native recursion, so long sequences do not hit the
-interpreter stack limit.  Only the insertion route stops its walk at memo
-hits; the packed route reads a caller's memo for the target alone.  A
-working value is released as soon as its last consumer has run; the result
-is never released.  A caller-owned memo still receives every key computed
+interpreter stack limit.  Both routes read a caller's memo for the target
+alone: a hit returns the entry, a miss steps the whole closure.  A working
+value is released as soon as its last consumer has run; a lone root is
+never released.  A caller-owned memo still receives every key computed
 that it lacks, so memos may be shared and saved.  The memo admits
 concurrent lookup and idempotent insertion; inserting a different value
 under an existing key is a fatal invariant violation.
@@ -259,21 +277,29 @@ class MemoTable(dict):
 _WALK_BYTES_PER_KEY = 512
 
 
-def _plan(key: str, hits, deps) -> tuple[dict, dict]:
-    """Walk the closure of ``key`` once, stopping at the keys in ``hits``.
+def _name(roots: list[str]) -> str:
+    """How a :class:`MemoryBudgetExceeded` message names a run's roots."""
+    if len(roots) == 1:
+        return repr(roots[0])
+    return f"{len(roots)} keys, {roots[0]!r} to {roots[-1]!r}"
+
+
+def _plan(roots: list[str], hits, deps) -> tuple[dict, dict]:
+    """Walk the closure of ``roots`` once, stopping at the keys in ``hits``.
 
     Returns ``needs``, every key to step mapped to the keys its step reads,
     in a topological order, and ``users``, each key's consumer count over
-    ``needs``.  ``key`` itself has no consumer in its own closure (the
-    recursions are acyclic), so the driver never releases the result.
-    The walk raises :class:`MemoryBudgetExceeded` as soon as the keys it
-    holds would outgrow physical memory.
+    ``needs``.  A lone root has no consumer in its own closure (the
+    recursions are acyclic), so the driver never releases its value; of
+    several roots, one may read another.  The walk raises
+    :class:`MemoryBudgetExceeded` as soon as the keys it holds would outgrow
+    physical memory.
     """
     # A closure's size is not a function of its key's length alone (1^30 0
     # has 64 keys, 0^31 has 2^32 - 1), so the walk counts what it holds.
     limit = _memory_budget() // _WALK_BYTES_PER_KEY
     needs: dict[str, tuple[str, ...]] = {}
-    stack = [key]
+    stack = roots[::-1]
     while stack:
         top = stack[-1]
         if top in needs or top in hits:
@@ -286,7 +312,7 @@ def _plan(key: str, hits, deps) -> tuple[dict, dict]:
             # the only branch that grows len(needs) + len(stack)
             if len(needs) + len(stack) > limit:
                 raise MemoryBudgetExceeded(
-                    f"walking the closure of {key!r} outgrew the "
+                    f"walking the closure of {_name(roots)} outgrew the "
                     f"{limit * _WALK_BYTES_PER_KEY / 2**30:.1f} GiB of physical "
                     f"memory after {len(needs)} keys",
                     (len(needs) + len(stack)) * _WALK_BYTES_PER_KEY,
@@ -324,18 +350,20 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     """Estimated peak bytes of a packed run over ``needs`` on ``layout``.
 
     Its live values, ``peak`` q-rows at their most (:func:`_peak_live`),
-    and two values of step temporaries as tall as the layout, with the
-    heap's holes between them; the closure walk's state; and the layout's
-    slot table, each under the name :class:`MemoryBudgetExceeded` gives
-    it.  CPython stores 30 bits of an int in every 4 bytes.  The malloc
-    heap leaves holes where a freed value is too small for the next one:
-    the f-route's peak RSS growth measured 1.19 times its live bytes at
-    |v| = 13..15 (Python 3.11, glibc), and 1.0 times with every value in
-    its own mmap.  Values count half again, which keeps the estimate 1.2
-    to 1.8 times the peak RSS growth of either route at |v| = 10..13 on
-    Python 3.10, 3.11 and 3.12.
+    and the step's temporaries, ``layout.temps`` values as tall as the
+    layout, with the heap's holes between them; the closure walk's state;
+    and the layout's slot table, each under the name
+    :class:`MemoryBudgetExceeded` gives it.  CPython stores 30 bits of an
+    int in every 4 bytes.  The malloc heap leaves holes where a freed value
+    is too small for the next one: the f-route's peak RSS growth measured
+    1.19 times its live bytes at |v| = 13..15 (Python 3.11, glibc), and 1.0
+    times with every value in its own mmap.  Values count half again, which
+    keeps the estimate 1.2 to 1.8 times the peak RSS growth of the P and f
+    routes at |v| = 10..13 on Python 3.10, 3.11 and 3.12, and 1.4 to 1.7
+    times that of the insertion route's 0^10 and its one plan over every
+    word of length <= 9 (Python 3.11).
     """
-    rows = peak + 2 * (layout.dq + 1)
+    rows = peak + layout.temps * (layout.dq + 1)
     return {
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
@@ -365,13 +393,13 @@ def _mib(size: int) -> str:
     return f"{size / 2**20:,.1f} MiB"
 
 
-def _room(key: str, parts: dict[str, int]) -> int:
+def _room(what: str, parts: dict[str, int]) -> int:
     """Bytes of physical memory left over ``parts``, or the error naming them."""
     need = sum(parts.values())
     budget = _memory_budget()
     if need > budget:
         raise MemoryBudgetExceeded(
-            f"evaluating {key!r} would hold about {_mib(need)} at once, over the "
+            f"evaluating {what} would hold about {_mib(need)} at once, over the "
             f"{_mib(budget)} of physical memory: "
             + ", ".join(f"{_mib(size)} of {part}" for part, size in parts.items()),
             need,
@@ -380,49 +408,43 @@ def _room(key: str, parts: dict[str, int]) -> int:
 
 
 def _evaluate(
-    key: str,
+    what: str,
     memo: MemoTable | None,
-    deps: Callable,
     step: Callable,
-    store: Callable = lambda value: value,
+    plan: tuple[dict, dict],
+    store: Callable,
     estimate: dict[str, int] | None = None,
-    plan: tuple[dict, dict] | None = None,
-):
-    """The one work-list driver of both recursions.
+) -> dict:
+    """The one work-list driver of every packed run.
 
-    ``deps(k)`` names the keys that ``step(k, work)`` reads from ``work``.
-    Without ``plan`` the driver walks one over ``memo``, stopping at its
-    hits, which enter the working set as they are (the insertion route);
-    the packed route passes a ``plan`` walked without hits.  Each new value
-    goes into ``memo`` (when given) as ``store(value)`` if ``memo`` lacks
-    its key, and the result is returned as ``store(value)``.  A working
-    value is released once its last consumer has stepped.  A run whose
-    ``estimate``, the caller's peak bytes by the parts it names, exceeds
-    physical memory raises :class:`MemoryBudgetExceeded` before any step;
-    so does a run that stores into ``memo``, as soon as the estimate plus
-    ``_MEMO_BYTES_PER_TERM`` per term the memo holds would.
+    Steps the keys of ``plan``, a :func:`_plan` walked without hits, in
+    order: ``step(k, work)`` reads the values of the keys that ``plan``
+    names for ``k`` from ``work``.  ``plan``'s consumer counts are consumed.
+    Each new value goes into ``memo`` (when given) as ``store(value)`` if
+    ``memo`` lacks its key; no entry of ``memo`` is read.  A working value
+    is released once its last consumer has stepped, and the values that no
+    key consumes are returned.  A run whose ``estimate``, the caller's peak
+    bytes by the parts it names, exceeds physical memory raises
+    :class:`MemoryBudgetExceeded`, naming the run ``what``, before any
+    step; so does a run that stores into ``memo``, as soon as the estimate
+    plus ``_MEMO_BYTES_PER_TERM`` per term the memo holds would.
     """
-    hits = {} if memo is None else memo
-    needs, users = plan or _plan(key, hits, deps)
+    needs, users = plan
     estimate = estimate or {}
-    room = _room(key, estimate) // _MEMO_BYTES_PER_TERM
+    room = _room(what, estimate) // _MEMO_BYTES_PER_TERM
     # a memo shared across runs already holds what earlier runs stored;
     # list() copies the values in one C call, so the other threads that
     # insert into a shared memo cannot change it while it is summed
-    held = sum(map(len, list(hits.values())))
+    held = 0 if memo is None else sum(map(len, list(memo.values())))
     work: dict = {}
     for k, ds in needs.items():
-        for d in ds:
-            if d not in work:
-                work[d] = hits[d]
-        value = step(k, work)
-        work[k] = value
+        value = work[k] = step(k, work)
         if memo is not None and k not in memo:
             entry = store(value)
             memo.insert(k, entry)
             held += len(entry)
             if held > room:
-                _room(key, {
+                _room(what, {
                     **estimate,
                     f"memo entries up to {k!r}": held * _MEMO_BYTES_PER_TERM,
                 })
@@ -430,7 +452,7 @@ def _evaluate(
             users[d] -= 1
             if not users[d]:
                 del work[d]
-    return store(work[key]) if memo is None else memo[key]
+    return work
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:
@@ -451,7 +473,7 @@ def _poly_bounds(key: str, bounds: dict[str, tuple[int, int]]) -> tuple[int, int
     that it does not hold yet.  The a- and t-degrees need no propagation:
     they are at most |v| and |v|(|v| - 1)/2.
     """
-    needs, _ = _plan(key, bounds, _poly_deps)
+    needs, _ = _plan([key], bounds, _poly_deps)
     return _fill_bounds(needs, bounds)[key]
 
 
@@ -536,6 +558,8 @@ class _Layout:
     """
 
     route = "P"
+    # the step temporaries as tall as the layout that a run's estimate counts
+    temps = 2
 
     def __init__(self, n: int, dq: int, bound: int, a_rows=None, t_width=0):
         a_rows = self.a_rows = range(n + 1) if a_rows is None else a_rows
@@ -686,7 +710,7 @@ def _packed_poly(key: str, memo: MemoTable | None = None) -> Polynomial:
     shorten the walk (a memo holding 0^12, asked for 0^12 1, steps the
     closure of 0^12 again).
     """
-    needs, users = plan = _plan(key, {}, _poly_deps)
+    needs, users = plan = _plan([key], {}, _poly_deps)
     bounds = _fill_bounds(needs, {})
     layout = _Layout(len(key), *bounds[key])
     peak = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
@@ -697,15 +721,10 @@ def _step_packed(
     key: str, memo: MemoTable | None, layout: _Layout, plan: tuple, estimate: dict
 ):
     """The value of ``key`` on ``layout``, stepping ``plan`` (consumed)."""
-    return _evaluate(
-        key,
-        memo,
-        _poly_deps,
-        layout.step,
-        store=layout.unpack,
-        estimate=estimate,
-        plan=plan,
+    work = _evaluate(
+        repr(key), memo, layout.step, plan, store=layout.unpack, estimate=estimate
     )
+    return layout.unpack(work[key]) if memo is None else memo[key]
 
 
 def poincare_series(v: str, memo: MemoTable | None = None) -> FracPoly:
@@ -741,69 +760,109 @@ def _weight_class(v: str, w: str) -> tuple[int, ...]:
     return tuple(ms)
 
 
-def _insertion_step(key: str, work: dict) -> Polynomial:
-    """P(v) = sum over w of q^zeros(w) (1-q)^ones(w) W(v, w) P(w).
+def _insertion_bounds(needs: dict) -> dict[str, tuple[int, int]]:
+    """The insertion route's (q-degree, L1 norm) bounds of every key.
 
-    The summand depends on w only through k = ones(w) and the weight class
-    of w (:func:`_weight_class`), so the P(w) sharing both are added first,
-    and each sum is multiplied once by its weight, itself computed once per
-    weight class.  The products go into one group G_k per k, folded
-    Horner-style: acc <- acc (1 - q) + G_k, from k = zeros(v) down to 0.
+    ``needs`` is a :func:`_plan`; the rules are the module docstring's.
     """
-    if not key:
-        return ONE
-    if "1" not in key:
-        return work["1" + key[1:]]
-    z = key.count("0")
-    # (ones(w), weight class) -> (first such w, sum of their P(w))
-    classes: dict[tuple, tuple[str, dict[Exponents, int]]] = {}
-    for w in all_sequences(z):
-        cls = (w.count("1"), _weight_class(key, w))
-        entry = classes.get(cls)
-        if entry is None:
-            classes[cls] = (w, dict(work[w]._terms))
+    bounds: dict[str, tuple[int, int]] = {}
+    for k, ds in needs.items():
+        if not k:
+            bounds[k] = (0, 1)
+        elif "1" not in k:
+            bounds[k] = bounds[ds[0]]
         else:
-            total = entry[1]
-            get = total.get
-            for e, c in work[w]._terms.items():
-                total[e] = get(e, 0) + c
-    groups: list[dict[Exponents, int]] = [{} for _ in range(z + 1)]
-    weights: dict[tuple[int, ...], Polynomial] = {}
-    for (k, ms), (w, total) in classes.items():
-        weight = weights.get(ms)
-        if weight is None:
-            weight = weights[ms] = insertion_weight(key, w)
-        group = groups[k]
-        get = group.get
-        shift = UNIT * (z - k)
-        terms = [(e, c) for e, c in total.items() if c]
-        for (s0, s1, s2), d in weight._terms.items():
-            s0 += shift
-            for (e0, e1, e2), c in terms:
-                e = (e0 + s0, e1 + s1, e2 + s2)
-                group[e] = get(e, 0) + c * d
-    acc: dict[Exponents, int] = {}
-    for group in reversed(groups):
-        get = group.get
-        for e, c in acc.items():
-            group[e] = get(e, 0) + c
-            e = (e[0] + UNIT, e[1], e[2])
-            group[e] = get(e, 0) - c
-        acc = group
-    return Polynomial(acc)
+            z = k.count("0")
+            dq = max(bounds[w][0] for w in ds) + z
+            l1 = sum(bounds[w][1] << w.count("1") for w in ds) << len(k) - z
+            bounds[k] = (dq, l1)
+    return bounds
+
+
+class _InsertionLayout(_Layout):
+    """P's layout, stepping the insertion recursion (see the module docstring)."""
+
+    route = "insertion"
+    # live at once in a step: acc, the group G_k, and a weighted class sum
+    # with its two shifts and their sum
+    temps = 6
+
+    def step(self, key: str, work: dict) -> int:
+        """P(v) = sum over w of q^#0(w) (1-q)^#1(w) W(v, w) P(w).
+
+        The P(w) of one k = #1(w) and one weight class are added first, and
+        each sum is multiplied by its weight, one ``(p << w (l + m)) +
+        (p << SA)`` per one of v.  Their total G_k is shifted by q^(z - k)
+        and folded Horner-style as it completes, acc <- acc (1 - q) + G_k,
+        from k = z = #0(v) down to 0.
+        """
+        if not key:
+            return 1
+        if "1" not in key:
+            return work["1" + key[1:]]
+        z = key.count("0")
+        # the words w by k = #1(w), then by weight class: the words of one
+        # class share their whole summand but for P(w)
+        classes: list[dict] = [{} for _ in range(z + 1)]
+        for w in all_sequences(z):
+            classes[w.count("1")].setdefault(_weight_class(key, w), []).append(w)
+        acc = 0
+        for k in range(z, -1, -1):
+            g = 0
+            for ms, words in classes[k].items():
+                p = sum(map(work.__getitem__, words))
+                for l, m in enumerate(reversed(ms)):
+                    p = (p << self.w * (l + m)) + (p << self.sa)
+                g += p
+            acc = acc - (acc << self.sq) + (g << (z - k) * self.sq)
+        return acc
+
+
+def _insertion_run(roots: list[str]) -> tuple[_Layout, tuple, dict]:
+    """The layout, plan and pre-flight estimate of an insertion run."""
+    needs, users = plan = _plan(roots, {}, _insertion_deps)
+    bounds = _insertion_bounds(needs)
+    # one layout holds every key of the plan
+    dq = max(d for d, _ in bounds.values())
+    l1 = max(b for _, b in bounds.values())
+    layout = _InsertionLayout(max(map(len, needs)), dq, l1)
+    peak = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
+    return layout, plan, _working_set(needs, peak, layout)
 
 
 def insertion_series(v: str, memo: MemoTable | None = None) -> FracPoly:
     """The Poincare series computed by the insertion recursion.
 
-    Steps on normalized polynomials, the values ``memo`` receives, and
-    returns the result over (1-q)^zeros(v).  Independent of
-    :func:`poincare_series` in its rules and its arithmetic: the two routes
-    share only the work-list driver.  Their equality is a verification suite.
+    Steps on normalized polynomials and returns the result over
+    (1-q)^zeros(v).  Like :func:`poincare_poly`, it reads ``memo`` only for
+    ``v`` itself, and on a miss ``memo`` receives every key of the closure
+    that it lacks.  Independent of :func:`poincare_series` in its rules,
+    its steps and its bounds: the two routes share only the packed layout,
+    the work-list driver and unpacking.  Their equality is a verification
+    suite.
     """
     key = _key(v)
-    num = _evaluate(key, memo, _insertion_deps, _insertion_step)
+    if memo is not None and key in memo:
+        num = memo[key]
+    else:
+        num = _step_packed(key, memo, *_insertion_run([key]))
     return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
+
+
+def _insertion_series_upto(bound: int) -> dict[str, FracPoly]:
+    """:func:`insertion_series` of every word of length <= ``bound``.
+
+    One plan over all of them, on the layout of length ``bound``, is
+    pre-flighted and stepped once; each key is stepped once, where a call
+    per word would step every key of each word's closure again.
+    """
+    roots = [v for n in range(bound + 1) for v in all_sequences(n)]
+    layout, plan, estimate = _insertion_run(roots)
+    values = MemoTable()
+    _evaluate(
+        _name(roots), values, layout.step, plan, store=layout.unpack, estimate=estimate
+    )
+    return {v: FracPoly(values[v], [ONE_MINUS_Q] * v.count("0")) for v in roots}
 
 
 def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
@@ -846,9 +905,9 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     # the expansion holds up to every slot of q-rows 0..qmax
     expansion = {"series terms": (qmax + 1) * plane * _SERIES_BYTES_PER_TERM}
     if memo is not None:
-        _room(key, expansion)
+        _room(repr(key), expansion)
         return poincare_series(key, memo).series(qmax)
-    needs, users = _plan(key, {}, _poly_deps)
+    needs, users = _plan([key], {}, _poly_deps)
     bounds = _fill_bounds(needs, {})
     dq, l1 = bounds[key]
     if qmax < dq:
@@ -864,7 +923,7 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
             layouts = [_SeriesLayout(n, qmax, mass, *g) for g in split]
             sets = [_working_set(needs, peak, layout) for layout in layouts]
             # both passes are pre-flighted before either steps
-            _room(key, max(sets, key=lambda parts: sum(parts.values())))
+            _room(repr(key), max(sets, key=lambda parts: sum(parts.values())))
             terms = {}
             for layout, estimate in zip(layouts, sets):
                 plan = (needs, dict(users))

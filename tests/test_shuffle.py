@@ -283,7 +283,7 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     # f(v)(q, 1, 1) = 2^|v| / (1 - q)^#0(v), so the largest row mass up to
     # q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
     key = "0" * n
-    plan = shuffle._plan(key, {}, shuffle._poly_deps)
+    plan = shuffle._plan([key], {}, shuffle._poly_deps)
     whole = MemoTable()
     if n <= 7:
         poincare_poly(key, whole)
@@ -308,8 +308,8 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
         values = MemoTable()
         shuffle._evaluate(
-            key, values, shuffle._poly_deps, layout.step,
-            store=layout.unpack, plan=(plan[0], dict(plan[1])),
+            repr(key), values, layout.step, (plan[0], dict(plan[1])),
+            store=layout.unpack,
         )
         assert values.keys() == plan[0].keys()
         masses = []
@@ -381,7 +381,7 @@ def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
     # both passes step the closure of 0^n, every word of length m <= n: the
     # low pass holds f's a-degrees 0..J, and the high pass f~'s rows
     # b = 0..n - 1 - J, f's a-degrees m - b, which its layout names n - b
-    needs, users = shuffle._plan("0" * n, {}, shuffle._poly_deps)
+    needs, users = shuffle._plan(["0" * n], {}, shuffle._poly_deps)
     for qmax in (0, 3, 10):
         mass = 2 ** n * comb(qmax + n - 1, n - 1)
         for J in range(n):
@@ -389,8 +389,8 @@ def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
                 layout = shuffle._SeriesLayout(n, qmax, mass, *geometry)
                 values = MemoTable()
                 shuffle._evaluate(
-                    "0" * n, values, shuffle._poly_deps, layout.step,
-                    store=layout.unpack, plan=(needs, dict(users)),
+                    repr("0" * n), values, layout.step, (needs, dict(users)),
+                    store=layout.unpack,
                 )
                 assert values.keys() == needs.keys()
                 for k, value in values.items():
@@ -454,12 +454,12 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         raise _Routed(size("0" * n))
 
     # one closure walk per n, not per case: 286 walks would take seconds
-    monkeypatch.setattr(shuffle, "_plan", lambda key, hits, deps: plans[key])
+    monkeypatch.setattr(shuffle, "_plan", lambda roots, hits, deps: plans[roots[0]])
     monkeypatch.setattr(shuffle, "_peak_live", routed)
     taken = 0
     for n in range(1, 13):
         key = "0" * n
-        needs, users = plans[key] = plan_of(key, {}, shuffle._poly_deps)
+        needs, users = plans[key] = plan_of([key], {}, shuffle._poly_deps)
         bounds = shuffle._fill_bounds(needs, {})
         dq, l1 = bounds[key]
         whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
@@ -560,6 +560,56 @@ def _per_word_insertion_step(key, work):
     return Polynomial(acc)
 
 
+def _grouped_insertion_step(key, work):
+    """The insertion step's former form on term dicts: one weight per class.
+
+    The P(w) sharing k = ones(w) and a weight class are added first, each
+    sum is multiplied once by its weight, and the products go into one group
+    G_k per k, folded Horner-style: acc <- acc (1 - q) + G_k.
+    """
+    if not key:
+        return ONE
+    if "1" not in key:
+        return work["1" + key[1:]]
+    z = key.count("0")
+    classes = {}  # (ones(w), weight class) -> (first such w, sum of P(w))
+    for w in all_sequences(z):
+        cls = (w.count("1"), shuffle._weight_class(key, w))
+        if cls in classes:
+            first, total = classes[cls]
+            classes[cls] = (first, total + work[w])
+        else:
+            classes[cls] = (w, work[w])
+    groups = [{} for _ in range(z + 1)]
+    for (k, _), (w, total) in classes.items():
+        group = groups[k]
+        shift = UNIT * (z - k)
+        for (s0, s1, s2), d in insertion_weight(key, w).units().items():
+            for (e0, e1, e2), c in total.units().items():
+                e = (e0 + s0 + shift, e1 + s1, e2 + s2)
+                group[e] = group.get(e, 0) + c * d
+    acc = {}
+    for group in reversed(groups):
+        for e, c in acc.items():
+            group[e] = group.get(e, 0) + c
+            e = (e[0] + UNIT, e[1], e[2])
+            group[e] = group.get(e, 0) - c
+        acc = group
+    return Polynomial(acc)
+
+
+def _pack(layout, p):
+    """``p`` packed on ``layout``: q^i a^j t^k at bit offset w ((i A + j) T + k).
+
+    A is the layout's a-rows and T its t-width (the tlh.shuffle docstring).
+    """
+    rows, width = len(layout.a_rows), layout.geometry[1]
+    return sum(
+        c << layout.w * ((e0 // UNIT * rows + e1 // UNIT) * width + e2 // UNIT)
+        for (e0, e1, e2), c in p.units().items()
+    )
+
+
 def _ones_right_of_each_one(v, w):
     """Inserted ones to the right of each one of v, read off the overlay."""
     u = insert_into_zeros(v, w)
@@ -573,25 +623,81 @@ def _ones_right_of_each_one(v, w):
 def test_grouped_insertion_step_matches_per_word_step(
     shift_and_add_reference, monkeypatch
 ):
+    # the packed step and its term-dict form, one step each on the P
+    # route's values, against one weight product per word
     work = {v: Polynomial(terms) for v, terms in shift_and_add_reference.items()}
-    calls = []
+    seqs = [v for v in SEQS_UP_TO_8 if len(v) <= 7]
+    layout = shuffle._insertion_run(seqs)[0]
+    packed = {v: _pack(layout, work[v]) for v in seqs}
+    applied = []
+    weight_class = shuffle._weight_class
 
-    def counted(v, w):
-        calls.append(w)
-        return insertion_weight(v, w)
+    class Recorded(tuple):
+        """A weight class that records each weight applied from it."""
 
-    monkeypatch.setattr(shuffle, "insertion_weight", counted)
+        def __reversed__(self):
+            applied.append(self)
+            return reversed(tuple(self))
+
+    monkeypatch.setattr(
+        shuffle, "_weight_class", lambda v, w: Recorded(weight_class(v, w))
+    )
     words = weights = 0
-    for v in (v for v in SEQS_UP_TO_8 if len(v) <= 7):
-        calls.clear()
-        assert shuffle._insertion_step(v, work) == _per_word_insertion_step(v, work), v
+    for v in seqs:
+        want = _per_word_insertion_step(v, work)
+        assert _grouped_insertion_step(v, work) == want, v
+        applied.clear()
+        assert layout.unpack(layout.step(v, packed)) == want, v
         if "1" in v:
             ws = all_sequences(v.count("0"))
-            # one weight per class of words that W(v, w) cannot tell apart
-            assert len(calls) == len({_ones_right_of_each_one(v, w) for w in ws}), v
+            # one weight per class of words that the summand cannot tell apart
+            classes = {(w.count("1"), _ones_right_of_each_one(v, w)) for w in ws}
+            assert len(applied) == len(classes), v
             words += len(ws)
-            weights += len(calls)
+            weights += len(applied)
     assert weights < words
+
+
+@pytest.fixture(scope="module")
+def grouped_insertion_reference():
+    # the term-dict insertion recursion over every key, 0^m after 1 0^(m-1)
+    work = {}
+    for v in sorted(SEQS_UP_TO_8, key=lambda v: (len(v), "1" not in v)):
+        work[v] = _grouped_insertion_step(v, work)
+    return work
+
+
+def test_packed_insertion_route_matches_term_dict_reference(
+    grouped_insertion_reference,
+):
+    upto = shuffle._insertion_series_upto(8)
+    assert upto.keys() == set(SEQS_UP_TO_8)
+    for v in SEQS_UP_TO_8:
+        want = FracPoly(grouped_insertion_reference[v], [ONE_MINUS_Q] * v.count("0"))
+        assert dumps(insertion_series(v)) == dumps(want), v
+        assert dumps(upto[v]) == dumps(want), v
+
+
+def test_insertion_bounds_hold_every_key():
+    # dq(v) = max dq(w) + #0(v) and L1(v) = 2^#1(v) sum 2^#1(w) L1(w) over
+    # the words w of length #0(v) (the tlh.shuffle docstring)
+    memo = MemoTable()
+    poincare_poly("0" * 9, memo)
+    roots = [v for n in range(10) for v in all_sequences(n)]
+    needs, _ = shuffle._plan(roots, {}, shuffle._insertion_deps)
+    assert needs.keys() == memo.keys()
+    bounds = shuffle._insertion_bounds(needs)
+    for v, ds in needs.items():
+        dq, l1 = bounds[v]
+        q_top = memo[v].unit_range("q")[1]
+        assert q_top <= dq * UNIT and sum(map(abs, memo[v].units().values())) <= l1, v
+        # so the largest bounds of a plan are its roots'
+        assert all(bounds[d][0] <= dq and bounds[d][1] <= l1 for d in ds), v
+    # the P route's q-degree bound, and three more bits of L1
+    for n in (8, 9):
+        dq, l1 = shuffle._poly_bounds("0" * n, {})
+        assert bounds["0" * n][0] == dq
+        assert bounds["0" * n][1].bit_length() == l1.bit_length() + 3
 
 
 def test_insertion_series_one_shot_matches_memoized_route():
@@ -626,7 +732,7 @@ def test_working_values_released_after_last_consumer(monkeypatch):
         poincare_poly(v, memo)
     for key in ("0" * 8, "0" * 8 + "1"):
         want = poincare_poly(key, MemoTable())
-        needs, users = shuffle._plan(key, {}, shuffle._poly_deps)
+        needs, users = shuffle._plan([key], {}, shuffle._poly_deps)
         runs = []
         for hits in ({}, memo):
             live.clear()
@@ -643,7 +749,7 @@ def test_working_values_released_after_last_consumer(monkeypatch):
 
 def test_memo_is_a_sink_never_a_source(monkeypatch):
     key = "0" * 6 + "1"
-    needs, _ = shuffle._plan(key, {}, shuffle._poly_deps)
+    needs, _ = shuffle._plan([key], {}, shuffle._poly_deps)
     deep = "0110"
     assert deep in needs
     # a wrong value, outside the layout's q-rows, under a key of the closure
@@ -676,12 +782,29 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
         poincare_poly("0" * 16)
     assert err.value.need > 8 * 2 ** 30
     assert steps == []
-    needs, users = shuffle._plan("0" * 13, {}, shuffle._poly_deps)
+    needs, users = shuffle._plan(["0" * 13], {}, shuffle._poly_deps)
     bounds = shuffle._fill_bounds(needs, {})
     layout = shuffle._Layout(13, *bounds["0" * 13])
     assert shuffle._peak_live(needs, users, lambda k: 1) == 2061
     peak = shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
     assert sum(shuffle._working_set(needs, peak, layout).values()) < 2 * 2 ** 30
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda: insertion_series("0" * 10), "'0{10}'"),
+    (lambda: shuffle._insertion_series_upto(9), "1023 keys, '' to '1{9}'"),
+])
+def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name):
+    steps = []
+    monkeypatch.setattr(
+        shuffle._InsertionLayout, "step", lambda *args: steps.append(args)
+    )
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 20)
+    with pytest.raises(MemoryBudgetExceeded, match=f"evaluating {name} ") as err:
+        run()
+    assert "MiB of live values on the insertion route, a-degrees 0.." in str(err.value)
+    assert err.value.need > 16 * 2 ** 20
+    assert steps == []
 
 
 # Run in a fresh interpreter: the memory estimate of the larger pass that
@@ -708,6 +831,11 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if route == "fulltwist":
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fulltwist", "--n", sys.argv[2], "--qmax", sys.argv[3]]) == 0
+elif route == "insertion":
+    shuffle.insertion_series(sys.argv[2])
+elif route == "insertion-upto":  # the run stores every value it steps
+    series = shuffle._insertion_series_upto(int(sys.argv[2]))
+    memo = {v: f.num for v, f in series.items()}
 else:
     shuffle.poincare_poly(sys.argv[2], memo if route == "memo" else None)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -725,7 +853,10 @@ print(max(estimates) + stored, (after - before) * (1 if sys.platform == "darwin"
     + [pytest.param(("poly", "0" * n), n >= 10, id=f"poly-{n}") for n in range(8, 12)]
     # a long key with few zeros: its layout's slot table outweighs its values
     + [pytest.param(("poly", "0" + "1" * 30 + "0"), False, id="poly-0-1x30-0")]
-    + [pytest.param(("memo", "0" * n), False, id=f"memo-{n}") for n in (9, 10)],
+    + [pytest.param(("memo", "0" * n), False, id=f"memo-{n}") for n in (9, 10)]
+    # the insertion route, one key and every word of length <= 9 in one plan
+    + [pytest.param(("insertion", "0" * 10), True, id="insertion-10")]
+    + [pytest.param(("insertion-upto", 9), True, id="insertion-upto-9")],
 )
 def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
     src = os.path.dirname(os.path.dirname(shuffle.__file__))
@@ -789,7 +920,7 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
         ("0" * 5 + "1" * 40 + "0", 208),
         ("1" * 64, 65),
     ]:
-        assert len(shuffle._plan(key, {}, shuffle._poly_deps)[0]) == size
+        assert len(shuffle._plan([key], {}, shuffle._poly_deps)[0]) == size
     # 0^16 has 2^17 - 1 keys; the walk is refused long before it ends
     calls.clear()
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'") as err:

@@ -1,7 +1,7 @@
 import pytest
 
 from tlh import links, shuffle, tableaux, verify
-from tlh.poly import A, Q, BinomialFactor, NonExactDivision
+from tlh.poly import Q, BinomialFactor, NonExactDivision
 
 
 def _broken(exc):
@@ -77,14 +77,15 @@ def test_normalization_check_fails_if_division_stops_a_power_short(monkeypatch):
 
 def test_dual_check_fails_if_one_weight_class_is_perturbed(monkeypatch):
     # In v = 0010 the words 000, 100, 010 and 110 insert no one to the right
-    # of v's one, so they share one weight; change that weight alone.
-    weight = shuffle.insertion_weight
+    # of v's one, so they share one weight; change that weight alone, from
+    # 1 + a to t + a.
+    weight_class = shuffle._weight_class
 
     def perturbed(v, w):
-        value = weight(v, w)
-        return value + A if v == "0010" and w.endswith("0") else value
+        ms = weight_class(v, w)
+        return (ms[0] + 1,) if v == "0010" and w.endswith("0") else ms
 
-    monkeypatch.setattr(shuffle, "insertion_weight", perturbed)
+    monkeypatch.setattr(shuffle, "_weight_class", perturbed)
     results = _recursion_results(4)
     assert results["normalization-consistency"].status == verify.PASS
     check = results["dual-recursion-equivalence"]
