@@ -91,17 +91,17 @@ of P(1 0^(m-1)).  Both bounds grow from every key to its consumers, so a
 plan's largest are its roots', and the run's layout holds those.  At
 n = 8..10 the dq of 0^n is the P route's, and its L1 bound three bits
 longer.
-Values are packed only by stepping, from P(empty) = 1, and unpacked only at
-the boundaries: an insertion into a caller's memo, and the return value.
+Values are packed only by stepping, from P(empty) = 1, and unpacked only
+as the values a run returns, those of its roots.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
 qmax + 1 for every f value, plus the step's temporaries as tall as the
 layout; J minimises the larger of the f route's two, and both are checked
 first.  A pass whose estimate exceeds physical memory fails with
-:class:`MemoryBudgetExceeded`; so does a pass that stores into a caller's
-memo, as soon as the entries it stored would take it over, and a closure
-walk whose own state outgrows physical memory, as soon as it does.
+:class:`MemoryBudgetExceeded`; so does a run whose unpacked values would
+take it over, as soon as they would, and a closure walk whose own state
+outgrows physical memory, as soon as it does.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -117,18 +117,19 @@ then multiplies each sum by its weight once, ``p = (p << (l + m) w) +
 Agreement of the two routes is a core self-check of the whole engine.  The
 routes share the packed layout, the work-list driver (``_evaluate``) and
 unpacking; each keeps its own dependency and step rules and its own bounds.
-The check steps every word up to its length bound as one plan.
 
 The driver walks the closure of its roots once, counts each key's
 consumers, and steps the keys in topological order with an explicit work
 list rather than native recursion, so long sequences do not hit the
-interpreter stack limit.  Both routes read a caller's memo for the target
-alone: a hit returns the entry, a miss steps the whole closure.  A working
-value is released as soon as its last consumer has run; a lone root is
-never released.  A caller-owned memo still receives every key computed
-that it lacks, so memos may be shared and saved.  The memo admits
-concurrent lookup and idempotent insertion; inserting a different value
-under an existing key is a fatal invariant violation.
+interpreter stack limit.  A run returns the values of its roots, each
+unpacked once it is stepped; a packed value is released as soon as its
+last consumer has run, a root's that no key reads at once.  Many keys are
+best asked of one run, which steps each key of their closures once.  A
+caller's memo is a cache of answers: :func:`poincare_poly` reads it for
+the key asked alone, and on a miss steps the whole closure and stores that
+one key.  The memo admits concurrent lookup and idempotent insertion;
+inserting a different value under an existing key is a fatal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class MemoryBudgetExceeded(MemoryError):
     """A run's estimated peak working set exceeds physical memory.
 
     Raised from the closure alone, before any recursion step, or while a
-    run stores into a caller's memo, as soon as the entries stored so far
+    run unpacks the values it returns, as soon as those unpacked so far
     would take it over.  The message names the parts of the estimate;
     ``need`` is their sum in bytes.
     """
@@ -271,7 +272,7 @@ class MemoTable(dict):
             raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
-# What the closure walk holds per key (``_plan`` plus ``_poly_bounds``):
+# What the closure walk holds per key (``_plan`` plus its bounds):
 # tracemalloc measured 432 to 482 bytes at |v| = 10..16, growing with the
 # key strings, so this rounds up.
 _WALK_BYTES_PER_KEY = 512
@@ -284,16 +285,15 @@ def _name(roots: list[str]) -> str:
     return f"{len(roots)} keys, {roots[0]!r} to {roots[-1]!r}"
 
 
-def _plan(roots: list[str], hits, deps) -> tuple[dict, dict]:
-    """Walk the closure of ``roots`` once, stopping at the keys in ``hits``.
+def _plan(roots: list[str], deps) -> tuple[dict, dict]:
+    """Walk the closure of ``roots`` once.
 
     Returns ``needs``, every key to step mapped to the keys its step reads,
     in a topological order, and ``users``, each key's consumer count over
-    ``needs``.  A lone root has no consumer in its own closure (the
-    recursions are acyclic), so the driver never releases its value; of
-    several roots, one may read another.  The walk raises
-    :class:`MemoryBudgetExceeded` as soon as the keys it holds would outgrow
-    physical memory.
+    ``needs``.  Only roots lack a count: a lone root has no consumer in its
+    own closure (the recursions are acyclic), and of several roots, one may
+    read another.  The walk raises :class:`MemoryBudgetExceeded` as soon as
+    the keys it holds would outgrow physical memory.
     """
     # A closure's size is not a function of its key's length alone (1^30 0
     # has 64 keys, 0^31 has 2^32 - 1), so the walk counts what it holds.
@@ -302,11 +302,11 @@ def _plan(roots: list[str], hits, deps) -> tuple[dict, dict]:
     stack = roots[::-1]
     while stack:
         top = stack[-1]
-        if top in needs or top in hits:
+        if top in needs:
             stack.pop()
             continue
         ds = deps(top)
-        missing = [d for d in ds if d not in needs and d not in hits]
+        missing = [d for d in ds if d not in needs]
         if missing:
             stack.extend(missing)
             # the only branch that grows len(needs) + len(stack)
@@ -328,7 +328,7 @@ def _plan(roots: list[str], hits, deps) -> tuple[dict, dict]:
 
 
 def _peak_live(needs: dict, users: dict, size: Callable[[str], int]) -> int:
-    """Most units alive at once as ``_evaluate`` steps ``needs`` (no hits).
+    """Most units alive at once as ``_evaluate`` steps ``needs``.
 
     Key k's value holds ``size(k)`` units: 1 counts values, q-rows size a
     packed run (:func:`_working_set`).
@@ -339,6 +339,8 @@ def _peak_live(needs: dict, users: dict, size: Callable[[str], int]) -> int:
         live += size(k)
         if live > peak:
             peak = live
+        if k not in left:  # a root that no key reads is released at once
+            live -= size(k)
         for d in ds:
             left[d] -= 1
             if not left[d]:
@@ -376,9 +378,10 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
 # slot table field (``_slot_table``), 67 to 73 by tracemalloc at n = 8..12,
 # and 143 to 184 with the inverse that ``_Layout.slots`` builds;
-# a stored memo term, 52 to 58 of peak RSS growth for poincare_poly("0" * n,
-# memo) at n = 9..12; and a slot of q-rows 0..qmax as whole P(0^n) expands
-# over (1 - q)^n, 120 to 158 of peak RSS growth at n = 1..11, qmax <= 10^6.
+# an unpacked term, 52 to 58 of peak RSS growth with every key of the
+# closure of 0^n unpacked and held at n = 9..12; and a slot of q-rows
+# 0..qmax as whole P(0^n) expands over (1 - q)^n, 120 to 158 of peak RSS
+# growth at n = 1..11, qmax <= 10^6.
 _SLOT_BYTES_PER_FIELD = 192
 _MEMO_BYTES_PER_TERM = 64
 _SERIES_BYTES_PER_TERM = 192
@@ -408,51 +411,49 @@ def _room(what: str, parts: dict[str, int]) -> int:
 
 
 def _evaluate(
-    what: str,
-    memo: MemoTable | None,
+    roots: list[str],
     step: Callable,
+    unpack: Callable,
     plan: tuple[dict, dict],
-    store: Callable,
-    estimate: dict[str, int] | None = None,
-) -> dict:
-    """The one work-list driver of every packed run.
+    estimate: dict[str, int],
+) -> dict[str, Polynomial]:
+    """The one work-list driver of every packed run: {root: its value}.
 
-    Steps the keys of ``plan``, a :func:`_plan` walked without hits, in
-    order: ``step(k, work)`` reads the values of the keys that ``plan``
-    names for ``k`` from ``work``.  ``plan``'s consumer counts are consumed.
-    Each new value goes into ``memo`` (when given) as ``store(value)`` if
-    ``memo`` lacks its key; no entry of ``memo`` is read.  A working value
-    is released once its last consumer has stepped, and the values that no
-    key consumes are returned.  A run whose ``estimate``, the caller's peak
-    bytes by the parts it names, exceeds physical memory raises
-    :class:`MemoryBudgetExceeded`, naming the run ``what``, before any
-    step; so does a run that stores into ``memo``, as soon as the estimate
-    plus ``_MEMO_BYTES_PER_TERM`` per term the memo holds would.
+    Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order:
+    ``step(k, work)`` reads the values of the keys that ``plan`` names for
+    ``k`` from ``work``.  ``plan``'s consumer counts are consumed.  Each
+    root is unpacked, ``unpack(value)``, once it is stepped.  A packed
+    value is released once its last consumer has stepped, a root's that no
+    key consumes at once.  A run whose ``estimate``, the caller's peak bytes
+    by the parts it names, exceeds physical memory raises
+    :class:`MemoryBudgetExceeded`, naming the run by its roots, before any
+    step; so does a run whose unpacked values, ``_MEMO_BYTES_PER_TERM`` per
+    term, would take the estimate over, as soon as they would.
     """
     needs, users = plan
-    estimate = estimate or {}
+    what = _name(roots)
     room = _room(what, estimate) // _MEMO_BYTES_PER_TERM
-    # a memo shared across runs already holds what earlier runs stored;
-    # list() copies the values in one C call, so the other threads that
-    # insert into a shared memo cannot change it while it is summed
-    held = 0 if memo is None else sum(map(len, list(memo.values())))
+    wanted = set(roots)
+    out: dict[str, Polynomial] = {}
+    held = 0
     work: dict = {}
     for k, ds in needs.items():
         value = work[k] = step(k, work)
-        if memo is not None and k not in memo:
-            entry = store(value)
-            memo.insert(k, entry)
-            held += len(entry)
+        if k in wanted:
+            out[k] = unpack(value)
+            held += len(out[k])
             if held > room:
                 _room(what, {
                     **estimate,
-                    f"memo entries up to {k!r}": held * _MEMO_BYTES_PER_TERM,
+                    f"unpacked values up to {k!r}": held * _MEMO_BYTES_PER_TERM,
                 })
+            if k not in users:
+                del work[k]
         for d in ds:
             users[d] -= 1
             if not users[d]:
                 del work[d]
-    return work
+    return out
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:
@@ -466,19 +467,13 @@ def _poly_deps(key: str) -> tuple[str, ...]:
     return ("0" + body, "1" + body)
 
 
-def _poly_bounds(key: str, bounds: dict[str, tuple[int, int]]) -> tuple[int, int]:
-    """The (q-degree, L1 norm) bounds of P(key), filling ``bounds``.
+def _fill_bounds(needs: dict) -> dict[str, tuple[int, int]]:
+    """The (q-degree, L1 norm) bounds of every key of ``needs``, a ``_plan``.
 
-    ``bounds`` receives the bounds of every key in the closure of ``key``
-    that it does not hold yet.  The a- and t-degrees need no propagation:
-    they are at most |v| and |v|(|v| - 1)/2.
+    The a- and t-degrees need no propagation: they are at most |v| and
+    |v|(|v| - 1)/2.
     """
-    needs, _ = _plan([key], bounds, _poly_deps)
-    return _fill_bounds(needs, bounds)[key]
-
-
-def _fill_bounds(needs: dict, bounds: dict[str, tuple[int, int]]) -> dict:
-    """``bounds`` filled in for every key of ``needs``, a ``_plan`` over it."""
+    bounds: dict[str, tuple[int, int]] = {}
     for k, ds in needs.items():
         if not k:
             bounds[k] = (0, 1)
@@ -687,44 +682,39 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
     return [(range(J + 1), comb(n, 2) + 1), high]
 
 
+def _run(roots: list[str], deps, bounds, layout_cls) -> dict[str, Polynomial]:
+    """{root: its value}, the closure of ``roots`` stepped as one plan.
+
+    ``deps`` and ``bounds``, a key's dependencies and the (q-degree, L1
+    norm) bounds of every key of a plan, are the route's rules.  The one
+    layout, a ``layout_cls`` of the longest key, holds the largest bounds of
+    the plan, a lone root's own since bounds grow toward the consumers; the
+    run is pre-flighted by its sized peak (:func:`_working_set`).
+    """
+    needs, users = plan = _plan(roots, deps)
+    bound = bounds(needs)
+    layout = layout_cls(max(map(len, needs)), *map(max, zip(*bound.values())))
+    peak = _peak_live(needs, users, lambda k: bound[k][0] + 1)
+    estimate = _working_set(needs, peak, layout)
+    return _evaluate(roots, layout.step, layout.unpack, plan, estimate)
+
+
 def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
     """The normalized Poincare polynomial of a shuffle sequence.
 
     Equals (1-q)^zeros(v) times the rational series; always a polynomial.
     The recursion terminates because each rewrite strictly descends in
-    (length, number of zeroes, number of inversions).  ``memo`` is read
-    only for ``v`` itself; on a miss it receives every key of the closure
-    that it lacks (:func:`_packed_poly`).
+    (length, number of zeroes, number of inversions).  ``memo`` is a cache
+    of answers: it is read for ``v`` alone, and on a miss the whole closure
+    of ``v`` is stepped (:func:`_run`) and ``memo`` receives ``v`` alone.
     """
     key = _key(v)
     if memo is not None and key in memo:
         return memo[key]
-    return _packed_poly(key, memo)
-
-
-def _packed_poly(key: str, memo: MemoTable | None = None) -> Polynomial:
-    """P(key), stepping its whole closure on one packed layout.
-
-    ``memo`` is a sink, never a source: it receives the value of each key it
-    lacks and no entry of it is read, so a hit deep in the closure does not
-    shorten the walk (a memo holding 0^12, asked for 0^12 1, steps the
-    closure of 0^12 again).
-    """
-    needs, users = plan = _plan([key], {}, _poly_deps)
-    bounds = _fill_bounds(needs, {})
-    layout = _Layout(len(key), *bounds[key])
-    peak = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
-    return _step_packed(key, memo, layout, plan, _working_set(needs, peak, layout))
-
-
-def _step_packed(
-    key: str, memo: MemoTable | None, layout: _Layout, plan: tuple, estimate: dict
-):
-    """The value of ``key`` on ``layout``, stepping ``plan`` (consumed)."""
-    work = _evaluate(
-        repr(key), memo, layout.step, plan, store=layout.unpack, estimate=estimate
-    )
-    return layout.unpack(work[key]) if memo is None else memo[key]
+    value = _run([key], _poly_deps, _fill_bounds, _Layout)[key]
+    if memo is not None:
+        memo.insert(key, value)
+    return value
 
 
 def poincare_series(v: str, memo: MemoTable | None = None) -> FracPoly:
@@ -818,51 +808,18 @@ class _InsertionLayout(_Layout):
         return acc
 
 
-def _insertion_run(roots: list[str]) -> tuple[_Layout, tuple, dict]:
-    """The layout, plan and pre-flight estimate of an insertion run."""
-    needs, users = plan = _plan(roots, {}, _insertion_deps)
-    bounds = _insertion_bounds(needs)
-    # one layout holds every key of the plan
-    dq = max(d for d, _ in bounds.values())
-    l1 = max(b for _, b in bounds.values())
-    layout = _InsertionLayout(max(map(len, needs)), dq, l1)
-    peak = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
-    return layout, plan, _working_set(needs, peak, layout)
-
-
-def insertion_series(v: str, memo: MemoTable | None = None) -> FracPoly:
+def insertion_series(v: str) -> FracPoly:
     """The Poincare series computed by the insertion recursion.
 
     Steps on normalized polynomials and returns the result over
-    (1-q)^zeros(v).  Like :func:`poincare_poly`, it reads ``memo`` only for
-    ``v`` itself, and on a miss ``memo`` receives every key of the closure
-    that it lacks.  Independent of :func:`poincare_series` in its rules,
+    (1-q)^zeros(v).  Independent of :func:`poincare_series` in its rules,
     its steps and its bounds: the two routes share only the packed layout,
     the work-list driver and unpacking.  Their equality is a verification
     suite.
     """
     key = _key(v)
-    if memo is not None and key in memo:
-        num = memo[key]
-    else:
-        num = _step_packed(key, memo, *_insertion_run([key]))
+    num = _run([key], _insertion_deps, _insertion_bounds, _InsertionLayout)[key]
     return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
-
-
-def _insertion_series_upto(bound: int) -> dict[str, FracPoly]:
-    """:func:`insertion_series` of every word of length <= ``bound``.
-
-    One plan over all of them, on the layout of length ``bound``, is
-    pre-flighted and stepped once; each key is stepped once, where a call
-    per word would step every key of each word's closure again.
-    """
-    roots = [v for n in range(bound + 1) for v in all_sequences(n)]
-    layout, plan, estimate = _insertion_run(roots)
-    values = MemoTable()
-    _evaluate(
-        _name(roots), values, layout.step, plan, store=layout.unpack, estimate=estimate
-    )
-    return {v: FracPoly(values[v], [ONE_MINUS_Q] * v.count("0")) for v in roots}
 
 
 def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
@@ -894,7 +851,7 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     0.8 to 2.0 times that of their totals (0.8 to 1.2 at n = 11 and 12).
     Up to n = 17 the larger pass then holds no more at once than whole P.
     Otherwise it steps the whole polynomial and expands it over (1 - q)^n;
-    a memo receives every key's whole polynomial.
+    a memo is read and written for 0^n's whole polynomial alone.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -907,8 +864,8 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
     if memo is not None:
         _room(repr(key), expansion)
         return poincare_series(key, memo).series(qmax)
-    needs, users = _plan([key], {}, _poly_deps)
-    bounds = _fill_bounds(needs, {})
+    needs, users = _plan([key], _poly_deps)
+    bounds = _fill_bounds(needs)
     dq, l1 = bounds[key]
     if qmax < dq:
         # the largest row mass over the closure (see the module docstring)
@@ -927,13 +884,14 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
             terms = {}
             for layout, estimate in zip(layouts, sets):
                 plan = (needs, dict(users))
-                terms.update(_step_packed(key, None, layout, plan, estimate)._terms)
+                out = _evaluate([key], layout.step, layout.unpack, plan, estimate)
+                terms.update(out[key]._terms)
             return Polynomial._trusted(terms)
     whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
     layout = _Layout(n, dq, l1)
     estimate = {**_working_set(needs, whole, layout), **expansion}
-    num = _step_packed(key, None, layout, (needs, users), estimate)
-    return FracPoly(num, [ONE_MINUS_Q] * n).series(qmax)
+    out = _evaluate([key], layout.step, layout.unpack, (needs, users), estimate)
+    return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +953,8 @@ def load_cache(path: str) -> MemoTable:
             raise MemoDivergence(
                 f"cache entry {key!r} disagrees with a fresh computation"
             )
-    bounds: dict[str, tuple[int, int]] = {}
+    bounds = _fill_bounds(_plan(list(memo), _poly_deps)[0])
     for key, value in memo.items():
-        dq, l1 = _poly_bounds(key, bounds)
+        dq, l1 = bounds[key]
         _Layout(len(key), dq, l1).slots(key, value, l1)
     return memo

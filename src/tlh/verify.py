@@ -27,6 +27,7 @@ from . import closed_form, links, shuffle, tableaux
 from .poly import (
     A,
     ONE,
+    ONE_MINUS_Q,
     Q,
     T,
     UNIT,
@@ -272,24 +273,41 @@ def _serialization_round_trip(bound: int) -> SubResults:
 # recursions
 
 
+def _every_word(bound: int, deps, bounds, layout_cls) -> dict[str, Polynomial]:
+    """The normalized polynomial of every word of length <= ``bound``.
+
+    One plan over all of them steps each key once, where a call per word
+    would step every key of each word's closure again.
+    """
+    words = [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
+    return shuffle._run(words, deps, bounds, layout_cls)
+
+
+def _poly_upto(bound: int) -> dict[str, Polynomial]:
+    return _every_word(bound, shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout)
+
+
 @_check("recursions", "dual-recursion-equivalence", THEOREM, 8)
 def _dual_recursion(bound: int) -> SubResults:
-    memo_a = shuffle.MemoTable()
-    # every word's insertion series, its whole closure stepped as one plan
-    insertion = shuffle._insertion_series_upto(bound)
+    # equal normalized polynomials: the series share (1 - q)^#0(v)
+    polys = _poly_upto(bound)
+    insertion = _every_word(
+        bound, shuffle._insertion_deps, shuffle._insertion_bounds,
+        shuffle._InsertionLayout,
+    )
     return _sizes(bound, lambda n: all(
-        insertion[v] == shuffle.poincare_series(v, memo_a)
-        for v in shuffle.all_sequences(n)
+        insertion[v] == polys[v] for v in shuffle.all_sequences(n)
     ), first=0, label="|v|")
 
 
 @_check("recursions", "normalization-consistency", THEOREM, 8)
 def _normalization(bound: int) -> SubResults:
-    memo = shuffle.MemoTable()
+    polys = _poly_upto(bound)
     def ok(n: int) -> bool:
         return all([  # a list, not a generator: every sequence is evaluated
-            ((ONE - Q) ** v.count("0")) * shuffle.poincare_series(v, memo)
-            == FracPoly(shuffle.poincare_poly(v, memo))
+            ((ONE - Q) ** v.count("0"))
+            * FracPoly(polys[v], [ONE_MINUS_Q] * v.count("0"))
+            == FracPoly(polys[v])
             for v in shuffle.all_sequences(n)
         ])
     return _sizes(bound, ok, first=0, label="|v|")
@@ -310,9 +328,9 @@ def _zero_expansion(bound: int) -> SubResults:
 
 @_check("top-a", "top-a-coefficient-is-one", THEOREM, 8)
 def _top_a(bound: int) -> SubResults:
-    memo = shuffle.MemoTable()
+    polys = _poly_upto(bound)
     return _sizes(bound, lambda n: all(
-        shuffle.poincare_poly(v, memo).coefficient_of_a(n) == ONE
+        polys[v].coefficient_of_a(n) == ONE
         for v in shuffle.all_sequences(n)
     ), first=0, label="|v|")
 

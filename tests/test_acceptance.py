@@ -63,13 +63,12 @@ def test_criterion_01_golden_series():
 
 def test_criterion_02_dual_recursion_510_sequences():
     start = time.perf_counter()
-    alt_memo = MemoTable()
     checked = 0
     ok = True
     for n in range(1, 9):
         for v in all_sequences(n):
             checked += 1
-            if insertion_series(v, alt_memo) != poincare_series(v, _MEMO):
+            if insertion_series(v) != poincare_series(v, _MEMO):
                 ok = False
     elapsed = time.perf_counter() - start
     report("2", ok and checked == 510 and elapsed < 60.0,

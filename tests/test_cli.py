@@ -13,7 +13,7 @@ from tlh import shuffle, verify
 from tlh.cli import main
 from tlh.poly import ONE, A, Q
 from tlh.serialize import dumps, parse_frac, parse_poly
-from tlh.shuffle import poincare_poly, poincare_series
+from tlh.shuffle import MemoTable, poincare_poly, poincare_series
 
 
 def run_cli(capsys, *argv):
@@ -318,9 +318,9 @@ def test_cli_runs_the_engine_without_a_memo(tmp_path, capsys, monkeypatch):
     memos = []
     evaluate = shuffle._evaluate
 
-    def recording(key, memo, *args, **kwargs):
-        memos.append(memo)
-        return evaluate(key, memo, *args, **kwargs)
+    def recording(*args):
+        memos.append(next((a for a in args if isinstance(a, MemoTable)), None))
+        return evaluate(*args)
 
     monkeypatch.setattr(shuffle, "_evaluate", recording)
     cache = str(tmp_path / "memo.json")

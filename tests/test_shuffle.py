@@ -190,7 +190,42 @@ def _shift_and_add_terms(key, memo):
     return memo[key]
 
 
-SEQS_UP_TO_8 = [v for n in range(9) for v in all_sequences(n)]
+def _words(n):
+    """Every word of length <= n, shortest first."""
+    return [v for m in range(n + 1) for v in all_sequences(m)]
+
+
+SEQS_UP_TO_8 = _words(8)
+
+
+def _one_plan(roots):
+    """P of every key of ``roots``, stepped as one plan."""
+    return shuffle._run(roots, shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout)
+
+
+def _insertion_one_plan(roots):
+    """The insertion route's P of every key of ``roots``, as one plan."""
+    return shuffle._run(
+        roots, shuffle._insertion_deps, shuffle._insertion_bounds,
+        shuffle._InsertionLayout,
+    )
+
+
+def _bounds(key):
+    """The P route's (q-degree, L1 norm) bounds of ``key``."""
+    return shuffle._fill_bounds(shuffle._plan([key], shuffle._poly_deps)[0])[key]
+
+
+def _closure(key):
+    """A memo of every key of the closure of ``key``, stepped as one plan."""
+    return MemoTable(_one_plan(list(shuffle._plan([key], shuffle._poly_deps)[0])))
+
+
+def _every_key(key, layout):
+    """Every key of the closure of ``key`` stepped on ``layout``, as roots."""
+    roots = list(shuffle._plan([key], shuffle._poly_deps)[0])
+    plan = shuffle._plan(roots, shuffle._poly_deps)
+    return shuffle._evaluate(roots, layout.step, layout.unpack, plan, {})
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +255,7 @@ def test_packed_kernel_shared_memo_matches_reference(shift_and_add_reference):
 def test_packed_kernel_two_limb_fields():
     # L1 bound 2^64 needs a sign bit more than one 64-bit limb holds: a
     # 72-bit field, one whole limb and one of a byte
-    assert shuffle._poly_bounds("1" * 64, {}) == (0, 2 ** 64)
+    assert _bounds("1" * 64) == (0, 2 ** 64)
     assert shuffle._Layout(64, 0, 2 ** 64).w == 72
     want = ONE
     for k in range(64):
@@ -257,14 +292,13 @@ def test_pack_round_trip_at_the_bound(l1):
 
 
 def _zeros_dq(n):
-    return shuffle._poly_bounds("0" * n, {})[0]
+    return _bounds("0" * n)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_truncated_full_twist_matches_whole_series(n):
-    # the series route against whole P(0^n), through a memo up to n = 9; a
-    # memo of every key's whole polynomial holds about 1.7 GB at n = 12
-    series = poincare_series("0" * n, MemoTable() if n <= 9 else None)
+    # the series route against whole P(0^n)
+    series = poincare_series("0" * n)
     dq = _zeros_dq(n)
     qmaxes = {0, 1, 5, 10, dq - 1, dq, dq + 3, 40, 200} - {-1} if n <= 9 else {10}
     for qmax in sorted(qmaxes):
@@ -283,11 +317,9 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     # f(v)(q, 1, 1) = 2^|v| / (1 - q)^#0(v), so the largest row mass up to
     # q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
     key = "0" * n
-    plan = shuffle._plan([key], {}, shuffle._poly_deps)
-    whole = MemoTable()
-    if n <= 7:
-        poincare_poly(key, whole)
-    l1 = shuffle._fill_bounds(plan[0], {})[key][1]
+    needs, _ = shuffle._plan([key], shuffle._poly_deps)
+    whole = _one_plan(list(needs)) if n <= 7 else {}
+    l1 = _bounds(key)[1]
     sized, built = [], []
     field_bytes, series_layout = shuffle._field_bytes, shuffle._SeriesLayout
 
@@ -306,12 +338,8 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         layout = series_layout(n, qmax, bound)
         # the fewest bytes that hold the bound with the top bit clear
         assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
-        values = MemoTable()
-        shuffle._evaluate(
-            repr(key), values, layout.step, (plan[0], dict(plan[1])),
-            store=layout.unpack,
-        )
-        assert values.keys() == plan[0].keys()
+        values = _every_key(key, layout)
+        assert values.keys() == needs.keys()
         masses = []
         for k, value in values.items():
             if whole:  # every key holds its own f(k) = P(k) / (1 - q)^#0(k)
@@ -337,12 +365,11 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
 
 def test_poincare_poly_at_a_t_one_is_two_to_the_length():
     # P(v.1) = 2 P(v), P(0^m) = P(1 0^(m-1)), P(v.0) = P(1 v) at a = t = 1
-    memo = MemoTable()
-    poincare_poly("0" * 9, memo)
-    assert len(memo) == 2 ** 10 - 1
-    for v in (w for m in range(10) for w in all_sequences(m)):
+    values = _one_plan(_words(9))
+    assert len(values) == 2 ** 10 - 1
+    for v in _words(9):
         rows = {}
-        for e, c in poincare_poly(v, memo).units().items():
+        for e, c in values[v].units().items():
             rows[e[0]] = rows.get(e[0], 0) + c
         assert {d: c for d, c in rows.items() if c} == {0: 2 ** len(v)}, v
 
@@ -350,10 +377,9 @@ def test_poincare_poly_at_a_t_one_is_two_to_the_length():
 def test_slice_t_degree_bound_holds_every_key():
     # the a^j slice of P(v) has t-degree at most C(|v|, 2) - C(j, 2) (the
     # tlh.shuffle docstring), and P(1^m) = prod (t^k + a) reaches it in each
-    memo = MemoTable()
-    poincare_poly("0" * 9, memo)
-    assert len(memo) == 2 ** 10 - 1
-    for v, p in memo.items():
+    values = _one_plan(_words(9))
+    assert len(values) == 2 ** 10 - 1
+    for v, p in values.items():
         bound = [comb(len(v), 2) - comb(j, 2) for j in range(len(v) + 1)]
         top = [-1] * len(bound)
         for (_, ea, et), _ in p.terms():
@@ -366,12 +392,12 @@ def test_slice_t_degree_bound_holds_every_key():
 @pytest.fixture(scope="module")
 def series_slices_up_to_8():
     # each key's f(k) cut at q^qmax, split into its a^0..a^|k| slices
-    memo = MemoTable()
-    poincare_poly("0" * 8, memo)
+    values = _one_plan(SEQS_UP_TO_8)
     slices = {}
-    for k, qmax in product(memo, (0, 3, 10)):
+    for k, qmax in product(values, (0, 3, 10)):
         by_a = slices[k, qmax] = [{} for _ in range(len(k) + 1)]
-        for e, c in poincare_series(k, memo).series(qmax).terms():
+        series = FracPoly(values[k], [ONE_MINUS_Q] * k.count("0"))
+        for e, c in series.series(qmax).terms():
             by_a[e[1] // UNIT][e] = c
     return slices
 
@@ -381,17 +407,13 @@ def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
     # both passes step the closure of 0^n, every word of length m <= n: the
     # low pass holds f's a-degrees 0..J, and the high pass f~'s rows
     # b = 0..n - 1 - J, f's a-degrees m - b, which its layout names n - b
-    needs, users = shuffle._plan(["0" * n], {}, shuffle._poly_deps)
+    needs, _ = shuffle._plan(["0" * n], shuffle._poly_deps)
     for qmax in (0, 3, 10):
         mass = 2 ** n * comb(qmax + n - 1, n - 1)
         for J in range(n):
             for high, geometry in enumerate(shuffle._split(n, J)):
                 layout = shuffle._SeriesLayout(n, qmax, mass, *geometry)
-                values = MemoTable()
-                shuffle._evaluate(
-                    repr("0" * n), values, layout.step, (needs, dict(users)),
-                    store=layout.unpack,
-                )
+                values = _every_key("0" * n, layout)
                 assert values.keys() == needs.keys()
                 for k, value in values.items():
                     m = len(k)
@@ -415,17 +437,13 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     # qmax nears the q-degree bound, though each of its two passes holds
     # about half the fields per q-row; from the bound on it is never tried
     layouts, passes = [], []
-    step_packed, evaluate = shuffle._step_packed, shuffle._evaluate
+    evaluate = shuffle._evaluate
 
-    def spy_step_packed(key, memo, layout, plan, estimate):
-        layouts.append(type(layout))
-        return step_packed(key, memo, layout, plan, estimate)
+    def spy_evaluate(roots, step, unpack, plan, estimate):
+        layouts.append(type(step.__self__))
+        passes.append(sum(estimate.values()))
+        return evaluate(roots, step, unpack, plan, estimate)
 
-    def spy_evaluate(*args, **kwargs):
-        passes.append(sum(kwargs.get("estimate", {}).values()))
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(shuffle, "_step_packed", spy_step_packed)
     monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
     want = poincare_series("0" * n).series(qmax)
     layouts.clear()
@@ -454,13 +472,13 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         raise _Routed(size("0" * n))
 
     # one closure walk per n, not per case: 286 walks would take seconds
-    monkeypatch.setattr(shuffle, "_plan", lambda roots, hits, deps: plans[roots[0]])
+    monkeypatch.setattr(shuffle, "_plan", lambda roots, deps: plans[roots[0]])
     monkeypatch.setattr(shuffle, "_peak_live", routed)
     taken = 0
     for n in range(1, 13):
         key = "0" * n
-        needs, users = plans[key] = plan_of([key], {}, shuffle._poly_deps)
-        bounds = shuffle._fill_bounds(needs, {})
+        needs, users = plans[key] = plan_of([key], shuffle._poly_deps)
+        bounds = shuffle._fill_bounds(needs)
         dq, l1 = bounds[key]
         whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
         whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
@@ -487,7 +505,8 @@ def test_full_twist_memo_holds_whole_polynomials():
     for n in range(1, 9):
         for qmax in (0, 3):
             assert full_twist_series(n, qmax, memo) == full_twist_series(n, qmax)
-    assert len(memo) == 2 ** 9 - 1
+    # the keys asked for, and no other
+    assert sorted(memo) == ["0" * n for n in range(1, 9)]
     for key, value in memo.items():
         assert value == poincare_poly(key), key
     assert memo["0" * 8].unit_range("q")[1] == _zeros_dq(8) * UNIT > 3 * UNIT
@@ -626,8 +645,9 @@ def test_grouped_insertion_step_matches_per_word_step(
     # the packed step and its term-dict form, one step each on the P
     # route's values, against one weight product per word
     work = {v: Polynomial(terms) for v, terms in shift_and_add_reference.items()}
-    seqs = [v for v in SEQS_UP_TO_8 if len(v) <= 7]
-    layout = shuffle._insertion_run(seqs)[0]
+    seqs = _words(7)
+    bounds = shuffle._insertion_bounds(shuffle._plan(seqs, shuffle._insertion_deps)[0])
+    layout = shuffle._InsertionLayout(7, *map(max, zip(*bounds.values())))
     packed = {v: _pack(layout, work[v]) for v in seqs}
     applied = []
     weight_class = shuffle._weight_class
@@ -670,21 +690,20 @@ def grouped_insertion_reference():
 def test_packed_insertion_route_matches_term_dict_reference(
     grouped_insertion_reference,
 ):
-    upto = shuffle._insertion_series_upto(8)
+    upto = _insertion_one_plan(SEQS_UP_TO_8)
     assert upto.keys() == set(SEQS_UP_TO_8)
     for v in SEQS_UP_TO_8:
         want = FracPoly(grouped_insertion_reference[v], [ONE_MINUS_Q] * v.count("0"))
         assert dumps(insertion_series(v)) == dumps(want), v
-        assert dumps(upto[v]) == dumps(want), v
+        assert dumps(FracPoly(upto[v], want.den)) == dumps(want), v
 
 
 def test_insertion_bounds_hold_every_key():
     # dq(v) = max dq(w) + #0(v) and L1(v) = 2^#1(v) sum 2^#1(w) L1(w) over
     # the words w of length #0(v) (the tlh.shuffle docstring)
-    memo = MemoTable()
-    poincare_poly("0" * 9, memo)
-    roots = [v for n in range(10) for v in all_sequences(n)]
-    needs, _ = shuffle._plan(roots, {}, shuffle._insertion_deps)
+    roots = _words(9)
+    memo = _one_plan(roots)
+    needs, _ = shuffle._plan(roots, shuffle._insertion_deps)
     assert needs.keys() == memo.keys()
     bounds = shuffle._insertion_bounds(needs)
     for v, ds in needs.items():
@@ -695,25 +714,26 @@ def test_insertion_bounds_hold_every_key():
         assert all(bounds[d][0] <= dq and bounds[d][1] <= l1 for d in ds), v
     # the P route's q-degree bound, and three more bits of L1
     for n in (8, 9):
-        dq, l1 = shuffle._poly_bounds("0" * n, {})
+        dq, l1 = _bounds("0" * n)
         assert bounds["0" * n][0] == dq
         assert bounds["0" * n][1].bit_length() == l1.bit_length() + 3
 
 
 def test_insertion_series_one_shot_matches_memoized_route():
-    memo = MemoTable()
-    for n in range(6):
-        for v in all_sequences(n):
-            assert insertion_series(v) == insertion_series(v, memo), v
+    # one call per word against one plan over every word
+    values = _insertion_one_plan(_words(5))
+    for v in _words(5):
+        want = FracPoly(values[v], [ONE_MINUS_Q] * v.count("0"))
+        assert insertion_series(v) == want, v
 
 
 def test_insertion_memo_holds_normalized_polynomials():
-    memo = MemoTable()
-    for n in range(8):
-        for v in all_sequences(n):
-            series = insertion_series(v, memo)
-            assert memo[v] == poincare_poly(v), v
-            assert dumps(series) == dumps(poincare_series(v)), v
+    # the values of the insertion route's runs are normalized polynomials
+    values = _insertion_one_plan(_words(7))
+    for v in _words(7):
+        series = insertion_series(v)
+        assert values[v] == poincare_poly(v), v
+        assert dumps(series) == dumps(poincare_series(v)), v
 
 
 def test_working_values_released_after_last_consumer(monkeypatch):
@@ -732,7 +752,7 @@ def test_working_values_released_after_last_consumer(monkeypatch):
         poincare_poly(v, memo)
     for key in ("0" * 8, "0" * 8 + "1"):
         want = poincare_poly(key, MemoTable())
-        needs, users = shuffle._plan([key], {}, shuffle._poly_deps)
+        needs, users = shuffle._plan([key], shuffle._poly_deps)
         runs = []
         for hits in ({}, memo):
             live.clear()
@@ -747,14 +767,66 @@ def test_working_values_released_after_last_consumer(monkeypatch):
         assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("route, layout_cls, peak", [
+    ("P", "_Layout", 65), ("insertion", "_InsertionLayout", 129),
+])
+def test_unconsumed_roots_released_as_the_estimate_counts(
+    monkeypatch, route, layout_cls, peak
+):
+    # every word of length <= 7 in one plan: a root that no key reads is
+    # released as soon as it is stepped, by the driver and its estimate
+    # alike; that is each word of length 7 on the insertion route, whose
+    # words read shorter ones, and 0^7 alone on P's (kept, they would hold
+    # 160 insertion values at once)
+    live = []
+    cls = getattr(shuffle, layout_cls)
+    step = cls.step
+
+    def counting_step(layout, key, work):
+        live.append(len(work) + 1)  # the values held, plus the new one
+        return step(layout, key, work)
+
+    run = _one_plan if route == "P" else _insertion_one_plan
+    deps = shuffle._poly_deps if route == "P" else shuffle._insertion_deps
+    roots = _words(7)
+    needs, users = shuffle._plan(roots, deps)
+    monkeypatch.setattr(cls, "step", counting_step)
+    values = run(roots)
+    assert values.keys() == set(roots) and len(live) == len(needs)
+    assert max(live) == shuffle._peak_live(needs, users, lambda k: 1) == peak
+
+
 def test_memo_is_a_sink_never_a_source(monkeypatch):
+    # a memo is read and written for the asked key alone: a wrong value
+    # under a deep key of the closure is neither read nor overwritten
     key = "0" * 6 + "1"
-    needs, _ = shuffle._plan([key], {}, shuffle._poly_deps)
+    needs, _ = shuffle._plan([key], shuffle._poly_deps)
     deep = "0110"
     assert deep in needs
+    touched = []
+
+    class Recorded(MemoTable):
+        """A memo that records every key it is asked about or given."""
+
+        def __contains__(self, k):
+            touched.append(k)
+            return super().__contains__(k)
+
+        def __getitem__(self, k):
+            touched.append(k)
+            return super().__getitem__(k)
+
+        def get(self, k, default=None):
+            touched.append(k)
+            return super().get(k, default)
+
+        def setdefault(self, k, value):
+            touched.append(k)
+            return super().setdefault(k, value)
+
     # a wrong value, outside the layout's q-rows, under a key of the closure
     sentinel = Polynomial.term(7, q=40)
-    memo = MemoTable({deep: sentinel})
+    memo = Recorded({deep: sentinel})
     unpacked = []
     unpack = shuffle._Layout.unpack
 
@@ -766,12 +838,15 @@ def test_memo_is_a_sink_never_a_source(monkeypatch):
     want = poincare_poly(key)
     unpacked.clear()
     assert poincare_poly(key, memo) == want
+    assert set(touched) == {key}
     assert memo[deep] is sentinel
-    # one unpack per key the memo lacked, none for the key it held
-    assert len(unpacked) == len(needs) - 1
-    assert set(memo) == set(needs)
-    for k in needs.keys() - {deep}:
-        assert memo[k] == poincare_poly(k), k
+    # one unpack, of the asked key, which the memo then holds alone
+    assert len(unpacked) == 1
+    assert set(memo) == {deep, key}
+    # a hit steps nothing
+    touched.clear()
+    assert poincare_poly(key, memo) is dict.__getitem__(memo, key)
+    assert set(touched) == {key} and len(unpacked) == 1
 
 
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
@@ -782,8 +857,8 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
         poincare_poly("0" * 16)
     assert err.value.need > 8 * 2 ** 30
     assert steps == []
-    needs, users = shuffle._plan(["0" * 13], {}, shuffle._poly_deps)
-    bounds = shuffle._fill_bounds(needs, {})
+    needs, users = shuffle._plan(["0" * 13], shuffle._poly_deps)
+    bounds = shuffle._fill_bounds(needs)
     layout = shuffle._Layout(13, *bounds["0" * 13])
     assert shuffle._peak_live(needs, users, lambda k: 1) == 2061
     peak = shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
@@ -792,7 +867,7 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
 
 @pytest.mark.parametrize("run, name", [
     (lambda: insertion_series("0" * 10), "'0{10}'"),
-    (lambda: shuffle._insertion_series_upto(9), "1023 keys, '' to '1{9}'"),
+    (lambda: _insertion_one_plan(_words(9)), "1023 keys, '' to '1{9}'"),
 ])
 def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name):
     steps = []
@@ -808,10 +883,11 @@ def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name
 
 
 # Run in a fresh interpreter: the memory estimate of the larger pass that
-# steps, plus what the memo-sink check adds for the entries stored, then the growth
-# of the process's peak RSS over the run (ru_maxrss is in kB on Linux).
-# ru_maxrss survives exec, so an interpreter spawned by a large process
-# starts at its parent's peak; a fork of the fresh interpreter starts afresh.
+# steps, plus what the run's check adds for the values it unpacks and
+# returns, then the growth of the process's peak RSS over the run (ru_maxrss
+# is in kB on Linux).  ru_maxrss survives exec, so an interpreter spawned
+# by a large process starts at its parent's peak; a fork of the fresh
+# interpreter starts afresh.
 _GROWTH_PROBE = """
 import contextlib, io, os, resource, sys
 if os.fork():
@@ -820,28 +896,34 @@ from tlh import cli, shuffle
 estimates = []
 evaluate = shuffle._evaluate
 
-def recording(*args, estimate=None, **kwargs):
+def recording(roots, step, unpack, plan, estimate):
     estimates.append(sum(estimate.values()))
-    return evaluate(*args, estimate=estimate, **kwargs)
+    return evaluate(roots, step, unpack, plan, estimate)
 
 shuffle._evaluate = recording
 route = sys.argv[1]
-memo = shuffle.MemoTable()
+held = {}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if route == "fulltwist":
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fulltwist", "--n", sys.argv[2], "--qmax", sys.argv[3]]) == 0
 elif route == "insertion":
     shuffle.insertion_series(sys.argv[2])
-elif route == "insertion-upto":  # the run stores every value it steps
-    series = shuffle._insertion_series_upto(int(sys.argv[2]))
-    memo = {v: f.num for v, f in series.items()}
-else:
-    shuffle.poincare_poly(sys.argv[2], memo if route == "memo" else None)
+elif route == "poly":
+    shuffle.poincare_poly(sys.argv[2])
+else:  # every word of length <= argv[2] in one plan, holding every value
+    words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
+    rules = {
+        "poly-upto": (shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout),
+        "insertion-upto": (
+            shuffle._insertion_deps, shuffle._insertion_bounds, shuffle._InsertionLayout
+        ),
+    }[route]
+    held = shuffle._run(words, *rules)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert len(estimates) in (1, 2)
-stored = sum(map(len, memo.values())) * shuffle._MEMO_BYTES_PER_TERM
-print(max(estimates) + stored, (after - before) * (1 if sys.platform == "darwin" else 1024))
+unpacked = sum(map(len, held.values())) * shuffle._MEMO_BYTES_PER_TERM
+print(max(estimates) + unpacked, (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
 
@@ -853,8 +935,9 @@ print(max(estimates) + stored, (after - before) * (1 if sys.platform == "darwin"
     + [pytest.param(("poly", "0" * n), n >= 10, id=f"poly-{n}") for n in range(8, 12)]
     # a long key with few zeros: its layout's slot table outweighs its values
     + [pytest.param(("poly", "0" + "1" * 30 + "0"), False, id="poly-0-1x30-0")]
-    + [pytest.param(("memo", "0" * n), False, id=f"memo-{n}") for n in (9, 10)]
-    # the insertion route, one key and every word of length <= 9 in one plan
+    # every word of length <= 9 in one plan, on each route, and one key's
+    # insertion route
+    + [pytest.param(("poly-upto", 9), True, id="poly-upto-9")]
     + [pytest.param(("insertion", "0" * 10), True, id="insertion-10")]
     + [pytest.param(("insertion-upto", 9), True, id="insertion-upto-9")],
 )
@@ -872,26 +955,25 @@ def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
 
 
 def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
-    # 0^10's live values fit 64 MiB, the 3.2 million terms of its memo do not
+    # the live values of every word of length <= 10 fit 64 MiB, the 3.2
+    # million terms of the values unpacked for them do not
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
-    memo = MemoTable()
-    memo_part = "of memo entries up to '[01]+'$"
-    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{10}'") as err:
-        poincare_poly("0" * 10, memo)
-    assert re.search(memo_part, str(err.value))
+    unpacked = []
+    unpack = shuffle._Layout.unpack
+
+    def counting_unpack(layout, packed):
+        unpacked.append(packed)
+        return unpack(layout, packed)
+
+    monkeypatch.setattr(shuffle._Layout, "unpack", counting_unpack)
+    name = "evaluating 2047 keys, '' to '1{10}'"
+    with pytest.raises(MemoryBudgetExceeded, match=name) as err:
+        _one_plan(_words(10))
+    assert re.search("of unpacked values up to '[01]+'$", str(err.value))
     assert err.value.need > 64 * 2 ** 20
-    assert 0 < len(memo) < 2 ** 11 - 1
-    # a smaller memo fits
-    assert poincare_poly("0" * 8, MemoTable()) == poincare_poly("0" * 8)
-    # a memo shared across runs counts what earlier runs stored: the closure
-    # of 0^9, about a million terms, leaves no room for one more key
-    monkeypatch.undo()
-    memo = MemoTable()
-    poincare_poly("0" * 9, memo)
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
-    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{9}1'") as err:
-        poincare_poly("0" * 9 + "1", memo)
-    assert re.search(memo_part, str(err.value))
+    assert 0 < len(unpacked) < 2 ** 11 - 1
+    # a smaller run fits
+    assert _one_plan(SEQS_UP_TO_8)["0" * 8] == poincare_poly("0" * 8)
 
 
 def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
@@ -920,7 +1002,7 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
         ("0" * 5 + "1" * 40 + "0", 208),
         ("1" * 64, 65),
     ]:
-        assert len(shuffle._plan([key], {}, shuffle._poly_deps)[0]) == size
+        assert len(shuffle._plan([key], shuffle._poly_deps)[0]) == size
     # 0^16 has 2^17 - 1 keys; the walk is refused long before it ends
     calls.clear()
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'") as err:
@@ -931,9 +1013,11 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
         insertion_series("0" * 16)
     assert len(calls) < 2 * limit
-    # a memo hit walks nothing; the memo holds normalized polynomials
+    # a memo hit walks nothing
+    calls.clear()
     memo = MemoTable({"0" * 16: ONE})
-    assert insertion_series("0" * 16, memo) == FracPoly(ONE, [ONE_MINUS_Q] * 16)
+    assert poincare_poly("0" * 16, memo) is ONE
+    assert calls == []
     # a cache holding a long key with few zeros loads, checks included, in a
     # budget that covers the slot table of the layout it recomputes; that
     # of 0 1^30 0, 49,203 slots, alone holds about 7 MiB
@@ -972,11 +1056,10 @@ def test_insertion_series_examples():
 
 
 def test_dual_recursion_small():
-    memo_a = MemoTable()
-    memo_b = MemoTable()
+    memo = MemoTable()
     for n in range(6):
         for v in all_sequences(n):
-            assert insertion_series(v, memo_b) == poincare_series(v, memo_a)
+            assert insertion_series(v) == poincare_series(v, memo)
 
 
 def test_zero_expansion_identity():
@@ -1044,36 +1127,8 @@ def test_memo_shared_across_threads():
         assert poincare_poly(v, fresh) == memo[v]
 
 
-def test_memo_insertions_from_another_thread_during_a_run():
-    # a run counts the terms a shared memo already holds, while another
-    # thread keeps inserting into it; switching threads every microsecond
-    # makes the insertions land in the middle of that count
-    memo = MemoTable({"1" * 30 + format(i, "017b"): ONE for i in range(50_000)})
-    stop = threading.Event()
-
-    def inserter():
-        for i in range(100_000):
-            if stop.is_set():
-                break
-            memo.insert("0" * 30 + format(i, "b"), ONE)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    thread = threading.Thread(target=inserter)
-    thread.start()
-    try:
-        for n in range(1, 9):
-            assert poincare_poly("0" * n, memo) == poincare_poly("0" * n), n
-    finally:
-        stop.set()
-        thread.join()
-        sys.setswitchinterval(interval)
-
-
 def test_cache_round_trip(tmp_path):
-    memo = MemoTable()
-    for v in all_sequences(4):
-        poincare_poly(v, memo)
+    memo = _closure("0000")
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
     loaded = load_cache(str(path))
@@ -1081,8 +1136,7 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_spot_check_catches_tampering(tmp_path):
-    memo = MemoTable()
-    poincare_poly("01", memo)
+    memo = _closure("01")
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
     data = json.loads(path.read_text())
@@ -1095,9 +1149,7 @@ def test_cache_spot_check_catches_tampering(tmp_path):
 
 
 def _tampered_cache(tmp_path, key, terms):
-    memo = MemoTable()
-    for v in all_sequences(4):
-        poincare_poly(v, memo)
+    memo = _closure("0000")
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
     data = json.loads(path.read_text())
@@ -1136,8 +1188,7 @@ def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms, message):
 
 
 def test_save_cache_is_atomic(tmp_path, monkeypatch):
-    memo = MemoTable()
-    poincare_poly("010", memo)
+    memo = _closure("010")
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
     before = path.read_bytes()
@@ -1149,7 +1200,7 @@ def test_save_cache_is_atomic(tmp_path, monkeypatch):
         calls.append(sorted(os.listdir(tmp_path)))
         raise RuntimeError("crash mid-dump")
 
-    poincare_poly("0110", memo)
+    memo.update(_closure("0110"))
     monkeypatch.setattr(json, "dumps", crash)
     with pytest.raises(RuntimeError, match="mid-dump"):
         save_cache(str(path), memo)
@@ -1164,8 +1215,7 @@ def test_save_cache_is_atomic(tmp_path, monkeypatch):
 
 
 def test_save_cache_golden_bytes(tmp_path):
-    memo = MemoTable()
-    poincare_poly("0" * 6, memo)
+    memo = _closure("0" * 6)
     assert len(memo) == 2 ** 7 - 1
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
