@@ -10,9 +10,19 @@ t^(equal_pairs + step_pairs) q^(total) where
     total        =  sum of all levels
 
 Truncating at q-degree qmax means enumerating exactly the level functions
-with total <= qmax, so the truncation is complete, never approximate.  This
-module is deliberately independent of the recursion engine; agreement of the
-two is one of the package's acceptance criteria.
+with total <= qmax, so the truncation is complete, never approximate.
+
+The series keeps the statistics running rather than computing them for each
+level function.  The walk places the strands one at a time, first to last,
+depth first, and counts the strands placed at each level.  A strand placed
+at level v pairs equally with the counts[v] strands already at v and steps
+up from the counts[v - 1] strands already at v - 1, so it adds
+counts[v] + counts[v - 1] to the t-degree, where level -1 counts none.  The
+walk holds the levels of one placement and qmax + 2 counts, and it loops
+rather than recursing once per strand.
+
+This module is deliberately independent of the recursion engine; agreement
+of the two is one of the package's acceptance criteria.
 """
 
 from __future__ import annotations
@@ -47,31 +57,63 @@ def level_stats(levels: Sequence[int]) -> LevelStats:
     return LevelStats(equal, step, sum(levels))
 
 
+def _prefixes(n: int, budget: int) -> Iterator[tuple[list[int], int, list[int], int]]:
+    """Every placement of the first n - 1 strands with total <= budget.
+
+    Yields ``(levels, left, counts, t)`` lexicographically by ``levels``:
+    ``left`` is the budget the last strand may take, ``counts[v + 1]`` the
+    number of strands at level v (``counts[0]``, level -1, stays 0), and
+    ``t`` the equal and step pairs among the placed strands.  The lists are
+    the walk's own and change as it goes on.
+    """
+    levels: list[int] = []
+    tdeg = [0]  # tdeg[j]: the pairs among the first j strands
+    counts = [0] * (budget + 2)
+    left, v = budget, 0  # v: the next level to try for strand len(levels)
+    while True:
+        if len(levels) == n - 1:
+            yield levels, left, counts, tdeg[-1]
+            v = left + 1
+        if v <= left:
+            tdeg.append(tdeg[-1] + counts[v + 1] + counts[v])
+            counts[v + 1] += 1
+            levels.append(v)
+            left -= v
+            v = 0
+        elif levels:
+            v = levels.pop()
+            tdeg.pop()
+            counts[v + 1] -= 1
+            left += v
+            v += 1
+        else:
+            return
+
+
 def level_functions(n: int, budget: int) -> Iterator[tuple[int, ...]]:
     """All level functions on n strands with total <= budget, lexicographically."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def rec(prefix: tuple[int, ...], left: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
+    for levels, left, _, _ in _prefixes(n, budget):
         for v in range(left + 1):
-            yield from rec(prefix + (v,), left - v)
-
-    yield from rec((), budget)
+            yield (*levels, v)
 
 
 def hochschild_zero_series(n: int, qmax: int) -> Polynomial:
     """Truncated series of the degree-zero part for the n-strand full twist.
 
-    Exact in t; complete in q up to and including q^qmax.
+    Exact in t; complete in q up to and including q^qmax.  Each level
+    function's t-degree is summed strand by strand as the walk places it
+    (see the module docstring), in O(n + qmax) memory.
     """
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     terms: dict[tuple[int, int, int], int] = {}
-    for levels in level_functions(n, qmax):
-        s = level_stats(levels)
-        key = (s.total * UNIT, 0, (s.equal_pairs + s.step_pairs) * UNIT)
-        terms[key] = terms.get(key, 0) + 1
+    for _, left, counts, t in _prefixes(n, qmax):
+        total = qmax - left
+        for v in range(left + 1):
+            key = ((total + v) * UNIT, 0, (t + counts[v + 1] + counts[v]) * UNIT)
+            terms[key] = terms.get(key, 0) + 1
     return Polynomial(terms)

@@ -11,11 +11,14 @@ finding-grade by construction and documents the corrected identity, which
 
 Results are deterministic: no timings and a fixed check order, so the
 rendered table is byte-identical across runs.
+
+A value that several checks read, such as the polynomial of every word up to
+a bound, is computed once per :func:`run_suites` call, in a store that the
+call makes, hands to every check and drops when it returns.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -78,12 +81,30 @@ ENGINE_ERRORS = (
 )
 
 
+class _Store:
+    """The values that more than one check of a :func:`run_suites` call reads.
+
+    Each is computed on its first request; the store lives only as long as
+    the call that made it.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict[tuple, object] = {}
+
+    def once(self, fn: Callable, *args):
+        """``fn(*args)``, computed at most once in this store."""
+        key = (fn, *args)
+        if key not in self._values:
+            self._values[key] = fn(*args)
+        return self._values[key]
+
+
 @dataclass(frozen=True)
 class Check:
     suite: str
     name: str
     kind: str
-    fn: Callable[[int], SubResults]
+    fn: Callable[[int, _Store], SubResults]
     default_bound: int
     verified_bound: int | None = None  # None: failures are never hard errors
 
@@ -176,7 +197,7 @@ def _random_frac(rng: random.Random) -> FracPoly:
 
 
 @_check("polycore", "ring-axioms", THEOREM, 1000)
-def _ring_axioms(bound: int) -> SubResults:
+def _ring_axioms(bound: int, store: _Store) -> SubResults:
     rng = random.Random(0x5EED)
     ok = True
     for _ in range(bound):
@@ -191,7 +212,7 @@ def _ring_axioms(bound: int) -> SubResults:
 
 
 @_check("polycore", "exact-division-inverse", THEOREM, 1000)
-def _division_inverse(bound: int) -> SubResults:
+def _division_inverse(bound: int, store: _Store) -> SubResults:
     # Both of the engine's divisions: the binomial quotient, by every pool
     # factor, and the unknot's (1 + a).  Adding one monomial to a multiple
     # breaks divisibility, so that sum must be rejected.
@@ -218,7 +239,7 @@ def _division_inverse(bound: int) -> SubResults:
 
 
 @_check("polycore", "fraction-cross-multiplication", THEOREM, 300)
-def _fraction_cross(bound: int) -> SubResults:
+def _fraction_cross(bound: int, store: _Store) -> SubResults:
     rng = random.Random(0xF4AC)
     ok = True
     for _ in range(bound):
@@ -232,7 +253,7 @@ def _fraction_cross(bound: int) -> SubResults:
 
 
 @_check("polycore", "series-truncation-consistency", THEOREM, 200)
-def _series_consistency(bound: int) -> SubResults:
+def _series_consistency(bound: int, store: _Store) -> SubResults:
     rng = random.Random(0x5E1E)
     ok = True
     for _ in range(bound):
@@ -254,7 +275,7 @@ def _series_consistency(bound: int) -> SubResults:
 
 
 @_check("polycore", "serialization-round-trip", THEOREM, 500)
-def _serialization_round_trip(bound: int) -> SubResults:
+def _serialization_round_trip(bound: int, store: _Store) -> SubResults:
     rng = random.Random(0x0DEC)
     ok = True
     for _ in range(bound):
@@ -273,26 +294,35 @@ def _serialization_round_trip(bound: int) -> SubResults:
 # recursions
 
 
-def _every_word(bound: int, deps, bounds, layout_cls) -> dict[str, Polynomial]:
-    """The normalized polynomial of every word of length <= ``bound``.
-
-    One plan over all of them steps each key once, where a call per word
-    would step every key of each word's closure again.
-    """
-    words = [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
-    return shuffle._run(words, deps, bounds, layout_cls)
+def _words(bound: int) -> list[str]:
+    """Every word of length <= ``bound``, shortest first."""
+    return [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
 
 
 def _poly_upto(bound: int) -> dict[str, Polynomial]:
-    return _every_word(bound, shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout)
+    """The normalized polynomial of every word of length <= ``bound``.
+
+    One plan over all of them steps each key once, where a call per word
+    would step every key of each word's closure again.  A plan steps its
+    roots' closures in the order they are listed.  Listed from
+    ``'1' * bound`` down to ``''``, this one holds no more packed q-rows at
+    once than the plan of ``'0' * bound`` alone, where shortest first held
+    about 2.5 times as many; its pre-flight estimate counts those rows.
+    """
+    return shuffle._run(
+        _words(bound)[::-1], shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout
+    )
 
 
 @_check("recursions", "dual-recursion-equivalence", THEOREM, 8)
-def _dual_recursion(bound: int) -> SubResults:
+def _dual_recursion(bound: int, store: _Store) -> SubResults:
     # equal normalized polynomials: the series share (1 - q)^#0(v)
-    polys = _poly_upto(bound)
-    insertion = _every_word(
-        bound, shuffle._insertion_deps, shuffle._insertion_bounds,
+    polys = store.once(_poly_upto, bound)
+    # shortest first: listed longest first, this plan's peak heap grew from
+    # 13.8 to 15.4 MiB at bound 8 and from 47.7 to 54.4 at 9 (tracemalloc,
+    # Python 3.11), though its packed q-rows at once stay the same
+    insertion = shuffle._run(
+        _words(bound), shuffle._insertion_deps, shuffle._insertion_bounds,
         shuffle._InsertionLayout,
     )
     return _sizes(bound, lambda n: all(
@@ -301,8 +331,8 @@ def _dual_recursion(bound: int) -> SubResults:
 
 
 @_check("recursions", "normalization-consistency", THEOREM, 8)
-def _normalization(bound: int) -> SubResults:
-    polys = _poly_upto(bound)
+def _normalization(bound: int, store: _Store) -> SubResults:
+    polys = store.once(_poly_upto, bound)
     def ok(n: int) -> bool:
         return all([  # a list, not a generator: every sequence is evaluated
             ((ONE - Q) ** v.count("0"))
@@ -314,21 +344,21 @@ def _normalization(bound: int) -> SubResults:
 
 
 @_check("zeroseq", "zero-equals-one-prefix", THEOREM, 8)
-def _zero_one_prefix(bound: int) -> SubResults:
+def _zero_one_prefix(bound: int, store: _Store) -> SubResults:
     memo = shuffle.MemoTable()
     return _sizes(bound, lambda n: shuffle.poincare_poly("0" * n, memo)
                   == shuffle.poincare_poly("1" + "0" * (n - 1), memo))
 
 
 @_check("zeroseq", "zero-expansion-identity", THEOREM, 8)
-def _zero_expansion(bound: int) -> SubResults:
+def _zero_expansion(bound: int, store: _Store) -> SubResults:
     memo = shuffle.MemoTable()
     return _sizes(bound, lambda n: shuffle.zero_expansion_identity(n, memo))
 
 
 @_check("top-a", "top-a-coefficient-is-one", THEOREM, 8)
-def _top_a(bound: int) -> SubResults:
-    polys = _poly_upto(bound)
+def _top_a(bound: int, store: _Store) -> SubResults:
+    polys = store.once(_poly_upto, bound)
     return _sizes(bound, lambda n: all(
         polys[v].coefficient_of_a(n) == ONE
         for v in shuffle.all_sequences(n)
@@ -340,7 +370,7 @@ def _top_a(bound: int) -> SubResults:
 
 
 @_check("hhh0", "closed-form-oracle", THEOREM, 6)
-def _closed_form_oracle(bound: int) -> SubResults:
+def _closed_form_oracle(bound: int, store: _Store) -> SubResults:
     qmax = 12
     def ok(n: int) -> bool:
         f = shuffle.poincare_series("0" * n)
@@ -350,7 +380,7 @@ def _closed_form_oracle(bound: int) -> SubResults:
 
 
 @_check("hhh0", "truncation-monotone", THEOREM, 4)
-def _truncation_monotone(bound: int) -> SubResults:
+def _truncation_monotone(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         big = closed_form.hochschild_zero_series(n, 9)
         cut = Polynomial(
@@ -361,7 +391,7 @@ def _truncation_monotone(bound: int) -> SubResults:
 
 
 @_check("hhh0", "enumeration-count", THEOREM, 6)
-def _enumeration_count(bound: int) -> SubResults:
+def _enumeration_count(bound: int, store: _Store) -> SubResults:
     budget = 9
     return _sizes(bound, lambda n: comb(budget + n, n)
                   == sum(1 for _ in closed_form.level_functions(n, budget)))
@@ -372,7 +402,7 @@ def _enumeration_count(bound: int) -> SubResults:
 
 
 @_check("corners", "corner-weights-sum-to-one", THEOREM, 8)
-def _corner_sums(bound: int) -> SubResults:
+def _corner_sums(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: all(
         tableaux.corner_weights_sum_to_one(p)
         for p in tableaux.partitions_of(n)
@@ -380,7 +410,7 @@ def _corner_sums(bound: int) -> SubResults:
 
 
 @_check("corners", "inner-outer-count", THEOREM, 8)
-def _corner_counts(bound: int) -> SubResults:
+def _corner_counts(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         # a list, not a generator: every shape is evaluated
         counts = [tableaux.corners(p) for p in tableaux.partitions_of(n)]
@@ -389,12 +419,12 @@ def _corner_counts(bound: int) -> SubResults:
 
 
 @_check("corners", "tableau-weights-sum-to-one", THEOREM, 5)
-def _tableau_weight_sum(bound: int) -> SubResults:
+def _tableau_weight_sum(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, tableaux.tableau_weights_sum_to_one)
 
 
 @_check("corners", "tableau-count-hook-lengths", THEOREM, 6)
-def _tableau_counts(bound: int) -> SubResults:
+def _tableau_counts(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         by_shape = Counter(t.shape for t in tableaux.standard_tableaux(n))
         return set(by_shape) == set(tableaux.partitions_of(n)) and all(
@@ -404,7 +434,7 @@ def _tableau_counts(bound: int) -> SubResults:
 
 
 @_check("transpose", "partition-monomial", THEOREM, 8)
-def _monomial_transpose(bound: int) -> SubResults:
+def _monomial_transpose(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: all(
         tableaux.partition_monomial(p).swap_qt()
         == tableaux.partition_monomial(p.transpose())
@@ -413,7 +443,7 @@ def _monomial_transpose(bound: int) -> SubResults:
 
 
 @_check("transpose", "corner-weight", THEOREM, 6)
-def _corner_weight_transpose(bound: int) -> SubResults:
+def _corner_weight_transpose(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         return all([  # a list, not a generator: every corner is evaluated
             tableaux.corner_weight(p, c).swap_qt()
@@ -425,7 +455,7 @@ def _corner_weight_transpose(bound: int) -> SubResults:
 
 
 @_check("transpose", "tableau-weight", THEOREM, 5)
-def _tableau_weight_transpose(bound: int) -> SubResults:
+def _tableau_weight_transpose(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: all(
         tableaux.tableau_weight(t).swap_qt()
         == tableaux.tableau_weight(t.transpose())
@@ -434,7 +464,7 @@ def _tableau_weight_transpose(bound: int) -> SubResults:
 
 
 @_check("transpose", "tableau-sum-qt-symmetry", THEOREM, 4)
-def _tableau_sum_symmetry(bound: int) -> SubResults:
+def _tableau_sum_symmetry(bound: int, store: _Store) -> SubResults:
     out: SubResults = []
     for n in range(1, bound + 1):
         for r in range(3):
@@ -448,36 +478,31 @@ def _tableau_sum_symmetry(bound: int) -> SubResults:
 
 
 @_check("magic", "r1-matches-recursion", CONJECTURE, 4, verified_bound=8)
-def _magic_r1(bound: int) -> SubResults:
+def _magic_r1(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         s = tableaux.tableau_sum(n, 1)
         return s.is_polynomial and s.num == shuffle.poincare_poly("0" * n)
     return _sizes(bound, ok)
 
 
-@functools.cache
-def _r0_sum(n: int) -> FracPoly:
-    # shared by the three r = 0 checks; each would otherwise rebuild it
-    return tableaux.tableau_sum(n, 0)
-
-
 @_check("magic", "r0-envelope", CONJECTURE, 4, verified_bound=None)
-def _magic_r0_envelope(bound: int) -> SubResults:
-    return _sizes(bound, lambda n: _r0_sum(n) == (ONE + A) ** n)
+def _magic_r0_envelope(bound: int, store: _Store) -> SubResults:
+    return _sizes(bound, lambda n: store.once(tableaux.tableau_sum, n, 0)
+                  == (ONE + A) ** n)
 
 
 @_check("magic", "r0-sum-equals-one", CONJECTURE, 4, verified_bound=None)
-def _magic_r0_literal(bound: int) -> SubResults:
+def _magic_r0_literal(bound: int, store: _Store) -> SubResults:
     # Stated identity: the r = 0 tableau sum is 1.  False as written: the sum
     # is (1+a)^n (see r0-envelope); only its a-degree-zero part is 1, which
     # follows from the corner-sum identity.  Reported, not asserted.
-    return _sizes(bound, lambda n: _r0_sum(n) == ONE)
+    return _sizes(bound, lambda n: store.once(tableaux.tableau_sum, n, 0) == ONE)
 
 
 @_check("magic", "r0-a-degree-zero-part", CONJECTURE, 4, verified_bound=8)
-def _magic_r0_a0(bound: int) -> SubResults:
+def _magic_r0_a0(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
-        s = _r0_sum(n)
+        s = store.once(tableaux.tableau_sum, n, 0)
         return s.is_polynomial and s.num.coefficient_of_a(0) == ONE
     return _sizes(bound, ok)
 
@@ -487,7 +512,7 @@ def _magic_r0_a0(bound: int) -> SubResults:
 
 
 @_check("symmetry", "full-twist-qt-symmetry", CONJECTURE, 6, verified_bound=14)
-def _qt_symmetry(bound: int) -> SubResults:
+def _qt_symmetry(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         p = shuffle.poincare_poly("0" * n)
         return p.swap_qt() == p
@@ -495,7 +520,7 @@ def _qt_symmetry(bound: int) -> SubResults:
 
 
 @_check("submaximal", "submaximal-geometric-slice", CONJECTURE, 7, verified_bound=14)
-def _submaximal(bound: int) -> SubResults:
+def _submaximal(bound: int, store: _Store) -> SubResults:
     base = Q + T - Q * T
     def ok(n: int) -> bool:
         slice_ = shuffle.poincare_poly("0" * n).coefficient_of_a(n - 1)
@@ -518,7 +543,7 @@ _DATASET_CHECKSUMS = {
 
 
 @_check("dataset", "entry-qt-symmetry", THEOREM, 4)
-def _dataset_symmetry(bound: int) -> SubResults:
+def _dataset_symmetry(bound: int, store: _Store) -> SubResults:
     keys = ["T(3,4)", "T(3,5)", "T(4,5)"] + [
         f"T(2,{2 * k + 1})" for k in range(1, bound + 1)
     ]
@@ -530,7 +555,7 @@ def _dataset_symmetry(bound: int) -> SubResults:
 
 
 @_check("dataset", "entry-round-trip", THEOREM, 4)
-def _dataset_round_trip(bound: int) -> SubResults:
+def _dataset_round_trip(bound: int, store: _Store) -> SubResults:
     out: SubResults = []
     for key in links.dataset_keys():
         p = links.dataset_get(key).poly
@@ -544,7 +569,7 @@ def _dataset_round_trip(bound: int) -> SubResults:
 
 
 @_check("dataset", "entry-checksums", THEOREM, 4)
-def _dataset_checksums(bound: int) -> SubResults:
+def _dataset_checksums(bound: int, store: _Store) -> SubResults:
     out: SubResults = []
     for key, (count, csum, aspan) in _DATASET_CHECKSUMS.items():
         p = links.dataset_get(key).poly
@@ -555,7 +580,7 @@ def _dataset_checksums(bound: int) -> SubResults:
 
 
 @_check("catalan", "qt-catalan-symmetry", THEOREM, 6)
-def _catalan_symmetry(bound: int) -> SubResults:
+def _catalan_symmetry(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         c = links.qt_catalan(n)
         return c.swap_qt() == c
@@ -566,14 +591,14 @@ _CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
 
 @_check("catalan", "qt-catalan-count", THEOREM, 6)
-def _catalan_count(bound: int) -> SubResults:
+def _catalan_count(bound: int, store: _Store) -> SubResults:
     return _sizes(
         bound, lambda n: links.qt_catalan(n).coefficient_sum() == _CATALAN[n]
     )
 
 
 @_check("catalan", "lowest-a-slice-matches", THEOREM, 4)
-def _catalan_lowest_a(bound: int) -> SubResults:
+def _catalan_lowest_a(bound: int, store: _Store) -> SubResults:
     out: SubResults = []
     for n, key in [(2, "T(2,3)"), (3, "T(3,4)"), (4, "T(4,5)")]:
         if n > bound:
@@ -585,14 +610,14 @@ def _catalan_lowest_a(bound: int) -> SubResults:
 
 
 @_check("specialize", "trefoil-decategorified", THEOREM, 1)
-def _trefoil_decat(bound: int) -> SubResults:
+def _trefoil_decat(bound: int, store: _Store) -> SubResults:
     got = dumps(links.decategorify(links.two_strand_superpoly(1)))
     want = dumps(-(A * Q) - (A * A) - A.shifted((-UNIT, 0, 0)))
     return [("string match", got == want, 1)]
 
 
 @_check("specialize", "two-strand-sl-family", THEOREM, 6)
-def _sl_family(bound: int) -> SubResults:
+def _sl_family(bound: int, store: _Store) -> SubResults:
     d = links.decategorify(links.two_strand_superpoly(1))
     def ok(n: int) -> bool:
         got = dumps(links.sl_specialization(d, n))
@@ -602,14 +627,14 @@ def _sl_family(bound: int) -> SubResults:
 
 
 @_check("specialize", "t34-sl2", THEOREM, 1)
-def _t34_sl2(bound: int) -> SubResults:
+def _t34_sl2(bound: int, store: _Store) -> SubResults:
     p = links.dataset_get("T(3,4)").poly
     got = dumps(links.sl_specialization(links.decategorify(p), 2))
     return [("string match", got == "q^3 + q^5 - q^8", 1)]
 
 
 @_check("specialize", "two-strand-jones-shape", THEOREM, 4)
-def _jones_shape(bound: int) -> SubResults:
+def _jones_shape(bound: int, store: _Store) -> SubResults:
     def ok(k: int) -> bool:
         v = links.sl_specialization(
             links.decategorify(links.two_strand_superpoly(k)), 2
@@ -629,7 +654,7 @@ def _jones_shape(bound: int) -> SubResults:
 
 
 @_check("determinism", "memo-order-independence", THEOREM, 6)
-def _memo_order(bound: int) -> SubResults:
+def _memo_order(bound: int, store: _Store) -> SubResults:
     forward = shuffle.MemoTable()
     backward = shuffle.MemoTable()
     seqs = [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
@@ -644,7 +669,7 @@ def _memo_order(bound: int) -> SubResults:
 
 
 @_check("determinism", "thread-schedule-independence", THEOREM, 6)
-def _thread_schedule(bound: int) -> SubResults:
+def _thread_schedule(bound: int, store: _Store) -> SubResults:
     shared = shuffle.MemoTable()
     seqs = [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
 
@@ -678,9 +703,9 @@ def suite_names() -> list[str]:
     return list(SUITES)
 
 
-def _run(check: Check, max_n: int | None) -> CheckResult:
+def _run(check: Check, max_n: int | None, store: _Store) -> CheckResult:
     try:
-        subs = check.fn(check.bound(max_n))
+        subs = check.fn(check.bound(max_n), store)
     except ENGINE_ERRORS as e:
         return CheckResult(
             check.suite, check.name, check.kind, FAIL,
@@ -697,7 +722,8 @@ def run_suites(names: Iterable[str], max_n: int | None = None) -> list[CheckResu
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}")
         checks.extend(SUITES[name])
-    return [_run(c, max_n) for c in checks]
+    store = _Store()
+    return [_run(c, max_n, store) for c in checks]
 
 
 def render_results(results: list[CheckResult]) -> str:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 from itertools import product
+from math import comb
 from pathlib import Path
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import tlh
 from tlh import shuffle, verify
 from tlh.cli import main
-from tlh.poly import ONE, A, Q
+from tlh.poly import ONE, UNIT, A, Polynomial, Q
 from tlh.serialize import dumps, parse_frac, parse_poly
 from tlh.shuffle import MemoTable, poincare_poly, poincare_series
 
@@ -87,6 +88,19 @@ def test_hhh0(capsys):
     code, out, _ = run_cli(capsys, "hhh0", "--n", "2", "--qmax", "0")
     assert code == 0
     assert out.strip() == "t"
+
+
+def test_hhh0_many_strands(capsys):
+    # at qmax 0 the one level function puts every strand at level 0; 3000
+    # strands overflowed the stack of a walk that recursed once per strand
+    code, out, _ = run_cli(capsys, "hhh0", "--n", "3000", "--qmax", "0")
+    assert code == 0
+    assert out.strip() == "t^4498500"
+    code, out, _ = run_cli(capsys, "hhh0", "--n", "3000", "--qmax", "1")
+    assert code == 0
+    # strand j alone at level 1 steps up from the j strands before it
+    above = {(UNIT, 0, (comb(2999, 2) + j) * UNIT): 1 for j in range(3000)}
+    assert parse_poly(out.strip()) == Polynomial({(0, 0, 4498500 * UNIT): 1, **above})
 
 
 def test_magic(capsys):

@@ -28,6 +28,8 @@ def test_level_function_enumeration_count():
 def test_bad_arguments_are_value_errors():
     with pytest.raises(ValueError, match="n must be >= 1"):
         list(level_functions(0, 3))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        hochschild_zero_series(0, 3)
     with pytest.raises(ValueError, match="qmax must be >= 0"):
         hochschild_zero_series(3, -1)
 
@@ -36,6 +38,30 @@ def test_level_function_enumeration_unique():
     seen = set(level_functions(3, 5))
     assert len(seen) == comb(8, 3)
     assert all(sum(v) <= 5 for v in seen)
+
+
+def _brute_force_series(n, qmax):
+    """The series summed over every level function's own statistics."""
+    terms = {}
+    for levels in level_functions(n, qmax):
+        s = level_stats(levels)
+        key = (s.total * UNIT, 0, (s.equal_pairs + s.step_pairs) * UNIT)
+        terms[key] = terms.get(key, 0) + 1
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_series_matches_brute_force_sum(n):
+    # every hhh0 size the benchmark's reference calls: n <= 7, qmax <= 10
+    whole = _brute_force_series(n, 10).units()
+    for qmax in range(11):
+        cut = Polynomial({e: c for e, c in whole.items() if e[0] <= qmax * UNIT})
+        assert hochschild_zero_series(n, qmax) == cut, qmax
+
+
+def test_level_functions_do_not_recurse_per_strand():
+    # the series' own walk is checked at this size by test_hhh0_many_strands
+    assert list(level_functions(3000, 0)) == [(0,) * 3000]
 
 
 def test_series_one_strand():

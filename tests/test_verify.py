@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from tlh import links, shuffle, tableaux, verify
@@ -158,3 +160,43 @@ def test_jones_shape_names_the_failing_k(monkeypatch):
     check = results["two-strand-jones-shape"]
     assert check.status == verify.FAIL
     assert check.detail == "failed: k=2"
+
+
+def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
+    runs = []
+    run = shuffle._run
+
+    def spy(roots, deps, bounds, layout_cls):
+        runs.append((frozenset(roots), deps))
+        return run(roots, deps, bounds, layout_cls)
+
+    stores = []
+
+    class Recorded(verify._Store):
+        def __init__(self):
+            super().__init__()
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(shuffle, "_run", spy)
+    monkeypatch.setattr(verify, "_Store", Recorded)
+    every_word = (frozenset(verify._words(3)), shuffle._poly_deps)
+    for calls in (1, 2):  # the second call steps the plan again
+        results = verify.run_suites(["recursions", "top-a"], max_n=3)
+        assert [r.status for r in results] == [verify.PASS] * 3
+        assert runs.count(every_word) == calls
+        # the call's values are freed when it returns
+        assert len(stores) == calls and stores[-1]() is None
+
+
+@pytest.mark.parametrize("bound", [8, 9, 10])
+def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, bound):
+    def peak(roots):
+        needs, users = shuffle._plan(roots, shuffle._poly_deps)
+        bounds = shuffle._fill_bounds(needs)
+        return shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
+
+    roots = []  # as verify lists them; the plan itself is not stepped
+    monkeypatch.setattr(shuffle, "_run", lambda words, *rules: roots.extend(words))
+    verify._poly_upto(bound)
+    assert len(roots) == 2 ** (bound + 1) - 1
+    assert peak(roots) <= peak(["0" * bound])
