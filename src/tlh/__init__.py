@@ -6,8 +6,8 @@ provides:
 
 * :mod:`tlh.poly` - sparse Laurent polynomials, factored fractions, exact
   division, truncated power series;
-* :mod:`tlh.shuffle` - the memoized recursion over binary shuffle sequences,
-  and its independent insertion-recursion twin;
+* :mod:`tlh.shuffle` - the recursion over binary shuffle sequences, stepped
+  on packed integers, and its independent insertion-recursion twin;
 * :mod:`tlh.closed_form` - direct enumeration of the Hochschild-degree-zero
   series of full twists;
 * :mod:`tlh.tableaux` - partitions, corner weights, and the tableau sum over
@@ -41,7 +41,6 @@ from .shuffle import (
     IncompatiblePair,
     MemoDivergence,
     MemoryBudgetExceeded,
-    MemoTable,
     all_sequences,
     crossings,
     full_twist_series,

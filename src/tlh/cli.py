@@ -10,8 +10,10 @@
     tlh dataset --list | --get KEY      built-in reduced superpolynomials
 
 Global option: --format text|json|latex.  f, tilde and fulltwist also take
---cache PATH, a file of their answers.  Output is deterministic: identical
-invocations produce byte-identical output.
+--cache PATH, a file of the normalized polynomials they asked for; fulltwist
+then expands whole P(0^n), where without it it may step the truncated
+series.  Output is deterministic: identical invocations produce
+byte-identical output.
 
 Exit status: 0 on success, 1 on a failed check or engine error, 2 on usage
 errors.
@@ -25,8 +27,8 @@ import os
 import sys
 
 from . import closed_form, links, shuffle, tableaux, verify
+from .poly import ONE_MINUS_Q, FracPoly
 from .serialize import ParseError, dumps, parse_int, parse_poly, poly_to_obj
-from .shuffle import MemoTable
 
 DEFAULT_QMAX = 10
 
@@ -122,23 +124,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cached(args, key: str, compute):
-    """``compute(memo)`` against the cache file, if one is given.
+def _cached(args):
+    """What f, tilde or fulltwist prints, from the cache file ``args.cache``.
 
     The file holds answers: the normalized polynomials of the sequences
-    that commands asked about, here ``key``.  On a miss that one value is
-    computed without a memo, as without a cache, inserted and written back;
-    ``compute`` then reads it as a memo hit.  A repeated call finds the key
-    and leaves the file untouched.
+    that commands asked about, the sequence itself for f and tilde and 0^n
+    for fulltwist.  On a miss that one value is computed, added and written
+    back; a repeated call finds the key and leaves the file untouched.  f
+    puts the value over (1 - q)^#0, and fulltwist expands it to q^qmax.
     """
-    path = args.cache
-    if not path:
-        return compute(None)
-    memo = shuffle.load_cache(path) if os.path.exists(path) else MemoTable()
-    if key not in memo:
-        memo.insert(key, shuffle.poincare_poly(key))
-        shuffle.save_cache(path, memo)
-    return compute(memo)
+    key = "0" * args.n if args.command == "fulltwist" else args.seq
+    answers = shuffle.load_cache(args.cache) if os.path.exists(args.cache) else {}
+    if key not in answers:
+        answers[key] = shuffle.poincare_poly(key)
+        shuffle.save_cache(args.cache, answers)
+    p = answers[key]
+    if args.command == "f":
+        return FracPoly(p, [ONE_MINUS_Q] * key.count("0"))
+    if args.command == "fulltwist":
+        return shuffle._expand_whole(p, args.n, args.qmax)
+    return p
 
 
 def _emit(obj, fmt: str) -> int:
@@ -155,25 +160,17 @@ def _read_input_poly(path: str, fmt: str):
 
 
 def _run(args) -> int:
+    if getattr(args, "cache", None):
+        return _emit(_cached(args), args.format)
+
     if args.command == "f":
-        result = _cached(
-            args, args.seq, lambda memo: shuffle.poincare_series(args.seq, memo)
-        )
-        return _emit(result, args.format)
+        return _emit(shuffle.poincare_series(args.seq), args.format)
 
     if args.command == "tilde":
-        result = _cached(
-            args, args.seq, lambda memo: shuffle.poincare_poly(args.seq, memo)
-        )
-        return _emit(result, args.format)
+        return _emit(shuffle.poincare_poly(args.seq), args.format)
 
     if args.command == "fulltwist":
-        result = _cached(
-            args,
-            "0" * args.n,
-            lambda memo: shuffle.full_twist_series(args.n, args.qmax, memo),
-        )
-        return _emit(result, args.format)
+        return _emit(shuffle.full_twist_series(args.n, args.qmax), args.format)
 
     if args.command == "hhh0":
         return _emit(

@@ -22,9 +22,9 @@ So q is the most significant field, and the steps are C-level big-int
 operations: ``P(v.1) = (p << ones(v) w) + (p << SA)`` and
 ``P(v.0) = p1 + ((p0 - p1) << SQ)``, SA and SQ being the a and q strides.
 
-A memo-less :func:`full_twist_series` with qmax below the q-degree bound dq
-of P(0^n) may step instead on the series f(v) = P(v) / (1 - q)^#0(v),
-whose recursion has no subtraction:
+A :func:`full_twist_series` with qmax below the q-degree bound dq of P(0^n)
+may step instead on the series f(v) = P(v) / (1 - q)^#0(v), whose
+recursion has no subtraction:
 
     f(v.1)  =  (t^ones(v) + a) * f(v)
     f(v.0)  =  q * f(0 v)  +  f(1 v)          (v.0 not all zeroes)
@@ -124,12 +124,7 @@ list rather than native recursion, so long sequences do not hit the
 interpreter stack limit.  A run returns the values of its roots, each
 unpacked once it is stepped; a packed value is released as soon as its
 last consumer has run, a root's that no key reads at once.  Many keys are
-best asked of one run, which steps each key of their closures once.  A
-caller's memo is a cache of answers: :func:`poincare_poly` reads it for
-the key asked alone, and on a miss steps the whole closure and stores that
-one key.  The memo admits concurrent lookup and idempotent insertion;
-inserting a different value under an existing key is a fatal invariant
-violation.
+best asked of one run, which steps each key of their closures once.
 """
 
 from __future__ import annotations
@@ -162,7 +157,6 @@ __all__ = [
     "MemoDivergence",
     "EntryOutOfBounds",
     "MemoryBudgetExceeded",
-    "MemoTable",
     "all_sequences",
     "insert_into_zeros",
     "crossings",
@@ -182,7 +176,10 @@ class IncompatiblePair(ValueError):
 
 
 class MemoDivergence(RuntimeError):
-    """Two computations produced different values for the same memo key."""
+    """A cache entry disagrees with a fresh computation of its key.
+
+    Raised by :func:`load_cache`'s spot check.
+    """
 
 
 class EntryOutOfBounds(ValueError):
@@ -190,8 +187,8 @@ class EntryOutOfBounds(ValueError):
 
     Raised by :func:`load_cache`: an entry's exponents must be whole and
     inside its key's degree bounds, and its L1 norm within the key's L1
-    bound.  An unchecked entry is returned only for its own key; the packed
-    recursion never reads it for another key.
+    bound.  The engine never reads a cache: an entry is only ever the
+    answer for its own key.
     """
 
 
@@ -255,21 +252,6 @@ def insertion_weight(v: str, w: str) -> Polynomial:
     for l, m in enumerate(reversed(_weight_class(*_compatible(v, w)))):
         result = result * (Polynomial.term(1, t=l + m) + A)
     return result
-
-
-class MemoTable(dict):
-    """Bit-string keyed memo with idempotent insertion.
-
-    Safe for concurrent lookup and insertion: ``dict.setdefault`` with str
-    keys is atomic under the GIL, so of two threads inserting one key, one
-    stores its value and the other compares against it.  Duplicated
-    computation of the same key is fine, divergent values are not.
-    """
-
-    def insert(self, key: str, value) -> None:
-        existing = self.setdefault(key, value)
-        if existing is not value and existing != value:
-            raise MemoDivergence(f"memo diverges at key {key!r}")
 
 
 # What the closure walk holds per key (``_plan`` plus its bounds):
@@ -383,7 +365,7 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 # 0..qmax as whole P(0^n) expands over (1 - q)^n, 120 to 158 of peak RSS
 # growth at n = 1..11, qmax <= 10^6.
 _SLOT_BYTES_PER_FIELD = 192
-_MEMO_BYTES_PER_TERM = 64
+_UNPACKED_BYTES_PER_TERM = 64
 _SERIES_BYTES_PER_TERM = 192
 
 
@@ -427,12 +409,12 @@ def _evaluate(
     key consumes at once.  A run whose ``estimate``, the caller's peak bytes
     by the parts it names, exceeds physical memory raises
     :class:`MemoryBudgetExceeded`, naming the run by its roots, before any
-    step; so does a run whose unpacked values, ``_MEMO_BYTES_PER_TERM`` per
-    term, would take the estimate over, as soon as they would.
+    step; so does a run whose unpacked values, ``_UNPACKED_BYTES_PER_TERM``
+    per term, would take the estimate over, as soon as they would.
     """
     needs, users = plan
     what = _name(roots)
-    room = _room(what, estimate) // _MEMO_BYTES_PER_TERM
+    room = _room(what, estimate) // _UNPACKED_BYTES_PER_TERM
     wanted = set(roots)
     out: dict[str, Polynomial] = {}
     held = 0
@@ -443,10 +425,8 @@ def _evaluate(
             out[k] = unpack(value)
             held += len(out[k])
             if held > room:
-                _room(what, {
-                    **estimate,
-                    f"unpacked values up to {k!r}": held * _MEMO_BYTES_PER_TERM,
-                })
+                unpacked = held * _UNPACKED_BYTES_PER_TERM
+                _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
             if k not in users:
                 del work[k]
         for d in ds:
@@ -699,29 +679,22 @@ def _run(roots: list[str], deps, bounds, layout_cls) -> dict[str, Polynomial]:
     return _evaluate(roots, layout.step, layout.unpack, plan, estimate)
 
 
-def poincare_poly(v: str, memo: MemoTable | None = None) -> Polynomial:
+def poincare_poly(v: str) -> Polynomial:
     """The normalized Poincare polynomial of a shuffle sequence.
 
     Equals (1-q)^zeros(v) times the rational series; always a polynomial.
     The recursion terminates because each rewrite strictly descends in
-    (length, number of zeroes, number of inversions).  ``memo`` is a cache
-    of answers: it is read for ``v`` alone, and on a miss the whole closure
-    of ``v`` is stepped (:func:`_run`) and ``memo`` receives ``v`` alone.
+    (length, number of zeroes, number of inversions).  The whole closure of
+    ``v`` is stepped as one plan (:func:`_run`).
     """
     key = _key(v)
-    if memo is not None and key in memo:
-        return memo[key]
-    value = _run([key], _poly_deps, _fill_bounds, _Layout)[key]
-    if memo is not None:
-        memo.insert(key, value)
-    return value
+    return _run([key], _poly_deps, _fill_bounds, _Layout)[key]
 
 
-def poincare_series(v: str, memo: MemoTable | None = None) -> FracPoly:
+def poincare_series(v: str) -> FracPoly:
     """The Poincare series: the normalized polynomial over (1-q)^zeros(v)."""
     key = _key(v)
-    num = poincare_poly(key, memo)
-    return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
+    return FracPoly(poincare_poly(key), [ONE_MINUS_Q] * key.count("0"))
 
 
 def _insertion_deps(key: str) -> tuple[str, ...]:
@@ -822,7 +795,7 @@ def insertion_series(v: str) -> FracPoly:
     return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
 
 
-def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
+def zero_expansion_identity(n: int) -> bool:
     """Check (1 - q^n) f(0^n) = (1 + q + ... + q^(n-1)) f(1 0^(n-1)).
 
     This is the identity obtained by expanding the all-zeroes sequence with
@@ -831,39 +804,51 @@ def zero_expansion_identity(n: int, memo: MemoTable | None = None) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if memo is None:
-        memo = MemoTable()
-    lhs = (ONE - Polynomial.term(1, q=n)) * poincare_series("0" * n, memo)
+    lhs = (ONE - Polynomial.term(1, q=n)) * poincare_series("0" * n)
     geom = Polynomial({(UNIT * i, 0, 0): 1 for i in range(n)})
-    rhs = geom * poincare_series("1" + "0" * (n - 1), memo)
+    rhs = geom * poincare_series("1" + "0" * (n - 1))
     return lhs == rhs
 
 
-def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polynomial:
+def _series_terms(n: int, qmax: int) -> dict[str, int]:
+    """The bytes that expanding whole P(0^n) to q^qmax holds, named.
+
+    The expansion holds up to every slot of q-rows 0..qmax.
+    """
+    plane = (n + 1) * (comb(n, 2) + 1)
+    return {"series terms": (qmax + 1) * plane * _SERIES_BYTES_PER_TERM}
+
+
+def _expand_whole(p: Polynomial, n: int, qmax: int) -> Polynomial:
+    """Whole P(0^n), ``p``, over (1 - q)^n, cut at q^qmax.
+
+    Fails with :class:`MemoryBudgetExceeded` before it starts if its series
+    terms (:func:`_series_terms`) exceed physical memory.
+    """
+    _room(repr("0" * n), _series_terms(n, qmax))
+    return FracPoly(p, [ONE_MINUS_Q] * n).series(qmax)
+
+
+def full_twist_series(n: int, qmax: int) -> Polynomial:
     """Truncated homology series of the n-strand full twist closure.
 
-    Without ``memo``, and with qmax below the q-degree bound of P(0^n), the
-    recursion steps on the series f itself, cut at q^qmax, in two passes
-    split by a-degree at J (:class:`_SeriesLayout`, :func:`_split`), when
-    they step fewer bytes in all than whole P, counting q-rows times field
-    bytes times fields per q-row.  The total tracks the step time: over
-    n = 10..12 and qmax 5..40 the ratio of the two routes' step times was
-    0.8 to 2.0 times that of their totals (0.8 to 1.2 at n = 11 and 12).
+    With qmax below the q-degree bound of P(0^n), the recursion steps on
+    the series f itself, cut at q^qmax, in two passes split by a-degree at
+    J (:class:`_SeriesLayout`, :func:`_split`), when they step fewer bytes
+    in all than whole P, counting q-rows times field bytes times fields per
+    q-row.  The total tracks the step time: over n = 10..12 and qmax 5..40
+    the ratio of the two routes' step times was 0.8 to 2.0 times that of
+    their totals (0.8 to 1.2 at n = 11 and 12).
     Up to n = 17 the larger pass then holds no more at once than whole P.
-    Otherwise it steps the whole polynomial and expands it over (1 - q)^n;
-    a memo is read and written for 0^n's whole polynomial alone.
+    Otherwise it steps the whole polynomial and expands it over (1 - q)^n
+    (:func:`_expand_whole`), pre-flighting the run and the expansion
+    together before any step.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     key = "0" * n
-    plane = (n + 1) * (comb(n, 2) + 1)
-    # the expansion holds up to every slot of q-rows 0..qmax
-    expansion = {"series terms": (qmax + 1) * plane * _SERIES_BYTES_PER_TERM}
-    if memo is not None:
-        _room(repr(key), expansion)
-        return poincare_series(key, memo).series(qmax)
     needs, users = _plan([key], _poly_deps)
     bounds = _fill_bounds(needs)
     dq, l1 = bounds[key]
@@ -871,6 +856,7 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
         # the largest row mass over the closure (see the module docstring)
         mass = 2**n * comb(qmax + n - 1, n - 1)
         fb, b = _field_bytes(mass), _field_bytes(l1)
+        plane = (n + 1) * (comb(n, 2) + 1)
         # both passes hold the same q-rows, so J balances fields per q-row
         splits = [_split(n, J) for J in range(n)]
         split = min(splits, key=lambda g: max(len(a) * t for a, t in g))
@@ -889,21 +875,21 @@ def full_twist_series(n: int, qmax: int, memo: MemoTable | None = None) -> Polyn
             return Polynomial._trusted(terms)
     whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
     layout = _Layout(n, dq, l1)
-    estimate = {**_working_set(needs, whole, layout), **expansion}
+    estimate = {**_working_set(needs, whole, layout), **_series_terms(n, qmax)}
     out = _evaluate([key], layout.step, layout.unpack, (needs, users), estimate)
-    return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
+    return _expand_whole(out[key], n, qmax)
 
 
 # ---------------------------------------------------------------------------
-# memo cache files
+# cache files
 
 
 # the share of a cache's keys that :func:`load_cache` recomputes
 _SPOT_CHECK_RATE = 0.05
 
 
-def save_cache(path: str, memo: MemoTable) -> None:
-    """Write a memo of normalized polynomials as a JSON bit-string map.
+def save_cache(path: str, answers: dict[str, Polynomial]) -> None:
+    """Write a map of sequences to their normalized polynomials as JSON.
 
     The file holds one JSON object, its keys sorted, followed by a newline.
     It is written under a temporary name in the same directory and then
@@ -914,7 +900,8 @@ def save_cache(path: str, memo: MemoTable) -> None:
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({k: poly_to_obj(memo[k]) for k in sorted(memo)}))
+            obj = {k: poly_to_obj(answers[k]) for k in sorted(answers)}
+            fh.write(json.dumps(obj))
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -923,38 +910,36 @@ def save_cache(path: str, memo: MemoTable) -> None:
         raise
 
 
-def load_cache(path: str) -> MemoTable:
-    """Load a memo cache, revalidating a deterministic sample of entries.
+def load_cache(path: str) -> dict[str, Polynomial]:
+    """The map of :func:`save_cache`, with a deterministic sample rechecked.
 
     Text that is not JSON, or an integer past ``int``'s digit limit,
     raises :class:`ParseError`.  Each sampled key is recomputed from scratch
-    (without a memo) and compared; a mismatch raises :class:`MemoDivergence`.
-    The sample is an even stride over the sorted keys, ``_SPOT_CHECK_RATE``
-    of them (at least one).  Then every entry must fit its key's a-priori
-    bounds (whole exponents inside the degree bounds, L1 norm within the L1
-    bound), or :class:`EntryOutOfBounds` names it.  An entry outside the
-    sample is returned only for its own key: :func:`poincare_poly` never
-    reads it for another key.
+    and compared; a mismatch raises :class:`MemoDivergence`.  The sample is
+    an even stride over the sorted keys, ``_SPOT_CHECK_RATE`` of them (at
+    least one).  Then every entry must fit its key's a-priori bounds (whole
+    exponents inside the degree bounds, L1 norm within the L1 bound), or
+    :class:`EntryOutOfBounds` names it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = _json_loads(fh.read())
     if not isinstance(data, dict):
         raise ParseError("cache must be a JSON object", 0)
-    memo = MemoTable()
+    answers = {}
     for key, obj in data.items():
         if key.strip("01"):
             raise ParseError(f"bad cache key {key!r}", 0)
-        memo[key] = poly_from_obj(obj)
-    keys = sorted(memo)
+        answers[key] = poly_from_obj(obj)
+    keys = sorted(answers)
     count = max(1, round(len(keys) * _SPOT_CHECK_RATE))
     stride = max(1, len(keys) // count)
     for key in keys[::stride][:count]:
-        if poincare_poly(key) != memo[key]:
+        if poincare_poly(key) != answers[key]:
             raise MemoDivergence(
                 f"cache entry {key!r} disagrees with a fresh computation"
             )
-    bounds = _fill_bounds(_plan(list(memo), _poly_deps)[0])
-    for key, value in memo.items():
+    bounds = _fill_bounds(_plan(list(answers), _poly_deps)[0])
+    for key, value in answers.items():
         dq, l1 = bounds[key]
         _Layout(len(key), dq, l1).slots(key, value, l1)
-    return memo
+    return answers

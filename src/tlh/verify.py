@@ -345,15 +345,13 @@ def _normalization(bound: int, store: _Store) -> SubResults:
 
 @_check("zeroseq", "zero-equals-one-prefix", THEOREM, 8)
 def _zero_one_prefix(bound: int, store: _Store) -> SubResults:
-    memo = shuffle.MemoTable()
-    return _sizes(bound, lambda n: shuffle.poincare_poly("0" * n, memo)
-                  == shuffle.poincare_poly("1" + "0" * (n - 1), memo))
+    return _sizes(bound, lambda n: shuffle.poincare_poly("0" * n)
+                  == shuffle.poincare_poly("1" + "0" * (n - 1)))
 
 
 @_check("zeroseq", "zero-expansion-identity", THEOREM, 8)
 def _zero_expansion(bound: int, store: _Store) -> SubResults:
-    memo = shuffle.MemoTable()
-    return _sizes(bound, lambda n: shuffle.zero_expansion_identity(n, memo))
+    return _sizes(bound, shuffle.zero_expansion_identity)
 
 
 @_check("top-a", "top-a-coefficient-is-one", THEOREM, 8)
@@ -653,15 +651,23 @@ def _jones_shape(bound: int, store: _Store) -> SubResults:
 # determinism
 
 
+def _each_poly(words: list[str]) -> dict[str, Polynomial]:
+    """{v: poincare_poly(v)}, one call per word, in the order of ``words``."""
+    return {v: shuffle.poincare_poly(v) for v in words}
+
+
+def _serial_polys(bound: int) -> dict[str, Polynomial]:
+    """:func:`_each_poly` of every word of length <= ``bound``, shortest first."""
+    return _each_poly(_words(bound))
+
+
+# Asked in reverse, every value must be the same: no module state, such as
+# the slot tables, may make a value depend on call order.  The name is the
+# memo tables' it once compared; verify's stdout prints it and is pinned.
 @_check("determinism", "memo-order-independence", THEOREM, 6)
 def _memo_order(bound: int, store: _Store) -> SubResults:
-    forward = shuffle.MemoTable()
-    backward = shuffle.MemoTable()
-    seqs = [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
-    for v in seqs:
-        shuffle.poincare_poly(v, forward)
-    for v in reversed(seqs):
-        shuffle.poincare_poly(v, backward)
+    forward = store.once(_serial_polys, bound)
+    backward = _each_poly(_words(bound)[::-1])
     ok = sorted(forward) == sorted(backward) and all(
         dumps(forward[k], "json") == dumps(backward[k], "json") for k in forward
     )
@@ -670,24 +676,13 @@ def _memo_order(bound: int, store: _Store) -> SubResults:
 
 @_check("determinism", "thread-schedule-independence", THEOREM, 6)
 def _thread_schedule(bound: int, store: _Store) -> SubResults:
-    shared = shuffle.MemoTable()
-    seqs = [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
-
-    def worker(chunk):
-        for v in chunk:
-            shuffle.poincare_poly(v, shared)
-
-    # overlapping chunks force concurrent recomputation of shared keys
-    chunks = [seqs, list(reversed(seqs)), seqs[::2] + seqs[1::2], seqs]
+    seqs = _words(bound)
+    # every worker asks for every word, in its own order, at once
+    chunks = [seqs, seqs[::-1], seqs[::2] + seqs[1::2], seqs]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        list(pool.map(worker, chunks))
-    single = shuffle.MemoTable()
-    for v in seqs:
-        shuffle.poincare_poly(v, single)
-    ok = set(single) <= set(shared) and all(
-        shared[k] == single[k] for k in single
-    )
-    return [("pool vs serial", ok, bound)]
+        pooled = list(pool.map(_each_poly, chunks))
+    serial = store.once(_serial_polys, bound)
+    return [("pool vs serial", all(values == serial for values in pooled), bound)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import pytest
 import tlh
 from tlh import shuffle, verify
 from tlh.cli import main
-from tlh.poly import ONE, UNIT, A, Polynomial, Q
-from tlh.serialize import dumps, parse_frac, parse_poly
-from tlh.shuffle import MemoTable, poincare_poly, poincare_series
+from tlh.poly import ONE, UNIT, A, FracPoly, Polynomial, Q
+from tlh.serialize import dumps, parse_frac, parse_poly, poly_from_obj
+from tlh.shuffle import poincare_poly, poincare_series
 
 
 def run_cli(capsys, *argv):
@@ -266,7 +266,7 @@ def test_bare_key_error_is_not_an_engine_error(monkeypatch):
 
 
 def test_verify_reports_a_raising_check_in_the_table(capsys, monkeypatch):
-    def broken(n, memo=None):
+    def broken(n):
         raise tlh.poly.NonExactDivision("no quotient")
 
     monkeypatch.setattr(shuffle, "zero_expansion_identity", broken)
@@ -327,28 +327,54 @@ def test_cache_rewritten_only_when_the_memo_grows(tmp_path, capsys, monkeypatch)
     assert (after.st_mtime_ns, after.st_ino) == (stat.st_mtime_ns, stat.st_ino)
 
 
-def test_cli_runs_the_engine_without_a_memo(tmp_path, capsys, monkeypatch):
-    # with or without a cache, no memo reaches the recursion driver
-    memos = []
-    evaluate = shuffle._evaluate
-
-    def recording(*args):
-        memos.append(next((a for a in args if isinstance(a, MemoTable)), None))
-        return evaluate(*args)
-
-    monkeypatch.setattr(shuffle, "_evaluate", recording)
+def test_cache_miss_and_hit_print_what_no_cache_prints(tmp_path, capsys):
     cache = str(tmp_path / "memo.json")
     for argv in (["f", "--seq", "0110"], ["tilde", "--seq", "0101"],
                  ["fulltwist", "--n", "4"]):
         outs = []
         for extra in ([], ["--cache", cache], ["--cache", cache]):  # miss, hit
-            memos.clear()
             code, out, _ = run_cli(capsys, *argv, *extra)
             assert code == 0
             outs.append(out)
-            # a hit evaluates only the load's spot check
-            assert memos and all(memo is None for memo in memos)
         assert outs[0] == outs[1] == outs[2]
+
+
+def test_fulltwist_cache_holds_whole_polynomials(tmp_path, capsys):
+    cache = tmp_path / "memo.json"
+    for n in range(1, 9):
+        for qmax in ("0", "3"):
+            argv = ["fulltwist", "--n", str(n), "--qmax", qmax]
+            code, want, _ = run_cli(capsys, *argv)
+            assert code == 0
+            code, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
+            assert code == 0 and out == want
+    # the keys asked for, and no other, each whole P(0^n)
+    data = {k: poly_from_obj(obj) for k, obj in json.loads(cache.read_text()).items()}
+    assert sorted(data) == ["0" * n for n in range(1, 9)]
+    for key, value in data.items():
+        assert value == poincare_poly(key), key
+    needs, _ = shuffle._plan(["0" * 8], shuffle._poly_deps)
+    dq = shuffle._fill_bounds(needs)["0" * 8][0]
+    assert data["0" * 8].unit_range("q")[1] == dq * UNIT > 3 * UNIT
+
+
+def test_fulltwist_cache_expansion_fails_by_name_before_it_starts(
+    tmp_path, capsys, monkeypatch
+):
+    # the cached whole P(00) is expanded by FracPoly.series, counted as on
+    # the whole route without a cache: six million slots at q^1000000
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    expanded = []
+    monkeypatch.setattr(FracPoly, "series", lambda *args: expanded.append(args))
+    cache = tmp_path / "memo.json"
+    code, out, err = run_cli(
+        capsys, "fulltwist", "--n", "2", "--qmax", "1000000", "--cache", str(cache)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '00'")
+    assert err.rstrip("\n").endswith("MiB of series terms")
+    assert expanded == []
 
 
 def test_tlh_cache_env_var_is_ignored(tmp_path, capsys, monkeypatch):

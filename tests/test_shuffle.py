@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from itertools import product
 from math import comb
 
@@ -11,13 +10,12 @@ import pytest
 
 from tlh import closed_form, shuffle
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
-from tlh.serialize import ParseError, dumps, parse_poly, poly_from_obj, poly_to_obj
+from tlh.serialize import ParseError, dumps, parse_poly, poly_to_obj
 from tlh.shuffle import (
     EntryOutOfBounds,
     IncompatiblePair,
     MemoDivergence,
     MemoryBudgetExceeded,
-    MemoTable,
     all_sequences,
     crossings,
     full_twist_series,
@@ -217,8 +215,8 @@ def _bounds(key):
 
 
 def _closure(key):
-    """A memo of every key of the closure of ``key``, stepped as one plan."""
-    return MemoTable(_one_plan(list(shuffle._plan([key], shuffle._poly_deps)[0])))
+    """{k: P(k)} over the closure of ``key``, stepped as one plan."""
+    return _one_plan(list(shuffle._plan([key], shuffle._poly_deps)[0]))
 
 
 def _every_key(key, layout):
@@ -239,17 +237,6 @@ def shift_and_add_reference():
 def test_packed_kernel_one_shot_matches_reference(shift_and_add_reference):
     for v in SEQS_UP_TO_8:
         assert poincare_poly(v).units() == shift_and_add_reference[v], v
-
-
-def test_packed_kernel_shared_memo_matches_reference(shift_and_add_reference):
-    ascending = MemoTable()
-    for v in sorted(SEQS_UP_TO_8, key=len):
-        assert poincare_poly(v, ascending).units() == shift_and_add_reference[v], v
-    descending = MemoTable()
-    for v in sorted(SEQS_UP_TO_8, key=len, reverse=True):
-        assert poincare_poly(v, descending).units() == shift_and_add_reference[v], v
-    assert dict(ascending) == dict(descending)
-    assert {k: p.units() for k, p in ascending.items()} == shift_and_add_reference
 
 
 def test_packed_kernel_two_limb_fields():
@@ -500,32 +487,6 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
     assert taken == 119
 
 
-def test_full_twist_memo_holds_whole_polynomials():
-    memo = MemoTable()
-    for n in range(1, 9):
-        for qmax in (0, 3):
-            assert full_twist_series(n, qmax, memo) == full_twist_series(n, qmax)
-    # the keys asked for, and no other
-    assert sorted(memo) == ["0" * n for n in range(1, 9)]
-    for key, value in memo.items():
-        assert value == poincare_poly(key), key
-    assert memo["0" * 8].unit_range("q")[1] == _zeros_dq(8) * UNIT > 3 * UNIT
-
-
-def test_full_twist_memo_expansion_fails_by_name_before_it_starts(monkeypatch):
-    # a memo's series is expanded by FracPoly.series, counted as on the whole
-    # route without one: six million slots at q^1000000
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
-    expanded = []
-    monkeypatch.setattr(FracPoly, "series", lambda *args: expanded.append(args))
-    memo = MemoTable()
-    with pytest.raises(MemoryBudgetExceeded, match="evaluating '00'") as err:
-        full_twist_series(2, 10 ** 6, memo)
-    assert str(err.value).endswith("MiB of series terms")
-    assert err.value.need > 64 * 2 ** 20
-    assert expanded == [] and not memo
-
-
 def test_poincare_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     q, a, t = sympy.symbols("q a t")
@@ -747,24 +708,15 @@ def test_working_values_released_after_last_consumer(monkeypatch):
         return step(layout, key, work)
 
     monkeypatch.setattr(shuffle._Layout, "step", counting_step)
-    memo = MemoTable()
-    for v in all_sequences(7):
-        poincare_poly(v, memo)
     for key in ("0" * 8, "0" * 8 + "1"):
-        want = poincare_poly(key, MemoTable())
         needs, users = shuffle._plan([key], shuffle._poly_deps)
-        runs = []
-        for hits in ({}, memo):
-            live.clear()
-            stepped.clear()
-            assert poincare_poly(key, MemoTable(hits) if hits else None) == want
-            assert len(live) == len(needs)
-            assert stepped == list(needs)
-            peak = shuffle._peak_live(needs, users, lambda k: 1)
-            assert max(live) == peak < len(needs) // 4
-            runs.append(list(live))
-        # a memo steps the same plan, with the same live counts, as no memo
-        assert runs[0] == runs[1]
+        live.clear()
+        stepped.clear()
+        assert poincare_poly(key).units() == _shift_and_add_terms(key, {})
+        assert len(live) == len(needs)
+        assert stepped == list(needs)
+        peak = shuffle._peak_live(needs, users, lambda k: 1)
+        assert max(live) == peak < len(needs) // 4
 
 
 @pytest.mark.parametrize("route, layout_cls, peak", [
@@ -794,59 +746,6 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
     values = run(roots)
     assert values.keys() == set(roots) and len(live) == len(needs)
     assert max(live) == shuffle._peak_live(needs, users, lambda k: 1) == peak
-
-
-def test_memo_is_a_sink_never_a_source(monkeypatch):
-    # a memo is read and written for the asked key alone: a wrong value
-    # under a deep key of the closure is neither read nor overwritten
-    key = "0" * 6 + "1"
-    needs, _ = shuffle._plan([key], shuffle._poly_deps)
-    deep = "0110"
-    assert deep in needs
-    touched = []
-
-    class Recorded(MemoTable):
-        """A memo that records every key it is asked about or given."""
-
-        def __contains__(self, k):
-            touched.append(k)
-            return super().__contains__(k)
-
-        def __getitem__(self, k):
-            touched.append(k)
-            return super().__getitem__(k)
-
-        def get(self, k, default=None):
-            touched.append(k)
-            return super().get(k, default)
-
-        def setdefault(self, k, value):
-            touched.append(k)
-            return super().setdefault(k, value)
-
-    # a wrong value, outside the layout's q-rows, under a key of the closure
-    sentinel = Polynomial.term(7, q=40)
-    memo = Recorded({deep: sentinel})
-    unpacked = []
-    unpack = shuffle._Layout.unpack
-
-    def counting_unpack(layout, packed):
-        unpacked.append(packed)
-        return unpack(layout, packed)
-
-    monkeypatch.setattr(shuffle._Layout, "unpack", counting_unpack)
-    want = poincare_poly(key)
-    unpacked.clear()
-    assert poincare_poly(key, memo) == want
-    assert set(touched) == {key}
-    assert memo[deep] is sentinel
-    # one unpack, of the asked key, which the memo then holds alone
-    assert len(unpacked) == 1
-    assert set(memo) == {deep, key}
-    # a hit steps nothing
-    touched.clear()
-    assert poincare_poly(key, memo) is dict.__getitem__(memo, key)
-    assert set(touched) == {key} and len(unpacked) == 1
 
 
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
@@ -922,7 +821,7 @@ else:  # every word of length <= argv[2] in one plan, holding every value
     held = shuffle._run(words, *rules)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert len(estimates) in (1, 2)
-unpacked = sum(map(len, held.values())) * shuffle._MEMO_BYTES_PER_TERM
+unpacked = sum(map(len, held.values())) * shuffle._UNPACKED_BYTES_PER_TERM
 print(max(estimates) + unpacked, (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
@@ -977,8 +876,8 @@ def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
 
 
 def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
-    cached = MemoTable()
-    poincare_poly("0" + "1" * 30 + "0", cached)
+    key = "0" + "1" * 30 + "0"
+    cached = {key: poincare_poly(key)}
     path = tmp_path / "cache.json"
     save_cache(str(path), cached)
     calls = []
@@ -1013,11 +912,6 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
         insertion_series("0" * 16)
     assert len(calls) < 2 * limit
-    # a memo hit walks nothing
-    calls.clear()
-    memo = MemoTable({"0" * 16: ONE})
-    assert poincare_poly("0" * 16, memo) is ONE
-    assert calls == []
     # a cache holding a long key with few zeros loads, checks included, in a
     # budget that covers the slot table of the layout it recomputes; that
     # of 0 1^30 0, 49,203 slots, alone holds about 7 MiB
@@ -1056,10 +950,9 @@ def test_insertion_series_examples():
 
 
 def test_dual_recursion_small():
-    memo = MemoTable()
     for n in range(6):
         for v in all_sequences(n):
-            assert insertion_series(v) == poincare_series(v, memo)
+            assert insertion_series(v) == poincare_series(v)
 
 
 def test_zero_expansion_identity():
@@ -1080,11 +973,10 @@ def test_full_twist_series():
     s0 = full_twist_series(3, 0)
     p = poincare_poly("000")
     assert s0 == Polynomial({e: c for e, c in p.units().items() if e[0] == 0})
-    for memo in (None, MemoTable()):
-        with pytest.raises(ValueError, match="qmax"):
-            full_twist_series(3, -1, memo)
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            full_twist_series(0, 3, memo)
+    with pytest.raises(ValueError, match="qmax"):
+        full_twist_series(3, -1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        full_twist_series(0, 3)
 
 
 def test_top_a_coefficient():
@@ -1093,46 +985,11 @@ def test_top_a_coefficient():
             assert poincare_poly(v).coefficient_of_a(n) == ONE
 
 
-def test_memo_idempotent_insertion():
-    memo = MemoTable()
-    memo.insert("0", ONE + A)
-    memo.insert("0", ONE + A)
-    with pytest.raises(MemoDivergence):
-        memo.insert("0", ONE)
-
-
-def test_memo_shared_across_threads():
-    memo = MemoTable()
-    seqs = [v for n in range(6) for v in all_sequences(n)]
-    errors = []
-
-    def worker(order):
-        try:
-            for v in order:
-                poincare_poly(v, memo)
-        except Exception as e:  # pragma: no cover
-            errors.append(e)
-
-    threads = [
-        threading.Thread(target=worker, args=(order,))
-        for order in (seqs, list(reversed(seqs)), seqs[::2] + seqs[1::2])
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    fresh = MemoTable()
-    for v in seqs:
-        assert poincare_poly(v, fresh) == memo[v]
-
-
 def test_cache_round_trip(tmp_path):
     memo = _closure("0000")
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
-    loaded = load_cache(str(path))
-    assert dict(loaded) == dict(memo)
+    assert load_cache(str(path)) == memo
 
 
 def test_cache_spot_check_catches_tampering(tmp_path):
@@ -1178,13 +1035,6 @@ def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms, message):
     # meets "0110"
     with pytest.raises(EntryOutOfBounds, match=message):
         load_cache(path)
-    # unchecked, the entry is never read for another key
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    memo = MemoTable({k: poly_from_obj(obj) for k, obj in data.items()})
-    loaded = memo["0110"]
-    assert poincare_poly("01101", memo) == poincare_poly("01101")
-    assert memo["0110"] is loaded
 
 
 def test_save_cache_is_atomic(tmp_path, monkeypatch):
@@ -1211,7 +1061,7 @@ def test_save_cache_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     save_cache(str(path), memo)
     assert os.listdir(tmp_path) == ["cache.json"]
-    assert dict(load_cache(str(path))) == dict(memo)
+    assert load_cache(str(path)) == memo
 
 
 def test_save_cache_golden_bytes(tmp_path):
@@ -1224,7 +1074,7 @@ def test_save_cache_golden_bytes(tmp_path):
     # a plain flag: pytest's diff of two 700 KB one-line strings takes minutes
     same = got == want
     assert same, f"differs from char {len(os.path.commonprefix([got, want]))}"
-    save_cache(str(path), MemoTable())
+    save_cache(str(path), {})
     assert path.read_text(encoding="utf-8") == "{}\n"
 
 
@@ -1242,10 +1092,8 @@ def test_cache_that_is_not_a_key_map_fails_to_load(tmp_path, text, message):
 
 @pytest.mark.parametrize("term,message", BAD_TERMS)
 def test_cache_with_non_integral_term_fails_to_load(tmp_path, term, message):
-    memo = MemoTable()
-    poincare_poly("0110", memo)
     path = tmp_path / "cache.json"
-    save_cache(str(path), memo)
+    save_cache(str(path), {"0110": poincare_poly("0110")})
     data = json.loads(path.read_text())
     data["0110"]["terms"][1] = term
     path.write_text(json.dumps(data))

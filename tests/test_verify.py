@@ -1,4 +1,6 @@
+import threading
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -200,3 +202,42 @@ def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, 
     verify._poly_upto(bound)
     assert len(roots) == 2 ** (bound + 1) - 1
     assert peak(roots) <= peak(["0" * bound])
+
+
+# The determinism checks compare values asked for again, in another order
+# or on other threads, with the first ones: a wrong value on either side
+# must fail them.
+
+
+def test_thread_schedule_check_fails_on_a_wrong_worker_value(monkeypatch):
+    poincare_poly = shuffle.poincare_poly
+
+    def wrong_off_the_main_thread(v):
+        value = poincare_poly(v)
+        on_main = threading.current_thread() is threading.main_thread()
+        return value if on_main else value + Q
+
+    monkeypatch.setattr(shuffle, "poincare_poly", wrong_off_the_main_thread)
+    results = _results("determinism", 3)
+    assert results["memo-order-independence"].status == verify.PASS
+    check = results["thread-schedule-independence"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: pool vs serial"
+
+
+def test_memo_order_check_fails_on_a_wrong_second_value(monkeypatch):
+    poincare_poly = shuffle.poincare_poly
+    asked = Counter()
+
+    def wrong_when_asked_twice(v):
+        asked[v] += 1
+        value = poincare_poly(v)
+        return value + Q if asked[v] == 2 else value
+
+    monkeypatch.setattr(shuffle, "poincare_poly", wrong_when_asked_twice)
+    results = _results("determinism", 3)
+    check = results["memo-order-independence"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: forward vs backward"
+    # every later ask is right again, and the serial values are the first
+    assert results["thread-schedule-independence"].status == verify.PASS
