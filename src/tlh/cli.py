@@ -131,19 +131,21 @@ def _cached(args):
     that commands asked about, the sequence itself for f and tilde and 0^n
     for fulltwist.  On a miss that one value is computed, added and written
     back; a repeated call finds the key and leaves the file untouched.  f
-    puts the value over (1 - q)^#0, and fulltwist expands it to q^qmax.
+    puts the value over (1 - q)^#0; fulltwist expands it to q^qmax, checked
+    against memory first.
     """
     key = "0" * args.n if args.command == "fulltwist" else args.seq
+    if args.command == "fulltwist":
+        shuffle._room(repr(key), shuffle._series_terms(args.n, args.qmax))
     answers = shuffle.load_cache(args.cache) if os.path.exists(args.cache) else {}
     if key not in answers:
         answers[key] = shuffle.poincare_poly(key)
         shuffle.save_cache(args.cache, answers)
     p = answers[key]
-    if args.command == "f":
-        return FracPoly(p, [ONE_MINUS_Q] * key.count("0"))
-    if args.command == "fulltwist":
-        return shuffle._expand_whole(p, args.n, args.qmax)
-    return p
+    if args.command == "tilde":
+        return p
+    series = FracPoly(p, [ONE_MINUS_Q] * key.count("0"))
+    return series.series(args.qmax) if args.command == "fulltwist" else series
 
 
 def _emit(obj, fmt: str) -> int:

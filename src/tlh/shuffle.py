@@ -185,10 +185,8 @@ class MemoDivergence(RuntimeError):
 class EntryOutOfBounds(ValueError):
     """A cache entry does not fit the a-priori bounds of its key.
 
-    Raised by :func:`load_cache`: an entry's exponents must be whole and
-    inside its key's degree bounds, and its L1 norm within the key's L1
-    bound.  The engine never reads a cache: an entry is only ever the
-    answer for its own key.
+    Raised by :func:`load_cache` (:func:`_check_entry`).  The engine never
+    reads a cache: an entry is only ever the answer for its own key.
     """
 
 
@@ -358,13 +356,14 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 
 
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
-# slot table field (``_slot_table``), 67 to 73 by tracemalloc at n = 8..12,
-# and 143 to 184 with the inverse that ``_Layout.slots`` builds;
+# slot table field (``_slot_table``) and what unpacking adds per field, 136
+# to 139 at the tracemalloc peak of 0 1^29 0 and 0 1^30 0, three fields per
+# term, and 99 of the latter's peak RSS growth past the rest of its estimate;
 # an unpacked term, 52 to 58 of peak RSS growth with every key of the
 # closure of 0^n unpacked and held at n = 9..12; and a slot of q-rows
 # 0..qmax as whole P(0^n) expands over (1 - q)^n, 120 to 158 of peak RSS
 # growth at n = 1..11, qmax <= 10^6.
-_SLOT_BYTES_PER_FIELD = 192
+_SLOT_BYTES_PER_FIELD = 144
 _UNPACKED_BYTES_PER_TERM = 64
 _SERIES_BYTES_PER_TERM = 192
 
@@ -497,12 +496,11 @@ def _little(words: array) -> array:
 
 
 # Slot tables per geometry, (a-rows, t-width): the exponent of every slot,
-# in slot order, and, built on its first use by ``_Layout.slots``, its
-# inverse.  q is the most significant coordinate, so one table, grown to the
-# largest q-degree asked for, serves every layout of a geometry through a
-# prefix.  A table is replaced, never mutated, so threads may share them.
+# in slot order.  q is the most significant coordinate, so one table, grown
+# to the largest q-degree asked for, serves every layout of a geometry
+# through a prefix.  A table is replaced, never mutated, so threads may
+# share them.
 _SLOT_TABLES: dict[tuple[range, int], list[Exponents]] = {}
-_SLOT_INDEX: dict[tuple[range, int], dict[Exponents, int]] = {}
 
 
 def _slot_table(geometry: tuple[range, int], fields: int) -> list[Exponents]:
@@ -566,29 +564,6 @@ class _Layout:
         body = key[:-1]
         p1 = work["1" + body]
         return p1 + ((work["0" + body] - p1) << self.sq)
-
-    def slots(self, key: str, p: Polynomial, l1: int) -> list[int]:
-        """The slots of cache entry ``p``, checked against ``key``'s bounds."""
-        if sum(map(abs, p._terms.values())) > l1:
-            raise EntryOutOfBounds(
-                f"memo entry {key!r} has an L1 norm above its bound {l1}"
-            )
-        slot_of = _SLOT_INDEX.get(self.geometry, {})
-        if len(slot_of) < self.fields:
-            slot_of = dict(zip(self.exps, range(len(self.exps))))
-            _SLOT_INDEX[self.geometry] = slot_of
-        try:
-            slots = list(map(slot_of.__getitem__, p._terms))
-        except KeyError as e:
-            raise EntryOutOfBounds(
-                f"memo entry {key!r} has a term at q,a,t exponent "
-                f"{_exp_vector(e.args[0])}, not a whole exponent inside the layout"
-            ) from None
-        if slots and max(slots) >= self.fields:
-            raise EntryOutOfBounds(
-                f"memo entry {key!r} has a q-degree above its bound {self.dq}"
-            )
-        return slots
 
     def unpack(self, packed: int) -> Polynomial:
         # limb j of every field (``_limbs``) is gathered from the packed
@@ -819,16 +794,6 @@ def _series_terms(n: int, qmax: int) -> dict[str, int]:
     return {"series terms": (qmax + 1) * plane * _SERIES_BYTES_PER_TERM}
 
 
-def _expand_whole(p: Polynomial, n: int, qmax: int) -> Polynomial:
-    """Whole P(0^n), ``p``, over (1 - q)^n, cut at q^qmax.
-
-    Fails with :class:`MemoryBudgetExceeded` before it starts if its series
-    terms (:func:`_series_terms`) exceed physical memory.
-    """
-    _room(repr("0" * n), _series_terms(n, qmax))
-    return FracPoly(p, [ONE_MINUS_Q] * n).series(qmax)
-
-
 def full_twist_series(n: int, qmax: int) -> Polynomial:
     """Truncated homology series of the n-strand full twist closure.
 
@@ -840,8 +805,8 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     the ratio of the two routes' step times was 0.8 to 2.0 times that of
     their totals (0.8 to 1.2 at n = 11 and 12).
     Up to n = 17 the larger pass then holds no more at once than whole P.
-    Otherwise it steps the whole polynomial and expands it over (1 - q)^n
-    (:func:`_expand_whole`), pre-flighting the run and the expansion
+    Otherwise it steps the whole polynomial and expands it over (1 - q)^n,
+    pre-flighting the run and the expansion (:func:`_series_terms`)
     together before any step.
     """
     if n < 1:
@@ -877,7 +842,7 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     layout = _Layout(n, dq, l1)
     estimate = {**_working_set(needs, whole, layout), **_series_terms(n, qmax)}
     out = _evaluate([key], layout.step, layout.unpack, (needs, users), estimate)
-    return _expand_whole(out[key], n, qmax)
+    return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +875,36 @@ def save_cache(path: str, answers: dict[str, Polynomial]) -> None:
         raise
 
 
+def _check_entry(key: str, p: Polynomial, dq: int, l1: int) -> None:
+    """Raise :class:`EntryOutOfBounds` unless cache entry ``p`` fits ``key``.
+
+    Checked in this order, so the message depends on the entry alone: its
+    L1 norm is at most ``l1``; each term's exponents are whole and
+    non-negative, with a <= |key| and t <= C(|key|, 2); its q-degree is at
+    most ``dq``.
+    """
+    terms = p._terms
+    if sum(map(abs, terms.values())) > l1:
+        raise EntryOutOfBounds(
+            f"memo entry {key!r} has an L1 norm above its bound {l1}"
+        )
+    frac, amax, tmax = UNIT - 1, len(key) * UNIT, comb(len(key), 2) * UNIT
+    qmax, high = dq * UNIT, False
+    for q, a, t in terms:
+        u = q | a | t  # negative if any is, and fractional if any is
+        if u & frac or u < 0 or a > amax or t > tmax:
+            raise EntryOutOfBounds(
+                f"memo entry {key!r} has a term at q,a,t exponent "
+                f"{_exp_vector((q, a, t))}, not a whole exponent inside its bounds"
+            )
+        if q > qmax:
+            high = True
+    if high:
+        raise EntryOutOfBounds(
+            f"memo entry {key!r} has a q-degree above its bound {dq}"
+        )
+
+
 def load_cache(path: str) -> dict[str, Polynomial]:
     """The map of :func:`save_cache`, with a deterministic sample rechecked.
 
@@ -917,9 +912,8 @@ def load_cache(path: str) -> dict[str, Polynomial]:
     raises :class:`ParseError`.  Each sampled key is recomputed from scratch
     and compared; a mismatch raises :class:`MemoDivergence`.  The sample is
     an even stride over the sorted keys, ``_SPOT_CHECK_RATE`` of them (at
-    least one).  Then every entry must fit its key's a-priori bounds (whole
-    exponents inside the degree bounds, L1 norm within the L1 bound), or
-    :class:`EntryOutOfBounds` names it.
+    least one).  Then every entry must fit its key's a-priori bounds, or
+    :class:`EntryOutOfBounds` names it (:func:`_check_entry`).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = _json_loads(fh.read())
@@ -940,6 +934,5 @@ def load_cache(path: str) -> dict[str, Polynomial]:
             )
     bounds = _fill_bounds(_plan(list(answers), _poly_deps)[0])
     for key, value in answers.items():
-        dq, l1 = bounds[key]
-        _Layout(len(key), dq, l1).slots(key, value, l1)
+        _check_entry(key, value, *bounds[key])
     return answers

@@ -366,6 +366,8 @@ def test_fulltwist_cache_expansion_fails_by_name_before_it_starts(
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
     expanded = []
     monkeypatch.setattr(FracPoly, "series", lambda *args: expanded.append(args))
+    stepped = []
+    monkeypatch.setattr(shuffle, "poincare_poly", lambda key: stepped.append(key))
     cache = tmp_path / "memo.json"
     code, out, err = run_cli(
         capsys, "fulltwist", "--n", "2", "--qmax", "1000000", "--cache", str(cache)
@@ -375,6 +377,27 @@ def test_fulltwist_cache_expansion_fails_by_name_before_it_starts(
     assert err.startswith("error: MemoryBudgetExceeded: evaluating '00'")
     assert err.rstrip("\n").endswith("MiB of series terms")
     assert expanded == []
+    # nothing is stepped or written before the check
+    assert stepped == []
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("answers, error", [
+    # the spot check samples "" alone; the bounds check meets "0110"
+    ({"": ONE, "0110": ONE + Q ** 3},
+     "error: EntryOutOfBounds: memo entry '0110' has a q-degree above its bound 2"),
+    # the spot check samples "0110" itself
+    ({"0110": ONE}, "error: MemoDivergence: cache entry '0110' disagrees"),
+], ids=["out-of-bounds", "diverged"])
+def test_cache_that_fails_its_checks_exits_1(tmp_path, capsys, answers, error):
+    cache = tmp_path / "memo.json"
+    shuffle.save_cache(str(cache), answers)
+    before = cache.read_bytes()
+    code, out, err = run_cli(capsys, "tilde", "--seq", "0110", "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(error)
+    assert cache.read_bytes() == before
 
 
 def test_tlh_cache_env_var_is_ignored(tmp_path, capsys, monkeypatch):

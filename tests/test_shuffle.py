@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -1005,8 +1006,7 @@ def test_cache_spot_check_catches_tampering(tmp_path):
         load_cache(str(path))
 
 
-def _tampered_cache(tmp_path, key, terms):
-    memo = _closure("0000")
+def _tampered_cache(tmp_path, memo, key, terms):
     path = tmp_path / "cache.json"
     save_cache(str(path), memo)
     data = json.loads(path.read_text())
@@ -1022,19 +1022,39 @@ _OUTSIDE = "'0110' has a term at q,a,t exponent"
     ([((0, 0, 0), 1), ((UNIT, 2, 0), 1)], _OUTSIDE),        # a^(1/2): not whole
     ([((0, 0, 0), 1), ((0, 0, 11 * UNIT), 1)], _OUTSIDE),   # t^11 > 5*4/2
     ([((0, 0, 0), 1), ((-UNIT, 0, 0), 1)], _OUTSIDE),       # negative q-degree
-    ([((0, 0, 0), 1), ((40 * UNIT, 0, 0), 1)], _OUTSIDE),   # past every layout
+    ([((0, 0, 0), 1), ((40 * UNIT, 0, 0), 1)],
+     "'0110' has a q-degree above its bound 2"),
     ([((0, 0, 0), 2 ** 70), ((0, UNIT, 0), -(2 ** 70))], "'0110' has an L1 norm"),
-    # q-degree above bound, inside the slot table that "0000" (bound 6),
-    # a key of the same length, grew first
     ([((0, 0, 0), 1), ((3 * UNIT, 0, 0), 1)],
      "'0110' has a q-degree above its bound 2"),
 ], ids=[f"terms{i}" for i in range(6)])
 def test_cache_entry_out_of_bounds_fails_by_name(tmp_path, terms, message):
-    path = _tampered_cache(tmp_path, "0110", terms)
-    # the sample of the 31 keys is "" and "0111", so the bounds check
-    # meets "0110"
-    with pytest.raises(EntryOutOfBounds, match=message):
-        load_cache(path)
+    # the sample of 2 keys is "", that of the 31 keys "" and "0111", so the
+    # bounds check meets "0110"; which other keys share the file does not
+    # change its message
+    messages = []
+    for memo in ({"": ONE, "0110": poincare_poly("0110")}, _closure("0000")):
+        path = _tampered_cache(tmp_path, memo, "0110", terms)
+        with pytest.raises(EntryOutOfBounds, match=message) as err:
+            load_cache(path)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_cache_entry_check_holds_memory_in_proportion_to_the_entry(tmp_path):
+    # the closure of 00 1^100 has 104 keys, and its packed layout over a
+    # million fields; the one-term entry is checked against its bounds
+    # without it
+    key = "00" + "1" * 100
+    path = tmp_path / "cache.json"
+    save_cache(str(path), {"": ONE, key: ONE})
+    tracemalloc.start()
+    try:
+        assert load_cache(str(path)) == {"": ONE, key: ONE}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_save_cache_is_atomic(tmp_path, monkeypatch):
