@@ -116,7 +116,8 @@ then multiplies each sum by its weight once, ``p = (p << (l + m) w) +
 ``acc = acc - (acc << SQ) + (G_k << (z - k) SQ)`` from k = z down to 0.
 Agreement of the two routes is a core self-check of the whole engine.  The
 routes share the packed layout, the work-list driver (``_evaluate``) and
-unpacking; each keeps its own dependency and step rules and its own bounds.
+unpacking; each layout class carries its route's dependency and step rules
+and its bounds.
 
 The driver walks the closure of its roots once, counts each key's
 consumers, and steps the keys in topological order with an explicit work
@@ -145,7 +146,6 @@ from .poly import (
     ONE,
     ONE_MINUS_Q,
     UNIT,
-    Exponents,
     FracPoly,
     Polynomial,
     _exp_vector,
@@ -356,7 +356,7 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 
 
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
-# slot table field (``_slot_table``) and what unpacking adds per field, 136
+# slot table field (``_Layout.exps``) and what unpacking adds per field, 136
 # to 139 at the tracemalloc peak of 0 1^29 0 and 0 1^30 0, three fields per
 # term, and 99 of the latter's peak RSS growth past the rest of its estimate;
 # an unpacked term, 52 to 58 of peak RSS growth with every key of the
@@ -393,45 +393,57 @@ def _room(what: str, parts: dict[str, int]) -> int:
 
 def _evaluate(
     roots: list[str],
-    step: Callable,
-    unpack: Callable,
     plan: tuple[dict, dict],
-    estimate: dict[str, int],
+    layouts: list[_Layout],
+    size: Callable[[str], int],
+    extra: dict[str, int] | None = None,
 ) -> dict[str, Polynomial]:
     """The one work-list driver of every packed run: {root: its value}.
 
-    Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order:
-    ``step(k, work)`` reads the values of the keys that ``plan`` names for
-    ``k`` from ``work``.  ``plan``'s consumer counts are consumed.  Each
-    root is unpacked, ``unpack(value)``, once it is stepped.  A packed
-    value is released once its last consumer has stepped, a root's that no
-    key consumes at once.  A run whose ``estimate``, the caller's peak bytes
-    by the parts it names, exceeds physical memory raises
-    :class:`MemoryBudgetExceeded`, naming the run by its roots, before any
-    step; so does a run whose unpacked values, ``_UNPACKED_BYTES_PER_TERM``
-    per term, would take the estimate over, as soon as they would.
+    Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order,
+    once per pass, a pass per layout: ``layout.step(k, work)`` reads the
+    values of the keys that ``plan`` names for ``k`` from ``work``.  Each
+    root is unpacked, ``layout.unpack(value)``, once it is stepped, and the
+    passes' disjoint slices of it join into one value.  A packed value is
+    released once its last consumer has stepped, a root's that no key
+    consumes at once.  Before the first step, every pass's estimate, its
+    :func:`_working_set` at the peak that ``size`` (q-rows per key) gives,
+    plus the parts of ``extra``, is checked against physical memory: one
+    over it raises :class:`MemoryBudgetExceeded`, naming the run by its
+    roots.  So does a pass whose unpacked values, ``_UNPACKED_BYTES_PER_TERM``
+    per term, would take its estimate over, as soon as they would.
     """
     needs, users = plan
     what = _name(roots)
-    room = _room(what, estimate) // _UNPACKED_BYTES_PER_TERM
+    peak = _peak_live(needs, users, size)
+    estimates = [
+        {**_working_set(needs, peak, layout), **(extra or {})} for layout in layouts
+    ]
+    rooms = [_room(what, e) // _UNPACKED_BYTES_PER_TERM for e in estimates]
     wanted = set(roots)
     out: dict[str, Polynomial] = {}
-    held = 0
-    work: dict = {}
-    for k, ds in needs.items():
-        value = work[k] = step(k, work)
-        if k in wanted:
-            out[k] = unpack(value)
-            held += len(out[k])
-            if held > room:
-                unpacked = held * _UNPACKED_BYTES_PER_TERM
-                _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
-            if k not in users:
-                del work[k]
-        for d in ds:
-            users[d] -= 1
-            if not users[d]:
-                del work[d]
+    for layout, estimate, room in zip(layouts, estimates, rooms):
+        left = dict(users)
+        held = 0
+        work: dict = {}
+        for k, ds in needs.items():
+            work[k] = layout.step(k, work)
+            if k in wanted:
+                value = layout.unpack(work[k])
+                if k in out:  # a later pass's slice of the first pass's value
+                    out[k]._terms.update(value._terms)
+                else:
+                    out[k] = value
+                held += len(value)
+                if held > room:
+                    unpacked = held * _UNPACKED_BYTES_PER_TERM
+                    _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
+                if k not in left:
+                    del work[k]
+            for d in ds:
+                left[d] -= 1
+                if not left[d]:
+                    del work[d]
     return out
 
 
@@ -495,29 +507,6 @@ def _little(words: array) -> array:
     return words
 
 
-# Slot tables per geometry, (a-rows, t-width): the exponent of every slot,
-# in slot order.  q is the most significant coordinate, so one table, grown
-# to the largest q-degree asked for, serves every layout of a geometry
-# through a prefix.  A table is replaced, never mutated, so threads may
-# share them.
-_SLOT_TABLES: dict[tuple[range, int], list[Exponents]] = {}
-
-
-def _slot_table(geometry: tuple[range, int], fields: int) -> list[Exponents]:
-    table = _SLOT_TABLES.get(geometry)
-    if table is None or len(table) < fields:
-        a_rows, t_width = geometry
-        nq = fields // (len(a_rows) * t_width)
-        units = [UNIT * i for i in range(max(nq, t_width, max(a_rows) + 1))]
-        table = _SLOT_TABLES[geometry] = [
-            (units[i], units[j], units[k])
-            for i in range(nq)
-            for j in a_rows
-            for k in range(t_width)
-        ]
-    return table
-
-
 def _field_bytes(bound: int) -> int:
     """The bytes of a field that holds ``bound`` plus a sign bit."""
     return (bound.bit_length() + 8) // 8
@@ -533,6 +522,10 @@ class _Layout:
     route = "P"
     # the step temporaries as tall as the layout that a run's estimate counts
     temps = 2
+    # the route's rules: a key's dependencies, and the (q-degree, L1 norm)
+    # bounds of every key of a plan
+    deps = staticmethod(_poly_deps)
+    bounds = staticmethod(_fill_bounds)
 
     def __init__(self, n: int, dq: int, bound: int, a_rows=None, t_width=0):
         a_rows = self.a_rows = range(n + 1) if a_rows is None else a_rows
@@ -549,8 +542,11 @@ class _Layout:
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
         self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
         self.limbs = _limbs(b)
-        self.geometry = (a_rows, t_width)
-        self.exps = _slot_table(self.geometry, self.fields)
+        # the exponent of every slot, in slot order, q the most significant
+        q_units, a_units, t_units = (
+            [UNIT * i for i in rows] for rows in (range(dq + 1), a_rows, range(t_width))
+        )
+        self.exps = list(product(q_units, a_units, t_units))
 
     def step(self, key: str, work: dict) -> int:
         if not key:
@@ -637,21 +633,20 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
     return [(range(J + 1), comb(n, 2) + 1), high]
 
 
-def _run(roots: list[str], deps, bounds, layout_cls) -> dict[str, Polynomial]:
+def _run(roots: list[str], route: type[_Layout]) -> dict[str, Polynomial]:
     """{root: its value}, the closure of ``roots`` stepped as one plan.
 
-    ``deps`` and ``bounds``, a key's dependencies and the (q-degree, L1
-    norm) bounds of every key of a plan, are the route's rules.  The one
-    layout, a ``layout_cls`` of the longest key, holds the largest bounds of
-    the plan, a lone root's own since bounds grow toward the consumers; the
-    run is pre-flighted by its sized peak (:func:`_working_set`).
+    ``route``, a layout class, carries the rules: ``route.deps``, a key's
+    dependencies, and ``route.bounds``, the (q-degree, L1 norm) bounds of
+    every key of a plan.  The one layout, of the longest key, holds the
+    largest bounds of the plan, a lone root's own since bounds grow toward
+    the consumers; each key counts its own q-rows in the pre-flight
+    (:func:`_evaluate`).
     """
-    needs, users = plan = _plan(roots, deps)
-    bound = bounds(needs)
-    layout = layout_cls(max(map(len, needs)), *map(max, zip(*bound.values())))
-    peak = _peak_live(needs, users, lambda k: bound[k][0] + 1)
-    estimate = _working_set(needs, peak, layout)
-    return _evaluate(roots, layout.step, layout.unpack, plan, estimate)
+    needs, _ = plan = _plan(roots, route.deps)
+    bound = route.bounds(needs)
+    layout = route(max(map(len, needs)), *map(max, zip(*bound.values())))
+    return _evaluate(roots, plan, [layout], lambda k: bound[k][0] + 1)
 
 
 def poincare_poly(v: str) -> Polynomial:
@@ -663,7 +658,7 @@ def poincare_poly(v: str) -> Polynomial:
     ``v`` is stepped as one plan (:func:`_run`).
     """
     key = _key(v)
-    return _run([key], _poly_deps, _fill_bounds, _Layout)[key]
+    return _run([key], _Layout)[key]
 
 
 def poincare_series(v: str) -> FracPoly:
@@ -724,6 +719,8 @@ class _InsertionLayout(_Layout):
     # live at once in a step: acc, the group G_k, and a weighted class sum
     # with its two shifts and their sum
     temps = 6
+    deps = staticmethod(_insertion_deps)
+    bounds = staticmethod(_insertion_bounds)
 
     def step(self, key: str, work: dict) -> int:
         """P(v) = sum over w of q^#0(w) (1-q)^#1(w) W(v, w) P(w).
@@ -766,7 +763,7 @@ def insertion_series(v: str) -> FracPoly:
     suite.
     """
     key = _key(v)
-    num = _run([key], _insertion_deps, _insertion_bounds, _InsertionLayout)[key]
+    num = _run([key], _InsertionLayout)[key]
     return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
 
 
@@ -814,7 +811,7 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     key = "0" * n
-    needs, users = _plan([key], _poly_deps)
+    needs, _ = plan = _plan([key], _poly_deps)
     bounds = _fill_bounds(needs)
     dq, l1 = bounds[key]
     if qmax < dq:
@@ -827,21 +824,12 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
         split = min(splits, key=lambda g: max(len(a) * t for a, t in g))
         stepped = len(needs) * (qmax + 1) * fb * sum(len(a) * t for a, t in split)
         if stepped < sum(d + 1 for d, _ in bounds.values()) * b * plane:
-            peak = _peak_live(needs, users, lambda k: qmax + 1)
             layouts = [_SeriesLayout(n, qmax, mass, *g) for g in split]
-            sets = [_working_set(needs, peak, layout) for layout in layouts]
-            # both passes are pre-flighted before either steps
-            _room(repr(key), max(sets, key=lambda parts: sum(parts.values())))
-            terms = {}
-            for layout, estimate in zip(layouts, sets):
-                plan = (needs, dict(users))
-                out = _evaluate([key], layout.step, layout.unpack, plan, estimate)
-                terms.update(out[key]._terms)
-            return Polynomial._trusted(terms)
-    whole = _peak_live(needs, users, lambda k: bounds[k][0] + 1)
+            return _evaluate([key], plan, layouts, lambda k: qmax + 1)[key]
     layout = _Layout(n, dq, l1)
-    estimate = {**_working_set(needs, whole, layout), **_series_terms(n, qmax)}
-    out = _evaluate([key], layout.step, layout.unpack, (needs, users), estimate)
+    out = _evaluate(
+        [key], plan, [layout], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
+    )
     return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
 
 

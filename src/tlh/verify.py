@@ -309,9 +309,7 @@ def _poly_upto(bound: int) -> dict[str, Polynomial]:
     once than the plan of ``'0' * bound`` alone, where shortest first held
     about 2.5 times as many; its pre-flight estimate counts those rows.
     """
-    return shuffle._run(
-        _words(bound)[::-1], shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout
-    )
+    return shuffle._run(_words(bound)[::-1], shuffle._Layout)
 
 
 @_check("recursions", "dual-recursion-equivalence", THEOREM, 8)
@@ -321,10 +319,7 @@ def _dual_recursion(bound: int, store: _Store) -> SubResults:
     # shortest first: listed longest first, this plan's peak heap grew from
     # 13.8 to 15.4 MiB at bound 8 and from 47.7 to 54.4 at 9 (tracemalloc,
     # Python 3.11), though its packed q-rows at once stay the same
-    insertion = shuffle._run(
-        _words(bound), shuffle._insertion_deps, shuffle._insertion_bounds,
-        shuffle._InsertionLayout,
-    )
+    insertion = shuffle._run(_words(bound), shuffle._InsertionLayout)
     return _sizes(bound, lambda n: all(
         insertion[v] == polys[v] for v in shuffle.all_sequences(n)
     ), first=0, label="|v|")
@@ -661,9 +656,9 @@ def _serial_polys(bound: int) -> dict[str, Polynomial]:
     return _each_poly(_words(bound))
 
 
-# Asked in reverse, every value must be the same: no module state, such as
-# the slot tables, may make a value depend on call order.  The name is the
-# memo tables' it once compared; verify's stdout prints it and is pinned.
+# Asked in reverse, every value must be the same: the engine holds no state
+# between calls, so none may make a value depend on call order.  The name is
+# the memo tables' it once compared; verify's stdout prints it and is pinned.
 @_check("determinism", "memo-order-independence", THEOREM, 6)
 def _memo_order(bound: int, store: _Store) -> SubResults:
     forward = store.once(_serial_polys, bound)

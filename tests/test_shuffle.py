@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -199,15 +200,12 @@ SEQS_UP_TO_8 = _words(8)
 
 def _one_plan(roots):
     """P of every key of ``roots``, stepped as one plan."""
-    return shuffle._run(roots, shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout)
+    return shuffle._run(roots, shuffle._Layout)
 
 
 def _insertion_one_plan(roots):
     """The insertion route's P of every key of ``roots``, as one plan."""
-    return shuffle._run(
-        roots, shuffle._insertion_deps, shuffle._insertion_bounds,
-        shuffle._InsertionLayout,
-    )
+    return shuffle._run(roots, shuffle._InsertionLayout)
 
 
 def _bounds(key):
@@ -224,7 +222,7 @@ def _every_key(key, layout):
     """Every key of the closure of ``key`` stepped on ``layout``, as roots."""
     roots = list(shuffle._plan([key], shuffle._poly_deps)[0])
     plan = shuffle._plan(roots, shuffle._poly_deps)
-    return shuffle._evaluate(roots, layout.step, layout.unpack, plan, {})
+    return shuffle._evaluate(roots, plan, [layout], lambda k: layout.dq + 1)
 
 
 @pytest.fixture(scope="module")
@@ -425,21 +423,26 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     # qmax nears the q-degree bound, though each of its two passes holds
     # about half the fields per q-row; from the bound on it is never tried
     layouts, passes = [], []
-    evaluate = shuffle._evaluate
+    evaluate, room = shuffle._evaluate, shuffle._room
 
-    def spy_evaluate(roots, step, unpack, plan, estimate):
-        layouts.append(type(step.__self__))
-        passes.append(sum(estimate.values()))
-        return evaluate(roots, step, unpack, plan, estimate)
+    def spy_evaluate(roots, plan, stepped, size, extra=None):
+        layouts.extend(map(type, stepped))
+        return evaluate(roots, plan, stepped, size, extra)
+
+    def spy_room(what, parts):
+        if not any(part.startswith("unpacked values") for part in parts):
+            passes.append(sum(parts.values()))
+        return room(what, parts)
 
     monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(shuffle, "_room", spy_room)
     want = poincare_series("0" * n).series(qmax)
     layouts.clear()
     passes.clear()
     assert full_twist_series(n, qmax) == want
     series = route == "series"
     assert layouts == ([shuffle._SeriesLayout] * 2 if series else [shuffle._Layout])
-    # each pass is estimated before it steps
+    # each pass is estimated once before it steps
     assert all(passes)
     assert len(passes) == len(layouts)
 
@@ -584,7 +587,7 @@ def _pack(layout, p):
 
     A is the layout's a-rows and T its t-width (the tlh.shuffle docstring).
     """
-    rows, width = len(layout.a_rows), layout.geometry[1]
+    rows, width = len(layout.a_rows), layout.sa // layout.w
     return sum(
         c << layout.w * ((e0 // UNIT * rows + e1 // UNIT) * width + e2 // UNIT)
         for (e0, e1, e2), c in p.units().items()
@@ -765,6 +768,55 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     assert sum(shuffle._working_set(needs, peak, layout).values()) < 2 * 2 ** 30
 
 
+def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
+    # n = 11, qmax = 10 takes the series route in two passes; each pass's
+    # estimate is checked against memory exactly once, all before the first
+    # step of either
+    events = []
+    room, step = shuffle._room, shuffle._SeriesLayout.step
+
+    def spy_room(what, parts):
+        events.append(sum(parts.values()))
+        return room(what, parts)
+
+    def spy_step(layout, key, work):
+        events.append("step")
+        return step(layout, key, work)
+
+    monkeypatch.setattr(shuffle, "_room", spy_room)
+    monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
+    full_twist_series(11, 10)
+    estimates = events[:2]
+    assert "step" not in estimates
+    assert events[2:] == ["step"] * (len(events) - 2) and len(events) > 2
+    # a budget between the two estimates refuses the call before any step
+    low, high = sorted(estimates)
+    assert low < high
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: (low + high) // 2)
+    events.clear()
+    with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{11}' ") as err:
+        full_twist_series(11, 10)
+    assert err.value.need == high
+    assert "step" not in events
+
+
+def test_no_slot_table_outlives_its_run():
+    # each layout builds its own slot table, which is freed with the run:
+    # long keys with few zeros have tables of 49,203 and 287,595 fields
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in ("0" + "1" * 30 + "0", "00" + "1" * 60):
+            value = poincare_poly(key)
+            assert value
+            del value
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert held < 2 ** 19, key
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("run, name", [
     (lambda: insertion_series("0" * 10), "'0{10}'"),
     (lambda: _insertion_one_plan(_words(9)), "1023 keys, '' to '1{9}'"),
@@ -794,13 +846,15 @@ if os.fork():
     sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
 from tlh import cli, shuffle
 estimates = []
-evaluate = shuffle._evaluate
+room = shuffle._room
 
-def recording(roots, step, unpack, plan, estimate):
-    estimates.append(sum(estimate.values()))
-    return evaluate(roots, step, unpack, plan, estimate)
+def recording(what, parts):
+    # each pass's estimate, not the re-check of the values it unpacks
+    if not any(part.startswith("unpacked values") for part in parts):
+        estimates.append(sum(parts.values()))
+    return room(what, parts)
 
-shuffle._evaluate = recording
+shuffle._room = recording
 route = sys.argv[1]
 held = {}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -813,13 +867,8 @@ elif route == "poly":
     shuffle.poincare_poly(sys.argv[2])
 else:  # every word of length <= argv[2] in one plan, holding every value
     words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
-    rules = {
-        "poly-upto": (shuffle._poly_deps, shuffle._fill_bounds, shuffle._Layout),
-        "insertion-upto": (
-            shuffle._insertion_deps, shuffle._insertion_bounds, shuffle._InsertionLayout
-        ),
-    }[route]
-    held = shuffle._run(words, *rules)
+    layouts = {"poly-upto": shuffle._Layout, "insertion-upto": shuffle._InsertionLayout}
+    held = shuffle._run(words, layouts[route])
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert len(estimates) in (1, 2)
 unpacked = sum(map(len, held.values())) * shuffle._UNPACKED_BYTES_PER_TERM
@@ -893,8 +942,8 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     budget = 2 ** 20  # 2,048 keys of walk state
     limit = budget // shuffle._WALK_BYTES_PER_KEY
     monkeypatch.setattr(shuffle, "_memory_budget", lambda: budget)
-    monkeypatch.setattr(shuffle, "_poly_deps", counted(shuffle._poly_deps))
-    monkeypatch.setattr(shuffle, "_insertion_deps", counted(shuffle._insertion_deps))
+    for route in (shuffle._Layout, shuffle._InsertionLayout):
+        monkeypatch.setattr(route, "deps", staticmethod(counted(route.deps)))
     # a long key with few zeros has a small closure and walks in any budget
     for key, size in [
         ("1" * 30 + "0", 64),

@@ -168,9 +168,9 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
     runs = []
     run = shuffle._run
 
-    def spy(roots, deps, bounds, layout_cls):
-        runs.append((frozenset(roots), deps))
-        return run(roots, deps, bounds, layout_cls)
+    def spy(roots, route):
+        runs.append((frozenset(roots), route))
+        return run(roots, route)
 
     stores = []
 
@@ -181,7 +181,7 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
 
     monkeypatch.setattr(shuffle, "_run", spy)
     monkeypatch.setattr(verify, "_Store", Recorded)
-    every_word = (frozenset(verify._words(3)), shuffle._poly_deps)
+    every_word = (frozenset(verify._words(3)), shuffle._Layout)
     for calls in (1, 2):  # the second call steps the plan again
         results = verify.run_suites(["recursions", "top-a"], max_n=3)
         assert [r.status for r in results] == [verify.PASS] * 3
@@ -198,7 +198,7 @@ def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, 
         return shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
 
     roots = []  # as verify lists them; the plan itself is not stepped
-    monkeypatch.setattr(shuffle, "_run", lambda words, *rules: roots.extend(words))
+    monkeypatch.setattr(shuffle, "_run", lambda words, route: roots.extend(words))
     verify._poly_upto(bound)
     assert len(roots) == 2 ** (bound + 1) - 1
     assert peak(roots) <= peak(["0" * bound])
