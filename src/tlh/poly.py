@@ -633,9 +633,9 @@ class FracPoly:
     def sum(cls, fractions: Iterable["FracPoly"]) -> "FracPoly":
         """Exact sum over the least common denominator multiset.
 
-        Each numerator is multiplied by every factor it lacks, one binomial
-        at a time (``num x^lead - num x^trail``), and added term by term
-        into one dict.
+        Each numerator is multiplied by every factor it lacks, one product
+        ``num * factor.poly()`` per factor, and added term by term into one
+        dict.
         """
         items = []
         for f in fractions:
@@ -650,7 +650,7 @@ class FracPoly:
         for f, den in zip(items, dens):
             num = f._num
             for factor in (common - den).elements():
-                num = num.shifted(factor.lead) - num.shifted(factor.trail)
+                num = num * factor.poly()
             for e, c in num._terms.items():
                 acc[e] = get(e, 0) + c
         return cls(Polynomial(acc), common.elements())

@@ -101,7 +101,10 @@ layout; J minimises the larger of the f route's two, and both are checked
 first.  A pass whose estimate exceeds physical memory fails with
 :class:`MemoryBudgetExceeded`; so does a run whose unpacked values would
 take it over, as soon as they would, and a closure walk whose own state
-outgrows physical memory, as soon as it does.
+outgrows physical memory, as soon as it does.  A layout is geometry alone
+until then: its tables (slot exponents, field masks) are built when its
+pass starts, after every pass's estimate has passed, so a refused run
+builds none.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -374,6 +377,10 @@ def _memory_budget() -> int:
 
 
 def _mib(size: int) -> str:
+    # past 2^64 bytes, a power of two: a float overflows at 2^1024, and str()
+    # refuses an int of over 4,300 digits
+    if size.bit_length() > 64:
+        return f"2^{size.bit_length() - 21} MiB"
     return f"{size / 2**20:,.1f} MiB"
 
 
@@ -401,17 +408,19 @@ def _evaluate(
     """The one work-list driver of every packed run: {root: its value}.
 
     Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order,
-    once per pass, a pass per layout: ``layout.step(k, work)`` reads the
-    values of the keys that ``plan`` names for ``k`` from ``work``.  Each
-    root is unpacked, ``layout.unpack(value)``, once it is stepped, and the
-    passes' disjoint slices of it join into one value.  A packed value is
-    released once its last consumer has stepped, a root's that no key
-    consumes at once.  Before the first step, every pass's estimate, its
-    :func:`_working_set` at the peak that ``size`` (q-rows per key) gives,
-    plus the parts of ``extra``, is checked against physical memory: one
-    over it raises :class:`MemoryBudgetExceeded`, naming the run by its
-    roots.  So does a pass whose unpacked values, ``_UNPACKED_BYTES_PER_TERM``
-    per term, would take its estimate over, as soon as they would.
+    once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
+    the values of ``ds``, the keys that ``plan`` names for ``k``, from
+    ``work``.  Each root is unpacked, ``layout.unpack(value)``, once it is
+    stepped, and the passes' disjoint slices of it join into one value.  A
+    packed value is released once its last consumer has stepped, a root's
+    that no key consumes at once.  Before the first step, every pass's
+    estimate, its :func:`_working_set` at the peak that ``size`` (q-rows
+    per key) gives, plus the parts of ``extra``, is checked against
+    physical memory: one over it raises :class:`MemoryBudgetExceeded`,
+    naming the run by its roots.  Only then are a layout's tables built,
+    ``layout.build()``, as its pass starts.  A pass whose unpacked values,
+    ``_UNPACKED_BYTES_PER_TERM`` per term, would take its estimate over
+    raises too, as soon as they would.
     """
     needs, users = plan
     what = _name(roots)
@@ -423,11 +432,12 @@ def _evaluate(
     wanted = set(roots)
     out: dict[str, Polynomial] = {}
     for layout, estimate, room in zip(layouts, estimates, rooms):
+        layout.build()
         left = dict(users)
         held = 0
         work: dict = {}
         for k, ds in needs.items():
-            work[k] = layout.step(k, work)
+            work[k] = layout.step(k, ds, work)
             if k in wanted:
                 value = layout.unpack(work[k])
                 if k in out:  # a later pass's slice of the first pass's value
@@ -529,7 +539,7 @@ class _Layout:
 
     def __init__(self, n: int, dq: int, bound: int, a_rows=None, t_width=0):
         a_rows = self.a_rows = range(n + 1) if a_rows is None else a_rows
-        t_width = t_width or comb(n, 2) + 1
+        t_width = self.t_width = t_width or comb(n, 2) + 1
         b = self.b = _field_bytes(bound)
         w = self.w = 8 * b
         self.sa = w * t_width
@@ -538,28 +548,27 @@ class _Layout:
         self.fields = (dq + 1) * len(a_rows) * t_width
         self.nbytes = self.fields * b
         self.row_bytes = self.sq // 8
+        self.limbs = _limbs(b)
+
+    def build(self) -> None:
+        """Make the tables a pass reads, once every estimate has passed."""
         # the top bit of every field: (p + top) ^ top reads p's signed
         # fields as w-bit two's complement, and (u ^ top) - top inverts it
-        self.top = int.from_bytes((bytes(b - 1) + b"\x80") * self.fields, "little")
-        self.limbs = _limbs(b)
+        self.top = int.from_bytes((bytes(self.b - 1) + b"\x80") * self.fields, "little")
         # the exponent of every slot, in slot order, q the most significant
-        q_units, a_units, t_units = (
-            [UNIT * i for i in rows] for rows in (range(dq + 1), a_rows, range(t_width))
-        )
-        self.exps = list(product(q_units, a_units, t_units))
+        rows = range(self.dq + 1), self.a_rows, range(self.t_width)
+        self.exps = list(product(*([UNIT * i for i in r] for r in rows)))
 
-    def step(self, key: str, work: dict) -> int:
-        if not key:
+    def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
+        if not ds:
             return 1
+        p = work[ds[0]]
         if key.endswith("1"):
-            body = key[:-1]
-            p = work[body]
-            return (p << self.w * body.count("1")) + (p << self.sa)
-        if "1" not in key:
-            return work["1" + key[1:]]
-        body = key[:-1]
-        p1 = work["1" + body]
-        return p1 + ((work["0" + body] - p1) << self.sq)
+            return (p << self.w * (key.count("1") - 1)) + (p << self.sa)
+        if len(ds) == 1:  # P(0^m) = P(1 0^(m-1))
+            return p
+        p1 = work[ds[1]]
+        return p1 + ((p - p1) << self.sq)
 
     def unpack(self, packed: int) -> Polynomial:
         # limb j of every field (``_limbs``) is gathered from the packed
@@ -597,29 +606,30 @@ class _SeriesLayout(_Layout):
 
     def __init__(self, n: int, qmax: int, bound: int, *geometry):
         super().__init__(n, qmax, bound, *geometry)
-        self.mask = (1 << 8 * self.nbytes) - 1
-        top = self.sa // 8  # R keeps every a-row of every q-row but the top one
-        row = b"\xff" * (self.row_bytes - top) + bytes(top)
-        self.keep = int.from_bytes(row * (qmax + 1), "little")
         # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
         self.strides = [self.sq << k for k in range(qmax.bit_length())]
 
-    def step(self, key: str, work: dict) -> int:
-        if not key:
+    def build(self) -> None:
+        super().build()
+        self.mask = (1 << 8 * self.nbytes) - 1
+        top = self.sa // 8  # R keeps every a-row of every q-row but the top one
+        row = b"\xff" * (self.row_bytes - top) + bytes(top)
+        self.keep = int.from_bytes(row * (self.dq + 1), "little")
+
+    def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
+        if not ds:
             return 1
-        body = key[:-1]
+        p = work[ds[0]]
         if key.endswith("1"):
-            p = work[body]
-            s = self.w * body.count("1")
+            s = self.w * (key.count("1") - 1)
             if self.a_rows.step < 0:  # f~(v.1) = (a t^ones(v) + 1) f~(v)
                 return ((p & self.keep) << s + self.sa) + p
             return (p << s) + ((p & self.keep) << self.sa)
-        if "1" not in key:  # f(0^m) = f(1 0^(m-1)) / (1 - q)
-            r = work["1" + key[1:]]
+        if len(ds) == 1:  # f(0^m) = f(1 0^(m-1)) / (1 - q)
             for stride in self.strides:
-                r = (r + (r << stride)) & self.mask
-            return r
-        return (work["1" + body] + (work["0" + body] << self.sq)) & self.mask
+                p = (p + (p << stride)) & self.mask
+            return p
+        return (work[ds[1]] + (p << self.sq)) & self.mask
 
 
 def _split(n: int, J: int) -> list[tuple[range, int]]:
@@ -722,24 +732,24 @@ class _InsertionLayout(_Layout):
     deps = staticmethod(_insertion_deps)
     bounds = staticmethod(_insertion_bounds)
 
-    def step(self, key: str, work: dict) -> int:
+    def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
         """P(v) = sum over w of q^#0(w) (1-q)^#1(w) W(v, w) P(w).
 
-        The P(w) of one k = #1(w) and one weight class are added first, and
-        each sum is multiplied by its weight, one ``(p << w (l + m)) +
-        (p << SA)`` per one of v.  Their total G_k is shifted by q^(z - k)
-        and folded Horner-style as it completes, acc <- acc (1 - q) + G_k,
-        from k = z = #0(v) down to 0.
+        ``ds`` holds the words w.  The P(w) of one k = #1(w) and one weight
+        class are added first, and each sum is multiplied by its weight, one
+        ``(p << w (l + m)) + (p << SA)`` per one of v.  Their total G_k is
+        shifted by q^(z - k) and folded Horner-style as it completes,
+        acc <- acc (1 - q) + G_k, from k = z = #0(v) down to 0.
         """
-        if not key:
+        if not ds:
             return 1
-        if "1" not in key:
-            return work["1" + key[1:]]
+        if "1" not in key:  # P(0^m) = P(1 0^(m-1))
+            return work[ds[0]]
         z = key.count("0")
         # the words w by k = #1(w), then by weight class: the words of one
         # class share their whole summand but for P(w)
         classes: list[dict] = [{} for _ in range(z + 1)]
-        for w in all_sequences(z):
+        for w in ds:
             classes[w.count("1")].setdefault(_weight_class(key, w), []).append(w)
         acc = 0
         for k in range(z, -1, -1):
@@ -785,10 +795,10 @@ def zero_expansion_identity(n: int) -> bool:
 def _series_terms(n: int, qmax: int) -> dict[str, int]:
     """The bytes that expanding whole P(0^n) to q^qmax holds, named.
 
-    The expansion holds up to every slot of q-rows 0..qmax.
+    The expansion holds up to every slot of q-rows 0..qmax of P's layout.
     """
-    plane = (n + 1) * (comb(n, 2) + 1)
-    return {"series terms": (qmax + 1) * plane * _SERIES_BYTES_PER_TERM}
+    fields = _Layout(n, qmax, 1).fields
+    return {"series terms": fields * _SERIES_BYTES_PER_TERM}
 
 
 def full_twist_series(n: int, qmax: int) -> Polynomial:
@@ -797,10 +807,12 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     With qmax below the q-degree bound of P(0^n), the recursion steps on
     the series f itself, cut at q^qmax, in two passes split by a-degree at
     J (:class:`_SeriesLayout`, :func:`_split`), when they step fewer bytes
-    in all than whole P, counting q-rows times field bytes times fields per
-    q-row.  The total tracks the step time: over n = 10..12 and qmax 5..40
-    the ratio of the two routes' step times was 0.8 to 2.0 times that of
-    their totals (0.8 to 1.2 at n = 11 and 12).
+    in all than whole P, each key holding both passes' layouts or its own
+    q-rows of P's.  J gives the larger pass the shortest q-row; a layout
+    has no table before its pass starts (:func:`_evaluate`), so sizing all
+    2n is free.  The total tracks the step time: over n = 10..12 and qmax
+    5..40 the ratio of the two routes' step times was 0.8 to 2.0 times that
+    of their totals (0.8 to 1.2 at n = 11 and 12).
     Up to n = 17 the larger pass then holds no more at once than whole P.
     Otherwise it steps the whole polynomial and expands it over (1 - q)^n,
     pre-flighting the run and the expansion (:func:`_series_terms`)
@@ -811,24 +823,23 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
     key = "0" * n
-    needs, _ = plan = _plan([key], _poly_deps)
-    bounds = _fill_bounds(needs)
+    needs, _ = plan = _plan([key], _Layout.deps)
+    bounds = _Layout.bounds(needs)
     dq, l1 = bounds[key]
+    whole = _Layout(n, dq, l1)
     if qmax < dq:
         # the largest row mass over the closure (see the module docstring)
         mass = 2**n * comb(qmax + n - 1, n - 1)
-        fb, b = _field_bytes(mass), _field_bytes(l1)
-        plane = (n + 1) * (comb(n, 2) + 1)
-        # both passes hold the same q-rows, so J balances fields per q-row
-        splits = [_split(n, J) for J in range(n)]
-        split = min(splits, key=lambda g: max(len(a) * t for a, t in g))
-        stepped = len(needs) * (qmax + 1) * fb * sum(len(a) * t for a, t in split)
-        if stepped < sum(d + 1 for d, _ in bounds.values()) * b * plane:
-            layouts = [_SeriesLayout(n, qmax, mass, *g) for g in split]
-            return _evaluate([key], plan, layouts, lambda k: qmax + 1)[key]
-    layout = _Layout(n, dq, l1)
+        pairs = [
+            [_SeriesLayout(n, qmax, mass, *g) for g in _split(n, J)] for J in range(n)
+        ]
+        # both passes hold the same q-rows, so J balances their q-row bytes
+        pair = min(pairs, key=lambda passes: max(p.row_bytes for p in passes))
+        stepped = len(needs) * sum(p.nbytes for p in pair)
+        if stepped < sum(d + 1 for d, _ in bounds.values()) * whole.row_bytes:
+            return _evaluate([key], plan, pair, lambda k: qmax + 1)[key]
     out = _evaluate(
-        [key], plan, [layout], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
+        [key], plan, [whole], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
     )
     return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
 
@@ -920,7 +931,7 @@ def load_cache(path: str) -> dict[str, Polynomial]:
             raise MemoDivergence(
                 f"cache entry {key!r} disagrees with a fresh computation"
             )
-    bounds = _fill_bounds(_plan(list(answers), _poly_deps)[0])
+    bounds = _Layout.bounds(_plan(list(answers), _Layout.deps)[0])
     for key, value in answers.items():
         _check_entry(key, value, *bounds[key])
     return answers

@@ -84,6 +84,25 @@ def test_fulltwist_series_terms_over_memory_budget_exits_1(capsys, monkeypatch):
     assert "MiB of series terms" in err
 
 
+def test_fulltwist_past_a_float_exits_1_by_name(capsys):
+    # the expansion to a qmax of 401 digits: a size past a float's range
+    code, out, err = run_cli(capsys, "fulltwist", "--n", "2", "--qmax", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '00'")
+    assert "MiB of series terms" in err
+
+
+def test_tilde_of_a_long_key_is_refused_before_any_table(capsys):
+    # 0 1^1000 0 walks a closure of 2,008 keys, but its layout has 1.5
+    # billion fields; the pre-flight refuses it from the geometry alone
+    code, out, err = run_cli(capsys, "tilde", "--seq", "0" + "1" * 1000 + "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '01111")
+    assert "MiB of slot table" in err
+
+
 def test_hhh0(capsys):
     code, out, _ = run_cli(capsys, "hhh0", "--n", "2", "--qmax", "0")
     assert code == 0
@@ -353,8 +372,8 @@ def test_fulltwist_cache_holds_whole_polynomials(tmp_path, capsys):
     assert sorted(data) == ["0" * n for n in range(1, 9)]
     for key, value in data.items():
         assert value == poincare_poly(key), key
-    needs, _ = shuffle._plan(["0" * 8], shuffle._poly_deps)
-    dq = shuffle._fill_bounds(needs)["0" * 8][0]
+    needs, _ = shuffle._plan(["0" * 8], shuffle._Layout.deps)
+    dq = shuffle._Layout.bounds(needs)["0" * 8][0]
     assert data["0" * 8].unit_range("q")[1] == dq * UNIT > 3 * UNIT
 
 

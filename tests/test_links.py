@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from tlh import shuffle
 from tlh.links import (
     UnknownLink,
     dataset_get,
@@ -32,6 +34,22 @@ from tlh.poly import (
     monomial,
 )
 from tlh.serialize import dumps, parse_poly
+from tlh.shuffle import MemoryBudgetExceeded
+
+
+def test_two_strand_family_fails_by_name_before_it_is_built(monkeypatch):
+    # 200,001 terms of about 470 bytes each at the peak outgrow 64 MiB
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded, match=r"evaluating T\(2,200001\) "):
+            dataset_get("T(2,200001)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # a smaller member fits
+    assert len(dataset_get("T(2,20001)").poly) == 20001
 
 
 def test_two_strand_family():

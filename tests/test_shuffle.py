@@ -210,18 +210,18 @@ def _insertion_one_plan(roots):
 
 def _bounds(key):
     """The P route's (q-degree, L1 norm) bounds of ``key``."""
-    return shuffle._fill_bounds(shuffle._plan([key], shuffle._poly_deps)[0])[key]
+    return shuffle._Layout.bounds(shuffle._plan([key], shuffle._Layout.deps)[0])[key]
 
 
 def _closure(key):
     """{k: P(k)} over the closure of ``key``, stepped as one plan."""
-    return _one_plan(list(shuffle._plan([key], shuffle._poly_deps)[0]))
+    return _one_plan(list(shuffle._plan([key], shuffle._Layout.deps)[0]))
 
 
 def _every_key(key, layout):
     """Every key of the closure of ``key`` stepped on ``layout``, as roots."""
-    roots = list(shuffle._plan([key], shuffle._poly_deps)[0])
-    plan = shuffle._plan(roots, shuffle._poly_deps)
+    roots = list(shuffle._plan([key], shuffle._Layout.deps)[0])
+    plan = shuffle._plan(roots, shuffle._Layout.deps)
     return shuffle._evaluate(roots, plan, [layout], lambda k: layout.dq + 1)
 
 
@@ -258,6 +258,7 @@ _WIDTHS.update({2 ** 63: 72, 2 ** 130: 136})
 @pytest.mark.parametrize("l1", list(_WIDTHS))
 def test_pack_round_trip_at_the_bound(l1):
     layout = shuffle._Layout(2, 1, l1)  # q^0..1, a^0..2, t^0..1
+    layout.build()
     w = layout.w
     # l1 plus a sign bit, rounded up to whole bytes
     assert w == _WIDTHS[l1]
@@ -303,7 +304,7 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     # f(v)(q, 1, 1) = 2^|v| / (1 - q)^#0(v), so the largest row mass up to
     # q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
     key = "0" * n
-    needs, _ = shuffle._plan([key], shuffle._poly_deps)
+    needs, _ = shuffle._plan([key], shuffle._Layout.deps)
     whole = _one_plan(list(needs)) if n <= 7 else {}
     l1 = _bounds(key)[1]
     sized, built = [], []
@@ -338,15 +339,18 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
             masses += rows
         # the closed form is the largest row mass itself
         assert max(masses) == bound, qmax
-        # and the full twist sizes its series fields by it first, whichever
-        # route it then takes, for both passes of the series route
+        # and the full twist sizes every series layout it weighs by it, both
+        # passes of each of the n splits, whichever route it then takes, the
+        # whole layout by the L1 bound, and the layout whose fields count
+        # the expansion's terms (_series_terms) by 1
         sized.clear()
         built.clear()
         full_twist_series(n, qmax)
         if qmax < _zeros_dq(n):
-            assert sized[0] == bound and built in ([], [bound, bound]), qmax
-        else:  # only the whole layout is sized
-            assert sized == [l1] and built == [], qmax
+            assert built == [bound] * 2 * n, qmax
+            assert sorted(b for b in sized if b > 1) == sorted([l1] + built), qmax
+        else:  # only the whole layout and the expansion's are sized
+            assert sized == [l1, 1] and built == [], qmax
 
 
 def test_poincare_poly_at_a_t_one_is_two_to_the_length():
@@ -393,7 +397,7 @@ def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
     # both passes step the closure of 0^n, every word of length m <= n: the
     # low pass holds f's a-degrees 0..J, and the high pass f~'s rows
     # b = 0..n - 1 - J, f's a-degrees m - b, which its layout names n - b
-    needs, _ = shuffle._plan(["0" * n], shuffle._poly_deps)
+    needs, _ = shuffle._plan(["0" * n], shuffle._Layout.deps)
     for qmax in (0, 3, 10):
         mass = 2 ** n * comb(qmax + n - 1, n - 1)
         for J in range(n):
@@ -451,25 +455,33 @@ class _Routed(Exception):
     """Raised in place of full_twist_series's first peak pass."""
 
 
+# the qmax below which the full twist takes the series route, n = 1..15
+_SERIES_CROSSOVER = [0, 1, 2, 2, 4, 7, 10, 12, 16, 18, 22, 25, 32, 34, 37]
+
+
 def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
     # the route is chosen by the bytes stepped alone; wherever the series
     # route is taken, its larger pass's sized peak is at most whole P's, so
     # a memory test beside the byte test would decide no case
     plan_of, peak_live = shuffle._plan, shuffle._peak_live
-    plans = {}
+    bounds_of = shuffle._Layout.bounds
+    plans, filled = {}, {}
 
     def routed(needs, users, size):
         # the chosen route sizes 0^n by qmax + 1 q-rows (series) or dq + 1
         raise _Routed(size("0" * n))
 
-    # one closure walk per n, not per case: 286 walks would take seconds
+    # one closure walk and its bounds per n, not per case: 560 of each
+    # would take a minute
     monkeypatch.setattr(shuffle, "_plan", lambda roots, deps: plans[roots[0]])
+    monkeypatch.setattr(
+        shuffle._Layout, "bounds", staticmethod(lambda needs: filled[id(needs)])
+    )
     monkeypatch.setattr(shuffle, "_peak_live", routed)
-    taken = 0
-    for n in range(1, 13):
+    for n, crossover in enumerate(_SERIES_CROSSOVER, 1):
         key = "0" * n
-        needs, users = plans[key] = plan_of([key], shuffle._poly_deps)
-        bounds = shuffle._fill_bounds(needs)
+        needs, users = plans[key] = plan_of([key], shuffle._Layout.deps)
+        bounds = filled[id(needs)] = bounds_of(needs)
         dq, l1 = bounds[key]
         whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
         whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
@@ -478,17 +490,18 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         fields = min(
             max(len(a) * t for a, t in shuffle._split(n, J)) for J in range(n)
         )
+        taken = []
         for qmax in range(dq):
             with pytest.raises(_Routed) as rows:
                 full_twist_series(n, qmax)
             if rows.value.args == (qmax + 1,):
-                taken += 1
+                taken.append(qmax)
                 fb = shuffle._field_bytes(2 ** n * comb(qmax + n - 1, n - 1))
                 assert values * (qmax + 1) * fb * fields <= whole_bytes, (n, qmax)
             else:
                 assert rows.value.args == (dq + 1,), (n, qmax)
-    # of the 286 cases qmax < dq
-    assert taken == 119
+        # the series route serves every qmax below a crossover, none above
+        assert taken == list(range(crossover)), n
 
 
 def test_poincare_poly_matches_sympy():
@@ -613,6 +626,7 @@ def test_grouped_insertion_step_matches_per_word_step(
     seqs = _words(7)
     bounds = shuffle._insertion_bounds(shuffle._plan(seqs, shuffle._insertion_deps)[0])
     layout = shuffle._InsertionLayout(7, *map(max, zip(*bounds.values())))
+    layout.build()
     packed = {v: _pack(layout, work[v]) for v in seqs}
     applied = []
     weight_class = shuffle._weight_class
@@ -632,7 +646,8 @@ def test_grouped_insertion_step_matches_per_word_step(
         want = _per_word_insertion_step(v, work)
         assert _grouped_insertion_step(v, work) == want, v
         applied.clear()
-        assert layout.unpack(layout.step(v, packed)) == want, v
+        step = layout.step(v, shuffle._InsertionLayout.deps(v), packed)
+        assert layout.unpack(step) == want, v
         if "1" in v:
             ws = all_sequences(v.count("0"))
             # one weight per class of words that the summand cannot tell apart
@@ -706,14 +721,14 @@ def test_working_values_released_after_last_consumer(monkeypatch):
     stepped = []
     step = shuffle._Layout.step
 
-    def counting_step(layout, key, work):
+    def counting_step(layout, key, ds, work):
         live.append(len(work) + 1)  # the inputs held, plus the new value
         stepped.append(key)
-        return step(layout, key, work)
+        return step(layout, key, ds, work)
 
     monkeypatch.setattr(shuffle._Layout, "step", counting_step)
     for key in ("0" * 8, "0" * 8 + "1"):
-        needs, users = shuffle._plan([key], shuffle._poly_deps)
+        needs, users = shuffle._plan([key], shuffle._Layout.deps)
         live.clear()
         stepped.clear()
         assert poincare_poly(key).units() == _shift_and_add_terms(key, {})
@@ -738,14 +753,13 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
     cls = getattr(shuffle, layout_cls)
     step = cls.step
 
-    def counting_step(layout, key, work):
+    def counting_step(layout, key, ds, work):
         live.append(len(work) + 1)  # the values held, plus the new one
-        return step(layout, key, work)
+        return step(layout, key, ds, work)
 
     run = _one_plan if route == "P" else _insertion_one_plan
-    deps = shuffle._poly_deps if route == "P" else shuffle._insertion_deps
     roots = _words(7)
-    needs, users = shuffle._plan(roots, deps)
+    needs, users = shuffle._plan(roots, cls.deps)
     monkeypatch.setattr(cls, "step", counting_step)
     values = run(roots)
     assert values.keys() == set(roots) and len(live) == len(needs)
@@ -760,8 +774,8 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
         poincare_poly("0" * 16)
     assert err.value.need > 8 * 2 ** 30
     assert steps == []
-    needs, users = shuffle._plan(["0" * 13], shuffle._poly_deps)
-    bounds = shuffle._fill_bounds(needs)
+    needs, users = shuffle._plan(["0" * 13], shuffle._Layout.deps)
+    bounds = shuffle._Layout.bounds(needs)
     layout = shuffle._Layout(13, *bounds["0" * 13])
     assert shuffle._peak_live(needs, users, lambda k: 1) == 2061
     peak = shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
@@ -779,9 +793,9 @@ def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
         events.append(sum(parts.values()))
         return room(what, parts)
 
-    def spy_step(layout, key, work):
+    def spy_step(layout, key, ds, work):
         events.append("step")
-        return step(layout, key, work)
+        return step(layout, key, ds, work)
 
     monkeypatch.setattr(shuffle, "_room", spy_room)
     monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
@@ -815,6 +829,20 @@ def test_no_slot_table_outlives_its_run():
             assert held < 2 ** 19, key
     finally:
         tracemalloc.stop()
+
+
+def test_refused_run_builds_no_table(monkeypatch):
+    # 0 1^60 0 has a closure of 128 keys but a layout of 357,588 fields:
+    # the pre-flight refuses it from the layout's geometry alone
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 10 * 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded, match="MiB of slot table"):
+            poincare_poly("0" + "1" * 60 + "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("run, name", [
@@ -951,7 +979,7 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
         ("0" * 5 + "1" * 40 + "0", 208),
         ("1" * 64, 65),
     ]:
-        assert len(shuffle._plan([key], shuffle._poly_deps)[0]) == size
+        assert len(shuffle._plan([key], shuffle._Layout.deps)[0]) == size
     # 0^16 has 2^17 - 1 keys; the walk is refused long before it ends
     calls.clear()
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'") as err:
@@ -962,6 +990,11 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
         insertion_series("0" * 16)
     assert len(calls) < 2 * limit
+    # the full twist walks by P's rules, _Layout.deps, as every run does
+    calls.clear()
+    with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
+        full_twist_series(16, 10)
+    assert 1 <= len(calls) < 2 * limit
     # a cache holding a long key with few zeros loads, checks included, in a
     # budget that covers the slot table of the layout it recomputes; that
     # of 0 1^30 0, 49,203 slots, alone holds about 7 MiB

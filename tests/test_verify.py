@@ -193,8 +193,8 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
 @pytest.mark.parametrize("bound", [8, 9, 10])
 def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, bound):
     def peak(roots):
-        needs, users = shuffle._plan(roots, shuffle._poly_deps)
-        bounds = shuffle._fill_bounds(needs)
+        needs, users = shuffle._plan(roots, shuffle._Layout.deps)
+        bounds = shuffle._Layout.bounds(needs)
         return shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
 
     roots = []  # as verify lists them; the plan itself is not stepped
