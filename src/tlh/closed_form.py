@@ -19,10 +19,13 @@ at level v pairs equally with the counts[v] strands already at v and steps
 up from the counts[v - 1] strands already at v - 1, so it adds
 counts[v] + counts[v - 1] to the t-degree, where level -1 counts none.  The
 walk holds the levels of one placement and qmax + 2 counts, and it loops
-rather than recursing once per strand.
+rather than recursing once per strand.  That state is checked against
+physical memory before any of it is allocated, so a qmax too large for it
+fails with the engine's :class:`~tlh.shuffle.MemoryBudgetExceeded`.
 
-This module is deliberately independent of the recursion engine; agreement
-of the two is one of the package's acceptance criteria.
+This module is deliberately independent of the recursion engine, but for
+that memory check; agreement of the two is one of the package's acceptance
+criteria.
 """
 
 from __future__ import annotations
@@ -31,8 +34,16 @@ from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .poly import UNIT, Polynomial
+from .shuffle import _room
 
 __all__ = ["LevelStats", "level_stats", "level_functions", "hochschild_zero_series"]
+
+
+# What the walk holds (tracemalloc, Python 3.11): a list slot per count,
+# and 48 to 49 bytes per strand placed, in the levels and the running pair
+# counts, at n = 2,000..20,000.
+_BYTES_PER_COUNT = 8
+_BYTES_PER_STRAND = 64
 
 
 class LevelStats(NamedTuple):
@@ -64,8 +75,13 @@ def _prefixes(n: int, budget: int) -> Iterator[tuple[list[int], int, list[int], 
     ``left`` is the budget the last strand may take, ``counts[v + 1]`` the
     number of strands at level v (``counts[0]``, level -1, stays 0), and
     ``t`` the equal and step pairs among the placed strands.  The lists are
-    the walk's own and change as it goes on.
+    the walk's own and change as it goes on.  Their size is checked against
+    physical memory before any is allocated.
     """
+    _room(f"the closed form on {n} strands", {
+        "level counts": (budget + 2) * _BYTES_PER_COUNT,
+        "placed strands": n * _BYTES_PER_STRAND,
+    })
     levels: list[int] = []
     tdeg = [0]  # tdeg[j]: the pairs among the first j strands
     counts = [0] * (budget + 2)
@@ -104,7 +120,9 @@ def hochschild_zero_series(n: int, qmax: int) -> Polynomial:
 
     Exact in t; complete in q up to and including q^qmax.  Each level
     function's t-degree is summed strand by strand as the walk places it
-    (see the module docstring), in O(n + qmax) memory.
+    (see the module docstring), in O(n + qmax) memory, which is checked
+    first: more than physical memory raises
+    :class:`~tlh.shuffle.MemoryBudgetExceeded` before the walk starts.
     """
     if qmax < 0:
         raise ValueError("qmax must be >= 0")

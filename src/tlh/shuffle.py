@@ -92,7 +92,9 @@ plan's largest are its roots', and the run's layout holds those.  At
 n = 8..10 the dq of 0^n is the P route's, and its L1 bound three bits
 longer.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only
-as the values a run returns, those of its roots.
+as the values a run returns, those of its roots, each at its own q-rows
+0..dq_k by its route's bounds, which hold the whole value, with the
+signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
@@ -136,12 +138,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import sys
 import threading
-from array import array
-from itertools import compress, product, repeat
+from itertools import product
 from math import comb
-from operator import add, lshift
 from typing import Callable
 
 from .poly import (
@@ -152,6 +151,8 @@ from .poly import (
     FracPoly,
     Polynomial,
     _exp_vector,
+    _field_bytes,
+    _unpack,
 )
 from .serialize import ParseError, _json_loads, poly_from_obj, poly_to_obj
 
@@ -410,8 +411,9 @@ def _evaluate(
     Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order,
     once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
     the values of ``ds``, the keys that ``plan`` names for ``k``, from
-    ``work``.  Each root is unpacked, ``layout.unpack(value)``, once it is
-    stepped, and the passes' disjoint slices of it join into one value.  A
+    ``work``.  Each root is unpacked at its own ``size(k)`` q-rows,
+    ``layout.unpack(value, size(k))``, once it is stepped, and the passes'
+    disjoint slices of it join into one value.  A
     packed value is released once its last consumer has stepped, a root's
     that no key consumes at once.  Before the first step, every pass's
     estimate, its :func:`_working_set` at the peak that ``size`` (q-rows
@@ -439,7 +441,7 @@ def _evaluate(
         for k, ds in needs.items():
             work[k] = layout.step(k, ds, work)
             if k in wanted:
-                value = layout.unpack(work[k])
+                value = layout.unpack(work[k], size(k))
                 if k in out:  # a later pass's slice of the first pass's value
                     out[k]._terms.update(value._terms)
                 else:
@@ -487,41 +489,6 @@ def _fill_bounds(needs: dict) -> dict[str, tuple[int, int]]:
     return bounds
 
 
-# a field's top byte to the byte that sign-extends it
-_SIGN_BYTE = bytes(0 if i < 0x80 else 0xFF for i in range(256))
-# the signed array typecode of each item size
-_SIGNED = {array(code).itemsize: code for code in "bhiq"}
-
-
-def _limbs(b: int) -> list[tuple[int, int, int, str]]:
-    """(first byte, bytes, item size, typecode) of each limb of a b-byte field.
-
-    Low to high: whole unsigned 8-byte limbs, then the signed top limb in
-    the smallest array item that holds its bytes.
-    """
-    out = []
-    for j in range(0, b, 8):
-        r = min(8, b - j)
-        if j + 8 < b:
-            out.append((j, r, 8, "Q"))
-        else:
-            size = min(s for s in _SIGNED if s >= r)
-            out.append((j, r, size, _SIGNED[size]))
-    return out
-
-
-def _little(words: array) -> array:
-    """``words``, read from little-endian bytes, in native byte order."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
-def _field_bytes(bound: int) -> int:
-    """The bytes of a field that holds ``bound`` plus a sign bit."""
-    return (bound.bit_length() + 8) // 8
-
-
 class _Layout:
     """The packed-integer layout of one run (see the module docstring).
 
@@ -545,16 +512,13 @@ class _Layout:
         self.sa = w * t_width
         self.sq = self.sa * len(a_rows)
         self.dq = dq
-        self.fields = (dq + 1) * len(a_rows) * t_width
+        self.row_fields = len(a_rows) * t_width
+        self.fields = (dq + 1) * self.row_fields
         self.nbytes = self.fields * b
         self.row_bytes = self.sq // 8
-        self.limbs = _limbs(b)
 
     def build(self) -> None:
-        """Make the tables a pass reads, once every estimate has passed."""
-        # the top bit of every field: (p + top) ^ top reads p's signed
-        # fields as w-bit two's complement, and (u ^ top) - top inverts it
-        self.top = int.from_bytes((bytes(self.b - 1) + b"\x80") * self.fields, "little")
+        """Make the table a pass reads, once every estimate has passed."""
         # the exponent of every slot, in slot order, q the most significant
         rows = range(self.dq + 1), self.a_rows, range(self.t_width)
         self.exps = list(product(*([UNIT * i for i in r] for r in rows)))
@@ -570,27 +534,12 @@ class _Layout:
         p1 = work[ds[1]]
         return p1 + ((p - p1) << self.sq)
 
-    def unpack(self, packed: int) -> Polynomial:
-        # limb j of every field (``_limbs``) is gathered from the packed
-        # bytes as one array, by C-level byte slices with stride b
-        b = self.b
-        raw = ((packed + self.top) ^ self.top).to_bytes(self.nbytes, "little")
-        limbs = []
-        for j, r, size, code in self.limbs:
-            buf = bytearray(size * self.fields)
-            for i in range(r):
-                buf[i::size] = raw[j + i::b]
-            if r < size:  # the top limb's bytes above the field: its sign
-                sign = raw[b - 1::b].translate(_SIGN_BYTE)
-                for i in range(r, size):
-                    buf[i::size] = sign
-            limbs.append(_little(array(code, buf)))
-        coeffs = limbs.pop()
-        for low in reversed(limbs):
-            coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
-        return Polynomial._trusted(
-            dict(zip(compress(self.exps, coeffs), filter(None, coeffs)))
-        )
+    def unpack(self, packed: int, rows: int) -> Polynomial:
+        """The value of ``packed``, a value of q-degree below ``rows``.
+
+        Only its q-rows 0..rows - 1 are read (:func:`~tlh.poly._unpack`).
+        """
+        return _unpack(packed, self.b, rows * self.row_fields, self.exps)
 
 
 class _SeriesLayout(_Layout):

@@ -329,9 +329,12 @@ def _dual_recursion(bound: int, store: _Store) -> SubResults:
 def _normalization(bound: int, store: _Store) -> SubResults:
     polys = store.once(_poly_upto, bound)
     def ok(n: int) -> bool:
+        # (1 - q)^z P(v) by the packed product, divided back by the reduction
         return all([  # a list, not a generator: every sequence is evaluated
-            ((ONE - Q) ** v.count("0"))
-            * FracPoly(polys[v], [ONE_MINUS_Q] * v.count("0"))
+            FracPoly(
+                ONE_MINUS_Q.multiply_power(polys[v], v.count("0")),
+                [ONE_MINUS_Q] * v.count("0"),
+            )
             == FracPoly(polys[v])
             for v in shuffle.all_sequences(n)
         ])

@@ -93,6 +93,16 @@ def test_fulltwist_past_a_float_exits_1_by_name(capsys):
     assert "MiB of series terms" in err
 
 
+def test_hhh0_past_a_float_exits_1_by_name(capsys):
+    # the closed form's walk to a qmax of 401 digits: its counts are
+    # refused before any is allocated
+    code, out, err = run_cli(capsys, "hhh0", "--n", "2", "--qmax", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating the closed form")
+    assert "MiB of level counts" in err
+
+
 def test_tilde_of_a_long_key_is_refused_before_any_table(capsys):
     # 0 1^1000 0 walks a closure of 2,008 keys, but its layout has 1.5
     # billion fields; the pre-flight refuses it from the geometry alone

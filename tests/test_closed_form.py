@@ -1,10 +1,12 @@
+import tracemalloc
 from math import comb
 
 import pytest
 
+from tlh import closed_form, shuffle
 from tlh.closed_form import hochschild_zero_series, level_functions, level_stats
 from tlh.poly import ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
-from tlh.shuffle import poincare_series
+from tlh.shuffle import MemoryBudgetExceeded, poincare_series
 
 
 def test_level_stats_examples():
@@ -88,3 +90,34 @@ def test_matches_recursion_slice():
         f = poincare_series("0" * n)
         sliced = FracPoly(f.num.coefficient_of_a(0), f.den).series(9)
         assert hochschild_zero_series(n, 9) == sliced
+
+
+def test_walk_state_is_checked_before_it_is_allocated(monkeypatch):
+    # qmax = 10^10 asks for 10^10 + 2 counts, an 80 GB list: refused by
+    # name on a machine of 8 GiB before any of it exists
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 8 * 2 ** 30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded, match="on 2 strands") as err:
+            hochschild_zero_series(2, 10 ** 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.need == (10 ** 10 + 2) * 8 + 2 * 64
+    assert "of level counts" in str(err.value)
+    assert peak < 2 ** 20
+    # the level functions themselves walk the same state
+    with pytest.raises(MemoryBudgetExceeded, match="on 2 strands"):
+        next(level_functions(2, 10 ** 10))
+    assert hochschild_zero_series(2, 0) == T
+
+
+def test_walk_state_estimate_matches_the_walk():
+    # the walk's counts at qmax = 10^6 against their part of the estimate
+    tracemalloc.start()
+    try:
+        next(closed_form._prefixes(2, 10 ** 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.99 < peak / ((10 ** 6 + 2) * closed_form._BYTES_PER_COUNT) < 1.01

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from tlh import closed_form, shuffle
+from tlh import closed_form, shuffle, verify
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
 from tlh.serialize import ParseError, dumps, parse_poly, poly_to_obj
 from tlh.shuffle import (
@@ -274,8 +274,78 @@ def test_pack_round_trip_at_the_bound(l1):
             c << w * ((e0 // UNIT * 3 + e1 // UNIT) * 2 + e2 // UNIT)
             for (e0, e1, e2), c in terms.items()
         )
-        assert layout.unpack(packed) == p
-        assert layout.unpack(-packed) == -p
+        assert layout.unpack(packed, 2) == p
+        assert layout.unpack(-packed, 2) == -p
+
+
+def _spy_decoder(monkeypatch, row_fields):
+    """Record the q-rows of every decode, and what one row fewer gives.
+
+    One row fewer raises ``OverflowError`` where the value's top row holds
+    a term, and otherwise reads the same value: the decoder never drops a
+    term silently.
+    """
+    rows, short = [], []
+    unpack = shuffle._unpack
+
+    def spy(packed, b, fields, exps):
+        exps = list(exps)
+        value = unpack(packed, b, fields, exps)
+        rows.append(fields // row_fields)
+        try:
+            short.append(unpack(packed, b, fields - row_fields, exps) == value)
+        except OverflowError:
+            short.append(None)
+        return value
+
+    monkeypatch.setattr(shuffle, "_unpack", spy)
+    return rows, short
+
+
+@pytest.mark.parametrize("route", ["P", "insertion"])
+def test_each_root_decodes_its_own_q_rows(monkeypatch, route):
+    # verify's every-word runs at bound 6: each root is read at its own
+    # q-rows, dq_k + 1 by its route's bounds, not at the layout's height
+    rows, short = _spy_decoder(monkeypatch, 7 * (comb(6, 2) + 1))
+    if route == "P":
+        layout, roots = shuffle._Layout, verify._words(6)[::-1]
+        values = verify._poly_upto(6)
+    else:
+        layout, roots = shuffle._InsertionLayout, verify._words(6)
+        values = shuffle._run(roots, layout)
+    needs, _ = shuffle._plan(roots, layout.deps)
+    bounds = layout.bounds(needs)
+    order = [k for k in needs if k in values]  # roots unpack as they step
+    assert rows == [bounds[k][0] + 1 for k in order]
+    assert max(rows) == max(d for d, _ in bounds.values()) + 1 > min(rows)
+    # decoding one row fewer loses a term of some root, and never silently
+    assert None in short and False not in short
+    monkeypatch.undo()
+    assert sorted(values) == sorted(roots)
+    assert all(values[v] == poincare_poly(v) for v in roots)
+
+
+@pytest.mark.parametrize("qmax, passes", [(3, 2), (10, 1)])
+def test_full_twist_root_decodes_its_whole_layout(monkeypatch, qmax, passes):
+    # n = 6 takes the split f route below qmax 7 and whole P above it
+    decoded, layouts = [], []
+    unpack, evaluate = shuffle._unpack, shuffle._evaluate
+
+    def spy_unpack(packed, b, fields, exps):
+        decoded.append(fields)
+        return unpack(packed, b, fields, exps)
+
+    def spy_evaluate(roots, plan, run_layouts, size, extra=None):
+        layouts.extend(run_layouts)
+        return evaluate(roots, plan, run_layouts, size, extra)
+
+    monkeypatch.setattr(shuffle, "_unpack", spy_unpack)
+    monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
+    got = full_twist_series(6, qmax)
+    assert len(layouts) == passes
+    assert decoded == [layout.fields for layout in layouts]
+    monkeypatch.undo()
+    assert got == poincare_series("0" * 6).series(qmax)
 
 
 def _zeros_dq(n):
@@ -647,7 +717,7 @@ def test_grouped_insertion_step_matches_per_word_step(
         assert _grouped_insertion_step(v, work) == want, v
         applied.clear()
         step = layout.step(v, shuffle._InsertionLayout.deps(v), packed)
-        assert layout.unpack(step) == want, v
+        assert layout.unpack(step, layout.dq + 1) == want, v
         if "1" in v:
             ws = all_sequences(v.count("0"))
             # one weight per class of words that the summand cannot tell apart
@@ -938,9 +1008,9 @@ def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
     unpacked = []
     unpack = shuffle._Layout.unpack
 
-    def counting_unpack(layout, packed):
+    def counting_unpack(layout, packed, rows):
         unpacked.append(packed)
-        return unpack(layout, packed)
+        return unpack(layout, packed, rows)
 
     monkeypatch.setattr(shuffle._Layout, "unpack", counting_unpack)
     name = "evaluating 2047 keys, '' to '1{10}'"
