@@ -30,12 +30,17 @@ recursion has no subtraction:
     f(v.0)  =  q * f(0 v)  +  f(1 v)          (v.0 not all zeroes)
     f(0^m)  =  f(1 0^(m-1)) / (1 - q)
 
-on unsigned fields holding q-rows 0..qmax: ``f(v.0) = (p1 + (p0 << SQ)) &
-M``, M = 2^K - 1 keeping the layout's K bits, and f(0^m) the prefix sum
-over q-rows, ``r = (r + (r << s SQ)) & M`` for s = 1, 2, 4, ... <= qmax.
-Every step is ring-linear with non-negative q-shifts (the a- and t-shifts
-stay inside a q-row), so the rows up to qmax stay exact when the rows above
-are dropped, and f(0^n) cut at q^qmax is the truncated series itself.
+on unsigned fields, each key v holding q-rows 0..r(v), its demand row:
+``f(v.0) = (p1 + (p0 << SQ)) & M_r``, M_r = 2^((r + 1) SQ) - 1 keeping
+q-rows 0..r, and f(0^m) the prefix sum over q-rows, ``p = (p + (p << s SQ))
+& M_r`` for s = 1, 2, 4, ... <= r.  Every step is ring-linear with
+non-negative q-shifts (the a- and t-shifts stay inside a q-row), so rows
+0..r of f(v.1) and f(0^m) depend only on rows 0..r of their one
+dependency, and those of f(v.0) only on rows 0..r of f(1 v) and 0..r - 1 of
+f(0 v): the rows above can be dropped key by key.  So the target reads
+r(0^n) = qmax, each dependency gets the largest r its consumers read, and a
+key that no consumer reads (r < 0) steps as 0 (:func:`_demand`); f(0^n) cut
+at q^qmax is the truncated series itself.
 a enters only through the v.1 multiplier, so the same holds for a-rows: the
 slices a^0..a^J are closed under the recursion, and so are the slices
 b <= B of the reversal f~(v) = a^|v| f(v)(1/a), whose v.1 multiplier is
@@ -44,12 +49,12 @@ the length).  The f route steps its plan twice, in passes of about half the
 height: a-rows 0..J, ``f(v.1) = (p << s w) + ((p & R) << SA)``, then f~'s
 rows b = 0..B = n - 1 - J, f's a-degrees J + 1..n at the target,
 ``f~(v.1) = ((p & R) << s w + SA) + p``, where R clears the top a-row of
-every q-row; the two disjoint results join into one.  But every f value
-fills all qmax + 1 q-rows, in fields that widen with qmax, where a packed
-P(v) stops at its own q-degree bound; so the f route is taken only when
-its two passes step fewer bytes in all than whole P
-(:func:`full_twist_series`).  Otherwise P(0^n) is stepped whole and
-expanded over (1 - q)^n, and no qmax costs more than that.
+every q-row; the two disjoint results join into one.  But the f values
+near the target fill up to qmax + 1 q-rows, in fields that widen with qmax,
+where a packed P(v) stops at its own q-degree bound; so the f route is
+taken only when its two passes, r(v) + 1 q-rows per key, step fewer bytes
+in all than whole P (:func:`full_twist_series`).  Otherwise P(0^n) is
+stepped whole and expanded over (1 - q)^n, and no qmax costs more than that.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; and the a^j
@@ -72,10 +77,12 @@ holds 2^|v| C(d + z - 1, z - 1) (z = 0: 2^|v| in row 0 alone), growing
 with |v|, z and d.  Over the closure of 0^n up to row qmax no mass
 exceeds 2^n C(qmax + n - 1, n - 1), the target's own in row qmax, and b
 is the fewest bytes that hold it plus one bit, which keeps every field's
-top bit clear.  The bound holds for every intermediate field as well: the
-v.0 step's unmasked top row is a row of f(0 v), and each window of the
-doubling prefix sum is at most the whole prefix sum.  No term is negative,
-so no field carries into the next, and none can overflow: nothing is guessed.
+top bit clear.  The bound holds for every intermediate field as well: a
+stored f(k) is exact in its rows 0..r(k) and 0 above, so each unmasked row
+j of the v.0 step is at most row j of f(v.0), j <= qmax, or in row
+qmax + 1 a row of f(0 v); and each window of the doubling prefix sum is at
+most the whole prefix sum.  No term is negative, so no field carries into
+the next, and none can overflow: nothing is guessed.
 The insertion route (below) steps on P's layout, sized by its own rules.
 Packing is the evaluation q = 2^SQ, a = 2^SA, t = 2^w, a ring homomorphism
 Z[q, a, t] -> Z, and its step is +, - and left shifts alone, with no mask,
@@ -98,9 +105,9 @@ signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
-qmax + 1 for every f value, plus the step's temporaries as tall as the
-layout; J minimises the larger of the f route's two, and both are checked
-first.  A pass whose estimate exceeds physical memory fails with
+r(k) + 1 for f(k), plus the step's temporaries as tall as the layout and
+the f route's masks; J minimises the larger of the f route's two, and both
+are checked first.  A pass whose estimate exceeds physical memory fails with
 :class:`MemoryBudgetExceeded`; so does a run whose unpacked values would
 take it over, as soon as they would, and a closure walk whose own state
 outgrows physical memory, as soon as it does.  A layout is geometry alone
@@ -335,21 +342,24 @@ def _peak_live(needs: dict, users: dict, size: Callable[[str], int]) -> int:
 def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     """Estimated peak bytes of a packed run over ``needs`` on ``layout``.
 
-    Its live values, ``peak`` q-rows at their most (:func:`_peak_live`),
-    and the step's temporaries, ``layout.temps`` values as tall as the
-    layout, with the heap's holes between them; the closure walk's state;
-    and the layout's slot table, each under the name
-    :class:`MemoryBudgetExceeded` gives it.  CPython stores 30 bits of an
-    int in every 4 bytes.  The malloc heap leaves holes where a freed value
-    is too small for the next one: the f-route's peak RSS growth measured
-    1.19 times its live bytes at |v| = 13..15 (Python 3.11, glibc), and 1.0
-    times with every value in its own mmap.  Values count half again, which
-    keeps the estimate 1.2 to 1.8 times the peak RSS growth of the P and f
-    routes at |v| = 10..13 on Python 3.10, 3.11 and 3.12, and 1.4 to 1.7
-    times that of the insertion route's 0^10 and its one plan over every
-    word of length <= 9 (Python 3.11).
+    Its live values, ``peak`` q-rows at their most (:func:`_peak_live`):
+    dq_k + 1 for P(k), and r(k) + 1 for f(k), its demand row
+    (:func:`_demand`); the step's temporaries, ``layout.temps`` values as
+    tall as the layout; and its masks, ``layout.mask_rows`` q-rows; with the
+    heap's holes between them; the closure walk's state; and the layout's
+    slot table, each under the name :class:`MemoryBudgetExceeded` gives it.
+    CPython stores 30 bits of an int in every 4 bytes.  The malloc heap
+    leaves holes where a freed value is too small for the next one: the
+    f-route's peak RSS growth measured 1.19 times its live bytes at
+    |v| = 13..15 (Python 3.11, glibc), and 1.0 times with every value in
+    its own mmap.  Values count half again, which keeps the estimate 1.2 to
+    1.5 times the peak RSS growth of the P and f routes at |v| = 10..13,
+    and 1.5 to 1.6 times that of the insertion route's 0^10 and its one
+    plan over every word of length <= 9 (Python 3.11, measured from a
+    trimmed heap, as ``test_memory_estimate_covers_the_peak_rss_growth``
+    does).
     """
-    rows = peak + layout.temps * (layout.dq + 1)
+    rows = peak + layout.temps * (layout.dq + 1) + layout.mask_rows
     return {
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
@@ -499,6 +509,8 @@ class _Layout:
     route = "P"
     # the step temporaries as tall as the layout that a run's estimate counts
     temps = 2
+    # the q-rows of the masks a pass holds
+    mask_rows = 0
     # the route's rules: a key's dependencies, and the (q-degree, L1 norm)
     # bounds of every key of a plan
     deps = staticmethod(_poly_deps)
@@ -514,7 +526,6 @@ class _Layout:
         self.dq = dq
         self.row_fields = len(a_rows) * t_width
         self.fields = (dq + 1) * self.row_fields
-        self.nbytes = self.fields * b
         self.row_bytes = self.sq // 8
 
     def build(self) -> None:
@@ -542,43 +553,79 @@ class _Layout:
         return _unpack(packed, self.b, rows * self.row_fields, self.exps)
 
 
+def _demand(needs: dict, key: str, qmax: int) -> dict[str, int]:
+    """{k: r(k)}, the demand row of each key of ``needs``, the plan of ``key``.
+
+    The f route reads f(k) at q-rows 0..r(k) alone.  Consumers first:
+    ``key`` reads qmax; f(v.1) and f(0^m) pass their own r to their one
+    dependency, and f(v.0) = q f(0 v) + f(1 v) passes r to f(1 v) and r - 1
+    to f(0 v); a key takes the largest r of its consumers, and r(k) < 0
+    means no key reads f(k).
+    """
+    r = dict.fromkeys(needs, -1)
+    r[key] = qmax
+    for k, ds in reversed(needs.items()):
+        rk = r[k]
+        if rk < 0 or not ds:
+            continue
+        if len(ds) == 2:  # f(0 v), read one row lower
+            if r[ds[0]] < rk - 1:
+                r[ds[0]] = rk - 1
+        d = ds[-1]
+        if r[d] < rk:
+            r[d] = rk
+    return r
+
+
 class _SeriesLayout(_Layout):
     """The layout of f(v) = P(v) / (1 - q)^#0(v), cut at q-row qmax.
 
-    Its fields are unsigned and hold the largest row mass, every step that
-    shifts q keeps the layout's K bits, and the v.1 step drops what the
-    a-shift moves out of the top a-row; descending ``a_rows`` step the
-    reversal f~ (see the module docstring).
+    Its fields are unsigned and hold the largest row mass.  Each key k holds
+    q-rows 0..r(k) alone, its ``demand`` row (:func:`_demand`): a step cuts
+    its value at ``masks[r]`` wherever it could reach above them, and a key
+    that no consumer reads is 0.  The v.1 step drops what the a-shift moves
+    out of the top a-row; descending ``a_rows`` step the reversal f~ (see
+    the module docstring).
     """
 
     route = "f"
 
-    def __init__(self, n: int, qmax: int, bound: int, *geometry):
+    def __init__(self, n: int, qmax: int, bound: int, demand: dict, *geometry):
         super().__init__(n, qmax, bound, *geometry)
+        self.demand = demand
+        self.mask_rows = (qmax + 1) * (qmax + 4) // 2  # masks[0..qmax] and R
         # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
         self.strides = [self.sq << k for k in range(qmax.bit_length())]
 
     def build(self) -> None:
         super().build()
-        self.mask = (1 << 8 * self.nbytes) - 1
+        # masks[r] keeps q-rows 0..r
+        self.masks = [(1 << r * self.sq) - 1 for r in range(1, self.dq + 2)]
         top = self.sa // 8  # R keeps every a-row of every q-row but the top one
         row = b"\xff" * (self.row_bytes - top) + bytes(top)
         self.keep = int.from_bytes(row * (self.dq + 1), "little")
 
     def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
+        r = self.demand[key]
+        if r < 0:  # no key reads f(key)
+            return 0
         if not ds:
             return 1
+        mask = self.masks[r]
         p = work[ds[0]]
+        if len(ds) == 2:  # f(v.0) = q f(0 v) + f(1 v)
+            return (work[ds[1]] + (p << self.sq)) & mask
+        if self.demand[ds[0]] > r:
+            p &= mask
         if key.endswith("1"):
             s = self.w * (key.count("1") - 1)
             if self.a_rows.step < 0:  # f~(v.1) = (a t^ones(v) + 1) f~(v)
                 return ((p & self.keep) << s + self.sa) + p
             return (p << s) + ((p & self.keep) << self.sa)
-        if len(ds) == 1:  # f(0^m) = f(1 0^(m-1)) / (1 - q)
-            for stride in self.strides:
-                p = (p + (p << stride)) & self.mask
-            return p
-        return (work[ds[1]] + (p << self.sq)) & self.mask
+        # f(0^m) = f(1 0^(m-1)) / (1 - q), a prefix sum over q-rows 0..r
+        for stride in self.strides[: r.bit_length()]:
+            p = (p + (p << stride)) & mask
+        return p
 
 
 def _split(n: int, J: int) -> list[tuple[range, int]]:
@@ -756,12 +803,13 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     With qmax below the q-degree bound of P(0^n), the recursion steps on
     the series f itself, cut at q^qmax, in two passes split by a-degree at
     J (:class:`_SeriesLayout`, :func:`_split`), when they step fewer bytes
-    in all than whole P, each key holding both passes' layouts or its own
-    q-rows of P's.  J gives the larger pass the shortest q-row; a layout
-    has no table before its pass starts (:func:`_evaluate`), so sizing all
-    2n is free.  The total tracks the step time: over n = 10..12 and qmax
-    5..40 the ratio of the two routes' step times was 0.8 to 2.0 times that
-    of their totals (0.8 to 1.2 at n = 11 and 12).
+    in all than whole P, each key k holding q-rows 0..r(k) of both passes'
+    layouts, its demand row (:func:`_demand`), or its own q-rows of P's.
+    J gives the larger pass the shortest q-row; a layout has no table
+    before its pass starts (:func:`_evaluate`), so sizing all 2n is free.
+    The total tracks the step time: over n = 10..12 and qmax 5..40 the
+    ratio of the two routes' step times was 0.7 to 2.1 times that of their
+    totals, and 0.7 to 1.3 from qmax 10 on, nearer the crossover.
     Up to n = 17 the larger pass then holds no more at once than whole P.
     Otherwise it steps the whole polynomial and expands it over (1 - q)^n,
     pre-flighting the run and the expansion (:func:`_series_terms`)
@@ -777,16 +825,19 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     dq, l1 = bounds[key]
     whole = _Layout(n, dq, l1)
     if qmax < dq:
+        demand = _demand(needs, key, qmax)
         # the largest row mass over the closure (see the module docstring)
         mass = 2**n * comb(qmax + n - 1, n - 1)
         pairs = [
-            [_SeriesLayout(n, qmax, mass, *g) for g in _split(n, J)] for J in range(n)
+            [_SeriesLayout(n, qmax, mass, demand, *g) for g in _split(n, J)]
+            for J in range(n)
         ]
         # both passes hold the same q-rows, so J balances their q-row bytes
         pair = min(pairs, key=lambda passes: max(p.row_bytes for p in passes))
-        stepped = len(needs) * sum(p.nbytes for p in pair)
+        rows = sum(demand.values()) + len(demand)  # r(k) + 1 q-rows per key
+        stepped = rows * sum(p.row_bytes for p in pair)
         if stepped < sum(d + 1 for d, _ in bounds.values()) * whole.row_bytes:
-            return _evaluate([key], plan, pair, lambda k: qmax + 1)[key]
+            return _evaluate([key], plan, pair, lambda k: demand[k] + 1)[key]
     out = _evaluate(
         [key], plan, [whole], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
     )

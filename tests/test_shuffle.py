@@ -327,7 +327,7 @@ def test_each_root_decodes_its_own_q_rows(monkeypatch, route):
 
 @pytest.mark.parametrize("qmax, passes", [(3, 2), (10, 1)])
 def test_full_twist_root_decodes_its_whole_layout(monkeypatch, qmax, passes):
-    # n = 6 takes the split f route below qmax 7 and whole P above it
+    # n = 6 takes the split f route below qmax 8 and whole P above it
     decoded, layouts = [], []
     unpack, evaluate = shuffle._unpack, shuffle._evaluate
 
@@ -392,7 +392,8 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
     for qmax in (0, 3, 10):
         bound = 2 ** n * comb(qmax + n - 1, n - 1)
-        layout = series_layout(n, qmax, bound)
+        # every key of the closure read at all its q-rows, as a root
+        layout = series_layout(n, qmax, bound, dict.fromkeys(needs, qmax))
         # the fewest bytes that hold the bound with the top bit clear
         assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
         values = _every_key(key, layout)
@@ -472,7 +473,8 @@ def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
         mass = 2 ** n * comb(qmax + n - 1, n - 1)
         for J in range(n):
             for high, geometry in enumerate(shuffle._split(n, J)):
-                layout = shuffle._SeriesLayout(n, qmax, mass, *geometry)
+                every = dict.fromkeys(needs, qmax)
+                layout = shuffle._SeriesLayout(n, qmax, mass, every, *geometry)
                 values = _every_key("0" * n, layout)
                 assert values.keys() == needs.keys()
                 for k, value in values.items():
@@ -486,16 +488,63 @@ def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
                     assert got == want, (k, qmax, J, high)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, n):
+    # the plan of 0^n alone on both passes of the two extreme splits and a
+    # middle one: each key k holds f(k) cut at its demand row r(k) and no
+    # q-row above it, and a key that no consumer reads holds 0; a value
+    # longer than r(k) + 1 q-rows would change no output, so only its
+    # length shows it
+    key = "0" * n
+    needs, _ = plan = shuffle._plan([key], shuffle._Layout.deps)
+    stored = {}
+    step = shuffle._SeriesLayout.step
+
+    def spy_step(layout, k, ds, work):
+        stored[k] = step(layout, k, ds, work)
+        return stored[k]
+
+    monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
+    for qmax in (0, 3, 10):
+        demand = shuffle._demand(needs, key, qmax)
+        assert demand[key] == qmax
+        mass = 2 ** n * comb(qmax + n - 1, n - 1)
+        for J in sorted({0, n // 2, n - 1}):
+            for high, geometry in enumerate(shuffle._split(n, J)):
+                layout = shuffle._SeriesLayout(n, qmax, mass, demand, *geometry)
+                stored.clear()
+                shuffle._evaluate([key], plan, [layout], lambda k: demand[k] + 1)
+                assert stored.keys() == needs.keys()
+                for k, value in stored.items():
+                    r, m = demand[k], len(k)
+                    assert value.bit_length() <= (r + 1) * layout.sq, (k, qmax, J)
+                    if r < 0:
+                        continue
+                    lo, hi = (m - (n - 1 - J), m) if high else (0, J)
+                    shift = (n - m) * UNIT if high else 0
+                    got = {
+                        (q, a - shift, t): c
+                        for (q, a, t), c in layout.unpack(value, r + 1).units().items()
+                    }
+                    want = {}
+                    for part in series_slices_up_to_8[k, qmax][max(lo, 0):hi + 1]:
+                        want.update((e, c) for e, c in part.items() if e[0] <= r * UNIT)
+                    assert got == want, (k, qmax, J, high)
+
+
 @pytest.mark.parametrize(
     "n, qmax, route",
-    [(8, 3, "series"), (8, 11, "series"), (8, 12, "whole")]
-    + [(11, 10, "series"), (11, 21, "series"), (11, 22, "whole")]
+    # per n: a low qmax, two below the crossover, the last of them just below,
+    # and the crossover itself
+    [(8, 3, "series"), (8, 11, "series"), (8, 12, "series"), (8, 13, "whole")]
+    + [(11, 10, "series"), (11, 21, "series"), (11, 25, "series"), (11, 26, "whole")]
     + [(n, qmax, "whole") for n in (1, 4, 8) for qmax in (_zeros_dq(n), 1000)],
 )
 def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
-    # the series route fills qmax + 1 q-rows on every key, so it loses once
-    # qmax nears the q-degree bound, though each of its two passes holds
-    # about half the fields per q-row; from the bound on it is never tried
+    # the series route fills up to qmax + 1 q-rows on the keys near the
+    # target, so it loses once qmax nears the q-degree bound, though each of
+    # its two passes holds about half the fields per q-row; from the bound on
+    # it is never tried
     layouts, passes = [], []
     evaluate, room = shuffle._evaluate, shuffle._room
 
@@ -526,7 +575,7 @@ class _Routed(Exception):
 
 
 # the qmax below which the full twist takes the series route, n = 1..15
-_SERIES_CROSSOVER = [0, 1, 2, 2, 4, 7, 10, 12, 16, 18, 22, 25, 32, 34, 37]
+_SERIES_CROSSOVER = [0, 1, 2, 4, 6, 8, 13, 13, 19, 22, 26, 30, 34, 40, 44]
 
 
 def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
@@ -534,42 +583,58 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
     # route is taken, its larger pass's sized peak is at most whole P's, so
     # a memory test beside the byte test would decide no case
     plan_of, peak_live = shuffle._plan, shuffle._peak_live
-    bounds_of = shuffle._Layout.bounds
-    plans, filled = {}, {}
+    bounds_of, demand_of = shuffle._Layout.bounds, shuffle._demand
+    plans, filled, tops = {}, {}, {}
+
+    def shifted(needs, key, qmax):
+        # r(k) = qmax - d(k), d(k) the fewest rows dropped on a path from
+        # the root, d(k) <= dq - dq(k); so each r falls with qmax to -1
+        top, dq = tops[key]
+        return {k: r - dq + qmax if r >= dq - qmax else -1 for k, r in top.items()}
 
     def routed(needs, users, size):
-        # the chosen route sizes 0^n by qmax + 1 q-rows (series) or dq + 1
-        raise _Routed(size("0" * n))
+        # the chosen route sizes 0^n by qmax + 1 q-rows (series) or dq + 1,
+        # and each key by its own q-rows
+        raise _Routed(size)
 
-    # one closure walk and its bounds per n, not per case: 560 of each
-    # would take a minute
+    # one closure walk, its bounds and its demand rows per n, not per case:
+    # 560 of each would take a minute
     monkeypatch.setattr(shuffle, "_plan", lambda roots, deps: plans[roots[0]])
     monkeypatch.setattr(
         shuffle._Layout, "bounds", staticmethod(lambda needs: filled[id(needs)])
     )
+    monkeypatch.setattr(shuffle, "_demand", shifted)
     monkeypatch.setattr(shuffle, "_peak_live", routed)
     for n, crossover in enumerate(_SERIES_CROSSOVER, 1):
         key = "0" * n
         needs, users = plans[key] = plan_of([key], shuffle._Layout.deps)
         bounds = filled[id(needs)] = bounds_of(needs)
         dq, l1 = bounds[key]
+        tops[key] = demand_of(needs, key, dq), dq
+        for qmax in {0, crossover, dq - 1} - {-1}:
+            assert shifted(needs, key, qmax) == demand_of(needs, key, qmax)
         whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
         whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
-        # every series value holds qmax + 1 q-rows of the larger pass's fields
+        # every series value holds r(k) + 1 <= qmax + 1 q-rows of the larger
+        # pass's fields: the peak at qmax + 1 bounds the sized one from above
         values = peak_live(needs, users, lambda k: 1)
         fields = min(
             max(len(a) * t for a, t in shuffle._split(n, J)) for J in range(n)
         )
         taken = []
         for qmax in range(dq):
-            with pytest.raises(_Routed) as rows:
+            with pytest.raises(_Routed) as routed_by:
                 full_twist_series(n, qmax)
-            if rows.value.args == (qmax + 1,):
+            size = routed_by.value.args[0]
+            if size(key) == qmax + 1:
                 taken.append(qmax)
                 fb = shuffle._field_bytes(2 ** n * comb(qmax + n - 1, n - 1))
-                assert values * (qmax + 1) * fb * fields <= whole_bytes, (n, qmax)
+                rows = values * (qmax + 1)
+                if rows * fb * fields > whole_bytes:
+                    rows = peak_live(needs, users, size)
+                assert rows * fb * fields <= whole_bytes, (n, qmax)
             else:
-                assert rows.value.args == (dq + 1,), (n, qmax)
+                assert size(key) == dq + 1, (n, qmax)
         # the series route serves every qmax below a crossover, none above
         assert taken == list(range(crossover)), n
 
@@ -937,12 +1002,26 @@ def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name
 # returns, then the growth of the process's peak RSS over the run (ru_maxrss
 # is in kB on Linux).  ru_maxrss survives exec, so an interpreter spawned
 # by a large process starts at its parent's peak; a fork of the fresh
-# interpreter starts afresh.
+# interpreter starts afresh, at its current RSS.  The heap that importing
+# tlh freed is handed back first: where no bytecode is cached, compiling it
+# leaves about a megabyte that a small run would reuse unseen.  And the
+# child runs a few small calls before it measures, to fault back in the
+# code pages that a fork does not copy.
 _GROWTH_PROBE = """
-import contextlib, io, os, resource, sys
+import contextlib, ctypes, gc, io, os, resource, sys
+from tlh import cli, shuffle
+gc.collect()
+if sys.platform.startswith("linux"):
+    trim = ctypes.CDLL(None).malloc_trim
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 if os.fork():
     sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
-from tlh import cli, shuffle
+with contextlib.redirect_stdout(io.StringIO()):
+    for qmax in ("2", "20"):  # the f route and whole P
+        assert cli.main(["fulltwist", "--n", "5", "--qmax", qmax]) == 0
+shuffle.poincare_poly("0" * 5)
+shuffle.insertion_series("0" * 5)
 estimates = []
 room = shuffle._room
 
