@@ -22,12 +22,8 @@ class's last key it is exact division by the largest power that divides
 two monomials, except the ``1 + a`` of the unknot, which the sign change
 a -> -a turns into one.
 
-Multiplying by a power of a binomial is the inverse, and runs packed:
-:meth:`BinomialFactor.multiply_power` writes p into one Kronecker-packed
-int, a signed field per slot of its exponent box, multiplies by each power
-with one C-level shift and subtraction, and reads the result back with
-:func:`_unpack`.  That decoder of signed fields is also the one the
-recursion engine unpacks its packed values with.
+:func:`_unpack` decodes a Kronecker-packed int of signed fields: the
+recursion engine unpacks its packed values with it.
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, groupby, product, repeat
-from math import gcd
-from operator import add, and_, lshift, or_, rshift
+from itertools import accumulate, compress, groupby, repeat
+from operator import add, lshift, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -397,62 +392,6 @@ class BinomialFactor(NamedTuple):
         out, j = self._power_sums(terms, mult)
         return (Polynomial._trusted(out) if j else p), mult - j
 
-    def multiply_power(self, p: Polynomial, k: int) -> Polynomial:
-        """``p * self.poly() ** k``, the inverse of :meth:`divide_power`.
-
-        With d = trail - lead the factor is x^lead (1 - x^d), so the product
-        is k passes ``r -= r << D`` on p packed in one int, D the packed
-        shift of x^d.  p's exponent box is grown by k steps of d, each axis
-        stepped by the gcd of p's exponent differences and d's coordinate
-        there, and packed q first, so D is positive when d's first nonzero
-        coordinate is; otherwise the factor is -(x^trail - x^lead), run
-        along -d.  Every coefficient of p (1 - x^d)^j, j <= k, is at most
-        2^k max|c| in size, as (1 - x^d)^j has L1 norm 2^j, so signed fields
-        of ``_field_bytes(max|c| << k)`` bytes hold every pass, and the
-        result is read by :func:`_unpack`.  A box of more fields than the
-        general product has term pairs, (k + 1) len(p), takes
-        ``p * self.poly() ** k`` instead, so a sparse p such as
-        1 + q^(10^6) never allocates its span.
-        """
-        terms = p._terms
-        if not terms or not k:
-            return p
-        lead, trail = self
-        negate = False
-        if self._walk()[4] < 0:
-            lead, trail, negate = trail, lead, k & 1
-        d = [t - l for l, t in zip(lead, trail)]
-        cols = list(zip(*terms))
-        values = [set(col) for col in cols]  # p's exponents on each axis
-        low, step, size = [], [], []  # per axis, of the grown box
-        for us, di in zip(values, d):
-            lo = min(us)
-            g = gcd(di, *(u - lo for u in us)) or 1
-            low.append(lo + k * min(di, 0))
-            step.append(g)
-            size.append((max(us) - lo + k * abs(di)) // g + 1)
-        fields = size[0] * size[1] * size[2]
-        if fields > (k + 1) * len(terms):
-            return p * self.poly() ** k
-        strides = (size[1] * size[2], size[2], 1)  # q the most significant
-        q, a, t = (
-            map({u: (u - lo) // g * s for u in us}.__getitem__, col)
-            for col, us, lo, g, s in zip(cols, values, low, step, strides)
-        )
-        coeffs = [0] * fields
-        for i, c in zip(map(add, map(add, q, a), t), terms.values()):
-            coeffs[i] = c
-        b = _field_bytes(max(map(abs, terms.values())) << k)
-        r = _pack(coeffs, b)
-        shift = 8 * b * sum(x // g * s for x, g, s in zip(d, step, strides))
-        for _ in range(k):
-            r -= r << shift
-        exps = product(*(
-            range(lo + k * x, lo + k * x + n * g, g)
-            for lo, g, n, x in zip(low, step, size, lead)
-        ))
-        return _unpack(-r if negate else r, b, fields, exps)
-
     def _walk(self) -> tuple[int, int, int, int, int]:
         # (d0, d1, d2, axis, step): d = trail - lead, walked along its first
         # nonzero coordinate, whose value is the step
@@ -569,28 +508,6 @@ def _little(words: array) -> array:
 def _top(b: int, fields: int) -> int:
     """The top bit of each of ``fields`` b-byte fields."""
     return int.from_bytes((bytes(b - 1) + b"\x80") * fields, "little")
-
-
-def _pack(coeffs: list[int], b: int) -> int:
-    """The sum of coeffs[i] 2^(8 b i), each a signed b-byte field.
-
-    The inverse of :func:`_unpack`: limb j of every field (:func:`_limbs`)
-    is written as one array and scattered into the fields' bytes by C-level
-    byte slices with stride b, giving each field's two's complement, and
-    xoring the top bit of every field and subtracting it makes the sum.
-    """
-    raw = bytearray(b * len(coeffs))
-    for j, r, size, code in _limbs(b):
-        if code == "Q":  # a whole low limb
-            words = array(code, map(and_, coeffs, repeat(2**64 - 1)))
-            coeffs = list(map(rshift, coeffs, repeat(64)))
-        else:
-            words = array(code, coeffs)
-        data = _little(words).tobytes()
-        for i in range(r):
-            raw[j + i::b] = data[i::size]
-    top = _top(b, len(raw) // b)
-    return (int.from_bytes(raw, "little") ^ top) - top
 
 
 def _unpack(

@@ -56,6 +56,24 @@ taken only when its two passes, r(v) + 1 q-rows per key, step fewer bytes
 in all than whole P (:func:`full_twist_series`).  Otherwise P(0^n) is
 stepped whole and expanded over (1 - q)^n, and no qmax costs more than that.
 
+The f route has a second reader: the check that P(v) = (1 - q)^#0(v) f(v),
+each side by its own recursion (:func:`_normalized`, read by
+:mod:`tlh.verify`).  It steps one plan per length m, whose roots are every
+word of length m, in one pass of a-rows 0..m at the whole t-width, each root
+v read at q-rows 0..dq_v, its P's q-degree bound, so r(v) >= dq_v.  Its
+closure is that of 0^m, every word of length <= m, so no row mass up to the
+plan's largest dq exceeds 2^m C(dq + m - 1, m - 1), as below
+(:func:`_row_mass`).  Each root unpacks as P(v) itself: ``p -= p << SQ``
+once per zero, z = #0(v) times, then the low (r + 1) SQ bits, r = r(v), as a
+signed residue.  Packing is a ring homomorphism, so that int is the image of
+(1 - q)^z (f(v) mod q^(r + 1)), whose q-rows 0..r are those of (1 - q)^z
+f(v) = P(v), as (1 - q)^z only raises q, and whose rows above, up to r + z,
+add a multiple of 2^((r + 1) SQ).  Each field of rows 0..r holds a
+coefficient of P(v), at most P's L1 bound in size; with fields that hold the
+larger of that bound and the row mass plus a sign, the image of rows 0..r
+lies strictly within 2^((r + 1) SQ - 1) of 0, so it is exactly the symmetric
+residue mod 2^((r + 1) SQ), which the signed decoder reads.
+
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; and the a^j
 slice has t-degree at most C(|v|, 2) - C(j, 2), by induction on v.1, whose
@@ -263,10 +281,12 @@ def insertion_weight(v: str, w: str) -> Polynomial:
     return result
 
 
-# What the closure walk holds per key (``_plan`` plus its bounds):
-# tracemalloc measured 432 to 482 bytes at |v| = 10..16, growing with the
-# key strings, so this rounds up.
-_WALK_BYTES_PER_KEY = 512
+# What the closure walk holds per key (``_plan`` plus its bounds and demand
+# rows): tracemalloc measured 385, 395, 420 and 426 bytes for 0^n at
+# n = 10, 13, 16 and 18 (Python 3.11), growing about 3 bytes a letter with
+# the key strings, so this rounds up past n = 30, whose 2^31 keys no
+# machine's memory holds.
+_WALK_BYTES_PER_KEY = 480
 
 
 def _name(roots: list[str]) -> str:
@@ -422,10 +442,10 @@ def _evaluate(
     once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
     the values of ``ds``, the keys that ``plan`` names for ``k``, from
     ``work``.  Each root is unpacked at its own ``size(k)`` q-rows,
-    ``layout.unpack(value, size(k))``, once it is stepped, and the passes'
-    disjoint slices of it join into one value.  A
-    packed value is released once its last consumer has stepped, a root's
-    that no key consumes at once.  Before the first step, every pass's
+    ``layout.unpack(k, value, size(k))``, once it is stepped, and the
+    passes' disjoint slices of it join into one value.  A packed value is
+    released once its last consumer has stepped, a root's that no key
+    consumes at once.  Before the first step, every pass's
     estimate, its :func:`_working_set` at the peak that ``size`` (q-rows
     per key) gives, plus the parts of ``extra``, is checked against
     physical memory: one over it raises :class:`MemoryBudgetExceeded`,
@@ -451,7 +471,7 @@ def _evaluate(
         for k, ds in needs.items():
             work[k] = layout.step(k, ds, work)
             if k in wanted:
-                value = layout.unpack(work[k], size(k))
+                value = layout.unpack(k, work[k], size(k))
                 if k in out:  # a later pass's slice of the first pass's value
                     out[k]._terms.update(value._terms)
                 else:
@@ -545,25 +565,25 @@ class _Layout:
         p1 = work[ds[1]]
         return p1 + ((p - p1) << self.sq)
 
-    def unpack(self, packed: int, rows: int) -> Polynomial:
-        """The value of ``packed``, a value of q-degree below ``rows``.
+    def unpack(self, key: str, packed: int, rows: int) -> Polynomial:
+        """The value of ``packed``, ``key``'s, of q-degree below ``rows``.
 
         Only its q-rows 0..rows - 1 are read (:func:`~tlh.poly._unpack`).
         """
         return _unpack(packed, self.b, rows * self.row_fields, self.exps)
 
 
-def _demand(needs: dict, key: str, qmax: int) -> dict[str, int]:
-    """{k: r(k)}, the demand row of each key of ``needs``, the plan of ``key``.
+def _demand(needs: dict, read: dict[str, int]) -> dict[str, int]:
+    """{k: r(k)}, the demand row of each key of ``needs``, a ``_plan``.
 
-    The f route reads f(k) at q-rows 0..r(k) alone.  Consumers first:
-    ``key`` reads qmax; f(v.1) and f(0^m) pass their own r to their one
-    dependency, and f(v.0) = q f(0 v) + f(1 v) passes r to f(1 v) and r - 1
-    to f(0 v); a key takes the largest r of its consumers, and r(k) < 0
-    means no key reads f(k).
+    The f route reads f(k) at q-rows 0..r(k) alone.  Consumers first: each
+    root k reads its own ``read[k]``; f(v.1) and f(0^m) pass their own r to
+    their one dependency, and f(v.0) = q f(0 v) + f(1 v) passes r to f(1 v)
+    and r - 1 to f(0 v); a key takes the largest r of its readers, and
+    r(k) < 0 means no key reads f(k).
     """
     r = dict.fromkeys(needs, -1)
-    r[key] = qmax
+    r.update(read)
     for k, ds in reversed(needs.items()):
         rk = r[k]
         if rk < 0 or not ds:
@@ -575,6 +595,15 @@ def _demand(needs: dict, key: str, qmax: int) -> dict[str, int]:
         if r[d] < rk:
             r[d] = rk
     return r
+
+
+def _row_mass(n: int, qmax: int) -> int:
+    """The largest row mass of f over the closure of 0^n, up to q-row qmax.
+
+    2^n C(qmax + n - 1, n - 1), that of f(0^n) in row qmax (see the module
+    docstring), and 1 at n = 0, f(empty) = 1.
+    """
+    return 2**n * comb(qmax + n - 1, n - 1) if n else 1
 
 
 class _SeriesLayout(_Layout):
@@ -825,9 +854,8 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     dq, l1 = bounds[key]
     whole = _Layout(n, dq, l1)
     if qmax < dq:
-        demand = _demand(needs, key, qmax)
-        # the largest row mass over the closure (see the module docstring)
-        mass = 2**n * comb(qmax + n - 1, n - 1)
+        demand = _demand(needs, {key: qmax})
+        mass = _row_mass(n, qmax)
         pairs = [
             [_SeriesLayout(n, qmax, mass, demand, *g) for g in _split(n, J)]
             for J in range(n)
@@ -842,6 +870,42 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
         [key], plan, [whole], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
     )
     return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
+
+
+class _NormalizedLayout(_SeriesLayout):
+    """The f route's layout, its roots read as P(v) = (1 - q)^#0(v) f(v).
+
+    Its fields hold both f's row masses and P's L1 bound plus a sign (see
+    the module docstring).
+    """
+
+    def unpack(self, key: str, packed: int, rows: int) -> Polynomial:
+        """(1 - q)^#0(key) times ``packed``, f(key), at q-rows 0..rows - 1.
+
+        One ``p -= p << SQ`` per zero of ``key``, then the low ``rows SQ``
+        bits as a signed residue, decoded.
+        """
+        for _ in range(key.count("0")):
+            packed -= packed << self.sq
+        half = 1 << rows * self.sq - 1
+        return super().unpack(key, ((packed + half) & (2 * half - 1)) - half, rows)
+
+
+def _normalized(m: int) -> dict[str, Polynomial]:
+    """{v: (1 - q)^#0(v) f(v)} for every word v of length m, by the f route.
+
+    Each is P(v) from the series recursion alone: one plan over every word
+    of length m, listed from 1^m down to 0^m (the reverse held 1.1 to 1.3
+    times as many q-rows at once at m = 8..10), each root read at q-rows
+    0..dq_v, P's q-degree bound (:func:`_demand`).
+    """
+    roots = all_sequences(m)[::-1]
+    needs, _ = plan = _plan(roots, _NormalizedLayout.deps)
+    bounds = _NormalizedLayout.bounds(needs)
+    demand = _demand(needs, {v: bounds[v][0] for v in roots})
+    dq, l1 = map(max, zip(*bounds.values()))
+    layout = _NormalizedLayout(m, dq, max(_row_mass(m, dq), l1), demand)
+    return _evaluate(roots, plan, [layout], lambda k: demand[k] + 1)
 
 
 # ---------------------------------------------------------------------------

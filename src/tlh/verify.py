@@ -30,7 +30,6 @@ from . import closed_form, links, shuffle, tableaux
 from .poly import (
     A,
     ONE,
-    ONE_MINUS_Q,
     Q,
     T,
     UNIT,
@@ -327,17 +326,12 @@ def _dual_recursion(bound: int, store: _Store) -> SubResults:
 
 @_check("recursions", "normalization-consistency", THEOREM, 8)
 def _normalization(bound: int, store: _Store) -> SubResults:
+    # P(v) = (1 - q)^#0(v) f(v), each side by its own recursion: P's, and
+    # the subtraction-free series recursion of the f route, one plan a length
     polys = store.once(_poly_upto, bound)
     def ok(n: int) -> bool:
-        # (1 - q)^z P(v) by the packed product, divided back by the reduction
-        return all([  # a list, not a generator: every sequence is evaluated
-            FracPoly(
-                ONE_MINUS_Q.multiply_power(polys[v], v.count("0")),
-                [ONE_MINUS_Q] * v.count("0"),
-            )
-            == FracPoly(polys[v])
-            for v in shuffle.all_sequences(n)
-        ])
+        normalized = shuffle._normalized(n)
+        return all(normalized[v] == polys[v] for v in shuffle.all_sequences(n))
     return _sizes(bound, ok, first=0, label="|v|")
 
 

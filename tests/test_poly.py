@@ -1,10 +1,6 @@
 import heapq
 import time
-import tracemalloc
 from fractions import Fraction
-from itertools import product
-from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -396,97 +392,19 @@ def test_divide_power_skips_zero_gaps():
     assert time.perf_counter() - start < 1.0
 
 
-@st.composite
-def box_polys(draw, max_side=3):
-    """Polynomials that fill an exponent box stepped by 1, 2 or 4 units per axis."""
-    lo = [draw(st.integers(-6, 6)) for _ in range(3)]
-    step = [draw(st.sampled_from([1, 2, UNIT])) for _ in range(3)]
-    side = [draw(st.integers(1, max_side)) for _ in range(3)]
-    return Polynomial({
-        tuple(l + g * j for l, g, j in zip(lo, step, slot)): draw(st.integers(-6, 6))
-        for slot in product(*map(range, side))
-    })
-
-
-def _grown_box(p, factor, k):
-    """Fields of p's exponent box grown by k steps of the factor's direction.
-
-    Each axis is stepped by the gcd of p's exponent differences and the
-    direction's coordinate there.
-    """
-    d = [t - l for l, t in zip(factor.lead, factor.trail)]
-    fields = 1
-    for i, di in enumerate(d):
-        us = [e[i] for e in p.units()]
-        g = gcd(di, *(u - min(us) for u in us)) or 1
-        fields *= (max(us) - min(us) + k * abs(di)) // g + 1
-    return fields
-
-
-@settings(max_examples=300)
-@given(
-    st.one_of(polys(max_terms=6), box_polys()),
-    st.sampled_from(_POWER_POOL),
-    st.integers(0, 6),
-)
-def test_multiply_power_matches_the_general_product(p, factor, k):
-    with mock.patch.object(poly, "_pack", wraps=poly._pack) as pack:
-        got = factor.multiply_power(p, k)
-    assert got == p * factor.poly() ** k
-    assert all(got.units().values())
-    assert factor.divide_power(got, k) == (p, 0)
-    # packed unless the box has more fields than the product has term pairs
-    dense = bool(p) and k > 0 and _grown_box(p, factor, k) <= (k + 1) * len(p)
-    assert pack.called == dense
-
-
-@pytest.mark.parametrize("factor", _POWER_POOL, ids=lambda f: f.text())
-def test_multiply_power_packs_a_full_box(factor):
-    # (1 + q^(1/4))^3 (1 + q)^2 (1 + a)^4 (1 + t)^4 fills its box of
-    # 12 x 5 x 5 quarter-unit slots, here moved off the origin and off the
-    # whole lattice: dense enough for every factor of the pool to be packed
-    # at every k <= 6, directions against an axis included
-    quarter = ONE + monomial(q=Fraction(1, 4))
-    p = quarter ** 3 * (ONE + Q) ** 2 * ((ONE + A) * (ONE + T)) ** 4
-    p = p * monomial(q=-1, a=Fraction(1, 2), t=Fraction(-3, 4))
-    assert len(p) == 12 * 5 * 5
-    for k in range(7):
-        with mock.patch.object(poly, "_pack", wraps=poly._pack) as pack:
-            got = factor.multiply_power(p, k)
-        assert pack.called == (k > 0)
-        assert got == p * factor.poly() ** k
-
-
-def test_multiply_power_reaches_its_bound_at_a_byte_boundary():
-    # c (1 + (-x^d) + ... + (-x^d)^k) (1 - x^d)^k has the coefficient
-    # (-1)^k 2^k c at x^(k d), the bound 2^k max|c| itself.  c 2^k is just
-    # under 2^23, so its fields are 3 bytes, and 2 could not hold it.
-    k = 6
-    c = 2 ** (23 - k) - 1
-    t_tq = BinomialFactor((0, 0, UNIT), (UNIT, 0, UNIT))
-    for factor in (ONE_MINUS_Q, BinomialFactor((0, 0, 0), (1, 0, 0)), t_tq):
-        d = tuple(t - l for l, t in zip(factor.lead, factor.trail))
-        p = Polynomial({tuple(j * x for x in d): (-1) ** j * c for j in range(k + 1)})
-        with mock.patch.object(poly, "_pack", wraps=poly._pack) as pack:
-            got = factor.multiply_power(p, k)
-        assert pack.call_args.args[1] == 3
-        assert got == p * factor.poly() ** k
-        assert max(map(abs, got.units().values())) == c << k == 2 ** 23 - 2 ** k
-
-
-def test_multiply_power_of_a_sparse_input_takes_the_general_product():
-    # 1 + q^(10^6) spans a million fields, (1 - q)^3 four terms
-    sparse = ONE + Polynomial.term(1, q=10 ** 6)
-    tracemalloc.start()
-    try:
-        with mock.patch.object(poly, "_pack", wraps=poly._pack) as pack:
-            got = ONE_MINUS_Q.multiply_power(sparse, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not pack.called
-    assert got == sparse * (ONE - Q) ** 3
-    assert peak < 2 ** 20
+@pytest.mark.parametrize("b", [1, 2, 3, 7, 8, 9, 16, 17])
+def test_unpack_reads_signed_fields_at_a_byte_boundary(b):
+    # fields of b bytes, each at its largest magnitude 2^(8 b - 1) - 1 of
+    # either sign beside zeros and units, against the plain sum of
+    # c_i 2^(8 b i): a lost sign or a carry between fields would show, and
+    # past 8 bytes a field spans a whole low limb and a signed top one
+    big = 2 ** (8 * b - 1) - 1
+    coeffs = [big, -big, 0, -1, 1, -big, big, 0, 2, big]
+    exps = [(UNIT * i, 0, 0) for i in range(len(coeffs))]
+    packed = sum(c << 8 * b * i for i, c in enumerate(coeffs))
+    want = Polynomial({e: c for e, c in zip(exps, coeffs) if c})
+    assert poly._unpack(packed, b, len(coeffs), exps) == want
+    assert poly._unpack(-packed, b, len(coeffs), exps) == -want
 
 
 def _sum_by_scale_then_add(items):

@@ -274,8 +274,8 @@ def test_pack_round_trip_at_the_bound(l1):
             c << w * ((e0 // UNIT * 3 + e1 // UNIT) * 2 + e2 // UNIT)
             for (e0, e1, e2), c in terms.items()
         )
-        assert layout.unpack(packed, 2) == p
-        assert layout.unpack(-packed, 2) == -p
+        assert layout.unpack("", packed, 2) == p
+        assert layout.unpack("", -packed, 2) == -p
 
 
 def _spy_decoder(monkeypatch, row_fields):
@@ -506,7 +506,7 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
 
     monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
     for qmax in (0, 3, 10):
-        demand = shuffle._demand(needs, key, qmax)
+        demand = shuffle._demand(needs, {key: qmax})
         assert demand[key] == qmax
         mass = 2 ** n * comb(qmax + n - 1, n - 1)
         for J in sorted({0, n // 2, n - 1}):
@@ -524,7 +524,7 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
                     shift = (n - m) * UNIT if high else 0
                     got = {
                         (q, a - shift, t): c
-                        for (q, a, t), c in layout.unpack(value, r + 1).units().items()
+                        for (q, a, t), c in layout.unpack(k, value, r + 1).units().items()
                     }
                     want = {}
                     for part in series_slices_up_to_8[k, qmax][max(lo, 0):hi + 1]:
@@ -586,9 +586,10 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
     bounds_of, demand_of = shuffle._Layout.bounds, shuffle._demand
     plans, filled, tops = {}, {}, {}
 
-    def shifted(needs, key, qmax):
+    def shifted(needs, read):
         # r(k) = qmax - d(k), d(k) the fewest rows dropped on a path from
         # the root, d(k) <= dq - dq(k); so each r falls with qmax to -1
+        (key, qmax), = read.items()
         top, dq = tops[key]
         return {k: r - dq + qmax if r >= dq - qmax else -1 for k, r in top.items()}
 
@@ -610,9 +611,9 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         needs, users = plans[key] = plan_of([key], shuffle._Layout.deps)
         bounds = filled[id(needs)] = bounds_of(needs)
         dq, l1 = bounds[key]
-        tops[key] = demand_of(needs, key, dq), dq
+        tops[key] = demand_of(needs, {key: dq}), dq
         for qmax in {0, crossover, dq - 1} - {-1}:
-            assert shifted(needs, key, qmax) == demand_of(needs, key, qmax)
+            assert shifted(needs, {key: qmax}) == demand_of(needs, {key: qmax})
         whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
         whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
         # every series value holds r(k) + 1 <= qmax + 1 q-rows of the larger
@@ -782,7 +783,7 @@ def test_grouped_insertion_step_matches_per_word_step(
         assert _grouped_insertion_step(v, work) == want, v
         applied.clear()
         step = layout.step(v, shuffle._InsertionLayout.deps(v), packed)
-        assert layout.unpack(step, layout.dq + 1) == want, v
+        assert layout.unpack(v, step, layout.dq + 1) == want, v
         if "1" in v:
             ws = all_sequences(v.count("0"))
             # one weight per class of words that the summand cannot tell apart
@@ -1042,6 +1043,8 @@ elif route == "insertion":
     shuffle.insertion_series(sys.argv[2])
 elif route == "poly":
     shuffle.poincare_poly(sys.argv[2])
+elif route == "normalized":  # every word of length argv[2] on the f route
+    held = shuffle._normalized(int(sys.argv[2]))
 else:  # every word of length <= argv[2] in one plan, holding every value
     words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
     layouts = {"poly-upto": shuffle._Layout, "insertion-upto": shuffle._InsertionLayout}
@@ -1065,7 +1068,9 @@ print(max(estimates) + unpacked, (after - before) * (1 if sys.platform == "darwi
     # insertion route
     + [pytest.param(("poly-upto", 9), True, id="poly-upto-9")]
     + [pytest.param(("insertion", "0" * 10), True, id="insertion-10")]
-    + [pytest.param(("insertion-upto", 9), True, id="insertion-upto-9")],
+    + [pytest.param(("insertion-upto", 9), True, id="insertion-upto-9")]
+    # the normalization check's f plan over every word of length 10
+    + [pytest.param(("normalized", 10), True, id="normalized-10")],
 )
 def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
     src = os.path.dirname(os.path.dirname(shuffle.__file__))
@@ -1087,9 +1092,9 @@ def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
     unpacked = []
     unpack = shuffle._Layout.unpack
 
-    def counting_unpack(layout, packed, rows):
+    def counting_unpack(layout, key, packed, rows):
         unpacked.append(packed)
-        return unpack(layout, packed, rows)
+        return unpack(layout, key, packed, rows)
 
     monkeypatch.setattr(shuffle._Layout, "unpack", counting_unpack)
     name = "evaluating 2047 keys, '' to '1{10}'"

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from tlh import links, shuffle, tableaux, verify
-from tlh.poly import Q, BinomialFactor, NonExactDivision
+from tlh.poly import Q, UNIT, BinomialFactor, NonExactDivision, Polynomial
 
 
 def _broken(exc):
@@ -61,10 +61,9 @@ def _recursion_results(max_n):
     return {r.name: r for r in verify.run_suites(["recursions"], max_n=max_n)}
 
 
-def test_normalization_check_fails_if_division_stops_a_power_short(monkeypatch):
-    # The check multiplies (1 - q)^#0 into the series and must divide all of
-    # it back out; a division that leaves one power in while claiming to have
-    # cancelled it must not pass.
+def test_division_inverse_check_fails_if_division_stops_a_power_short(monkeypatch):
+    # A division that leaves one power in while claiming to have cancelled
+    # it must not pass the check of the engine's exact divisions.
     divide_power = BinomialFactor.divide_power
 
     def one_short(self, p, mult):
@@ -72,11 +71,86 @@ def test_normalization_check_fails_if_division_stops_a_power_short(monkeypatch):
         return (quo * self.poly() if left < mult else quo), left
 
     monkeypatch.setattr(BinomialFactor, "divide_power", one_short)
-    results = _recursion_results(3)
+    results = {r.name: r for r in verify.run_suites(["polycore"], max_n=20)}
+    check = results["exact-division-inverse"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: quotient recovery"
+
+
+# Each mutant below breaks one link of the normalization check's second
+# side, (1 - q)^#0(v) f(v) with f stepped on the f route; the P and
+# insertion routes of the dual check never step on it.
+
+
+def _assert_normalization_fails(detail):
+    results = _recursion_results(4)
     assert results["dual-recursion-equivalence"].status == verify.PASS
     check = results["normalization-consistency"]
     assert check.status == verify.FAIL
-    assert check.detail == "failed: |v|=1, |v|=2, |v|=3"
+    assert check.detail == detail
+
+
+def test_normalization_check_fails_if_the_prefix_sum_stops_a_doubling_short(
+    monkeypatch,
+):
+    # f(0^m) = f(1 0^(m-1)) / (1 - q) sums q-rows 0..r by strides of 1, 2,
+    # 4, ... rows; one stride fewer leaves the upper rows summed in part
+    step = shuffle._SeriesLayout.step
+
+    def short(layout, key, ds, work):
+        r = layout.demand[key]
+        if "1" in key or not ds or r < 0:
+            return step(layout, key, ds, work)
+        mask = layout.masks[r]
+        p = work[ds[0]] & mask
+        for stride in layout.strides[: r.bit_length() - 1]:
+            p = (p + (p << stride)) & mask
+        return p
+
+    monkeypatch.setattr(shuffle._SeriesLayout, "step", short)
+    _assert_normalization_fails("failed: |v|=2, |v|=3, |v|=4")
+
+
+def test_normalization_check_fails_if_the_v0_step_drops_its_q_shift(monkeypatch):
+    # f(v.0) = q f(0 v) + f(1 v), stepped as f(0 v) + f(1 v)
+    step = shuffle._SeriesLayout.step
+
+    def unshifted(layout, key, ds, work):
+        r = layout.demand[key]
+        if len(ds) < 2 or r < 0:
+            return step(layout, key, ds, work)
+        return (work[ds[1]] + work[ds[0]]) & layout.masks[r]
+
+    monkeypatch.setattr(shuffle._SeriesLayout, "step", unshifted)
+    _assert_normalization_fails("failed: |v|=2, |v|=3, |v|=4")
+
+
+def test_normalization_check_fails_if_one_factor_of_1_minus_q_is_missing(
+    monkeypatch,
+):
+    # the unpack reads only the zeros of its key, one (1 - q) per zero: a
+    # key with one zero turned to a one gets (1 - q)^(#0 - 1)
+    unpack = shuffle._NormalizedLayout.unpack
+
+    def one_short(layout, key, packed, rows):
+        return unpack(layout, key.replace("0", "1", 1), packed, rows)
+
+    monkeypatch.setattr(shuffle._NormalizedLayout, "unpack", one_short)
+    _assert_normalization_fails("failed: |v|=2, |v|=3, |v|=4")
+
+
+def test_normalization_check_fails_if_the_residue_stops_a_row_short(monkeypatch):
+    # the low (rows - 1) SQ bits alone: the top q-row, where P(v) reaches
+    # its q-degree bound, reads 0
+    unpack = shuffle._NormalizedLayout.unpack
+
+    def cut_short(layout, key, packed, rows):
+        value = unpack(layout, key, packed, rows)
+        top = (rows - 1) * UNIT
+        return Polynomial({e: c for e, c in value.units().items() if e[0] < top})
+
+    monkeypatch.setattr(shuffle._NormalizedLayout, "unpack", cut_short)
+    _assert_normalization_fails("failed: |v|=0, |v|=1, |v|=2, |v|=3, |v|=4")
 
 
 def test_dual_check_fails_if_one_weight_class_is_perturbed(monkeypatch):
