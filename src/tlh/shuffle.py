@@ -117,7 +117,7 @@ plan's largest are its roots', and the run's layout holds those.  At
 n = 8..10 the dq of 0^n is the P route's, and its L1 bound three bits
 longer.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only
-as the values a run returns, those of its roots, each at its own q-rows
+as the values a run yields, those of its roots, each at its own q-rows
 0..dq_k by its route's bounds, which hold the whole value, with the
 signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).
 Before any step of a pass its peak packed working set is estimated from
@@ -152,10 +152,12 @@ and its bounds.
 The driver walks the closure of its roots once, counts each key's
 consumers, and steps the keys in topological order with an explicit work
 list rather than native recursion, so long sequences do not hit the
-interpreter stack limit.  A run returns the values of its roots, each
-unpacked once it is stepped; a packed value is released as soon as its
-last consumer has run, a root's that no key reads at once.  Many keys are
-best asked of one run, which steps each key of their closures once.
+interpreter stack limit.  A run streams the values of its roots, each
+yielded as soon as its last pass unpacks it, so a reader that drops each
+value holds one at a time; ``dict(...)`` of the stream holds them all.  A
+packed value is released as soon as its last consumer has run, a root's
+that no key reads at once.  Many keys are best asked of one run, which
+steps each key of their closures once.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ import os
 import threading
 from itertools import product
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
 from .poly import (
     A,
@@ -223,7 +225,7 @@ class MemoryBudgetExceeded(MemoryError):
     """A run's estimated peak working set exceeds physical memory.
 
     Raised from the closure alone, before any recursion step, or while a
-    run unpacks the values it returns, as soon as those unpacked so far
+    run unpacks the values it yields, as soon as those unpacked so far
     would take it over.  The message names the parts of the estimate;
     ``need`` is their sum in bytes.
     """
@@ -435,24 +437,25 @@ def _evaluate(
     layouts: list[_Layout],
     size: Callable[[str], int],
     extra: dict[str, int] | None = None,
-) -> dict[str, Polynomial]:
-    """The one work-list driver of every packed run: {root: its value}.
+) -> Iterator[tuple[str, Polynomial]]:
+    """The one work-list driver of every packed run: (root, its value) pairs.
 
     Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order,
     once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
     the values of ``ds``, the keys that ``plan`` names for ``k``, from
     ``work``.  Each root is unpacked at its own ``size(k)`` q-rows,
-    ``layout.unpack(k, value, size(k))``, once it is stepped, and the
-    passes' disjoint slices of it join into one value.  A packed value is
-    released once its last consumer has stepped, a root's that no key
-    consumes at once.  Before the first step, every pass's
-    estimate, its :func:`_working_set` at the peak that ``size`` (q-rows
-    per key) gives, plus the parts of ``extra``, is checked against
+    ``layout.unpack(k, value, size(k))``, once it is stepped; the last
+    pass yields it at once, joined with the slices that the earlier passes
+    kept.  A packed value is released once its last consumer has stepped,
+    a root's that no key consumes at once.  Before the first step, every
+    pass's estimate, its :func:`_working_set` at the peak that ``size``
+    (q-rows per key) gives, plus the parts of ``extra``, is checked against
     physical memory: one over it raises :class:`MemoryBudgetExceeded`,
     naming the run by its roots.  Only then are a layout's tables built,
     ``layout.build()``, as its pass starts.  A pass whose unpacked values,
     ``_UNPACKED_BYTES_PER_TERM`` per term, would take its estimate over
-    raises too, as soon as they would.
+    raises too, as soon as they would, whether or not the reader still
+    holds them.  Nothing runs until the stream's first value is asked for.
     """
     needs, users = plan
     what = _name(roots)
@@ -462,7 +465,7 @@ def _evaluate(
     ]
     rooms = [_room(what, e) // _UNPACKED_BYTES_PER_TERM for e in estimates]
     wanted = set(roots)
-    out: dict[str, Polynomial] = {}
+    kept: dict[str, Polynomial] = {}  # the earlier passes' slices of each root
     for layout, estimate, room in zip(layouts, estimates, rooms):
         layout.build()
         left = dict(users)
@@ -472,21 +475,24 @@ def _evaluate(
             work[k] = layout.step(k, ds, work)
             if k in wanted:
                 value = layout.unpack(k, work[k], size(k))
-                if k in out:  # a later pass's slice of the first pass's value
-                    out[k]._terms.update(value._terms)
-                else:
-                    out[k] = value
                 held += len(value)
                 if held > room:
                     unpacked = held * _UNPACKED_BYTES_PER_TERM
                     _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
                 if k not in left:
                     del work[k]
+                if k in kept:  # a later pass's slice of the first pass's value
+                    kept[k]._terms.update(value._terms)
+                    value = kept.pop(k)
+                if layout is layouts[-1]:
+                    yield k, value
+                else:
+                    kept[k] = value
+                del value
             for d in ds:
                 left[d] -= 1
                 if not left[d]:
                     del work[d]
-    return out
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:
@@ -668,15 +674,16 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
     return [(range(J + 1), comb(n, 2) + 1), high]
 
 
-def _run(roots: list[str], route: type[_Layout]) -> dict[str, Polynomial]:
-    """{root: its value}, the closure of ``roots`` stepped as one plan.
+def _run(roots: list[str], route: type[_Layout]) -> Iterator[tuple[str, Polynomial]]:
+    """(root, its value) as each is stepped, ``roots``' closure as one plan.
 
     ``route``, a layout class, carries the rules: ``route.deps``, a key's
     dependencies, and ``route.bounds``, the (q-degree, L1 norm) bounds of
     every key of a plan.  The one layout, of the longest key, holds the
     largest bounds of the plan, a lone root's own since bounds grow toward
     the consumers; each key counts its own q-rows in the pre-flight
-    (:func:`_evaluate`).
+    (:func:`_evaluate`).  The closure is walked at once, and stepped as the
+    stream is read.
     """
     needs, _ = plan = _plan(roots, route.deps)
     bound = route.bounds(needs)
@@ -693,7 +700,7 @@ def poincare_poly(v: str) -> Polynomial:
     ``v`` is stepped as one plan (:func:`_run`).
     """
     key = _key(v)
-    return _run([key], _Layout)[key]
+    return dict(_run([key], _Layout))[key]
 
 
 def poincare_series(v: str) -> FracPoly:
@@ -798,7 +805,7 @@ def insertion_series(v: str) -> FracPoly:
     suite.
     """
     key = _key(v)
-    num = _run([key], _InsertionLayout)[key]
+    num = dict(_run([key], _InsertionLayout))[key]
     return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
 
 
@@ -865,10 +872,10 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
         rows = sum(demand.values()) + len(demand)  # r(k) + 1 q-rows per key
         stepped = rows * sum(p.row_bytes for p in pair)
         if stepped < sum(d + 1 for d, _ in bounds.values()) * whole.row_bytes:
-            return _evaluate([key], plan, pair, lambda k: demand[k] + 1)[key]
-    out = _evaluate(
+            return dict(_evaluate([key], plan, pair, lambda k: demand[k] + 1))[key]
+    out = dict(_evaluate(
         [key], plan, [whole], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
-    )
+    ))
     return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
 
 
@@ -891,13 +898,14 @@ class _NormalizedLayout(_SeriesLayout):
         return super().unpack(key, ((packed + half) & (2 * half - 1)) - half, rows)
 
 
-def _normalized(m: int) -> dict[str, Polynomial]:
-    """{v: (1 - q)^#0(v) f(v)} for every word v of length m, by the f route.
+def _normalized(m: int) -> Iterator[tuple[str, Polynomial]]:
+    """The stream of (v, (1 - q)^#0(v) f(v)) over every word v of length m.
 
-    Each is P(v) from the series recursion alone: one plan over every word
-    of length m, listed from 1^m down to 0^m (the reverse held 1.1 to 1.3
-    times as many q-rows at once at m = 8..10), each root read at q-rows
-    0..dq_v, P's q-degree bound (:func:`_demand`).
+    Each is P(v) from the series recursion alone, by the f route: one plan
+    over every word of length m, listed from 1^m down to 0^m (the reverse
+    held 1.1 to 1.3 times as many q-rows at once at m = 8..10), each root
+    read at q-rows 0..dq_v, P's q-degree bound (:func:`_demand`), and
+    yielded as soon as it is unpacked (:func:`_evaluate`).
     """
     roots = all_sequences(m)[::-1]
     needs, _ = plan = _plan(roots, _NormalizedLayout.deps)

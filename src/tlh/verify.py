@@ -14,7 +14,9 @@ rendered table is byte-identical across runs.
 
 A value that several checks read, such as the polynomial of every word up to
 a bound, is computed once per :func:`run_suites` call, in a store that the
-call makes, hands to every check and drops when it returns.
+call makes and hands to every check.  Each check names the values it reads
+(``Check.reads``), and the store drops a value once the last check of the
+call that reads it has run.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ ENGINE_ERRORS = (
 class _Store:
     """The values that more than one check of a :func:`run_suites` call reads.
 
-    Each is computed on its first request; the store lives only as long as
-    the call that made it.
+    Each is computed on its first request and held until :meth:`drop`; the
+    store lives only as long as the call that made it.
     """
 
     def __init__(self) -> None:
@@ -97,6 +99,10 @@ class _Store:
             self._values[key] = fn(*args)
         return self._values[key]
 
+    def drop(self, fns: list[Callable]) -> None:
+        """Free every value that this store holds of a function in ``fns``."""
+        self._values = {k: v for k, v in self._values.items() if k[0] not in fns}
+
 
 @dataclass(frozen=True)
 class Check:
@@ -106,6 +112,7 @@ class Check:
     fn: Callable[[int, _Store], SubResults]
     default_bound: int
     verified_bound: int | None = None  # None: failures are never hard errors
+    reads: tuple[Callable, ...] = ()  # the functions whose stored values it reads
 
     def bound(self, max_n: int | None) -> int:
         return self.default_bound if max_n is None else max_n
@@ -152,9 +159,11 @@ _CHECKS: list[Check] = []
 
 
 def _check(suite: str, name: str, kind: str, default_bound: int,
-           verified_bound: int | None = None):
+           verified_bound: int | None = None, reads: tuple[Callable, ...] = ()):
     def wrap(fn):
-        _CHECKS.append(Check(suite, name, kind, fn, default_bound, verified_bound))
+        _CHECKS.append(
+            Check(suite, name, kind, fn, default_bound, verified_bound, reads)
+        )
         return fn
     return wrap
 
@@ -299,7 +308,7 @@ def _words(bound: int) -> list[str]:
 
 
 def _poly_upto(bound: int) -> dict[str, Polynomial]:
-    """The normalized polynomial of every word of length <= ``bound``.
+    """{v: P(v)}, the normalized polynomial of every word of length <= ``bound``.
 
     One plan over all of them steps each key once, where a call per word
     would step every key of each word's closure again.  A plan steps its
@@ -308,30 +317,29 @@ def _poly_upto(bound: int) -> dict[str, Polynomial]:
     once than the plan of ``'0' * bound`` alone, where shortest first held
     about 2.5 times as many; its pre-flight estimate counts those rows.
     """
-    return shuffle._run(_words(bound)[::-1], shuffle._Layout)
+    return dict(shuffle._run(_words(bound)[::-1], shuffle._Layout))
 
 
-@_check("recursions", "dual-recursion-equivalence", THEOREM, 8)
+def _matches(stream, polys: dict[str, Polynomial]) -> Counter:
+    """Per length, how many words ``stream`` yields with their ``polys`` value."""
+    return Counter(map(len, {v for v, value in stream if value == polys[v]}))
+
+
+@_check("recursions", "dual-recursion-equivalence", THEOREM, 8, reads=(_poly_upto,))
 def _dual_recursion(bound: int, store: _Store) -> SubResults:
     # equal normalized polynomials: the series share (1 - q)^#0(v)
     polys = store.once(_poly_upto, bound)
-    # shortest first: listed longest first, this plan's peak heap grew from
-    # 13.8 to 15.4 MiB at bound 8 and from 47.7 to 54.4 at 9 (tracemalloc,
-    # Python 3.11), though its packed q-rows at once stay the same
-    insertion = shuffle._run(_words(bound), shuffle._InsertionLayout)
-    return _sizes(bound, lambda n: all(
-        insertion[v] == polys[v] for v in shuffle.all_sequences(n)
-    ), first=0, label="|v|")
+    matched = _matches(shuffle._run(_words(bound), shuffle._InsertionLayout), polys)
+    return _sizes(bound, lambda n: matched[n] == 2**n, first=0, label="|v|")
 
 
-@_check("recursions", "normalization-consistency", THEOREM, 8)
+@_check("recursions", "normalization-consistency", THEOREM, 8, reads=(_poly_upto,))
 def _normalization(bound: int, store: _Store) -> SubResults:
     # P(v) = (1 - q)^#0(v) f(v), each side by its own recursion: P's, and
     # the subtraction-free series recursion of the f route, one plan a length
     polys = store.once(_poly_upto, bound)
     def ok(n: int) -> bool:
-        normalized = shuffle._normalized(n)
-        return all(normalized[v] == polys[v] for v in shuffle.all_sequences(n))
+        return _matches(shuffle._normalized(n), polys)[n] == 2**n
     return _sizes(bound, ok, first=0, label="|v|")
 
 
@@ -346,7 +354,7 @@ def _zero_expansion(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, shuffle.zero_expansion_identity)
 
 
-@_check("top-a", "top-a-coefficient-is-one", THEOREM, 8)
+@_check("top-a", "top-a-coefficient-is-one", THEOREM, 8, reads=(_poly_upto,))
 def _top_a(bound: int, store: _Store) -> SubResults:
     polys = store.once(_poly_upto, bound)
     return _sizes(bound, lambda n: all(
@@ -475,13 +483,13 @@ def _magic_r1(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, ok)
 
 
-@_check("magic", "r0-envelope", CONJECTURE, 4, verified_bound=None)
+@_check("magic", "r0-envelope", CONJECTURE, 4, reads=(tableaux.tableau_sum,))
 def _magic_r0_envelope(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: store.once(tableaux.tableau_sum, n, 0)
                   == (ONE + A) ** n)
 
 
-@_check("magic", "r0-sum-equals-one", CONJECTURE, 4, verified_bound=None)
+@_check("magic", "r0-sum-equals-one", CONJECTURE, 4, reads=(tableaux.tableau_sum,))
 def _magic_r0_literal(bound: int, store: _Store) -> SubResults:
     # Stated identity: the r = 0 tableau sum is 1.  False as written: the sum
     # is (1+a)^n (see r0-envelope); only its a-degree-zero part is 1, which
@@ -489,7 +497,8 @@ def _magic_r0_literal(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: store.once(tableaux.tableau_sum, n, 0) == ONE)
 
 
-@_check("magic", "r0-a-degree-zero-part", CONJECTURE, 4, verified_bound=8)
+@_check("magic", "r0-a-degree-zero-part", CONJECTURE, 4, verified_bound=8,
+        reads=(tableaux.tableau_sum,))
 def _magic_r0_a0(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         s = store.once(tableaux.tableau_sum, n, 0)
@@ -656,7 +665,7 @@ def _serial_polys(bound: int) -> dict[str, Polynomial]:
 # Asked in reverse, every value must be the same: the engine holds no state
 # between calls, so none may make a value depend on call order.  The name is
 # the memo tables' it once compared; verify's stdout prints it and is pinned.
-@_check("determinism", "memo-order-independence", THEOREM, 6)
+@_check("determinism", "memo-order-independence", THEOREM, 6, reads=(_serial_polys,))
 def _memo_order(bound: int, store: _Store) -> SubResults:
     forward = store.once(_serial_polys, bound)
     backward = _each_poly(_words(bound)[::-1])
@@ -666,15 +675,19 @@ def _memo_order(bound: int, store: _Store) -> SubResults:
     return [("forward vs backward", ok, bound)]
 
 
-@_check("determinism", "thread-schedule-independence", THEOREM, 6)
+@_check("determinism", "thread-schedule-independence", THEOREM, 6,
+        reads=(_serial_polys,))
 def _thread_schedule(bound: int, store: _Store) -> SubResults:
     seqs = _words(bound)
-    # every worker asks for every word, in its own order, at once
+    serial = store.once(_serial_polys, bound)
+    # every worker asks for every word, in its own order, at once, and
+    # compares each value with the serial one as it computes it
     chunks = [seqs, seqs[::-1], seqs[::2] + seqs[1::2], seqs]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        pooled = list(pool.map(_each_poly, chunks))
-    serial = store.once(_serial_polys, bound)
-    return [("pool vs serial", all(values == serial for values in pooled), bound)]
+        ok = all(pool.map(lambda words: all(
+            shuffle.poincare_poly(v) == serial[v] for v in words
+        ), chunks))
+    return [("pool vs serial", ok, bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +723,12 @@ def run_suites(names: Iterable[str], max_n: int | None = None) -> list[CheckResu
             raise UnknownSuite(f"unknown suite {name!r}")
         checks.extend(SUITES[name])
     store = _Store()
-    return [_run(c, max_n, store) for c in checks]
+    last = {fn: c for c in checks for fn in c.reads}  # each value's last reader
+    results = []
+    for c in checks:
+        results.append(_run(c, max_n, store))
+        store.drop([fn for fn, reader in last.items() if reader is c])
+    return results
 
 
 def render_results(results: list[CheckResult]) -> str:

@@ -171,6 +171,39 @@ def test_dual_check_fails_if_one_weight_class_is_perturbed(monkeypatch):
     assert check.detail == "failed: |v|=4"
 
 
+# The two recursion checks compare each value as its stream yields it and
+# count the matches per length: a word that never arrives fails its length.
+
+
+def _skipping(stream, word):
+    """``stream``, a function returning a run's stream, without ``word``."""
+    def skipped(*args):
+        return ((v, value) for v, value in stream(*args) if v != word)
+
+    return skipped
+
+
+def test_dual_check_fails_on_a_word_its_stream_skips(monkeypatch):
+    run = shuffle._run
+
+    def insertion_skips_010(roots, route):
+        if route is shuffle._InsertionLayout:
+            return _skipping(run, "010")(roots, route)
+        return run(roots, route)
+
+    monkeypatch.setattr(shuffle, "_run", insertion_skips_010)
+    results = _recursion_results(4)
+    assert results["normalization-consistency"].status == verify.PASS
+    check = results["dual-recursion-equivalence"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: |v|=3"
+
+
+def test_normalization_check_fails_on_a_word_its_stream_skips(monkeypatch):
+    monkeypatch.setattr(shuffle, "_normalized", _skipping(shuffle._normalized, "010"))
+    _assert_normalization_fails("failed: |v|=3")
+
+
 # Verify stdout names a case only when it fails, so these pin the labels of
 # the |shape|, N and k sizes, which no stdout digest reaches.
 
@@ -264,6 +297,28 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
         assert len(stores) == calls and stores[-1]() is None
 
 
+def test_store_frees_each_value_once_its_last_reader_has_run(monkeypatch):
+    held = {}  # per check, the functions whose values the store holds as it starts
+    run = verify._run
+
+    def spy(check, max_n, store):
+        held[check.name] = {key[0].__name__ for key in store._values}
+        return run(check, max_n, store)
+
+    monkeypatch.setattr(verify, "_run", spy)
+    verify.run_suites(["recursions", "top-a", "magic", "zeroseq"], max_n=3)
+    assert held["normalization-consistency"] == {"_poly_upto"}
+    assert held["top-a-coefficient-is-one"] == {"_poly_upto"}
+    # P of every word is freed after top-a, the r = 0 tableau sums after
+    # the last of the three magic checks that read them
+    assert held["r1-matches-recursion"] == set()
+    assert held["r0-a-degree-zero-part"] == {"tableau_sum"}
+    assert held["zero-equals-one-prefix"] == set()
+    # a suite whose one check reads P runs alone
+    (top_a,) = verify.run_suites(["top-a"], max_n=3)
+    assert top_a.status == verify.PASS
+
+
 @pytest.mark.parametrize("bound", [8, 9, 10])
 def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, bound):
     def peak(roots):
@@ -272,7 +327,7 @@ def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, 
         return shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
 
     roots = []  # as verify lists them; the plan itself is not stepped
-    monkeypatch.setattr(shuffle, "_run", lambda words, route: roots.extend(words))
+    monkeypatch.setattr(shuffle, "_run", lambda words, route: roots.extend(words) or ())
     verify._poly_upto(bound)
     assert len(roots) == 2 ** (bound + 1) - 1
     assert peak(roots) <= peak(["0" * bound])
