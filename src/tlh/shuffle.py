@@ -61,8 +61,11 @@ each side by its own recursion (:func:`_normalized`, read by
 :mod:`tlh.verify`).  It steps one plan per length m, whose roots are every
 word of length m, in one pass of a-rows 0..m at the whole t-width, each root
 v read at q-rows 0..dq_v, its P's q-degree bound, so r(v) >= dq_v.  Its
-closure is that of 0^m, every word of length <= m, so no row mass up to the
-plan's largest dq exceeds 2^m C(dq + m - 1, m - 1), as below
+roots are listed as those of P's run over the same words, with P's
+dependency rules, so the two yield them in one order (:func:`_step_order`),
+and the check reads them side by side, a length at a time.  Its closure is
+that of 0^m, every word of length <= m, so no row mass up to the plan's
+largest dq exceeds 2^m C(dq + m - 1, m - 1), as below
 (:func:`_row_mass`).  Each root unpacks as P(v) itself: ``p -= p << SQ``
 once per zero, z = #0(v) times, then the low (r + 1) SQ bits, r = r(v), as a
 signed residue.  Packing is a ring homomorphism, so that int is the image of
@@ -898,6 +901,17 @@ class _NormalizedLayout(_SeriesLayout):
         return super().unpack(key, ((packed + half) & (2 * half - 1)) - half, rows)
 
 
+def _step_order(m: int) -> list[str]:
+    """Every word of length m, in the order that P's run over them yields them.
+
+    The roots listed from 1^m down to 0^m, as :func:`_normalized` lists
+    them; a run yields each root as it steps it, in its plan's order
+    (:func:`_evaluate`).
+    """
+    needs, _ = _plan(all_sequences(m)[::-1], _poly_deps)
+    return [k for k in needs if len(k) == m]
+
+
 def _normalized(m: int) -> Iterator[tuple[str, Polynomial]]:
     """The stream of (v, (1 - q)^#0(v) f(v)) over every word v of length m.
 
@@ -905,7 +919,8 @@ def _normalized(m: int) -> Iterator[tuple[str, Polynomial]]:
     over every word of length m, listed from 1^m down to 0^m (the reverse
     held 1.1 to 1.3 times as many q-rows at once at m = 8..10), each root
     read at q-rows 0..dq_v, P's q-degree bound (:func:`_demand`), and
-    yielded as soon as it is unpacked (:func:`_evaluate`).
+    yielded as soon as it is unpacked (:func:`_evaluate`).  It shares P's
+    rules and roots, so it yields them in :func:`_step_order`.
     """
     roots = all_sequences(m)[::-1]
     needs, _ = plan = _plan(roots, _NormalizedLayout.deps)

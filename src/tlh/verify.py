@@ -12,21 +12,21 @@ finding-grade by construction and documents the corrected identity, which
 Results are deterministic: no timings and a fixed check order, so the
 rendered table is byte-identical across runs.
 
-A value that several checks read, such as the polynomial of every word up to
-a bound, is computed once per :func:`run_suites` call, in a store that the
-call makes and hands to every check.  Each check names the values it reads
-(``Check.reads``), and the store drops a value once the last check of the
-call that reads it has run.
+A value that several checks read, such as the per-length counts of the
+words on which P agrees with its two other routes, is computed once per
+:func:`run_suites` call, in a store that the call makes and hands to every
+check.  Each check names the values it reads (``Check.reads``), and the
+store drops a value once the last check of the call that reads it has run.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import closed_form, links, shuffle, tableaux
 from .poly import (
@@ -307,40 +307,81 @@ def _words(bound: int) -> list[str]:
     return [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
 
 
-def _poly_upto(bound: int) -> dict[str, Polynomial]:
-    """{v: P(v)}, the normalized polynomial of every word of length <= ``bound``.
+def _lockstep(*streams: Iterable) -> Iterator[tuple[str, list]]:
+    """(word, [its value from each stream]), the streams read side by side.
 
-    One plan over all of them steps each key once, where a call per word
-    would step every key of each word's closure again.  A plan steps its
-    roots' closures in the order they are listed.  Listed from
-    ``'1' * bound`` down to ``''``, this one holds no more packed q-rows at
-    once than the plan of ``'0' * bound`` alone, where shortest first held
-    about 2.5 times as many; its pre-flight estimate counts those rows.
+    Values pair by word.  Streams that yield the same words in the same
+    order pair each word as the last of them yields it, and hold nothing
+    else.  A word that some stream yields later, or never, waits: once
+    every stream has ended, the words still waiting come out with ``None``
+    for each stream that never yielded them.
     """
-    return dict(shuffle._run(_words(bound)[::-1], shuffle._Layout))
+    waiting: dict[str, list] = {}
+    for items in zip_longest(*streams):
+        for i, item in enumerate(items):
+            if item is None:  # this stream has ended
+                continue
+            v, value = item
+            values = waiting.setdefault(v, [None] * len(streams))
+            values[i] = value
+            if all(x is not None for x in values):
+                yield v, waiting.pop(v)
+    yield from waiting.items()
 
 
-def _matches(stream, polys: dict[str, Polynomial]) -> Counter:
-    """Per length, how many words ``stream`` yields with their ``polys`` value."""
-    return Counter(map(len, {v for v, value in stream if value == polys[v]}))
+def _agreement(bound: int) -> dict[str, Counter]:
+    """Per P check, how many words of each length up to ``bound`` pass it.
+
+    Three streams, read side by side (:func:`_lockstep`): P's runs over the
+    words of each length m = 0..bound in turn, each listed from 1^m down;
+    (1 - q)^#0(v) f(v) by the f route, a length at a time
+    (:func:`shuffle._normalized`), which shares P's rules and roots; and one
+    insertion run over every word up to the bound, each length's words
+    listed in P's step order (:func:`shuffle._step_order`).  Every insertion
+    dependency of a word but 0^m is shorter, so that run yields its roots as
+    they are listed.  So the three yield the same words in the same order,
+    no value waits for its partner, and P of every word is never held at
+    once.  Counted, as distinct words: those whose insertion value equals
+    P(v) (``insertion``), those whose f route value does (``f``), and those
+    whose P(v) has top a-coefficient, of a^|v|, 1 (``top-a``).
+    """
+    lengths = range(bound + 1)
+    roots = [v for m in lengths for v in shuffle._step_order(m)]
+    p = chain.from_iterable(
+        shuffle._run(shuffle.all_sequences(m)[::-1], shuffle._Layout) for m in lengths
+    )
+    insertion = shuffle._run(roots, shuffle._InsertionLayout)
+    f = chain.from_iterable(map(shuffle._normalized, lengths))
+    agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
+    for v, (pv, iv, fv) in _lockstep(p, insertion, f):
+        if pv is None:
+            continue
+        if pv == iv:
+            agree["insertion"].add(v)
+        if pv == fv:
+            agree["f"].add(v)
+        if pv.coefficient_of_a(len(v)) == ONE:
+            agree["top-a"].add(v)
+    return {count: Counter(map(len, words)) for count, words in agree.items()}
 
 
-@_check("recursions", "dual-recursion-equivalence", THEOREM, 8, reads=(_poly_upto,))
+def _every_word(count: str, bound: int, store: _Store) -> SubResults:
+    """One case per length n <= bound: all 2^n words of length n pass ``count``."""
+    passed = store.once(_agreement, bound)[count]
+    return _sizes(bound, lambda n: passed[n] == 2**n, first=0, label="|v|")
+
+
+@_check("recursions", "dual-recursion-equivalence", THEOREM, 8, reads=(_agreement,))
 def _dual_recursion(bound: int, store: _Store) -> SubResults:
     # equal normalized polynomials: the series share (1 - q)^#0(v)
-    polys = store.once(_poly_upto, bound)
-    matched = _matches(shuffle._run(_words(bound), shuffle._InsertionLayout), polys)
-    return _sizes(bound, lambda n: matched[n] == 2**n, first=0, label="|v|")
+    return _every_word("insertion", bound, store)
 
 
-@_check("recursions", "normalization-consistency", THEOREM, 8, reads=(_poly_upto,))
+@_check("recursions", "normalization-consistency", THEOREM, 8, reads=(_agreement,))
 def _normalization(bound: int, store: _Store) -> SubResults:
     # P(v) = (1 - q)^#0(v) f(v), each side by its own recursion: P's, and
     # the subtraction-free series recursion of the f route, one plan a length
-    polys = store.once(_poly_upto, bound)
-    def ok(n: int) -> bool:
-        return _matches(shuffle._normalized(n), polys)[n] == 2**n
-    return _sizes(bound, ok, first=0, label="|v|")
+    return _every_word("f", bound, store)
 
 
 @_check("zeroseq", "zero-equals-one-prefix", THEOREM, 8)
@@ -354,13 +395,9 @@ def _zero_expansion(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, shuffle.zero_expansion_identity)
 
 
-@_check("top-a", "top-a-coefficient-is-one", THEOREM, 8, reads=(_poly_upto,))
+@_check("top-a", "top-a-coefficient-is-one", THEOREM, 8, reads=(_agreement,))
 def _top_a(bound: int, store: _Store) -> SubResults:
-    polys = store.once(_poly_upto, bound)
-    return _sizes(bound, lambda n: all(
-        polys[v].coefficient_of_a(n) == ONE
-        for v in shuffle.all_sequences(n)
-    ), first=0, label="|v|")
+    return _every_word("top-a", bound, store)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +715,9 @@ def _memo_order(bound: int, store: _Store) -> SubResults:
 @_check("determinism", "thread-schedule-independence", THEOREM, 6,
         reads=(_serial_polys,))
 def _thread_schedule(bound: int, store: _Store) -> SubResults:
+    # imported here, its one use: every CLI start would pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     seqs = _words(bound)
     serial = store.once(_serial_polys, bound)
     # every worker asks for every word, in its own order, at once, and

@@ -304,15 +304,15 @@ def _spy_decoder(monkeypatch, row_fields):
 
 @pytest.mark.parametrize("route", ["P", "insertion"])
 def test_each_root_decodes_its_own_q_rows(monkeypatch, route):
-    # verify's every-word runs at bound 6: each root is read at its own
-    # q-rows, dq_k + 1 by its route's bounds, not at the layout's height
+    # verify's runs at bound 6, P's over every word of length 6 and the
+    # insertion route's over every word up to 6: each root is read at its
+    # own q-rows, dq_k + 1 by its route's bounds, not at the layout's height
     rows, short = _spy_decoder(monkeypatch, 7 * (comb(6, 2) + 1))
     if route == "P":
-        layout, roots = shuffle._Layout, verify._words(6)[::-1]
-        values = verify._poly_upto(6)
+        layout, roots = shuffle._Layout, shuffle.all_sequences(6)[::-1]
     else:
         layout, roots = shuffle._InsertionLayout, verify._words(6)
-        values = dict(shuffle._run(roots, layout))
+    values = dict(shuffle._run(roots, layout))
     needs, _ = shuffle._plan(roots, layout.deps)
     bounds = layout.bounds(needs)
     order = [k for k in needs if k in values]  # roots unpack as they step

@@ -171,8 +171,9 @@ def test_dual_check_fails_if_one_weight_class_is_perturbed(monkeypatch):
     assert check.detail == "failed: |v|=4"
 
 
-# The two recursion checks compare each value as its stream yields it and
-# count the matches per length: a word that never arrives fails its length.
+# The recursion and top-a checks read P, the insertion route and the f route
+# side by side, a length at a time, and pair their values by word: a word
+# that one stream never yields fails its own length alone.
 
 
 def _skipping(stream, word):
@@ -202,6 +203,35 @@ def test_dual_check_fails_on_a_word_its_stream_skips(monkeypatch):
 def test_normalization_check_fails_on_a_word_its_stream_skips(monkeypatch):
     monkeypatch.setattr(shuffle, "_normalized", _skipping(shuffle._normalized, "010"))
     _assert_normalization_fails("failed: |v|=3")
+
+
+def test_every_p_check_fails_on_a_word_the_p_stream_skips(monkeypatch):
+    run = shuffle._run
+
+    def p_skips_010(roots, route):
+        if route is shuffle._Layout:
+            return _skipping(run, "010")(roots, route)
+        return run(roots, route)
+
+    monkeypatch.setattr(shuffle, "_run", p_skips_010)
+    results = verify.run_suites(["recursions", "top-a"], max_n=4)
+    assert [r.status for r in results] == [verify.FAIL] * 3
+    assert {r.detail for r in results} == {"failed: |v|=3"}
+
+
+def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatch):
+    normalized = shuffle._normalized
+
+    def raising_mid_length_2(m):
+        for v, value in normalized(m):
+            if m == 2:
+                raise NonExactDivision("no quotient")
+            yield v, value
+
+    monkeypatch.setattr(shuffle, "_normalized", raising_mid_length_2)
+    results = verify.run_suites(["recursions", "top-a"], max_n=3)
+    assert [r.status for r in results] == [verify.FAIL] * 3
+    assert {r.detail for r in results} == {"raised NonExactDivision: no quotient"}
 
 
 # Verify stdout names a case only when it fails, so these pin the labels of
@@ -273,11 +303,15 @@ def test_jones_shape_names_the_failing_k(monkeypatch):
 
 def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
     runs = []
-    run = shuffle._run
+    run, normalized = shuffle._run, shuffle._normalized
 
     def spy(roots, route):
         runs.append((frozenset(roots), route))
         return run(roots, route)
+
+    def spy_normalized(m):
+        runs.append((m, "f"))
+        return normalized(m)
 
     stores = []
 
@@ -287,12 +321,17 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
             stores.append(weakref.ref(self))
 
     monkeypatch.setattr(shuffle, "_run", spy)
+    monkeypatch.setattr(shuffle, "_normalized", spy_normalized)
     monkeypatch.setattr(verify, "_Store", Recorded)
-    every_word = (frozenset(verify._words(3)), shuffle._Layout)
-    for calls in (1, 2):  # the second call steps the plan again
+    # per call: one insertion run over every word, and one P run and one f
+    # run a length
+    per_call = [(frozenset(verify._words(3)), shuffle._InsertionLayout)]
+    for m in range(4):
+        per_call += [(frozenset(shuffle.all_sequences(m)), shuffle._Layout), (m, "f")]
+    for calls in (1, 2):  # the second call steps every run again
         results = verify.run_suites(["recursions", "top-a"], max_n=3)
         assert [r.status for r in results] == [verify.PASS] * 3
-        assert runs.count(every_word) == calls
+        assert Counter(runs) == Counter({run: calls for run in per_call})
         # the call's values are freed when it returns
         assert len(stores) == calls and stores[-1]() is None
 
@@ -307,30 +346,44 @@ def test_store_frees_each_value_once_its_last_reader_has_run(monkeypatch):
 
     monkeypatch.setattr(verify, "_run", spy)
     verify.run_suites(["recursions", "top-a", "magic", "zeroseq"], max_n=3)
-    assert held["normalization-consistency"] == {"_poly_upto"}
-    assert held["top-a-coefficient-is-one"] == {"_poly_upto"}
-    # P of every word is freed after top-a, the r = 0 tableau sums after
-    # the last of the three magic checks that read them
+    assert held["normalization-consistency"] == {"_agreement"}
+    assert held["top-a-coefficient-is-one"] == {"_agreement"}
+    # the counts are freed after top-a, the r = 0 tableau sums after the
+    # last of the three magic checks that read them
     assert held["r1-matches-recursion"] == set()
     assert held["r0-a-degree-zero-part"] == {"tableau_sum"}
     assert held["zero-equals-one-prefix"] == set()
-    # a suite whose one check reads P runs alone
+    # a suite whose one check reads the counts runs alone
     (top_a,) = verify.run_suites(["top-a"], max_n=3)
     assert top_a.status == verify.PASS
 
 
-@pytest.mark.parametrize("bound", [8, 9, 10])
-def test_every_word_p_plan_holds_no_more_than_the_full_twist_alone(monkeypatch, bound):
-    def peak(roots):
-        needs, users = shuffle._plan(roots, shuffle._Layout.deps)
-        bounds = shuffle._Layout.bounds(needs)
-        return shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
+def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch):
+    # what keeps every value from waiting for its partner: P, the insertion
+    # route and the f route yield each length's words in one order
+    words = []
+    lockstep = verify._lockstep
 
-    roots = []  # as verify lists them; the plan itself is not stepped
-    monkeypatch.setattr(shuffle, "_run", lambda words, route: roots.extend(words) or ())
-    verify._poly_upto(bound)
-    assert len(roots) == 2 ** (bound + 1) - 1
-    assert peak(roots) <= peak(["0" * bound])
+    def recording(*streams):
+        seen = [[] for _ in streams]
+        words.append(seen)
+
+        def recorded(stream, into):
+            for v, value in stream:
+                into.append(v)
+                yield v, value
+
+        return lockstep(*map(recorded, streams, seen))
+
+    monkeypatch.setattr(verify, "_lockstep", recording)
+    passed = verify._agreement(8)
+    assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
+    [(p, insertion, f)] = words
+    assert p == insertion == f
+    for m in range(9):
+        in_order = shuffle._step_order(m)
+        assert [v for v in p if len(v) == m] == in_order
+        assert sorted(in_order) == shuffle.all_sequences(m)
 
 
 # The determinism checks compare values asked for again, in another order
