@@ -152,15 +152,15 @@ routes share the packed layout, the work-list driver (``_evaluate``) and
 unpacking; each layout class carries its route's dependency and step rules
 and its bounds.
 
-The driver walks the closure of its roots once, counts each key's
-consumers, and steps the keys in topological order with an explicit work
-list rather than native recursion, so long sequences do not hit the
-interpreter stack limit.  A run streams the values of its roots, each
-yielded as soon as its last pass unpacks it, so a reader that drops each
-value holds one at a time; ``dict(...)`` of the stream holds them all.  A
-packed value is released as soon as its last consumer has run, a root's
-that no key reads at once.  Many keys are best asked of one run, which
-steps each key of their closures once.
+The driver walks the closure of its roots once, lists after each key the
+values its step lets go, and steps the keys in topological order with an
+explicit work list rather than native recursion, so long sequences do not
+hit the interpreter stack limit.  A packed value is released as soon as
+its last consumer has run, a root's that no key reads at once.  A run
+streams the values of its roots, each yielded as soon as its last pass
+unpacks it, so a reader that drops each value holds one at a time;
+``dict(...)`` of the stream holds them all.  Many keys are best asked of
+one run, which steps each key of their closures once.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def insertion_weight(v: str, w: str) -> Polynomial:
 
 
 # What the closure walk holds per key (``_plan`` plus its bounds and demand
-# rows): tracemalloc measured 385, 395, 420 and 426 bytes for 0^n at
+# rows): tracemalloc measured 393, 400, 432 and 439 bytes for 0^n at
 # n = 10, 13, 16 and 18 (Python 3.11), growing about 3 bytes a letter with
 # the key strings, so this rounds up past n = 30, whose 2^31 keys no
 # machine's memory holds.
@@ -305,11 +305,13 @@ def _plan(roots: list[str], deps) -> tuple[dict, dict]:
     """Walk the closure of ``roots`` once.
 
     Returns ``needs``, every key to step mapped to the keys its step reads,
-    in a topological order, and ``users``, each key's consumer count over
-    ``needs``.  Only roots lack a count: a lone root has no consumer in its
-    own closure (the recursions are acyclic), and of several roots, one may
-    read another.  The walk raises :class:`MemoryBudgetExceeded` as soon as
-    the keys it holds would outgrow physical memory.
+    in a topological order, and ``frees``, each key that releases any
+    mapped to the keys released right after its step: each dependency whose
+    last consumer it is, and itself if it is a root that no key reads (a
+    lone root has no consumer in its own closure, the recursions being
+    acyclic; of several roots, one may read another).  The walk raises
+    :class:`MemoryBudgetExceeded` as soon as the keys it holds would outgrow
+    physical memory.
     """
     # A closure's size is not a function of its key's length alone (1^30 0
     # has 64 keys, 0^31 has 2^32 - 1), so the walk counts what it holds.
@@ -336,31 +338,25 @@ def _plan(roots: list[str], deps) -> tuple[dict, dict]:
         else:
             needs[top] = ds
             stack.pop()
-    users: dict[str, int] = {}
-    for ds in needs.values():
-        for d in ds:
-            users[d] = users.get(d, 0) + 1
-    return needs, users
+    last = {d: k for k, ds in needs.items() for d in ds}  # its last consumer
+    frees = {k: (k,) for k in needs if k not in last}  # roots that no key reads
+    for d, k in last.items():
+        frees[k] = frees.get(k, ()) + (d,)
+    return needs, frees
 
 
-def _peak_live(needs: dict, users: dict, size: Callable[[str], int]) -> int:
+def _peak_live(needs: dict, frees: dict, size: Callable[[str], int]) -> int:
     """Most units alive at once as ``_evaluate`` steps ``needs``.
 
     Key k's value holds ``size(k)`` units: 1 counts values, q-rows size a
-    packed run (:func:`_working_set`).
+    packed run (:func:`_working_set`).  ``frees`` is the :func:`_plan`'s.
     """
-    left = dict(users)
     live = peak = 0
-    for k, ds in needs.items():
+    for k in needs:
         live += size(k)
         if live > peak:
             peak = live
-        if k not in left:  # a root that no key reads is released at once
-            live -= size(k)
-        for d in ds:
-            left[d] -= 1
-            if not left[d]:
-                live -= size(d)
+        live -= sum(map(size, frees.get(k, ())))
     return peak
 
 
@@ -447,55 +443,52 @@ def _evaluate(
     once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
     the values of ``ds``, the keys that ``plan`` names for ``k``, from
     ``work``.  Each root is unpacked at its own ``size(k)`` q-rows,
-    ``layout.unpack(k, value, size(k))``, once it is stepped; the last
-    pass yields it at once, joined with the slices that the earlier passes
-    kept.  A packed value is released once its last consumer has stepped,
-    a root's that no key consumes at once.  Before the first step, every
-    pass's estimate, its :func:`_working_set` at the peak that ``size``
-    (q-rows per key) gives, plus the parts of ``extra``, is checked against
-    physical memory: one over it raises :class:`MemoryBudgetExceeded`,
-    naming the run by its roots.  Only then are a layout's tables built,
-    ``layout.build()``, as its pass starts.  A pass whose unpacked values,
-    ``_UNPACKED_BYTES_PER_TERM`` per term, would take its estimate over
-    raises too, as soon as they would, whether or not the reader still
-    holds them.  Nothing runs until the stream's first value is asked for.
+    ``layout.unpack(k, value, size(k))``, once it is stepped.  Then the
+    keys of ``frees[k]`` are released, and only then does the last pass
+    yield the root, joined with the slices that the earlier passes kept.
+    Before the first step, every pass's estimate, its
+    :func:`_working_set` at the peak that ``size`` (q-rows per key) gives,
+    plus the parts of ``extra``, is checked against physical memory: one
+    over it raises :class:`MemoryBudgetExceeded`, naming the run by its
+    roots.  Only then are a layout's tables built, ``layout.build()``, as
+    its pass starts.  A pass whose unpacked values, the earlier passes'
+    kept slices among them, would take its estimate over at
+    ``_UNPACKED_BYTES_PER_TERM`` per term raises too, as soon as they
+    would, whether or not the reader still holds them.  Nothing runs until
+    the stream's first value is asked for.
     """
-    needs, users = plan
+    needs, frees = plan
     what = _name(roots)
-    peak = _peak_live(needs, users, size)
+    peak = _peak_live(needs, frees, size)
     estimates = [
         {**_working_set(needs, peak, layout), **(extra or {})} for layout in layouts
     ]
     rooms = [_room(what, e) // _UNPACKED_BYTES_PER_TERM for e in estimates]
     wanted = set(roots)
     kept: dict[str, Polynomial] = {}  # the earlier passes' slices of each root
+    held = 0  # unpacked terms, the earlier passes' slices among them
     for layout, estimate, room in zip(layouts, estimates, rooms):
         layout.build()
-        left = dict(users)
-        held = 0
         work: dict = {}
         for k, ds in needs.items():
             work[k] = layout.step(k, ds, work)
-            if k in wanted:
-                value = layout.unpack(k, work[k], size(k))
-                held += len(value)
-                if held > room:
-                    unpacked = held * _UNPACKED_BYTES_PER_TERM
-                    _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
-                if k not in left:
-                    del work[k]
-                if k in kept:  # a later pass's slice of the first pass's value
-                    kept[k]._terms.update(value._terms)
-                    value = kept.pop(k)
-                if layout is layouts[-1]:
-                    yield k, value
-                else:
-                    kept[k] = value
-                del value
-            for d in ds:
-                left[d] -= 1
-                if not left[d]:
-                    del work[d]
+            value = layout.unpack(k, work[k], size(k)) if k in wanted else None
+            for d in frees.get(k, ()):
+                del work[d]
+            if value is None:
+                continue
+            held += len(value)
+            if held > room:
+                unpacked = held * _UNPACKED_BYTES_PER_TERM
+                _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
+            if k in kept:  # a later pass's slice of the first pass's value
+                kept[k]._terms.update(value._terms)
+                value = kept.pop(k)
+            if layout is layouts[-1]:
+                yield k, value
+            else:
+                kept[k] = value
+            del value
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:

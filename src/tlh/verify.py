@@ -15,8 +15,8 @@ rendered table is byte-identical across runs.
 A value that several checks read, such as the per-length counts of the
 words on which P agrees with its two other routes, is computed once per
 :func:`run_suites` call, in a store that the call makes and hands to every
-check.  Each check names the values it reads (``Check.reads``), and the
-store drops a value once the last check of the call that reads it has run.
+check, and held until the call returns.  An engine error raised computing
+it is stored in its place, and raised again to every check that reads it.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ ENGINE_ERRORS = (
 class _Store:
     """The values that more than one check of a :func:`run_suites` call reads.
 
-    Each is computed on its first request and held until :meth:`drop`; the
-    store lives only as long as the call that made it.
+    Each is computed on its first request, or fails with the engine error
+    that its computation raised, and is held as long as the store, which
+    lives only as long as the call that made it.
     """
 
     def __init__(self) -> None:
@@ -96,12 +97,14 @@ class _Store:
         """``fn(*args)``, computed at most once in this store."""
         key = (fn, *args)
         if key not in self._values:
-            self._values[key] = fn(*args)
-        return self._values[key]
-
-    def drop(self, fns: list[Callable]) -> None:
-        """Free every value that this store holds of a function in ``fns``."""
-        self._values = {k: v for k, v in self._values.items() if k[0] not in fns}
+            try:
+                self._values[key] = fn(*args)
+            except ENGINE_ERRORS as e:
+                self._values[key] = e.with_traceback(None)
+        value = self._values[key]
+        if isinstance(value, ENGINE_ERRORS):
+            raise value
+        return value
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,6 @@ class Check:
     fn: Callable[[int, _Store], SubResults]
     default_bound: int
     verified_bound: int | None = None  # None: failures are never hard errors
-    reads: tuple[Callable, ...] = ()  # the functions whose stored values it reads
 
     def bound(self, max_n: int | None) -> int:
         return self.default_bound if max_n is None else max_n
@@ -159,11 +161,9 @@ _CHECKS: list[Check] = []
 
 
 def _check(suite: str, name: str, kind: str, default_bound: int,
-           verified_bound: int | None = None, reads: tuple[Callable, ...] = ()):
+           verified_bound: int | None = None):
     def wrap(fn):
-        _CHECKS.append(
-            Check(suite, name, kind, fn, default_bound, verified_bound, reads)
-        )
+        _CHECKS.append(Check(suite, name, kind, fn, default_bound, verified_bound))
         return fn
     return wrap
 
@@ -371,13 +371,13 @@ def _every_word(count: str, bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: passed[n] == 2**n, first=0, label="|v|")
 
 
-@_check("recursions", "dual-recursion-equivalence", THEOREM, 8, reads=(_agreement,))
+@_check("recursions", "dual-recursion-equivalence", THEOREM, 8)
 def _dual_recursion(bound: int, store: _Store) -> SubResults:
     # equal normalized polynomials: the series share (1 - q)^#0(v)
     return _every_word("insertion", bound, store)
 
 
-@_check("recursions", "normalization-consistency", THEOREM, 8, reads=(_agreement,))
+@_check("recursions", "normalization-consistency", THEOREM, 8)
 def _normalization(bound: int, store: _Store) -> SubResults:
     # P(v) = (1 - q)^#0(v) f(v), each side by its own recursion: P's, and
     # the subtraction-free series recursion of the f route, one plan a length
@@ -395,7 +395,7 @@ def _zero_expansion(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, shuffle.zero_expansion_identity)
 
 
-@_check("top-a", "top-a-coefficient-is-one", THEOREM, 8, reads=(_agreement,))
+@_check("top-a", "top-a-coefficient-is-one", THEOREM, 8)
 def _top_a(bound: int, store: _Store) -> SubResults:
     return _every_word("top-a", bound, store)
 
@@ -520,13 +520,13 @@ def _magic_r1(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, ok)
 
 
-@_check("magic", "r0-envelope", CONJECTURE, 4, reads=(tableaux.tableau_sum,))
+@_check("magic", "r0-envelope", CONJECTURE, 4)
 def _magic_r0_envelope(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: store.once(tableaux.tableau_sum, n, 0)
                   == (ONE + A) ** n)
 
 
-@_check("magic", "r0-sum-equals-one", CONJECTURE, 4, reads=(tableaux.tableau_sum,))
+@_check("magic", "r0-sum-equals-one", CONJECTURE, 4)
 def _magic_r0_literal(bound: int, store: _Store) -> SubResults:
     # Stated identity: the r = 0 tableau sum is 1.  False as written: the sum
     # is (1+a)^n (see r0-envelope); only its a-degree-zero part is 1, which
@@ -534,8 +534,7 @@ def _magic_r0_literal(bound: int, store: _Store) -> SubResults:
     return _sizes(bound, lambda n: store.once(tableaux.tableau_sum, n, 0) == ONE)
 
 
-@_check("magic", "r0-a-degree-zero-part", CONJECTURE, 4, verified_bound=8,
-        reads=(tableaux.tableau_sum,))
+@_check("magic", "r0-a-degree-zero-part", CONJECTURE, 4, verified_bound=8)
 def _magic_r0_a0(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
         s = store.once(tableaux.tableau_sum, n, 0)
@@ -702,7 +701,7 @@ def _serial_polys(bound: int) -> dict[str, Polynomial]:
 # Asked in reverse, every value must be the same: the engine holds no state
 # between calls, so none may make a value depend on call order.  The name is
 # the memo tables' it once compared; verify's stdout prints it and is pinned.
-@_check("determinism", "memo-order-independence", THEOREM, 6, reads=(_serial_polys,))
+@_check("determinism", "memo-order-independence", THEOREM, 6)
 def _memo_order(bound: int, store: _Store) -> SubResults:
     forward = store.once(_serial_polys, bound)
     backward = _each_poly(_words(bound)[::-1])
@@ -712,8 +711,7 @@ def _memo_order(bound: int, store: _Store) -> SubResults:
     return [("forward vs backward", ok, bound)]
 
 
-@_check("determinism", "thread-schedule-independence", THEOREM, 6,
-        reads=(_serial_polys,))
+@_check("determinism", "thread-schedule-independence", THEOREM, 6)
 def _thread_schedule(bound: int, store: _Store) -> SubResults:
     # imported here, its one use: every CLI start would pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -763,12 +761,7 @@ def run_suites(names: Iterable[str], max_n: int | None = None) -> list[CheckResu
             raise UnknownSuite(f"unknown suite {name!r}")
         checks.extend(SUITES[name])
     store = _Store()
-    last = {fn: c for c in checks for fn in c.reads}  # each value's last reader
-    results = []
-    for c in checks:
-        results.append(_run(c, max_n, store))
-        store.drop([fn for fn, reader in last.items() if reader is c])
-    return results
+    return [_run(c, max_n, store) for c in checks]
 
 
 def render_results(results: list[CheckResult]) -> str:

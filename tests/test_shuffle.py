@@ -593,7 +593,7 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         top, dq = tops[key]
         return {k: r - dq + qmax if r >= dq - qmax else -1 for k, r in top.items()}
 
-    def routed(needs, users, size):
+    def routed(needs, frees, size):
         # the chosen route sizes 0^n by qmax + 1 q-rows (series) or dq + 1,
         # and each key by its own q-rows
         raise _Routed(size)
@@ -608,17 +608,17 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
     monkeypatch.setattr(shuffle, "_peak_live", routed)
     for n, crossover in enumerate(_SERIES_CROSSOVER, 1):
         key = "0" * n
-        needs, users = plans[key] = plan_of([key], shuffle._Layout.deps)
+        needs, frees = plans[key] = plan_of([key], shuffle._Layout.deps)
         bounds = filled[id(needs)] = bounds_of(needs)
         dq, l1 = bounds[key]
         tops[key] = demand_of(needs, {key: dq}), dq
         for qmax in {0, crossover, dq - 1} - {-1}:
             assert shifted(needs, {key: qmax}) == demand_of(needs, {key: qmax})
-        whole = peak_live(needs, users, lambda k: bounds[k][0] + 1)
+        whole = peak_live(needs, frees, lambda k: bounds[k][0] + 1)
         whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
         # every series value holds r(k) + 1 <= qmax + 1 q-rows of the larger
         # pass's fields: the peak at qmax + 1 bounds the sized one from above
-        values = peak_live(needs, users, lambda k: 1)
+        values = peak_live(needs, frees, lambda k: 1)
         fields = min(
             max(len(a) * t for a, t in shuffle._split(n, J)) for J in range(n)
         )
@@ -632,7 +632,7 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
                 fb = shuffle._field_bytes(2 ** n * comb(qmax + n - 1, n - 1))
                 rows = values * (qmax + 1)
                 if rows * fb * fields > whole_bytes:
-                    rows = peak_live(needs, users, size)
+                    rows = peak_live(needs, frees, size)
                 assert rows * fb * fields <= whole_bytes, (n, qmax)
             else:
                 assert size(key) == dq + 1, (n, qmax)
@@ -904,18 +904,19 @@ def test_working_values_released_after_last_consumer(monkeypatch):
 
     monkeypatch.setattr(shuffle._Layout, "step", counting_step)
     for key in ("0" * 8, "0" * 8 + "1"):
-        needs, users = shuffle._plan([key], shuffle._Layout.deps)
+        needs, frees = shuffle._plan([key], shuffle._Layout.deps)
         live.clear()
         stepped.clear()
         assert poincare_poly(key).units() == _shift_and_add_terms(key, {})
         assert len(live) == len(needs)
         assert stepped == list(needs)
-        peak = shuffle._peak_live(needs, users, lambda k: 1)
+        peak = shuffle._peak_live(needs, frees, lambda k: 1)
         assert max(live) == peak < len(needs) // 4
 
 
 @pytest.mark.parametrize("route, layout_cls, peak", [
     ("P", "_Layout", 65), ("insertion", "_InsertionLayout", 129),
+    ("normalized", "_SeriesLayout", 36), ("full-twist", "_SeriesLayout", 72),
 ])
 def test_unconsumed_roots_released_as_the_estimate_counts(
     monkeypatch, route, layout_cls, peak
@@ -924,7 +925,9 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
     # released as soon as it is stepped, by the driver and its estimate
     # alike; that is each word of length 7 on the insertion route, whose
     # words read shorter ones, and 0^7 alone on P's (kept, they would hold
-    # 160 insertion values at once)
+    # 160 insertion values at once).  The f routes share P's rules: every
+    # word of length 7 as _normalized lists them, and 0^8 cut at q^5, whose
+    # two passes each step the plan once
     live = []
     cls = getattr(shuffle, layout_cls)
     step = cls.step
@@ -933,13 +936,41 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
         live.append(len(work) + 1)  # the values held, plus the new one
         return step(layout, key, ds, work)
 
-    run = _one_plan if route == "P" else _insertion_one_plan
-    roots = _words(7)
-    needs, users = shuffle._plan(roots, cls.deps)
+    roots, run, passes = {
+        "P": (_words(7), _one_plan, 1),
+        "insertion": (_words(7), _insertion_one_plan, 1),
+        "normalized": (
+            all_sequences(7)[::-1], lambda roots: dict(shuffle._normalized(7)), 1
+        ),
+        "full-twist": (["0" * 8], lambda roots: {"0" * 8: full_twist_series(8, 5)}, 2),
+    }[route]
+    needs, frees = shuffle._plan(roots, cls.deps)
     monkeypatch.setattr(cls, "step", counting_step)
     values = run(roots)
-    assert values.keys() == set(roots) and len(live) == len(needs)
-    assert max(live) == shuffle._peak_live(needs, users, lambda k: 1) == peak
+    assert values.keys() == set(roots) and len(live) == passes * len(needs)
+    assert max(live) == shuffle._peak_live(needs, frees, lambda k: 1) == peak
+
+
+def test_split_route_counts_the_slices_its_first_pass_keeps(monkeypatch):
+    # the f route keeps its first pass's slice of 0^11, 2,030 terms, through
+    # the second, which unpacks 1,895 more: room for the second pass's own
+    # terms but not for both passes' is refused by name
+    estimates = []
+    working_set = shuffle._working_set
+
+    def recorded(needs, peak, layout):
+        parts = working_set(needs, peak, layout)
+        estimates.append(sum(parts.values()))
+        return parts
+
+    monkeypatch.setattr(shuffle, "_working_set", recorded)
+    assert len(full_twist_series(11, 10)) == 2030 + 1895
+    first, second = estimates
+    budget = second + 3000 * shuffle._UNPACKED_BYTES_PER_TERM
+    assert budget - first > 2030 * shuffle._UNPACKED_BYTES_PER_TERM
+    monkeypatch.setattr(shuffle, "_memory_budget", lambda: budget)
+    with pytest.raises(MemoryBudgetExceeded, match="unpacked values up to '0{11}'"):
+        full_twist_series(11, 10)
 
 
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
@@ -950,11 +981,11 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
         poincare_poly("0" * 16)
     assert err.value.need > 8 * 2 ** 30
     assert steps == []
-    needs, users = shuffle._plan(["0" * 13], shuffle._Layout.deps)
+    needs, frees = shuffle._plan(["0" * 13], shuffle._Layout.deps)
     bounds = shuffle._Layout.bounds(needs)
     layout = shuffle._Layout(13, *bounds["0" * 13])
-    assert shuffle._peak_live(needs, users, lambda k: 1) == 2061
-    peak = shuffle._peak_live(needs, users, lambda k: bounds[k][0] + 1)
+    assert shuffle._peak_live(needs, frees, lambda k: 1) == 2061
+    peak = shuffle._peak_live(needs, frees, lambda k: bounds[k][0] + 1)
     assert sum(shuffle._working_set(needs, peak, layout).values()) < 2 * 2 ** 30
 
 

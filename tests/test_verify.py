@@ -220,9 +220,11 @@ def test_every_p_check_fails_on_a_word_the_p_stream_skips(monkeypatch):
 
 
 def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatch):
+    lengths = []
     normalized = shuffle._normalized
 
     def raising_mid_length_2(m):
+        lengths.append(m)
         for v, value in normalized(m):
             if m == 2:
                 raise NonExactDivision("no quotient")
@@ -232,6 +234,8 @@ def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatc
     results = verify.run_suites(["recursions", "top-a"], max_n=3)
     assert [r.status for r in results] == [verify.FAIL] * 3
     assert {r.detail for r in results} == {"raised NonExactDivision: no quotient"}
+    # the store keeps the error, so the routes are stepped once, not per check
+    assert lengths == [0, 1, 2]
 
 
 # Verify stdout names a case only when it fails, so these pin the labels of
@@ -336,23 +340,19 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
         assert len(stores) == calls and stores[-1]() is None
 
 
-def test_store_frees_each_value_once_its_last_reader_has_run(monkeypatch):
-    held = {}  # per check, the functions whose values the store holds as it starts
-    run = verify._run
+def test_one_call_computes_each_shared_value_once(monkeypatch):
+    # the store keeps each value for the whole call: three magic checks read
+    # the r = 0 tableau sum of each n, and it is computed once
+    calls = []
+    tableau_sum = tableaux.tableau_sum
 
-    def spy(check, max_n, store):
-        held[check.name] = {key[0].__name__ for key in store._values}
-        return run(check, max_n, store)
+    def spy(n, r):
+        calls.append((n, r))
+        return tableau_sum(n, r)
 
-    monkeypatch.setattr(verify, "_run", spy)
-    verify.run_suites(["recursions", "top-a", "magic", "zeroseq"], max_n=3)
-    assert held["normalization-consistency"] == {"_agreement"}
-    assert held["top-a-coefficient-is-one"] == {"_agreement"}
-    # the counts are freed after top-a, the r = 0 tableau sums after the
-    # last of the three magic checks that read them
-    assert held["r1-matches-recursion"] == set()
-    assert held["r0-a-degree-zero-part"] == {"tableau_sum"}
-    assert held["zero-equals-one-prefix"] == set()
+    monkeypatch.setattr(tableaux, "tableau_sum", spy)
+    verify.run_suites(["magic"], max_n=3)
+    assert Counter(c for c in calls if c[1] == 0) == {(n, 0): 1 for n in (1, 2, 3)}
     # a suite whose one check reads the counts runs alone
     (top_a,) = verify.run_suites(["top-a"], max_n=3)
     assert top_a.status == verify.PASS
