@@ -6,6 +6,8 @@ provides:
 
 * :mod:`tlh.poly` - sparse Laurent polynomials, factored fractions, exact
   division, truncated power series;
+* :mod:`tlh.budget` - the memory pre-flight: every estimate of what a run
+  would hold is checked against physical memory there, before it is held;
 * :mod:`tlh.shuffle` - the recursion over binary shuffle sequences, stepped
   on packed integers, and its independent insertion-recursion twin;
 * :mod:`tlh.closed_form` - direct enumeration of the Hochschild-degree-zero
@@ -36,11 +38,11 @@ from .poly import (
     monomial,
 )
 from .serialize import ParseError, dumps, parse_frac, parse_poly
+from .budget import MemoryBudgetExceeded
 from .shuffle import (
     EntryOutOfBounds,
     IncompatiblePair,
     MemoDivergence,
-    MemoryBudgetExceeded,
     all_sequences,
     crossings,
     full_twist_series,

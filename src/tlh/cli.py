@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from . import closed_form, links, shuffle, tableaux, verify
+from . import budget, closed_form, links, shuffle, tableaux, verify
 from .poly import ONE_MINUS_Q, FracPoly
 from .serialize import ParseError, dumps, parse_int, parse_poly, poly_to_obj
 
@@ -136,7 +136,7 @@ def _cached(args):
     """
     key = "0" * args.n if args.command == "fulltwist" else args.seq
     if args.command == "fulltwist":
-        shuffle._room(repr(key), shuffle._series_terms(args.n, args.qmax))
+        budget._room(repr(key), shuffle._series_terms(args.n, args.qmax))
     answers = shuffle.load_cache(args.cache) if os.path.exists(args.cache) else {}
     if key not in answers:
         answers[key] = shuffle.poincare_poly(key)

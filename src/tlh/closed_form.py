@@ -21,11 +21,10 @@ counts[v] + counts[v - 1] to the t-degree, where level -1 counts none.  The
 walk holds the levels of one placement and qmax + 2 counts, and it loops
 rather than recursing once per strand.  That state is checked against
 physical memory before any of it is allocated, so a qmax too large for it
-fails with the engine's :class:`~tlh.shuffle.MemoryBudgetExceeded`.
+fails with :class:`~tlh.budget.MemoryBudgetExceeded`.
 
-This module is deliberately independent of the recursion engine, but for
-that memory check; agreement of the two is one of the package's acceptance
-criteria.
+This module is deliberately independent of the recursion engine; agreement
+of the two is one of the package's acceptance criteria.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
+from . import budget
 from .poly import UNIT, Polynomial
-from .shuffle import _room
 
 __all__ = ["LevelStats", "level_stats", "level_functions", "hochschild_zero_series"]
 
@@ -68,24 +67,24 @@ def level_stats(levels: Sequence[int]) -> LevelStats:
     return LevelStats(equal, step, sum(levels))
 
 
-def _prefixes(n: int, budget: int) -> Iterator[tuple[list[int], int, list[int], int]]:
-    """Every placement of the first n - 1 strands with total <= budget.
+def _prefixes(n: int, qmax: int) -> Iterator[tuple[list[int], int, list[int], int]]:
+    """Every placement of the first n - 1 strands with total <= qmax.
 
     Yields ``(levels, left, counts, t)`` lexicographically by ``levels``:
-    ``left`` is the budget the last strand may take, ``counts[v + 1]`` the
+    ``left`` is the total the last strand may take, ``counts[v + 1]`` the
     number of strands at level v (``counts[0]``, level -1, stays 0), and
     ``t`` the equal and step pairs among the placed strands.  The lists are
     the walk's own and change as it goes on.  Their size is checked against
     physical memory before any is allocated.
     """
-    _room(f"the closed form on {n} strands", {
-        "level counts": (budget + 2) * _BYTES_PER_COUNT,
+    budget._room(f"the closed form on {n} strands", {
+        "level counts": (qmax + 2) * _BYTES_PER_COUNT,
         "placed strands": n * _BYTES_PER_STRAND,
     })
     levels: list[int] = []
     tdeg = [0]  # tdeg[j]: the pairs among the first j strands
-    counts = [0] * (budget + 2)
-    left, v = budget, 0  # v: the next level to try for strand len(levels)
+    counts = [0] * (qmax + 2)
+    left, v = qmax, 0  # v: the next level to try for strand len(levels)
     while True:
         if len(levels) == n - 1:
             yield levels, left, counts, tdeg[-1]
@@ -122,7 +121,7 @@ def hochschild_zero_series(n: int, qmax: int) -> Polynomial:
     function's t-degree is summed strand by strand as the walk places it
     (see the module docstring), in O(n + qmax) memory, which is checked
     first: more than physical memory raises
-    :class:`~tlh.shuffle.MemoryBudgetExceeded` before the walk starts.
+    :class:`~tlh.budget.MemoryBudgetExceeded` before the walk starts.
     """
     if qmax < 0:
         raise ValueError("qmax must be >= 0")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from . import shuffle
+from . import budget
 from .poly import (
     A,
     ONE,
@@ -90,12 +90,12 @@ def two_strand_superpoly(k: int) -> Polynomial:
                       + a (t^(k-1) + ... + q^(k-1)) ).
 
     Its 2k + 1 terms are checked against physical memory before any is
-    built: :class:`~tlh.shuffle.MemoryBudgetExceeded` names the link.
+    built: :class:`~tlh.budget.MemoryBudgetExceeded` names the link.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     terms = 2 * k + 1
-    shuffle._room(f"T(2,{terms})", {"superpolynomial terms": terms * _BYTES_PER_TERM})
+    budget._room(f"T(2,{terms})", {"superpolynomial terms": terms * _BYTES_PER_TERM})
     body = Polynomial(
         {(UNIT * i, 0, UNIT * (k - i)): 1 for i in range(k + 1)}
     ) + Polynomial(

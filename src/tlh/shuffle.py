@@ -91,11 +91,14 @@ only grows toward the target, so the target's layout, q-rows 0..dq with dq
 its q-degree bound, holds every key of its closure, and b is the fewest
 bytes that hold the target's L1 bound plus a sign.  For f, every
 multiplier has non-negative coefficients, so every coefficient is at most
-its q-row's mass, f(v) at a = t = 1 in that row.  There P(v.1) = 2 P(v),
-P(0^m) = P(1 0^(m-1)) and P(v.0) = P(1 v) + q (P(0 v) - P(1 v)), so by
-induction P(v) = 2^|v| and f(v) = 2^|v| / (1 - q)^z, z = #0(v): row d
-holds 2^|v| C(d + z - 1, z - 1) (z = 0: 2^|v| in row 0 alone), growing
-with |v|, z and d.  Over the closure of 0^n up to row qmax no mass
+its q-row's mass, f(v) at a = t = 1 in that row.  At t = 1 the four rules
+read P(empty) = 1, P(v.1) = (1 + a) P(v), P(0^m) = P(1 0^(m-1)) and
+P(v.0) = P(1 v) + q (P(0 v) - P(1 v)), where 1 v and 0 v have one length;
+so by induction on them P(v)(q, a, 1) = (1 + a)^|v|, free of q, and
+f(v)(q, a, 1) = (1 + a)^|v| / (1 - q)^z, z = #0(v): the a^j part of row d
+holds C(|v|, j) C(d + z - 1, z - 1) (z = 0: C(|v|, j) in row 0 alone), and
+at a = 1 the row holds 2^|v| C(d + z - 1, z - 1), growing with |v|, z and
+d.  Over the closure of 0^n up to row qmax no mass
 exceeds 2^n C(qmax + n - 1, n - 1), the target's own in row qmax, and b
 is the fewest bytes that hold it plus one bit, which keeps every field's
 top bit clear.  The bound holds for every intermediate field as well: a
@@ -129,8 +132,9 @@ q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
 r(k) + 1 for f(k), plus the step's temporaries as tall as the layout and
 the f route's masks; J minimises the larger of the f route's two, and both
 are checked first.  A pass whose estimate exceeds physical memory fails with
-:class:`MemoryBudgetExceeded`; so does a run whose unpacked values would
-take it over, as soon as they would, and a closure walk whose own state
+:class:`MemoryBudgetExceeded`, by :mod:`tlh.budget`'s one check; so does a
+run whose unpacked values would take it over, as soon as they would, and a
+closure walk whose own state, its keys and their dependency entries,
 outgrows physical memory, as soon as it does.  A layout is geometry alone
 until then: its tables (slot exponents, field masks) are built when its
 pass starts, after every pass's estimate has passed, so a refused run
@@ -173,6 +177,7 @@ from itertools import product
 from math import comb
 from typing import Callable, Iterator
 
+from . import budget
 from .poly import (
     A,
     ONE,
@@ -184,6 +189,7 @@ from .poly import (
     _field_bytes,
     _unpack,
 )
+from .budget import MemoryBudgetExceeded
 from .serialize import ParseError, _json_loads, poly_from_obj, poly_to_obj
 
 __all__ = [
@@ -222,20 +228,6 @@ class EntryOutOfBounds(ValueError):
     Raised by :func:`load_cache` (:func:`_check_entry`).  The engine never
     reads a cache: an entry is only ever the answer for its own key.
     """
-
-
-class MemoryBudgetExceeded(MemoryError):
-    """A run's estimated peak working set exceeds physical memory.
-
-    Raised from the closure alone, before any recursion step, or while a
-    run unpacks the values it yields, as soon as those unpacked so far
-    would take it over.  The message names the parts of the estimate;
-    ``need`` is their sum in bytes.
-    """
-
-    def __init__(self, message: str, need: int):
-        super().__init__(message)
-        self.need = need
 
 
 def _key(v: str) -> str:
@@ -286,12 +278,17 @@ def insertion_weight(v: str, w: str) -> Polynomial:
     return result
 
 
-# What the closure walk holds per key (``_plan`` plus its bounds and demand
-# rows): tracemalloc measured 393, 400, 432 and 439 bytes for 0^n at
-# n = 10, 13, 16 and 18 (Python 3.11), growing about 3 bytes a letter with
-# the key strings, so this rounds up past n = 30, whose 2^31 keys no
-# machine's memory holds.
-_WALK_BYTES_PER_KEY = 480
+# What the closure walk holds (``_plan`` plus its bounds and demand rows),
+# measured with tracemalloc (Python 3.11) and split by sys.getsizeof.  Per
+# dependency entry, a tuple slot and a string of its own: 71 to 79 bytes in
+# P's plan of 0^n at n = 10, 13, 16 and 18, and 64 to 68 in the insertion
+# route's plan over every word of length <= 8, 10, 11 and 12, where entries
+# are nearly all it holds (2^#0(v) for each key v).  Per key, the rest of
+# P's plan: 295, 302, 321 and 321 bytes.  Both grow about a byte a letter
+# with the strings, so both round up past n = 30, whose 2^31 keys no
+# machine's memory holds: 88 holds a word of 31 letters.
+_WALK_BYTES_PER_KEY = 352
+_WALK_BYTES_PER_ENTRY = 88
 
 
 def _name(roots: list[str]) -> str:
@@ -310,34 +307,40 @@ def _plan(roots: list[str], deps) -> tuple[dict, dict]:
     last consumer it is, and itself if it is a root that no key reads (a
     lone root has no consumer in its own closure, the recursions being
     acyclic; of several roots, one may read another).  The walk raises
-    :class:`MemoryBudgetExceeded` as soon as the keys it holds would outgrow
-    physical memory.
+    :class:`MemoryBudgetExceeded` as soon as the keys and dependency entries
+    it holds would outgrow physical memory (``_WALK_BYTES_PER_KEY`` and
+    ``_WALK_BYTES_PER_ENTRY``).
     """
     # A closure's size is not a function of its key's length alone (1^30 0
-    # has 64 keys, 0^31 has 2^32 - 1), so the walk counts what it holds.
-    limit = _memory_budget() // _WALK_BYTES_PER_KEY
+    # has 64 keys, 0^31 has 2^32 - 1), nor is a key's count of entries (the
+    # insertion route's v has 2^#0(v)), so the walk counts what it holds.
+    limit = budget._memory_budget()
     needs: dict[str, tuple[str, ...]] = {}
     stack = roots[::-1]
+    # what is left of the limit once the keys of needs and of the stack, and
+    # the entries of needs, are charged
+    room = limit - len(stack) * _WALK_BYTES_PER_KEY
     while stack:
         top = stack[-1]
         if top in needs:
             stack.pop()
+            room += _WALK_BYTES_PER_KEY
             continue
         ds = deps(top)
         missing = [d for d in ds if d not in needs]
         if missing:
             stack.extend(missing)
-            # the only branch that grows len(needs) + len(stack)
-            if len(needs) + len(stack) > limit:
-                raise MemoryBudgetExceeded(
-                    f"walking the closure of {_name(roots)} outgrew the "
-                    f"{limit * _WALK_BYTES_PER_KEY / 2**30:.1f} GiB of physical "
-                    f"memory after {len(needs)} keys",
-                    (len(needs) + len(stack)) * _WALK_BYTES_PER_KEY,
-                )
-        else:
+            room -= len(missing) * _WALK_BYTES_PER_KEY
+        else:  # a key moves from the stack to needs with its entries
             needs[top] = ds
             stack.pop()
+            room -= len(ds) * _WALK_BYTES_PER_ENTRY
+        if room < 0:
+            raise MemoryBudgetExceeded(
+                f"walking the closure of {_name(roots)} outgrew the "
+                f"{limit / 2**30:.1f} GiB of physical memory after {len(needs)} keys",
+                limit - room,
+            )
     last = {d: k for k, ds in needs.items() for d in ds}  # its last consumer
     frees = {k: (k,) for k in needs if k not in last}  # roots that no key reads
     for d, k in last.items():
@@ -367,7 +370,8 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     dq_k + 1 for P(k), and r(k) + 1 for f(k), its demand row
     (:func:`_demand`); the step's temporaries, ``layout.temps`` values as
     tall as the layout; and its masks, ``layout.mask_rows`` q-rows; with the
-    heap's holes between them; the closure walk's state; and the layout's
+    heap's holes between them; the closure walk's state, its keys and their
+    dependency entries, as :func:`_plan` counts them; and the layout's
     slot table, each under the name :class:`MemoryBudgetExceeded` gives it.
     CPython stores 30 bits of an int in every 4 bytes.  The malloc heap
     leaves holes where a freed value is too small for the next one: the
@@ -385,7 +389,9 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
             rows * layout.row_bytes * 16 // 15 * 3 // 2,
-        "closure walk state": len(needs) * _WALK_BYTES_PER_KEY,
+        "closure walk state":
+            len(needs) * _WALK_BYTES_PER_KEY
+            + sum(map(len, needs.values())) * _WALK_BYTES_PER_ENTRY,
         "slot table": layout.fields * _SLOT_BYTES_PER_FIELD,
     }
 
@@ -401,33 +407,6 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 _SLOT_BYTES_PER_FIELD = 144
 _UNPACKED_BYTES_PER_TERM = 64
 _SERIES_BYTES_PER_TERM = 192
-
-
-def _memory_budget() -> int:
-    """Physical memory in bytes."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _mib(size: int) -> str:
-    # past 2^64 bytes, a power of two: a float overflows at 2^1024, and str()
-    # refuses an int of over 4,300 digits
-    if size.bit_length() > 64:
-        return f"2^{size.bit_length() - 21} MiB"
-    return f"{size / 2**20:,.1f} MiB"
-
-
-def _room(what: str, parts: dict[str, int]) -> int:
-    """Bytes of physical memory left over ``parts``, or the error naming them."""
-    need = sum(parts.values())
-    budget = _memory_budget()
-    if need > budget:
-        raise MemoryBudgetExceeded(
-            f"evaluating {what} would hold about {_mib(need)} at once, over the "
-            f"{_mib(budget)} of physical memory: "
-            + ", ".join(f"{_mib(size)} of {part}" for part, size in parts.items()),
-            need,
-        )
-    return budget - need
 
 
 def _evaluate(
@@ -463,7 +442,7 @@ def _evaluate(
     estimates = [
         {**_working_set(needs, peak, layout), **(extra or {})} for layout in layouts
     ]
-    rooms = [_room(what, e) // _UNPACKED_BYTES_PER_TERM for e in estimates]
+    rooms = [budget._room(what, e) // _UNPACKED_BYTES_PER_TERM for e in estimates]
     wanted = set(roots)
     kept: dict[str, Polynomial] = {}  # the earlier passes' slices of each root
     held = 0  # unpacked terms, the earlier passes' slices among them
@@ -480,7 +459,7 @@ def _evaluate(
             held += len(value)
             if held > room:
                 unpacked = held * _UNPACKED_BYTES_PER_TERM
-                _room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
+                budget._room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
             if k in kept:  # a later pass's slice of the first pass's value
                 kept[k]._terms.update(value._terms)
                 value = kept.pop(k)

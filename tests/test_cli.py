@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import tlh
-from tlh import shuffle, verify
+from tlh import budget, shuffle, verify
 from tlh.cli import main
 from tlh.poly import ONE, UNIT, A, FracPoly, Polynomial, Q
 from tlh.serialize import dumps, parse_frac, parse_poly, poly_from_obj
@@ -67,7 +67,7 @@ def test_fulltwist(capsys):
 
 def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
     # an estimate of about 2.6 MiB at qmax 10, the closure walk fits
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 2 ** 20)
     code, out, err = run_cli(capsys, "fulltwist", "--n", "9")
     assert code == 1
     assert out == ""
@@ -76,7 +76,7 @@ def test_fulltwist_over_memory_budget_exits_1(capsys, monkeypatch):
 
 def test_fulltwist_series_terms_over_memory_budget_exits_1(capsys, monkeypatch):
     # whole P(00) is tiny; its expansion to q^1000000 holds six million slots
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
     code, out, err = run_cli(capsys, "fulltwist", "--n", "2", "--qmax", "1000000")
     assert code == 1
     assert out == ""
@@ -392,7 +392,7 @@ def test_fulltwist_cache_expansion_fails_by_name_before_it_starts(
 ):
     # the cached whole P(00) is expanded by FracPoly.series, counted as on
     # the whole route without a cache: six million slots at q^1000000
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
     expanded = []
     monkeypatch.setattr(FracPoly, "series", lambda *args: expanded.append(args))
     stepped = []

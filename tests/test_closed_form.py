@@ -3,10 +3,11 @@ from math import comb
 
 import pytest
 
-from tlh import closed_form, shuffle
+from tlh import budget, closed_form
 from tlh.closed_form import hochschild_zero_series, level_functions, level_stats
 from tlh.poly import ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
-from tlh.shuffle import MemoryBudgetExceeded, poincare_series
+from tlh.budget import MemoryBudgetExceeded
+from tlh.shuffle import poincare_series
 
 
 def test_level_stats_examples():
@@ -95,7 +96,7 @@ def test_matches_recursion_slice():
 def test_walk_state_is_checked_before_it_is_allocated(monkeypatch):
     # qmax = 10^10 asks for 10^10 + 2 counts, an 80 GB list: refused by
     # name on a machine of 8 GiB before any of it exists
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 8 * 2 ** 30)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 8 * 2 ** 30)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetExceeded, match="on 2 strands") as err:

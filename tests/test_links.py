@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tlh import shuffle
+from tlh import budget
 from tlh.links import (
     UnknownLink,
     dataset_get,
@@ -34,12 +34,12 @@ from tlh.poly import (
     monomial,
 )
 from tlh.serialize import dumps, parse_poly
-from tlh.shuffle import MemoryBudgetExceeded
+from tlh.budget import MemoryBudgetExceeded
 
 
 def test_two_strand_family_fails_by_name_before_it_is_built(monkeypatch):
     # 200,001 terms of about 470 bytes each at the peak outgrow 64 MiB
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetExceeded, match=r"evaluating T\(2,200001\) "):

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from tlh import closed_form, shuffle, verify
+from tlh import budget, closed_form, shuffle, verify
 from tlh.poly import A, ONE, ONE_MINUS_Q, Q, T, UNIT, FracPoly, Polynomial
 from tlh.serialize import ParseError, dumps, parse_poly, poly_to_obj
 from tlh.shuffle import (
@@ -371,8 +371,8 @@ def test_series_route_a_free_part_matches_closed_form(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_row_mass_bound_holds_every_key(monkeypatch, n):
-    # f(v)(q, 1, 1) = 2^|v| / (1 - q)^#0(v), so the largest row mass up to
-    # q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
+    # f(v)(q, a, 1) = (1 + a)^|v| / (1 - q)^#0(v), so the largest row mass
+    # up to q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
     key = "0" * n
     needs, _ = shuffle._plan([key], shuffle._Layout.deps)
     whole = _one_plan(list(needs)) if n <= 7 else {}
@@ -404,9 +404,19 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
                 want = FracPoly(whole[k], [ONE_MINUS_Q] * k.count("0"))
                 assert value == want.series(qmax), (k, qmax)
             assert max(value.units().values()) <= bound
-            rows = [0] * (qmax + 1)
+            cells = {}  # (q-row d, a-degree j): its mass
             for e, c in value.units().items():
-                rows[e[0] // UNIT] += c
+                cell = e[0] // UNIT, e[1] // UNIT
+                cells[cell] = cells.get(cell, 0) + c
+            z = k.count("0")
+            assert cells == {
+                (d, j): comb(len(k), j) * (comb(d + z - 1, z - 1) if z else 1)
+                for d in range(qmax + 1 if z else 1)
+                for j in range(len(k) + 1)
+            }, (k, qmax)
+            rows = [0] * (qmax + 1)
+            for (d, _), c in cells.items():
+                rows[d] += c
             masses += rows
         # the closed form is the largest row mass itself
         assert max(masses) == bound, qmax
@@ -425,14 +435,16 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
 
 
 def test_poincare_poly_at_a_t_one_is_two_to_the_length():
-    # P(v.1) = 2 P(v), P(0^m) = P(1 0^(m-1)), P(v.0) = P(1 v) at a = t = 1
+    # P(v.1) = (1 + a) P(v), P(0^m) = P(1 0^(m-1)), P(v.0) = P(1 v) at t = 1,
+    # so P(v)(q, a, 1) = (1 + a)^|v|, and 2^|v| at a = 1
     values = _one_plan(_words(9))
     assert len(values) == 2 ** 10 - 1
     for v in _words(9):
-        rows = {}
+        cells = {}
         for e, c in values[v].units().items():
-            rows[e[0]] = rows.get(e[0], 0) + c
-        assert {d: c for d, c in rows.items() if c} == {0: 2 ** len(v)}, v
+            cells[e[:2]] = cells.get(e[:2], 0) + c
+        want = {(0, j * UNIT): comb(len(v), j) for j in range(len(v) + 1)}
+        assert {e: c for e, c in cells.items() if c} == want, v
 
 
 def test_slice_t_degree_bound_holds_every_key():
@@ -546,7 +558,7 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     # its two passes holds about half the fields per q-row; from the bound on
     # it is never tried
     layouts, passes = [], []
-    evaluate, room = shuffle._evaluate, shuffle._room
+    evaluate, room = shuffle._evaluate, budget._room
 
     def spy_evaluate(roots, plan, stepped, size, extra=None):
         layouts.extend(map(type, stepped))
@@ -558,7 +570,7 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
         return room(what, parts)
 
     monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
-    monkeypatch.setattr(shuffle, "_room", spy_room)
+    monkeypatch.setattr(budget, "_room", spy_room)
     want = poincare_series("0" * n).series(qmax)
     layouts.clear()
     passes.clear()
@@ -966,9 +978,9 @@ def test_split_route_counts_the_slices_its_first_pass_keeps(monkeypatch):
     monkeypatch.setattr(shuffle, "_working_set", recorded)
     assert len(full_twist_series(11, 10)) == 2030 + 1895
     first, second = estimates
-    budget = second + 3000 * shuffle._UNPACKED_BYTES_PER_TERM
-    assert budget - first > 2030 * shuffle._UNPACKED_BYTES_PER_TERM
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: budget)
+    memory = second + 3000 * shuffle._UNPACKED_BYTES_PER_TERM
+    assert memory - first > 2030 * shuffle._UNPACKED_BYTES_PER_TERM
+    monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
     with pytest.raises(MemoryBudgetExceeded, match="unpacked values up to '0{11}'"):
         full_twist_series(11, 10)
 
@@ -976,7 +988,7 @@ def test_split_route_counts_the_slices_its_first_pass_keeps(monkeypatch):
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     steps = []
     monkeypatch.setattr(shuffle._Layout, "step", lambda *args: steps.append(args))
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 8 * 2 ** 30)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 8 * 2 ** 30)
     with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{16}'") as err:
         poincare_poly("0" * 16)
     assert err.value.need > 8 * 2 ** 30
@@ -994,7 +1006,7 @@ def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
     # estimate is checked against memory exactly once, all before the first
     # step of either
     events = []
-    room, step = shuffle._room, shuffle._SeriesLayout.step
+    room, step = budget._room, shuffle._SeriesLayout.step
 
     def spy_room(what, parts):
         events.append(sum(parts.values()))
@@ -1004,7 +1016,7 @@ def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
         events.append("step")
         return step(layout, key, ds, work)
 
-    monkeypatch.setattr(shuffle, "_room", spy_room)
+    monkeypatch.setattr(budget, "_room", spy_room)
     monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
     full_twist_series(11, 10)
     estimates = events[:2]
@@ -1013,7 +1025,7 @@ def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
     # a budget between the two estimates refuses the call before any step
     low, high = sorted(estimates)
     assert low < high
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: (low + high) // 2)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: (low + high) // 2)
     events.clear()
     with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{11}' ") as err:
         full_twist_series(11, 10)
@@ -1041,7 +1053,7 @@ def test_no_slot_table_outlives_its_run():
 def test_refused_run_builds_no_table(monkeypatch):
     # 0 1^60 0 has a closure of 128 keys but a layout of 357,588 fields:
     # the pre-flight refuses it from the layout's geometry alone
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 10 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 10 * 2 ** 20)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetExceeded, match="MiB of slot table"):
@@ -1061,7 +1073,7 @@ def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name
     monkeypatch.setattr(
         shuffle._InsertionLayout, "step", lambda *args: steps.append(args)
     )
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 16 * 2 ** 20)
     with pytest.raises(MemoryBudgetExceeded, match=f"evaluating {name} ") as err:
         run()
     assert "MiB of live values on the insertion route, a-degrees 0.." in str(err.value)
@@ -1081,7 +1093,7 @@ def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name
 # code pages that a fork does not copy.
 _GROWTH_PROBE = """
 import contextlib, ctypes, gc, io, os, resource, sys
-from tlh import cli, shuffle
+from tlh import budget, cli, shuffle
 gc.collect()
 if sys.platform.startswith("linux"):
     trim = ctypes.CDLL(None).malloc_trim
@@ -1095,7 +1107,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 shuffle.poincare_poly("0" * 5)
 shuffle.insertion_series("0" * 5)
 estimates = []
-room = shuffle._room
+room = budget._room
 
 def recording(what, parts):
     # each pass's estimate, not the re-check of the values it unpacks
@@ -1103,7 +1115,7 @@ def recording(what, parts):
         estimates.append(sum(parts.values()))
     return room(what, parts)
 
-shuffle._room = recording
+budget._room = recording
 route = sys.argv[1]
 held = {}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -1159,7 +1171,7 @@ def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
 def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
     # the live values of every word of length <= 10 fit 64 MiB, the 3.2
     # million terms of the values unpacked for them do not
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 64 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
     unpacked = []
     unpack = shuffle._Layout.unpack
 
@@ -1192,9 +1204,9 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
 
         return wrapped
 
-    budget = 2 ** 20  # 2,048 keys of walk state
-    limit = budget // shuffle._WALK_BYTES_PER_KEY
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: budget)
+    memory = 2 ** 20  # about 2,200 keys of P's walk state
+    limit = memory // shuffle._WALK_BYTES_PER_KEY
+    monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
     for route in (shuffle._Layout, shuffle._InsertionLayout):
         monkeypatch.setattr(route, "deps", staticmethod(counted(route.deps)))
     # a long key with few zeros has a small closure and walks in any budget
@@ -1209,7 +1221,7 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     calls.clear()
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'") as err:
         poincare_poly("0" * 16)
-    assert err.value.need > budget
+    assert err.value.need > memory
     assert len(calls) < 2 * limit
     calls.clear()
     with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
@@ -1225,8 +1237,26 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
     # of 0 1^30 0, 49,203 slots, alone holds about 7 MiB
     with pytest.raises(MemoryBudgetExceeded, match="MiB of slot table"):
         load_cache(str(path))
-    monkeypatch.setattr(shuffle, "_memory_budget", lambda: 16 * 2 ** 20)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 16 * 2 ** 20)
     assert load_cache(str(path)) == cached
+
+
+def test_insertion_walk_counts_its_dependency_entries(monkeypatch):
+    # the insertion route's key v reads 2^#0(v) words: its plan over every
+    # word of length <= 11, as verify lists them, holds 261,636 entries in
+    # 4,095 keys, about 17 MiB; the walk counts them, so it is refused by
+    # name before it holds more than the budget
+    roots = [v for m in range(12) for v in shuffle._step_order(m)]
+    memory = 8 * 2 ** 20
+    monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded, match="walking the closure of 4095 keys") as err:
+            shuffle._run(roots, shuffle._InsertionLayout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < memory < err.value.need
 
 
 @pytest.mark.parametrize("key", ["1" * 30 + "0", "0" + "1" * 30 + "0"])
