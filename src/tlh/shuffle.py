@@ -66,16 +66,17 @@ dependency rules, so the two yield them in one order (:func:`_step_order`),
 and the check reads them side by side, a length at a time.  Its closure is
 that of 0^m, every word of length <= m, so no row mass up to the plan's
 largest dq exceeds 2^m C(dq + m - 1, m - 1), as below
-(:func:`_row_mass`).  Each root unpacks as P(v) itself: ``p -= p << SQ``
-once per zero, z = #0(v) times, then the low (r + 1) SQ bits, r = r(v), as a
-signed residue.  Packing is a ring homomorphism, so that int is the image of
-(1 - q)^z (f(v) mod q^(r + 1)), whose q-rows 0..r are those of (1 - q)^z
-f(v) = P(v), as (1 - q)^z only raises q, and whose rows above, up to r + z,
-add a multiple of 2^((r + 1) SQ).  Each field of rows 0..r holds a
-coefficient of P(v), at most P's L1 bound in size; with fields that hold the
-larger of that bound and the row mass plus a sign, the image of rows 0..r
-lies strictly within 2^((r + 1) SQ - 1) of 0, so it is exactly the symmetric
-residue mod 2^((r + 1) SQ), which the signed decoder reads.
+(:func:`_row_mass`).  Each root's value is the packed int of P(v), never
+unpacked: ``p -= p << SQ`` once per zero, z = #0(v) times, then the low
+(r + 1) SQ bits, r = r(v), as a signed residue.  Packing is a ring
+homomorphism, so that int is the image of (1 - q)^z (f(v) mod q^(r + 1)),
+whose q-rows 0..r are those of (1 - q)^z f(v) = P(v), as (1 - q)^z only
+raises q, and whose rows above, up to r + z, add a multiple of
+2^((r + 1) SQ).  Each field of rows 0..r holds a coefficient of P(v), at
+most P's L1 bound in size; with fields that hold the larger of that bound
+and the row mass plus a sign, the image of rows 0..r lies strictly within
+2^((r + 1) SQ - 1) of 0, so it is exactly the symmetric residue mod
+2^((r + 1) SQ): the int that P's own run packs on the same geometry.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
 propagated over the closure of the target key: deg_a <= |v|; and the a^j
@@ -125,7 +126,15 @@ longer.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only
 as the values a run yields, those of its roots, each at its own q-rows
 0..dq_k by its route's bounds, which hold the whole value, with the
-signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).
+signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).  A
+run that yields ints unpacks nothing: it yields each root's packed int, for
+:mod:`tlh.verify` to compare across the three routes.  Those runs step on
+one geometry (:func:`_shared_geometry`, :func:`_shared`), a-rows 0..n,
+t-width C(n, 2) + 1 and fields that hold the largest bound of the three
+routes up to length n, so every root of every run is the image of its
+exact P(v) under one map, injective on the values that fit: two ints are
+equal exactly when their polynomials are.  They build no slot table, and
+count no unpacked terms.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
@@ -162,7 +171,7 @@ explicit work list rather than native recursion, so long sequences do not
 hit the interpreter stack limit.  A packed value is released as soon as
 its last consumer has run, a root's that no key reads at once.  A run
 streams the values of its roots, each yielded as soon as its last pass
-unpacks it, so a reader that drops each value holds one at a time;
+steps it, so a reader that drops each value holds one at a time;
 ``dict(...)`` of the stream holds them all.  Many keys are best asked of
 one run, which steps each key of their closures once.
 """
@@ -173,6 +182,7 @@ import contextlib
 import json
 import os
 import threading
+from contextvars import ContextVar
 from itertools import product
 from math import comb
 from typing import Callable, Iterator
@@ -372,7 +382,9 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     tall as the layout; and its masks, ``layout.mask_rows`` q-rows; with the
     heap's holes between them; the closure walk's state, its keys and their
     dependency entries, as :func:`_plan` counts them; and the layout's
-    slot table, each under the name :class:`MemoryBudgetExceeded` gives it.
+    slot table, but for a run that yields ints, which builds none
+    (:meth:`_Layout.build`); each under the name
+    :class:`MemoryBudgetExceeded` gives it.
     CPython stores 30 bits of an int in every 4 bytes.  The malloc heap
     leaves holes where a freed value is too small for the next one: the
     f-route's peak RSS growth measured 1.19 times its live bytes at
@@ -385,15 +397,17 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     does).
     """
     rows = peak + layout.temps * (layout.dq + 1) + layout.mask_rows
-    return {
+    parts = {
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
             rows * layout.row_bytes * 16 // 15 * 3 // 2,
         "closure walk state":
             len(needs) * _WALK_BYTES_PER_KEY
             + sum(map(len, needs.values())) * _WALK_BYTES_PER_ENTRY,
-        "slot table": layout.fields * _SLOT_BYTES_PER_FIELD,
     }
+    if not layout.yields_ints:
+        parts["slot table"] = layout.fields * _SLOT_BYTES_PER_FIELD
+    return parts
 
 
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
@@ -415,14 +429,15 @@ def _evaluate(
     layouts: list[_Layout],
     size: Callable[[str], int],
     extra: dict[str, int] | None = None,
-) -> Iterator[tuple[str, Polynomial]]:
+) -> Iterator[tuple[str, Polynomial | int]]:
     """The one work-list driver of every packed run: (root, its value) pairs.
 
     Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order,
     once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
     the values of ``ds``, the keys that ``plan`` names for ``k``, from
     ``work``.  Each root is unpacked at its own ``size(k)`` q-rows,
-    ``layout.unpack(k, value, size(k))``, once it is stepped.  Then the
+    ``layout.unpack(k, value, size(k))``, once it is stepped, or read as
+    an int on a layout that yields ints.  Then the
     keys of ``frees[k]`` are released, and only then does the last pass
     yield the root, joined with the slices that the earlier passes kept.
     Before the first step, every pass's estimate, its
@@ -433,8 +448,9 @@ def _evaluate(
     its pass starts.  A pass whose unpacked values, the earlier passes'
     kept slices among them, would take its estimate over at
     ``_UNPACKED_BYTES_PER_TERM`` per term raises too, as soon as they
-    would, whether or not the reader still holds them.  Nothing runs until
-    the stream's first value is asked for.
+    would, whether or not the reader still holds them; a run that yields
+    ints unpacks no terms and counts none.  Nothing runs until the stream's
+    first value is asked for.
     """
     needs, frees = plan
     what = _name(roots)
@@ -456,10 +472,11 @@ def _evaluate(
                 del work[d]
             if value is None:
                 continue
-            held += len(value)
-            if held > room:
-                unpacked = held * _UNPACKED_BYTES_PER_TERM
-                budget._room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
+            if not layout.yields_ints:
+                held += len(value)
+                if held > room:
+                    unpacked = held * _UNPACKED_BYTES_PER_TERM
+                    budget._room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
             if k in kept:  # a later pass's slice of the first pass's value
                 kept[k]._terms.update(value._terms)
                 value = kept.pop(k)
@@ -508,6 +525,8 @@ class _Layout:
     """
 
     route = "P"
+    # whether a run yields its roots' packed ints, unpacking none
+    yields_ints = False
     # the step temporaries as tall as the layout that a run's estimate counts
     temps = 2
     # the q-rows of the masks a pass holds
@@ -530,7 +549,12 @@ class _Layout:
         self.row_bytes = self.sq // 8
 
     def build(self) -> None:
-        """Make the table a pass reads, once every estimate has passed."""
+        """Make the table a pass reads, once every estimate has passed.
+
+        A run that yields ints unpacks nothing, so it builds none.
+        """
+        if self.yields_ints:
+            return
         # the exponent of every slot, in slot order, q the most significant
         rows = range(self.dq + 1), self.a_rows, range(self.t_width)
         self.exps = list(product(*([UNIT * i for i in r] for r in rows)))
@@ -546,11 +570,14 @@ class _Layout:
         p1 = work[ds[1]]
         return p1 + ((p - p1) << self.sq)
 
-    def unpack(self, key: str, packed: int, rows: int) -> Polynomial:
+    def unpack(self, key: str, packed: int, rows: int) -> Polynomial | int:
         """The value of ``packed``, ``key``'s, of q-degree below ``rows``.
 
-        Only its q-rows 0..rows - 1 are read (:func:`~tlh.poly._unpack`).
+        Only its q-rows 0..rows - 1 are read (:func:`~tlh.poly._unpack`);
+        a run that yields ints yields ``packed`` itself.
         """
+        if self.yields_ints:
+            return packed
         return _unpack(packed, self.b, rows * self.row_fields, self.exps)
 
 
@@ -649,7 +676,9 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
     return [(range(J + 1), comb(n, 2) + 1), high]
 
 
-def _run(roots: list[str], route: type[_Layout]) -> Iterator[tuple[str, Polynomial]]:
+def _run(
+    roots: list[str], route: type[_Layout]
+) -> Iterator[tuple[str, Polynomial | int]]:
     """(root, its value) as each is stepped, ``roots``' closure as one plan.
 
     ``route``, a layout class, carries the rules: ``route.deps``, a key's
@@ -657,12 +686,19 @@ def _run(roots: list[str], route: type[_Layout]) -> Iterator[tuple[str, Polynomi
     every key of a plan.  The one layout, of the longest key, holds the
     largest bounds of the plan, a lone root's own since bounds grow toward
     the consumers; each key counts its own q-rows in the pre-flight
-    (:func:`_evaluate`).  The closure is walked at once, and stepped as the
-    stream is read.
+    (:func:`_evaluate`).  A run started under :func:`_shared` steps on its
+    geometry instead, and yields each root's packed int.  The closure is
+    walked at once, and stepped as the stream is read.
     """
     needs, _ = plan = _plan(roots, route.deps)
     bound = route.bounds(needs)
-    layout = route(max(map(len, needs)), *map(max, zip(*bound.values())))
+    dq, l1 = map(max, zip(*bound.values()))
+    n = max(map(len, needs))
+    shared = _SHARED.get()
+    if shared is not None:
+        n, _, l1 = shared
+    layout = route(n, dq, l1)
+    layout.yields_ints = shared is not None
     return _evaluate(roots, plan, [layout], lambda k: bound[k][0] + 1)
 
 
@@ -858,19 +894,22 @@ class _NormalizedLayout(_SeriesLayout):
     """The f route's layout, its roots read as P(v) = (1 - q)^#0(v) f(v).
 
     Its fields hold both f's row masses and P's L1 bound plus a sign (see
-    the module docstring).
+    the module docstring).  Its runs yield ints: each root's value is the
+    int that packs P(v).
     """
 
-    def unpack(self, key: str, packed: int, rows: int) -> Polynomial:
+    yields_ints = True
+
+    def unpack(self, key: str, packed: int, rows: int) -> int:
         """(1 - q)^#0(key) times ``packed``, f(key), at q-rows 0..rows - 1.
 
         One ``p -= p << SQ`` per zero of ``key``, then the low ``rows SQ``
-        bits as a signed residue, decoded.
+        bits as a signed residue.
         """
         for _ in range(key.count("0")):
             packed -= packed << self.sq
         half = 1 << rows * self.sq - 1
-        return super().unpack(key, ((packed + half) & (2 * half - 1)) - half, rows)
+        return ((packed + half) & (2 * half - 1)) - half
 
 
 def _step_order(m: int) -> list[str]:
@@ -884,23 +923,71 @@ def _step_order(m: int) -> list[str]:
     return [k for k in needs if len(k) == m]
 
 
-def _normalized(m: int) -> Iterator[tuple[str, Polynomial]]:
+def _normalized(m: int) -> Iterator[tuple[str, int]]:
     """The stream of (v, (1 - q)^#0(v) f(v)) over every word v of length m.
 
-    Each is P(v) from the series recursion alone, by the f route: one plan
-    over every word of length m, listed from 1^m down to 0^m (the reverse
-    held 1.1 to 1.3 times as many q-rows at once at m = 8..10), each root
-    read at q-rows 0..dq_v, P's q-degree bound (:func:`_demand`), and
-    yielded as soon as it is unpacked (:func:`_evaluate`).  It shares P's
-    rules and roots, so it yields them in :func:`_step_order`.
+    Each is the packed int of P(v) from the series recursion alone, by the
+    f route: one plan over every word of length m, listed from 1^m down to
+    0^m (the reverse held 1.1 to 1.3 times as many q-rows at once at
+    m = 8..10), each root read at q-rows 0..dq_v, P's q-degree bound
+    (:func:`_demand`), and yielded as soon as it is stepped
+    (:func:`_evaluate`).  Its layout is that of length m, or the geometry
+    of :func:`_shared` when started under it.  It shares P's rules and
+    roots, so it yields them in :func:`_step_order`.
     """
     roots = all_sequences(m)[::-1]
     needs, _ = plan = _plan(roots, _NormalizedLayout.deps)
     bounds = _NormalizedLayout.bounds(needs)
     demand = _demand(needs, {v: bounds[v][0] for v in roots})
     dq, l1 = map(max, zip(*bounds.values()))
-    layout = _NormalizedLayout(m, dq, max(_row_mass(m, dq), l1), demand)
+    n, bound = m, max(_row_mass(m, dq), l1)
+    shared = _SHARED.get()
+    if shared is not None:
+        n, _, bound = shared
+    layout = _NormalizedLayout(n, dq, bound, demand)
     return _evaluate(roots, plan, [layout], lambda k: demand[k] + 1)
+
+
+def _shared_geometry(n: int) -> tuple[int, int, int]:
+    """(n, dq, bound): one layout for every run that checks P up to length n.
+
+    a-rows 0..n and t-width C(n, 2) + 1; q-rows 0..dq, P's q-degree bound
+    of 0^n; and fields that hold ``bound`` plus a sign, the largest of
+    three proven bounds: P's L1 bound of 0^n, the insertion route's
+    largest L1 bound over every word of length <= n, and f's row mass up
+    to q-row dq (:func:`_row_mass`).  The closure of 0^n by P's rules is
+    every word of length <= n, and bounds grow toward their consumers, so
+    0^n's bounds are the largest of P's and f's runs of any length <= n;
+    and row masses grow with the length and the q-row.
+    """
+    top = "0" * n
+    dq, l1 = _fill_bounds(_plan([top], _poly_deps)[0])[top]
+    words = [v for m in range(n + 1) for v in all_sequences(m)]
+    insertion = _insertion_bounds(_plan(words, _insertion_deps)[0])
+    return n, dq, max(l1, _row_mass(n, dq), *(l for _, l in insertion.values()))
+
+
+# The geometry, (n, dq, bound), of every run started under _shared, or None.
+_SHARED: ContextVar[tuple[int, int, int] | None] = ContextVar("_SHARED", default=None)
+
+
+@contextlib.contextmanager
+def _shared(geometry: tuple[int, int, int]) -> Iterator[None]:
+    """Step every run started inside on ``geometry`` and yield packed ints.
+
+    ``geometry`` is :func:`_shared_geometry`'s, the layout ``_Layout(n,
+    dq, bound)``; the runs are :func:`_run`'s and :func:`_normalized`'s,
+    each at its own q-rows, and none unpacks.  Packing is a ring
+    homomorphism, injective on the values that fit one geometry, so two
+    roots' ints are equal exactly when their polynomials are.  A context
+    variable, so a run started on another thread, or after the block,
+    keeps its own layout and unpacks its values.
+    """
+    token = _SHARED.set(geometry)
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 # ---------------------------------------------------------------------------

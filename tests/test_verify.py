@@ -1,11 +1,13 @@
 import threading
 import weakref
 from collections import Counter
+from math import comb
 
 import pytest
 
-from tlh import links, shuffle, tableaux, verify
-from tlh.poly import Q, UNIT, BinomialFactor, NonExactDivision, Polynomial
+from tlh import budget, links, shuffle, tableaux, verify
+from tlh.poly import Q, BinomialFactor, NonExactDivision, _unpack
+from tlh.shuffle import poincare_poly
 
 
 def _broken(exc):
@@ -140,14 +142,12 @@ def test_normalization_check_fails_if_one_factor_of_1_minus_q_is_missing(
 
 
 def test_normalization_check_fails_if_the_residue_stops_a_row_short(monkeypatch):
-    # the low (rows - 1) SQ bits alone: the top q-row, where P(v) reaches
-    # its q-degree bound, reads 0
+    # the residue of the low (rows - 1) SQ bits alone, 0 for a root of one
+    # row: the top q-row, where P(v) reaches its q-degree bound, reads 0
     unpack = shuffle._NormalizedLayout.unpack
 
     def cut_short(layout, key, packed, rows):
-        value = unpack(layout, key, packed, rows)
-        top = (rows - 1) * UNIT
-        return Polynomial({e: c for e, c in value.units().items() if e[0] < top})
+        return unpack(layout, key, packed, rows - 1) if rows > 1 else 0
 
     monkeypatch.setattr(shuffle._NormalizedLayout, "unpack", cut_short)
     _assert_normalization_fails("failed: |v|=0, |v|=1, |v|=2, |v|=3, |v|=4")
@@ -169,6 +169,48 @@ def test_dual_check_fails_if_one_weight_class_is_perturbed(monkeypatch):
     check = results["dual-recursion-equivalence"]
     assert check.status == verify.FAIL
     assert check.detail == "failed: |v|=4"
+
+
+def test_dual_check_fails_if_the_insertion_fold_is_one_1_minus_q_short(monkeypatch):
+    # acc <- acc (1 - q) + q^(z - k) G_k from k = z down to 0, the last fold
+    # without its (1 - q): every G_k but G_0 gets (1 - q)^(k - 1)
+    step = shuffle._InsertionLayout.step
+
+    def one_short(layout, key, ds, work):
+        if "0" not in key or "1" not in key:
+            return step(layout, key, ds, work)
+        z = key.count("0")
+        acc = 0
+        for k in range(z, -1, -1):
+            g = 0
+            for w in ds:
+                if w.count("1") == k:
+                    p = work[w]
+                    for l, m in enumerate(reversed(shuffle._weight_class(key, w))):
+                        p = (p << layout.w * (l + m)) + (p << layout.sa)
+                    g += p
+            acc = acc - (acc << layout.sq) * (k > 0) + (g << (z - k) * layout.sq)
+        return acc
+
+    monkeypatch.setattr(shuffle._InsertionLayout, "step", one_short)
+    results = _recursion_results(4)
+    assert results["normalization-consistency"].status == verify.PASS
+    check = results["dual-recursion-equivalence"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: |v|=2, |v|=3, |v|=4"
+
+
+def test_top_a_check_fails_if_its_mask_is_one_a_row_low(monkeypatch):
+    # a^(|v| - 1) masked where a^|v| should be: the top coefficient's field
+    # lies outside the mask
+    a_row = verify._a_row
+    monkeypatch.setattr(verify, "_a_row", lambda layout, j: a_row(layout, max(j - 1, 0)))
+    results = {r.name: r for r in verify.run_suites(["recursions", "top-a"], max_n=4)}
+    assert results["dual-recursion-equivalence"].status == verify.PASS
+    assert results["normalization-consistency"].status == verify.PASS
+    check = results["top-a-coefficient-is-one"]
+    assert check.status == verify.FAIL
+    assert check.detail == "failed: |v|=1, |v|=2, |v|=3, |v|=4"
 
 
 # The recursion and top-a checks read P, the insertion route and the f route
@@ -384,6 +426,85 @@ def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch
         in_order = shuffle._step_order(m)
         assert [v for v in p if len(v) == m] == in_order
         assert sorted(in_order) == shuffle.all_sequences(m)
+
+
+# The three routes are compared as packed ints, which is exact only on one
+# geometry whose fields hold every value; a field too narrow could wrap two
+# wrong values alike, and no mutant of a route would show it.
+
+
+def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
+    monkeypatch,
+):
+    geometries, routes, bounds = set(), [], []
+    evaluate = shuffle._evaluate
+
+    def spy(roots, plan, layouts, size, extra=None):
+        (layout,) = layouts
+        geometries.add((layout.b, layout.a_rows, layout.t_width))
+        routes.append(layout.route)
+        # the run's own proven bounds: its L1 bound, and on the f route the
+        # row mass of its length up to its q-degree bound
+        dq, l1 = map(max, zip(*layout.bounds(plan[0]).values()))
+        bounds.append(l1)
+        if layout.route == "f":
+            bounds.append(shuffle._row_mass(max(map(len, plan[0])), dq))
+        return evaluate(roots, plan, layouts, size, extra)
+
+    monkeypatch.setattr(shuffle, "_evaluate", spy)
+    passed = verify._agreement(8)
+    assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
+    assert Counter(routes) == {"P": 9, "f": 9, "insertion": 1}
+    [(b, a_rows, t_width)] = geometries
+    assert a_rows == range(9) and t_width == comb(8, 2) + 1
+    # each bound plus a sign fits a field, and one bound needs all its bytes
+    assert all(bound < 2 ** (8 * b - 1) for bound in bounds)
+    assert shuffle._field_bytes(max(bounds)) == b == 5
+
+
+def test_each_stream_yields_the_packed_image_of_p(monkeypatch):
+    # decoded on the shared geometry, every int of every stream is P(v)
+    values = []
+    lockstep = verify._lockstep
+
+    def recording(*streams):
+        for v, ints in lockstep(*streams):
+            values.append((v, ints))
+            yield v, ints
+
+    monkeypatch.setattr(verify, "_lockstep", recording)
+    verify._agreement(6)
+    layout = shuffle._Layout(*shuffle._shared_geometry(6))
+    layout.build()
+    assert sorted(v for v, _ in values) == sorted(verify._words(6))
+    for v, ints in values:
+        assert len(ints) == 3 and all(type(x) is int for x in ints), v
+        for x in ints:
+            assert _unpack(x, layout.b, layout.fields, layout.exps) == poincare_poly(v), v
+
+
+def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
+    parts = []
+    room = budget._room
+
+    def spy(what, estimate):
+        parts.append(estimate)
+        return room(what, estimate)
+
+    monkeypatch.setattr(budget, "_room", spy)
+    verify._agreement(4)
+    assert len(parts) == 11  # a P and an f run a length, and one insertion run
+    assert not any("slot table" in estimate for estimate in parts)
+    parts.clear()
+    poincare_poly("0101")
+    [estimate] = parts
+    assert "slot table" in estimate
+    # at a whole budget per unpacked term, a run that counts one term is
+    # refused; the runs that yield ints count none
+    monkeypatch.setattr(shuffle, "_UNPACKED_BYTES_PER_TERM", budget._memory_budget())
+    verify._agreement(4)
+    with pytest.raises(shuffle.MemoryBudgetExceeded, match="of unpacked values up to '0101'$"):
+        poincare_poly("0101")
 
 
 # The determinism checks compare values asked for again, in another order
