@@ -59,8 +59,9 @@ stepped whole and expanded over (1 - q)^n, and no qmax costs more than that.
 The f route has a second reader: the check that P(v) = (1 - q)^#0(v) f(v),
 each side by its own recursion (:func:`_normalized`, read by
 :mod:`tlh.verify`).  It steps one plan per length m, whose roots are every
-word of length m, in one pass of a-rows 0..m at the whole t-width, each root
-v read at q-rows 0..dq_v, its P's q-degree bound, so r(v) >= dq_v.  Its
+word of length m, in one pass on the geometry of the check's largest length
+(below), each root v read at q-rows 0..dq_v, its P's q-degree bound, so
+r(v) >= dq_v.  Its
 roots are listed as those of P's run over the same words, with P's
 dependency rules, so the two yield them in one order (:func:`_step_order`),
 and the check reads them side by side, a length at a time.  Its closure is
@@ -129,7 +130,7 @@ as the values a run yields, those of its roots, each at its own q-rows
 signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).  A
 run that yields ints unpacks nothing: it yields each root's packed int, for
 :mod:`tlh.verify` to compare across the three routes.  Those runs step on
-one geometry (:func:`_shared_geometry`, :func:`_shared`), a-rows 0..n,
+one geometry (:func:`_shared_geometry`), a-rows 0..n,
 t-width C(n, 2) + 1 and fields that hold the largest bound of the three
 routes up to length n, so every root of every run is the image of its
 exact P(v) under one map, injective on the values that fit: two ints are
@@ -182,7 +183,6 @@ import contextlib
 import json
 import os
 import threading
-from contextvars import ContextVar
 from itertools import product
 from math import comb
 from typing import Callable, Iterator
@@ -197,6 +197,7 @@ from .poly import (
     Polynomial,
     _exp_vector,
     _field_bytes,
+    _top,
     _unpack,
 )
 from .budget import MemoryBudgetExceeded
@@ -384,23 +385,18 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     dependency entries, as :func:`_plan` counts them; and the layout's
     slot table, but for a run that yields ints, which builds none
     (:meth:`_Layout.build`); each under the name
-    :class:`MemoryBudgetExceeded` gives it.
-    CPython stores 30 bits of an int in every 4 bytes.  The malloc heap
-    leaves holes where a freed value is too small for the next one: the
-    f-route's peak RSS growth measured 1.19 times its live bytes at
-    |v| = 13..15 (Python 3.11, glibc), and 1.0 times with every value in
-    its own mmap.  Values count half again, which keeps the estimate 1.2 to
-    1.5 times the peak RSS growth of the P and f routes at |v| = 10..13,
-    and 1.5 to 1.6 times that of the insertion route's 0^10 and its one
-    plan over every word of length <= 9 (Python 3.11, measured from a
-    trimmed heap, as ``test_memory_estimate_covers_the_peak_rss_growth``
-    does).
+    :class:`MemoryBudgetExceeded` gives it.  Values are counted by
+    :func:`_packed_bytes`, which keeps the estimate 1.2 to 1.5 times the
+    peak RSS growth of the P and f routes at |v| = 10..13, and 1.5 to 1.6
+    times that of the insertion route's 0^10 and its one plan over every
+    word of length <= 9 (Python 3.11, measured from a trimmed heap, as
+    ``test_memory_estimate_covers_the_peak_rss_growth`` does).
     """
     rows = peak + layout.temps * (layout.dq + 1) + layout.mask_rows
     parts = {
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
-            rows * layout.row_bytes * 16 // 15 * 3 // 2,
+            _packed_bytes(rows * layout.row_bytes),
         "closure walk state":
             len(needs) * _WALK_BYTES_PER_KEY
             + sum(map(len, needs.values())) * _WALK_BYTES_PER_ENTRY,
@@ -408,6 +404,18 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     if not layout.yields_ints:
         parts["slot table"] = layout.fields * _SLOT_BYTES_PER_FIELD
     return parts
+
+
+def _packed_bytes(size: int) -> int:
+    """The heap that packed ints of ``size`` bytes in all take.
+
+    CPython stores 30 bits of an int in every 4 bytes.  The malloc heap
+    leaves holes where a freed value is too small for the next one: the
+    f-route's peak RSS growth measured 1.19 times its live bytes at
+    |v| = 13..15 (Python 3.11, glibc), and 1.0 times with every value in
+    its own mmap.  So values count half again.
+    """
+    return size * 16 // 15 * 3 // 2
 
 
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
@@ -421,6 +429,17 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
 _SLOT_BYTES_PER_FIELD = 144
 _UNPACKED_BYTES_PER_TERM = 64
 _SERIES_BYTES_PER_TERM = 192
+
+
+def _held_bytes(value: Polynomial | int) -> int:
+    """What a yielded value holds, by :func:`_evaluate`'s count.
+
+    An unpacked value ``_UNPACKED_BYTES_PER_TERM`` per term, and a packed
+    int its own bytes as :func:`_packed_bytes` counts them.
+    """
+    if isinstance(value, int):
+        return _packed_bytes(value.bit_length() // 8 + 1)
+    return len(value) * _UNPACKED_BYTES_PER_TERM
 
 
 def _evaluate(
@@ -445,12 +464,12 @@ def _evaluate(
     plus the parts of ``extra``, is checked against physical memory: one
     over it raises :class:`MemoryBudgetExceeded`, naming the run by its
     roots.  Only then are a layout's tables built, ``layout.build()``, as
-    its pass starts.  A pass whose unpacked values, the earlier passes'
-    kept slices among them, would take its estimate over at
-    ``_UNPACKED_BYTES_PER_TERM`` per term raises too, as soon as they
-    would, whether or not the reader still holds them; a run that yields
-    ints unpacks no terms and counts none.  Nothing runs until the stream's
-    first value is asked for.
+    its pass starts.  A pass whose yielded values, the earlier passes'
+    kept slices among them, would take its estimate over raises too, as
+    soon as they would, whether or not the reader still holds them:
+    each value at its :func:`_held_bytes`, so a run that yields ints
+    counts no unpacked terms but the bytes of its ints.  Nothing runs until
+    the stream's first value is asked for.
     """
     needs, frees = plan
     what = _name(roots)
@@ -458,10 +477,10 @@ def _evaluate(
     estimates = [
         {**_working_set(needs, peak, layout), **(extra or {})} for layout in layouts
     ]
-    rooms = [budget._room(what, e) // _UNPACKED_BYTES_PER_TERM for e in estimates]
+    rooms = [budget._room(what, e) for e in estimates]
     wanted = set(roots)
     kept: dict[str, Polynomial] = {}  # the earlier passes' slices of each root
-    held = 0  # unpacked terms, the earlier passes' slices among them
+    held = 0  # bytes of the values yielded, the earlier passes' slices among them
     for layout, estimate, room in zip(layouts, estimates, rooms):
         layout.build()
         work: dict = {}
@@ -472,11 +491,10 @@ def _evaluate(
                 del work[d]
             if value is None:
                 continue
-            if not layout.yields_ints:
-                held += len(value)
-                if held > room:
-                    unpacked = held * _UNPACKED_BYTES_PER_TERM
-                    budget._room(what, {**estimate, f"unpacked values up to {k!r}": unpacked})
+            held += _held_bytes(value)
+            if held > room:
+                kind = "packed" if layout.yields_ints else "unpacked"
+                budget._room(what, {**estimate, f"{kind} values up to {k!r}": held})
             if k in kept:  # a later pass's slice of the first pass's value
                 kept[k]._terms.update(value._terms)
                 value = kept.pop(k)
@@ -580,6 +598,24 @@ class _Layout:
             return packed
         return _unpack(packed, self.b, rows * self.row_fields, self.exps)
 
+    def a_row(self, j: int) -> int:
+        """The bits of a-row j of every q-row."""
+        row = bytes(j * self.sa // 8) + b"\xff" * (self.sa // 8)
+        return int.from_bytes(row.ljust(self.row_bytes, b"\0") * (self.dq + 1), "little")
+
+    def top_a_test(self, j: int) -> Callable[[int], bool]:
+        """Whether a packed value has a^j coefficient 1, read without unpacking.
+
+        The offset-binary bias, the top bit of every field
+        (:func:`~tlh.poly._top`), turns each signed field into its
+        coefficient plus 2^(w - 1) with no borrow between fields: a-row j of
+        the biased value must hold the bias alone, but 1 more at q^0 t^0.
+        """
+        bias = _top(self.b, self.fields)
+        mask = self.a_row(j)
+        one = (bias & mask) + (1 << j * self.sa)
+        return lambda packed: (packed + bias) & mask == one
+
 
 def _demand(needs: dict, read: dict[str, int]) -> dict[str, int]:
     """{k: r(k)}, the demand row of each key of ``needs``, a ``_plan``.
@@ -677,7 +713,7 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
 
 
 def _run(
-    roots: list[str], route: type[_Layout]
+    roots: list[str], route: type[_Layout], geometry: tuple[int, int, int] | None = None
 ) -> Iterator[tuple[str, Polynomial | int]]:
     """(root, its value) as each is stepped, ``roots``' closure as one plan.
 
@@ -686,19 +722,19 @@ def _run(
     every key of a plan.  The one layout, of the longest key, holds the
     largest bounds of the plan, a lone root's own since bounds grow toward
     the consumers; each key counts its own q-rows in the pre-flight
-    (:func:`_evaluate`).  A run started under :func:`_shared` steps on its
-    geometry instead, and yields each root's packed int.  The closure is
-    walked at once, and stepped as the stream is read.
+    (:func:`_evaluate`).  Given a ``geometry``, :func:`_shared_geometry`'s
+    ``(n, dq, bound)``, the run steps on its a-rows, t-width and fields
+    instead, and yields each root's packed int.  The closure is walked at
+    once, and stepped as the stream is read.
     """
     needs, _ = plan = _plan(roots, route.deps)
     bound = route.bounds(needs)
     dq, l1 = map(max, zip(*bound.values()))
     n = max(map(len, needs))
-    shared = _SHARED.get()
-    if shared is not None:
-        n, _, l1 = shared
+    if geometry is not None:
+        n, _, l1 = geometry
     layout = route(n, dq, l1)
-    layout.yields_ints = shared is not None
+    layout.yields_ints = geometry is not None
     return _evaluate(roots, plan, [layout], lambda k: bound[k][0] + 1)
 
 
@@ -923,29 +959,43 @@ def _step_order(m: int) -> list[str]:
     return [k for k in needs if len(k) == m]
 
 
-def _normalized(m: int) -> Iterator[tuple[str, int]]:
+def _normalized(m: int, geometry: tuple[int, int, int]) -> Iterator[tuple[str, int]]:
     """The stream of (v, (1 - q)^#0(v) f(v)) over every word v of length m.
 
     Each is the packed int of P(v) from the series recursion alone, by the
-    f route: one plan over every word of length m, listed from 1^m down to
-    0^m (the reverse held 1.1 to 1.3 times as many q-rows at once at
-    m = 8..10), each root read at q-rows 0..dq_v, P's q-degree bound
-    (:func:`_demand`), and yielded as soon as it is stepped
-    (:func:`_evaluate`).  Its layout is that of length m, or the geometry
-    of :func:`_shared` when started under it.  It shares P's rules and
-    roots, so it yields them in :func:`_step_order`.
+    f route, on ``geometry``, :func:`_shared_geometry`'s ``(n, dq,
+    bound)`` for some n >= m: one plan over every word of length m, listed
+    from 1^m down to 0^m (the reverse held 1.1 to 1.3 times as many q-rows
+    at once at m = 8..10), each root read at q-rows 0..dq_v, P's q-degree
+    bound (:func:`_demand`), and yielded as soon as it is stepped
+    (:func:`_evaluate`).  It shares P's rules and roots, so it yields them
+    in :func:`_step_order`.
     """
     roots = all_sequences(m)[::-1]
     needs, _ = plan = _plan(roots, _NormalizedLayout.deps)
     bounds = _NormalizedLayout.bounds(needs)
     demand = _demand(needs, {v: bounds[v][0] for v in roots})
-    dq, l1 = map(max, zip(*bounds.values()))
-    n, bound = m, max(_row_mass(m, dq), l1)
-    shared = _SHARED.get()
-    if shared is not None:
-        n, _, bound = shared
+    dq = max(d for d, _ in bounds.values())
+    n, _, bound = geometry
     layout = _NormalizedLayout(n, dq, bound, demand)
     return _evaluate(roots, plan, [layout], lambda k: demand[k] + 1)
+
+
+def _insertion_l1(n: int) -> int:
+    """The insertion route's largest L1 bound over every word of length <= n.
+
+    Its rule, L1(v) = 2^o sum over w of 2^#1(w) L1(w), w every word of
+    length z = #0(v), o = #1(v) >= 1, reads v through (z, o) alone, so by
+    induction L1(v) = 2^o S(z), S(z) being that sum: C(z, j) words w have
+    j ones, each of L1 2^j S(z - j) for j >= 1, and 0^z has L1(1 0^(z - 1))
+    = 2 S(z - 1), or 1 at z = 0.  A bound grows with o, so the largest are
+    of length n: 2^(n - z) S(z) for z < n, or 1 at n = 0.
+    """
+    s = [1]  # S(0), the empty word's L1
+    for z in range(1, n):
+        ones = sum(comb(z, j) * 4**j * s[z - j] for j in range(1, z + 1))
+        s.append(2 * s[z - 1] + ones)
+    return max([1] + [s[z] << n - z for z in range(n)])
 
 
 def _shared_geometry(n: int) -> tuple[int, int, int]:
@@ -954,40 +1004,18 @@ def _shared_geometry(n: int) -> tuple[int, int, int]:
     a-rows 0..n and t-width C(n, 2) + 1; q-rows 0..dq, P's q-degree bound
     of 0^n; and fields that hold ``bound`` plus a sign, the largest of
     three proven bounds: P's L1 bound of 0^n, the insertion route's
-    largest L1 bound over every word of length <= n, and f's row mass up
-    to q-row dq (:func:`_row_mass`).  The closure of 0^n by P's rules is
-    every word of length <= n, and bounds grow toward their consumers, so
-    0^n's bounds are the largest of P's and f's runs of any length <= n;
-    and row masses grow with the length and the q-row.
+    largest L1 bound over every word of length <= n (:func:`_insertion_l1`),
+    and f's row mass up to q-row dq (:func:`_row_mass`).  The closure of
+    0^n by P's rules is every word of length <= n, and bounds grow toward
+    their consumers, so 0^n's bounds are the largest of P's and f's runs of
+    any length <= n; and row masses grow with the length and the q-row.
+    Packing is a ring homomorphism, injective on the values that fit one
+    geometry, so two roots' ints on it are equal exactly when their
+    polynomials are.
     """
     top = "0" * n
     dq, l1 = _fill_bounds(_plan([top], _poly_deps)[0])[top]
-    words = [v for m in range(n + 1) for v in all_sequences(m)]
-    insertion = _insertion_bounds(_plan(words, _insertion_deps)[0])
-    return n, dq, max(l1, _row_mass(n, dq), *(l for _, l in insertion.values()))
-
-
-# The geometry, (n, dq, bound), of every run started under _shared, or None.
-_SHARED: ContextVar[tuple[int, int, int] | None] = ContextVar("_SHARED", default=None)
-
-
-@contextlib.contextmanager
-def _shared(geometry: tuple[int, int, int]) -> Iterator[None]:
-    """Step every run started inside on ``geometry`` and yield packed ints.
-
-    ``geometry`` is :func:`_shared_geometry`'s, the layout ``_Layout(n,
-    dq, bound)``; the runs are :func:`_run`'s and :func:`_normalized`'s,
-    each at its own q-rows, and none unpacks.  Packing is a ring
-    homomorphism, injective on the values that fit one geometry, so two
-    roots' ints are equal exactly when their polynomials are.  A context
-    variable, so a run started on another thread, or after the block,
-    keeps its own layout and unpacks its values.
-    """
-    token = _SHARED.set(geometry)
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
+    return n, dq, max(l1, _insertion_l1(n), _row_mass(n, dq))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .poly import (
     NotASeries,
     NotPolynomial,
     Polynomial,
-    _top,
 )
 from .serialize import ParseError, dumps, parse_frac, parse_poly
 
@@ -330,12 +329,6 @@ def _lockstep(*streams: Iterable) -> Iterator[tuple[str, list]]:
     yield from waiting.items()
 
 
-def _a_row(layout: shuffle._Layout, j: int) -> int:
-    """The bits of a-row j of every q-row of ``layout``."""
-    row = bytes(j * layout.sa // 8) + b"\xff" * (layout.sa // 8)
-    return int.from_bytes(row.ljust(layout.row_bytes, b"\0") * (layout.dq + 1), "little")
-
-
 def _agreement(bound: int) -> dict[str, Counter]:
     """Per P check, how many words of each length up to ``bound`` pass it.
 
@@ -350,43 +343,36 @@ def _agreement(bound: int) -> dict[str, Counter]:
     no value waits for its partner, and P of every word is never held at
     once.  Every run steps on one geometry, whose fields hold all three
     routes' bounds (:func:`shuffle._shared_geometry`), and yields packed
-    ints (:func:`shuffle._shared`): equal ints are equal polynomials, and
-    nothing is unpacked.  Counted, as distinct words: those whose insertion
-    value equals P(v) (``insertion``), those whose f route value does
-    (``f``), and those whose P(v) has top a-coefficient, of a^|v|, 1
-    (``top-a``).  That last reads a-row |v| of P's int, offset by the top
-    bit of every field, which turns each signed field into its
-    coefficient plus 2^(w - 1) with no borrow between fields
-    (:func:`~tlh.poly._top`): it must hold the offset alone, but 1 more at
-    q^0 t^0.
+    ints: equal ints are equal polynomials, and nothing is unpacked.
+    Counted, as distinct words: those whose insertion value equals P(v)
+    (``insertion``), those whose f route value does (``f``), and those
+    whose P(v) has top a-coefficient, of a^|v|, 1 (``top-a``), read from
+    P's int by the layout (:meth:`shuffle._Layout.top_a_test`).
     """
     geometry = shuffle._shared_geometry(bound)
     layout = shuffle._Layout(*geometry)
-    bias = _top(layout.b, layout.fields)
     lengths = range(bound + 1)
     roots = [v for m in lengths for v in shuffle._step_order(m)]
+    p = chain.from_iterable(
+        shuffle._run(shuffle.all_sequences(m)[::-1], shuffle._Layout, geometry)
+        for m in lengths
+    )
+    insertion = shuffle._run(roots, shuffle._InsertionLayout, geometry)
+    f = chain.from_iterable(shuffle._normalized(m, geometry) for m in lengths)
     agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
     length = None
-    with shuffle._shared(geometry):
-        p = chain.from_iterable(
-            shuffle._run(shuffle.all_sequences(m)[::-1], shuffle._Layout)
-            for m in lengths
-        )
-        insertion = shuffle._run(roots, shuffle._InsertionLayout)
-        f = chain.from_iterable(map(shuffle._normalized, lengths))
-        for v, (pv, iv, fv) in _lockstep(p, insertion, f):
-            if pv is None:
-                continue
-            if pv == iv:
-                agree["insertion"].add(v)
-            if pv == fv:
-                agree["f"].add(v)
-            if len(v) != length:  # the words come a length at a time
-                length = len(v)
-                mask = _a_row(layout, length)
-                top = (bias & mask) + (1 << length * layout.sa)
-            if (pv + bias) & mask == top:
-                agree["top-a"].add(v)
+    for v, (pv, iv, fv) in _lockstep(p, insertion, f):
+        if pv is None:
+            continue
+        if pv == iv:
+            agree["insertion"].add(v)
+        if pv == fv:
+            agree["f"].add(v)
+        if len(v) != length:  # the words come a length at a time
+            length = len(v)
+            top_a_is_one = layout.top_a_test(length)
+        if top_a_is_one(pv):
+            agree["top-a"].add(v)
     return {count: Counter(map(len, words)) for count, words in agree.items()}
 
 

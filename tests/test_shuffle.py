@@ -847,6 +847,15 @@ def test_insertion_bounds_hold_every_key():
         assert bounds["0" * n][1].bit_length() == l1.bit_length() + 3
 
 
+def test_insertion_l1_closed_form_is_the_largest_walked_bound():
+    # verify's geometry reads the insertion route's largest L1 bound without
+    # walking its plan over every word
+    for n in range(10):
+        words = [v for m in range(n + 1) for v in all_sequences(m)]
+        bounds = shuffle._insertion_bounds(shuffle._plan(words, shuffle._insertion_deps)[0])
+        assert shuffle._insertion_l1(n) == max(l1 for _, l1 in bounds.values()), n
+
+
 def test_insertion_series_one_shot_matches_memoized_route():
     # one call per word against one plan over every word
     values = _insertion_one_plan(_words(5))
@@ -952,7 +961,9 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
         "P": (_words(7), _one_plan, 1),
         "insertion": (_words(7), _insertion_one_plan, 1),
         "normalized": (
-            all_sequences(7)[::-1], lambda roots: dict(shuffle._normalized(7)), 1
+            all_sequences(7)[::-1],
+            lambda roots: dict(shuffle._normalized(7, shuffle._shared_geometry(7))),
+            1,
         ),
         "full-twist": (["0" * 8], lambda roots: {"0" * 8: full_twist_series(8, 5)}, 2),
     }[route]
@@ -1082,8 +1093,8 @@ def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name
 
 
 # Run in a fresh interpreter: the memory estimate of the larger pass that
-# steps, plus what the run's check adds for the values it unpacks and
-# returns, then the growth of the process's peak RSS over the run (ru_maxrss
+# steps, plus what the run's check adds for the values it yields and the
+# reader keeps, then the growth of the process's peak RSS over the run (ru_maxrss
 # is in kB on Linux).  ru_maxrss survives exec, so an interpreter spawned
 # by a large process starts at its parent's peak; a fork of the fresh
 # interpreter starts afresh, at its current RSS.  The heap that importing
@@ -1110,8 +1121,8 @@ estimates = []
 room = budget._room
 
 def recording(what, parts):
-    # each pass's estimate, not the re-check of the values it unpacks
-    if not any(part.startswith("unpacked values") for part in parts):
+    # each pass's estimate, not the re-check of the values it yields
+    if not any(" values up to " in part for part in parts):
         estimates.append(sum(parts.values()))
     return room(what, parts)
 
@@ -1126,18 +1137,17 @@ elif route == "insertion":
     shuffle.insertion_series(sys.argv[2])
 elif route == "poly":
     shuffle.poincare_poly(sys.argv[2])
-elif route == "normalized":  # every word of length argv[2] on the f route,
-    # read as verify reads it: a run that yields ints counts none its reader keeps
-    for _ in shuffle._normalized(int(sys.argv[2])):
-        pass
+elif route == "normalized":  # every word of length argv[2] on the f route
+    m = int(sys.argv[2])
+    held = dict(shuffle._normalized(m, shuffle._shared_geometry(m)))
 else:  # every word of length <= argv[2] in one plan, holding every value
     words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
     layouts = {"poly-upto": shuffle._Layout, "insertion-upto": shuffle._InsertionLayout}
     held = dict(shuffle._run(words, layouts[route]))
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert len(estimates) in (1, 2)
-unpacked = sum(map(len, held.values())) * shuffle._UNPACKED_BYTES_PER_TERM
-print(max(estimates) + unpacked, (after - before) * (1 if sys.platform == "darwin" else 1024))
+yielded = sum(map(shuffle._held_bytes, held.values()))
+print(max(estimates) + yielded, (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
 
@@ -1190,6 +1200,30 @@ def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
     assert 0 < len(unpacked) < 2 ** 11 - 1
     # a smaller run fits
     assert _one_plan(SEQS_UP_TO_8)["0" * 8] == poincare_poly("0" * 8)
+
+
+def test_a_run_that_yields_ints_charges_each_int_it_yields(monkeypatch):
+    # the f plan over every word of length 8 on verify's geometry: its pass
+    # fits the budget, and the ints it yields, counted whether or not the
+    # reader keeps them, do not
+    geometry = shuffle._shared_geometry(8)
+    estimates = []
+    room = budget._room
+
+    def recording(what, parts):
+        estimates.append(parts)
+        return room(what, parts)
+
+    monkeypatch.setattr(budget, "_room", recording)
+    held = dict(shuffle._normalized(8, geometry))
+    [estimate] = estimates
+    assert "slot table" not in estimate
+    need = sum(estimate.values())
+    assert sum(map(shuffle._held_bytes, held.values())) > 2 ** 20
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need + 2 ** 20)
+    with pytest.raises(MemoryBudgetExceeded, match="MiB of packed values up to '[01]{8}'$"):
+        for _ in shuffle._normalized(8, geometry):
+            pass
 
 
 def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):

@@ -203,8 +203,12 @@ def test_dual_check_fails_if_the_insertion_fold_is_one_1_minus_q_short(monkeypat
 def test_top_a_check_fails_if_its_mask_is_one_a_row_low(monkeypatch):
     # a^(|v| - 1) masked where a^|v| should be: the top coefficient's field
     # lies outside the mask
-    a_row = verify._a_row
-    monkeypatch.setattr(verify, "_a_row", lambda layout, j: a_row(layout, max(j - 1, 0)))
+    a_row = shuffle._Layout.a_row
+
+    def one_low(layout, j):
+        return a_row(layout, max(j - 1, 0))
+
+    monkeypatch.setattr(shuffle._Layout, "a_row", one_low)
     results = {r.name: r for r in verify.run_suites(["recursions", "top-a"], max_n=4)}
     assert results["dual-recursion-equivalence"].status == verify.PASS
     assert results["normalization-consistency"].status == verify.PASS
@@ -229,10 +233,10 @@ def _skipping(stream, word):
 def test_dual_check_fails_on_a_word_its_stream_skips(monkeypatch):
     run = shuffle._run
 
-    def insertion_skips_010(roots, route):
+    def insertion_skips_010(roots, route, geometry=None):
         if route is shuffle._InsertionLayout:
-            return _skipping(run, "010")(roots, route)
-        return run(roots, route)
+            return _skipping(run, "010")(roots, route, geometry)
+        return run(roots, route, geometry)
 
     monkeypatch.setattr(shuffle, "_run", insertion_skips_010)
     results = _recursion_results(4)
@@ -250,10 +254,10 @@ def test_normalization_check_fails_on_a_word_its_stream_skips(monkeypatch):
 def test_every_p_check_fails_on_a_word_the_p_stream_skips(monkeypatch):
     run = shuffle._run
 
-    def p_skips_010(roots, route):
+    def p_skips_010(roots, route, geometry=None):
         if route is shuffle._Layout:
-            return _skipping(run, "010")(roots, route)
-        return run(roots, route)
+            return _skipping(run, "010")(roots, route, geometry)
+        return run(roots, route, geometry)
 
     monkeypatch.setattr(shuffle, "_run", p_skips_010)
     results = verify.run_suites(["recursions", "top-a"], max_n=4)
@@ -265,9 +269,9 @@ def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatc
     lengths = []
     normalized = shuffle._normalized
 
-    def raising_mid_length_2(m):
+    def raising_mid_length_2(m, geometry):
         lengths.append(m)
-        for v, value in normalized(m):
+        for v, value in normalized(m, geometry):
             if m == 2:
                 raise NonExactDivision("no quotient")
             yield v, value
@@ -351,13 +355,13 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
     runs = []
     run, normalized = shuffle._run, shuffle._normalized
 
-    def spy(roots, route):
+    def spy(roots, route, geometry=None):
         runs.append((frozenset(roots), route))
-        return run(roots, route)
+        return run(roots, route, geometry)
 
-    def spy_normalized(m):
+    def spy_normalized(m, geometry):
         runs.append((m, "f"))
-        return normalized(m)
+        return normalized(m, geometry)
 
     stores = []
 
