@@ -21,8 +21,8 @@ class MemoryBudgetExceeded(MemoryError):
     the estimate; ``need`` is their sum in bytes.  The raisers:
 
     * every packed run of :mod:`tlh.shuffle`, from its closure alone,
-      before any recursion step, and again while it unpacks the values it
-      yields, as soon as those unpacked so far would take it over;
+      before any recursion step, and again as it yields values, unpacked
+      or packed, as soon as those yielded so far would take it over;
     * the closure walk of :mod:`tlh.shuffle` (``_plan``), as soon as the
       keys and dependency entries it holds would outgrow physical memory;
     * ``tlh fulltwist --cache``, for the series terms of its expansion,

@@ -135,7 +135,7 @@ t-width C(n, 2) + 1 and fields that hold the largest bound of the three
 routes up to length n, so every root of every run is the image of its
 exact P(v) under one map, injective on the values that fit: two ints are
 equal exactly when their polynomials are.  They build no slot table, and
-count no unpacked terms.
+count no unpacked terms, but the bytes of the ints they yield.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
@@ -143,7 +143,7 @@ r(k) + 1 for f(k), plus the step's temporaries as tall as the layout and
 the f route's masks; J minimises the larger of the f route's two, and both
 are checked first.  A pass whose estimate exceeds physical memory fails with
 :class:`MemoryBudgetExceeded`, by :mod:`tlh.budget`'s one check; so does a
-run whose unpacked values would take it over, as soon as they would, and a
+run whose yielded values would take it over, as soon as they would, and a
 closure walk whose own state, its keys and their dependency entries,
 outgrows physical memory, as soon as it does.  A layout is geometry alone
 until then: its tables (slot exponents, field masks) are built when its
