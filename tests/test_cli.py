@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import tlh
-from tlh import budget, shuffle, verify
+from tlh import budget, cli, shuffle, verify
 from tlh.cli import main
 from tlh.poly import ONE, UNIT, A, FracPoly, Polynomial, Q
 from tlh.serialize import dumps, parse_frac, parse_poly, poly_from_obj
@@ -57,6 +58,36 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["tilde"])  # missing --seq
     assert exc.value.code == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    main(["tilde", "--seq", "01"])
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", Counting)
+    for argv in (["tilde", "--seq", "0110"], ["hhh0", "--n", "2", "--qmax", "3"],
+                 ["dataset", "--list"]):
+        assert main(argv) == 0
+    assert built == []
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # a usage error and a call with other options in between do not change
+    # what a later call parses, so it prints what the first one did
+    _, first, _ = run_cli(capsys, "fulltwist", "--n", "3")
+    with pytest.raises(SystemExit) as exc:
+        main(["fulltwist", "--n", "0"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "fulltwist", "--n", "3", "--format", "json",
+                           "--qmax", "4")
+    assert code == 0 and out != first
+    _, again, _ = run_cli(capsys, "fulltwist", "--n", "3")
+    assert again == first
 
 
 def test_fulltwist(capsys):

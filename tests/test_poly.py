@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tlh import poly
+from tlh import poly, verify
 from tlh.links import _divide_by_one_plus_a, unknot_invariant, unknot_series
 from tlh.poly import (
     A,
@@ -429,13 +429,52 @@ def _sum_by_scale_then_add(items):
 
 
 @settings(max_examples=200)
-@given(st.lists(fracs(), max_size=6))
-def test_frac_sum_matches_scale_then_add(items):
+@given(st.lists(fracs(), max_size=6), st.data())
+def test_frac_sum_matches_scale_then_add(items, data):
+    # 0-9 fractions: up to three are negated copies, which make some pairs
+    # of the sum's fold cancel, so the folded value can lose factors that
+    # the common denominator keeps
+    if items:
+        for f in data.draw(st.lists(st.sampled_from(items), max_size=3)):
+            items.insert(data.draw(st.integers(0, len(items))), -f)
     got = FracPoly.sum(items)
     want = _sum_by_scale_then_add(items)
     assert got.num == want.num
     assert got.den == want.den
     assert all(got.num.units().values())
+
+
+_VERIFY_FACTORS = [f for f, _sign in verify._FACTOR_POOL]
+
+
+@settings(max_examples=200)
+@given(polys(), st.sampled_from(_VERIFY_FACTORS))
+def test_binomial_times_matches_general_product(p, factor):
+    assert factor.times(p) == p * factor.poly()
+
+
+@pytest.mark.parametrize("factor", _VERIFY_FACTORS)
+def test_binomial_times_drops_cancelled_terms(factor):
+    # p = 1 + x^d + x^2d: the lead and trail copies of p overlap in two
+    # terms, which cancel, leaving x^lead - x^(lead + 3d)
+    lead, trail = factor
+    d = tuple(t - l for l, t in zip(lead, trail))
+    p = Polynomial({tuple(k * e for e in d): 1 for k in range(3)})
+    want = Polynomial({lead: 1, tuple(l + 3 * e for l, e in zip(lead, d)): -1})
+    assert factor.times(p) == p * factor.poly() == want
+
+
+def test_frac_sum_reduced_form_independent_of_order():
+    # 1/(1 - q^2) and its negation cancel when the fold pairs them, and
+    # q/(1 - q) alone reduces no further; over the flat lcm the sum is
+    # (q + q^2)/(1 - q^2), whichever order the fractions come in
+    one_minus_q2 = BinomialFactor((0, 0, 0), (2 * UNIT, 0, 0))
+    a, b = FracPoly(ONE, [one_minus_q2]), FracPoly(-ONE, [one_minus_q2])
+    c = FracPoly(Q, [ONE_MINUS_Q])
+    want = "(q + q^2) / (1 - q^2)"
+    for items in ([a, b, c], [c, a, b], [a, c, b]):
+        assert FracPoly.sum(items).text() == want
+    assert FracPoly.sum([a, b, c, c]).text() == "(2 q + 2 q^2) / (1 - q^2)"
 
 
 @st.composite
