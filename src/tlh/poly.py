@@ -124,12 +124,22 @@ def _exp_vector(exp: Exponents) -> str:
     return "(" + ", ".join(str(Fraction(u, UNIT)) for u in exp) + ")"
 
 
-def _term_str(exp: Exponents, coeff: int, latex: bool = False) -> tuple[int, str]:
-    """Render one term; returns (sign, unsigned body)."""
+def _term_str(
+    exp: Exponents, coeff: int, latex: bool = False, powers: tuple | None = None
+) -> tuple[int, str]:
+    """Render one term; returns (sign, unsigned body).
+
+    ``powers``, one dict per variable, keeps its exponent strings by units
+    across the terms of one rendering.
+    """
+    powers = powers or ({}, {}, {})
     parts = []
-    for name, units in zip("qat", exp):
+    for name, units, seen in zip("qat", exp, powers):
         if units:
-            parts.append(_exp_str(name, units, latex))
+            power = seen.get(units)
+            if power is None:
+                power = seen[units] = _exp_str(name, units, latex)
+            parts.append(power)
     mag = abs(coeff)
     if mag != 1 or not parts:
         parts.insert(0, str(mag))
@@ -323,8 +333,9 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks = []
+        powers = ({}, {}, {})
         for n, (exp, coeff) in enumerate(self.terms()):
-            sign, body = _term_str(exp, coeff, latex)
+            sign, body = _term_str(exp, coeff, latex, powers)
             if n == 0:
                 chunks.append(body if sign > 0 else "-" + body)
             else:

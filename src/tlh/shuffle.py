@@ -15,7 +15,7 @@ monomial: each step shifts values already computed and adds or subtracts
 them, never a general product.
 
 Packed kernel.  The recursion runs on Kronecker-packed integers: P(v) is one
-Python int with a signed field of w = 8 b bits per (q, a, t) slot, slot
+Python int with a signed field of w bits per (q, a, t) slot, slot
 (i, j, k) holding the coefficient of q^i a^j t^k at bit offset
 w ((i (n + 1) + j) T + k), with T = n(n - 1)/2 + 1 for the target length n.
 So q is the most significant field, and the steps are C-level big-int
@@ -90,25 +90,39 @@ B n - C(B + 1, 2), one less than the t-width of the high pass.  For P,
 deg_q grows by one per v.0 step, and the L1 norm obeys
 |P(v.1)| <= 2 |P(v)| and |P(v.0)| <= |P(0 v)| + 2 |P(1 v)|.  Every bound
 only grows toward the target, so the target's layout, q-rows 0..dq with dq
-its q-degree bound, holds every key of its closure, and b is the fewest
-bytes that hold the target's L1 bound plus a sign.  For f, every
+its q-degree bound, holds every key of its closure, and its fields hold the
+target's L1 bound plus a sign.  For f, every
 multiplier has non-negative coefficients, so every coefficient is at most
-its q-row's mass, f(v) at a = t = 1 in that row.  At t = 1 the four rules
+the mass of its q-row's a-slice, f(v) at t = 1 there, and of its q-row,
+f(v) at a = t = 1 in that row.  At t = 1 the four rules
 read P(empty) = 1, P(v.1) = (1 + a) P(v), P(0^m) = P(1 0^(m-1)) and
 P(v.0) = P(1 v) + q (P(0 v) - P(1 v)), where 1 v and 0 v have one length;
 so by induction on them P(v)(q, a, 1) = (1 + a)^|v|, free of q, and
 f(v)(q, a, 1) = (1 + a)^|v| / (1 - q)^z, z = #0(v): the a^j part of row d
 holds C(|v|, j) C(d + z - 1, z - 1) (z = 0: C(|v|, j) in row 0 alone), and
 at a = 1 the row holds 2^|v| C(d + z - 1, z - 1), growing with |v|, z and
-d.  Over the closure of 0^n up to row qmax no mass
-exceeds 2^n C(qmax + n - 1, n - 1), the target's own in row qmax, and b
-is the fewest bytes that hold it plus one bit, which keeps every field's
-top bit clear.  The bound holds for every intermediate field as well: a
-stored f(k) is exact in its rows 0..r(k) and 0 above, so each unmasked row
-j of the v.0 step is at most row j of f(v.0), j <= qmax, or in row
-qmax + 1 a row of f(0 v); and each window of the doubling prefix sum is at
-most the whole prefix sum.  No term is negative, so no field carries into
-the next, and none can overflow: nothing is guessed.
+d.  Over the closure of 0^n up to row qmax no row mass exceeds
+2^n C(qmax + n - 1, n - 1), the target's own in row qmax, and no a^j slice
+mass exceeds C(n, j) C(qmax + n - 1, n - 1), as C(|v|, j) grows with |v|;
+f~'s row b, f's a-degree |v| - b, holds C(|v|, b) C(d + z - 1, z - 1), at
+most C(n, n - b) C(qmax + n - 1, n - 1), the bound of f's a-degree n - b
+that the high pass's layout names.  So each pass's fields are the fewest
+bits that hold the largest slice mass of its a-degrees at the target
+(:func:`_slice_mass`), unsigned.  The bound holds for every intermediate
+field as well, as no step mixes a-degrees but the v.1 step, whose sum is
+a field of f(v.1) itself: a stored f(k) is exact in its rows 0..r(k) and 0
+above, so each unmasked row j of the v.0 step is at most row j of f(v.0),
+j <= qmax, or in row qmax + 1 a row of f(0 v); and each window of the
+doubling prefix sum is at most the whole prefix sum.  No term is negative,
+so no field carries into the next, and none can overflow: nothing is
+guessed.
+Only the decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`) needs
+whole bytes, as it slices them, so only the runs that decode every root
+with it keep whole-byte fields: :func:`poincare_poly`,
+:func:`insertion_series` and the whole-P route of the full twist.  Every
+other layout takes the fewest bits its bound needs: the f route's passes,
+each decoding its one root bit by bit (:func:`_unpack_bits`), and the runs
+that yield ints, which decode none.
 The insertion route (below) steps on P's layout, sized by its own rules.
 Packing is the evaluation q = 2^SQ, a = 2^SA, t = 2^w, a ring homomorphism
 Z[q, a, t] -> Z, and its step is +, - and left shifts alone, with no mask,
@@ -127,15 +141,17 @@ longer.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only
 as the values a run yields, those of its roots, each at its own q-rows
 0..dq_k by its route's bounds, which hold the whole value, with the
-signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`).  A
-run that yields ints unpacks nothing: it yields each root's packed int, for
+signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`), or on
+the f route with :func:`_unpack_bits`.  A run that yields ints unpacks
+nothing: it yields each root's packed int, for
 :mod:`tlh.verify` to compare across the three routes.  Those runs step on
 one geometry (:func:`_shared_geometry`), a-rows 0..n,
-t-width C(n, 2) + 1 and fields that hold the largest bound of the three
-routes up to length n, so every root of every run is the image of its
-exact P(v) under one map, injective on the values that fit: two ints are
-equal exactly when their polynomials are.  They build no slot table, and
-count no unpacked terms, but the bytes of the ints they yield.
+t-width C(n, 2) + 1 and fields of the fewest bits that hold the largest
+bound of the three routes up to length n plus a sign, so every root of
+every run is the image of its exact P(v) under one map, injective on the
+values that fit: two ints are equal exactly when their polynomials are.
+They build no slot table, and count no unpacked terms, but the bytes of
+the ints they yield.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
@@ -183,7 +199,7 @@ import contextlib
 import json
 import os
 import threading
-from itertools import product
+from itertools import compress, product
 from math import comb
 from typing import Callable, Iterator
 
@@ -197,7 +213,6 @@ from .poly import (
     Polynomial,
     _exp_vector,
     _field_bytes,
-    _top,
     _unpack,
 )
 from .budget import MemoryBudgetExceeded
@@ -384,7 +399,8 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     heap's holes between them; the closure walk's state, its keys and their
     dependency entries, as :func:`_plan` counts them; and the layout's
     slot table, but for a run that yields ints, which builds none
-    (:meth:`_Layout.build`); each under the name
+    (:meth:`_Layout.build`), with on the f route the binary digits that
+    :func:`_unpack_bits` cuts its root from; each under the name
     :class:`MemoryBudgetExceeded` gives it.  Values are counted by
     :func:`_packed_bytes`, which keeps the estimate 1.2 to 1.5 times the
     peak RSS growth of the P and f routes at |v| = 10..13, and 1.5 to 1.6
@@ -403,6 +419,8 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     }
     if not layout.yields_ints:
         parts["slot table"] = layout.fields * _SLOT_BYTES_PER_FIELD
+        if layout.route == "f":  # _unpack_bits's binary digits, a byte a bit
+            parts["binary digits"] = layout.fields * layout.w
     return parts
 
 
@@ -535,6 +553,39 @@ def _fill_bounds(needs: dict) -> dict[str, tuple[int, int]]:
     return bounds
 
 
+def _tile(unit: int, stride: int, count: int) -> int:
+    """``count`` copies of ``unit``, ``stride`` bits apart from bit 0 up.
+
+    Built by doubling: one shift and one or per bit of ``count``.
+    """
+    out = offset = 0
+    while count:
+        if count & 1:
+            out |= unit << offset
+            offset += stride
+        unit |= unit << stride
+        stride *= 2
+        count >>= 1
+    return out
+
+
+def _unpack_bits(packed: int, w: int, fields: int, exps: list) -> Polynomial:
+    """The polynomial whose term at the i-th of ``exps`` is field i of ``packed``.
+
+    ``packed`` is the sum of c_i 2^(w i) over its ``fields`` unsigned w-bit
+    fields, low to high.  Its binary digits, a byte a bit, are cut into
+    fields from the low end.  A term above the fields raises
+    ``OverflowError``, as :func:`~tlh.poly._unpack` does, so none is
+    dropped.
+    """
+    size = w * fields
+    digits = format(packed, "b").zfill(size)
+    if len(digits) > size:
+        raise OverflowError(f"a packed value has a term above its {fields} fields")
+    coeffs = [int(digits[i - w:i], 2) for i in range(size, 0, -w)]
+    return Polynomial._trusted(dict(zip(compress(exps, coeffs), filter(None, coeffs))))
+
+
 class _Layout:
     """The packed-integer layout of one run (see the module docstring).
 
@@ -554,17 +605,30 @@ class _Layout:
     deps = staticmethod(_poly_deps)
     bounds = staticmethod(_fill_bounds)
 
-    def __init__(self, n: int, dq: int, bound: int, a_rows=None, t_width=0):
+    def __init__(
+        self, n: int, dq: int, bound: int, a_rows=None, t_width=0, yields_ints=None
+    ):
+        if yields_ints is not None:
+            self.yields_ints = yields_ints
         a_rows = self.a_rows = range(n + 1) if a_rows is None else a_rows
         t_width = self.t_width = t_width or comb(n, 2) + 1
-        b = self.b = _field_bytes(bound)
-        w = self.w = 8 * b
+        w = self.w = self._width(bound)
         self.sa = w * t_width
         self.sq = self.sa * len(a_rows)
         self.dq = dq
         self.row_fields = len(a_rows) * t_width
         self.fields = (dq + 1) * self.row_fields
-        self.row_bytes = self.sq // 8
+        self.row_bytes = -(-self.sq // 8)
+
+    def _width(self, bound: int) -> int:
+        """The bits of a field that holds ``bound`` plus a sign.
+
+        Whole bytes where :func:`~tlh.poly._unpack` decodes the roots, and
+        the fewest bits on a run that yields ints, which decodes none.
+        """
+        if self.yields_ints:
+            return bound.bit_length() + 1
+        return 8 * _field_bytes(bound)
 
     def build(self) -> None:
         """Make the table a pass reads, once every estimate has passed.
@@ -596,22 +660,21 @@ class _Layout:
         """
         if self.yields_ints:
             return packed
-        return _unpack(packed, self.b, rows * self.row_fields, self.exps)
+        return _unpack(packed, self.w // 8, rows * self.row_fields, self.exps)
 
     def a_row(self, j: int) -> int:
         """The bits of a-row j of every q-row."""
-        row = bytes(j * self.sa // 8) + b"\xff" * (self.sa // 8)
-        return int.from_bytes(row.ljust(self.row_bytes, b"\0") * (self.dq + 1), "little")
+        return _tile(((1 << self.sa) - 1) << j * self.sa, self.sq, self.dq + 1)
 
     def top_a_test(self, j: int) -> Callable[[int], bool]:
         """Whether a packed value has a^j coefficient 1, read without unpacking.
 
-        The offset-binary bias, the top bit of every field
-        (:func:`~tlh.poly._top`), turns each signed field into its
-        coefficient plus 2^(w - 1) with no borrow between fields: a-row j of
-        the biased value must hold the bias alone, but 1 more at q^0 t^0.
+        The offset-binary bias, the top bit of every field, turns each
+        signed field into its coefficient plus 2^(w - 1) with no borrow
+        between fields: a-row j of the biased value must hold the bias
+        alone, but 1 more at q^0 t^0.
         """
-        bias = _top(self.b, self.fields)
+        bias = _tile(1 << self.w - 1, self.w, self.fields)
         mask = self.a_row(j)
         one = (bias & mask) + (1 << j * self.sa)
         return lambda packed: (packed + bias) & mask == one
@@ -650,15 +713,26 @@ def _row_mass(n: int, qmax: int) -> int:
     return 2**n * comb(qmax + n - 1, n - 1) if n else 1
 
 
+def _slice_mass(n: int, qmax: int, degrees: range) -> int:
+    """The largest mass of f's a-slices ``degrees`` over the closure of 0^n.
+
+    Up to q-row qmax, n >= 1: C(n, j) C(qmax + n - 1, n - 1) at the j of
+    ``degrees`` nearest n / 2, those degrees being f's at the target on
+    both passes of the f route (see the module docstring).
+    """
+    return max(comb(n, j) for j in degrees) * comb(qmax + n - 1, n - 1)
+
+
 class _SeriesLayout(_Layout):
     """The layout of f(v) = P(v) / (1 - q)^#0(v), cut at q-row qmax.
 
-    Its fields are unsigned and hold the largest row mass.  Each key k holds
-    q-rows 0..r(k) alone, its ``demand`` row (:func:`_demand`): a step cuts
-    its value at ``masks[r]`` wherever it could reach above them, and a key
-    that no consumer reads is 0.  The v.1 step drops what the a-shift moves
-    out of the top a-row; descending ``a_rows`` step the reversal f~ (see
-    the module docstring).
+    Its fields are unsigned, of the fewest bits that hold ``bound``, on the
+    full twist the largest slice mass of its a-rows (:func:`_slice_mass`).
+    Each key k holds q-rows 0..r(k) alone, its ``demand`` row
+    (:func:`_demand`): a step cuts its value at ``masks[r]`` wherever it
+    could reach above them, and a key that no consumer reads is 0.  The v.1
+    step drops what the a-shift moves out of the top a-row; descending
+    ``a_rows`` step the reversal f~ (see the module docstring).
     """
 
     route = "f"
@@ -670,13 +744,23 @@ class _SeriesLayout(_Layout):
         # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
         self.strides = [self.sq << k for k in range(qmax.bit_length())]
 
+    def _width(self, bound: int) -> int:
+        # unsigned fields; a run that yields ints reads P's signed ones
+        return bound.bit_length() + self.yields_ints
+
     def build(self) -> None:
         super().build()
         # masks[r] keeps q-rows 0..r
         self.masks = [(1 << r * self.sq) - 1 for r in range(1, self.dq + 2)]
-        top = self.sa // 8  # R keeps every a-row of every q-row but the top one
-        row = b"\xff" * (self.row_bytes - top) + bytes(top)
-        self.keep = int.from_bytes(row * (self.dq + 1), "little")
+        # R keeps every a-row of every q-row but the top one
+        self.keep = _tile((1 << self.sq - self.sa) - 1, self.sq, self.dq + 1)
+
+    def unpack(self, key: str, packed: int, rows: int) -> Polynomial:
+        """The value of ``packed``, ``key``'s, at q-rows 0..rows - 1.
+
+        Read bit by bit (:func:`_unpack_bits`), its fields being unsigned.
+        """
+        return _unpack_bits(packed, self.w, rows * self.row_fields, self.exps)
 
     def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
         r = self.demand[key]
@@ -733,8 +817,7 @@ def _run(
     n = max(map(len, needs))
     if geometry is not None:
         n, _, l1 = geometry
-    layout = route(n, dq, l1)
-    layout.yields_ints = geometry is not None
+    layout = route(n, dq, l1, yields_ints=geometry is not None)
     return _evaluate(roots, plan, [layout], lambda k: bound[k][0] + 1)
 
 
@@ -909,9 +992,11 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     whole = _Layout(n, dq, l1)
     if qmax < dq:
         demand = _demand(needs, {key: qmax})
-        mass = _row_mass(n, qmax)
         pairs = [
-            [_SeriesLayout(n, qmax, mass, demand, *g) for g in _split(n, J)]
+            [
+                _SeriesLayout(n, qmax, _slice_mass(n, qmax, a), demand, a, t)
+                for a, t in _split(n, J)
+            ]
             for J in range(n)
         ]
         # both passes hold the same q-rows, so J balances their q-row bytes

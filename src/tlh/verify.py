@@ -179,10 +179,22 @@ def _sizes(bound: int, ok: Callable[[int], bool], first: int = 1,
 
 
 def _random_poly(rng: random.Random, terms: int = 4, span: int = 8) -> Polynomial:
+    # rng.randint's draws without its argument checks: below(m) takes the
+    # bits of m and draws again while they reach m, as Random._randbelow does
+    bits = rng.getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        return r
+
+    m = 2 * span + 1
     out = {}
     for _ in range(rng.randrange(terms + 1)):
-        exp = tuple(rng.randint(-span, span) for _ in range(3))
-        out[exp] = rng.randint(-5, 5)
+        exp = below(m) - span, below(m) - span, below(m) - span
+        out[exp] = below(11) - 5
     return Polynomial(out)
 
 
@@ -350,7 +362,7 @@ def _agreement(bound: int) -> dict[str, Counter]:
     P's int by the layout (:meth:`shuffle._Layout.top_a_test`).
     """
     geometry = shuffle._shared_geometry(bound)
-    layout = shuffle._Layout(*geometry)
+    layout = shuffle._Layout(*geometry, yields_ints=True)
     lengths = range(bound + 1)
     roots = [v for m in lengths for v in shuffle._step_order(m)]
     p = chain.from_iterable(

@@ -146,6 +146,23 @@ def test_zero_and_identity():
     assert (ZERO).text() == "0"
 
 
+def test_text_renders_repeated_powers_alike_in_both_forms():
+    # fractional and negative exponents, some powers shared by several
+    # terms: a power rendered once in a call reads the same in each term,
+    # and the plain form first, so a power kept past its call would show in
+    # the latex form
+    p = Polynomial({
+        (-UNIT, 2, 0): 3, (-UNIT, 2, UNIT): 1, (0, 0, 0): -1,
+        (UNIT, -2, 3 * UNIT): -2, (2 * UNIT, 1, UNIT): -1,
+    })
+    assert p.text() == (
+        "3 q^(-1) a^(1/2) + q^(-1) a^(1/2) t - 1 - 2 q a^(-1/2) t^3 - q^2 a^(1/4) t"
+    )
+    assert p.text(latex=True) == (
+        "3 q^{-1} a^{1/2} + q^{-1} a^{1/2} t - 1 - 2 q a^{-1/2} t^{3} - q^{2} a^{1/4} t"
+    )
+
+
 def test_pow():
     assert (ONE + Q) ** 0 == ONE
     assert (ONE + Q) ** 2 == ONE + 2 * Q + Q * Q

@@ -278,6 +278,37 @@ def test_pack_round_trip_at_the_bound(l1):
         assert layout.unpack("", -packed, 2) == -p
 
 
+@pytest.mark.parametrize("n, qmax", [(1, 0), (3, 0), (6, 3), (9, 10)])
+def test_series_fields_round_trip_at_the_slice_mass(n, qmax):
+    # each f pass's unsigned fields take the fewest bits that hold its
+    # slice mass: every field at that bound, or a different value in each,
+    # decodes exactly through the bit decoder, and a term above the fields
+    # is refused
+    needs, _ = shuffle._plan(["0" * n], shuffle._Layout.deps)
+    demand = shuffle._demand(needs, {"0" * n: qmax})
+    for J in range(n):
+        for a, t in shuffle._split(n, J):
+            mass = shuffle._slice_mass(n, qmax, a)
+            layout = shuffle._SeriesLayout(n, qmax, mass, demand, a, t)
+            layout.build()
+            w, fields = layout.w, layout.fields
+            assert 2 ** (w - 1) <= mass < 2 ** w
+            for coeffs in ([mass] * fields, [max(mass - i, 0) for i in range(fields)]):
+                # field i at bit offset w i, low to high
+                packed = int("".join(format(c, f"0{w}b") for c in reversed(coeffs)), 2)
+                want = Polynomial(dict(zip(layout.exps, coeffs)))
+                assert layout.unpack("0" * n, packed, qmax + 1) == want, (J, a)
+            with pytest.raises(OverflowError):
+                layout.unpack("0" * n, packed + (1 << w * fields), qmax + 1)
+
+
+@pytest.mark.parametrize("count", range(10))
+def test_tile_repeats_its_unit(count):
+    for unit, stride in ((1, 1), (0b101, 3), (0b11, 7), ((1 << 40) - 1, 40)):
+        want = sum(unit << stride * i for i in range(count))
+        assert shuffle._tile(unit, stride, count) == want
+
+
 def _spy_decoder(monkeypatch, row_fields):
     """Record the q-rows of every decode, and what one row fewer gives.
 
@@ -327,25 +358,36 @@ def test_each_root_decodes_its_own_q_rows(monkeypatch, route):
 
 @pytest.mark.parametrize("qmax, passes", [(3, 2), (10, 1)])
 def test_full_twist_root_decodes_its_whole_layout(monkeypatch, qmax, passes):
-    # n = 6 takes the split f route below qmax 8 and whole P above it
+    # n = 5 takes the split f route below qmax 7 and whole P from it on:
+    # each f pass decodes its w-bit fields bit by bit, whole P its whole
+    # bytes by byte slices
     decoded, layouts = [], []
-    unpack, evaluate = shuffle._unpack, shuffle._evaluate
+    unpack, unpack_bits = shuffle._unpack, shuffle._unpack_bits
+    evaluate = shuffle._evaluate
 
     def spy_unpack(packed, b, fields, exps):
-        decoded.append(fields)
+        decoded.append(("bytes", 8 * b, fields))
         return unpack(packed, b, fields, exps)
+
+    def spy_unpack_bits(packed, w, fields, exps):
+        decoded.append(("bits", w, fields))
+        return unpack_bits(packed, w, fields, exps)
 
     def spy_evaluate(roots, plan, run_layouts, size, extra=None):
         layouts.extend(run_layouts)
         return evaluate(roots, plan, run_layouts, size, extra)
 
     monkeypatch.setattr(shuffle, "_unpack", spy_unpack)
+    monkeypatch.setattr(shuffle, "_unpack_bits", spy_unpack_bits)
     monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
-    got = full_twist_series(6, qmax)
+    got = full_twist_series(5, qmax)
     assert len(layouts) == passes
-    assert decoded == [layout.fields for layout in layouts]
+    assert decoded == [
+        ("bits" if layout.route == "f" else "bytes", layout.w, layout.fields)
+        for layout in layouts
+    ]
     monkeypatch.undo()
-    assert got == poincare_series("0" * 6).series(qmax)
+    assert got == poincare_series("0" * 5).series(qmax)
 
 
 def _zeros_dq(n):
@@ -372,7 +414,8 @@ def test_series_route_a_free_part_matches_closed_form(n):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_row_mass_bound_holds_every_key(monkeypatch, n):
     # f(v)(q, a, 1) = (1 + a)^|v| / (1 - q)^#0(v), so the largest row mass
-    # up to q^qmax is that of 0^n in row qmax (the tlh.shuffle docstring)
+    # up to q^qmax is that of 0^n in row qmax, and the largest a^j slice
+    # mass C(n, j) C(qmax + n - 1, n - 1) (the tlh.shuffle docstring)
     key = "0" * n
     needs, _ = shuffle._plan([key], shuffle._Layout.deps)
     whole = _one_plan(list(needs)) if n <= 7 else {}
@@ -385,8 +428,9 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         return field_bytes(bound)
 
     def spy_series_layout(n, qmax, mass, *geometry):
-        built.append(mass)
-        return series_layout(n, qmax, mass, *geometry)
+        layout = series_layout(n, qmax, mass, *geometry)
+        built.append((mass, layout.w))
+        return layout
 
     monkeypatch.setattr(shuffle, "_field_bytes", spy_field_bytes)
     monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
@@ -394,11 +438,14 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         bound = 2 ** n * comb(qmax + n - 1, n - 1)
         # every key of the closure read at all its q-rows, as a root
         layout = series_layout(n, qmax, bound, dict.fromkeys(needs, qmax))
-        # the fewest bytes that hold the bound with the top bit clear
-        assert 2 ** (layout.w - 9) <= bound < 2 ** (layout.w - 1)
+        # the fewest bits that hold the bound, unsigned
+        assert 2 ** (layout.w - 1) <= bound < 2 ** layout.w
         values = _every_key(key, layout)
         assert values.keys() == needs.keys()
         masses = []
+        # per a-degree j, the largest slice mass of f, and of f~'s row
+        # b = j, f's a-degree |k| - j, over every key and q-row
+        slices, reversed_slices = [0] * (n + 1), [0] * (n + 1)
         for k, value in values.items():
             if whole:  # every key holds its own f(k) = P(k) / (1 - q)^#0(k)
                 want = FracPoly(whole[k], [ONE_MINUS_Q] * k.count("0"))
@@ -415,21 +462,32 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
                 for j in range(len(k) + 1)
             }, (k, qmax)
             rows = [0] * (qmax + 1)
-            for (d, _), c in cells.items():
+            for (d, j), c in cells.items():
                 rows[d] += c
+                slices[j] = max(slices[j], c)
+                reversed_slices[len(k) - j] = max(reversed_slices[len(k) - j], c)
             masses += rows
-        # the closed form is the largest row mass itself
+        # the closed forms are the largest row and slice masses themselves
         assert max(masses) == bound, qmax
-        # and the full twist sizes every series layout it weighs by it, both
-        # passes of each of the n splits, whichever route it then takes, the
-        # whole layout by the L1 bound, and the layout whose fields count
-        # the expansion's terms (_series_terms) by 1
+        tall = comb(qmax + n - 1, n - 1)
+        assert slices == reversed_slices == [comb(n, j) * tall for j in range(n + 1)]
+        # and the full twist sizes both passes of each of the n splits,
+        # whichever route it then takes, each by the largest slice mass of
+        # its a-degrees (f's at the target) in the fewest bits that hold
+        # it; only the whole layout is sized in whole bytes, by the L1
+        # bound, and the layout whose fields count the expansion's terms
+        # (_series_terms) by 1
         sized.clear()
         built.clear()
         full_twist_series(n, qmax)
         if qmax < _zeros_dq(n):
-            assert built == [bound] * 2 * n, qmax
-            assert sorted(b for b in sized if b > 1) == sorted([l1] + built), qmax
+            assert built == [
+                (mass, mass.bit_length())
+                for J in range(n)
+                for a, _ in shuffle._split(n, J)
+                for mass in [max(slices[j] for j in a)]
+            ], qmax
+            assert [b for b in sized if b > 1] == [l1], qmax
         else:  # only the whole layout and the expansion's are sized
             assert sized == [l1, 1] and built == [], qmax
 
@@ -546,10 +604,12 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
 
 @pytest.mark.parametrize(
     "n, qmax, route",
-    # per n: a low qmax, two below the crossover, the last of them just below,
-    # and the crossover itself
-    [(8, 3, "series"), (8, 11, "series"), (8, 12, "series"), (8, 13, "whole")]
-    + [(11, 10, "series"), (11, 21, "series"), (11, 25, "series"), (11, 26, "whole")]
+    # per n: a low qmax, three below the crossover, the last of them just
+    # below, and the crossover itself
+    [(8, 3, "series"), (8, 11, "series"), (8, 12, "series"), (8, 15, "series")]
+    + [(8, 16, "whole")]
+    + [(11, 10, "series"), (11, 21, "series"), (11, 25, "series"), (11, 27, "series")]
+    + [(11, 28, "whole")]
     + [(n, qmax, "whole") for n in (1, 4, 8) for qmax in (_zeros_dq(n), 1000)],
 )
 def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
@@ -587,7 +647,23 @@ class _Routed(Exception):
 
 
 # the qmax below which the full twist takes the series route, n = 1..15
-_SERIES_CROSSOVER = [0, 1, 2, 4, 6, 8, 13, 13, 19, 22, 26, 30, 34, 40, 44]
+_SERIES_CROSSOVER = [0, 1, 3, 6, 7, 11, 14, 16, 21, 26, 28, 33, 39, 42, 48]
+
+
+def _series_row_bytes(n, qmax):
+    """The bytes of the larger f pass's q-row, at the split that least has.
+
+    Each pass's fields take the fewest bits that hold the largest slice
+    mass of its a-degrees, f's at the target: C(n, j) C(qmax + n - 1, n - 1).
+    """
+    tall = comb(qmax + n - 1, n - 1)
+    return min(
+        max(
+            -(-(max(comb(n, j) for j in a) * tall).bit_length() * len(a) * t // 8)
+            for a, t in shuffle._split(n, J)
+        )
+        for J in range(n)
+    )
 
 
 def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
@@ -629,11 +705,8 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         whole = peak_live(needs, frees, lambda k: bounds[k][0] + 1)
         whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
         # every series value holds r(k) + 1 <= qmax + 1 q-rows of the larger
-        # pass's fields: the peak at qmax + 1 bounds the sized one from above
+        # pass's row: the peak at qmax + 1 bounds the sized one from above
         values = peak_live(needs, frees, lambda k: 1)
-        fields = min(
-            max(len(a) * t for a, t in shuffle._split(n, J)) for J in range(n)
-        )
         taken = []
         for qmax in range(dq):
             with pytest.raises(_Routed) as routed_by:
@@ -641,11 +714,11 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
             size = routed_by.value.args[0]
             if size(key) == qmax + 1:
                 taken.append(qmax)
-                fb = shuffle._field_bytes(2 ** n * comb(qmax + n - 1, n - 1))
+                row_bytes = _series_row_bytes(n, qmax)
                 rows = values * (qmax + 1)
-                if rows * fb * fields > whole_bytes:
+                if rows * row_bytes > whole_bytes:
                     rows = peak_live(needs, frees, size)
-                assert rows * fb * fields <= whole_bytes, (n, qmax)
+                assert rows * row_bytes <= whole_bytes, (n, qmax)
             else:
                 assert size(key) == dq + 1, (n, qmax)
         # the series route serves every qmax below a crossover, none above

@@ -1,3 +1,4 @@
+import random
 import threading
 import weakref
 from collections import Counter
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 
 from tlh import budget, links, shuffle, tableaux, verify
-from tlh.poly import Q, BinomialFactor, NonExactDivision, _unpack
+from tlh.poly import Q, BinomialFactor, NonExactDivision, Polynomial
 from tlh.shuffle import poincare_poly
 
 
@@ -27,6 +28,25 @@ def test_raising_check_is_graded_fail(monkeypatch):
     assert expansion.status == verify.FAIL
     assert expansion.detail == "raised NonExactDivision: no quotient"
     assert verify.exit_status([prefix, expansion]) == 1
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 0xD1CE])
+def test_random_polys_are_the_ones_randint_draws(seed):
+    # the polycore inputs are those of the randint draws: the same
+    # polynomials and the generator left in the same state, at each size
+    # the polycore checks ask for
+    def by_randint(rng, terms=4, span=8):
+        out = {}
+        for _ in range(rng.randrange(terms + 1)):
+            exp = tuple(rng.randint(-span, span) for _ in range(3))
+            out[exp] = rng.randint(-5, 5)
+        return Polynomial(out)
+
+    got, want = random.Random(seed), random.Random(seed)
+    for i in range(20000):
+        size = [(4, 8), (3, 4), (3, 3)][i % 3]
+        assert verify._random_poly(got, *size) == by_randint(want, *size), i
+    assert got.getstate() == want.getstate()
 
 
 def _result(kind, status):
@@ -441,11 +461,11 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
     monkeypatch,
 ):
     geometries, routes, bounds = set(), [], []
-    evaluate = shuffle._evaluate
+    evaluate, top_a_test = shuffle._evaluate, shuffle._Layout.top_a_test
 
     def spy(roots, plan, layouts, size, extra=None):
         (layout,) = layouts
-        geometries.add((layout.b, layout.a_rows, layout.t_width))
+        geometries.add((layout.w, layout.a_rows, layout.t_width))
         routes.append(layout.route)
         # the run's own proven bounds: its L1 bound, and on the f route the
         # row mass of its length up to its q-degree bound
@@ -455,15 +475,22 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
             bounds.append(shuffle._row_mass(max(map(len, plan[0])), dq))
         return evaluate(roots, plan, layouts, size, extra)
 
+    def spy_top_a_test(layout, j):
+        # the top-a check reads P's ints on a layout of the same geometry
+        geometries.add((layout.w, layout.a_rows, layout.t_width))
+        return top_a_test(layout, j)
+
     monkeypatch.setattr(shuffle, "_evaluate", spy)
+    monkeypatch.setattr(shuffle._Layout, "top_a_test", spy_top_a_test)
     passed = verify._agreement(8)
     assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
     assert Counter(routes) == {"P": 9, "f": 9, "insertion": 1}
-    [(b, a_rows, t_width)] = geometries
+    [(w, a_rows, t_width)] = geometries
     assert a_rows == range(9) and t_width == comb(8, 2) + 1
-    # each bound plus a sign fits a field, and one bound needs all its bytes
-    assert all(bound < 2 ** (8 * b - 1) for bound in bounds)
-    assert shuffle._field_bytes(max(bounds)) == b == 5
+    # each bound plus a sign fits a field, and one bound needs all its bits:
+    # the fewest that hold every route's bound plus a sign, not whole bytes
+    assert all(bound < 2 ** (w - 1) for bound in bounds)
+    assert max(bounds).bit_length() + 1 == w == 33
 
 
 def test_each_stream_yields_the_packed_image_of_p(monkeypatch):
@@ -478,13 +505,20 @@ def test_each_stream_yields_the_packed_image_of_p(monkeypatch):
 
     monkeypatch.setattr(verify, "_lockstep", recording)
     verify._agreement(6)
-    layout = shuffle._Layout(*shuffle._shared_geometry(6))
-    layout.build()
+    geometry = shuffle._shared_geometry(6)
+    layout = shuffle._Layout(*geometry, yields_ints=True)
+    slots = shuffle._Layout(*geometry)  # a decoded run's slot exponents
+    slots.build()
+    # each signed w-bit field plus 2^(w - 1), read as an unsigned field
+    w, fields = layout.w, layout.fields
+    bias = shuffle._tile(1 << w - 1, w, fields)
+    half = shuffle._unpack_bits(bias, w, fields, slots.exps)
     assert sorted(v for v, _ in values) == sorted(verify._words(6))
     for v, ints in values:
         assert len(ints) == 3 and all(type(x) is int for x in ints), v
         for x in ints:
-            assert _unpack(x, layout.b, layout.fields, layout.exps) == poincare_poly(v), v
+            value = shuffle._unpack_bits(x + bias, w, fields, slots.exps) - half
+            assert value == poincare_poly(v), v
 
 
 def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
