@@ -24,7 +24,11 @@ class MemoryBudgetExceeded(MemoryError):
       before any recursion step, and again as it yields values, unpacked
       or packed, as soon as those yielded so far would take it over;
     * the closure walk of :mod:`tlh.shuffle` (``_plan``), as soon as the
-      keys and dependency entries it holds would outgrow physical memory;
+      keys and dependency entries it holds would outgrow physical memory,
+      and before 0^n is built, for its closure of every word of length
+      <= n (``_zeros_closure``); and :func:`tlh.shuffle.all_sequences`;
+    * :func:`tlh.tableaux.standard_tableaux`, from their count;
+    * a quotient's running sums in :mod:`tlh.poly`, before each fill;
     * ``tlh fulltwist --cache``, for the series terms of its expansion,
       before it reads or writes the cache (:mod:`tlh.cli`);
     * the closed form's walk (:mod:`tlh.closed_form`), for its level

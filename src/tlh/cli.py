@@ -136,6 +136,8 @@ def _cached(args):
     puts the value over (1 - q)^#0; fulltwist expands it to q^qmax, checked
     against memory first.
     """
+    if args.command == "fulltwist":
+        shuffle._zeros_closure(args.n)  # before 0^n is built
     key = "0" * args.n if args.command == "fulltwist" else args.seq
     if args.command == "fulltwist":
         budget._room(repr(key), shuffle._series_terms(args.n, args.qmax))

@@ -27,21 +27,18 @@ Multiplying by such a binomial is never a general product either:
 how :meth:`FracPoly.sum` brings numerators to a common denominator, and
 that sum is a balanced fold of sums of two, each reduced, so no numerator
 is carried over the common denominator of all the fractions at once.
-
-:func:`_unpack` decodes a Kronecker-packed int of signed fields: the
-recursion engine unpacks its packed values with it.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, groupby, repeat
-from operator import add, lshift, or_
+from itertools import accumulate, groupby, repeat
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+
+from . import budget
 
 __all__ = [
     "NonExactDivision",
@@ -454,7 +451,9 @@ class BinomialFactor(NamedTuple):
         with at least one missing key between rows; each power is one
         C-level ``accumulate`` per row.  A gap across which the running sum
         is zero is never filled in, so time and memory follow the terms of
-        the input and the output, not the exponent span.
+        the input and the output, not the exponent span.  The keys filled
+        in, over every class and power, are charged to physical memory
+        first (:func:`_fill`).
         """
         d0, d1, d2, axis, step = self._walk()
         classes: dict[Exponents, dict[int, int]] = {}
@@ -469,12 +468,13 @@ class BinomialFactor(NamedTuple):
         if stop is None and any(sum(run.values()) for run in classes.values()):
             return terms, 0  # the first power fails, before any row is built
         rows = {base: _rows(run) for base, run in classes.items()}
+        room = budget._memory_budget()  # what the keys filled in may take
         j = 0
         while j < mult:
             nxt = {}
             for base, segs in rows.items():
                 kmax = None if stop is None else (stop - base[axis]) // step
-                segs = _prefix_sums(segs, kmax)
+                segs, room = _prefix_sums(segs, kmax, room)
                 if segs is None:
                     break
                 nxt[base] = segs
@@ -503,77 +503,6 @@ class BinomialFactor(NamedTuple):
 ONE_MINUS_Q = BinomialFactor((0, 0, 0), (UNIT, 0, 0))
 
 
-def _field_bytes(bound: int) -> int:
-    """The bytes of a field that holds ``bound`` plus a sign bit."""
-    return (bound.bit_length() + 8) // 8
-
-
-# a field's top byte to the byte that sign-extends it
-_SIGN_BYTE = bytes(0 if i < 0x80 else 0xFF for i in range(256))
-# the signed array typecode of each item size
-_SIGNED = {array(code).itemsize: code for code in "bhiq"}
-
-
-def _limbs(b: int) -> list[tuple[int, int, int, str]]:
-    """(first byte, bytes, item size, typecode) of each limb of a b-byte field.
-
-    Low to high: whole unsigned 8-byte limbs, then the signed top limb in
-    the smallest array item that holds its bytes.
-    """
-    out = []
-    for j in range(0, b, 8):
-        r = min(8, b - j)
-        if j + 8 < b:
-            out.append((j, r, 8, "Q"))
-        else:
-            size = min(s for s in _SIGNED if s >= r)
-            out.append((j, r, size, _SIGNED[size]))
-    return out
-
-
-def _little(words: array) -> array:
-    """``words``, read from little-endian bytes, in native byte order."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
-def _top(b: int, fields: int) -> int:
-    """The top bit of each of ``fields`` b-byte fields."""
-    return int.from_bytes((bytes(b - 1) + b"\x80") * fields, "little")
-
-
-def _unpack(
-    packed: int, b: int, fields: int, exps: Iterable[Exponents]
-) -> Polynomial:
-    """The polynomial whose term at the i-th of ``exps`` is field i of ``packed``.
-
-    ``packed`` is the sum of c_i 2^(8 b i) over its ``fields`` signed b-byte
-    fields, low to high, each |c_i| < 2^(8 b - 1).  Adding the top bit of
-    every field makes each c_i + 2^(8 b - 1), with no carry, and xoring it
-    back reads each field as two's complement.  Limb j of every field
-    (:func:`_limbs`) is gathered from those bytes as one array, by C-level
-    byte slices with stride b.  A term above the fields makes ``to_bytes``
-    raise ``OverflowError``, so none is ever dropped.
-    """
-    top = _top(b, fields)
-    raw = ((packed + top) ^ top).to_bytes(b * fields, "little")
-    limbs = []
-    for j, r, size, code in _limbs(b):
-        buf = bytearray(size * fields)
-        for i in range(r):
-            buf[i::size] = raw[j + i::b]
-        if r < size:  # the top limb's bytes above the field: its sign
-            sign = raw[b - 1::b].translate(_SIGN_BYTE)
-            for i in range(r, size):
-                buf[i::size] = sign
-        limbs.append(_little(array(code, buf)))
-    coeffs = limbs.pop()
-    for low in reversed(limbs):
-        coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
-    return Polynomial._trusted(dict(zip(compress(exps, coeffs), filter(None, coeffs))))
-
-
 def _rows(run: dict[int, int]) -> list[tuple[int, list[int]]]:
     """One residue class as rows of consecutive keys (see ``_power_sums``)."""
     rows: list[tuple[int, list[int]]] = []
@@ -588,26 +517,47 @@ def _rows(run: dict[int, int]) -> list[tuple[int, list[int]]]:
     return rows
 
 
+# What a key filled in by a running sum holds, its output term among it:
+# 172 to 184 bytes at the tracemalloc peak of tableau_sum(2, r), whose
+# quotients fill in 6 r keys, r = 10^4..3 10^5 (Python 3.11).
+_FILLED_BYTES_PER_KEY = 192
+
+
+def _fill(row: list[int], carry: int, keys: int, room: int) -> int:
+    """``row`` extended by ``keys`` copies of ``carry``: what is left of ``room``.
+
+    ``room`` is bytes of physical memory; a fill that would take it below 0
+    is refused by name before it is made.
+    """
+    room -= keys * _FILLED_BYTES_PER_KEY
+    if room < 0:
+        need = budget._memory_budget() - room
+        budget._room("the running sums of a quotient", {"keys filled in": need})
+    row.extend(repeat(carry, keys))
+    return room
+
+
 def _prefix_sums(
-    rows: list[tuple[int, list[int]]], kmax: int | None
-) -> list[tuple[int, list[int]]] | None:
+    rows: list[tuple[int, list[int]]], kmax: int | None, room: int
+) -> tuple[list[tuple[int, list[int]]] | None, int]:
     """One class divided by (1 - x^d) once, or None if that is not exact.
 
     The running sum is carried from row to row; where it is nonzero across
     a gap, the gap is filled with it and the rows merge.  Without ``kmax``
     the class must sum to zero, which is checked before any row grows (a
     class that does not would carry its sum across every gap); with
-    ``kmax`` the sum runs on to key ``kmax``.
+    ``kmax`` the sum runs on to key ``kmax``.  Returned with what the
+    fills (:func:`_fill`) leave of ``room``.
     """
     if kmax is None and len(rows) > 1 and sum(sum(row) for _, row in rows):
-        return None
+        return None, room
     out: list[tuple[int, list[int]]] = []
     carry = 0
     for k, coeffs in rows:
         if carry:
             k0, row = out[-1]
             # the gap's last key takes the accumulate's initial value
-            row.extend(repeat(carry, k - k0 - len(row) - 1))
+            room = _fill(row, carry, k - k0 - len(row) - 1, room)
             row.extend(accumulate(coeffs, initial=carry))
         else:
             row = list(accumulate(coeffs))
@@ -615,10 +565,10 @@ def _prefix_sums(
         carry = row[-1]
     if carry:
         if kmax is None:
-            return None
+            return None, room
         k0, row = out[-1]
-        row.extend(repeat(carry, kmax - k0 - len(row) + 1))
-    return out
+        room = _fill(row, carry, kmax - k0 - len(row) + 1, room)
+    return out, room
 
 
 def _times(p: Polynomial, factors: Iterable[BinomialFactor]) -> Polynomial:

@@ -65,9 +65,9 @@ r(v) >= dq_v.  Its
 roots are listed as those of P's run over the same words, with P's
 dependency rules, so the two yield them in one order (:func:`_step_order`),
 and the check reads them side by side, a length at a time.  Its closure is
-that of 0^m, every word of length <= m, so no row mass up to the plan's
-largest dq exceeds 2^m C(dq + m - 1, m - 1), as below
-(:func:`_row_mass`).  Each root's value is the packed int of P(v), never
+that of 0^m, every word of length <= m, so no a-slice mass up to the
+plan's largest dq exceeds that of 0^m, as below (:func:`_slice_mass`).
+Each root's value is the packed int of P(v), never
 unpacked: ``p -= p << SQ`` once per zero, z = #0(v) times, then the low
 (r + 1) SQ bits, r = r(v), as a signed residue.  Packing is a ring
 homomorphism, so that int is the image of (1 - q)^z (f(v) mod q^(r + 1)),
@@ -75,8 +75,8 @@ whose q-rows 0..r are those of (1 - q)^z f(v) = P(v), as (1 - q)^z only
 raises q, and whose rows above, up to r + z, add a multiple of
 2^((r + 1) SQ).  Each field of rows 0..r holds a coefficient of P(v), at
 most P's L1 bound in size; with fields that hold the larger of that bound
-and the row mass plus a sign, the image of rows 0..r lies strictly within
-2^((r + 1) SQ - 1) of 0, so it is exactly the symmetric residue mod
+and the slice mass plus a sign, the image of rows 0..r lies strictly
+within 2^((r + 1) SQ - 1) of 0, so it is exactly the symmetric residue mod
 2^((r + 1) SQ): the int that P's own run packs on the same geometry.
 
 Exactness rule.  Each layout is fixed before any step from a-priori bounds
@@ -93,16 +93,13 @@ only grows toward the target, so the target's layout, q-rows 0..dq with dq
 its q-degree bound, holds every key of its closure, and its fields hold the
 target's L1 bound plus a sign.  For f, every
 multiplier has non-negative coefficients, so every coefficient is at most
-the mass of its q-row's a-slice, f(v) at t = 1 there, and of its q-row,
-f(v) at a = t = 1 in that row.  At t = 1 the four rules
-read P(empty) = 1, P(v.1) = (1 + a) P(v), P(0^m) = P(1 0^(m-1)) and
+the mass of its q-row's a-slice, f(v) at t = 1 there.  At t = 1 the four
+rules read P(empty) = 1, P(v.1) = (1 + a) P(v), P(0^m) = P(1 0^(m-1)) and
 P(v.0) = P(1 v) + q (P(0 v) - P(1 v)), where 1 v and 0 v have one length;
 so by induction on them P(v)(q, a, 1) = (1 + a)^|v|, free of q, and
 f(v)(q, a, 1) = (1 + a)^|v| / (1 - q)^z, z = #0(v): the a^j part of row d
-holds C(|v|, j) C(d + z - 1, z - 1) (z = 0: C(|v|, j) in row 0 alone), and
-at a = 1 the row holds 2^|v| C(d + z - 1, z - 1), growing with |v|, z and
-d.  Over the closure of 0^n up to row qmax no row mass exceeds
-2^n C(qmax + n - 1, n - 1), the target's own in row qmax, and no a^j slice
+holds C(|v|, j) C(d + z - 1, z - 1) (z = 0: C(|v|, j) in row 0 alone),
+growing with z and d.  Over the closure of 0^n up to row qmax no a^j slice
 mass exceeds C(n, j) C(qmax + n - 1, n - 1), as C(|v|, j) grows with |v|;
 f~'s row b, f's a-degree |v| - b, holds C(|v|, b) C(d + z - 1, z - 1), at
 most C(n, n - b) C(qmax + n - 1, n - 1), the bound of f's a-degree n - b
@@ -116,13 +113,15 @@ j <= qmax, or in row qmax + 1 a row of f(0 v); and each window of the
 doubling prefix sum is at most the whole prefix sum.  No term is negative,
 so no field carries into the next, and none can overflow: nothing is
 guessed.
-Only the decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`) needs
-whole bytes, as it slices them, so only the runs that decode every root
-with it keep whole-byte fields: :func:`poincare_poly`,
+Two decoders read packed values back.  The signed-field decoder
+(:func:`_unpack`) slices whole bytes, so only the runs that decode every
+root with it keep whole-byte fields: :func:`poincare_poly`,
 :func:`insertion_series` and the whole-P route of the full twist.  Every
 other layout takes the fewest bits its bound needs: the f route's passes,
-each decoding its one root bit by bit (:func:`_unpack_bits`), and the runs
-that yield ints, which decode none.
+each decoding its one root bit by bit (:func:`_unpack_bits`, unsigned),
+and the runs that yield ints, which decode none.  Both decoders stay:
+read bit by bit as signed fields, P's roots took 5 to 7 times as long to
+decode at n = 6..12 (Python 3.11, 2 cores).
 The insertion route (below) steps on P's layout, sized by its own rules.
 Packing is the evaluation q = 2^SQ, a = 2^SA, t = 2^w, a ring homomorphism
 Z[q, a, t] -> Z, and its step is +, - and left shifts alone, with no mask,
@@ -134,17 +133,27 @@ with C(o, 2) + o z + C(z, 2) = C(|v|, 2) for z = #0(v) = |w|; the q-degree
 bound is dq(v) = max dq(w) + z, z being the q-degree of q^#0(w)
 (1 - q)^#1(w); and the L1 bound is L1(v) = 2^o sum over w of 2^#1(w)
 L1(w), as |W(v, w)| = 2^o and |(1 - q)^k| = 2^k.  P(0^m) keeps the bounds
-of P(1 0^(m-1)).  Both bounds grow from every key to its consumers, so a
-plan's largest are its roots', and the run's layout holds those.  At
-n = 8..10 the dq of 0^n is the P route's, and its L1 bound three bits
-longer.
+of P(1 0^(m-1)).  Both rules read v through z and o alone, w running over
+every word of length z, so both bounds have closed forms, read key by key
+(:func:`_insertion_bounds`), with no walk.  For o >= 1 the q-degree bound
+is D(z) = z + D(z - 1) = C(z + 1, 2): w = 0^z has the bound of
+1 0^(z - 1), D(z - 1), and every other w has D(#0(w)) <= D(z - 1).  And
+L1(v) = 2^o S(z), S(z) being the sum: C(z, j) words w have j >= 1 ones,
+each of L1 2^j S(z - j), and 0^z has L1 2 S(z - 1), so S(0) = 1 and
+S(z) = 2 S(z - 1) + sum over j >= 1 of C(z, j) 4^j S(z - j).  So 0^z
+has the bounds (C(z, 2), 2 S(z - 1)), and the empty word (0, 1).  Both
+bounds grow from every key to its consumers, so a plan's largest are its
+roots', and the run's layout holds those; and the L1 bound grows with o,
+so the largest over every word of length <= n is 2^(n - z) S(z) at some
+z.  At n = 8..10 the dq of 0^n is the P route's, and its L1 bound three
+bits longer.
 Values are packed only by stepping, from P(empty) = 1, and unpacked only
 as the values a run yields, those of its roots, each at its own q-rows
 0..dq_k by its route's bounds, which hold the whole value, with the
-signed-field decoder of :mod:`tlh.poly` (:func:`~tlh.poly._unpack`), or on
-the f route with :func:`_unpack_bits`.  A run that yields ints unpacks
-nothing: it yields each root's packed int, for
-:mod:`tlh.verify` to compare across the three routes.  Those runs step on
+signed-field decoder (:func:`_unpack`), or on the f route with
+:func:`_unpack_bits`.  A run that yields ints unpacks nothing: it yields
+each root's packed int, for :mod:`tlh.verify` to compare across the three
+routes.  Those runs step on
 one geometry (:func:`_shared_geometry`), a-rows 0..n,
 t-width C(n, 2) + 1 and fields of the fewest bits that hold the largest
 bound of the three routes up to length n plus a sign, so every root of
@@ -198,9 +207,12 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import threading
-from itertools import compress, product
+from array import array
+from itertools import compress, product, repeat
 from math import comb
+from operator import add, lshift
 from typing import Callable, Iterator
 
 from . import budget
@@ -212,8 +224,6 @@ from .poly import (
     FracPoly,
     Polynomial,
     _exp_vector,
-    _field_bytes,
-    _unpack,
 )
 from .budget import MemoryBudgetExceeded
 from .serialize import ParseError, _json_loads, poly_from_obj, poly_to_obj
@@ -263,6 +273,13 @@ def _key(v: str) -> str:
 
 
 def all_sequences(length: int) -> list[str]:
+    """Every word of ``length`` letters, checked against memory before any is built.
+
+    A word is a list slot and a string, as a walk's dependency entry is:
+    74 to 77 bytes at lengths 16 and 20 (tracemalloc, Python 3.11).
+    """
+    size = 2 ** min(length, 64) * _WALK_BYTES_PER_ENTRY  # no memory holds 2^64
+    budget._room(f"every word of length {length}", {"words": size})
     return ["".join(bits) for bits in product("01", repeat=length)]
 
 
@@ -315,6 +332,19 @@ def insertion_weight(v: str, w: str) -> Polynomial:
 # machine's memory holds: 88 holds a word of 31 letters.
 _WALK_BYTES_PER_KEY = 352
 _WALK_BYTES_PER_ENTRY = 88
+
+
+def _zeros_closure(n: int) -> None:
+    """Refuse by name, before 0^n is built, a walk of its closure past memory.
+
+    By P's rules it is every word of length <= n, 2^(n + 1) - 1 keys and
+    3 (2^n - 1) - n dependency entries: the state :func:`_plan` holds when
+    it ends, so every n whose walk ends passes.  No memory holds 2^64 keys.
+    """
+    m = min(n, 64)
+    walk = (2 ** (m + 1) - 1) * _WALK_BYTES_PER_KEY
+    walk += (3 * (2**m - 1) - m) * _WALK_BYTES_PER_ENTRY
+    budget._room(f"'0' * {n}", {f"closure walk state, every word of length <= {n}": walk})
 
 
 def _name(roots: list[str]) -> str:
@@ -569,14 +599,72 @@ def _tile(unit: int, stride: int, count: int) -> int:
     return out
 
 
+# a field's top byte to the byte that sign-extends it
+_SIGN_BYTE = bytes(0 if i < 0x80 else 0xFF for i in range(256))
+# the signed array typecode of each item size
+_SIGNED = {array(code).itemsize: code for code in "bhiq"}
+
+
+def _limbs(b: int) -> list[tuple[int, int, int, str]]:
+    """(first byte, bytes, item size, typecode) of each limb of a b-byte field.
+
+    Low to high: whole unsigned 8-byte limbs, then the signed top limb in
+    the smallest array item that holds its bytes.
+    """
+    out = []
+    for j in range(0, b, 8):
+        r = min(8, b - j)
+        if j + 8 < b:
+            out.append((j, r, 8, "Q"))
+        else:
+            size = min(s for s in _SIGNED if s >= r)
+            out.append((j, r, size, _SIGNED[size]))
+    return out
+
+
+def _little(words: array) -> array:
+    """``words``, read from little-endian bytes, in native byte order."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _unpack(packed: int, b: int, fields: int, exps: list) -> Polynomial:
+    """The polynomial whose term at the i-th of ``exps`` is field i of ``packed``.
+
+    ``packed`` is the sum of c_i 2^(8 b i) over its ``fields`` signed b-byte
+    fields, low to high, each |c_i| < 2^(8 b - 1).  Adding the top bit of
+    every field makes each c_i + 2^(8 b - 1), with no carry, and xoring it
+    back reads each field as two's complement.  Limb j of every field
+    (:func:`_limbs`) is gathered from those bytes as one array, by C-level
+    byte slices with stride b.  A term above the fields makes ``to_bytes``
+    raise ``OverflowError``, so none is ever dropped.
+    """
+    top = _tile(1 << 8 * b - 1, 8 * b, fields)
+    raw = ((packed + top) ^ top).to_bytes(b * fields, "little")
+    limbs = []
+    for j, r, size, code in _limbs(b):
+        buf = bytearray(size * fields)
+        for i in range(r):
+            buf[i::size] = raw[j + i::b]
+        if r < size:  # the top limb's bytes above the field: its sign
+            sign = raw[b - 1::b].translate(_SIGN_BYTE)
+            for i in range(r, size):
+                buf[i::size] = sign
+        limbs.append(_little(array(code, buf)))
+    coeffs = limbs.pop()
+    for low in reversed(limbs):
+        coeffs = list(map(add, map(lshift, coeffs, repeat(64)), low))
+    return Polynomial._trusted(dict(zip(compress(exps, coeffs), filter(None, coeffs))))
+
+
 def _unpack_bits(packed: int, w: int, fields: int, exps: list) -> Polynomial:
     """The polynomial whose term at the i-th of ``exps`` is field i of ``packed``.
 
     ``packed`` is the sum of c_i 2^(w i) over its ``fields`` unsigned w-bit
     fields, low to high.  Its binary digits, a byte a bit, are cut into
     fields from the low end.  A term above the fields raises
-    ``OverflowError``, as :func:`~tlh.poly._unpack` does, so none is
-    dropped.
+    ``OverflowError``, as :func:`_unpack` does, so none is dropped.
     """
     size = w * fields
     digits = format(packed, "b").zfill(size)
@@ -623,12 +711,12 @@ class _Layout:
     def _width(self, bound: int) -> int:
         """The bits of a field that holds ``bound`` plus a sign.
 
-        Whole bytes where :func:`~tlh.poly._unpack` decodes the roots, and
-        the fewest bits on a run that yields ints, which decodes none.
+        Whole bytes where :func:`_unpack` decodes the roots, as it slices
+        them, and the fewest bits on a run that yields ints, which decodes
+        none.
         """
-        if self.yields_ints:
-            return bound.bit_length() + 1
-        return 8 * _field_bytes(bound)
+        bits = bound.bit_length() + 1
+        return bits if self.yields_ints else -(-bits // 8) * 8
 
     def build(self) -> None:
         """Make the table a pass reads, once every estimate has passed.
@@ -655,7 +743,7 @@ class _Layout:
     def unpack(self, key: str, packed: int, rows: int) -> Polynomial | int:
         """The value of ``packed``, ``key``'s, of q-degree below ``rows``.
 
-        Only its q-rows 0..rows - 1 are read (:func:`~tlh.poly._unpack`);
+        Only its q-rows 0..rows - 1 are read (:func:`_unpack`);
         a run that yields ints yields ``packed`` itself.
         """
         if self.yields_ints:
@@ -702,15 +790,6 @@ def _demand(needs: dict, read: dict[str, int]) -> dict[str, int]:
         if r[d] < rk:
             r[d] = rk
     return r
-
-
-def _row_mass(n: int, qmax: int) -> int:
-    """The largest row mass of f over the closure of 0^n, up to q-row qmax.
-
-    2^n C(qmax + n - 1, n - 1), that of f(0^n) in row qmax (see the module
-    docstring), and 1 at n = 0, f(empty) = 1.
-    """
-    return 2**n * comb(qmax + n - 1, n - 1) if n else 1
 
 
 def _slice_mass(n: int, qmax: int, degrees: range) -> int:
@@ -866,21 +945,23 @@ def _weight_class(v: str, w: str) -> tuple[int, ...]:
 
 
 def _insertion_bounds(needs: dict) -> dict[str, tuple[int, int]]:
-    """The insertion route's (q-degree, L1 norm) bounds of every key.
+    """The insertion route's (q-degree, L1 norm) bounds of every key of ``needs``.
 
-    ``needs`` is a :func:`_plan`; the rules are the module docstring's.
+    In closed form, from each key's zeros z and ones o alone (see the
+    module docstring): (C(z + 1, 2), 2^o S(z)), 0^z having the bounds of
+    1 0^(z - 1), and the empty word (0, 1).
     """
-    bounds: dict[str, tuple[int, int]] = {}
-    for k, ds in needs.items():
-        if not k:
-            bounds[k] = (0, 1)
-        elif "1" not in k:
-            bounds[k] = bounds[ds[0]]
-        else:
-            z = k.count("0")
-            dq = max(bounds[w][0] for w in ds) + z
-            l1 = sum(bounds[w][1] << w.count("1") for w in ds) << len(k) - z
-            bounds[k] = (dq, l1)
+    s = [1]  # S(0), the empty word's L1
+    for z in range(1, max(map(len, needs)) + 1):
+        ones = sum(comb(z, j) * 4**j * s[z - j] for j in range(1, z + 1))
+        s.append(2 * s[z - 1] + ones)
+    bounds = {}
+    for k in needs:
+        z = k.count("0")
+        o = len(k) - z
+        if z and not o:  # P(0^z) = P(1 0^(z - 1))
+            z, o = z - 1, 1
+        bounds[k] = comb(z + 1, 2), s[z] << o
     return bounds
 
 
@@ -985,6 +1066,7 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
         raise ValueError("n must be >= 1")
     if qmax < 0:
         raise ValueError("qmax must be >= 0")
+    _zeros_closure(n)
     key = "0" * n
     needs, _ = plan = _plan([key], _Layout.deps)
     bounds = _Layout.bounds(needs)
@@ -1014,7 +1096,7 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
 class _NormalizedLayout(_SeriesLayout):
     """The f route's layout, its roots read as P(v) = (1 - q)^#0(v) f(v).
 
-    Its fields hold both f's row masses and P's L1 bound plus a sign (see
+    Its fields hold both f's slice masses and P's L1 bound plus a sign (see
     the module docstring).  Its runs yield ints: each root's value is the
     int that packs P(v).
     """
@@ -1066,41 +1148,31 @@ def _normalized(m: int, geometry: tuple[int, int, int]) -> Iterator[tuple[str, i
     return _evaluate(roots, plan, [layout], lambda k: demand[k] + 1)
 
 
-def _insertion_l1(n: int) -> int:
-    """The insertion route's largest L1 bound over every word of length <= n.
-
-    Its rule, L1(v) = 2^o sum over w of 2^#1(w) L1(w), w every word of
-    length z = #0(v), o = #1(v) >= 1, reads v through (z, o) alone, so by
-    induction L1(v) = 2^o S(z), S(z) being that sum: C(z, j) words w have
-    j ones, each of L1 2^j S(z - j) for j >= 1, and 0^z has L1(1 0^(z - 1))
-    = 2 S(z - 1), or 1 at z = 0.  A bound grows with o, so the largest are
-    of length n: 2^(n - z) S(z) for z < n, or 1 at n = 0.
-    """
-    s = [1]  # S(0), the empty word's L1
-    for z in range(1, n):
-        ones = sum(comb(z, j) * 4**j * s[z - j] for j in range(1, z + 1))
-        s.append(2 * s[z - 1] + ones)
-    return max([1] + [s[z] << n - z for z in range(n)])
-
-
 def _shared_geometry(n: int) -> tuple[int, int, int]:
     """(n, dq, bound): one layout for every run that checks P up to length n.
 
     a-rows 0..n and t-width C(n, 2) + 1; q-rows 0..dq, P's q-degree bound
     of 0^n; and fields that hold ``bound`` plus a sign, the largest of
     three proven bounds: P's L1 bound of 0^n, the insertion route's
-    largest L1 bound over every word of length <= n (:func:`_insertion_l1`),
-    and f's row mass up to q-row dq (:func:`_row_mass`).  The closure of
-    0^n by P's rules is every word of length <= n, and bounds grow toward
+    largest L1 bound over every word of length <= n, 2^(n - z) S(z) at
+    some z (:func:`_insertion_bounds`), and f's largest slice mass up to
+    q-row dq (:func:`_slice_mass`).  The closure of 0^n by P's rules is
+    every word of length <= n (a closure that outgrows memory is refused
+    before 0^n is built, :func:`_zeros_closure`), and bounds grow toward
     their consumers, so 0^n's bounds are the largest of P's and f's runs of
-    any length <= n; and row masses grow with the length and the q-row.
+    any length <= n; and slice masses grow with the length and the q-row.
     Packing is a ring homomorphism, injective on the values that fit one
     geometry, so two roots' ints on it are equal exactly when their
     polynomials are.
     """
+    _zeros_closure(n)
     top = "0" * n
     dq, l1 = _fill_bounds(_plan([top], _poly_deps)[0])[top]
-    return n, dq, max(l1, _insertion_l1(n), _row_mass(n, dq))
+    # the largest insertion L1 bound is of length n, at some count of zeros
+    words = dict.fromkeys("1" * (n - z) + "0" * z for z in range(n + 1))
+    insertion = max(b for _, b in _insertion_bounds(words).values())
+    mass = _slice_mass(n, dq, range(n + 1)) if n else 1
+    return n, dq, max(l1, insertion, mass)
 
 
 # ---------------------------------------------------------------------------

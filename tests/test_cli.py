@@ -7,6 +7,7 @@ from math import comb
 from pathlib import Path
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -142,6 +143,49 @@ def test_tilde_of_a_long_key_is_refused_before_any_table(capsys):
     assert out == ""
     assert err.startswith("error: MemoryBudgetExceeded: evaluating '01111")
     assert "MiB of slot table" in err
+
+
+@pytest.mark.parametrize("argv, part", [
+    # the closure of 0^n, every word of length <= n, charged before 0^n is
+    # built: a 21-digit n no int index can hold
+    (["fulltwist", "--n", "1" + "0" * 20], "MiB of closure walk state"),
+    # the involution number of tableaux, charged before any is grown; 1,000
+    # boxes would overflow the stack of the depth-first growth
+    (["magic", "--n", "1000", "--r", "1"], "boxes, fewer than of 1000, with their weights"),
+    (["magic", "--n", "16", "--r", "1"], "boxes, fewer than of 16, with their weights"),
+    # z^r of a 21-digit r: a quotient's running sums would fill a gap of
+    # about 10^20 keys
+    (["magic", "--n", "3", "--r", "1" + "0" * 20], "MiB of keys filled in"),
+])
+def test_huge_inputs_exit_1_by_name_at_once(capsys, argv, part):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating ")
+    assert part in err
+
+
+def test_cached_fulltwist_past_the_closure_exits_1_by_name(capsys, tmp_path):
+    cache = tmp_path / "memo.json"
+    n = "1" + "0" * 20
+    code, out, err = run_cli(capsys, "fulltwist", "--n", n, "--cache", str(cache))
+    assert code == 1 and out == "" and not cache.exists()
+    assert err.startswith("error: MemoryBudgetExceeded: evaluating '0' * 1")
+    assert "MiB of closure walk state" in err
+
+
+def test_verify_past_the_closure_fails_by_name(capsys):
+    # the recursion checks' shared geometry walks the closure of 0^40, 2^41
+    # keys: refused before its first key, each check a named FAIL
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursions", "--max-n", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[-1] == "0 passed, 2 failed, 0 findings"
+    assert all("raised MemoryBudgetExceeded: evaluating '0' * 40" in l for l in lines[:2])
 
 
 def test_hhh0(capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tlh import poly, verify
+from tlh import budget, poly, shuffle, verify
+from tlh.budget import MemoryBudgetExceeded
 from tlh.links import _divide_by_one_plus_a, unknot_invariant, unknot_series
 from tlh.poly import (
     A,
@@ -411,17 +412,44 @@ def test_divide_power_skips_zero_gaps():
 
 @pytest.mark.parametrize("b", [1, 2, 3, 7, 8, 9, 16, 17])
 def test_unpack_reads_signed_fields_at_a_byte_boundary(b):
-    # fields of b bytes, each at its largest magnitude 2^(8 b - 1) - 1 of
-    # either sign beside zeros and units, against the plain sum of
-    # c_i 2^(8 b i): a lost sign or a carry between fields would show, and
-    # past 8 bytes a field spans a whole low limb and a signed top one
+    # the packed kernel's byte decoder (tlh.shuffle): fields of b bytes,
+    # each at its largest magnitude 2^(8 b - 1) - 1 of either sign beside
+    # zeros and units, against the plain sum of c_i 2^(8 b i): a lost sign
+    # or a carry between fields would show, and past 8 bytes a field spans
+    # a whole low limb and a signed top one
     big = 2 ** (8 * b - 1) - 1
     coeffs = [big, -big, 0, -1, 1, -big, big, 0, 2, big]
     exps = [(UNIT * i, 0, 0) for i in range(len(coeffs))]
     packed = sum(c << 8 * b * i for i, c in enumerate(coeffs))
     want = Polynomial({e: c for e, c in zip(exps, coeffs) if c})
-    assert poly._unpack(packed, b, len(coeffs), exps) == want
-    assert poly._unpack(-packed, b, len(coeffs), exps) == -want
+    assert shuffle._unpack(packed, b, len(coeffs), exps) == want
+    assert shuffle._unpack(-packed, b, len(coeffs), exps) == -want
+
+
+def test_running_sums_are_charged_before_they_fill_a_gap(monkeypatch):
+    # (1 - q^(m+1)) / (1 - q) = 1 + q + ... + q^m fills m - 1 keys between
+    # its two terms, and times 1 + a it has two classes that fill as many
+    # each: a call is charged for every key it fills, over all its
+    # classes, before the keys exist
+    per_key = poly._FILLED_BYTES_PER_KEY
+    m = 10 ** 4
+    gap = ONE - Polynomial.term(1, q=m + 1)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: (m - 1) * per_key)
+    assert ONE_MINUS_Q.quotient(gap) == sum(Q ** j for j in range(m + 1))
+    monkeypatch.setattr(budget, "_memory_budget", lambda: (m - 2) * per_key)
+    with pytest.raises(MemoryBudgetExceeded, match="MiB of keys filled in$"):
+        ONE_MINUS_Q.quotient(gap)
+    both = gap * (ONE + A)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 2 * (m - 1) * per_key)
+    assert ONE_MINUS_Q.quotient(both) == sum(Q ** j for j in range(m + 1)) * (ONE + A)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: (2 * m - 3) * per_key)
+    with pytest.raises(MemoryBudgetExceeded, match="running sums of a quotient"):
+        ONE_MINUS_Q.quotient(both)
+    # a series runs its sum on to its bound, charged the same way
+    monkeypatch.setattr(budget, "_memory_budget", lambda: m * per_key)
+    assert FracPoly(ONE, [ONE_MINUS_Q]).series(m - 1) == sum(Q ** j for j in range(m))
+    with pytest.raises(MemoryBudgetExceeded, match="running sums of a quotient"):
+        FracPoly(ONE, [ONE_MINUS_Q]).series(m + 1)
 
 
 def _sum_by_scale_then_add(items):

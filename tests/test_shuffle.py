@@ -421,18 +421,19 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
     whole = _one_plan(list(needs)) if n <= 7 else {}
     l1 = _bounds(key)[1]
     sized, built = [], []
-    field_bytes, series_layout = shuffle._field_bytes, shuffle._SeriesLayout
+    width, series_layout = shuffle._Layout._width, shuffle._SeriesLayout
 
-    def spy_field_bytes(bound):
+    def spy_width(layout, bound):
+        # P's layouts alone: the series layouts size their fields their own way
         sized.append(bound)
-        return field_bytes(bound)
+        return width(layout, bound)
 
     def spy_series_layout(n, qmax, mass, *geometry):
         layout = series_layout(n, qmax, mass, *geometry)
         built.append((mass, layout.w))
         return layout
 
-    monkeypatch.setattr(shuffle, "_field_bytes", spy_field_bytes)
+    monkeypatch.setattr(shuffle._Layout, "_width", spy_width)
     monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
     for qmax in (0, 3, 10):
         bound = 2 ** n * comb(qmax + n - 1, n - 1)
@@ -602,6 +603,15 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
                     assert got == want, (k, qmax, J, high)
 
 
+def _a_pass(parts):
+    """Whether a ``budget._room`` call checks a packed pass.
+
+    Its estimate, or the values it yields; not the charge of a closure or
+    of a word list before it is built.
+    """
+    return any(part.startswith("live values") for part in parts)
+
+
 @pytest.mark.parametrize(
     "n, qmax, route",
     # per n: a low qmax, three below the crossover, the last of them just
@@ -625,7 +635,8 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
         return evaluate(roots, plan, stepped, size, extra)
 
     def spy_room(what, parts):
-        if not any(part.startswith("unpacked values") for part in parts):
+        # a pass's estimate, not the re-check of its yielded values
+        if _a_pass(parts) and not any(p.startswith("unpacked values") for p in parts):
             passes.append(sum(parts.values()))
         return room(what, parts)
 
@@ -703,7 +714,7 @@ def test_series_route_never_holds_more_at_once_than_whole_p(monkeypatch):
         for qmax in {0, crossover, dq - 1} - {-1}:
             assert shifted(needs, {key: qmax}) == demand_of(needs, {key: qmax})
         whole = peak_live(needs, frees, lambda k: bounds[k][0] + 1)
-        whole_bytes = whole * shuffle._field_bytes(l1) * (n + 1) * (comb(n, 2) + 1)
+        whole_bytes = whole * (l1.bit_length() + 8) // 8 * (n + 1) * (comb(n, 2) + 1)
         # every series value holds r(k) + 1 <= qmax + 1 q-rows of the larger
         # pass's row: the peak at qmax + 1 bounds the sized one from above
         values = peak_live(needs, frees, lambda k: 1)
@@ -920,13 +931,46 @@ def test_insertion_bounds_hold_every_key():
         assert bounds["0" * n][1].bit_length() == l1.bit_length() + 3
 
 
-def test_insertion_l1_closed_form_is_the_largest_walked_bound():
-    # verify's geometry reads the insertion route's largest L1 bound without
-    # walking its plan over every word
-    for n in range(10):
-        words = [v for m in range(n + 1) for v in all_sequences(m)]
-        bounds = shuffle._insertion_bounds(shuffle._plan(words, shuffle._insertion_deps)[0])
-        assert shuffle._insertion_l1(n) == max(l1 for _, l1 in bounds.values()), n
+def _walked_insertion_bounds(needs):
+    """The insertion route's bounds walked over a plan, dependencies first.
+
+    The rules as the module docstring states them: dq(v) = max dq(w) + z
+    and L1(v) = 2^o sum of 2^#1(w) L1(w) over the words w of length
+    z = #0(v), o = #1(v); 0^m has the bounds of 1 0^(m - 1), and the empty
+    word (0, 1).
+    """
+    bounds = {}
+    for k, ds in needs.items():
+        if not k:
+            bounds[k] = (0, 1)
+        elif "1" not in k:
+            bounds[k] = bounds[ds[0]]
+        else:
+            z = k.count("0")
+            dq = max(bounds[w][0] for w in ds) + z
+            l1 = sum(bounds[w][1] << w.count("1") for w in ds) << len(k) - z
+            bounds[k] = (dq, l1)
+    return bounds
+
+
+def test_insertion_bounds_closed_form_is_the_walked_rule():
+    # each key's bounds are read from its zeros and ones alone, never from
+    # the words it reads, and equal the rule walked over every key of
+    # length <= 11
+    needs, _ = shuffle._plan(_words(11), shuffle._insertion_deps)
+    assert len(needs) == 2 ** 12 - 1
+    walked = _walked_insertion_bounds(needs)
+    assert shuffle._insertion_bounds(dict.fromkeys(needs)) == walked
+
+
+def test_shared_geometry_keeps_its_field_widths():
+    # the largest of P's L1 bound of 0^n, the insertion route's largest L1
+    # bound and f's largest slice mass, read from closed forms: the widths
+    # they gave as walked bounds and row masses
+    widths = [2, 4, 8, 12, 17, 21, 27, 32, 38, 43, 49, 55, 61, 68]
+    for n, width in enumerate(widths, 1):
+        assert shuffle._shared_geometry(n)[2].bit_length() == width, n
+    assert shuffle._shared_geometry(0) == (0, 0, 1)
 
 
 def test_insertion_series_one_shot_matches_memoized_route():
@@ -1093,7 +1137,8 @@ def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
     room, step = budget._room, shuffle._SeriesLayout.step
 
     def spy_room(what, parts):
-        events.append(sum(parts.values()))
+        if _a_pass(parts):
+            events.append(sum(parts.values()))
         return room(what, parts)
 
     def spy_step(layout, key, ds, work):
@@ -1194,8 +1239,10 @@ estimates = []
 room = budget._room
 
 def recording(what, parts):
-    # each pass's estimate, not the re-check of the values it yields
-    if not any(" values up to " in part for part in parts):
+    # each pass's estimate, not the re-check of the values it yields, nor
+    # the charge of a closure or a word list before it is built
+    live = any(part.startswith("live values") for part in parts)
+    if live and not any(" values up to " in part for part in parts):
         estimates.append(sum(parts.values()))
     return room(what, parts)
 
@@ -1284,7 +1331,8 @@ def test_a_run_that_yields_ints_charges_each_int_it_yields(monkeypatch):
     room = budget._room
 
     def recording(what, parts):
-        estimates.append(parts)
+        if _a_pass(parts):
+            estimates.append(parts)
         return room(what, parts)
 
     monkeypatch.setattr(budget, "_room", recording)
@@ -1332,15 +1380,20 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
         poincare_poly("0" * 16)
     assert err.value.need > memory
     assert len(calls) < 2 * limit
+    # the insertion route's 1 0^15 reads every word of length 15, refused
+    # before any is built
     calls.clear()
-    with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
+    with pytest.raises(MemoryBudgetExceeded, match="every word of length 15"):
         insertion_series("0" * 16)
     assert len(calls) < 2 * limit
-    # the full twist walks by P's rules, _Layout.deps, as every run does
+    # the full twist's closure of 0^n is every word of length <= n, charged
+    # before the walk takes a step
     calls.clear()
-    with pytest.raises(MemoryBudgetExceeded, match="closure of '0{16}'"):
+    with pytest.raises(
+        MemoryBudgetExceeded, match=r"'0' \* 16 .* closure walk state, every word"
+    ):
         full_twist_series(16, 10)
-    assert 1 <= len(calls) < 2 * limit
+    assert len(calls) == 0
     # a cache holding a long key with few zeros loads, checks included, in a
     # budget that covers the slot table of the layout it recomputes; that
     # of 0 1^30 0, 49,203 slots, alone holds about 7 MiB
@@ -1348,6 +1401,41 @@ def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):
         load_cache(str(path))
     monkeypatch.setattr(budget, "_memory_budget", lambda: 16 * 2 ** 20)
     assert load_cache(str(path)) == cached
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_zeros_closure_is_charged_as_the_walk_ends(monkeypatch, n):
+    # every word of length <= n: 2^(n + 1) - 1 keys and 3 (2^n - 1) - n
+    # entries, the state the walk of 0^n holds when it ends; so a budget
+    # that lets the walk end lets the charge pass, and one byte less
+    # refuses both
+    needs, _ = shuffle._plan(["0" * n], shuffle._Layout.deps)
+    assert len(needs) == 2 ** (n + 1) - 1
+    assert sum(map(len, needs.values())) == 3 * (2**n - 1) - n
+    state = (
+        len(needs) * shuffle._WALK_BYTES_PER_KEY
+        + sum(map(len, needs.values())) * shuffle._WALK_BYTES_PER_ENTRY
+    )
+    monkeypatch.setattr(budget, "_memory_budget", lambda: state)
+    shuffle._zeros_closure(n)
+    shuffle._plan(["0" * n], shuffle._Layout.deps)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: state - 1)
+    with pytest.raises(MemoryBudgetExceeded, match="closure walk state"):
+        shuffle._zeros_closure(n)
+    with pytest.raises(MemoryBudgetExceeded, match="closure of"):
+        shuffle._plan(["0" * n], shuffle._Layout.deps)
+
+
+def test_word_lists_are_charged_before_they_are_built(monkeypatch):
+    # 2^length words of 88 bytes each; a length of 21 digits is refused
+    # without computing 2^length
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 2**10 * 88)
+    assert len(all_sequences(10)) == 2**10
+    with pytest.raises(MemoryBudgetExceeded, match="every word of length 11"):
+        all_sequences(11)
+    monkeypatch.undo()
+    with pytest.raises(MemoryBudgetExceeded, match="every word of length 1" + "0" * 20):
+        all_sequences(10**20)
 
 
 def test_insertion_walk_counts_its_dependency_entries(monkeypatch):

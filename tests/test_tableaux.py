@@ -1,5 +1,7 @@
 import pytest
 
+from tlh import budget, tableaux
+from tlh.budget import MemoryBudgetExceeded
 from tlh.poly import A, ONE, Q, T, UNIT, FracPoly, monomial
 from tlh.serialize import ParseError
 from tlh.shuffle import poincare_poly
@@ -145,6 +147,22 @@ def test_standard_tableaux_counts():
         by_shape[t.shape] = by_shape.get(t.shape, 0) + 1
     for shape, count in by_shape.items():
         assert hook_length_count(shape) == count
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tableaux_are_counted_before_they_are_grown(monkeypatch, n):
+    # the involution numbers, 1, 2, 4, 10, 26, 76, 232: a budget of exactly
+    # their bytes grows them all, and one byte less grows none
+    count = [1, 2, 4, 10, 26, 76, 232][n - 1]
+    need = count * tableaux._TABLEAU_BYTES
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need)
+    assert len(standard_tableaux(n)) == count
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need - 1)
+    grown = []
+    monkeypatch.setattr(tableaux, "StandardTableau", lambda growth: grown.append(growth))
+    with pytest.raises(MemoryBudgetExceeded, match=f"of {n} boxes with their weights"):
+        standard_tableaux(n)
+    assert grown == []
 
 
 def test_tableau_validation():

@@ -468,11 +468,12 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
         geometries.add((layout.w, layout.a_rows, layout.t_width))
         routes.append(layout.route)
         # the run's own proven bounds: its L1 bound, and on the f route the
-        # row mass of its length up to its q-degree bound
+        # largest slice mass of its length up to its q-degree bound
         dq, l1 = map(max, zip(*layout.bounds(plan[0]).values()))
         bounds.append(l1)
         if layout.route == "f":
-            bounds.append(shuffle._row_mass(max(map(len, plan[0])), dq))
+            m = max(map(len, plan[0]))
+            bounds.append(shuffle._slice_mass(m, dq, range(m + 1)) if m else 1)
         return evaluate(roots, plan, layouts, size, extra)
 
     def spy_top_a_test(layout, j):
@@ -526,7 +527,9 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
     room = budget._room
 
     def spy(what, estimate):
-        parts.append(estimate)
+        # a packed pass's estimate, not a word list's charge
+        if any(part.startswith("live values") for part in estimate):
+            parts.append(estimate)
         return room(what, estimate)
 
     monkeypatch.setattr(budget, "_room", spy)
