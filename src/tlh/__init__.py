@@ -35,7 +35,6 @@ from .poly import (
     NotASeries,
     NotPolynomial,
     Polynomial,
-    monomial,
 )
 from .serialize import ParseError, dumps, parse_frac, parse_poly
 from .budget import MemoryBudgetExceeded
@@ -87,7 +86,6 @@ from .links import (
     sl_specialization,
     two_strand_superpoly,
     unknot_invariant,
-    unknot_series,
 )
 
 __version__ = "1.0.0"

@@ -27,7 +27,8 @@ class MemoryBudgetExceeded(MemoryError):
       keys and dependency entries it holds would outgrow physical memory,
       and before 0^n is built, for its closure of every word of length
       <= n (``_zeros_closure``); and :func:`tlh.shuffle.all_sequences`;
-    * :func:`tlh.tableaux.standard_tableaux`, from their count;
+    * :func:`tlh.tableaux.standard_tableaux` and
+      :func:`tlh.tableaux.partitions_of`, from their counts;
     * a quotient's running sums in :mod:`tlh.poly`, before each fill;
     * ``tlh fulltwist --cache``, for the series terms of its expansion,
       before it reads or writes the cache (:mod:`tlh.cli`);

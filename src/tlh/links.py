@@ -56,7 +56,6 @@ __all__ = [
     "sl_specialization",
     "normalize_superpoly",
     "unknot_invariant",
-    "unknot_series",
     "reduce_by_unknot",
     "qt_catalan",
     "dyck_paths",
@@ -79,8 +78,14 @@ class SuperPolyEntry:
 
 
 # What :func:`two_strand_superpoly` holds per term at its peak: tracemalloc
-# measured 384 to 471 bytes at k = 10^3..10^5 (Python 3.11), so this rounds up.
+# measured 369 to 451 bytes at k = 10^3..10^5 (Python 3.11), so this rounds up.
 _BYTES_PER_TERM = 512
+
+
+def _reduced(k: int, body: Polynomial) -> Polynomial:
+    # a^k (tq)^(-k/2) times body: one shift, in quarter units
+    half = UNIT // 2 * k
+    return body.shifted((-half, UNIT * k, -half))
 
 
 def two_strand_superpoly(k: int) -> Polynomial:
@@ -96,52 +101,26 @@ def two_strand_superpoly(k: int) -> Polynomial:
         raise ValueError("k must be >= 1")
     terms = 2 * k + 1
     budget._room(f"T(2,{terms})", {"superpolynomial terms": terms * _BYTES_PER_TERM})
-    body = Polynomial(
-        {(UNIT * i, 0, UNIT * (k - i)): 1 for i in range(k + 1)}
-    ) + Polynomial(
-        {(UNIT * i, UNIT, UNIT * (k - 1 - i)): 1 for i in range(k)}
-    )
-    half_k = Fraction(k, 2)
-    return Polynomial.term(1, q=-half_k, a=k, t=-half_k) * body
+    body = {(UNIT * i, 0, UNIT * (k - i)): 1 for i in range(k + 1)}
+    body.update({(UNIT * i, UNIT, UNIT * (k - 1 - i)): 1 for i in range(k)})
+    return _reduced(k, Polynomial(body))
 
 
-def _entry_34() -> Polynomial:
-    body = parse_poly(
-        "t^3 + q t^2 + q t + q^2 t + q^3"
-        " + a t^2 + a t + a q t + a q + a q^2"
-        " + a^2"
-    )
-    return Polynomial.term(1, q=Fraction(-3, 2), a=3, t=Fraction(-3, 2)) * body
-
-
-def _entry_35() -> Polynomial:
-    body = parse_poly(
-        "t^4 + q t^3 + q t^2 + q^2 t^2 + q^2 t + q^3 t + q^4"
-        " + a t^3 + a t^2 + a q t^2 + 2 a q t + a q^2 t + a q^2 + a q^3"
-        " + a^2 q + a^2 t"
-    )
-    return Polynomial.term(1, q=-2, a=4, t=-2) * body
-
-
-def _entry_45() -> Polynomial:
-    body = parse_poly(
-        "t^6 + q t^5 + q t^4 + q t^3 + q^2 t^4 + q^3 t^2 + q^2 t^3"
-        " + q^2 t^2 + q^3 t + q^3 t^3 + q^4 t^2 + q^4 t + q^5 t + q^6"
-        " + a t^5 + a t^4 + a t^3 + a q t^4 + a q^2 t^3 + 2 a q t^3"
-        " + 2 a q t^2 + a q t + 2 a q^2 t^2 + 2 a q^2 t + 2 a q^3 t"
-        " + a q^3 t^2 + a q^4 t + a q^3 + a q^4 + a q^5"
-        " + a^2 t^3 + a^2 t^2 + a^2 t + a^2 q t^2 + a^2 q t + a^2 q^2 t"
-        " + a^2 q + a^2 q^2 + a^2 q^3"
-        " + a^3"
-    )
-    return Polynomial.term(1, q=-3, a=6, t=-3) * body
-
-
-_FIXED = {
-    "unknot": lambda: ONE,
-    "T(3,4)": _entry_34,
-    "T(3,5)": _entry_35,
-    "T(4,5)": _entry_45,
+# The fixed entries, as (k, body text) for :func:`_reduced`.
+_TABLE = {
+    "unknot": (0, "1"),
+    "T(3,4)": (3, "t^3 + q t^2 + q t + q^2 t + q^3"
+                  " + a t^2 + a t + a q t + a q + a q^2 + a^2"),
+    "T(3,5)": (4, "t^4 + q t^3 + q t^2 + q^2 t^2 + q^2 t + q^3 t + q^4"
+                  " + a t^3 + a t^2 + a q t^2 + 2 a q t + a q^2 t + a q^2 + a q^3"
+                  " + a^2 q + a^2 t"),
+    "T(4,5)": (6, "t^6 + q t^5 + q t^4 + q t^3 + q^2 t^4 + q^3 t^2 + q^2 t^3"
+                  " + q^2 t^2 + q^3 t + q^3 t^3 + q^4 t^2 + q^4 t + q^5 t + q^6"
+                  " + a t^5 + a t^4 + a t^3 + a q t^4 + a q^2 t^3 + 2 a q t^3"
+                  " + 2 a q t^2 + a q t + 2 a q^2 t^2 + 2 a q^2 t + 2 a q^3 t"
+                  " + a q^3 t^2 + a q^4 t + a q^3 + a q^4 + a q^5"
+                  " + a^2 t^3 + a^2 t^2 + a^2 t + a^2 q t^2 + a^2 q t"
+                  " + a^2 q^2 t + a^2 q + a^2 q^2 + a^2 q^3 + a^3"),
 }
 
 _TWO_STRAND = re.compile(r"T\(2,([0-9]+)\)")
@@ -154,9 +133,9 @@ def dataset_keys() -> list[str]:
 
 def dataset_get(key: str) -> SuperPolyEntry:
     """Fetch a reduced superpolynomial by link name, e.g. ``T(3,4)``."""
-    maker = _FIXED.get(key)
-    if maker is not None:
-        return SuperPolyEntry(key, maker(), _SOURCE)
+    if key in _TABLE:
+        k, body = _TABLE[key]
+        return SuperPolyEntry(key, _reduced(k, parse_poly(body)), _SOURCE)
     m = _TWO_STRAND.fullmatch(key)
     if m:
         odd = parse_int(m.group(1))
@@ -213,15 +192,8 @@ def normalize_superpoly(p: Polynomial, e: int, n: int) -> Polynomial:
 
 def unknot_invariant() -> FracPoly:
     """The unnormalized unknot invariant, q^(1/4) a^(-1/2) t^(-1/4) (1+a) / (1-q)."""
-    num = Polynomial.term(
-        1, q=Fraction(1, 4), a=Fraction(-1, 2), t=Fraction(-1, 4)
-    ) * (ONE + A)
+    num = (ONE + A).shifted((1, -2, -1))  # q^(1/4) a^(-1/2) t^(-1/4)
     return FracPoly(num, [ONE_MINUS_Q])
-
-
-def unknot_series(qmax: int) -> Polynomial:
-    """Truncated q-expansion of the unknot invariant."""
-    return unknot_invariant().series(qmax)
 
 
 _ONE_MINUS_A = BinomialFactor((0, 0, 0), (0, UNIT, 0))

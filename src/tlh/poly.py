@@ -51,7 +51,6 @@ __all__ = [
     "BinomialFactor",
     "ONE_MINUS_Q",
     "FracPoly",
-    "monomial",
     "ZERO",
     "ONE",
     "Q",
@@ -814,15 +813,6 @@ class FracPoly:
 
     def __repr__(self) -> str:
         return f"FracPoly({self.text()})"
-
-
-def monomial(
-    coeff: int = 1,
-    q: ExponentLike = 0,
-    a: ExponentLike = 0,
-    t: ExponentLike = 0,
-) -> Polynomial:
-    return Polynomial.term(coeff, q, a, t)
 
 
 ZERO = Polynomial()

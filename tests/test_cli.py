@@ -349,14 +349,17 @@ def test_cache_file_that_is_not_json_is_a_parse_error(tmp_path, capsys, text):
     assert err.startswith("error: ParseError")
 
 
-def test_conjecture_soft_reaches_the_exit_status(capsys, monkeypatch):
+def test_failed_conjecture_exits_1_and_conjecture_soft_is_a_usage_error(capsys, monkeypatch):
     failed = verify.CheckResult(
         "magic", "r1-matches-recursion", verify.CONJECTURE, verify.FAIL,
         "failed inside the verified range: n=2",
     )
     monkeypatch.setattr(verify, "run_suites", lambda names, max_n: [failed])
     assert run_cli(capsys, "verify", "--suite", "magic")[0] == 1
-    assert run_cli(capsys, "verify", "--suite", "magic", "--conjecture-soft")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "magic", "--conjecture-soft"])
+    assert exc.value.code == 2
+    assert "--conjecture-soft" in capsys.readouterr().err
 
 
 def test_bare_key_error_is_not_an_engine_error(monkeypatch):
@@ -490,7 +493,8 @@ def test_fulltwist_cache_expansion_fails_by_name_before_it_starts(
     # the spot check samples "" alone; the bounds check meets "0110"
     ({"": ONE, "0110": ONE + Q ** 3},
      "error: EntryOutOfBounds: memo entry '0110' has a q-degree above its bound 2"),
-    # the spot check samples "0110" itself
+    # the spot check samples "0110" itself, whose changed value fits its
+    # bounds: an error of the cache alone, which no verify check can raise
     ({"0110": ONE}, "error: MemoDivergence: cache entry '0110' disagrees"),
 ], ids=["out-of-bounds", "diverged"])
 def test_cache_that_fails_its_checks_exits_1(tmp_path, capsys, answers, error):

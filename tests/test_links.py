@@ -18,7 +18,6 @@ from tlh.links import (
     sl_specialization,
     two_strand_superpoly,
     unknot_invariant,
-    unknot_series,
 )
 from tlh.poly import (
     A,
@@ -31,7 +30,6 @@ from tlh.poly import (
     NonExactDivision,
     NonIntegralPower,
     Polynomial,
-    monomial,
 )
 from tlh.serialize import dumps, parse_poly
 from tlh.budget import MemoryBudgetExceeded
@@ -54,10 +52,10 @@ def test_two_strand_family_fails_by_name_before_it_is_built(monkeypatch):
 
 def test_two_strand_family():
     tre = two_strand_superpoly(1)
-    assert tre == monomial(1, q=Fraction(-1, 2), a=1, t=Fraction(-1, 2)) * (Q + T + A)
+    assert tre == Polynomial.term(1, q=Fraction(-1, 2), a=1, t=Fraction(-1, 2)) * (Q + T + A)
     k2 = two_strand_superpoly(2)
     body = T ** 2 + Q * T + Q ** 2 + A * (T + Q)
-    assert k2 == monomial(1, q=-1, a=2, t=-1) * body
+    assert k2 == Polynomial.term(1, q=-1, a=2, t=-1) * body
     with pytest.raises(ValueError):
         two_strand_superpoly(0)
 
@@ -73,7 +71,7 @@ def test_dataset_lookup():
         " + a t^2 + a t + a q t + a q + a q^2"
         " + a^2"
     )
-    want = monomial(1, q=Fraction(-3, 2), a=3, t=Fraction(-3, 2)) * body
+    want = Polynomial.term(1, q=Fraction(-3, 2), a=3, t=Fraction(-3, 2)) * body
     assert entry.poly == want
     for bad in ("T(2,4)", "T(2,1)", "T(5,6)", "nonsense"):
         with pytest.raises(UnknownLink):
@@ -123,39 +121,40 @@ def test_sl_specialization_examples():
 
 def test_specializations_map_each_term():
     # t^(k/2) -> (-1)^k q^(-k/2), a^k -> (-1)^k q^(kN), including negative k
-    assert decategorify(monomial(3, q=1, a=2, t=-1)) == monomial(3, q=2, a=2)
-    assert decategorify(monomial(1, t=Fraction(3, 2))) == -monomial(1, q=Fraction(-3, 2))
-    assert decategorify(T - monomial(1, q=-1)) == ZERO
-    assert sl_specialization(monomial(2, q=1, a=-1), 3) == monomial(-2, q=-2)
-    assert sl_specialization(A * monomial(1, q=-2) + ONE, 2) == ZERO
+    assert decategorify(Polynomial.term(3, q=1, a=2, t=-1)) == Polynomial.term(3, q=2, a=2)
+    assert decategorify(Polynomial.term(1, t=Fraction(3, 2))) == -Polynomial.term(1, q=Fraction(-3, 2))
+    assert decategorify(T - Polynomial.term(1, q=-1)) == ZERO
+    assert sl_specialization(Polynomial.term(2, q=1, a=-1), 3) == Polynomial.term(-2, q=-2)
+    assert sl_specialization(A * Polynomial.term(1, q=-2) + ONE, 2) == ZERO
 
 
 def test_specializations_reject_a_fractional_sign_power():
     with pytest.raises(NonIntegralPower, match=r"^\(-1\)\^\(1/2\) while eliminating t$"):
-        decategorify(monomial(1, t=Fraction(1, 4)))
+        decategorify(Polynomial.term(1, t=Fraction(1, 4)))
     with pytest.raises(NonIntegralPower, match=r"^\(-1\)\^\(1/2\) while eliminating a$"):
-        sl_specialization(monomial(1, a=Fraction(1, 2)), 2)
+        sl_specialization(Polynomial.term(1, a=Fraction(1, 2)), 2)
 
 
 def test_normalization_prefactor():
     # alpha power vanishes at e = n, leaving t^(-n/2)
     for n in (1, 2, 3):
         got = normalize_superpoly(ONE, n, n)
-        assert got == monomial(1, t=Fraction(-n, 2))
+        assert got == Polynomial.term(1, t=Fraction(-n, 2))
     # generic prefactor on the quarter lattice
     got = normalize_superpoly(ONE, 0, 1)
-    assert got == monomial(
+    assert got == Polynomial.term(
         1, q=Fraction(1, 4), a=Fraction(-1, 2), t=Fraction(-1, 4)
     )
 
 
 def test_unknot_series():
-    lead = monomial(1, q=Fraction(1, 4), a=Fraction(-1, 2), t=Fraction(-1, 4))
+    lead = Polynomial.term(1, q=Fraction(1, 4), a=Fraction(-1, 2), t=Fraction(-1, 4))
     # the least q-exponent is 1/4, so nothing survives a qmax=0 truncation
-    assert unknot_series(0) == Polynomial()
-    assert unknot_series(1) == lead * (ONE + A)
-    s2 = unknot_series(2)
-    s1 = unknot_series(1)
+    unknot = unknot_invariant()
+    assert unknot.series(0) == Polynomial()
+    assert unknot.series(1) == lead * (ONE + A)
+    s2 = unknot.series(2)
+    s1 = unknot.series(1)
     cut = Polynomial({e: c for e, c in s2.units().items() if e[0] <= UNIT})
     assert s1 == cut
 
@@ -190,7 +189,7 @@ def test_two_strand_normalization_round_trip():
     e, n = 3, 2
     reduced = two_strand_superpoly(1)
     link_invariant = unknot_invariant() * reduced
-    inverse_prefactor = monomial(
+    inverse_prefactor = Polynomial.term(
         1,
         q=-Fraction(n - e, 4),
         a=-Fraction(2 * (e - n), 4),
@@ -217,14 +216,14 @@ def test_dyck_paths_and_catalan():
 def test_lowest_a_slice():
     p = dataset_get("T(3,4)").poly
     slice_, mono = lowest_a_slice(p)
-    assert mono == monomial(1, a=3)
-    want = monomial(1, q=Fraction(-3, 2), t=Fraction(-3, 2)) * parse_poly(
+    assert mono == Polynomial.term(1, a=3)
+    want = Polynomial.term(1, q=Fraction(-3, 2), t=Fraction(-3, 2)) * parse_poly(
         "t^3 + q t^2 + q t + q^2 t + q^3"
     )
     assert slice_ == want
-    m = monomial(5, q=1, a=2)
+    m = Polynomial.term(5, q=1, a=2)
     s, am = lowest_a_slice(m)
-    assert s == monomial(5, q=1) and am == monomial(1, a=2)
+    assert s == Polynomial.term(5, q=1) and am == Polynomial.term(1, a=2)
     with pytest.raises(ValueError):
         lowest_a_slice(Polynomial())
 

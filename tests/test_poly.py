@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tlh import budget, poly, shuffle, verify
 from tlh.budget import MemoryBudgetExceeded
-from tlh.links import _divide_by_one_plus_a, unknot_invariant, unknot_series
+from tlh.links import _divide_by_one_plus_a, unknot_invariant
 from tlh.poly import (
     A,
     ONE,
@@ -23,7 +23,6 @@ from tlh.poly import (
     NotPolynomial,
     Polynomial,
     _exp_vector,
-    monomial,
 )
 from tlh.shuffle import poincare_series
 
@@ -122,10 +121,10 @@ def _heap_exact_div(p, d):
 
 
 def test_monomial_lattice():
-    m = monomial(3, q=Fraction(1, 2), a=-1, t=Fraction(3, 4))
+    m = Polynomial.term(3, q=Fraction(1, 2), a=-1, t=Fraction(3, 4))
     assert m.units() == {(2, -4, 3): 3}
     with pytest.raises(ValueError):
-        monomial(1, q=Fraction(1, 3))
+        Polynomial.term(1, q=Fraction(1, 3))
 
 
 def test_mul_examples():
@@ -184,9 +183,9 @@ def test_exact_div_examples():
 
 
 def test_exact_div_laurent():
-    p = monomial(1, q=-2) - monomial(1, q=3)
-    d = monomial(1, q=-2)
-    assert _heap_exact_div(p, d) == ONE - monomial(1, q=5)
+    p = Polynomial.term(1, q=-2) - Polynomial.term(1, q=3)
+    d = Polynomial.term(1, q=-2)
+    assert _heap_exact_div(p, d) == ONE - Polynomial.term(1, q=5)
 
 
 @settings(max_examples=200)
@@ -263,11 +262,11 @@ def test_quotient_examples():
     # Laurent exponents and the x^-lead shift: (t - tq) / (t - tq) and friends
     t_tq = BinomialFactor((0, 0, UNIT), (UNIT, 0, UNIT))
     assert t_tq.quotient(T - T * Q) == ONE
-    assert t_tq.quotient(monomial(1, q=-2, t=-1) * (T - T * Q) * (A + Q)) == (
-        monomial(1, q=-2, t=-1) * (A + Q)
+    assert t_tq.quotient(Polynomial.term(1, q=-2, t=-1) * (T - T * Q) * (A + Q)) == (
+        Polynomial.term(1, q=-2, t=-1) * (A + Q)
     )
     # (1 - q)^k for k up to 6 divides exactly k times
-    base = A - monomial(2, q=-1, t=1)
+    base = A - Polynomial.term(2, q=-1, t=1)
     for k in range(7):
         target = base * (ONE - Q) ** k
         for _ in range(k):
@@ -382,7 +381,7 @@ def test_divide_power_matches_sympy(p, factor, k, mult, noise):
 
 
 def test_divide_power_examples():
-    base = A - monomial(2, q=-1, t=1)
+    base = A - Polynomial.term(2, q=-1, t=1)
     for k in range(6):
         for mult in range(1, 6):
             got = ONE_MINUS_Q.divide_power(base * (ONE - Q) ** k, mult)
@@ -590,7 +589,7 @@ def test_one_plus_a_division_examples():
     assert _divide_by_one_plus_a(ONE + A ** 3) == ONE - A + A * A
     assert _divide_by_one_plus_a(ZERO) == ZERO
     # negative, half and quarter powers of a: a^(-1/4) (1 + a) (a^(1/2) - q)
-    x = monomial(1, a=Fraction(-1, 4)) * (monomial(1, a=Fraction(1, 2)) - Q)
+    x = Polynomial.term(1, a=Fraction(-1, 4)) * (Polynomial.term(1, a=Fraction(1, 2)) - Q)
     assert _divide_by_one_plus_a(x * (ONE + A)) == x
     # a^(1/2) - q sums to 0 at a = 1, so only the per-class check rejects it
     with pytest.raises(
@@ -598,7 +597,7 @@ def test_one_plus_a_division_examples():
         match=r"class of q,a,t exponent \(0, 1/2, 0\) does not vanish at a = -1: "
         r"not divisible by 1 \+ a",
     ):
-        _divide_by_one_plus_a(monomial(1, a=Fraction(1, 2)) - Q)
+        _divide_by_one_plus_a(Polynomial.term(1, a=Fraction(1, 2)) - Q)
     with pytest.raises(NonExactDivision, match=r"\(0, 0, 0\) .* by 1 \+ a"):
         _divide_by_one_plus_a(ONE - A)
     # the class of 1 vanishes at a = -1, so the error names q's class
@@ -812,14 +811,15 @@ def test_full_twist_series_matches_full_product(n):
 
 def test_unknot_series_matches_full_product():
     for qmax in range(11):
-        assert unknot_series(qmax) == _series_by_full_product(unknot_invariant(), qmax)
+        unknot = unknot_invariant()
+        assert unknot.series(qmax) == _series_by_full_product(unknot, qmax)
 
 
 def test_series_edge_cases():
     # negative q-exponents: q^-2/(1-q) = q^-2 + q^-1 + 1 + q + ...
-    f = FracPoly(monomial(1, q=-2) + A * T, [ONE_MINUS_Q])
+    f = FracPoly(Polynomial.term(1, q=-2) + A * T, [ONE_MINUS_Q])
     assert f.series(1) == (
-        monomial(1, q=-2) + monomial(1, q=-1) + ONE + Q + A * T * (ONE + Q)
+        Polynomial.term(1, q=-2) + Polynomial.term(1, q=-1) + ONE + Q + A * T * (ONE + Q)
     )
     # numerator entirely above the bound
     high = FracPoly(Q ** 5 * (ONE + A), [ONE_MINUS_Q, _q_factor(2 * UNIT)])
@@ -851,7 +851,7 @@ def _sympy_series_matches(f, qmax):
     "f, qmax",
     [
         (FracPoly(ONE + A, [ONE_MINUS_Q]), 4),
-        (FracPoly(monomial(1, q=-2) + 3 * A * T * Q, [ONE_MINUS_Q] * 2), 3),
+        (FracPoly(Polynomial.term(1, q=-2) + 3 * A * T * Q, [ONE_MINUS_Q] * 2), 3),
         (FracPoly(A * A - T ** 3 * Q ** 2, [ONE_MINUS_Q, _q_factor(2 * UNIT)]), 5),
         (FracPoly(Q ** 6 - A, [_q_factor(3 * UNIT), _q_factor(2 * UNIT)]), 5),
         (FracPoly(Q ** 4 * T, [ONE_MINUS_Q]), 2),
@@ -918,6 +918,6 @@ def test_swap_qt():
 def test_text_rendering():
     assert str(ONE + A) == "1 + a"
     assert str(-(ONE + A)) == "-1 - a"
-    assert str(monomial(1, q=-1) + monomial(2, q=Fraction(1, 2))) == "q^(-1) + 2 q^(1/2)"
+    assert str(Polynomial.term(1, q=-1) + Polynomial.term(2, q=Fraction(1, 2))) == "q^(-1) + 2 q^(1/2)"
     assert str(FracPoly(ONE + A, [ONE_MINUS_Q, ONE_MINUS_Q])) == "(1 + a) / (1 - q)^2"
     assert str(FracPoly(ONE + A)) == "1 + a"

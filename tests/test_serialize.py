@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tlh.poly import A, ONE, ONE_MINUS_Q, Q, FracPoly, Polynomial, monomial
+from tlh.poly import A, ONE, ONE_MINUS_Q, Q, FracPoly, Polynomial
 from tlh.serialize import (
     ParseError, dumps, parse_frac, parse_int, parse_poly, poly_from_obj,
 )
@@ -16,7 +16,7 @@ from test_poly import fracs, polys
 def test_simple_text():
     assert dumps(ONE + A) == "1 + a"
     assert parse_poly("1 + a") == ONE + A
-    assert parse_poly("q^(1/2)") == monomial(1, q=Fraction(1, 2))
+    assert parse_poly("q^(1/2)") == Polynomial.term(1, q=Fraction(1, 2))
     assert parse_poly("0") == Polynomial()
     assert dumps(Polynomial()) == "0"
 
@@ -24,7 +24,7 @@ def test_simple_text():
 def test_text_accepts_leading_minus_and_spacing():
     assert parse_poly("-q") == -Q
     assert parse_poly("- q + 2a") == -Q + 2 * A
-    assert parse_poly("3 q^2 a t^(-3/4)") == monomial(3, q=2, a=1, t=Fraction(-3, 4))
+    assert parse_poly("3 q^2 a t^(-3/4)") == Polynomial.term(3, q=2, a=1, t=Fraction(-3, 4))
     assert parse_poly("q q") == Q * Q
 
 
@@ -84,7 +84,7 @@ def test_json_integer_over_the_digit_limit_is_a_parse_error():
 
 
 def test_json_schema():
-    p = monomial(2, q=1) + monomial(-1, a=Fraction(1, 2))
+    p = Polynomial.term(2, q=1) + Polynomial.term(-1, a=Fraction(1, 2))
     obj = json.loads(dumps(p, "json"))
     assert obj["exponent_unit"] == "1/4"
     assert obj["variables"] == ["q", "a", "t"]
@@ -172,7 +172,7 @@ def test_json_decoding_is_strict(term, message):
 
 def test_json_decoding_accepts_integers_and_decimal_strings():
     obj = _with_second_term({"coeff": -(10 ** 30), "exp": [-4, 0, 2]})
-    assert poly_from_obj(obj) == monomial(3, a=1) - monomial(10 ** 30, q=-1, t=Fraction(1, 2))
+    assert poly_from_obj(obj) == Polynomial.term(3, a=1) - Polynomial.term(10 ** 30, q=-1, t=Fraction(1, 2))
     obj = _with_second_term({"coeff": "-3", "exp": [0, 4, 0]})
     assert poly_from_obj(obj) == Polynomial()
     with pytest.raises(ParseError, match="terms must be a list"):
@@ -189,7 +189,7 @@ def test_json_decoding_accepts_integers_and_decimal_strings():
 
 def test_latex_output():
     assert dumps(Q ** 3 + Q ** 5 - Q ** 8, "latex") == "q^{3} + q^{5} - q^{8}"
-    assert dumps(monomial(1, t=Fraction(-3, 2)), "latex") == "t^{-3/2}"
+    assert dumps(Polynomial.term(1, t=Fraction(-3, 2)), "latex") == "t^{-3/2}"
     f = FracPoly(ONE + A, [ONE_MINUS_Q])
     assert dumps(f, "latex") == "\\frac{1 + a}{(1 - q)}"
 
@@ -204,7 +204,7 @@ def test_three_strand_poly_round_trips_all_formats():
 
 
 def test_big_coefficients_round_trip():
-    p = monomial(10 ** 40, q=1) - monomial(7 ** 30, t=2)
+    p = Polynomial.term(10 ** 40, q=1) - Polynomial.term(7 ** 30, t=2)
     assert parse_poly(dumps(p)) == p
     assert parse_poly(dumps(p, "json"), "json") == p
 

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from tlh import budget, tableaux
 from tlh.budget import MemoryBudgetExceeded
-from tlh.poly import A, ONE, Q, T, UNIT, FracPoly, monomial
-from tlh.serialize import ParseError
+from tlh.poly import A, ONE, Q, T, UNIT, FracPoly, Polynomial
 from tlh.shuffle import poincare_poly
 from tlh.tableaux import (
     Box,
@@ -61,12 +62,6 @@ def test_partition_basics():
     assert p.transpose() == Partition((3, 1, 1))
     assert Partition((2, 1)).transpose() == Partition((2, 1))
     assert Partition((3,)).transpose() == Partition((1, 1, 1))
-    assert Partition.parse("3,1,1") == p
-    assert Partition.parse("") == Partition(())
-    # each part is an ASCII integer, as everywhere in outside input
-    for bad in ("\u0663,1", " 1_0 , 3 ", "3, 1", "3,,1"):
-        with pytest.raises(ParseError):
-            Partition.parse(bad)
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -134,7 +129,7 @@ def test_corner_weight_transpose():
 def test_a_envelope():
     assert a_envelope(Partition(())) == ONE
     assert a_envelope(Partition((1,))) == ONE + A
-    expect = (ONE + A) * (ONE + A * monomial(1, t=-1))
+    expect = (ONE + A) * (ONE + A * Polynomial.term(1, t=-1))
     assert a_envelope(Partition((2,))) == expect
 
 
@@ -163,6 +158,39 @@ def test_tableaux_are_counted_before_they_are_grown(monkeypatch, n):
     with pytest.raises(MemoryBudgetExceeded, match=f"of {n} boxes with their weights"):
         standard_tableaux(n)
     assert grown == []
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_partitions_are_counted_before_they_are_built(monkeypatch, n):
+    # p(n) distinct partitions, largest first row first: a budget of exactly
+    # their bytes builds them all, and one byte less builds none
+    count = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77][n]
+    need = count * tableaux._PARTITION_BYTES
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need)
+    rows = [p.rows for p in partitions_of(n)]
+    assert rows == sorted(set(rows), reverse=True) and len(rows) == count
+    assert all(sum(r) == n for r in rows)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need - 1)
+    built = []
+    monkeypatch.setattr(tableaux, "Partition", lambda rows: built.append(rows))
+    with pytest.raises(MemoryBudgetExceeded, match=f"evaluating the partitions of {n} "):
+        partitions_of(n)
+    assert built == []
+
+
+def test_partitions_are_refused_by_name_in_little_memory(monkeypatch):
+    # p(60) = 966,467 partitions outgrow 64 MiB; the count for 10^20 stops
+    # as soon as it passes memory
+    monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
+    tracemalloc.start()
+    try:
+        for n in (60, 10 ** 20):
+            with pytest.raises(MemoryBudgetExceeded, match=f"evaluating the partitions of {n} "):
+                partitions_of(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_tableau_validation():

@@ -53,17 +53,15 @@ def _result(kind, status):
     return verify.CheckResult("suite", "check", kind, status, "detail")
 
 
-def test_conjecture_soft_spares_only_conjecture_failures():
+def test_exit_status_is_1_on_any_failed_check():
     passed = _result(verify.THEOREM, verify.PASS)
     conjecture = _result(verify.CONJECTURE, verify.FAIL)
     theorem = _result(verify.THEOREM, verify.FAIL)
     finding = _result(verify.CONJECTURE, verify.FINDING)
-    for soft in (False, True):
-        assert verify.exit_status([passed, theorem], conjecture_soft=soft) == 1
-        assert verify.exit_status([passed, finding], conjecture_soft=soft) == 0
+    assert verify.exit_status([passed, theorem]) == 1
+    assert verify.exit_status([passed, finding]) == 0
     assert verify.exit_status([passed, conjecture]) == 1
-    assert verify.exit_status([passed, conjecture], conjecture_soft=True) == 0
-    assert verify.exit_status([conjecture, theorem], conjecture_soft=True) == 1
+    assert verify.exit_status([conjecture, theorem]) == 1
 
 
 @pytest.mark.parametrize("exc", [TypeError("bug"), KeyError("bug")])
@@ -310,6 +308,13 @@ def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatc
 
 def _results(suite, max_n):
     return {r.name: r for r in verify.run_suites([suite], max_n=max_n)}
+
+
+def test_catalan_suite_passes_past_the_first_eight_counts():
+    # the counts come from C(2n, n) / (n + 1): no table ends at n = 7
+    results = _results("catalan", 10)
+    assert {r.status for r in results.values()} == {verify.PASS}
+    assert results["qt-catalan-count"].detail == "10 case(s)"
 
 
 def test_inner_outer_count_names_the_failing_shape_size(monkeypatch):
