@@ -25,9 +25,8 @@ verification suites check rather than assume.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from . import budget
 from .poly import (
@@ -70,8 +69,7 @@ class UnknownLink(KeyError):
     """No entry for that link name."""
 
 
-@dataclass(frozen=True)
-class SuperPolyEntry:
+class SuperPolyEntry(NamedTuple):
     key: str
     poly: Polynomial
     source: str

@@ -28,7 +28,6 @@ unlink value (1+a)^n (only its a-degree-zero part is 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -67,18 +66,18 @@ class Box(NamedTuple):
         return Box(self.row, self.col)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("rows", tuple[int, ...])])):
     """Weakly decreasing positive row lengths, English style."""
 
-    rows: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, r in enumerate(self.rows):
+    def __new__(cls, rows: tuple[int, ...] = ()) -> "Partition":
+        for i, r in enumerate(rows):
             if r < 1:
                 raise ValueError("row lengths must be positive")
-            if i and self.rows[i - 1] < r:
+            if i and rows[i - 1] < r:
                 raise ValueError("row lengths must be weakly decreasing")
+        return super().__new__(cls, rows)
 
     @property
     def size(self) -> int:
@@ -173,16 +172,16 @@ def a_envelope(shape: Partition) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(NamedTuple("StandardTableau", [("growth", tuple[Box, ...])])):
     """A growth chain of diagrams, recorded by the box added at each step."""
 
-    growth: tuple[Box, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, growth: tuple[Box, ...]) -> "StandardTableau":
         shape = Partition(())
-        for c in self.growth:
+        for c in growth:
             shape = shape.add_box(c)  # raises NotInnerCorner if invalid
+        return super().__new__(cls, growth)
 
     @property
     def size(self) -> int:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, zip_longest
 from math import comb
-from typing import Callable, Iterable, Iterator
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import closed_form, links, shuffle, tableaux
 from .poly import (
@@ -107,8 +107,7 @@ class _Store:
         return value
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     suite: str
     name: str
     kind: str
@@ -120,8 +119,17 @@ class Check:
         return self.default_bound if max_n is None else max_n
 
 
-@dataclass(frozen=True)
-class CheckResult:
+# perfbench's tracer copies each check with another fn by
+# ``dataclasses.replace``, which reads only this table: per field, its name,
+# that it is an init field, and a field type that is neither ClassVar nor
+# InitVar.  Built here, it keeps the package from importing dataclasses.
+Check.__dataclass_fields__ = {
+    name: SimpleNamespace(name=name, init=True, _field_type=None)
+    for name in Check._fields
+}
+
+
+class CheckResult(NamedTuple):
     suite: str
     name: str
     kind: str
@@ -344,47 +352,55 @@ def _lockstep(*streams: Iterable) -> Iterator[tuple[str, list]]:
 def _agreement(bound: int) -> dict[str, Counter]:
     """Per P check, how many words of each length up to ``bound`` pass it.
 
-    Three streams, read side by side (:func:`_lockstep`): P's runs over the
-    words of each length m = 0..bound in turn, each listed from 1^m down;
+    Two passes, each of two streams read side by side (:func:`_lockstep`),
+    so no more than two runs are live at once.  Each pass steps P's runs
+    anew, over the words of each length m = 0..bound in turn, each listed
+    from 1^m down.  The first reads them beside one insertion run over
+    every word up to the bound, each length's words listed in P's step
+    order (:func:`shuffle._step_order`); every insertion dependency of a
+    word but 0^m is shorter, so that run yields its roots as they are
+    listed.  Only once it has ended does the second pass read P beside
     (1 - q)^#0(v) f(v) by the f route, a length at a time
-    (:func:`shuffle._normalized`), which shares P's rules and roots; and one
-    insertion run over every word up to the bound, each length's words
-    listed in P's step order (:func:`shuffle._step_order`).  Every insertion
-    dependency of a word but 0^m is shorter, so that run yields its roots as
-    they are listed.  So the three yield the same words in the same order,
-    no value waits for its partner, and P of every word is never held at
+    (:func:`shuffle._normalized`), which shares P's rules and roots.  So
+    the two streams of a pass yield the same words in the same order, no
+    value waits for its partner, and P of every word is never held at
     once.  Every run steps on one geometry, whose fields hold all three
     routes' bounds (:func:`shuffle._shared_geometry`), and yields packed
     ints: equal ints are equal polynomials, and nothing is unpacked.
     Counted, as distinct words: those whose insertion value equals P(v)
-    (``insertion``), those whose f route value does (``f``), and those
-    whose P(v) has top a-coefficient, of a^|v|, 1 (``top-a``), read from
-    P's int by the layout (:meth:`shuffle._Layout.top_a_test`).
+    (``insertion``), and whose P(v) has top a-coefficient, of a^|v|, 1
+    (``top-a``), read from P's int by the layout
+    (:meth:`shuffle._Layout.top_a_test`), in the first pass; and those
+    whose f route value equals P(v) (``f``), in the second.
     """
     geometry = shuffle._shared_geometry(bound)
     layout = shuffle._Layout(*geometry, yields_ints=True)
     lengths = range(bound + 1)
+
+    def p() -> Iterator[tuple[str, int]]:
+        return chain.from_iterable(
+            shuffle._run(shuffle.all_sequences(m)[::-1], shuffle._Layout, geometry)
+            for m in lengths
+        )
+
     roots = [v for m in lengths for v in shuffle._step_order(m)]
-    p = chain.from_iterable(
-        shuffle._run(shuffle.all_sequences(m)[::-1], shuffle._Layout, geometry)
-        for m in lengths
-    )
     insertion = shuffle._run(roots, shuffle._InsertionLayout, geometry)
-    f = chain.from_iterable(shuffle._normalized(m, geometry) for m in lengths)
     agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
     length = None
-    for v, (pv, iv, fv) in _lockstep(p, insertion, f):
+    for v, (pv, iv) in _lockstep(p(), insertion):
         if pv is None:
             continue
         if pv == iv:
             agree["insertion"].add(v)
-        if pv == fv:
-            agree["f"].add(v)
         if len(v) != length:  # the words come a length at a time
             length = len(v)
             top_a_is_one = layout.top_a_test(length)
         if top_a_is_one(pv):
             agree["top-a"].add(v)
+    f = chain.from_iterable(shuffle._normalized(m, geometry) for m in lengths)
+    for v, (pv, fv) in _lockstep(p(), f):
+        if pv is not None and pv == fv:
+            agree["f"].add(v)
     return {count: Counter(map(len, words)) for count, words in agree.items()}
 
 

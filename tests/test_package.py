@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,15 @@ def test_memory_budget_error_is_one_class():
 
     assert tlh.MemoryBudgetExceeded is budget.MemoryBudgetExceeded
     assert shuffle.MemoryBudgetExceeded is budget.MemoryBudgetExceeded
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 1 MB of RSS
+    # and 7 ms that every CLI process would pay for
+    src = os.path.dirname(os.path.dirname(tlh.__file__))
+    probe = "import sys, tlh.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.split() == []

@@ -49,6 +49,16 @@ def test_random_polys_are_the_ones_randint_draws(seed):
     assert got.getstate() == want.getstate()
 
 
+def test_a_check_is_copied_with_another_fn_by_dataclasses_replace():
+    # as perfbench's tracer wraps each check's fn, though Check is a NamedTuple
+    import dataclasses
+
+    check = verify.SUITES["recursions"][0]
+    copy = dataclasses.replace(check, fn=len)
+    assert type(copy) is verify.Check and copy.fn is len
+    assert copy._replace(fn=check.fn) == check
+
+
 def _result(kind, status):
     return verify.CheckResult("suite", "check", kind, status, "detail")
 
@@ -398,15 +408,16 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
     monkeypatch.setattr(shuffle, "_run", spy)
     monkeypatch.setattr(shuffle, "_normalized", spy_normalized)
     monkeypatch.setattr(verify, "_Store", Recorded)
-    # per call: one insertion run over every word, and one P run and one f
-    # run a length
-    per_call = [(frozenset(verify._words(3)), shuffle._InsertionLayout)]
+    # per call: one insertion run over every word, one f run a length, and
+    # two P runs a length, one beside each of the other two routes
+    per_call = Counter({(frozenset(verify._words(3)), shuffle._InsertionLayout): 1})
     for m in range(4):
-        per_call += [(frozenset(shuffle.all_sequences(m)), shuffle._Layout), (m, "f")]
+        per_call[frozenset(shuffle.all_sequences(m)), shuffle._Layout] = 2
+        per_call[m, "f"] = 1
     for calls in (1, 2):  # the second call steps every run again
         results = verify.run_suites(["recursions", "top-a"], max_n=3)
         assert [r.status for r in results] == [verify.PASS] * 3
-        assert Counter(runs) == Counter({run: calls for run in per_call})
+        assert Counter(runs) == Counter({run: n * calls for run, n in per_call.items()})
         # the call's values are freed when it returns
         assert len(stores) == calls and stores[-1]() is None
 
@@ -431,7 +442,8 @@ def test_one_call_computes_each_shared_value_once(monkeypatch):
 
 def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch):
     # what keeps every value from waiting for its partner: P, the insertion
-    # route and the f route yield each length's words in one order
+    # route and the f route yield each length's words in one order, in two
+    # passes, P beside the insertion route and then beside the f route
     words = []
     lockstep = verify._lockstep
 
@@ -449,12 +461,43 @@ def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch
     monkeypatch.setattr(verify, "_lockstep", recording)
     passed = verify._agreement(8)
     assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
-    [(p, insertion, f)] = words
-    assert p == insertion == f
+    [(p, insertion), (p_again, f)] = words
+    assert p == insertion == p_again == f
     for m in range(9):
         in_order = shuffle._step_order(m)
         assert [v for v in p if len(v) == m] == in_order
         assert sorted(in_order) == shuffle.all_sequences(m)
+
+
+def test_the_insertion_run_ends_before_the_f_route_makes_a_plan(monkeypatch):
+    # the two passes never overlap: no f plan is made, and no f work is
+    # live, until the insertion run has yielded its last root
+    run, normalized = shuffle._run, shuffle._normalized
+    roots, yielded, done_at_plan = [], [], []
+
+    def spy(route_roots, route, geometry=None):
+        stream = run(route_roots, route, geometry)
+        if route is not shuffle._InsertionLayout:
+            return stream
+        roots.extend(route_roots)
+
+        def recorded():
+            for v, value in stream:
+                yielded.append(v)
+                yield v, value
+
+        return recorded()
+
+    def spy_normalized(m, geometry):
+        done_at_plan.append(len(yielded) == len(roots))
+        return normalized(m, geometry)
+
+    monkeypatch.setattr(shuffle, "_run", spy)
+    monkeypatch.setattr(shuffle, "_normalized", spy_normalized)
+    passed = verify._agreement(5)
+    assert all(passed[count] == {m: 2**m for m in range(6)} for count in passed)
+    assert sorted(yielded) == sorted(roots) == sorted(verify._words(5))
+    assert done_at_plan == [True] * 6
 
 
 # The three routes are compared as packed ints, which is exact only on one
@@ -490,7 +533,7 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
     monkeypatch.setattr(shuffle._Layout, "top_a_test", spy_top_a_test)
     passed = verify._agreement(8)
     assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
-    assert Counter(routes) == {"P": 9, "f": 9, "insertion": 1}
+    assert Counter(routes) == {"P": 18, "f": 9, "insertion": 1}
     [(w, a_rows, t_width)] = geometries
     assert a_rows == range(9) and t_width == comb(8, 2) + 1
     # each bound plus a sign fits a field, and one bound needs all its bits:
@@ -519,9 +562,10 @@ def test_each_stream_yields_the_packed_image_of_p(monkeypatch):
     w, fields = layout.w, layout.fields
     bias = shuffle._tile(1 << w - 1, w, fields)
     half = shuffle._unpack_bits(bias, w, fields, slots.exps)
-    assert sorted(v for v, _ in values) == sorted(verify._words(6))
+    # a pair per word in each of the two passes
+    assert sorted(v for v, _ in values) == sorted(verify._words(6) * 2)
     for v, ints in values:
-        assert len(ints) == 3 and all(type(x) is int for x in ints), v
+        assert len(ints) == 2 and all(type(x) is int for x in ints), v
         for x in ints:
             value = shuffle._unpack_bits(x + bias, w, fields, slots.exps) - half
             assert value == poincare_poly(v), v
@@ -539,7 +583,7 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
 
     monkeypatch.setattr(budget, "_room", spy)
     verify._agreement(4)
-    assert len(parts) == 11  # a P and an f run a length, and one insertion run
+    assert len(parts) == 16  # two P runs and an f run a length, one insertion run
     assert not any("slot table" in estimate for estimate in parts)
     parts.clear()
     poincare_poly("0101")
