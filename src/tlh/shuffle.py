@@ -67,9 +67,9 @@ dependency rules, so the two yield them in one order (:func:`_step_order`),
 and the check reads them side by side, a length at a time.  Its closure is
 that of 0^m, every word of length <= m, so no a-slice mass up to the
 plan's largest dq exceeds that of 0^m, as below (:func:`_slice_mass`).
-Each root's value is the packed int of P(v), never
-unpacked: ``p -= p << SQ`` once per zero, z = #0(v) times, then the low
-(r + 1) SQ bits, r = r(v), as a signed residue.  Packing is a ring
+Each root's value is the packed int of P(v), never decoded
+(:func:`_residue`): ``p -= p << SQ`` once per zero, z = #0(v) times, then
+the low (r + 1) SQ bits, r = r(v), as a signed residue.  Packing is a ring
 homomorphism, so that int is the image of (1 - q)^z (f(v) mod q^(r + 1)),
 whose q-rows 0..r are those of (1 - q)^z f(v) = P(v), as (1 - q)^z only
 raises q, and whose rows above, up to r + z, add a multiple of
@@ -113,20 +113,23 @@ j <= qmax, or in row qmax + 1 a row of f(0 v); and each window of the
 doubling prefix sum is at most the whole prefix sum.  No term is negative,
 so no field carries into the next, and none can overflow: nothing is
 guessed.
-Two decoders read packed values back.  The signed-field decoder
-(:func:`_unpack`) slices whole bytes, so only the runs that decode every
-root with it keep whole-byte fields: :func:`poincare_poly`,
-:func:`insertion_series` and the whole-P route of the full twist.  Every
-other layout takes the fewest bits its bound needs: the f route's passes,
-each decoding its one root bit by bit (:func:`_unpack_bits`, unsigned),
-and the runs that yield ints, which decode none.  Both decoders stay:
-read bit by bit as signed fields, P's roots took 5 to 7 times as long to
-decode at n = 6..12 (Python 3.11, 2 cores).
+Every run yields packed ints (:func:`_evaluate`); only the readers that
+return a polynomial decode, each root once its run has ended, by one of two
+decoders, and each layout's field width is the one its reader's decoder
+needs.  The signed-field decoder (:func:`_unpack`) slices whole bytes, so
+:func:`poincare_poly`, :func:`insertion_series` and the whole-P route of
+the full twist step on whole-byte fields (:func:`_decoded`).  The f route's
+passes take the fewest unsigned bits of their slice mass, each decoding its
+one root bit by bit (:func:`_unpack_bits`); and the runs that
+:mod:`tlh.verify` compares decode none, so they take the fewest signed bits
+of their shared bound (:func:`_shared_geometry`).  Both decoders stay: read
+bit by bit as signed fields, P's roots took 5 to 7 times as long to decode
+at n = 6..12 (Python 3.11, 2 cores).
 The insertion route (below) steps on P's layout, sized by its own rules.
 Packing is the evaluation q = 2^SQ, a = 2^SA, t = 2^w, a ring homomorphism
 Z[q, a, t] -> Z, and its step is +, - and left shifts alone, with no mask,
 so every packed value is the image of its exact polynomial, whatever its
-temporaries hold: only the values stored, and unpacked, must fit the
+temporaries hold: only the values stored, and decoded, must fit the
 layout.  By induction over its rule, deg_a <= |v| and deg_t <= C(|v|, 2),
 as W(v, w) has a-degree o = #1(v) and t-degree at most C(o, 2) + o #1(w),
 with C(o, 2) + o z + C(z, 2) = C(|v|, 2) for z = #0(v) = |w|; the q-degree
@@ -147,33 +150,27 @@ roots', and the run's layout holds those; and the L1 bound grows with o,
 so the largest over every word of length <= n is 2^(n - z) S(z) at some
 z.  At n = 8..10 the dq of 0^n is the P route's, and its L1 bound three
 bits longer.
-Values are packed only by stepping, from P(empty) = 1, and unpacked only
-as the values a run yields, those of its roots, each at its own q-rows
-0..dq_k by its route's bounds, which hold the whole value, with the
-signed-field decoder (:func:`_unpack`), or on the f route with
-:func:`_unpack_bits`.  A run that yields ints unpacks nothing: it yields
-each root's packed int, for :mod:`tlh.verify` to compare across the three
-routes.  Those runs step on
+Values are packed only by stepping, from P(empty) = 1, and a decoded root
+is read at its own q-rows 0..dq_k by its route's bounds, which hold the
+whole value.  The runs that :mod:`tlh.verify` compares step on
 one geometry (:func:`_shared_geometry`), a-rows 0..n,
 t-width C(n, 2) + 1 and fields of the fewest bits that hold the largest
 bound of the three routes up to length n plus a sign, so every root of
 every run is the image of its exact P(v) under one map, injective on the
 values that fit: two ints are equal exactly when their polynomials are.
-They build no slot table, and count no unpacked terms, but the bytes of
-the ints they yield.
 Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
 r(k) + 1 for f(k), plus the step's temporaries as tall as the layout and
-the f route's masks; J minimises the larger of the f route's two, and both
-are checked first.  A pass whose estimate exceeds physical memory fails with
-:class:`MemoryBudgetExceeded`, by :mod:`tlh.budget`'s one check; so does a
-run whose yielded values would take it over, as soon as they would, and a
+the f route's masks, and what its reader's decoding holds; J minimises the
+larger of the f route's two, and both are checked first.  A pass whose
+estimate exceeds physical memory fails with :class:`MemoryBudgetExceeded`,
+by :mod:`tlh.budget`'s one check, when its run is made; so does a run
+whose yielded ints would take it over, as soon as they would, and a
 closure walk whose own state, its keys and their dependency entries,
 outgrows physical memory, as soon as it does.  A layout is geometry alone
-until then: its tables (slot exponents, field masks) are built when its
-pass starts, after every pass's estimate has passed, so a refused run
-builds none.
+until then: its masks are built when its pass starts, and a decoder's slot
+table once the run has ended, so a refused run builds neither.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -188,18 +185,18 @@ then multiplies each sum by its weight once, ``p = (p << (l + m) w) +
 ``acc = acc - (acc << SQ) + (G_k << (z - k) SQ)`` from k = z down to 0.
 Agreement of the two routes is a core self-check of the whole engine.  The
 routes share the packed layout, the work-list driver (``_evaluate``) and
-unpacking; each layout class carries its route's dependency and step rules
-and its bounds.
+the decoder; each layout class carries its route's dependency and step
+rules and its bounds.
 
 The driver walks the closure of its roots once, lists after each key the
 values its step lets go, and steps the keys in topological order with an
 explicit work list rather than native recursion, so long sequences do not
 hit the interpreter stack limit.  A packed value is released as soon as
 its last consumer has run, a root's that no key reads at once.  A run
-streams the values of its roots, each yielded as soon as its last pass
-steps it, so a reader that drops each value holds one at a time;
-``dict(...)`` of the stream holds them all.  Many keys are best asked of
-one run, which steps each key of their closures once.
+steps one layout and streams the packed ints of its roots, each yielded
+as soon as it is stepped, so a reader that drops each int holds one at a
+time; ``dict(...)`` of the stream holds them all.  Many keys are best
+asked of one run, which steps each key of their closures once.
 """
 
 from __future__ import annotations
@@ -426,20 +423,17 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     dq_k + 1 for P(k), and r(k) + 1 for f(k), its demand row
     (:func:`_demand`); the step's temporaries, ``layout.temps`` values as
     tall as the layout; and its masks, ``layout.mask_rows`` q-rows; with the
-    heap's holes between them; the closure walk's state, its keys and their
-    dependency entries, as :func:`_plan` counts them; and the layout's
-    slot table, but for a run that yields ints, which builds none
-    (:meth:`_Layout.build`), with on the f route the binary digits that
-    :func:`_unpack_bits` cuts its root from; each under the name
-    :class:`MemoryBudgetExceeded` gives it.  Values are counted by
-    :func:`_packed_bytes`, which keeps the estimate 1.2 to 1.5 times the
-    peak RSS growth of the P and f routes at |v| = 10..13, and 1.5 to 1.6
-    times that of the insertion route's 0^10 and its one plan over every
-    word of length <= 9 (Python 3.11, measured from a trimmed heap, as
-    ``test_memory_estimate_covers_the_peak_rss_growth`` does).
+    heap's holes between them; and the closure walk's state, its keys and
+    their dependency entries, as :func:`_plan` counts them; each under the
+    name :class:`MemoryBudgetExceeded` gives it.  Values are counted by
+    :func:`_packed_bytes`, which keeps the estimate, with its reader's
+    decoding, 1.4 to 1.7 times the peak RSS growth of the P and f routes at
+    |v| = 10..13 and of the insertion route's 0^10 (Python 3.11, measured
+    from a trimmed heap, as ``test_memory_estimate_covers_the_peak_rss_growth``
+    does).
     """
     rows = peak + layout.temps * (layout.dq + 1) + layout.mask_rows
-    parts = {
+    return {
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
             _packed_bytes(rows * layout.row_bytes),
@@ -447,11 +441,6 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
             len(needs) * _WALK_BYTES_PER_KEY
             + sum(map(len, needs.values())) * _WALK_BYTES_PER_ENTRY,
     }
-    if not layout.yields_ints:
-        parts["slot table"] = layout.fields * _SLOT_BYTES_PER_FIELD
-        if layout.route == "f":  # _unpack_bits's binary digits, a byte a bit
-            parts["binary digits"] = layout.fields * layout.w
-    return parts
 
 
 def _packed_bytes(size: int) -> int:
@@ -467,90 +456,62 @@ def _packed_bytes(size: int) -> int:
 
 
 # Bytes held per unit, rounding up what was measured (Python 3.11, glibc): a
-# slot table field (``_Layout.exps``) and what unpacking adds per field, 136
+# slot table field (``_Layout.slots``) and what decoding adds per field, 136
 # to 139 at the tracemalloc peak of 0 1^29 0 and 0 1^30 0, three fields per
 # term, and 99 of the latter's peak RSS growth past the rest of its estimate;
-# an unpacked term, 52 to 58 of peak RSS growth with every key of the
-# closure of 0^n unpacked and held at n = 9..12; and a slot of q-rows
-# 0..qmax as whole P(0^n) expands over (1 - q)^n, 120 to 158 of peak RSS
-# growth at n = 1..11, qmax <= 10^6.
+# and a slot of q-rows 0..qmax as whole P(0^n) expands over (1 - q)^n, 120
+# to 158 of peak RSS growth at n = 1..11, qmax <= 10^6.
 _SLOT_BYTES_PER_FIELD = 144
-_UNPACKED_BYTES_PER_TERM = 64
 _SERIES_BYTES_PER_TERM = 192
-
-
-def _held_bytes(value: Polynomial | int) -> int:
-    """What a yielded value holds, by :func:`_evaluate`'s count.
-
-    An unpacked value ``_UNPACKED_BYTES_PER_TERM`` per term, and a packed
-    int its own bytes as :func:`_packed_bytes` counts them.
-    """
-    if isinstance(value, int):
-        return _packed_bytes(value.bit_length() // 8 + 1)
-    return len(value) * _UNPACKED_BYTES_PER_TERM
 
 
 def _evaluate(
     roots: list[str],
     plan: tuple[dict, dict],
-    layouts: list[_Layout],
-    size: Callable[[str], int],
+    layout: _Layout,
+    peak: int,
     extra: dict[str, int] | None = None,
-) -> Iterator[tuple[str, Polynomial | int]]:
-    """The one work-list driver of every packed run: (root, its value) pairs.
+) -> Iterator[tuple[str, int]]:
+    """The one work-list driver of every packed run: (root, its packed int) pairs.
 
-    Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order,
-    once per pass, a pass per layout: ``layout.step(k, ds, work)`` reads
-    the values of ``ds``, the keys that ``plan`` names for ``k``, from
-    ``work``.  Each root is unpacked at its own ``size(k)`` q-rows,
-    ``layout.unpack(k, value, size(k))``, once it is stepped, or read as
-    an int on a layout that yields ints.  Then the
-    keys of ``frees[k]`` are released, and only then does the last pass
-    yield the root, joined with the slices that the earlier passes kept.
-    Before the first step, every pass's estimate, its
-    :func:`_working_set` at the peak that ``size`` (q-rows per key) gives,
-    plus the parts of ``extra``, is checked against physical memory: one
-    over it raises :class:`MemoryBudgetExceeded`, naming the run by its
-    roots.  Only then are a layout's tables built, ``layout.build()``, as
-    its pass starts.  A pass whose yielded values, the earlier passes'
-    kept slices among them, would take its estimate over raises too, as
-    soon as they would, whether or not the reader still holds them:
-    each value at its :func:`_held_bytes`, so a run that yields ints
-    counts no unpacked terms but the bytes of its ints.  Nothing runs until
-    the stream's first value is asked for.
+    Steps the keys of ``plan``, the :func:`_plan` of ``roots``, in order on
+    ``layout``: ``layout.step(k, ds, work)`` reads the values of ``ds``, the
+    keys that ``plan`` names for ``k``, from ``work``.  Once a root is
+    stepped, the keys of ``frees[k]`` are released, and only then is the
+    root yielded.  When the run is made, before its first step, its
+    estimate, the :func:`_working_set` at ``peak`` live q-rows (its
+    :func:`_peak_live`), plus the parts of ``extra``, is checked against
+    physical memory: one over it raises :class:`MemoryBudgetExceeded`,
+    naming the run by its roots.  Only as the run starts does
+    ``layout.build()`` make its tables.  A run whose yielded ints would take
+    its estimate over raises too, as soon as they would, whether or not the
+    reader still holds them.  Nothing is stepped until the stream's first
+    value is asked for.
     """
     needs, frees = plan
     what = _name(roots)
-    peak = _peak_live(needs, frees, size)
-    estimates = [
-        {**_working_set(needs, peak, layout), **(extra or {})} for layout in layouts
-    ]
-    rooms = [budget._room(what, e) for e in estimates]
-    wanted = set(roots)
-    kept: dict[str, Polynomial] = {}  # the earlier passes' slices of each root
-    held = 0  # bytes of the values yielded, the earlier passes' slices among them
-    for layout, estimate, room in zip(layouts, estimates, rooms):
+    estimate = {**_working_set(needs, peak, layout), **(extra or {})}
+    room = budget._room(what, estimate)
+
+    def stream() -> Iterator[tuple[str, int]]:
         layout.build()
+        wanted = set(roots)
         work: dict = {}
+        held = 0  # bytes of the ints yielded
         for k, ds in needs.items():
             work[k] = layout.step(k, ds, work)
-            value = layout.unpack(k, work[k], size(k)) if k in wanted else None
+            value = work[k] if k in wanted else None
             for d in frees.get(k, ()):
                 del work[d]
             if value is None:
                 continue
-            held += _held_bytes(value)
+            held += _packed_bytes(value.bit_length() // 8 + 1)
             if held > room:
-                kind = "packed" if layout.yields_ints else "unpacked"
-                budget._room(what, {**estimate, f"{kind} values up to {k!r}": held})
-            if k in kept:  # a later pass's slice of the first pass's value
-                kept[k]._terms.update(value._terms)
-                value = kept.pop(k)
-            if layout is layouts[-1]:
-                yield k, value
-            else:
-                kept[k] = value
+                budget._room(what, {**estimate, f"packed values up to {k!r}": held})
+            yield k, value
             del value
+
+    return stream()
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:
@@ -629,6 +590,11 @@ def _little(words: array) -> array:
     return words
 
 
+def _byte_width(bound: int) -> int:
+    """Bits in whole bytes that hold ``bound`` plus a sign: :func:`_unpack`'s fields."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
 def _unpack(packed: int, b: int, fields: int, exps: list) -> Polynomial:
     """The polynomial whose term at the i-th of ``exps`` is field i of ``packed``.
 
@@ -678,12 +644,12 @@ class _Layout:
     """The packed-integer layout of one run (see the module docstring).
 
     Its geometry: q-rows 0..dq, each of one a-row per a-degree in ``a_rows``,
-    in that order, of ``t_width`` t-slots; by default a = 0..n, t = 0..C(n, 2).
+    in that order, of ``t_width`` t-slots; by default a = 0..n, t = 0..C(n, 2);
+    and fields of ``w`` bits, the width its reader's decoder needs (see the
+    module docstring).
     """
 
     route = "P"
-    # whether a run yields its roots' packed ints, unpacking none
-    yields_ints = False
     # the step temporaries as tall as the layout that a run's estimate counts
     temps = 2
     # the q-rows of the masks a pass holds
@@ -693,14 +659,10 @@ class _Layout:
     deps = staticmethod(_poly_deps)
     bounds = staticmethod(_fill_bounds)
 
-    def __init__(
-        self, n: int, dq: int, bound: int, a_rows=None, t_width=0, yields_ints=None
-    ):
-        if yields_ints is not None:
-            self.yields_ints = yields_ints
+    def __init__(self, n: int, dq: int, w: int, a_rows=None, t_width=0):
         a_rows = self.a_rows = range(n + 1) if a_rows is None else a_rows
         t_width = self.t_width = t_width or comb(n, 2) + 1
-        w = self.w = self._width(bound)
+        self.w = w  # bits a field
         self.sa = w * t_width
         self.sq = self.sa * len(a_rows)
         self.dq = dq
@@ -708,26 +670,17 @@ class _Layout:
         self.fields = (dq + 1) * self.row_fields
         self.row_bytes = -(-self.sq // 8)
 
-    def _width(self, bound: int) -> int:
-        """The bits of a field that holds ``bound`` plus a sign.
-
-        Whole bytes where :func:`_unpack` decodes the roots, as it slices
-        them, and the fewest bits on a run that yields ints, which decodes
-        none.
-        """
-        bits = bound.bit_length() + 1
-        return bits if self.yields_ints else -(-bits // 8) * 8
-
     def build(self) -> None:
-        """Make the table a pass reads, once every estimate has passed.
+        """Make the tables a pass reads, as it starts: P's reads none."""
 
-        A run that yields ints unpacks nothing, so it builds none.
+    def slots(self, rows: int) -> list:
+        """The exponent of every slot of q-rows 0..rows - 1, in slot order.
+
+        A decoder's slot table, q the most significant, built only once the
+        run it decodes has ended.
         """
-        if self.yields_ints:
-            return
-        # the exponent of every slot, in slot order, q the most significant
-        rows = range(self.dq + 1), self.a_rows, range(self.t_width)
-        self.exps = list(product(*([UNIT * i for i in r] for r in rows)))
+        grid = range(rows), self.a_rows, range(self.t_width)
+        return list(product(*([UNIT * i for i in r] for r in grid)))
 
     def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
         if not ds:
@@ -740,22 +693,12 @@ class _Layout:
         p1 = work[ds[1]]
         return p1 + ((p - p1) << self.sq)
 
-    def unpack(self, key: str, packed: int, rows: int) -> Polynomial | int:
-        """The value of ``packed``, ``key``'s, of q-degree below ``rows``.
-
-        Only its q-rows 0..rows - 1 are read (:func:`_unpack`);
-        a run that yields ints yields ``packed`` itself.
-        """
-        if self.yields_ints:
-            return packed
-        return _unpack(packed, self.w // 8, rows * self.row_fields, self.exps)
-
     def a_row(self, j: int) -> int:
         """The bits of a-row j of every q-row."""
         return _tile(((1 << self.sa) - 1) << j * self.sa, self.sq, self.dq + 1)
 
     def top_a_test(self, j: int) -> Callable[[int], bool]:
-        """Whether a packed value has a^j coefficient 1, read without unpacking.
+        """Whether a packed value has a^j coefficient 1, read without decoding.
 
         The offset-binary bias, the top bit of every field, turns each
         signed field into its coefficient plus 2^(w - 1) with no borrow
@@ -805,8 +748,8 @@ def _slice_mass(n: int, qmax: int, degrees: range) -> int:
 class _SeriesLayout(_Layout):
     """The layout of f(v) = P(v) / (1 - q)^#0(v), cut at q-row qmax.
 
-    Its fields are unsigned, of the fewest bits that hold ``bound``, on the
-    full twist the largest slice mass of its a-rows (:func:`_slice_mass`).
+    Its fields are unsigned, of ``w`` bits: on the full twist the fewest
+    that hold the largest slice mass of its a-rows (:func:`_slice_mass`).
     Each key k holds q-rows 0..r(k) alone, its ``demand`` row
     (:func:`_demand`): a step cuts its value at ``masks[r]`` wherever it
     could reach above them, and a key that no consumer reads is 0.  The v.1
@@ -816,30 +759,18 @@ class _SeriesLayout(_Layout):
 
     route = "f"
 
-    def __init__(self, n: int, qmax: int, bound: int, demand: dict, *geometry):
-        super().__init__(n, qmax, bound, *geometry)
+    def __init__(self, n: int, qmax: int, w: int, demand: dict, *geometry):
+        super().__init__(n, qmax, w, *geometry)
         self.demand = demand
         self.mask_rows = (qmax + 1) * (qmax + 4) // 2  # masks[0..qmax] and R
         # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
         self.strides = [self.sq << k for k in range(qmax.bit_length())]
 
-    def _width(self, bound: int) -> int:
-        # unsigned fields; a run that yields ints reads P's signed ones
-        return bound.bit_length() + self.yields_ints
-
     def build(self) -> None:
-        super().build()
         # masks[r] keeps q-rows 0..r
         self.masks = [(1 << r * self.sq) - 1 for r in range(1, self.dq + 2)]
         # R keeps every a-row of every q-row but the top one
         self.keep = _tile((1 << self.sq - self.sa) - 1, self.sq, self.dq + 1)
-
-    def unpack(self, key: str, packed: int, rows: int) -> Polynomial:
-        """The value of ``packed``, ``key``'s, at q-rows 0..rows - 1.
-
-        Read bit by bit (:func:`_unpack_bits`), its fields being unsigned.
-        """
-        return _unpack_bits(packed, self.w, rows * self.row_fields, self.exps)
 
     def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
         r = self.demand[key]
@@ -876,28 +807,45 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
 
 
 def _run(
-    roots: list[str], route: type[_Layout], geometry: tuple[int, int, int] | None = None
-) -> Iterator[tuple[str, Polynomial | int]]:
-    """(root, its value) as each is stepped, ``roots``' closure as one plan.
+    roots: list[str], route: type[_Layout], geometry: tuple[int, int, int]
+) -> Iterator[tuple[str, int]]:
+    """(root, its packed int) as each is stepped, ``roots``' closure as one plan.
 
     ``route``, a layout class, carries the rules: ``route.deps``, a key's
     dependencies, and ``route.bounds``, the (q-degree, L1 norm) bounds of
-    every key of a plan.  The one layout, of the longest key, holds the
-    largest bounds of the plan, a lone root's own since bounds grow toward
-    the consumers; each key counts its own q-rows in the pre-flight
-    (:func:`_evaluate`).  Given a ``geometry``, :func:`_shared_geometry`'s
-    ``(n, dq, bound)``, the run steps on its a-rows, t-width and fields
-    instead, and yields each root's packed int.  The closure is walked at
-    once, and stepped as the stream is read.
+    every key of a plan.  The run steps on ``geometry``,
+    :func:`_shared_geometry`'s ``(n, dq, w)``: its a-rows, t-width and
+    fields, at q-rows 0..the largest q-degree bound of the plan; each key
+    counts its own q-rows in the pre-flight (:func:`_peak_live`).  The
+    closure is walked and the run pre-flighted at once, and stepped as the
+    stream is read.
     """
     needs, _ = plan = _plan(roots, route.deps)
-    bound = route.bounds(needs)
-    dq, l1 = map(max, zip(*bound.values()))
-    n = max(map(len, needs))
-    if geometry is not None:
-        n, _, l1 = geometry
-    layout = route(n, dq, l1, yields_ints=geometry is not None)
-    return _evaluate(roots, plan, [layout], lambda k: bound[k][0] + 1)
+    bounds = route.bounds(needs)
+    dq = max(d for d, _ in bounds.values())
+    n, _, w = geometry
+    peak = _peak_live(*plan, lambda k: bounds[k][0] + 1)
+    return _evaluate(roots, plan, route(n, dq, w), peak)
+
+
+def _decoded(key: str, route: type[_Layout], plan=None, extra=None) -> Polynomial:
+    """``key``'s polynomial by ``route``'s rules, decoded once its run has ended.
+
+    One run over the closure of ``key`` (``plan``, if it is given), on a
+    layout of the root's own bounds, the largest of its plan since bounds
+    grow toward the consumers: q-rows 0..dq, and fields of the whole bytes
+    that hold its L1 bound plus a sign (:func:`_byte_width`).  The
+    pre-flight counts the slot table, and the parts of ``extra``; the table
+    is built after the last step, for the root's q-rows.
+    """
+    needs, _ = plan = plan or _plan([key], route.deps)
+    bounds = route.bounds(needs)
+    dq, l1 = bounds[key]
+    layout = route(len(key), dq, _byte_width(l1))
+    table = {"slot table": layout.fields * _SLOT_BYTES_PER_FIELD, **(extra or {})}
+    peak = _peak_live(*plan, lambda k: bounds[k][0] + 1)
+    [(_, packed)] = _evaluate([key], plan, layout, peak, table)
+    return _unpack(packed, layout.w // 8, layout.fields, layout.slots(dq + 1))
 
 
 def poincare_poly(v: str) -> Polynomial:
@@ -906,10 +854,9 @@ def poincare_poly(v: str) -> Polynomial:
     Equals (1-q)^zeros(v) times the rational series; always a polynomial.
     The recursion terminates because each rewrite strictly descends in
     (length, number of zeroes, number of inversions).  The whole closure of
-    ``v`` is stepped as one plan (:func:`_run`).
+    ``v`` is stepped as one plan (:func:`_decoded`).
     """
-    key = _key(v)
-    return dict(_run([key], _Layout))[key]
+    return _decoded(_key(v), _Layout)
 
 
 def poincare_series(v: str) -> FracPoly:
@@ -1012,12 +959,11 @@ def insertion_series(v: str) -> FracPoly:
     Steps on normalized polynomials and returns the result over
     (1-q)^zeros(v).  Independent of :func:`poincare_series` in its rules,
     its steps and its bounds: the two routes share only the packed layout,
-    the work-list driver and unpacking.  Their equality is a verification
+    the work-list driver and the decoder.  Their equality is a verification
     suite.
     """
     key = _key(v)
-    num = dict(_run([key], _InsertionLayout))[key]
-    return FracPoly(num, [ONE_MINUS_Q] * key.count("0"))
+    return FracPoly(_decoded(key, _InsertionLayout), [ONE_MINUS_Q] * key.count("0"))
 
 
 def zero_expansion_identity(n: int) -> bool:
@@ -1058,6 +1004,9 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     ratio of the two routes' step times was 0.7 to 2.1 times that of their
     totals, and 0.7 to 1.3 from qmax 10 on, nearer the crossover.
     Up to n = 17 the larger pass then holds no more at once than whole P.
+    Both passes are pre-flighted before either steps, and each root is
+    decoded once both have stepped, bit by bit (:func:`_unpack_bits`); the
+    two hold disjoint a-degrees, so their sum is the series.
     Otherwise it steps the whole polynomial and expands it over (1 - q)^n,
     pre-flighting the run and the expansion (:func:`_series_terms`)
     together before any step.
@@ -1071,48 +1020,48 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     needs, _ = plan = _plan([key], _Layout.deps)
     bounds = _Layout.bounds(needs)
     dq, l1 = bounds[key]
-    whole = _Layout(n, dq, l1)
     if qmax < dq:
         demand = _demand(needs, {key: qmax})
+        # unsigned fields of the fewest bits that hold each pass's slice mass
         pairs = [
-            [
-                _SeriesLayout(n, qmax, _slice_mass(n, qmax, a), demand, a, t)
-                for a, t in _split(n, J)
-            ]
+            [_SeriesLayout(n, qmax, _slice_mass(n, qmax, a).bit_length(), demand, a, t)
+             for a, t in _split(n, J)]
             for J in range(n)
         ]
         # both passes hold the same q-rows, so J balances their q-row bytes
         pair = min(pairs, key=lambda passes: max(p.row_bytes for p in passes))
         rows = sum(demand.values()) + len(demand)  # r(k) + 1 q-rows per key
         stepped = rows * sum(p.row_bytes for p in pair)
+        whole = _Layout(n, dq, _byte_width(l1))
         if stepped < sum(d + 1 for d, _ in bounds.values()) * whole.row_bytes:
-            return dict(_evaluate([key], plan, pair, lambda k: demand[k] + 1))[key]
-    out = dict(_evaluate(
-        [key], plan, [whole], lambda k: bounds[k][0] + 1, _series_terms(n, qmax)
-    ))
-    return FracPoly(out[key], [ONE_MINUS_Q] * n).series(qmax)
+            # both runs are pre-flighted with their decoding, its slot table
+            # and _unpack_bits's binary digits, a byte a bit, before either steps
+            peak = _peak_live(*plan, lambda k: demand[k] + 1)
+            runs = [
+                _evaluate([key], plan, p, peak, {
+                    "slot table": p.fields * _SLOT_BYTES_PER_FIELD,
+                    "binary digits": p.fields * p.w,
+                })
+                for p in pair
+            ]
+            ints = [packed for run in runs for _, packed in run]
+            low, high = (_unpack_bits(x, p.w, p.fields, p.slots(qmax + 1))
+                         for p, x in zip(pair, ints))
+            return low + high  # the passes hold disjoint a-degrees
+    out = _decoded(key, _Layout, plan, _series_terms(n, qmax))
+    return FracPoly(out, [ONE_MINUS_Q] * n).series(qmax)
 
 
-class _NormalizedLayout(_SeriesLayout):
-    """The f route's layout, its roots read as P(v) = (1 - q)^#0(v) f(v).
+def _residue(key: str, packed: int, rows: int, sq: int) -> int:
+    """(1 - q)^#0(key) times ``packed``, at q-rows 0..rows - 1, of SQ = ``sq``.
 
-    Its fields hold both f's slice masses and P's L1 bound plus a sign (see
-    the module docstring).  Its runs yield ints: each root's value is the
-    int that packs P(v).
+    P(key) from f(key) (see the module docstring): one ``p -= p << SQ`` per
+    zero of ``key``, then the low ``rows SQ`` bits as a signed residue.
     """
-
-    yields_ints = True
-
-    def unpack(self, key: str, packed: int, rows: int) -> int:
-        """(1 - q)^#0(key) times ``packed``, f(key), at q-rows 0..rows - 1.
-
-        One ``p -= p << SQ`` per zero of ``key``, then the low ``rows SQ``
-        bits as a signed residue.
-        """
-        for _ in range(key.count("0")):
-            packed -= packed << self.sq
-        half = 1 << rows * self.sq - 1
-        return ((packed + half) & (2 * half - 1)) - half
+    for _ in range(key.count("0")):
+        packed -= packed << sq
+    half = 1 << rows * sq - 1
+    return ((packed + half) & (2 * half - 1)) - half
 
 
 def _step_order(m: int) -> list[str]:
@@ -1130,30 +1079,31 @@ def _normalized(m: int, geometry: tuple[int, int, int]) -> Iterator[tuple[str, i
     """The stream of (v, (1 - q)^#0(v) f(v)) over every word v of length m.
 
     Each is the packed int of P(v) from the series recursion alone, by the
-    f route, on ``geometry``, :func:`_shared_geometry`'s ``(n, dq,
-    bound)`` for some n >= m: one plan over every word of length m, listed
-    from 1^m down to 0^m (the reverse held 1.1 to 1.3 times as many q-rows
-    at once at m = 8..10), each root read at q-rows 0..dq_v, P's q-degree
-    bound (:func:`_demand`), and yielded as soon as it is stepped
-    (:func:`_evaluate`).  It shares P's rules and roots, so it yields them
+    f route, on ``geometry``, :func:`_shared_geometry`'s ``(n, dq, w)`` for
+    some n >= m: one plan over every word of length m, listed from 1^m down
+    to 0^m (the reverse held 1.1 to 1.3 times as many q-rows at once at
+    m = 8..10), each root read at q-rows 0..dq_v, P's q-degree bound
+    (:func:`_demand`), and yielded, through :func:`_residue`, as soon as it
+    is stepped (:func:`_evaluate`).  It shares P's rules and roots, so it yields them
     in :func:`_step_order`.
     """
     roots = all_sequences(m)[::-1]
-    needs, _ = plan = _plan(roots, _NormalizedLayout.deps)
-    bounds = _NormalizedLayout.bounds(needs)
+    needs, _ = plan = _plan(roots, _SeriesLayout.deps)
+    bounds = _SeriesLayout.bounds(needs)
     demand = _demand(needs, {v: bounds[v][0] for v in roots})
     dq = max(d for d, _ in bounds.values())
-    n, _, bound = geometry
-    layout = _NormalizedLayout(n, dq, bound, demand)
-    return _evaluate(roots, plan, [layout], lambda k: demand[k] + 1)
+    n, _, w = geometry
+    layout = _SeriesLayout(n, dq, w, demand)
+    run = _evaluate(roots, plan, layout, _peak_live(*plan, lambda k: demand[k] + 1))
+    return ((v, _residue(v, f, demand[v] + 1, layout.sq)) for v, f in run)
 
 
 def _shared_geometry(n: int) -> tuple[int, int, int]:
-    """(n, dq, bound): one layout for every run that checks P up to length n.
+    """(n, dq, w): one layout for every run that checks P up to length n.
 
     a-rows 0..n and t-width C(n, 2) + 1; q-rows 0..dq, P's q-degree bound
-    of 0^n; and fields that hold ``bound`` plus a sign, the largest of
-    three proven bounds: P's L1 bound of 0^n, the insertion route's
+    of 0^n; and fields of the fewest bits, ``w``, that hold plus a sign the
+    largest of three proven bounds: P's L1 bound of 0^n, the insertion route's
     largest L1 bound over every word of length <= n, 2^(n - z) S(z) at
     some z (:func:`_insertion_bounds`), and f's largest slice mass up to
     q-row dq (:func:`_slice_mass`).  The closure of 0^n by P's rules is
@@ -1163,7 +1113,8 @@ def _shared_geometry(n: int) -> tuple[int, int, int]:
     any length <= n; and slice masses grow with the length and the q-row.
     Packing is a ring homomorphism, injective on the values that fit one
     geometry, so two roots' ints on it are equal exactly when their
-    polynomials are.
+    polynomials are.  No such run is decoded, so no field is rounded to
+    whole bytes.
     """
     _zeros_closure(n)
     top = "0" * n
@@ -1172,7 +1123,7 @@ def _shared_geometry(n: int) -> tuple[int, int, int]:
     words = dict.fromkeys("1" * (n - z) + "0" * z for z in range(n + 1))
     insertion = max(b for _, b in _insertion_bounds(words).values())
     mass = _slice_mass(n, dq, range(n + 1)) if n else 1
-    return n, dq, max(l1, insertion, mass)
+    return n, dq, max(l1, insertion, mass).bit_length() + 1
 
 
 # ---------------------------------------------------------------------------

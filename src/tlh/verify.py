@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, zip_longest
+from itertools import chain
 from math import comb
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -330,23 +330,16 @@ def _words(bound: int) -> list[str]:
 def _lockstep(*streams: Iterable) -> Iterator[tuple[str, list]]:
     """(word, [its value from each stream]), the streams read side by side.
 
-    Values pair by word.  Streams that yield the same words in the same
-    order pair each word as the last of them yields it, and hold nothing
-    else.  A word that some stream yields later, or never, waits: once
-    every stream has ended, the words still waiting come out with ``None``
-    for each stream that never yielded them.
+    The streams must yield the same words in the same order, so each word
+    is paired as it comes and nothing waits.  Words that differ, or a
+    stream that ends before the others, raise ``ValueError``: a bug in the
+    engine's step order, not a failed identity.
     """
-    waiting: dict[str, list] = {}
-    for items in zip_longest(*streams):
-        for i, item in enumerate(items):
-            if item is None:  # this stream has ended
-                continue
-            v, value = item
-            values = waiting.setdefault(v, [None] * len(streams))
-            values[i] = value
-            if all(x is not None for x in values):
-                yield v, waiting.pop(v)
-    yield from waiting.items()
+    for items in zip(*streams, strict=True):
+        words = [v for v, _ in items]
+        if words.count(words[0]) != len(words):
+            raise ValueError(f"streams out of step: {words}")
+        yield words[0], [value for _, value in items]
 
 
 def _agreement(bound: int) -> dict[str, Counter]:
@@ -362,19 +355,20 @@ def _agreement(bound: int) -> dict[str, Counter]:
     listed.  Only once it has ended does the second pass read P beside
     (1 - q)^#0(v) f(v) by the f route, a length at a time
     (:func:`shuffle._normalized`), which shares P's rules and roots.  So
-    the two streams of a pass yield the same words in the same order, no
-    value waits for its partner, and P of every word is never held at
-    once.  Every run steps on one geometry, whose fields hold all three
-    routes' bounds (:func:`shuffle._shared_geometry`), and yields packed
-    ints: equal ints are equal polynomials, and nothing is unpacked.
-    Counted, as distinct words: those whose insertion value equals P(v)
+    the two streams of a pass yield the same words in the same order
+    (:func:`_lockstep` raises if they do not), no value waits for its
+    partner, and P of every word is never held at once.  Every run steps
+    on one geometry, whose fields hold all three routes' bounds
+    (:func:`shuffle._shared_geometry`), and yields packed ints: equal ints
+    are equal polynomials, and nothing is decoded.  Counted, as distinct
+    words: those whose insertion value equals P(v)
     (``insertion``), and whose P(v) has top a-coefficient, of a^|v|, 1
     (``top-a``), read from P's int by the layout
     (:meth:`shuffle._Layout.top_a_test`), in the first pass; and those
     whose f route value equals P(v) (``f``), in the second.
     """
     geometry = shuffle._shared_geometry(bound)
-    layout = shuffle._Layout(*geometry, yields_ints=True)
+    layout = shuffle._Layout(*geometry)
     lengths = range(bound + 1)
 
     def p() -> Iterator[tuple[str, int]]:
@@ -388,8 +382,6 @@ def _agreement(bound: int) -> dict[str, Counter]:
     agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
     length = None
     for v, (pv, iv) in _lockstep(p(), insertion):
-        if pv is None:
-            continue
         if pv == iv:
             agree["insertion"].add(v)
         if len(v) != length:  # the words come a length at a time
@@ -399,7 +391,7 @@ def _agreement(bound: int) -> dict[str, Counter]:
             agree["top-a"].add(v)
     f = chain.from_iterable(shuffle._normalized(m, geometry) for m in lengths)
     for v, (pv, fv) in _lockstep(p(), f):
-        if pv is not None and pv == fv:
+        if pv == fv:
             agree["f"].add(v)
     return {count: Counter(map(len, words)) for count, words in agree.items()}
 

@@ -198,14 +198,26 @@ def _words(n):
 SEQS_UP_TO_8 = _words(8)
 
 
-def _one_plan(roots):
-    """{k: P(k)} over ``roots``, stepped as one plan."""
-    return dict(shuffle._run(roots, shuffle._Layout))
+def _one_plan(roots, route=shuffle._Layout):
+    """{k: P(k)} over ``roots``, stepped as one run of ints by ``route``.
+
+    Each root is decoded here at its own q-rows, from fields of the whole
+    bytes that hold the plan's largest L1 bound plus a sign.
+    """
+    bounds = route.bounds(shuffle._plan(roots, route.deps)[0])
+    n = max(map(len, roots))
+    w = shuffle._byte_width(max(l1 for _, l1 in bounds.values()))
+    layout = shuffle._Layout(n, max(dq for dq, _ in bounds.values()), w)
+    slots = layout.slots(layout.dq + 1)
+    return {
+        k: shuffle._unpack(packed, w // 8, (bounds[k][0] + 1) * layout.row_fields, slots)
+        for k, packed in shuffle._run(roots, route, (n, layout.dq, w))
+    }
 
 
 def _insertion_one_plan(roots):
     """The insertion route's {k: P(k)} over ``roots``, as one plan."""
-    return dict(shuffle._run(roots, shuffle._InsertionLayout))
+    return _one_plan(roots, shuffle._InsertionLayout)
 
 
 def _bounds(key):
@@ -219,10 +231,43 @@ def _closure(key):
 
 
 def _every_key(key, layout):
-    """Every key of the closure of ``key`` stepped on ``layout``, as roots."""
+    """Every key of the closure of ``key`` stepped on ``layout``, as roots: their ints."""
     roots = list(shuffle._plan([key], shuffle._Layout.deps)[0])
     plan = shuffle._plan(roots, shuffle._Layout.deps)
-    return dict(shuffle._evaluate(roots, plan, [layout], lambda k: layout.dq + 1))
+    peak = shuffle._peak_live(*plan, lambda k: layout.dq + 1)
+    return dict(shuffle._evaluate(roots, plan, layout, peak))
+
+
+def _digit_rows(slices, w):
+    """f(k)'s a-slices as {(q-row, a-degree): the w-bit fields of its t^0..}.
+
+    Each row's binary digits, t^0 last, as an unsigned packed value holds
+    them, so that :func:`_packed` lays them out on any layout of width w.
+    """
+    terms = {}
+    for j, part in enumerate(slices):
+        for (q, _, t), c in part.items():
+            terms.setdefault((q // UNIT, j), {})[t // UNIT] = c
+    return {
+        cell: "".join(format(ts.get(t, 0), f"0{w}b") for t in range(max(ts), -1, -1))
+        for cell, ts in terms.items()
+    }
+
+
+def _packed(layout, rows, degree=lambda i: i, top=None):
+    """The int on ``layout`` whose q-row q <= ``top``, a-row i holds rows[q, degree(i)].
+
+    ``rows`` are :func:`_digit_rows`; a row that it lacks is 0, as is every
+    q-row above ``top`` (by default the layout's top).
+    """
+    width = layout.w * layout.t_width
+    a_rows = range(len(layout.a_rows) - 1, -1, -1)
+    digits = [
+        rows.get((q, degree(i)), "").zfill(width)
+        for q in range(layout.dq if top is None else top, -1, -1)
+        for i in a_rows
+    ]
+    return int("".join(digits) or "0", 2)
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +287,7 @@ def test_packed_kernel_two_limb_fields():
     # L1 bound 2^64 needs a sign bit more than one 64-bit limb holds: a
     # 72-bit field, one whole limb and one of a byte
     assert _bounds("1" * 64) == (0, 2 ** 64)
-    assert shuffle._Layout(64, 0, 2 ** 64).w == 72
+    assert shuffle._byte_width(2 ** 64) == 72
     want = ONE
     for k in range(64):
         want = want * (Polynomial.term(1, t=k) + A)
@@ -257,11 +302,11 @@ _WIDTHS.update({2 ** 63: 72, 2 ** 130: 136})
 
 @pytest.mark.parametrize("l1", list(_WIDTHS))
 def test_pack_round_trip_at_the_bound(l1):
-    layout = shuffle._Layout(2, 1, l1)  # q^0..1, a^0..2, t^0..1
-    layout.build()
-    w = layout.w
     # l1 plus a sign bit, rounded up to whole bytes
+    w = shuffle._byte_width(l1)
     assert w == _WIDTHS[l1]
+    layout = shuffle._Layout(2, 1, w)  # q^0..1, a^0..2, t^0..1
+    slots = layout.slots(2)
     half = l1 // 2
     for terms in (
         {(0, 0, 0): l1},
@@ -274,8 +319,8 @@ def test_pack_round_trip_at_the_bound(l1):
             c << w * ((e0 // UNIT * 3 + e1 // UNIT) * 2 + e2 // UNIT)
             for (e0, e1, e2), c in terms.items()
         )
-        assert layout.unpack("", packed, 2) == p
-        assert layout.unpack("", -packed, 2) == -p
+        assert shuffle._unpack(packed, w // 8, layout.fields, slots) == p
+        assert shuffle._unpack(-packed, w // 8, layout.fields, slots) == -p
 
 
 @pytest.mark.parametrize("n, qmax", [(1, 0), (3, 0), (6, 3), (9, 10)])
@@ -289,17 +334,17 @@ def test_series_fields_round_trip_at_the_slice_mass(n, qmax):
     for J in range(n):
         for a, t in shuffle._split(n, J):
             mass = shuffle._slice_mass(n, qmax, a)
-            layout = shuffle._SeriesLayout(n, qmax, mass, demand, a, t)
-            layout.build()
-            w, fields = layout.w, layout.fields
+            w = mass.bit_length()
+            layout = shuffle._SeriesLayout(n, qmax, w, demand, a, t)
+            fields, slots = layout.fields, layout.slots(qmax + 1)
             assert 2 ** (w - 1) <= mass < 2 ** w
             for coeffs in ([mass] * fields, [max(mass - i, 0) for i in range(fields)]):
                 # field i at bit offset w i, low to high
                 packed = int("".join(format(c, f"0{w}b") for c in reversed(coeffs)), 2)
-                want = Polynomial(dict(zip(layout.exps, coeffs)))
-                assert layout.unpack("0" * n, packed, qmax + 1) == want, (J, a)
+                want = Polynomial(dict(zip(slots, coeffs)))
+                assert shuffle._unpack_bits(packed, w, fields, slots) == want, (J, a)
             with pytest.raises(OverflowError):
-                layout.unpack("0" * n, packed + (1 << w * fields), qmax + 1)
+                shuffle._unpack_bits(packed + (1 << w * fields), w, fields, slots)
 
 
 @pytest.mark.parametrize("count", range(10))
@@ -309,7 +354,7 @@ def test_tile_repeats_its_unit(count):
         assert shuffle._tile(unit, stride, count) == want
 
 
-def _spy_decoder(monkeypatch, row_fields):
+def _spy_decoder(monkeypatch):
     """Record the q-rows of every decode, and what one row fewer gives.
 
     One row fewer raises ``OverflowError`` where the value's top row holds
@@ -322,6 +367,7 @@ def _spy_decoder(monkeypatch, row_fields):
     def spy(packed, b, fields, exps):
         exps = list(exps)
         value = unpack(packed, b, fields, exps)
+        row_fields = sum(q == 0 for q, _, _ in exps)  # the slots of q-row 0
         rows.append(fields // row_fields)
         try:
             short.append(unpack(packed, b, fields - row_fields, exps) == value)
@@ -335,25 +381,24 @@ def _spy_decoder(monkeypatch, row_fields):
 
 @pytest.mark.parametrize("route", ["P", "insertion"])
 def test_each_root_decodes_its_own_q_rows(monkeypatch, route):
-    # verify's runs at bound 6, P's over every word of length 6 and the
-    # insertion route's over every word up to 6: each root is read at its
-    # own q-rows, dq_k + 1 by its route's bounds, not at the layout's height
-    rows, short = _spy_decoder(monkeypatch, 7 * (comb(6, 2) + 1))
+    # the words of verify's runs at bound 6, every word of length 6 on P's
+    # route and every word up to 6 on the insertion route's, each asked
+    # alone: each is read at its own q-rows, dq_k + 1 by its route's bounds
+    rows, short = _spy_decoder(monkeypatch)
     if route == "P":
-        layout, roots = shuffle._Layout, shuffle.all_sequences(6)[::-1]
+        layout, roots, value_of = shuffle._Layout, all_sequences(6), poincare_poly
     else:
         layout, roots = shuffle._InsertionLayout, verify._words(6)
-    values = dict(shuffle._run(roots, layout))
-    needs, _ = shuffle._plan(roots, layout.deps)
-    bounds = layout.bounds(needs)
-    order = [k for k in needs if k in values]  # roots unpack as they step
-    assert rows == [bounds[k][0] + 1 for k in order]
-    assert max(rows) == max(d for d, _ in bounds.values()) + 1 > min(rows)
+        value_of = insertion_series
+    values = {v: value_of(v) for v in roots}
+    bounds = layout.bounds(shuffle._plan(roots, layout.deps)[0])
+    assert rows == [bounds[k][0] + 1 for k in roots]
+    assert max(rows) == max(bounds[k][0] for k in roots) + 1 > min(rows)
     # decoding one row fewer loses a term of some root, and never silently
     assert None in short and False not in short
     monkeypatch.undo()
-    assert sorted(values) == sorted(roots)
-    assert all(values[v] == poincare_poly(v) for v in roots)
+    want = poincare_poly if route == "P" else poincare_series
+    assert all(values[v] == want(v) for v in roots)
 
 
 @pytest.mark.parametrize("qmax, passes", [(3, 2), (10, 1)])
@@ -373,9 +418,9 @@ def test_full_twist_root_decodes_its_whole_layout(monkeypatch, qmax, passes):
         decoded.append(("bits", w, fields))
         return unpack_bits(packed, w, fields, exps)
 
-    def spy_evaluate(roots, plan, run_layouts, size, extra=None):
-        layouts.extend(run_layouts)
-        return evaluate(roots, plan, run_layouts, size, extra)
+    def spy_evaluate(roots, plan, layout, peak, extra=None):
+        layouts.append(layout)
+        return evaluate(roots, plan, layout, peak, extra)
 
     monkeypatch.setattr(shuffle, "_unpack", spy_unpack)
     monkeypatch.setattr(shuffle, "_unpack_bits", spy_unpack_bits)
@@ -412,35 +457,32 @@ def test_series_route_a_free_part_matches_closed_form(n):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_row_mass_bound_holds_every_key(monkeypatch, n):
+def test_row_mass_bound_holds_every_key(monkeypatch, series_slices_up_to_8, n):
     # f(v)(q, a, 1) = (1 + a)^|v| / (1 - q)^#0(v), so the largest row mass
     # up to q^qmax is that of 0^n in row qmax, and the largest a^j slice
     # mass C(n, j) C(qmax + n - 1, n - 1) (the tlh.shuffle docstring)
     key = "0" * n
     needs, _ = shuffle._plan([key], shuffle._Layout.deps)
-    whole = _one_plan(list(needs)) if n <= 7 else {}
     l1 = _bounds(key)[1]
     sized, built = [], []
-    width, series_layout = shuffle._Layout._width, shuffle._SeriesLayout
+    byte_width, series_layout = shuffle._byte_width, shuffle._SeriesLayout
 
-    def spy_width(layout, bound):
-        # P's layouts alone: the series layouts size their fields their own way
+    def spy_byte_width(bound):
+        # P's layouts alone: the series layouts take their widths as given
         sized.append(bound)
-        return width(layout, bound)
+        return byte_width(bound)
 
-    def spy_series_layout(n, qmax, mass, *geometry):
-        layout = series_layout(n, qmax, mass, *geometry)
-        built.append((mass, layout.w))
-        return layout
+    def spy_series_layout(n, qmax, w, *geometry):
+        built.append(w)
+        return series_layout(n, qmax, w, *geometry)
 
-    monkeypatch.setattr(shuffle._Layout, "_width", spy_width)
+    monkeypatch.setattr(shuffle, "_byte_width", spy_byte_width)
     monkeypatch.setattr(shuffle, "_SeriesLayout", spy_series_layout)
     for qmax in (0, 3, 10):
         bound = 2 ** n * comb(qmax + n - 1, n - 1)
-        # every key of the closure read at all its q-rows, as a root
-        layout = series_layout(n, qmax, bound, dict.fromkeys(needs, qmax))
-        # the fewest bits that hold the bound, unsigned
-        assert 2 ** (layout.w - 1) <= bound < 2 ** layout.w
+        # every key of the closure read at all its q-rows, as a root, on
+        # unsigned fields of the fewest bits that hold the bound
+        layout = series_layout(n, qmax, bound.bit_length(), dict.fromkeys(needs, qmax))
         values = _every_key(key, layout)
         assert values.keys() == needs.keys()
         masses = []
@@ -448,12 +490,16 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         # b = j, f's a-degree |k| - j, over every key and q-row
         slices, reversed_slices = [0] * (n + 1), [0] * (n + 1)
         for k, value in values.items():
-            if whole:  # every key holds its own f(k) = P(k) / (1 - q)^#0(k)
-                want = FracPoly(whole[k], [ONE_MINUS_Q] * k.count("0"))
-                assert value == want.series(qmax), (k, qmax)
-            assert max(value.units().values()) <= bound
+            if len(k) <= 8:  # every key holds its own f(k), compared packed
+                by_a = series_slices_up_to_8[k, qmax]
+                terms = _joined(by_a, 0, len(k))
+                assert value == _packed(layout, _digit_rows(by_a, layout.w)), (k, qmax)
+            else:  # the longest keys of 0^9's closure, decoded
+                slots = layout.slots(qmax + 1)
+                terms = shuffle._unpack_bits(value, layout.w, layout.fields, slots).units()
+            assert max(terms.values()) <= bound
             cells = {}  # (q-row d, a-degree j): its mass
-            for e, c in value.units().items():
+            for e, c in terms.items():
                 cell = e[0] // UNIT, e[1] // UNIT
                 cells[cell] = cells.get(cell, 0) + c
             z = k.count("0")
@@ -475,28 +521,31 @@ def test_row_mass_bound_holds_every_key(monkeypatch, n):
         # and the full twist sizes both passes of each of the n splits,
         # whichever route it then takes, each by the largest slice mass of
         # its a-degrees (f's at the target) in the fewest bits that hold
-        # it; only the whole layout is sized in whole bytes, by the L1
-        # bound, and the layout whose fields count the expansion's terms
-        # (_series_terms) by 1
+        # it; only P's whole layout is sized in whole bytes, by its L1 bound
         sized.clear()
         built.clear()
         full_twist_series(n, qmax)
         if qmax < _zeros_dq(n):
             assert built == [
-                (mass, mass.bit_length())
+                max(slices[j] for j in a).bit_length()
                 for J in range(n)
                 for a, _ in shuffle._split(n, J)
-                for mass in [max(slices[j] for j in a)]
             ], qmax
-            assert [b for b in sized if b > 1] == [l1], qmax
-        else:  # only the whole layout and the expansion's are sized
-            assert sized == [l1, 1] and built == [], qmax
+        else:  # only the whole layout is sized
+            assert built == [], qmax
+        assert set(sized) == {l1}, qmax
 
 
-def test_poincare_poly_at_a_t_one_is_two_to_the_length():
+@pytest.fixture(scope="module")
+def p_up_to_9():
+    """{v: P(v)} for every word of length <= 9, stepped as one plan."""
+    return _one_plan(_words(9))
+
+
+def test_poincare_poly_at_a_t_one_is_two_to_the_length(p_up_to_9):
     # P(v.1) = (1 + a) P(v), P(0^m) = P(1 0^(m-1)), P(v.0) = P(1 v) at t = 1,
     # so P(v)(q, a, 1) = (1 + a)^|v|, and 2^|v| at a = 1
-    values = _one_plan(_words(9))
+    values = p_up_to_9
     assert len(values) == 2 ** 10 - 1
     for v in _words(9):
         cells = {}
@@ -506,10 +555,10 @@ def test_poincare_poly_at_a_t_one_is_two_to_the_length():
         assert {e: c for e, c in cells.items() if c} == want, v
 
 
-def test_slice_t_degree_bound_holds_every_key():
+def test_slice_t_degree_bound_holds_every_key(p_up_to_9):
     # the a^j slice of P(v) has t-degree at most C(|v|, 2) - C(j, 2) (the
     # tlh.shuffle docstring), and P(1^m) = prod (t^k + a) reaches it in each
-    values = _one_plan(_words(9))
+    values = p_up_to_9
     assert len(values) == 2 ** 10 - 1
     for v, p in values.items():
         bound = [comb(len(v), 2) - comb(j, 2) for j in range(len(v) + 1)]
@@ -534,29 +583,47 @@ def series_slices_up_to_8():
     return slices
 
 
+def _decoded_slices(layout, value, rows, m, high):
+    """``value`` decoded at q-rows 0..rows - 1, with f's a-degrees, |k| = m.
+
+    The high pass's layout names f~'s row b as a-degree n - b: f's a-degree
+    m - b lies n - m lower.
+    """
+    shift = (layout.a_rows[0] - m) * UNIT if high else 0
+    slots = layout.slots(rows)
+    value = shuffle._unpack_bits(value, layout.w, rows * layout.row_fields, slots)
+    return {(q, a - shift, t): c for (q, a, t), c in value.units().items()}
+
+
+def _joined(slices, lo, hi):
+    """f's a^lo..a^hi slices in one term dict."""
+    return {e: c for part in slices[lo:hi + 1] for e, c in part.items()}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_series_passes_hold_their_slices_of_every_key(series_slices_up_to_8, n):
     # both passes step the closure of 0^n, every word of length m <= n: the
     # low pass holds f's a-degrees 0..J, and the high pass f~'s rows
-    # b = 0..n - 1 - J, f's a-degrees m - b, which its layout names n - b
-    needs, _ = shuffle._plan(["0" * n], shuffle._Layout.deps)
+    # b = 0..n - 1 - J, f's a-degrees m - b; each key's int is its slices
+    # packed on the pass's layout, and 0^n's is decoded too
+    key = "0" * n
+    needs, _ = shuffle._plan([key], shuffle._Layout.deps)
     for qmax in (0, 3, 10):
-        mass = 2 ** n * comb(qmax + n - 1, n - 1)
+        w = (2 ** n * comb(qmax + n - 1, n - 1)).bit_length()
+        rows = {k: _digit_rows(series_slices_up_to_8[k, qmax], w) for k in needs}
         for J in range(n):
             for high, geometry in enumerate(shuffle._split(n, J)):
                 every = dict.fromkeys(needs, qmax)
-                layout = shuffle._SeriesLayout(n, qmax, mass, every, *geometry)
-                values = _every_key("0" * n, layout)
+                layout = shuffle._SeriesLayout(n, qmax, w, every, *geometry)
+                values = _every_key(key, layout)
                 assert values.keys() == needs.keys()
                 for k, value in values.items():
-                    m = len(k)
-                    lo, hi = (m - (n - 1 - J), m) if high else (0, J)
-                    shift = (n - m) * UNIT if high else 0
-                    got = {(q, a - shift, t): c for (q, a, t), c in value.units().items()}
-                    want = {}
-                    for part in series_slices_up_to_8[k, qmax][max(lo, 0):hi + 1]:
-                        want.update(part)
-                    assert got == want, (k, qmax, J, high)
+                    # a-row i holds f's a-degree i, or f~'s row b = i, f's |k| - i
+                    degree = (lambda i, m=len(k): m - i) if high else (lambda i: i)
+                    assert value == _packed(layout, rows[k], degree), (k, qmax, J, high)
+                lo, hi = (1 + J, n) if high else (0, J)
+                got = _decoded_slices(layout, values[key], qmax + 1, n, high)
+                assert got == _joined(series_slices_up_to_8[key, qmax], lo, hi)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -579,28 +646,27 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
     for qmax in (0, 3, 10):
         demand = shuffle._demand(needs, {key: qmax})
         assert demand[key] == qmax
-        mass = 2 ** n * comb(qmax + n - 1, n - 1)
+        w = (2 ** n * comb(qmax + n - 1, n - 1)).bit_length()
+        rows = {k: _digit_rows(series_slices_up_to_8[k, qmax], w) for k in needs}
         for J in sorted({0, n // 2, n - 1}):
             for high, geometry in enumerate(shuffle._split(n, J)):
-                layout = shuffle._SeriesLayout(n, qmax, mass, demand, *geometry)
+                layout = shuffle._SeriesLayout(n, qmax, w, demand, *geometry)
                 stored.clear()
-                dict(shuffle._evaluate([key], plan, [layout], lambda k: demand[k] + 1))
+                peak = shuffle._peak_live(*plan, lambda k: demand[k] + 1)
+                dict(shuffle._evaluate([key], plan, layout, peak))
                 assert stored.keys() == needs.keys()
                 for k, value in stored.items():
-                    r, m = demand[k], len(k)
+                    r = demand[k]
                     assert value.bit_length() <= (r + 1) * layout.sq, (k, qmax, J)
                     if r < 0:
+                        assert value == 0, (k, qmax, J)
                         continue
-                    lo, hi = (m - (n - 1 - J), m) if high else (0, J)
-                    shift = (n - m) * UNIT if high else 0
-                    got = {
-                        (q, a - shift, t): c
-                        for (q, a, t), c in layout.unpack(k, value, r + 1).units().items()
-                    }
-                    want = {}
-                    for part in series_slices_up_to_8[k, qmax][max(lo, 0):hi + 1]:
-                        want.update((e, c) for e, c in part.items() if e[0] <= r * UNIT)
-                    assert got == want, (k, qmax, J, high)
+                    degree = (lambda i, m=len(k): m - i) if high else (lambda i: i)
+                    want = _packed(layout, rows[k], degree, top=r)
+                    assert value == want, (k, qmax, J, high)
+                lo, hi = (1 + J, n) if high else (0, J)
+                got = _decoded_slices(layout, stored[key], qmax + 1, n, high)
+                assert got == _joined(series_slices_up_to_8[key, qmax], lo, hi)
 
 
 def _a_pass(parts):
@@ -630,13 +696,13 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     layouts, passes = [], []
     evaluate, room = shuffle._evaluate, budget._room
 
-    def spy_evaluate(roots, plan, stepped, size, extra=None):
-        layouts.extend(map(type, stepped))
-        return evaluate(roots, plan, stepped, size, extra)
+    def spy_evaluate(roots, plan, layout, peak, extra=None):
+        layouts.append(type(layout))
+        return evaluate(roots, plan, layout, peak, extra)
 
     def spy_room(what, parts):
         # a pass's estimate, not the re-check of its yielded values
-        if _a_pass(parts) and not any(p.startswith("unpacked values") for p in parts):
+        if _a_pass(parts) and not any(" values up to " in p for p in parts):
             passes.append(sum(parts.values()))
         return room(what, parts)
 
@@ -857,8 +923,8 @@ def test_grouped_insertion_step_matches_per_word_step(
     work = {v: Polynomial(terms) for v, terms in shift_and_add_reference.items()}
     seqs = _words(7)
     bounds = shuffle._insertion_bounds(shuffle._plan(seqs, shuffle._insertion_deps)[0])
-    layout = shuffle._InsertionLayout(7, *map(max, zip(*bounds.values())))
-    layout.build()
+    dq, l1 = map(max, zip(*bounds.values()))
+    layout = shuffle._InsertionLayout(7, dq, shuffle._byte_width(l1))
     packed = {v: _pack(layout, work[v]) for v in seqs}
     applied = []
     weight_class = shuffle._weight_class
@@ -879,7 +945,7 @@ def test_grouped_insertion_step_matches_per_word_step(
         assert _grouped_insertion_step(v, work) == want, v
         applied.clear()
         step = layout.step(v, shuffle._InsertionLayout.deps(v), packed)
-        assert layout.unpack(v, step, layout.dq + 1) == want, v
+        assert step == _pack(layout, want), v
         if "1" in v:
             ws = all_sequences(v.count("0"))
             # one weight per class of words that the summand cannot tell apart
@@ -910,11 +976,11 @@ def test_packed_insertion_route_matches_term_dict_reference(
         assert dumps(FracPoly(upto[v], want.den)) == dumps(want), v
 
 
-def test_insertion_bounds_hold_every_key():
+def test_insertion_bounds_hold_every_key(p_up_to_9):
     # dq(v) = max dq(w) + #0(v) and L1(v) = 2^#1(v) sum 2^#1(w) L1(w) over
     # the words w of length #0(v) (the tlh.shuffle docstring)
     roots = _words(9)
-    memo = _one_plan(roots)
+    memo = p_up_to_9
     needs, _ = shuffle._plan(roots, shuffle._insertion_deps)
     assert needs.keys() == memo.keys()
     bounds = shuffle._insertion_bounds(needs)
@@ -966,11 +1032,11 @@ def test_insertion_bounds_closed_form_is_the_walked_rule():
 def test_shared_geometry_keeps_its_field_widths():
     # the largest of P's L1 bound of 0^n, the insertion route's largest L1
     # bound and f's largest slice mass, read from closed forms: the widths
-    # they gave as walked bounds and row masses
+    # they gave as walked bounds and row masses, plus a sign bit
     widths = [2, 4, 8, 12, 17, 21, 27, 32, 38, 43, 49, 55, 61, 68]
     for n, width in enumerate(widths, 1):
-        assert shuffle._shared_geometry(n)[2].bit_length() == width, n
-    assert shuffle._shared_geometry(0) == (0, 0, 1)
+        assert shuffle._shared_geometry(n)[2] == width + 1, n
+    assert shuffle._shared_geometry(0) == (0, 0, 2)
 
 
 def test_insertion_series_one_shot_matches_memoized_route():
@@ -1001,11 +1067,13 @@ def _traced_peak(consume, stream):
 
 
 def test_a_streamed_run_holds_one_value_at_a_time():
-    # the insertion route over every word of length <= 8, its 511 values
-    # dropped as they arrive, against the same run kept as a map: 3.8
-    # against 13.5 MiB (Python 3.11), the rest being the packed working set
+    # P's run over every word of length <= 8, its 511 ints dropped as they
+    # arrive, against the same run kept as a map: 1.2 against 4.7 MiB
+    # (Python 3.11), the rest being the packed working set
+    geometry = shuffle._shared_geometry(8)
+
     def run():
-        return shuffle._run(_words(8), shuffle._InsertionLayout)
+        return shuffle._run(_words(8), shuffle._Layout, geometry)
 
     streamed = _traced_peak(lambda stream: sum(1 for _ in stream), run())
     held = _traced_peak(dict, run())
@@ -1020,9 +1088,10 @@ def test_a_run_steps_nothing_until_its_stream_is_read(monkeypatch):
         stepped.append(key)
         return step(layout, key, ds, work)
 
-    want = poincare_poly("0")
+    geometry = shuffle._shared_geometry(2)
+    want = _pack(shuffle._Layout(*geometry), poincare_poly("0"))
     monkeypatch.setattr(shuffle._Layout, "step", counting_step)
-    stream = shuffle._run(["0", "00", "01"], shuffle._Layout)
+    stream = shuffle._run(["0", "00", "01"], shuffle._Layout, geometry)
     assert stepped == []
     # each root is yielded as soon as it is stepped, in the plan's order
     assert next(stream) == ("0", want)
@@ -1091,26 +1160,100 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
     assert max(live) == shuffle._peak_live(needs, frees, lambda k: 1) == peak
 
 
-def test_split_route_counts_the_slices_its_first_pass_keeps(monkeypatch):
-    # the f route keeps its first pass's slice of 0^11, 2,030 terms, through
-    # the second, which unpacks 1,895 more: room for the second pass's own
-    # terms but not for both passes' is refused by name
-    estimates = []
-    working_set = shuffle._working_set
+def test_a_run_is_preflighted_when_it_is_made(monkeypatch):
+    # a run's estimate is checked as the run is made, not as its stream is
+    # first read: P's run and the f route's over every word of length 6
+    geometry = shuffle._shared_geometry(6)
+    estimates, steps = [], []
+    room = budget._room
 
-    def recorded(needs, peak, layout):
-        parts = working_set(needs, peak, layout)
-        estimates.append(sum(parts.values()))
-        return parts
+    def spy_room(what, parts):
+        if _a_pass(parts):
+            estimates.append(sum(parts.values()))
+        return room(what, parts)
 
-    monkeypatch.setattr(shuffle, "_working_set", recorded)
+    memory = budget._memory_budget
+    monkeypatch.setattr(budget, "_room", spy_room)
+    for route in (shuffle._Layout, shuffle._SeriesLayout):
+        monkeypatch.setattr(route, "step", lambda *args: steps.append(args))
+    runs = [
+        lambda: shuffle._run(all_sequences(6), shuffle._Layout, geometry),
+        lambda: shuffle._normalized(6, geometry),
+    ]
+    for make in runs:
+        monkeypatch.setattr(budget, "_memory_budget", memory)
+        estimates.clear()
+        make()
+        [need] = estimates
+        monkeypatch.setattr(budget, "_memory_budget", lambda: need - 1)
+        with pytest.raises(MemoryBudgetExceeded, match="live values on the") as err:
+            make()
+        assert err.value.need == need
+    assert steps == []
+
+
+def test_both_f_passes_are_refused_before_either_steps(monkeypatch):
+    # n = 11, qmax = 10 takes the f route: each pass's pre-flight counts its
+    # slot table and the binary digits that _unpack_bits cuts its root
+    # from, and a budget short of either pass's estimate refuses the call
+    # before either pass steps or any slot table is built
+    estimates, events = [], []
+    room, slots, step = budget._room, shuffle._Layout.slots, shuffle._SeriesLayout.step
+
+    def spy_room(what, parts):
+        if _a_pass(parts):
+            estimates.append(parts)
+        return room(what, parts)
+
+    def spy_slots(layout, rows):
+        events.append(("slots", layout.fields, layout.w))
+        return slots(layout, rows)
+
+    def spy_step(layout, key, ds, work):
+        events.append("step")
+        return step(layout, key, ds, work)
+
+    monkeypatch.setattr(budget, "_room", spy_room)
+    monkeypatch.setattr(shuffle._Layout, "slots", spy_slots)
+    monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
     assert len(full_twist_series(11, 10)) == 2030 + 1895
-    first, second = estimates
-    memory = second + 3000 * shuffle._UNPACKED_BYTES_PER_TERM
-    assert memory - first > 2030 * shuffle._UNPACKED_BYTES_PER_TERM
-    monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
-    with pytest.raises(MemoryBudgetExceeded, match="unpacked values up to '0{11}'"):
-        full_twist_series(11, 10)
+    decoded = [e for e in events if e != "step"]
+    assert len(estimates) == len(decoded) == 2
+    for parts, (_, fields, w) in zip(estimates, decoded):
+        assert parts["slot table"] == fields * shuffle._SLOT_BYTES_PER_FIELD
+        assert parts["binary digits"] == fields * w
+    for need in sorted(sum(parts.values()) for parts in estimates):
+        monkeypatch.setattr(budget, "_memory_budget", lambda: need - 1)
+        events.clear()
+        with pytest.raises(MemoryBudgetExceeded, match="evaluating '0{11}' .* of slot table"):
+            full_twist_series(11, 10)
+        assert events == []
+
+
+@pytest.mark.parametrize("read", [
+    lambda: poincare_poly("0" * 6),
+    lambda: insertion_series("0" * 6),
+    lambda: full_twist_series(6, 3),  # the f route's two passes
+    lambda: full_twist_series(6, 20),  # whole P and its expansion
+], ids=["P", "insertion", "fulltwist-f", "fulltwist-whole"])
+def test_a_decoded_run_builds_its_slot_table_after_its_last_step(monkeypatch, read):
+    events = []
+    slots = shuffle._Layout.slots
+
+    def spy_slots(layout, rows):
+        events.append("slots")
+        return slots(layout, rows)
+
+    monkeypatch.setattr(shuffle._Layout, "slots", spy_slots)
+    for route in (shuffle._Layout, shuffle._InsertionLayout, shuffle._SeriesLayout):
+        def spy_step(layout, key, ds, work, step=route.step):
+            events.append("step")
+            return step(layout, key, ds, work)
+
+        monkeypatch.setattr(route, "step", spy_step)
+    read()
+    first = events.index("slots")
+    assert "step" in events[:first] and "step" not in events[first:]
 
 
 def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
@@ -1123,7 +1266,8 @@ def test_memory_estimate_fails_by_name_before_any_step(monkeypatch):
     assert steps == []
     needs, frees = shuffle._plan(["0" * 13], shuffle._Layout.deps)
     bounds = shuffle._Layout.bounds(needs)
-    layout = shuffle._Layout(13, *bounds["0" * 13])
+    dq, l1 = bounds["0" * 13]
+    layout = shuffle._Layout(13, dq, shuffle._byte_width(l1))
     assert shuffle._peak_live(needs, frees, lambda k: 1) == 2061
     peak = shuffle._peak_live(needs, frees, lambda k: bounds[k][0] + 1)
     assert sum(shuffle._working_set(needs, peak, layout).values()) < 2 * 2 ** 30
@@ -1249,6 +1393,8 @@ def recording(what, parts):
 budget._room = recording
 route = sys.argv[1]
 held = {}
+if route in ("normalized", "poly-upto", "insertion-upto"):
+    geometry = shuffle._shared_geometry(int(sys.argv[2]))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if route == "fulltwist":
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1258,15 +1404,14 @@ elif route == "insertion":
 elif route == "poly":
     shuffle.poincare_poly(sys.argv[2])
 elif route == "normalized":  # every word of length argv[2] on the f route
-    m = int(sys.argv[2])
-    held = dict(shuffle._normalized(m, shuffle._shared_geometry(m)))
-else:  # every word of length <= argv[2] in one plan, holding every value
+    held = dict(shuffle._normalized(int(sys.argv[2]), geometry))
+else:  # every word of length <= argv[2] in one plan, holding every int
     words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
     layouts = {"poly-upto": shuffle._Layout, "insertion-upto": shuffle._InsertionLayout}
-    held = dict(shuffle._run(words, layouts[route]))
+    held = dict(shuffle._run(words, layouts[route], geometry))
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert len(estimates) in (1, 2)
-yielded = sum(map(shuffle._held_bytes, held.values()))
+yielded = sum(shuffle._packed_bytes(x.bit_length() // 8 + 1) for x in held.values())
 print(max(estimates) + yielded, (after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
@@ -1279,11 +1424,13 @@ print(max(estimates) + yielded, (after - before) * (1 if sys.platform == "darwin
     + [pytest.param(("poly", "0" * n), n >= 10, id=f"poly-{n}") for n in range(8, 12)]
     # a long key with few zeros: its layout's slot table outweighs its values
     + [pytest.param(("poly", "0" + "1" * 30 + "0"), False, id="poly-0-1x30-0")]
-    # every word of length <= 9 in one plan, on each route, and one key's
-    # insertion route
-    + [pytest.param(("poly-upto", 9), True, id="poly-upto-9")]
+    # one key's insertion route, and every word of length <= 9 in one run of
+    # ints on verify's geometry, on each route, its reader keeping every int:
+    # the insertion route's, charged as the run yields them at 1.6 times
+    # their bytes (_packed_bytes), holds 2.1 times its growth
     + [pytest.param(("insertion", "0" * 10), True, id="insertion-10")]
-    + [pytest.param(("insertion-upto", 9), True, id="insertion-upto-9")]
+    + [pytest.param(("poly-upto", 9), True, id="poly-ints-upto-9")]
+    + [pytest.param(("insertion-upto", 9), False, id="insertion-ints-upto-9")]
     # the normalization check's f plan over every word of length 10
     + [pytest.param(("normalized", 10), True, id="normalized-10")],
 )
@@ -1301,23 +1448,18 @@ def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
 
 
 def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
-    # the live values of every word of length <= 10 fit 64 MiB, the 3.2
-    # million terms of the values unpacked for them do not
+    # P's run over every word of length <= 10 on verify's geometry: its live
+    # values fit 64 MiB, the ints it yields, all kept by the reader, do not
+    geometry = shuffle._shared_geometry(10)
     monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
-    unpacked = []
-    unpack = shuffle._Layout.unpack
-
-    def counting_unpack(layout, key, packed, rows):
-        unpacked.append(packed)
-        return unpack(layout, key, packed, rows)
-
-    monkeypatch.setattr(shuffle._Layout, "unpack", counting_unpack)
+    kept = []
     name = "evaluating 2047 keys, '' to '1{10}'"
     with pytest.raises(MemoryBudgetExceeded, match=name) as err:
-        _one_plan(_words(10))
-    assert re.search("of unpacked values up to '[01]+'$", str(err.value))
+        for _, packed in shuffle._run(_words(10), shuffle._Layout, geometry):
+            kept.append(packed)
+    assert re.search("of packed values up to '[01]+'$", str(err.value))
     assert err.value.need > 64 * 2 ** 20
-    assert 0 < len(unpacked) < 2 ** 11 - 1
+    assert 0 < len(kept) < 2 ** 11 - 1
     # a smaller run fits
     assert _one_plan(SEQS_UP_TO_8)["0" * 8] == poincare_poly("0" * 8)
 
@@ -1340,7 +1482,7 @@ def test_a_run_that_yields_ints_charges_each_int_it_yields(monkeypatch):
     [estimate] = estimates
     assert "slot table" not in estimate
     need = sum(estimate.values())
-    assert sum(map(shuffle._held_bytes, held.values())) > 2 ** 20
+    assert sum(shuffle._packed_bytes(x.bit_length() // 8 + 1) for x in held.values()) > 2 ** 20
     monkeypatch.setattr(budget, "_memory_budget", lambda: need + 2 ** 20)
     with pytest.raises(MemoryBudgetExceeded, match="MiB of packed values up to '[01]{8}'$"):
         for _ in shuffle._normalized(8, geometry):
@@ -1444,12 +1586,13 @@ def test_insertion_walk_counts_its_dependency_entries(monkeypatch):
     # 4,095 keys, about 17 MiB; the walk counts them, so it is refused by
     # name before it holds more than the budget
     roots = [v for m in range(12) for v in shuffle._step_order(m)]
+    geometry = shuffle._shared_geometry(11)
     memory = 8 * 2 ** 20
     monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetExceeded, match="walking the closure of 4095 keys") as err:
-            shuffle._run(roots, shuffle._InsertionLayout)
+            shuffle._run(roots, shuffle._InsertionLayout, geometry)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -158,26 +158,26 @@ def test_normalization_check_fails_if_the_v0_step_drops_its_q_shift(monkeypatch)
 def test_normalization_check_fails_if_one_factor_of_1_minus_q_is_missing(
     monkeypatch,
 ):
-    # the unpack reads only the zeros of its key, one (1 - q) per zero: a
+    # the residue reads only the zeros of its key, one (1 - q) per zero: a
     # key with one zero turned to a one gets (1 - q)^(#0 - 1)
-    unpack = shuffle._NormalizedLayout.unpack
+    residue = shuffle._residue
 
-    def one_short(layout, key, packed, rows):
-        return unpack(layout, key.replace("0", "1", 1), packed, rows)
+    def one_short(key, packed, rows, sq):
+        return residue(key.replace("0", "1", 1), packed, rows, sq)
 
-    monkeypatch.setattr(shuffle._NormalizedLayout, "unpack", one_short)
+    monkeypatch.setattr(shuffle, "_residue", one_short)
     _assert_normalization_fails("failed: |v|=2, |v|=3, |v|=4")
 
 
 def test_normalization_check_fails_if_the_residue_stops_a_row_short(monkeypatch):
     # the residue of the low (rows - 1) SQ bits alone, 0 for a root of one
     # row: the top q-row, where P(v) reaches its q-degree bound, reads 0
-    unpack = shuffle._NormalizedLayout.unpack
+    residue = shuffle._residue
 
-    def cut_short(layout, key, packed, rows):
-        return unpack(layout, key, packed, rows - 1) if rows > 1 else 0
+    def cut_short(key, packed, rows, sq):
+        return residue(key, packed, rows - 1, sq) if rows > 1 else 0
 
-    monkeypatch.setattr(shuffle._NormalizedLayout, "unpack", cut_short)
+    monkeypatch.setattr(shuffle, "_residue", cut_short)
     _assert_normalization_fails("failed: |v|=0, |v|=1, |v|=2, |v|=3, |v|=4")
 
 
@@ -246,8 +246,9 @@ def test_top_a_check_fails_if_its_mask_is_one_a_row_low(monkeypatch):
 
 
 # The recursion and top-a checks read P, the insertion route and the f route
-# side by side, a length at a time, and pair their values by word: a word
-# that one stream never yields fails its own length alone.
+# side by side, a length at a time, and pair their values by word: the
+# streams must yield the same words in the same order, and a word that one
+# stream skips, or yields out of turn, is a bug that the call raises.
 
 
 def _skipping(stream, word):
@@ -261,36 +262,46 @@ def _skipping(stream, word):
 def test_dual_check_fails_on_a_word_its_stream_skips(monkeypatch):
     run = shuffle._run
 
-    def insertion_skips_010(roots, route, geometry=None):
+    def insertion_skips_010(roots, route, geometry):
         if route is shuffle._InsertionLayout:
             return _skipping(run, "010")(roots, route, geometry)
         return run(roots, route, geometry)
 
     monkeypatch.setattr(shuffle, "_run", insertion_skips_010)
-    results = _recursion_results(4)
-    assert results["normalization-consistency"].status == verify.PASS
-    check = results["dual-recursion-equivalence"]
-    assert check.status == verify.FAIL
-    assert check.detail == "failed: |v|=3"
+    with pytest.raises(ValueError, match="out of step: \\['010', '100'\\]"):
+        _recursion_results(4)
 
 
 def test_normalization_check_fails_on_a_word_its_stream_skips(monkeypatch):
     monkeypatch.setattr(shuffle, "_normalized", _skipping(shuffle._normalized, "010"))
-    _assert_normalization_fails("failed: |v|=3")
+    with pytest.raises(ValueError, match="out of step: \\['010', '100'\\]"):
+        _recursion_results(4)
 
 
 def test_every_p_check_fails_on_a_word_the_p_stream_skips(monkeypatch):
     run = shuffle._run
 
-    def p_skips_010(roots, route, geometry=None):
+    def p_skips_010(roots, route, geometry):
         if route is shuffle._Layout:
             return _skipping(run, "010")(roots, route, geometry)
         return run(roots, route, geometry)
 
     monkeypatch.setattr(shuffle, "_run", p_skips_010)
-    results = verify.run_suites(["recursions", "top-a"], max_n=4)
-    assert [r.status for r in results] == [verify.FAIL] * 3
-    assert {r.detail for r in results} == {"failed: |v|=3"}
+    for suites in (["recursions"], ["top-a"]):
+        with pytest.raises(ValueError, match="out of step: \\['100', '010'\\]"):
+            verify.run_suites(suites, max_n=4)
+
+
+def test_streams_out_of_step_raise(monkeypatch):
+    # the insertion run's roots listed in the reverse of P's step order: it
+    # yields every word, but not in P's order, so no pair forms
+    step_order = shuffle._step_order
+    monkeypatch.setattr(shuffle, "_step_order", lambda m: step_order(m)[::-1])
+    with pytest.raises(ValueError, match="streams out of step"):
+        verify.run_suites(["recursions"], max_n=3)
+    # a stream that ends before its partner raises too
+    with pytest.raises(ValueError, match="shorter"):
+        list(verify._lockstep(iter([("0", 1), ("1", 2)]), iter([("0", 1)])))
 
 
 def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatch):
@@ -511,8 +522,7 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
     geometries, routes, bounds = set(), [], []
     evaluate, top_a_test = shuffle._evaluate, shuffle._Layout.top_a_test
 
-    def spy(roots, plan, layouts, size, extra=None):
-        (layout,) = layouts
+    def spy(roots, plan, layout, peak, extra=None):
         geometries.add((layout.w, layout.a_rows, layout.t_width))
         routes.append(layout.route)
         # the run's own proven bounds: its L1 bound, and on the f route the
@@ -522,7 +532,7 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
         if layout.route == "f":
             m = max(map(len, plan[0]))
             bounds.append(shuffle._slice_mass(m, dq, range(m + 1)) if m else 1)
-        return evaluate(roots, plan, layouts, size, extra)
+        return evaluate(roots, plan, layout, peak, extra)
 
     def spy_top_a_test(layout, j):
         # the top-a check reads P's ints on a layout of the same geometry
@@ -555,19 +565,18 @@ def test_each_stream_yields_the_packed_image_of_p(monkeypatch):
     monkeypatch.setattr(verify, "_lockstep", recording)
     verify._agreement(6)
     geometry = shuffle._shared_geometry(6)
-    layout = shuffle._Layout(*geometry, yields_ints=True)
-    slots = shuffle._Layout(*geometry)  # a decoded run's slot exponents
-    slots.build()
+    layout = shuffle._Layout(*geometry)
+    slots = layout.slots(layout.dq + 1)
     # each signed w-bit field plus 2^(w - 1), read as an unsigned field
     w, fields = layout.w, layout.fields
     bias = shuffle._tile(1 << w - 1, w, fields)
-    half = shuffle._unpack_bits(bias, w, fields, slots.exps)
+    half = shuffle._unpack_bits(bias, w, fields, slots)
     # a pair per word in each of the two passes
     assert sorted(v for v, _ in values) == sorted(verify._words(6) * 2)
     for v, ints in values:
         assert len(ints) == 2 and all(type(x) is int for x in ints), v
         for x in ints:
-            value = shuffle._unpack_bits(x + bias, w, fields, slots.exps) - half
+            value = shuffle._unpack_bits(x + bias, w, fields, slots) - half
             assert value == poincare_poly(v), v
 
 
@@ -589,11 +598,11 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
     poincare_poly("0101")
     [estimate] = parts
     assert "slot table" in estimate
-    # at a whole budget per unpacked term, a run that counts one term is
-    # refused; the runs that yield ints count none
-    monkeypatch.setattr(shuffle, "_UNPACKED_BYTES_PER_TERM", budget._memory_budget())
+    # at a whole budget per slot table field, a run that decodes is refused;
+    # the runs that yield ints charge none
+    monkeypatch.setattr(shuffle, "_SLOT_BYTES_PER_FIELD", budget._memory_budget())
     verify._agreement(4)
-    with pytest.raises(shuffle.MemoryBudgetExceeded, match="of unpacked values up to '0101'$"):
+    with pytest.raises(shuffle.MemoryBudgetExceeded, match="evaluating '0101' .* of slot table"):
         poincare_poly("0101")
 
 
