@@ -20,10 +20,10 @@ class MemoryBudgetExceeded(MemoryError):
     Raised before anything is allocated, its message naming the parts of
     the estimate; ``need`` is their sum in bytes.  The raisers:
 
-    * every packed run of :mod:`tlh.shuffle`, from its closure alone, with
-      the slot table its reader decodes with, when the run is made, before
-      any recursion step; and again as it yields its packed ints, as soon
-      as those yielded so far would take it over;
+    * every reader of packed runs of :mod:`tlh.shuffle`, from their
+      closures alone, for every run it holds at once and the slot table it
+      decodes with, in one check before any of those runs steps; a run's
+      stream checks nothing;
     * the closure walk of :mod:`tlh.shuffle` (``_plan``), as soon as the
       keys and dependency entries it holds would outgrow physical memory,
       and before 0^n is built, for its closure of every word of length

@@ -699,13 +699,7 @@ class FracPoly:
     def sum(cls, fractions: Iterable["FracPoly"]) -> "FracPoly":
         """Exact sum, reduced over the least common denominator multiset.
 
-        The value is taken by a balanced fold of sums of two.  Each round
-        adds neighbouring fractions in pairs, an odd last one passing on to
-        the next round as it is, until one is left.  A pair is summed over
-        its own least common denominator and reduced (:meth:`_add`), so no
-        numerator is carried over the common denominator of every fraction
-        at once.
-
+        The value is taken by a balanced fold of sums of two (:meth:`_fold`).
         Reduced form is not canonical, and a pair's reduction can cancel a
         factor that the whole sum would keep.  A folded sum that kept a
         denominator but lost such a factor is brought back to the common
@@ -722,14 +716,24 @@ class FracPoly:
         if not items:
             return cls(ZERO)
         common = reduce(or_, (Counter(f._den) for f in items))
-        while len(items) > 1:
-            pairs = [cls._add(x, y) for x, y in zip(items[::2], items[1::2])]
-            items = pairs + items[len(pairs) * 2:]
-        out = items[0]
+        out = cls._fold(items)
         missing = common - Counter(out._den)
         if out._den and missing:
             out = cls(_times(out._num, missing.elements()), common.elements())
         return out
+
+    @classmethod
+    def _fold(cls, items: list["FracPoly"]) -> "FracPoly":
+        """The sum of ``items``, at least one, reduced by each pair's :meth:`_add`.
+
+        Each round adds neighbours in pairs, an odd last one passing on as
+        it is, so no numerator is carried over every fraction's common
+        denominator; which reduced form it ends in depends on the order.
+        """
+        while len(items) > 1:
+            pairs = [cls._add(x, y) for x, y in zip(items[::2], items[1::2])]
+            items = pairs + items[len(pairs) * 2:]
+        return items[0]
 
     @classmethod
     def _add(cls, x: "FracPoly", y: "FracPoly") -> "FracPoly":

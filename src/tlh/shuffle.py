@@ -162,15 +162,16 @@ Before any step of a pass its peak packed working set is estimated from
 the closure alone (:func:`_working_set`), each value sized by its own
 q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
 r(k) + 1 for f(k), plus the step's temporaries as tall as the layout and
-the f route's masks, and what its reader's decoding holds; J minimises the
-larger of the f route's two, and both are checked first.  A pass whose
-estimate exceeds physical memory fails with :class:`MemoryBudgetExceeded`,
-by :mod:`tlh.budget`'s one check, when its run is made; so does a run
-whose yielded ints would take it over, as soon as they would, and a
-closure walk whose own state, its keys and their dependency entries,
-outgrows physical memory, as soon as it does.  A layout is geometry alone
-until then: its masks are built when its pass starts, and a decoder's slot
-table once the run has ended, so a refused run builds neither.
+the f route's masks; J minimises the larger of the f route's two.  A run
+is made unstarted beside that estimate, and the reader that holds runs
+checks all it holds, with what its decoding adds, in one call of
+:mod:`tlh.budget`'s check before any of those runs steps; a stream never
+checks.  A sum over physical memory fails with
+:class:`MemoryBudgetExceeded`, as does a closure walk whose own state, its
+keys and their dependency entries, outgrows physical memory, as soon as
+it does.  A layout is geometry alone until then: its masks are built when
+its pass starts, and a decoder's slot table once the run has ended, so a
+refused run builds neither.
 
 The rational series attaches a (1-q) denominator factor per zero.  The same
 series is computed a second, independent way by the insertion recursion:
@@ -425,19 +426,19 @@ def _working_set(needs: dict, peak: int, layout: _Layout) -> dict[str, int]:
     tall as the layout; and its masks, ``layout.mask_rows`` q-rows; with the
     heap's holes between them; and the closure walk's state, its keys and
     their dependency entries, as :func:`_plan` counts them; each under the
-    name :class:`MemoryBudgetExceeded` gives it.  Values are counted by
-    :func:`_packed_bytes`, which keeps the estimate, with its reader's
-    decoding, 1.4 to 1.7 times the peak RSS growth of the P and f routes at
-    |v| = 10..13 and of the insertion route's 0^10 (Python 3.11, measured
-    from a trimmed heap, as ``test_memory_estimate_covers_the_peak_rss_growth``
-    does).
+    name, with its route, that :class:`MemoryBudgetExceeded` gives it.
+    Values are counted by :func:`_packed_bytes`, which keeps the estimate,
+    with its reader's decoding, 1.4 to 1.7 times the peak RSS growth of the
+    P and f routes at |v| = 10..13 and of the insertion route's 0^10
+    (Python 3.11, measured from a trimmed heap, as
+    ``test_memory_estimate_covers_the_peak_rss_growth`` does).
     """
     rows = peak + layout.temps * (layout.dq + 1) + layout.mask_rows
     return {
         f"live values on the {layout.route} route, a-degrees "
         f"{min(layout.a_rows)}..{max(layout.a_rows)}":
             _packed_bytes(rows * layout.row_bytes),
-        "closure walk state":
+        f"closure walk state of the {layout.route} route":
             len(needs) * _WALK_BYTES_PER_KEY
             + sum(map(len, needs.values())) * _WALK_BYTES_PER_ENTRY,
     }
@@ -466,11 +467,7 @@ _SERIES_BYTES_PER_TERM = 192
 
 
 def _evaluate(
-    roots: list[str],
-    plan: tuple[dict, dict],
-    layout: _Layout,
-    peak: int,
-    extra: dict[str, int] | None = None,
+    roots: list[str], plan: tuple[dict, dict], layout: _Layout
 ) -> Iterator[tuple[str, int]]:
     """The one work-list driver of every packed run: (root, its packed int) pairs.
 
@@ -478,40 +475,22 @@ def _evaluate(
     ``layout``: ``layout.step(k, ds, work)`` reads the values of ``ds``, the
     keys that ``plan`` names for ``k``, from ``work``.  Once a root is
     stepped, the keys of ``frees[k]`` are released, and only then is the
-    root yielded.  When the run is made, before its first step, its
-    estimate, the :func:`_working_set` at ``peak`` live q-rows (its
-    :func:`_peak_live`), plus the parts of ``extra``, is checked against
-    physical memory: one over it raises :class:`MemoryBudgetExceeded`,
-    naming the run by its roots.  Only as the run starts does
-    ``layout.build()`` make its tables.  A run whose yielded ints would take
-    its estimate over raises too, as soon as they would, whether or not the
-    reader still holds them.  Nothing is stepped until the stream's first
-    value is asked for.
+    root yielded.  Nothing is stepped, nor any table built
+    (``layout.build()``), until the first value is asked for, and the
+    stream checks no memory: its reader checks the run's estimate first.
     """
     needs, frees = plan
-    what = _name(roots)
-    estimate = {**_working_set(needs, peak, layout), **(extra or {})}
-    room = budget._room(what, estimate)
-
-    def stream() -> Iterator[tuple[str, int]]:
-        layout.build()
-        wanted = set(roots)
-        work: dict = {}
-        held = 0  # bytes of the ints yielded
-        for k, ds in needs.items():
-            work[k] = layout.step(k, ds, work)
-            value = work[k] if k in wanted else None
-            for d in frees.get(k, ()):
-                del work[d]
-            if value is None:
-                continue
-            held += _packed_bytes(value.bit_length() // 8 + 1)
-            if held > room:
-                budget._room(what, {**estimate, f"packed values up to {k!r}": held})
+    layout.build()
+    wanted = set(roots)
+    work: dict = {}
+    for k, ds in needs.items():
+        work[k] = layout.step(k, ds, work)
+        value = work[k] if k in wanted else None
+        for d in frees.get(k, ()):
+            del work[d]
+        if value is not None:
             yield k, value
             del value
-
-    return stream()
 
 
 def _poly_deps(key: str) -> tuple[str, ...]:
@@ -806,26 +785,25 @@ def _split(n: int, J: int) -> list[tuple[range, int]]:
     return [(range(J + 1), comb(n, 2) + 1), high]
 
 
-def _run(
-    roots: list[str], route: type[_Layout], geometry: tuple[int, int, int]
-) -> Iterator[tuple[str, int]]:
-    """(root, its packed int) as each is stepped, ``roots``' closure as one plan.
+def _run(roots: list[str], route: type[_Layout], geometry: tuple) -> tuple[dict, Iterator]:
+    """The estimate of one run over ``roots``' closure, and its unstarted stream.
 
     ``route``, a layout class, carries the rules: ``route.deps``, a key's
     dependencies, and ``route.bounds``, the (q-degree, L1 norm) bounds of
     every key of a plan.  The run steps on ``geometry``,
     :func:`_shared_geometry`'s ``(n, dq, w)``: its a-rows, t-width and
     fields, at q-rows 0..the largest q-degree bound of the plan; each key
-    counts its own q-rows in the pre-flight (:func:`_peak_live`).  The
-    closure is walked and the run pre-flighted at once, and stepped as the
-    stream is read.
+    counts its own q-rows in the estimate, the :func:`_working_set` parts
+    its reader checks before it reads the stream, which yields (root, its
+    packed int) as each is stepped (:func:`_evaluate`).
     """
     needs, _ = plan = _plan(roots, route.deps)
     bounds = route.bounds(needs)
     dq = max(d for d, _ in bounds.values())
     n, _, w = geometry
+    layout = route(n, dq, w)
     peak = _peak_live(*plan, lambda k: bounds[k][0] + 1)
-    return _evaluate(roots, plan, route(n, dq, w), peak)
+    return _working_set(needs, peak, layout), _evaluate(roots, plan, layout)
 
 
 def _decoded(key: str, route: type[_Layout], plan=None, extra=None) -> Polynomial:
@@ -834,17 +812,21 @@ def _decoded(key: str, route: type[_Layout], plan=None, extra=None) -> Polynomia
     One run over the closure of ``key`` (``plan``, if it is given), on a
     layout of the root's own bounds, the largest of its plan since bounds
     grow toward the consumers: q-rows 0..dq, and fields of the whole bytes
-    that hold its L1 bound plus a sign (:func:`_byte_width`).  The
-    pre-flight counts the slot table, and the parts of ``extra``; the table
-    is built after the last step, for the root's q-rows.
+    that hold its L1 bound plus a sign (:func:`_byte_width`).  Its estimate
+    is checked with the slot table and the parts of ``extra`` before it
+    steps; the table is built after the last step, for the root's q-rows.
     """
     needs, _ = plan = plan or _plan([key], route.deps)
     bounds = route.bounds(needs)
     dq, l1 = bounds[key]
     layout = route(len(key), dq, _byte_width(l1))
-    table = {"slot table": layout.fields * _SLOT_BYTES_PER_FIELD, **(extra or {})}
     peak = _peak_live(*plan, lambda k: bounds[k][0] + 1)
-    [(_, packed)] = _evaluate([key], plan, layout, peak, table)
+    budget._room(repr(key), {
+        **_working_set(needs, peak, layout),
+        "slot table": layout.fields * _SLOT_BYTES_PER_FIELD,
+        **(extra or {}),
+    })
+    [(_, packed)] = _evaluate([key], plan, layout)
     return _unpack(packed, layout.w // 8, layout.fields, layout.slots(dq + 1))
 
 
@@ -1004,9 +986,10 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     ratio of the two routes' step times was 0.7 to 2.1 times that of their
     totals, and 0.7 to 1.3 from qmax 10 on, nearer the crossover.
     Up to n = 17 the larger pass then holds no more at once than whole P.
-    Both passes are pre-flighted before either steps, and each root is
-    decoded once both have stepped, bit by bit (:func:`_unpack_bits`); the
-    two hold disjoint a-degrees, so their sum is the series.
+    Both passes are pre-flighted before either steps, the high one with
+    the low one's root, and each root is decoded once both have stepped,
+    bit by bit (:func:`_unpack_bits`); their a-degrees are disjoint, so
+    their sum is the series.
     Otherwise it steps the whole polynomial and expands it over (1 - q)^n,
     pre-flighting the run and the expansion (:func:`_series_terms`)
     together before any step.
@@ -1034,17 +1017,20 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
         stepped = rows * sum(p.row_bytes for p in pair)
         whole = _Layout(n, dq, _byte_width(l1))
         if stepped < sum(d + 1 for d, _ in bounds.values()) * whole.row_bytes:
-            # both runs are pre-flighted with their decoding, its slot table
-            # and _unpack_bits's binary digits, a byte a bit, before either steps
+            # both passes are checked before either steps, each with its slot
+            # table and _unpack_bits's binary digits, a byte a bit, and the
+            # high pass with the low pass's root, held as it steps
             peak = _peak_live(*plan, lambda k: demand[k] + 1)
-            runs = [
-                _evaluate([key], plan, p, peak, {
+            held = {}
+            for p in pair:
+                budget._room(repr(key), {
+                    **_working_set(needs, peak, p),
                     "slot table": p.fields * _SLOT_BYTES_PER_FIELD,
                     "binary digits": p.fields * p.w,
+                    **held,
                 })
-                for p in pair
-            ]
-            ints = [packed for run in runs for _, packed in run]
+                held = {"the low pass's root": _packed_bytes((qmax + 1) * p.row_bytes)}
+            ints = [packed for p in pair for _, packed in _evaluate([key], plan, p)]
             low, high = (_unpack_bits(x, p.w, p.fields, p.slots(qmax + 1))
                          for p, x in zip(pair, ints))
             return low + high  # the passes hold disjoint a-degrees
@@ -1075,8 +1061,8 @@ def _step_order(m: int) -> list[str]:
     return [k for k in needs if len(k) == m]
 
 
-def _normalized(m: int, geometry: tuple[int, int, int]) -> Iterator[tuple[str, int]]:
-    """The stream of (v, (1 - q)^#0(v) f(v)) over every word v of length m.
+def _normalized(m: int, geometry: tuple) -> tuple[dict, Iterator]:
+    """The estimate and unstarted stream of (v, (1 - q)^#0(v) f(v)), |v| = m.
 
     Each is the packed int of P(v) from the series recursion alone, by the
     f route, on ``geometry``, :func:`_shared_geometry`'s ``(n, dq, w)`` for
@@ -1084,8 +1070,9 @@ def _normalized(m: int, geometry: tuple[int, int, int]) -> Iterator[tuple[str, i
     to 0^m (the reverse held 1.1 to 1.3 times as many q-rows at once at
     m = 8..10), each root read at q-rows 0..dq_v, P's q-degree bound
     (:func:`_demand`), and yielded, through :func:`_residue`, as soon as it
-    is stepped (:func:`_evaluate`).  It shares P's rules and roots, so it yields them
-    in :func:`_step_order`.
+    is stepped (:func:`_evaluate`).  It shares P's rules and roots, so it
+    yields them in :func:`_step_order`.  Its reader checks the estimate,
+    the run's :func:`_working_set`, first.
     """
     roots = all_sequences(m)[::-1]
     needs, _ = plan = _plan(roots, _SeriesLayout.deps)
@@ -1094,8 +1081,9 @@ def _normalized(m: int, geometry: tuple[int, int, int]) -> Iterator[tuple[str, i
     dq = max(d for d, _ in bounds.values())
     n, _, w = geometry
     layout = _SeriesLayout(n, dq, w, demand)
-    run = _evaluate(roots, plan, layout, _peak_live(*plan, lambda k: demand[k] + 1))
-    return ((v, _residue(v, f, demand[v] + 1, layout.sq)) for v, f in run)
+    parts = _working_set(needs, _peak_live(*plan, lambda k: demand[k] + 1), layout)
+    run = _evaluate(roots, plan, layout)
+    return parts, ((v, _residue(v, f, demand[v] + 1, layout.sq)) for v, f in run)
 
 
 def _shared_geometry(n: int) -> tuple[int, int, int]:

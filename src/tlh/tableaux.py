@@ -257,8 +257,9 @@ def tableau_sum(n: int, r: int) -> FracPoly:
     twist, so its a-degree-zero part is (1-q)^n times the Hochschild-zero
     series; at r = 0 it is the unlink value (1+a)^n.
 
-    Weights are folded over a common denominator per shape before the global
-    sum, which keeps intermediate numerators small.
+    Weights are folded per shape before the global sum, which keeps
+    intermediate numerators small, by the balanced fold alone
+    (:meth:`FracPoly._fold`): a shape's sum only feeds the global one.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -267,7 +268,7 @@ def tableau_sum(n: int, r: int) -> FracPoly:
         by_shape.setdefault(tab.shape, []).append(tableau_weight(tab))
     parts = []
     for shape, weights in sorted(by_shape.items(), key=lambda kv: kv[0].rows):
-        folded = FracPoly.sum(weights)
+        folded = FracPoly._fold(weights)
         parts.append((partition_monomial(shape) ** r * a_envelope(shape)) * folded)
     return FracPoly.sum(parts)
 

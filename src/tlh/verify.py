@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from math import comb
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import closed_form, links, shuffle, tableaux
+from . import budget, closed_form, links, shuffle, tableaux
 from .poly import (
     A,
     ONE,
@@ -357,13 +357,14 @@ def _agreement(bound: int) -> dict[str, Counter]:
     (:func:`shuffle._normalized`), which shares P's rules and roots.  So
     the two streams of a pass yield the same words in the same order
     (:func:`_lockstep` raises if they do not), no value waits for its
-    partner, and P of every word is never held at once.  Every run steps
-    on one geometry, whose fields hold all three routes' bounds
-    (:func:`shuffle._shared_geometry`), and yields packed ints: equal ints
-    are equal polynomials, and nothing is decoded.  Counted, as distinct
-    words: those whose insertion value equals P(v)
-    (``insertion``), and whose P(v) has top a-coefficient, of a^|v|, 1
-    (``top-a``), read from P's int by the layout
+    partner, and P of every word is never held at once; P's run of each
+    length and the run it is read beside are checked against memory
+    together, before P's steps.  Every run steps on one geometry, whose
+    fields hold all three routes' bounds (:func:`shuffle._shared_geometry`),
+    and yields packed ints: equal ints are equal polynomials, and nothing
+    is decoded.  Counted, as distinct words: those whose insertion value
+    equals P(v) (``insertion``), and whose P(v) has top a-coefficient, of
+    a^|v|, 1 (``top-a``), read from P's int by the layout
     (:meth:`shuffle._Layout.top_a_test`), in the first pass; and those
     whose f route value equals P(v) (``f``), in the second.
     """
@@ -371,17 +372,20 @@ def _agreement(bound: int) -> dict[str, Counter]:
     layout = shuffle._Layout(*geometry)
     lengths = range(bound + 1)
 
-    def p() -> Iterator[tuple[str, int]]:
-        return chain.from_iterable(
-            shuffle._run(shuffle.all_sequences(m)[::-1], shuffle._Layout, geometry)
-            for m in lengths
-        )
+    def beside(m: int, route: str, parts: dict, other: Iterator) -> Iterator:
+        """Length m's words paired from P's run and ``other``'s, of estimate ``parts``."""
+        words = shuffle.all_sequences(m)[::-1]
+        p_parts, p = shuffle._run(words, shuffle._Layout, geometry)
+        what = f"P's run over {shuffle._name(words)} beside the {route} route's run"
+        budget._room(what, {**p_parts, **parts})
+        return _lockstep(p, other)
 
     roots = [v for m in lengths for v in shuffle._step_order(m)]
-    insertion = shuffle._run(roots, shuffle._InsertionLayout, geometry)
+    parts, insertion = shuffle._run(roots, shuffle._InsertionLayout, geometry)
+    first = (beside(m, "insertion", parts, islice(insertion, 2**m)) for m in lengths)
     agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
     length = None
-    for v, (pv, iv) in _lockstep(p(), insertion):
+    for v, (pv, iv) in chain.from_iterable(first):
         if pv == iv:
             agree["insertion"].add(v)
         if len(v) != length:  # the words come a length at a time
@@ -389,8 +393,10 @@ def _agreement(bound: int) -> dict[str, Counter]:
             top_a_is_one = layout.top_a_test(length)
         if top_a_is_one(pv):
             agree["top-a"].add(v)
-    f = chain.from_iterable(shuffle._normalized(m, geometry) for m in lengths)
-    for v, (pv, fv) in _lockstep(p(), f):
+    for v, _ in insertion:  # it must end with the last length's words
+        raise ValueError(f"streams out of step: {v!r} after the last word")
+    second = (beside(m, "f", *shuffle._normalized(m, geometry)) for m in lengths)
+    for v, (pv, fv) in chain.from_iterable(second):
         if pv == fv:
             agree["f"].add(v)
     return {count: Counter(map(len, words)) for count, words in agree.items()}

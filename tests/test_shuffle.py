@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -201,17 +200,20 @@ SEQS_UP_TO_8 = _words(8)
 def _one_plan(roots, route=shuffle._Layout):
     """{k: P(k)} over ``roots``, stepped as one run of ints by ``route``.
 
-    Each root is decoded here at its own q-rows, from fields of the whole
-    bytes that hold the plan's largest L1 bound plus a sign.
+    The run's estimate is checked first, as a reader checks what it holds,
+    and each root is decoded here at its own q-rows, from fields of the
+    whole bytes that hold the plan's largest L1 bound plus a sign.
     """
     bounds = route.bounds(shuffle._plan(roots, route.deps)[0])
     n = max(map(len, roots))
     w = shuffle._byte_width(max(l1 for _, l1 in bounds.values()))
     layout = shuffle._Layout(n, max(dq for dq, _ in bounds.values()), w)
     slots = layout.slots(layout.dq + 1)
+    parts, run = shuffle._run(roots, route, (n, layout.dq, w))
+    budget._room(shuffle._name(roots), parts)
     return {
         k: shuffle._unpack(packed, w // 8, (bounds[k][0] + 1) * layout.row_fields, slots)
-        for k, packed in shuffle._run(roots, route, (n, layout.dq, w))
+        for k, packed in run
     }
 
 
@@ -234,8 +236,7 @@ def _every_key(key, layout):
     """Every key of the closure of ``key`` stepped on ``layout``, as roots: their ints."""
     roots = list(shuffle._plan([key], shuffle._Layout.deps)[0])
     plan = shuffle._plan(roots, shuffle._Layout.deps)
-    peak = shuffle._peak_live(*plan, lambda k: layout.dq + 1)
-    return dict(shuffle._evaluate(roots, plan, layout, peak))
+    return dict(shuffle._evaluate(roots, plan, layout))
 
 
 def _digit_rows(slices, w):
@@ -418,9 +419,9 @@ def test_full_twist_root_decodes_its_whole_layout(monkeypatch, qmax, passes):
         decoded.append(("bits", w, fields))
         return unpack_bits(packed, w, fields, exps)
 
-    def spy_evaluate(roots, plan, layout, peak, extra=None):
+    def spy_evaluate(roots, plan, layout):
         layouts.append(layout)
-        return evaluate(roots, plan, layout, peak, extra)
+        return evaluate(roots, plan, layout)
 
     monkeypatch.setattr(shuffle, "_unpack", spy_unpack)
     monkeypatch.setattr(shuffle, "_unpack_bits", spy_unpack_bits)
@@ -652,8 +653,7 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
             for high, geometry in enumerate(shuffle._split(n, J)):
                 layout = shuffle._SeriesLayout(n, qmax, w, demand, *geometry)
                 stored.clear()
-                peak = shuffle._peak_live(*plan, lambda k: demand[k] + 1)
-                dict(shuffle._evaluate([key], plan, layout, peak))
+                dict(shuffle._evaluate([key], plan, layout))
                 assert stored.keys() == needs.keys()
                 for k, value in stored.items():
                     r = demand[k]
@@ -672,8 +672,8 @@ def test_series_keys_hold_their_demand_rows(monkeypatch, series_slices_up_to_8, 
 def _a_pass(parts):
     """Whether a ``budget._room`` call checks a packed pass.
 
-    Its estimate, or the values it yields; not the charge of a closure or
-    of a word list before it is built.
+    Its estimate; not the charge of a closure or of a word list before it
+    is built.
     """
     return any(part.startswith("live values") for part in parts)
 
@@ -696,13 +696,12 @@ def test_full_twist_takes_the_cheaper_route(monkeypatch, n, qmax, route):
     layouts, passes = [], []
     evaluate, room = shuffle._evaluate, budget._room
 
-    def spy_evaluate(roots, plan, layout, peak, extra=None):
+    def spy_evaluate(roots, plan, layout):
         layouts.append(type(layout))
-        return evaluate(roots, plan, layout, peak, extra)
+        return evaluate(roots, plan, layout)
 
     def spy_room(what, parts):
-        # a pass's estimate, not the re-check of its yielded values
-        if _a_pass(parts) and not any(" values up to " in p for p in parts):
+        if _a_pass(parts):
             passes.append(sum(parts.values()))
         return room(what, parts)
 
@@ -1073,7 +1072,7 @@ def test_a_streamed_run_holds_one_value_at_a_time():
     geometry = shuffle._shared_geometry(8)
 
     def run():
-        return shuffle._run(_words(8), shuffle._Layout, geometry)
+        return shuffle._run(_words(8), shuffle._Layout, geometry)[1]
 
     streamed = _traced_peak(lambda stream: sum(1 for _ in stream), run())
     held = _traced_peak(dict, run())
@@ -1091,7 +1090,7 @@ def test_a_run_steps_nothing_until_its_stream_is_read(monkeypatch):
     geometry = shuffle._shared_geometry(2)
     want = _pack(shuffle._Layout(*geometry), poincare_poly("0"))
     monkeypatch.setattr(shuffle._Layout, "step", counting_step)
-    stream = shuffle._run(["0", "00", "01"], shuffle._Layout, geometry)
+    _, stream = shuffle._run(["0", "00", "01"], shuffle._Layout, geometry)
     assert stepped == []
     # each root is yielded as soon as it is stepped, in the plan's order
     assert next(stream) == ("0", want)
@@ -1148,7 +1147,7 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
         "insertion": (_words(7), _insertion_one_plan, 1),
         "normalized": (
             all_sequences(7)[::-1],
-            lambda roots: dict(shuffle._normalized(7, shuffle._shared_geometry(7))),
+            lambda roots: dict(shuffle._normalized(7, shuffle._shared_geometry(7))[1]),
             1,
         ),
         "full-twist": (["0" * 8], lambda roots: {"0" * 8: full_twist_series(8, 5)}, 2),
@@ -1161,35 +1160,51 @@ def test_unconsumed_roots_released_as_the_estimate_counts(
 
 
 def test_a_run_is_preflighted_when_it_is_made(monkeypatch):
-    # a run's estimate is checked as the run is made, not as its stream is
-    # first read: P's run and the f route's over every word of length 6
+    # making a run walks its closure and sizes it, but checks nothing and
+    # steps nothing: P's run and the f route's over every word of length 6
+    # each return their estimate beside an unstarted stream, and their
+    # reader checks the two together, as verify reads them side by side
     geometry = shuffle._shared_geometry(6)
     estimates, steps = [], []
     room = budget._room
 
     def spy_room(what, parts):
         if _a_pass(parts):
-            estimates.append(sum(parts.values()))
+            estimates.append(parts)
         return room(what, parts)
 
-    memory = budget._memory_budget
     monkeypatch.setattr(budget, "_room", spy_room)
     for route in (shuffle._Layout, shuffle._SeriesLayout):
         monkeypatch.setattr(route, "step", lambda *args: steps.append(args))
-    runs = [
-        lambda: shuffle._run(all_sequences(6), shuffle._Layout, geometry),
-        lambda: shuffle._normalized(6, geometry),
-    ]
-    for make in runs:
-        monkeypatch.setattr(budget, "_memory_budget", memory)
-        estimates.clear()
-        make()
-        [need] = estimates
-        monkeypatch.setattr(budget, "_memory_budget", lambda: need - 1)
-        with pytest.raises(MemoryBudgetExceeded, match="live values on the") as err:
-            make()
-        assert err.value.need == need
-    assert steps == []
+    (p_parts, _), (f_parts, _) = (
+        shuffle._run(all_sequences(6)[::-1], shuffle._Layout, geometry),
+        shuffle._normalized(6, geometry),
+    )
+    assert estimates == [] and steps == []
+    assert "live values on the P route, a-degrees 0..6" in p_parts
+    assert "live values on the f route, a-degrees 0..6" in f_parts
+    monkeypatch.undo()
+    monkeypatch.setattr(budget, "_room", spy_room)
+    verify._agreement(6)
+    assert estimates[-1] == {**p_parts, **f_parts}
+
+
+@pytest.mark.parametrize("make, roots", [
+    (lambda geometry: shuffle._run(_words(6), shuffle._Layout, geometry), 127),
+    (lambda geometry: shuffle._run(_words(6), shuffle._InsertionLayout, geometry), 127),
+    (lambda geometry: shuffle._normalized(6, geometry), 64),
+], ids=["P", "insertion", "normalized"])
+def test_reading_a_run_to_its_end_checks_no_memory(monkeypatch, make, roots):
+    # a stream never checks: its reader checks the run's estimate before
+    # reading, here at a budget of exactly that estimate, and reading every
+    # int the run yields, all of them kept, calls budget._room no more
+    parts, stream = make(shuffle._shared_geometry(6))
+    monkeypatch.setattr(budget, "_memory_budget", lambda: sum(parts.values()))
+    assert budget._room("the run", parts) == 0
+    calls = []
+    monkeypatch.setattr(budget, "_room", lambda *args: calls.append(args))
+    assert len(dict(stream)) == roots
+    assert calls == []
 
 
 def test_both_f_passes_are_refused_before_either_steps(monkeypatch):
@@ -1355,11 +1370,11 @@ def test_insertion_estimate_fails_by_name_before_any_step(monkeypatch, run, name
 
 
 # Run in a fresh interpreter: the memory estimate of the larger pass that
-# steps, plus what the run's check adds for the values it yields and the
-# reader keeps, then the growth of the process's peak RSS over the run (ru_maxrss
-# is in kB on Linux).  ru_maxrss survives exec, so an interpreter spawned
-# by a large process starts at its parent's peak; a fork of the fresh
-# interpreter starts afresh, at its current RSS.  The heap that importing
+# steps, plus the values the reader keeps, then the growth of the
+# process's peak RSS over the run (ru_maxrss is in kB on Linux).
+# ru_maxrss survives exec, so an interpreter spawned by a large process
+# starts at its parent's peak; a fork of the fresh interpreter starts
+# afresh, at its current RSS.  The heap that importing
 # tlh freed is handed back first: where no bytecode is cached, compiling it
 # leaves about a megabyte that a small run would reuse unseen.  And the
 # child runs a few small calls before it measures, to fault back in the
@@ -1383,10 +1398,9 @@ estimates = []
 room = budget._room
 
 def recording(what, parts):
-    # each pass's estimate, not the re-check of the values it yields, nor
-    # the charge of a closure or a word list before it is built
-    live = any(part.startswith("live values") for part in parts)
-    if live and not any(" values up to " in part for part in parts):
+    # each pass's estimate, not the charge of a closure or a word list
+    # before it is built
+    if any(part.startswith("live values") for part in parts):
         estimates.append(sum(parts.values()))
     return room(what, parts)
 
@@ -1403,12 +1417,15 @@ elif route == "insertion":
     shuffle.insertion_series(sys.argv[2])
 elif route == "poly":
     shuffle.poincare_poly(sys.argv[2])
-elif route == "normalized":  # every word of length argv[2] on the f route
-    held = dict(shuffle._normalized(int(sys.argv[2]), geometry))
-else:  # every word of length <= argv[2] in one plan, holding every int
-    words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
-    layouts = {"poly-upto": shuffle._Layout, "insertion-upto": shuffle._InsertionLayout}
-    held = dict(shuffle._run(words, layouts[route], geometry))
+else:  # a run of ints that this reader checks, then reads, keeping every int
+    if route == "normalized":  # every word of length argv[2] on the f route
+        parts, run = shuffle._normalized(int(sys.argv[2]), geometry)
+    else:  # every word of length <= argv[2] in one plan
+        words = [v for n in range(int(sys.argv[2]) + 1) for v in shuffle.all_sequences(n)]
+        layouts = {"poly-upto": shuffle._Layout, "insertion-upto": shuffle._InsertionLayout}
+        parts, run = shuffle._run(words, layouts[route], geometry)
+    budget._room(route, parts)
+    held = dict(run)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert len(estimates) in (1, 2)
 yielded = sum(shuffle._packed_bytes(x.bit_length() // 8 + 1) for x in held.values())
@@ -1425,9 +1442,9 @@ print(max(estimates) + yielded, (after - before) * (1 if sys.platform == "darwin
     # a long key with few zeros: its layout's slot table outweighs its values
     + [pytest.param(("poly", "0" + "1" * 30 + "0"), False, id="poly-0-1x30-0")]
     # one key's insertion route, and every word of length <= 9 in one run of
-    # ints on verify's geometry, on each route, its reader keeping every int:
-    # the insertion route's, charged as the run yields them at 1.6 times
-    # their bytes (_packed_bytes), holds 2.1 times its growth
+    # ints on verify's geometry, on each route, its reader keeping every int
+    # and counting each at 1.6 times its bytes (_packed_bytes) beside the
+    # run's estimate: on the insertion route 2.1 times its growth
     + [pytest.param(("insertion", "0" * 10), True, id="insertion-10")]
     + [pytest.param(("poly-upto", 9), True, id="poly-ints-upto-9")]
     + [pytest.param(("insertion-upto", 9), False, id="insertion-ints-upto-9")]
@@ -1445,48 +1462,6 @@ def test_memory_estimate_covers_the_peak_rss_growth(argv, tight):
     assert estimate >= grown > 0
     if tight:  # each value sized by its own q-rows
         assert estimate <= 2 * grown
-
-
-def test_memo_sink_fails_by_name_before_memory_runs_out(monkeypatch):
-    # P's run over every word of length <= 10 on verify's geometry: its live
-    # values fit 64 MiB, the ints it yields, all kept by the reader, do not
-    geometry = shuffle._shared_geometry(10)
-    monkeypatch.setattr(budget, "_memory_budget", lambda: 64 * 2 ** 20)
-    kept = []
-    name = "evaluating 2047 keys, '' to '1{10}'"
-    with pytest.raises(MemoryBudgetExceeded, match=name) as err:
-        for _, packed in shuffle._run(_words(10), shuffle._Layout, geometry):
-            kept.append(packed)
-    assert re.search("of packed values up to '[01]+'$", str(err.value))
-    assert err.value.need > 64 * 2 ** 20
-    assert 0 < len(kept) < 2 ** 11 - 1
-    # a smaller run fits
-    assert _one_plan(SEQS_UP_TO_8)["0" * 8] == poincare_poly("0" * 8)
-
-
-def test_a_run_that_yields_ints_charges_each_int_it_yields(monkeypatch):
-    # the f plan over every word of length 8 on verify's geometry: its pass
-    # fits the budget, and the ints it yields, counted whether or not the
-    # reader keeps them, do not
-    geometry = shuffle._shared_geometry(8)
-    estimates = []
-    room = budget._room
-
-    def recording(what, parts):
-        if _a_pass(parts):
-            estimates.append(parts)
-        return room(what, parts)
-
-    monkeypatch.setattr(budget, "_room", recording)
-    held = dict(shuffle._normalized(8, geometry))
-    [estimate] = estimates
-    assert "slot table" not in estimate
-    need = sum(estimate.values())
-    assert sum(shuffle._packed_bytes(x.bit_length() // 8 + 1) for x in held.values()) > 2 ** 20
-    monkeypatch.setattr(budget, "_memory_budget", lambda: need + 2 ** 20)
-    with pytest.raises(MemoryBudgetExceeded, match="MiB of packed values up to '[01]{8}'$"):
-        for _ in shuffle._normalized(8, geometry):
-            pass
 
 
 def test_closure_walk_stops_at_the_memory_budget(monkeypatch, tmp_path):

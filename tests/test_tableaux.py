@@ -5,6 +5,7 @@ import pytest
 from tlh import budget, tableaux
 from tlh.budget import MemoryBudgetExceeded
 from tlh.poly import A, ONE, Q, T, UNIT, FracPoly, Polynomial
+from tlh.serialize import dumps
 from tlh.shuffle import poincare_poly
 from tlh.tableaux import (
     Box,
@@ -246,3 +247,23 @@ def test_tableau_sum_symmetry():
             assert s.swap_qt() == s
     with pytest.raises(ValueError):
         tableau_sum(2, -1)
+
+
+def test_tableau_sum_folds_each_shape_alone():
+    # a shape's weights are summed by the balanced fold alone, without the
+    # step that brings a folded sum back to the common denominator: the
+    # tableau sum prints the same, in every format, as with that step
+    for n in range(1, 7):
+        by_shape = {}
+        for tab in standard_tableaux(n):
+            by_shape.setdefault(tab.shape, []).append(tableau_weight(tab))
+        sums = [(shape, FracPoly.sum(weights)) for shape, weights in by_shape.items()]
+        sums.sort(key=lambda item: item[0].rows)
+        for r in range(5):
+            want = FracPoly.sum(
+                (partition_monomial(shape) ** r * a_envelope(shape)) * total
+                for shape, total in sums
+            )
+            got = tableau_sum(n, r)
+            for fmt in ("text", "json", "latex"):
+                assert dumps(got, fmt) == dumps(want, fmt), (n, r, fmt)

@@ -251,10 +251,11 @@ def test_top_a_check_fails_if_its_mask_is_one_a_row_low(monkeypatch):
 # stream skips, or yields out of turn, is a bug that the call raises.
 
 
-def _skipping(stream, word):
-    """``stream``, a function returning a run's stream, without ``word``."""
+def _skipping(make, word):
+    """``make``, a function returning a run's estimate and stream, without ``word``."""
     def skipped(*args):
-        return ((v, value) for v, value in stream(*args) if v != word)
+        parts, stream = make(*args)
+        return parts, ((v, value) for v, value in stream if v != word)
 
     return skipped
 
@@ -310,10 +311,15 @@ def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatc
 
     def raising_mid_length_2(m, geometry):
         lengths.append(m)
-        for v, value in normalized(m, geometry):
-            if m == 2:
-                raise NonExactDivision("no quotient")
-            yield v, value
+        parts, stream = normalized(m, geometry)
+
+        def raising():
+            for v, value in stream:
+                if m == 2:
+                    raise NonExactDivision("no quotient")
+                yield v, value
+
+        return parts, raising()
 
     monkeypatch.setattr(shuffle, "_normalized", raising_mid_length_2)
     results = verify.run_suites(["recursions", "top-a"], max_n=3)
@@ -401,7 +407,7 @@ def test_one_p_run_per_call_serves_every_check_that_reads_it(monkeypatch):
     runs = []
     run, normalized = shuffle._run, shuffle._normalized
 
-    def spy(roots, route, geometry=None):
+    def spy(roots, route, geometry):
         runs.append((frozenset(roots), route))
         return run(roots, route, geometry)
 
@@ -454,7 +460,8 @@ def test_one_call_computes_each_shared_value_once(monkeypatch):
 def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch):
     # what keeps every value from waiting for its partner: P, the insertion
     # route and the f route yield each length's words in one order, in two
-    # passes, P beside the insertion route and then beside the f route
+    # passes of a pair of streams a length, P beside the insertion route and
+    # then beside the f route
     words = []
     lockstep = verify._lockstep
 
@@ -472,7 +479,11 @@ def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch
     monkeypatch.setattr(verify, "_lockstep", recording)
     passed = verify._agreement(8)
     assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
-    [(p, insertion), (p_again, f)] = words
+    assert len(words) == 2 * 9
+    (p, insertion), (p_again, f) = (
+        [[v for pair in half for v in pair[i]] for i in (0, 1)]
+        for half in (words[:9], words[9:])
+    )
     assert p == insertion == p_again == f
     for m in range(9):
         in_order = shuffle._step_order(m)
@@ -486,10 +497,10 @@ def test_the_insertion_run_ends_before_the_f_route_makes_a_plan(monkeypatch):
     run, normalized = shuffle._run, shuffle._normalized
     roots, yielded, done_at_plan = [], [], []
 
-    def spy(route_roots, route, geometry=None):
-        stream = run(route_roots, route, geometry)
+    def spy(route_roots, route, geometry):
+        parts, stream = run(route_roots, route, geometry)
         if route is not shuffle._InsertionLayout:
-            return stream
+            return parts, stream
         roots.extend(route_roots)
 
         def recorded():
@@ -497,7 +508,7 @@ def test_the_insertion_run_ends_before_the_f_route_makes_a_plan(monkeypatch):
                 yielded.append(v)
                 yield v, value
 
-        return recorded()
+        return parts, recorded()
 
     def spy_normalized(m, geometry):
         done_at_plan.append(len(yielded) == len(roots))
@@ -522,7 +533,7 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
     geometries, routes, bounds = set(), [], []
     evaluate, top_a_test = shuffle._evaluate, shuffle._Layout.top_a_test
 
-    def spy(roots, plan, layout, peak, extra=None):
+    def spy(roots, plan, layout):
         geometries.add((layout.w, layout.a_rows, layout.t_width))
         routes.append(layout.route)
         # the run's own proven bounds: its L1 bound, and on the f route the
@@ -532,7 +543,7 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
         if layout.route == "f":
             m = max(map(len, plan[0]))
             bounds.append(shuffle._slice_mass(m, dq, range(m + 1)) if m else 1)
-        return evaluate(roots, plan, layout, peak, extra)
+        return evaluate(roots, plan, layout)
 
     def spy_top_a_test(layout, j):
         # the top-a check reads P's ints on a layout of the same geometry
@@ -592,7 +603,9 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
 
     monkeypatch.setattr(budget, "_room", spy)
     verify._agreement(4)
-    assert len(parts) == 16  # two P runs and an f run a length, one insertion run
+    # one check a length in each pass: P's run with the insertion run, then
+    # with the f run of its length
+    assert len(parts) == 10
     assert not any("slot table" in estimate for estimate in parts)
     parts.clear()
     poincare_poly("0101")
@@ -604,6 +617,93 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
     verify._agreement(4)
     with pytest.raises(shuffle.MemoryBudgetExceeded, match="evaluating '0101' .* of slot table"):
         poincare_poly("0101")
+
+
+# Each pass holds two runs at once, P's run of one length and the run it is
+# read beside, so the two are checked against memory together, in one
+# pre-flight, before P's run takes a step.
+
+
+def _agreement_checks(bound, monkeypatch):
+    """Every run's estimate and every joint check of ``_agreement(bound)``.
+
+    Recorded with every stream read as empty, so nothing steps; the spies
+    stay, and go on recording, until the test ends.
+    """
+    runs, checks = [], []
+    run, normalized, room = shuffle._run, shuffle._normalized, budget._room
+
+    def recorded(make):
+        def made(*args):
+            parts, stream = make(*args)
+            runs.append(sum(parts.values()))
+            return parts, stream
+
+        return made
+
+    def spy_room(what, parts):
+        if any(part.startswith("live values") for part in parts):
+            checks.append(parts)
+        return room(what, parts)
+
+    monkeypatch.setattr(shuffle, "_run", recorded(run))
+    monkeypatch.setattr(shuffle, "_normalized", recorded(normalized))
+    monkeypatch.setattr(budget, "_room", spy_room)
+    with monkeypatch.context() as empty:
+        empty.setattr(shuffle, "_evaluate", lambda roots, plan, layout: iter(()))
+        verify._agreement(bound)
+    return runs, checks
+
+
+def test_agreement_fits_at_its_largest_joint_estimate(monkeypatch):
+    # at 1.05 times the largest joint estimate of its two passes, the
+    # agreement up to length 10 steps every run and counts every word,
+    # checking the very estimates recorded with no step taken
+    runs, checks = _agreement_checks(10, monkeypatch)
+    assert len(checks) == 2 * 11  # P's run of each length, in each pass
+    recorded = list(checks)
+    need = max(sum(parts.values()) for parts in recorded)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need * 105 // 100)
+    checks.clear()
+    passed = verify._agreement(10)
+    assert all(passed[count] == {m: 2**m for m in range(11)} for count in passed)
+    assert checks == recorded
+
+
+def test_agreement_refuses_a_pair_of_runs_that_fit_only_alone(monkeypatch):
+    # a budget below the largest joint estimate, but above every run's
+    # own, refuses the agreement up to length 10 by name, the message
+    # naming both runs' parts, before P's run of that pair takes a step
+    runs, checks = _agreement_checks(10, monkeypatch)
+    joint = [sum(parts.values()) for parts in checks]
+    memory = (max(runs) + max(joint)) // 2
+    assert max(runs) < memory < max(joint)
+    refused = next(i for i, need in enumerate(joint) if need > memory)
+    layouts, stepped = [], set()
+    evaluate, step = shuffle._evaluate, shuffle._Layout.step
+
+    def spy_evaluate(roots, plan, layout):
+        if layout.route == "P":
+            layouts.append(layout)
+        return evaluate(roots, plan, layout)
+
+    def spy_step(layout, key, ds, work):
+        stepped.add(id(layout))
+        return step(layout, key, ds, work)
+
+    monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(shuffle._Layout, "step", spy_step)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
+    checks.clear()
+    with pytest.raises(shuffle.MemoryBudgetExceeded, match="^evaluating P's run over ") as err:
+        verify._agreement(10)
+    assert err.value.need == joint[refused] and len(checks) == refused + 1
+    assert sum(part.startswith("live values on the") for part in checks[-1]) == 2
+    for part, size in checks[-1].items():
+        assert f"{budget._mib(size)} of {part}" in str(err.value)
+    # P's runs of the lengths before have stepped, and the refused one not
+    assert len(layouts) == refused + 1
+    assert [id(layout) in stepped for layout in layouts] == [True] * refused + [False]
 
 
 # The determinism checks compare values asked for again, in another order
