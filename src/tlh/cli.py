@@ -201,8 +201,6 @@ def _run(args) -> int:
             poly = _read_input_poly(args.input, args.format)
         if args.to == "decat":
             return _emit(links.decategorify(poly), args.format)
-        if args.N is None:
-            raise ValueError("--to sl_n requires --N")
         decat = links.decategorify(poly)
         return _emit(links.sl_specialization(decat, args.N), args.format)
 
@@ -236,7 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.  It is not built at import, so a process that imports the
     module without calling ``main`` does not pay for it.
     """
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "specialize" and (args.N is None) == (args.to == "sl_n"):
+        parser.error(f"--to {args.to} {'requires' if args.N is None else 'takes no'} --N")
     try:
         return _run(args)
     except _ENGINE_ERRORS as e:

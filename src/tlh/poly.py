@@ -679,7 +679,7 @@ class FracPoly:
         f = self._coerce(other)
         if f is None:
             return NotImplemented
-        return FracPoly.sum((self, f))
+        return FracPoly._add(self, f)
 
     __radd__ = __add__
 
@@ -687,13 +687,13 @@ class FracPoly:
         f = self._coerce(other)
         if f is None:
             return NotImplemented
-        return FracPoly.sum((self, -f))
+        return FracPoly._add(self, -f)
 
     def __rsub__(self, other) -> "FracPoly":
         f = self._coerce(other)
         if f is None:
             return NotImplemented
-        return FracPoly.sum((f, -self))
+        return FracPoly._add(f, -self)
 
     @classmethod
     def sum(cls, fractions: Iterable["FracPoly"]) -> "FracPoly":
@@ -705,7 +705,8 @@ class FracPoly:
         denominator but lost such a factor is brought back to the common
         denominator of all the fractions and reduced from there, so the
         result is the same for every order of the fractions.  A sum that is
-        a polynomial needs no such step.
+        a polynomial needs no such step, nor does a sum of two, which would
+        rebuild the very fraction that :meth:`_add` reduced.
         """
         items = []
         for f in fractions:
@@ -785,7 +786,7 @@ class FracPoly:
             return NotImplemented
         if self._den == f._den:
             return self._num == f._num
-        return not FracPoly.sum((self, -f))._num
+        return not FracPoly._add(self, -f)._num
 
     # Reduced form is not canonical ((1+q)/(1-q^2) == 1/(1-q)), so no hash
     # can agree with __eq__; FracPoly is unhashable.

@@ -57,14 +57,11 @@ in all than whole P (:func:`full_twist_series`).  Otherwise P(0^n) is
 stepped whole and expanded over (1 - q)^n, and no qmax costs more than that.
 
 The f route has a second reader: the check that P(v) = (1 - q)^#0(v) f(v),
-each side by its own recursion (:func:`_normalized`, read by
-:mod:`tlh.verify`).  It steps one plan per length m, whose roots are every
-word of length m, in one pass on the geometry of the check's largest length
-(below), each root v read at q-rows 0..dq_v, its P's q-degree bound, so
-r(v) >= dq_v.  Its
-roots are listed as those of P's run over the same words, with P's
-dependency rules, so the two yield them in one order (:func:`_step_order`),
-and the check reads them side by side, a length at a time.  Its closure is
+each side by its own recursion (:func:`_normalized`), which
+:func:`_agreement` reads beside P's run of the same words.  It steps one
+plan per length m, whose roots are every word of length m, in one pass on
+the geometry of the check's largest length (below), each root v read at
+q-rows 0..dq_v, its P's q-degree bound, so r(v) >= dq_v.  Its closure is
 that of 0^m, every word of length <= m, so no a-slice mass up to the
 plan's largest dq exceeds that of 0^m, as below (:func:`_slice_mass`).
 Each root's value is the packed int of P(v), never decoded
@@ -121,7 +118,7 @@ needs.  The signed-field decoder (:func:`_unpack`) slices whole bytes, so
 the full twist step on whole-byte fields (:func:`_decoded`).  The f route's
 passes take the fewest unsigned bits of their slice mass, each decoding its
 one root bit by bit (:func:`_unpack_bits`); and the runs that
-:mod:`tlh.verify` compares decode none, so they take the fewest signed bits
+:func:`_agreement` compares decode none, so they take the fewest signed bits
 of their shared bound (:func:`_shared_geometry`).  Both decoders stay: read
 bit by bit as signed fields, P's roots took 5 to 7 times as long to decode
 at n = 6..12 (Python 3.11, 2 cores).
@@ -152,7 +149,7 @@ z.  At n = 8..10 the dq of 0^n is the P route's, and its L1 bound three
 bits longer.
 Values are packed only by stepping, from P(empty) = 1, and a decoded root
 is read at its own q-rows 0..dq_k by its route's bounds, which hold the
-whole value.  The runs that :mod:`tlh.verify` compares step on
+whole value.  The runs that :func:`_agreement` compares step on
 one geometry (:func:`_shared_geometry`), a-rows 0..n,
 t-width C(n, 2) + 1 and fields of the fewest bits that hold the largest
 bound of the three routes up to length n plus a sign, so every root of
@@ -208,7 +205,8 @@ import os
 import sys
 import threading
 from array import array
-from itertools import compress, product, repeat
+from collections import Counter
+from itertools import chain, compress, islice, product, repeat
 from math import comb
 from operator import add, lshift
 from typing import Callable, Iterator
@@ -1112,6 +1110,80 @@ def _shared_geometry(n: int) -> tuple[int, int, int]:
     insertion = max(b for _, b in _insertion_bounds(words).values())
     mass = _slice_mass(n, dq, range(n + 1)) if n else 1
     return n, dq, max(l1, insertion, mass).bit_length() + 1
+
+
+def _lockstep(p: Iterator, other: Iterator) -> Iterator[tuple[str, int, int]]:
+    """(word, P's int, the other route's int), the two streams read side by side.
+
+    The streams must yield the same words in the same order, so each word
+    is paired as it comes and nothing waits.  Words that differ, or a
+    stream that ends before the other, raise ``ValueError``: a bug in the
+    engine's step order, not a failed identity.
+    """
+    for (v, pv), (w, ov) in zip(p, other, strict=True):
+        if v != w:
+            raise ValueError(f"streams out of step: {[v, w]}")
+        yield v, pv, ov
+
+
+def _agreement(bound: int) -> dict[str, Counter]:
+    """Per check of P, how many words of each length up to ``bound`` pass it.
+
+    The engine's core self-check, read by :mod:`tlh.verify`'s recursion and
+    top-a checks.  Two passes, each of two streams read side by side
+    (:func:`_lockstep`), so no more than two runs are live at once.  Each
+    pass steps P's runs anew, over the words of each length m = 0..bound in
+    turn, each listed from 1^m down.  The first reads them beside one
+    insertion run over every word up to the bound, each length's words
+    listed in P's step order (:func:`_step_order`); every insertion
+    dependency of a word but 0^m is shorter, so that run yields its roots
+    as they are listed.  Only once it has ended does the second pass read P
+    beside (1 - q)^#0(v) f(v) by the f route, a length at a time
+    (:func:`_normalized`), which shares P's rules and roots.  So the two
+    streams of a pass yield the same words in the same order, no value
+    waits for its partner, and P of every word is never held at once; P's
+    run of each length and the run it is read beside are checked against
+    memory together, before P's steps.  Every run steps on one geometry,
+    whose fields hold all three routes' bounds (:func:`_shared_geometry`),
+    and yields packed ints: equal ints are equal polynomials, and nothing
+    is decoded.  Counted, as distinct words: those whose insertion value
+    equals P(v) (``insertion``), and whose P(v) has top a-coefficient, of
+    a^|v|, 1 (``top-a``), read from P's int by the layout
+    (:meth:`_Layout.top_a_test`), in the first pass; and those whose f
+    route value equals P(v) (``f``), in the second.
+    """
+    geometry = _shared_geometry(bound)
+    layout = _Layout(*geometry)
+    lengths = range(bound + 1)
+
+    def beside(m: int, route: str, parts: dict, other: Iterator) -> Iterator:
+        """Length m's words paired from P's run and ``other``'s, of estimate ``parts``."""
+        words = all_sequences(m)[::-1]
+        p_parts, p = _run(words, _Layout, geometry)
+        what = f"P's run over {_name(words)} beside the {route} route's run"
+        budget._room(what, {**p_parts, **parts})
+        return _lockstep(p, other)
+
+    roots = [v for m in lengths for v in _step_order(m)]
+    parts, insertion = _run(roots, _InsertionLayout, geometry)
+    first = (beside(m, "insertion", parts, islice(insertion, 2**m)) for m in lengths)
+    agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
+    length = None
+    for v, pv, iv in chain.from_iterable(first):
+        if pv == iv:
+            agree["insertion"].add(v)
+        if len(v) != length:  # the words come a length at a time
+            length = len(v)
+            top_a_is_one = layout.top_a_test(length)
+        if top_a_is_one(pv):
+            agree["top-a"].add(v)
+    for v, _ in insertion:  # it must end with the last length's words
+        raise ValueError(f"streams out of step: {v!r} after the last word")
+    second = (beside(m, "f", *_normalized(m, geometry)) for m in lengths)
+    for v, pv, fv in chain.from_iterable(second):
+        if pv == fv:
+            agree["f"].add(v)
+    return {count: Counter(map(len, words)) for count, words in agree.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, islice
 from math import comb
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from . import budget, closed_form, links, shuffle, tableaux
+from . import closed_form, links, shuffle, tableaux
 from .poly import (
     A,
     ONE,
@@ -327,84 +326,9 @@ def _words(bound: int) -> list[str]:
     return [v for n in range(bound + 1) for v in shuffle.all_sequences(n)]
 
 
-def _lockstep(*streams: Iterable) -> Iterator[tuple[str, list]]:
-    """(word, [its value from each stream]), the streams read side by side.
-
-    The streams must yield the same words in the same order, so each word
-    is paired as it comes and nothing waits.  Words that differ, or a
-    stream that ends before the others, raise ``ValueError``: a bug in the
-    engine's step order, not a failed identity.
-    """
-    for items in zip(*streams, strict=True):
-        words = [v for v, _ in items]
-        if words.count(words[0]) != len(words):
-            raise ValueError(f"streams out of step: {words}")
-        yield words[0], [value for _, value in items]
-
-
-def _agreement(bound: int) -> dict[str, Counter]:
-    """Per P check, how many words of each length up to ``bound`` pass it.
-
-    Two passes, each of two streams read side by side (:func:`_lockstep`),
-    so no more than two runs are live at once.  Each pass steps P's runs
-    anew, over the words of each length m = 0..bound in turn, each listed
-    from 1^m down.  The first reads them beside one insertion run over
-    every word up to the bound, each length's words listed in P's step
-    order (:func:`shuffle._step_order`); every insertion dependency of a
-    word but 0^m is shorter, so that run yields its roots as they are
-    listed.  Only once it has ended does the second pass read P beside
-    (1 - q)^#0(v) f(v) by the f route, a length at a time
-    (:func:`shuffle._normalized`), which shares P's rules and roots.  So
-    the two streams of a pass yield the same words in the same order
-    (:func:`_lockstep` raises if they do not), no value waits for its
-    partner, and P of every word is never held at once; P's run of each
-    length and the run it is read beside are checked against memory
-    together, before P's steps.  Every run steps on one geometry, whose
-    fields hold all three routes' bounds (:func:`shuffle._shared_geometry`),
-    and yields packed ints: equal ints are equal polynomials, and nothing
-    is decoded.  Counted, as distinct words: those whose insertion value
-    equals P(v) (``insertion``), and whose P(v) has top a-coefficient, of
-    a^|v|, 1 (``top-a``), read from P's int by the layout
-    (:meth:`shuffle._Layout.top_a_test`), in the first pass; and those
-    whose f route value equals P(v) (``f``), in the second.
-    """
-    geometry = shuffle._shared_geometry(bound)
-    layout = shuffle._Layout(*geometry)
-    lengths = range(bound + 1)
-
-    def beside(m: int, route: str, parts: dict, other: Iterator) -> Iterator:
-        """Length m's words paired from P's run and ``other``'s, of estimate ``parts``."""
-        words = shuffle.all_sequences(m)[::-1]
-        p_parts, p = shuffle._run(words, shuffle._Layout, geometry)
-        what = f"P's run over {shuffle._name(words)} beside the {route} route's run"
-        budget._room(what, {**p_parts, **parts})
-        return _lockstep(p, other)
-
-    roots = [v for m in lengths for v in shuffle._step_order(m)]
-    parts, insertion = shuffle._run(roots, shuffle._InsertionLayout, geometry)
-    first = (beside(m, "insertion", parts, islice(insertion, 2**m)) for m in lengths)
-    agree: dict[str, set] = {"insertion": set(), "f": set(), "top-a": set()}
-    length = None
-    for v, (pv, iv) in chain.from_iterable(first):
-        if pv == iv:
-            agree["insertion"].add(v)
-        if len(v) != length:  # the words come a length at a time
-            length = len(v)
-            top_a_is_one = layout.top_a_test(length)
-        if top_a_is_one(pv):
-            agree["top-a"].add(v)
-    for v, _ in insertion:  # it must end with the last length's words
-        raise ValueError(f"streams out of step: {v!r} after the last word")
-    second = (beside(m, "f", *shuffle._normalized(m, geometry)) for m in lengths)
-    for v, (pv, fv) in chain.from_iterable(second):
-        if pv == fv:
-            agree["f"].add(v)
-    return {count: Counter(map(len, words)) for count, words in agree.items()}
-
-
 def _every_word(count: str, bound: int, store: _Store) -> SubResults:
     """One case per length n <= bound: all 2^n words of length n pass ``count``."""
-    passed = store.once(_agreement, bound)[count]
+    passed = store.once(shuffle._agreement, bound)[count]
     return _sizes(bound, lambda n: passed[n] == 2**n, first=0, label="|v|")
 
 
@@ -540,7 +464,7 @@ def _tableau_sum_symmetry(bound: int, store: _Store) -> SubResults:
     out: SubResults = []
     for n in range(1, bound + 1):
         for r in range(3):
-            s = tableaux.tableau_sum(n, r)
+            s = store.once(tableaux.tableau_sum, n, r)
             out.append((f"n={n},r={r}", s.swap_qt() == s, n))
     return out
 
@@ -552,7 +476,7 @@ def _tableau_sum_symmetry(bound: int, store: _Store) -> SubResults:
 @_check("magic", "r1-matches-recursion", CONJECTURE, 4, verified_bound=8)
 def _magic_r1(bound: int, store: _Store) -> SubResults:
     def ok(n: int) -> bool:
-        s = tableaux.tableau_sum(n, 1)
+        s = store.once(tableaux.tableau_sum, n, 1)
         return s.is_polynomial and s.num == shuffle.poincare_poly("0" * n)
     return _sizes(bound, ok)
 

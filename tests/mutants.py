@@ -44,7 +44,7 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "pair-check-p-alone",
-        "src/tlh/verify.py",
+        "src/tlh/shuffle.py",
         "budget._room(what, {**p_parts, **parts})",
         "budget._room(what, p_parts)",
         ("tests/test_verify.py::test_agreement_refuses_a_pair_of_runs_that_fit_only_alone",),
@@ -106,6 +106,41 @@ MUTANTS = [
         "return [k for k in needs if len(k) == m]",
         "return [k for k in needs if len(k) == m][::-1]",
         ("tests/test_verify.py::test_the_three_streams_of_a_length_yield_the_same_words_in_order",),
+    ),
+    Mutant(
+        "times-trail-sign-flipped",
+        "src/tlh/poly.py",
+        "v = get(e, 0) - c",
+        "v = get(e, 0) + c",
+        ("tests/test_poly.py::test_binomial_times_matches_general_product",),
+    ),
+    Mutant(
+        "gap-fill-one-key-short",
+        "src/tlh/poly.py",
+        "_fill(row, carry, k - k0 - len(row) - 1, room)",
+        "_fill(row, carry, k - k0 - len(row) - 2, room)",
+        ("tests/test_poly.py::test_quotient_examples",),
+    ),
+    Mutant(
+        "keep-clears-the-bottom-a-row",
+        "src/tlh/shuffle.py",
+        "self.keep = _tile((1 << self.sq - self.sa) - 1, self.sq, self.dq + 1)",
+        "self.keep = _tile(((1 << self.sq - self.sa) - 1) << self.sa, self.sq, self.dq + 1)",
+        ("tests/test_shuffle.py::test_full_twist_series",),
+    ),
+    Mutant(
+        "prefix-sum-one-doubling-short",
+        "src/tlh/shuffle.py",
+        "self.strides[: r.bit_length()]",
+        "self.strides[: r.bit_length() - 1]",
+        ("tests/test_shuffle.py::test_truncated_full_twist_matches_whole_series",),
+    ),
+    Mutant(
+        "top-a-bias-without-the-one",
+        "src/tlh/shuffle.py",
+        "one = (bias & mask) + (1 << j * self.sa)",
+        "one = bias & mask",
+        ("tests/test_verify.py::test_top_a_check_fails_if_its_mask_is_one_a_row_low",),
     ),
 ]
 

@@ -249,9 +249,18 @@ def test_specialize_input_file_in_latex_exits_1(tmp_path, capsys):
 
 
 def test_specialize_sl_requires_N(capsys):
-    code, _, err = run_cli(capsys, "specialize", "--link", "T(2,3)", "--to", "sl_n")
-    assert code == 1
-    assert "requires --N" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["specialize", "--link", "T(2,3)", "--to", "sl_n"])
+    assert exc.value.code == 2
+    assert "requires --N" in capsys.readouterr().err
+
+
+def test_specialize_decat_takes_no_N(capsys):
+    # only --to sl_n reads --N, so decat does not ignore it silently
+    with pytest.raises(SystemExit) as exc:
+        main(["specialize", "--link", "T(2,3)", "--to", "decat", "--N", "3"])
+    assert exc.value.code == 2
+    assert "takes no --N" in capsys.readouterr().err
 
 
 def test_specialize_unknown_link(capsys):

@@ -67,3 +67,23 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.stdout.split() == []
+
+
+def test_verify_reads_one_private_engine_name_and_no_budget():
+    # the packed route agreement, with its runs, their pairing and their
+    # joint memory check, is the engine's to keep: verify reads its counts
+    tree = ast.parse(Path(tlh.__file__).with_name("verify.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {part for a in node.names for part in a.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+            imported |= {a.name for a in node.names}
+    assert "budget" not in imported
+    private = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "shuffle" and node.attr.startswith("_")
+    }
+    assert private == {"_agreement"}

@@ -697,6 +697,9 @@ def test_frac_add_cross_multiplication(x, y):
     assert s.num * (x.den_poly() * y.den_poly()) == (
         x.num * y.den_poly() + y.num * x.den_poly()
     ) * s.den_poly()
+    # a pair adds by one _add, in the very reduced form that sum gives it
+    for got, want in ((s, FracPoly.sum((x, y))), (x - y, FracPoly.sum((x, -y)))):
+        assert (got.text(), got.den) == (want.text(), want.den)
 
 
 def _cross_multiplied_eq(x, y):

@@ -1185,7 +1185,7 @@ def test_a_run_is_preflighted_when_it_is_made(monkeypatch):
     assert "live values on the f route, a-degrees 0..6" in f_parts
     monkeypatch.undo()
     monkeypatch.setattr(budget, "_room", spy_room)
-    verify._agreement(6)
+    shuffle._agreement(6)
     assert estimates[-1] == {**p_parts, **f_parts}
 
 

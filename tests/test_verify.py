@@ -302,7 +302,7 @@ def test_streams_out_of_step_raise(monkeypatch):
         verify.run_suites(["recursions"], max_n=3)
     # a stream that ends before its partner raises too
     with pytest.raises(ValueError, match="shorter"):
-        list(verify._lockstep(iter([("0", 1), ("1", 2)]), iter([("0", 1)])))
+        list(shuffle._lockstep(iter([("0", 1), ("1", 2)]), iter([("0", 1)])))
 
 
 def test_an_engine_error_in_one_route_fails_every_check_that_reads_it(monkeypatch):
@@ -457,16 +457,31 @@ def test_one_call_computes_each_shared_value_once(monkeypatch):
     assert top_a.status == verify.PASS
 
 
+def test_one_call_computes_each_tableau_sum_once(monkeypatch):
+    # the transpose and magic checks read tableau sums of the same (n, r)
+    calls = []
+    tableau_sum = tableaux.tableau_sum
+
+    def spy(n, r):
+        calls.append((n, r))
+        return tableau_sum(n, r)
+
+    monkeypatch.setattr(tableaux, "tableau_sum", spy)
+    results = verify.run_suites(["transpose", "magic"])
+    assert {r.status for r in results} == {verify.PASS, verify.FINDING}
+    assert Counter(calls) == {(n, r): 1 for n in range(1, 5) for r in range(3)}
+
+
 def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch):
     # what keeps every value from waiting for its partner: P, the insertion
     # route and the f route yield each length's words in one order, in two
     # passes of a pair of streams a length, P beside the insertion route and
     # then beside the f route
     words = []
-    lockstep = verify._lockstep
+    lockstep = shuffle._lockstep
 
-    def recording(*streams):
-        seen = [[] for _ in streams]
+    def recording(p, other):
+        seen = [[], []]
         words.append(seen)
 
         def recorded(stream, into):
@@ -474,10 +489,10 @@ def test_the_three_streams_of_a_length_yield_the_same_words_in_order(monkeypatch
                 into.append(v)
                 yield v, value
 
-        return lockstep(*map(recorded, streams, seen))
+        return lockstep(*map(recorded, (p, other), seen))
 
-    monkeypatch.setattr(verify, "_lockstep", recording)
-    passed = verify._agreement(8)
+    monkeypatch.setattr(shuffle, "_lockstep", recording)
+    passed = shuffle._agreement(8)
     assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
     assert len(words) == 2 * 9
     (p, insertion), (p_again, f) = (
@@ -516,7 +531,7 @@ def test_the_insertion_run_ends_before_the_f_route_makes_a_plan(monkeypatch):
 
     monkeypatch.setattr(shuffle, "_run", spy)
     monkeypatch.setattr(shuffle, "_normalized", spy_normalized)
-    passed = verify._agreement(5)
+    passed = shuffle._agreement(5)
     assert all(passed[count] == {m: 2**m for m in range(6)} for count in passed)
     assert sorted(yielded) == sorted(roots) == sorted(verify._words(5))
     assert done_at_plan == [True] * 6
@@ -552,7 +567,7 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
 
     monkeypatch.setattr(shuffle, "_evaluate", spy)
     monkeypatch.setattr(shuffle._Layout, "top_a_test", spy_top_a_test)
-    passed = verify._agreement(8)
+    passed = shuffle._agreement(8)
     assert all(passed[count] == {m: 2**m for m in range(9)} for count in passed)
     assert Counter(routes) == {"P": 18, "f": 9, "insertion": 1}
     [(w, a_rows, t_width)] = geometries
@@ -566,15 +581,15 @@ def test_every_run_of_one_agreement_shares_a_geometry_that_holds_its_bounds(
 def test_each_stream_yields_the_packed_image_of_p(monkeypatch):
     # decoded on the shared geometry, every int of every stream is P(v)
     values = []
-    lockstep = verify._lockstep
+    lockstep = shuffle._lockstep
 
-    def recording(*streams):
-        for v, ints in lockstep(*streams):
+    def recording(p, other):
+        for v, *ints in lockstep(p, other):
             values.append((v, ints))
-            yield v, ints
+            yield v, *ints
 
-    monkeypatch.setattr(verify, "_lockstep", recording)
-    verify._agreement(6)
+    monkeypatch.setattr(shuffle, "_lockstep", recording)
+    shuffle._agreement(6)
     geometry = shuffle._shared_geometry(6)
     layout = shuffle._Layout(*geometry)
     slots = layout.slots(layout.dq + 1)
@@ -602,7 +617,7 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
         return room(what, estimate)
 
     monkeypatch.setattr(budget, "_room", spy)
-    verify._agreement(4)
+    shuffle._agreement(4)
     # one check a length in each pass: P's run with the insertion run, then
     # with the f run of its length
     assert len(parts) == 10
@@ -614,7 +629,7 @@ def test_packed_runs_charge_no_slot_table_and_count_no_terms(monkeypatch):
     # at a whole budget per slot table field, a run that decodes is refused;
     # the runs that yield ints charge none
     monkeypatch.setattr(shuffle, "_SLOT_BYTES_PER_FIELD", budget._memory_budget())
-    verify._agreement(4)
+    shuffle._agreement(4)
     with pytest.raises(shuffle.MemoryBudgetExceeded, match="evaluating '0101' .* of slot table"):
         poincare_poly("0101")
 
@@ -651,7 +666,7 @@ def _agreement_checks(bound, monkeypatch):
     monkeypatch.setattr(budget, "_room", spy_room)
     with monkeypatch.context() as empty:
         empty.setattr(shuffle, "_evaluate", lambda roots, plan, layout: iter(()))
-        verify._agreement(bound)
+        shuffle._agreement(bound)
     return runs, checks
 
 
@@ -665,7 +680,7 @@ def test_agreement_fits_at_its_largest_joint_estimate(monkeypatch):
     need = max(sum(parts.values()) for parts in recorded)
     monkeypatch.setattr(budget, "_memory_budget", lambda: need * 105 // 100)
     checks.clear()
-    passed = verify._agreement(10)
+    passed = shuffle._agreement(10)
     assert all(passed[count] == {m: 2**m for m in range(11)} for count in passed)
     assert checks == recorded
 
@@ -696,7 +711,7 @@ def test_agreement_refuses_a_pair_of_runs_that_fit_only_alone(monkeypatch):
     monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
     checks.clear()
     with pytest.raises(shuffle.MemoryBudgetExceeded, match="^evaluating P's run over ") as err:
-        verify._agreement(10)
+        shuffle._agreement(10)
     assert err.value.need == joint[refused] and len(checks) == refused + 1
     assert sum(part.startswith("live values on the") for part in checks[-1]) == 2
     for part, size in checks[-1].items():
