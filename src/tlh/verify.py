@@ -369,9 +369,9 @@ def _top_a(bound: int, store: _Store) -> SubResults:
 def _closed_form_oracle(bound: int, store: _Store) -> SubResults:
     qmax = 12
     def ok(n: int) -> bool:
-        f = shuffle.poincare_series("0" * n)
-        sliced = FracPoly(f.num.coefficient_of_a(0), f.den).series(qmax)
-        return closed_form.hochschild_zero_series(n, qmax) == sliced
+        # served first: a size past memory is refused before the closed form
+        served = shuffle.full_twist_series(n, qmax).coefficient_of_a(0)
+        return closed_form.hochschild_zero_series(n, qmax) == served
     return _sizes(bound, ok)
 
 

@@ -142,6 +142,13 @@ MUTANTS = [
         "one = bias & mask",
         ("tests/test_verify.py::test_top_a_check_fails_if_its_mask_is_one_a_row_low",),
     ),
+    Mutant(
+        "low-pass-one-t-column-short",
+        "src/tlh/shuffle.py",
+        "return [(range(J + 1), comb(n, 2) + 1), high]",
+        "return [(range(J + 1), comb(n, 2)), high]",
+        ("tests/test_verify.py::test_closed_form_oracle_reads_the_split_f_route",),
+    ),
 ]
 
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from tlh import budget, links, shuffle, tableaux, verify
+from tlh import budget, closed_form, links, shuffle, tableaux, verify
 from tlh.poly import Q, BinomialFactor, NonExactDivision, Polynomial
 from tlh.shuffle import poincare_poly
 
@@ -719,6 +719,64 @@ def test_agreement_refuses_a_pair_of_runs_that_fit_only_alone(monkeypatch):
     # P's runs of the lengths before have stepped, and the refused one not
     assert len(layouts) == refused + 1
     assert [id(layout) in stepped for layout in layouts] == [True] * refused + [False]
+
+
+# The closed form is checked against the series that `tlh fulltwist` serves,
+# so it guards the split f route, which answers from n = 7 at qmax 12.
+
+
+def test_closed_form_oracle_reads_the_split_f_route(monkeypatch):
+    # whole P answers n <= 6; n = 7 decodes its low and its high pass
+    served, decoded = [], []
+    full_twist_series, unpack_bits = shuffle.full_twist_series, shuffle._unpack_bits
+
+    def spy_full_twist_series(n, qmax):
+        served.append(n)
+        return full_twist_series(n, qmax)
+
+    def spy_unpack_bits(packed, w, fields, exps):
+        decoded.append(served[-1])
+        return unpack_bits(packed, w, fields, exps)
+
+    monkeypatch.setattr(shuffle, "full_twist_series", spy_full_twist_series)
+    monkeypatch.setattr(shuffle, "_unpack_bits", spy_unpack_bits)
+    results = verify.run_suites(["hhh0"], max_n=7)
+    assert all(r.status == verify.PASS for r in results)
+    assert served == list(range(1, 8))
+    assert decoded == [7, 7]
+
+
+def test_closed_form_oracle_refuses_the_served_run_before_the_closed_form(
+    monkeypatch,
+):
+    # a budget that the served run of n = 8 outgrows, and no smaller one:
+    # the oracle fails by name, and the closed form never walks n = 8
+    needs = {}
+    room = budget._room
+
+    def spy_room(what, parts):
+        needs[n] = max(needs.get(n, 0), sum(parts.values()))
+        return room(what, parts)
+
+    monkeypatch.setattr(budget, "_room", spy_room)
+    for n in range(1, 9):
+        shuffle.full_twist_series(n, 12)
+    monkeypatch.undo()
+    memory = max(needs[n] for n in range(1, 8))
+    assert needs[8] > memory
+    walked = []
+    hochschild_zero_series = closed_form.hochschild_zero_series
+
+    def spy_closed_form(n, qmax):
+        walked.append((n, qmax))
+        return hochschild_zero_series(n, qmax)
+
+    monkeypatch.setattr(closed_form, "hochschild_zero_series", spy_closed_form)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: memory)
+    oracle = verify.run_suites(["hhh0"], max_n=8)[0]
+    assert oracle.name == "closed-form-oracle" and oracle.status == verify.FAIL
+    assert oracle.detail.startswith("raised MemoryBudgetExceeded: ")
+    assert (8, 12) not in walked and (7, 12) in walked
 
 
 # The determinism checks compare values asked for again, in another order
