@@ -110,18 +110,18 @@ j <= qmax, or in row qmax + 1 a row of f(0 v); and each window of the
 doubling prefix sum is at most the whole prefix sum.  No term is negative,
 so no field carries into the next, and none can overflow: nothing is
 guessed.
-Every run yields packed ints (:func:`_evaluate`); only the readers that
-return a polynomial decode, each root once its run has ended, by one of two
-decoders, and each layout's field width is the one its reader's decoder
-needs.  The signed-field decoder (:func:`_unpack`) slices whole bytes, so
-:func:`poincare_poly`, :func:`insertion_series` and the whole-P route of
-the full twist step on whole-byte fields (:func:`_decoded`).  The f route's
-passes take the fewest unsigned bits of their slice mass, each decoding its
-one root bit by bit (:func:`_unpack_bits`); and the runs that
-:func:`_agreement` compares decode none, so they take the fewest signed bits
-of their shared bound (:func:`_shared_geometry`).  Both decoders stay: read
-bit by bit as signed fields, P's roots took 5 to 7 times as long to decode
-at n = 6..12 (Python 3.11, 2 cores).
+Every run yields packed ints (:func:`_evaluate`).  One reader checks, steps
+and decodes every decoded run (:func:`_read`), each root once its last
+pass has ended; each layout decodes its own root and names what that adds
+to the run's estimate, so its field width is the one its decoder needs.
+P's layout, which :func:`poincare_poly`, :func:`insertion_series` and the
+whole-P route of the full twist step on, slices whole-byte signed fields
+(:func:`_unpack`); the f route's passes take the fewest unsigned bits of
+their slice mass, read bit by bit (:func:`_unpack_bits`); and the runs
+that :func:`_agreement` compares decode none, so they take the fewest
+signed bits of their shared bound (:func:`_shared_geometry`).  Both
+decoders stay: read bit by bit as signed fields, P's roots took 5 to 7
+times as long to decode at n = 6..12 (Python 3.11, 2 cores).
 The insertion route (below) steps on P's layout, sized by its own rules.
 Packing is the evaluation q = 2^SQ, a = 2^SA, t = 2^w, a ring homomorphism
 Z[q, a, t] -> Z, and its step is +, - and left shifts alone, with no mask,
@@ -161,9 +161,8 @@ q-rows: dq_k + 1 for P(k), by the bounds of the route that steps it, and
 r(k) + 1 for f(k), plus the step's temporaries as tall as the layout and
 the f route's masks; J minimises the larger of the f route's two.  A run
 is made unstarted beside that estimate, and the reader that holds runs
-checks all it holds, with what its decoding adds, in one call of
-:mod:`tlh.budget`'s check before any of those runs steps; a stream never
-checks.  A sum over physical memory fails with
+checks all it holds, with what its decoding adds, by :mod:`tlh.budget`'s
+check before any of those runs steps; a stream never checks.  A sum over physical memory fails with
 :class:`MemoryBudgetExceeded`, as does a closure walk whose own state, its
 keys and their dependency entries, outgrows physical memory, as soon as
 it does.  A layout is geometry alone until then: its masks are built when
@@ -659,6 +658,14 @@ class _Layout:
         grid = range(rows), self.a_rows, range(self.t_width)
         return list(product(*([UNIT * i for i in r] for r in grid)))
 
+    def decoding(self) -> dict[str, int]:
+        """What decoding a root adds to its run's estimate: the slot table."""
+        return {"slot table": self.fields * _SLOT_BYTES_PER_FIELD}
+
+    def decode(self, packed: int) -> Polynomial:
+        """The root's polynomial, read from its whole-byte signed fields."""
+        return _unpack(packed, self.w // 8, self.fields, self.slots(self.dq + 1))
+
     def step(self, key: str, ds: tuple[str, ...], work: dict) -> int:
         if not ds:
             return 1
@@ -743,6 +750,14 @@ class _SeriesLayout(_Layout):
         # the prefix sum's doubling strides: s q-rows for s = 1, 2, 4, ... <= qmax
         self.strides = [self.sq << k for k in range(qmax.bit_length())]
 
+    def decoding(self) -> dict[str, int]:
+        """The slot table, and :func:`_unpack_bits`'s binary digits, a byte a bit."""
+        return {**super().decoding(), "binary digits": self.fields * self.w}
+
+    def decode(self, packed: int) -> Polynomial:
+        """The root's polynomial, read bit by bit from its unsigned fields."""
+        return _unpack_bits(packed, self.w, self.fields, self.slots(self.dq + 1))
+
     def build(self) -> None:
         # masks[r] keeps q-rows 0..r
         self.masks = [(1 << r * self.sq) - 1 for r in range(1, self.dq + 2)]
@@ -804,28 +819,43 @@ def _run(roots: list[str], route: type[_Layout], geometry: tuple) -> tuple[dict,
     return _working_set(needs, peak, layout), _evaluate(roots, plan, layout)
 
 
-def _decoded(key: str, route: type[_Layout], plan=None, extra=None) -> Polynomial:
-    """``key``'s polynomial by ``route``'s rules, decoded once its run has ended.
+def _read(key: str, plan: tuple[dict, dict], rows: Callable[[str], int],
+          layouts: list[_Layout], extra: dict | None = None) -> Polynomial:
+    """``key``'s polynomial: the sum of its roots on ``layouts``, one pass each.
 
-    One run over the closure of ``key`` (``plan``, if it is given), on a
-    layout of the root's own bounds, the largest of its plan since bounds
-    grow toward the consumers: q-rows 0..dq, and fields of the whole bytes
-    that hold its L1 bound plus a sign (:func:`_byte_width`).  Its estimate
-    is checked with the slot table and the parts of ``extra`` before it
-    steps; the table is built after the last step, for the root's q-rows.
+    The one reader of every decoded run.  Each pass steps ``plan``, the
+    :func:`_plan` of ``key``, whose key k holds ``rows(k)`` q-rows.  Every
+    pass is checked against memory before any steps, with what its layout's
+    decoding adds (``layout.decoding()``): the first with the parts of
+    ``extra``, each later one with the root of the pass before it, which
+    that pass holds as it steps.  Then each pass steps in turn, and each
+    root is decoded by its own layout (``layout.decode``) once the last
+    pass has ended, so a refused run builds no slot table.  The passes hold
+    disjoint a-degrees, so the sum of their roots is the polynomial.
     """
-    needs, _ = plan = plan or _plan([key], route.deps)
+    peak = _peak_live(*plan, rows)
+    held = extra or {}
+    for layout in layouts:
+        parts = _working_set(plan[0], peak, layout)
+        budget._room(repr(key), {**parts, **layout.decoding(), **held})
+        held = {"the low pass's root": _packed_bytes((layout.dq + 1) * layout.row_bytes)}
+    ints = [packed for layout in layouts for _, packed in _evaluate([key], plan, layout)]
+    return sum(layout.decode(packed) for layout, packed in zip(layouts, ints))
+
+
+def _decoded(key: str, route: type[_Layout]) -> Polynomial:
+    """``key``'s polynomial by ``route``'s rules, in one run over its closure.
+
+    Read (:func:`_read`) on a layout of the root's own bounds, the largest
+    of its plan since bounds grow toward the consumers: q-rows 0..dq, and
+    fields of the whole bytes that hold its L1 bound plus a sign
+    (:func:`_byte_width`).
+    """
+    needs, _ = plan = _plan([key], route.deps)
     bounds = route.bounds(needs)
     dq, l1 = bounds[key]
     layout = route(len(key), dq, _byte_width(l1))
-    peak = _peak_live(*plan, lambda k: bounds[k][0] + 1)
-    budget._room(repr(key), {
-        **_working_set(needs, peak, layout),
-        "slot table": layout.fields * _SLOT_BYTES_PER_FIELD,
-        **(extra or {}),
-    })
-    [(_, packed)] = _evaluate([key], plan, layout)
-    return _unpack(packed, layout.w // 8, layout.fields, layout.slots(dq + 1))
+    return _read(key, plan, lambda k: bounds[k][0] + 1, [layout])
 
 
 def poincare_poly(v: str) -> Polynomial:
@@ -984,13 +1014,13 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     ratio of the two routes' step times was 0.7 to 2.1 times that of their
     totals, and 0.7 to 1.3 from qmax 10 on, nearer the crossover.
     Up to n = 17 the larger pass then holds no more at once than whole P.
-    Both passes are pre-flighted before either steps, the high one with
-    the low one's root, and each root is decoded once both have stepped,
-    bit by bit (:func:`_unpack_bits`); their a-degrees are disjoint, so
-    their sum is the series.
-    Otherwise it steps the whole polynomial and expands it over (1 - q)^n,
-    pre-flighting the run and the expansion (:func:`_series_terms`)
-    together before any step.
+    Otherwise it steps the whole polynomial and expands it over (1 - q)^n.
+    Either route ends in one call of the reader that checks, steps and
+    decodes every decoded run (:func:`_read`): both passes are checked
+    before either steps, the high one with the low one's root, or the whole
+    run with its expansion (:func:`_series_terms`); and each layout decodes
+    its own root once the last pass has stepped, the f passes' bit by bit.
+    Their a-degrees are disjoint, so their sum is the series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -1001,6 +1031,7 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
     needs, _ = plan = _plan([key], _Layout.deps)
     bounds = _Layout.bounds(needs)
     dq, l1 = bounds[key]
+    whole = _Layout(n, dq, _byte_width(l1))
     if qmax < dq:
         demand = _demand(needs, {key: qmax})
         # unsigned fields of the fewest bits that hold each pass's slice mass
@@ -1013,26 +1044,9 @@ def full_twist_series(n: int, qmax: int) -> Polynomial:
         pair = min(pairs, key=lambda passes: max(p.row_bytes for p in passes))
         rows = sum(demand.values()) + len(demand)  # r(k) + 1 q-rows per key
         stepped = rows * sum(p.row_bytes for p in pair)
-        whole = _Layout(n, dq, _byte_width(l1))
         if stepped < sum(d + 1 for d, _ in bounds.values()) * whole.row_bytes:
-            # both passes are checked before either steps, each with its slot
-            # table and _unpack_bits's binary digits, a byte a bit, and the
-            # high pass with the low pass's root, held as it steps
-            peak = _peak_live(*plan, lambda k: demand[k] + 1)
-            held = {}
-            for p in pair:
-                budget._room(repr(key), {
-                    **_working_set(needs, peak, p),
-                    "slot table": p.fields * _SLOT_BYTES_PER_FIELD,
-                    "binary digits": p.fields * p.w,
-                    **held,
-                })
-                held = {"the low pass's root": _packed_bytes((qmax + 1) * p.row_bytes)}
-            ints = [packed for p in pair for _, packed in _evaluate([key], plan, p)]
-            low, high = (_unpack_bits(x, p.w, p.fields, p.slots(qmax + 1))
-                         for p, x in zip(pair, ints))
-            return low + high  # the passes hold disjoint a-degrees
-    out = _decoded(key, _Layout, plan, _series_terms(n, qmax))
+            return _read(key, plan, lambda k: demand[k] + 1, pair)
+    out = _read(key, plan, lambda k: bounds[k][0] + 1, [whole], _series_terms(n, qmax))
     return FracPoly(out, [ONE_MINUS_Q] * n).series(qmax)
 
 

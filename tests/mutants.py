@@ -149,6 +149,13 @@ MUTANTS = [
         "return [(range(J + 1), comb(n, 2)), high]",
         ("tests/test_verify.py::test_closed_form_oracle_reads_the_split_f_route",),
     ),
+    Mutant(
+        "high-pass-without-the-low-root",
+        "src/tlh/shuffle.py",
+        """held = {"the low pass's root": _packed_bytes((layout.dq + 1) * layout.row_bytes)}""",
+        "held = {}",
+        ("tests/test_shuffle.py::test_the_high_pass_is_checked_with_the_low_pass_root",),
+    ),
 ]
 
 

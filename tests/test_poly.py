@@ -146,6 +146,11 @@ def test_zero_and_identity():
     assert (ZERO).text() == "0"
 
 
+def test_an_int_minus_a_value_is_its_reflected_difference():
+    assert 1 - Q == Polynomial({(0, 0, 0): 1, (UNIT, 0, 0): -1})
+    assert 1 - FracPoly(Q, [ONE_MINUS_Q]) == FracPoly(ONE - Q - Q, [ONE_MINUS_Q])
+
+
 def test_text_renders_repeated_powers_alike_in_both_forms():
     # fractional and negative exponents, some powers shared by several
     # terms: a power rendered once in a call reads the same in each term,

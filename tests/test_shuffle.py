@@ -1321,6 +1321,47 @@ def test_series_route_checks_every_pass_once_before_any_step(monkeypatch):
     assert "step" not in events
 
 
+def test_the_high_pass_is_checked_with_the_low_pass_root(monkeypatch):
+    # n = 11, qmax = 10 takes the f route: the low pass's root is held while
+    # the high pass steps, so the high pass's estimate holds it, and a
+    # budget that covers each pass without it refuses the call before any
+    # step
+    estimates, layouts = [], []
+    room, evaluate, step = budget._room, shuffle._evaluate, shuffle._SeriesLayout.step
+
+    def spy_room(what, parts):
+        if _a_pass(parts):
+            estimates.append(parts)
+        return room(what, parts)
+
+    def spy_evaluate(roots, plan, layout):
+        layouts.append(layout)
+        return evaluate(roots, plan, layout)
+
+    monkeypatch.setattr(budget, "_room", spy_room)
+    monkeypatch.setattr(shuffle, "_evaluate", spy_evaluate)
+    full_twist_series(11, 10)
+    first, second = estimates
+    low = layouts[0]
+    held = second["the low pass's root"]
+    assert held == shuffle._packed_bytes(11 * low.row_bytes)
+    assert "the low pass's root" not in first
+    need = max(sum(first.values()), sum(second.values()) - held)
+    assert need < sum(second.values())
+    steps = []
+
+    def spy_step(layout, key, ds, work):
+        steps.append(key)
+        return step(layout, key, ds, work)
+
+    monkeypatch.setattr(shuffle._SeriesLayout, "step", spy_step)
+    monkeypatch.setattr(budget, "_memory_budget", lambda: need)
+    with pytest.raises(MemoryBudgetExceeded, match="MiB of the low pass's root$") as err:
+        full_twist_series(11, 10)
+    assert err.value.need == sum(second.values())
+    assert steps == []
+
+
 def test_no_slot_table_outlives_its_run():
     # each layout builds its own slot table, which is freed with the run:
     # long keys with few zeros have tables of 49,203 and 287,595 fields

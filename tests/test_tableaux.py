@@ -60,6 +60,7 @@ def brute_corners(shape: Partition, grid: int = 12):
 def test_partition_basics():
     p = Partition((3, 1, 1))
     assert p.size == 5
+    assert str(p) == "3,1,1"
     assert p.transpose() == Partition((3, 1, 1))
     assert Partition((2, 1)).transpose() == Partition((2, 1))
     assert Partition((3,)).transpose() == Partition((1, 1, 1))
@@ -202,6 +203,7 @@ def test_tableau_validation():
     t = StandardTableau((Box(0, 0), Box(1, 0), Box(0, 1)))
     assert t.shape == Partition((2, 1))
     assert str(t) == "0,0;1,0;0,1"
+    assert t.size == 3
 
 
 def test_tableau_weight_examples():
